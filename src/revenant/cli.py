@@ -116,6 +116,12 @@ def _porter(cfg: CaseConfig, case_dir: Path) -> Porter:
     )
 
 
+def _oracle_counts(porter: Porter) -> str:
+    """The oracle's build and cache-hit counts, for a summary line."""
+    counters = porter.oracle.counters
+    return f"builds={counters.get('builds', 0)} hits={counters.get('cache_hits', 0)}"
+
+
 def _write(path: Path, text: str) -> Path:
     path.write_text(text, encoding="utf-8")
     return path
@@ -133,7 +139,8 @@ def cmd_port(args) -> int:
     else:
         ref = args.ref or cfg.target
     case_dir = _case_dir(args, cfg)
-    att = _porter(cfg, case_dir).attempt(ref, (), cfg.fix_commits)
+    with _porter(cfg, case_dir) as porter:
+        att = porter.attempt(ref, (), cfg.fix_commits)
     status = status_of(att.verdict.kind)
     out = _write(
         case_dir / PORT_FILE,
@@ -153,7 +160,7 @@ def cmd_port(args) -> int:
     )
     print(
         f"port cve={cfg.cve} ref={ref} status={status} "
-        f"detector={att.verdict.detector_class or '-'} record={out}"
+        f"detector={att.verdict.detector_class or '-'} {_oracle_counts(porter)} record={out}"
     )
     return EXIT_OK if status == "triggered" else EXIT_ABORTED
 
@@ -162,7 +169,8 @@ def cmd_tiers(args) -> int:
     cfg = _load_cfg(args.config, args)
     tiers = cfg.tiers or {"target": cfg.target}
     case_dir = _case_dir(args, cfg)
-    results = _porter(cfg, case_dir).evaluate_tiers(cfg.fix_commits, tiers)
+    with _porter(cfg, case_dir) as porter:
+        results = porter.evaluate_tiers(cfg.fix_commits, tiers)
     payload = {
         "cve": cfg.cve,
         "project": cfg.project,
@@ -170,26 +178,26 @@ def cmd_tiers(args) -> int:
     }
     out = _write(case_dir / TIERS_FILE, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     cells = " ".join(f"{name}={res.status}" for name, res in results.items())
-    print(f"tiers cve={cfg.cve} {cells} record={out}")
+    print(f"tiers cve={cfg.cve} {cells} {_oracle_counts(porter)} record={out}")
     return EXIT_OK
 
 
 def cmd_bisect(args) -> int:
     cfg = _load_cfg(args.config, args)
     case_dir = _case_dir(args, cfg)
-    porter = _porter(cfg, case_dir)
-    candidates = [c.id for c in commits_between(cfg.repo, args.good, args.bad).ordered]
+    with _porter(cfg, case_dir) as porter:
+        candidates = [c.id for c in porter.commits.between(args.good, args.bad).ordered]
 
-    def probe(commit_id: str) -> str:
-        att = porter.attempt(commit_id, (), cfg.fix_commits)
-        status = status_of(att.verdict.kind)
-        if status == "triggered":
-            return "good"
-        if status == "sandbox-failure":
-            return "skip"
-        return "bad"
+        def probe(commit_id: str) -> str:
+            att = porter.attempt(commit_id, (), cfg.fix_commits)
+            status = status_of(att.verdict.kind)
+            if status == "triggered":
+                return "good"
+            if status == "sandbox-failure":
+                return "skip"
+            return "bad"
 
-    result = find_breaking_commit(candidates, probe, skip_budget=cfg.policy.skip_budget)
+        result = find_breaking_commit(candidates, probe, skip_budget=cfg.policy.skip_budget)
     payload = {
         "cve": cfg.cve,
         "good": args.good,
@@ -202,7 +210,7 @@ def cmd_bisect(args) -> int:
     out = _write(case_dir / BISECT_FILE, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(
         f"bisect cve={cfg.cve} breaking={result.commit} calls={result.calls} "
-        f"skipped={len(result.skipped)} record={out}"
+        f"skipped={len(result.skipped)} {_oracle_counts(porter)} record={out}"
     )
     return EXIT_OK
 
@@ -210,15 +218,14 @@ def cmd_bisect(args) -> int:
 def _revive_one(path: str, args) -> Tuple[str, int]:
     cfg = _load_cfg(path, args)
     case_dir = _case_dir(args, cfg)
-    record = _porter(cfg, case_dir).revive(
-        cfg.cve, cfg.project, cfg.fix_commits, cfg.target
-    )
+    with _porter(cfg, case_dir) as porter:
+        record = porter.revive(cfg.cve, cfg.project, cfg.fix_commits, cfg.target)
     out = _write(case_dir / RECORD_FILE, record.to_json())
     line = (
         f"revive cve={cfg.cve} final={record.final}"
         + (f" abort={record.abort_reason}" if record.abort_reason else "")
         + f" stack={len(record.revert_stack)}"
-        f" oracle_calls={record.effort.get('oracle_calls', 0)} record={out}"
+        f" oracle_calls={record.effort.get('oracle_calls', 0)} {_oracle_counts(porter)} record={out}"
     )
     return line, EXIT_OK if record.final == FINAL_REVIVED else EXIT_ABORTED
 

@@ -1,17 +1,21 @@
 """Thin porcelain over a local git checkout.
 
-Everything here shells out to git; no repository state is cached between
-calls.  File contents travel as str with surrogateescape so arbitrary
-bytes survive the Python layer unchanged.
+Everything here shells out to git.  A `CommitMemo` remembers what a full
+commit id names, which never changes, for as long as its owner keeps it;
+the module-level functions start from an empty memo on every call.  File
+contents travel as str with surrogateescape so arbitrary bytes survive
+the Python layer unchanged.
 """
 
 from __future__ import annotations
 
+import fcntl
 import os
 import subprocess
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .patchcore import (
     ApplyReport,
@@ -104,6 +108,21 @@ class CommitRange:
         return len(self.ordered)
 
 
+@contextmanager
+def _worktree_list_lock(repo: Path) -> Iterator[None]:
+    """Hold an exclusive lock on `repo` while its worktree list changes.
+
+    `git worktree add` and `remove` read every entry of the list and fail
+    on one that another process or thread is still making.
+    """
+    fd = os.open(repo, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)  # releases the lock
+
+
 @dataclass
 class Worktree:
     repo: Path
@@ -119,9 +138,18 @@ class Worktree:
     def exists(self, relpath: str) -> bool:
         return (self.path / relpath).is_file()
 
+    def switch(self, commit_id: str) -> None:
+        """Reset the worktree to `commit_id`, dropping every edit and every
+        file that is not tracked there, so it matches a fresh checkout."""
+        run_git(self.path, "checkout", "--quiet", "--detach", "--force", commit_id)
+        run_git(self.path, "clean", "-fdxq")
+        self.commit = commit_id
+
     def remove(self) -> None:
-        run_git(self.repo, "worktree", "remove", "--force", str(self.path), check=False)
-        run_git(self.repo, "worktree", "prune", check=False)
+        # no `git worktree prune`: it deletes the half-made entry of a
+        # worktree that another porter is adding to the same repository
+        with _worktree_list_lock(self.repo):
+            run_git(self.repo, "worktree", "remove", "--force", str(self.path), check=False)
 
     def __enter__(self) -> "Worktree":
         return self
@@ -130,90 +158,146 @@ class Worktree:
         self.remove()
 
 
-def _touched_files(repo: Path, commit_id: str, parents: Sequence[str]) -> Tuple[str, ...]:
-    if parents:
-        proc = run_git(
-            repo, "diff", "--name-only", "--no-renames", parents[0], commit_id
-        )
-    else:
-        proc = run_git(
-            repo, "diff-tree", "--root", "--no-commit-id", "--name-only", "-r",
-            commit_id,
-        )
-    return tuple(ln for ln in proc.stdout.split("\n") if ln)
+_LOG_ARGS = (
+    "log",
+    "--first-parent",
+    "--name-only",
+    "--no-renames",
+    "--format=%x01%H%x00%h%x00%ct%x00%at%x00%P",
+)
 
 
-def _commit_ref(repo: Path, commit_id: str) -> CommitRef:
-    proc = run_git(repo, "show", "-s", "--format=%H%x00%h%x00%ct%x00%at%x00%P", commit_id)
-    full, short, ct, at, parents_raw = proc.stdout.strip("\n").split("\x00")
-    parents = tuple(parents_raw.split()) if parents_raw else ()
-    return CommitRef(
-        id=full,
-        short_id=short,
-        timestamp=int(ct),
-        author_timestamp=int(at),
-        parents=parents,
-        touched_files=_touched_files(repo, full, parents),
-    )
-
-
-def resolve_ref(repo: Path, name: str) -> CommitRef:
-    """Resolve a branch, tag or abbreviated id to a CommitRef.
-
-    Tags are peeled to the commit they point at.  Shallow clones are
-    refused because every range operation here assumes full history.
-    """
-    repo = Path(repo)
-    shallow = run_git(repo, "rev-parse", "--is-shallow-repository")
-    if shallow.stdout.strip() == "true":
-        raise ShallowHistory(f"{repo} is a shallow clone; fetch full history first")
-    proc = run_git(repo, "rev-parse", "--verify", "--quiet", f"{name}^{{commit}}", check=False)
-    if proc.returncode != 0:
-        raise UnknownRef(f"{name!r} does not name a commit in {repo}")
-    return _commit_ref(repo, proc.stdout.strip())
-
-
-def commits_between(repo: Path, base: str, tip: str) -> CommitRange:
-    """First-parent path (base, tip], oldest first."""
-    repo = Path(repo)
-    base_ref = resolve_ref(repo, base)
-    tip_ref = resolve_ref(repo, tip)
-    anc = run_git(repo, "merge-base", "--is-ancestor", base_ref.id, tip_ref.id, check=False)
-    if anc.returncode != 0:
-        raise NotAncestor(f"{base} is not a first-parent ancestor of {tip}")
-
-    proc = run_git(
-        repo,
-        "log",
-        "--first-parent",
-        "--reverse",
-        "--name-only",
-        "--no-renames",
-        "--format=%x01%H%x00%h%x00%ct%x00%at%x00%P",
-        f"{base_ref.id}..{tip_ref.id}",
-    )
-    ordered: List[CommitRef] = []
+def _log(repo: Path, *revs: str) -> List[CommitRef]:
+    """CommitRefs of `git log --first-parent` over `revs`, in log order."""
+    proc = run_git(repo, *_LOG_ARGS, *revs, "--")
+    refs: List[CommitRef] = []
     for block in proc.stdout.split("\x01"):
         if not block.strip():
             continue
         head, _, names_blob = block.partition("\n")
         full, short, ct, at, parents_raw = head.split("\x00")
-        names = tuple(ln for ln in names_blob.split("\n") if ln)
-        ordered.append(
+        refs.append(
             CommitRef(
                 id=full,
                 short_id=short,
                 timestamp=int(ct),
                 author_timestamp=int(at),
                 parents=tuple(parents_raw.split()) if parents_raw else (),
-                touched_files=names,
+                touched_files=tuple(ln for ln in names_blob.split("\n") if ln),
             )
         )
-    # guard against the base slipping in (it cannot, with A..B) and make
-    # sure the walk ends at the tip we resolved
-    if ordered and ordered[-1].id != tip_ref.id:
-        raise GitGatewayError("first-parent walk did not end at the tip")
-    return CommitRange(base=base_ref, tip=tip_ref, ordered=ordered)
+    return refs
+
+
+def _rev_parse(repo: Path, name: str) -> str:
+    """Full id of the commit `name` points at; tags are peeled."""
+    proc = run_git(repo, "rev-parse", "--verify", "--quiet", f"{name}^{{commit}}", check=False)
+    if proc.returncode != 0:
+        raise UnknownRef(f"{name!r} does not name a commit in {repo}")
+    return proc.stdout.strip()
+
+
+class CommitMemo:
+    """Facts about one repository's commits, remembered by full id.
+
+    A full id always names the same commit, so its CommitRef, its diff and
+    the inverse of that diff are kept for the life of the memo.  A name
+    (branch, tag, abbreviated id) can move, so it is resolved again on
+    every call.  The shallow-clone check runs once.  Patches are shared
+    between callers, who must not modify them.
+    """
+
+    def __init__(self, repo: Path):
+        self.repo = Path(repo)
+        self._refs: Dict[str, CommitRef] = {}
+        self._diffs: Dict[Tuple[str, int], SourcePatch] = {}
+        self._inverses: Dict[str, SourcePatch] = {}
+        self._full_history = False
+
+    def _commit_id(self, name: str) -> str:
+        if name in self._refs:
+            return name
+        if not self._full_history:
+            shallow = run_git(self.repo, "rev-parse", "--is-shallow-repository")
+            if shallow.stdout.strip() == "true":
+                raise ShallowHistory(
+                    f"{self.repo} is a shallow clone; fetch full history first"
+                )
+            self._full_history = True
+        return _rev_parse(self.repo, name)
+
+    def resolve(self, name: str) -> CommitRef:
+        """Resolve a branch, tag or abbreviated id to a CommitRef.
+
+        Tags are peeled to the commit they point at.  Shallow clones are
+        refused because every range operation here assumes full history.
+        """
+        commit_id = self._commit_id(name)
+        ref = self._refs.get(commit_id)
+        if ref is None:
+            ref = self._refs[commit_id] = _log(self.repo, "-1", commit_id)[0]
+        return ref
+
+    def between(self, base: str, tip: str) -> CommitRange:
+        """First-parent path (base, tip], oldest first."""
+        base_ref = self.resolve(base)
+        tip_id = self._commit_id(tip)
+        anc = run_git(
+            self.repo, "merge-base", "--is-ancestor", base_ref.id, tip_id, check=False
+        )
+        if anc.returncode != 0:
+            raise NotAncestor(f"{base} is not a first-parent ancestor of {tip}")
+        ordered = _log(self.repo, "--reverse", f"{base_ref.id}..{tip_id}")
+        for ref in ordered:
+            self._refs.setdefault(ref.id, ref)
+        # guard against the base slipping in (it cannot, with A..B) and make
+        # sure the walk ends at the tip we resolved
+        if ordered and ordered[-1].id != tip_id:
+            raise GitGatewayError("first-parent walk did not end at the tip")
+        return CommitRange(base=base_ref, tip=self.resolve(tip_id), ordered=ordered)
+
+    def diff(self, commit: str, context: int = 3) -> SourcePatch:
+        """The commit's diff against its first parent, as a SourcePatch."""
+        ref = self.resolve(commit)
+        patch = self._diffs.get((ref.id, context))
+        if patch is None:
+            if not ref.parents:
+                raise RootCommit(f"{ref.short_id} has no parent to diff against")
+            proc = run_git(
+                self.repo,
+                "diff",
+                "--no-color",
+                "--no-renames",
+                f"-U{context}",
+                ref.parents[0],
+                ref.id,
+            )
+            patch = parse_unified_diff(proc.stdout, provenance=f"commit:{ref.id}")
+            self._diffs[(ref.id, context)] = patch
+        return patch
+
+    def inverse(self, commit: str) -> SourcePatch:
+        """The inverse of the commit's diff: what reverting it applies."""
+        ref = self.resolve(commit)
+        patch = self._inverses.get(ref.id)
+        if patch is None:
+            patch = self._inverses[ref.id] = invert(self.diff(ref.id))
+        return patch
+
+
+def resolve_ref(repo: Path, name: str) -> CommitRef:
+    """`CommitMemo.resolve` with nothing remembered."""
+    return CommitMemo(repo).resolve(name)
+
+
+def commits_between(repo: Path, base: str, tip: str) -> CommitRange:
+    """`CommitMemo.between` with nothing remembered."""
+    return CommitMemo(repo).between(base, tip)
+
+
+def commit_diff(repo: Path, commit: str, context: int = 3) -> SourcePatch:
+    """`CommitMemo.diff` with nothing remembered."""
+    return CommitMemo(repo).diff(commit, context)
 
 
 def checkout_worktree(repo: Path, commit: str, dest: Path) -> Worktree:
@@ -225,29 +309,12 @@ def checkout_worktree(repo: Path, commit: str, dest: Path) -> Worktree:
     dest = Path(dest)
     if dest.exists() and any(dest.iterdir()):
         raise DirtyDestination(f"{dest} exists and is not empty")
-    ref = resolve_ref(repo, commit)
+    commit_id = _rev_parse(repo, commit)
     if dest.exists():
         dest.rmdir()  # `git worktree add` wants to create it
-    run_git(repo, "worktree", "add", "--detach", str(dest), ref.id)
-    return Worktree(repo=repo, commit=ref.id, path=dest)
-
-
-def commit_diff(repo: Path, commit: str, context: int = 3) -> SourcePatch:
-    """The commit's diff against its first parent, as a SourcePatch."""
-    repo = Path(repo)
-    ref = resolve_ref(repo, commit)
-    if not ref.parents:
-        raise RootCommit(f"{ref.short_id} has no parent to diff against")
-    proc = run_git(
-        repo,
-        "diff",
-        "--no-color",
-        "--no-renames",
-        f"-U{context}",
-        ref.parents[0],
-        ref.id,
-    )
-    return parse_unified_diff(proc.stdout, provenance=f"commit:{ref.id}")
+    with _worktree_list_lock(repo):
+        run_git(repo, "worktree", "add", "--detach", str(dest), commit_id)
+    return Worktree(repo=repo, commit=commit_id, path=dest)
 
 
 def revert_onto(
@@ -256,15 +323,18 @@ def revert_onto(
     max_fuzz: int = 0,
     search_window: int = 200,
     normalize_trailing_whitespace: bool = False,
+    inverse: Optional[SourcePatch] = None,
 ) -> List[ApplyReport]:
     """Apply the inverse of `commit`'s diff to the worktree, atomically.
 
     Either every hunk of every touched file applies and the files are
     written, or RevertConflict is raised and nothing changes.  Files the
     commit touched that are absent from the worktree are skipped with an
-    empty report (filtered checkouts are legitimate).
+    empty report (filtered checkouts are legitimate).  A caller that
+    already holds the inverse (see `CommitMemo.inverse`) passes it in.
     """
-    inverse = invert(commit_diff(worktree.repo, commit))
+    if inverse is None:
+        inverse = invert(commit_diff(worktree.repo, commit))
     staged: List[Tuple[str, Optional[str]]] = []  # (path, new_content or None=delete)
     reports: List[ApplyReport] = []
     failures: List[ApplyReport] = []

@@ -228,10 +228,13 @@ def run_limited(
 
 
 def _merged_env(extra: Tuple[Tuple[str, str], ...]) -> Dict[str, str]:
+    """The environment a recipe's build and its PoC run under."""
     env = dict(os.environ)
+    # make sanitizer reports land on stdout/stderr, never in log files: an
+    # ambient log_path would turn Triggered into NotTriggered.  A recipe
+    # that sets ASAN_OPTIONS itself still wins.
+    env["ASAN_OPTIONS"] = "log_path=stderr:abort_on_error=0"
     env.update(dict(extra))
-    # make sanitizer reports land on stdout/stderr, never in log files
-    env.setdefault("ASAN_OPTIONS", "log_path=stderr:abort_on_error=0")
     return env
 
 
@@ -432,6 +435,7 @@ class Oracle:
                     outcome.artifacts,
                     poc,
                     cwd=stage,
+                    env=_merged_env(recipe.env),
                     sanitizer=recipe.sanitizer,
                     counters=self.counters,
                 )

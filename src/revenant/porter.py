@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,14 +28,12 @@ from .patchcore import (
 )
 from .patchcore.model import MODE_CREATED, MODE_DELETED
 from .gitio import (
+    CommitMemo,
     CommitRef,
     RevertConflict,
     Worktree,
     checkout_worktree,
-    commit_diff,
-    commits_between,
     read_file,
-    resolve_ref,
     revert_onto,
 )
 from .oracle import (
@@ -103,21 +102,25 @@ class PortPolicy:
 # ---------- reverse patch derivation ----------
 
 
-def derive_reverse_patch(repo: Path, fix_commits: Sequence[str]) -> SourcePatch:
+def derive_reverse_patch(
+    repo: Path, fix_commits: Sequence[str], commits: Optional[CommitMemo] = None
+) -> SourcePatch:
     """Inverse of the combined fix, ready to re-open the hole.
 
     A single fix is simply its commit diff inverted.  Several fixes are
     composed by strictly replaying each one onto the state before the
     first; any replay rejection means the fixes are not a clean sequence
-    and raises CompositionConflict.
+    and raises CompositionConflict.  `commits` is the caller's memo of
+    the repository, if it keeps one.
     """
     if not fix_commits:
         raise PortError("at least one fix commit is required")
+    commits = commits or CommitMemo(repo)
     if len(fix_commits) == 1:
-        return invert(commit_diff(repo, fix_commits[0]))
+        return invert(commits.diff(fix_commits[0]))
 
-    diffs = [commit_diff(repo, c) for c in fix_commits]
-    first = resolve_ref(repo, fix_commits[0])
+    diffs = [commits.diff(c) for c in fix_commits]
+    first = commits.resolve(fix_commits[0])
     if not first.parents:
         raise PortError(f"fix {first.short_id} has no parent")
     touched = sorted({fp.path for d in diffs for fp in d.files})
@@ -351,7 +354,14 @@ class RevivalRecord:
 
 
 class Porter:
-    """Holds one project's repo, build recipe and PoC, and runs ports."""
+    """Holds one project's repo, build recipe and PoC, and runs ports.
+
+    Every attempt reuses one worktree, made on the first attempt and
+    switched to each later attempt's ref.  Facts about commits are
+    remembered in `commits` for the porter's life.  Close the porter (or
+    use it as a context manager) to remove the worktree and any scratch
+    directory it made.
+    """
 
     def __init__(
         self,
@@ -368,27 +378,51 @@ class Porter:
         self.poc = poc
         self.policy = policy
         self.limits = limits
+        self._own_scratch = scratch_dir is None
         self._scratch = Path(scratch_dir) if scratch_dir else Path(
             tempfile.mkdtemp(prefix="porter-")
         )
         self._scratch.mkdir(parents=True, exist_ok=True)
         self.oracle = oracle or Oracle(scratch_dir=self._scratch / "oracle")
-        self._wt_count = 0
+        self.commits = CommitMemo(self.repo)
+        self._slot: Optional[Worktree] = None
         self.attempt_count = 0
         self._reverse_cache: Dict[Tuple[str, ...], SourcePatch] = {}
+
+    def close(self) -> None:
+        """Remove the worktree, and the scratch directory if the porter made it."""
+        if self._slot is not None:
+            self._slot.remove()
+            self._slot = None
+        if self._own_scratch:
+            shutil.rmtree(self._scratch, ignore_errors=True)
+
+    def __enter__(self) -> "Porter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- plumbing --
 
     def reverse_patch(self, fix_commits: Sequence[str]) -> SourcePatch:
         key = tuple(fix_commits)
         if key not in self._reverse_cache:
-            self._reverse_cache[key] = derive_reverse_patch(self.repo, fix_commits)
+            self._reverse_cache[key] = derive_reverse_patch(
+                self.repo, fix_commits, self.commits
+            )
         return self._reverse_cache[key]
 
-    def _new_worktree(self, ref: str) -> Worktree:
-        self._wt_count += 1
-        dest = self._scratch / f"wt-{self._wt_count}"
-        return checkout_worktree(self.repo, ref, dest)
+    def _checkout(self, ref: str) -> Worktree:
+        """The porter's worktree at `ref`, made on first use."""
+        commit_id = self.commits.resolve(ref).id
+        if self._slot is None:
+            # a unique name: porters on one repository share its worktree list
+            dest = Path(tempfile.mkdtemp(prefix="wt-", dir=self._scratch))
+            self._slot = checkout_worktree(self.repo, commit_id, dest)
+        else:
+            self._slot.switch(commit_id)
+        return self._slot
 
     def _apply_reverse(
         self, wt: Worktree, reverse: SourcePatch
@@ -462,9 +496,8 @@ class Porter:
         return True, len(staged), hunks, regions
 
     def _revert_regions(self, breaker: str) -> List[dict]:
-        inverse = invert(commit_diff(self.repo, breaker))
         out = []
-        for fp in inverse.files:
+        for fp in self.commits.inverse(breaker).files:
             for hunk in fp.hunks:
                 out.append(
                     {
@@ -479,37 +512,38 @@ class Porter:
         self, ref: str, reverts_newest_first: Sequence[str], fix_commits: Sequence[str]
     ) -> AttemptResult:
         """Check out `ref`, revert the given commits, reverse-port the fix,
-        and get a verdict.  The worktree is disposable; failures at the
-        patching stage come back as synthetic verdict kinds."""
+        and get a verdict.  The worktree is reset by the next attempt;
+        failures at the patching stage come back as synthetic verdict
+        kinds."""
         self.attempt_count += 1
         reverse = self.reverse_patch(fix_commits)
-        wt = self._new_worktree(ref)
-        with wt:
-            for breaker in reverts_newest_first:
-                try:
-                    revert_onto(
-                        wt,
-                        breaker,
-                        max_fuzz=self.policy.max_fuzz,
-                        search_window=self.policy.search_window,
-                        normalize_trailing_whitespace=self.policy.normalize_trailing_whitespace,
-                    )
-                except RevertConflict as exc:
-                    return AttemptResult(
-                        OracleVerdict(KIND_REVERT_CONFLICT, evidence=str(exc))
-                    )
-            ok, files, hunks, regions = self._apply_reverse(wt, reverse)
-            if not ok:
-                return AttemptResult(
-                    OracleVerdict(
-                        KIND_PORT_CONFLICT,
-                        evidence=f"reverse patch does not apply at {ref}",
-                    )
+        wt = self._checkout(ref)
+        for breaker in reverts_newest_first:
+            try:
+                revert_onto(
+                    wt,
+                    breaker,
+                    max_fuzz=self.policy.max_fuzz,
+                    search_window=self.policy.search_window,
+                    normalize_trailing_whitespace=self.policy.normalize_trailing_whitespace,
+                    inverse=self.commits.inverse(breaker),
                 )
-            for breaker in reverts_newest_first:
-                regions = regions + self._revert_regions(breaker)
-            verdict = self.oracle.verdict(wt.path, self.recipe, self.poc)
-            return AttemptResult(verdict, files, hunks, regions)
+            except RevertConflict as exc:
+                return AttemptResult(
+                    OracleVerdict(KIND_REVERT_CONFLICT, evidence=str(exc))
+                )
+        ok, files, hunks, regions = self._apply_reverse(wt, reverse)
+        if not ok:
+            return AttemptResult(
+                OracleVerdict(
+                    KIND_PORT_CONFLICT,
+                    evidence=f"reverse patch does not apply at {ref}",
+                )
+            )
+        for breaker in reverts_newest_first:
+            regions = regions + self._revert_regions(breaker)
+        verdict = self.oracle.verdict(wt.path, self.recipe, self.poc)
+        return AttemptResult(verdict, files, hunks, regions)
 
     # -- tier evaluation --
 
@@ -542,9 +576,9 @@ class Porter:
         """Revive the vulnerability at `target`, reverting breaking
         commits as needed within the configured limits."""
         reverse = self.reverse_patch(fix_commits)
-        cands = commits_between(self.repo, fix_commits[-1], target).ordered
+        cands = self.commits.between(fix_commits[-1], target).ordered
         index = {c.id: i for i, c in enumerate(cands)}
-        target_id = resolve_ref(self.repo, target).id
+        target_id = self.commits.resolve(target).id
         attempts_before = self.attempt_count
 
         origin_verified = False
@@ -607,7 +641,7 @@ class Porter:
             rounds.append(
                 {"breaker": res.commit, "calls": res.calls, "skipped": res.skipped}
             )
-            bdiff = commit_diff(self.repo, res.commit)
+            bdiff = self.commits.diff(res.commit)
             if len(bdiff.files) > self.limits.max_files_per_commit:
                 final = FINAL_ABORTED
                 abort_reason = ABORT_TOO_MANY_FILES
@@ -623,7 +657,7 @@ class Porter:
         return RevivalRecord(
             cve=cve,
             project=project,
-            fix_commits=[resolve_ref(self.repo, c).id for c in fix_commits],
+            fix_commits=[self.commits.resolve(c).id for c in fix_commits],
             target=target_id,
             granularity=self.policy.granularity.value,
             final=final,

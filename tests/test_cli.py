@@ -1,4 +1,5 @@
 import json
+import subprocess
 
 import pytest
 
@@ -235,3 +236,26 @@ class TestConfigErrors:
         rc = main(["port", "--config", str(case), "--ref", fixture.fix])
         assert rc == 0
         assert (tmp_path / "env-ws" / CVE / "port.json").exists()
+
+
+def test_commands_leave_no_worktree_and_report_oracle_counts(tmp_path, fixture, capsys):
+    case = write_case(tmp_path, fixture)
+    runs = [
+        ["revive", "--config", str(case)],
+        ["tiers", "--config", str(case)],
+        ["bisect", "--config", str(case), fixture.fix, fixture.target],
+        ["port", "--config", str(case), "--ref", fixture.fix],
+    ]
+    for argv in runs:
+        assert main(argv) == 0
+        fields = summary(capsys)
+        assert int(fields["builds"]) >= 1
+        assert fields["hits"].isdigit()
+        out = subprocess.run(["git", "-C", str(fixture.repo), "worktree", "list", "--porcelain"],
+                             capture_output=True, text=True, check=True).stdout
+        assert [ln for ln in out.splitlines() if ln.startswith("worktree ")] == [
+            f"worktree {fixture.repo}"
+        ]
+        assert list((tmp_path / "ws" / CVE / "scratch").glob("wt-*")) == []
+    record = json.loads((tmp_path / "ws" / CVE / "revival_record.json").read_text())
+    assert "builds" not in record["effort"] and "hits" not in record["effort"]

@@ -98,6 +98,19 @@ def test_checkout_worktree_materializes_and_coexists(repo, tmp_path):
     wt_new.remove()
 
 
+def test_commit_memo_follows_moving_names_and_remembers_ids(repo, monkeypatch):
+    memo = gitio.CommitMemo(repo.root)
+    first = memo.resolve("main")
+    moved = repo.commit({"README": "moved\n"}, "move main")
+    assert memo.resolve("main").id == moved
+    spawned = []
+    real = gitio.run_git
+    monkeypatch.setattr(gitio, "run_git", lambda *a, **kw: spawned.append(a) or real(*a, **kw))
+    assert memo.resolve(first.id) is first
+    assert memo.inverse(moved) is memo.inverse(moved)
+    assert [a[1] for a in spawned] == ["diff"]
+
+
 def test_checkout_worktree_rejects_nonempty_dest(repo, tmp_path):
     dest = tmp_path / "busy"
     dest.mkdir()

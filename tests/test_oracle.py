@@ -19,6 +19,7 @@ from revenant.oracle import (
     Oracle,
     OracleVerdict,
     PocSpec,
+    _merged_env,
     build,
     classify_detector_output,
     looks_like_usage_error,
@@ -298,6 +299,48 @@ def test_real_address_sanitizer(tmp_path):
     v = run_poc(out.artifacts, poc, cwd=tmp_path, sanitizer=SANITIZER_ASAN)
     assert v.kind == KIND_TRIGGERED
     assert v.detector_class == "heap-buffer-overflow"
+
+
+class TestPocEnvironment:
+    def test_poc_sees_the_recipe_env(self, tmp_path):
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        _script(tree, "tool.sh", """\
+            if [ "$POC_MODE" = crash ]; then
+                echo "==1==ERROR: AddressSanitizer: heap-buffer-overflow on address 0x1"
+                exit 1
+            fi
+            echo "read $1"
+            """)
+        poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path))
+        steps = ["cp tool.sh tool"]
+        oracle = Oracle(scratch_dir=tmp_path / "scratch")
+        assert oracle.verdict(tree, BuildRecipe.make(steps, ["tool"]), poc).kind == KIND_NOT_TRIGGERED
+        crash = BuildRecipe.make(steps, ["tool"], env={"POC_MODE": "crash"})
+        v = oracle.verdict(tree, crash, poc)
+        assert v.kind == KIND_TRIGGERED
+        assert v.detector_class == "heap-buffer-overflow"
+
+    def test_ambient_asan_log_path_does_not_hide_the_report(self, tmp_path, monkeypatch):
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        (tree / "overflow.c").write_text(OVERFLOW_C)
+        monkeypatch.setenv("ASAN_OPTIONS", f"log_path={tmp_path / 'asan'}")
+        recipe = BuildRecipe.make(
+            ["cc -fsanitize=address -g -O0 -o boom overflow.c"],
+            ["boom"],
+            sanitizer=SANITIZER_ASAN,
+        )
+        poc = PocSpec(command="{binary}", input_file="")
+        v = Oracle(scratch_dir=tmp_path / "scratch").verdict(tree, recipe, poc)
+        assert v.kind == KIND_TRIGGERED
+        assert not list(tmp_path.glob("asan*"))
+
+    def test_recipe_asan_options_win_over_the_pin(self, monkeypatch):
+        monkeypatch.setenv("ASAN_OPTIONS", "log_path=/dev/null")
+        assert _merged_env(())["ASAN_OPTIONS"] == "log_path=stderr:abort_on_error=0"
+        mine = (("ASAN_OPTIONS", "detect_leaks=0"),)
+        assert _merged_env(mine)["ASAN_OPTIONS"] == "detect_leaks=0"
 
 
 @pytest.mark.slow

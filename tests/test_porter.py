@@ -1,11 +1,22 @@
 import math
 import random
+import subprocess
+import tempfile
+import threading
 
 import pytest
 
+from revenant import gitio
 from revenant.forge import forge_repo
 from revenant.gitio import checkout_worktree
-from revenant.oracle import KIND_TRIGGERED
+from revenant.oracle import (
+    KIND_TRIGGERED,
+    BuildRecipe,
+    Oracle,
+    OracleVerdict,
+    PocSpec,
+    tree_hash,
+)
 from revenant.patchcore import Granularity, apply_file_patch, render_unified_diff
 from revenant.porter import (
     ABORT_COMPLEXITY,
@@ -279,3 +290,101 @@ class TestGranularity:
         )
         rec = porter.revive("CVE-0000-0011", "packdemo", [fx.fix], fx.target)
         assert rec.final == FINAL_REVIVED
+
+
+class RecordingOracle(Oracle):
+    """Answers Triggered without building, and keeps each tree's files."""
+
+    def __init__(self):
+        super().__init__()
+        self.trees = []
+
+    def verdict(self, worktree_path, recipe, poc):
+        self.trees.append(
+            sorted(str(f.relative_to(worktree_path)) for f in worktree_path.rglob("*")
+                   if f.is_file() and ".git" not in f.relative_to(worktree_path).parts)
+        )
+        return OracleVerdict(KIND_TRIGGERED)
+
+
+NO_BUILD = (BuildRecipe.make(["true"], []), PocSpec("true", ""))
+
+
+def _worktrees(repo):
+    out = subprocess.run(["git", "-C", str(repo), "worktree", "list", "--porcelain"],
+                         capture_output=True, text=True, check=True).stdout
+    return [ln for ln in out.splitlines() if ln.startswith("worktree ")]
+
+
+class TestWorktreeSlot:
+    def test_slot_keeps_no_trace_of_created_or_deleted_files(self, tmp_path):
+        rb = RepoBuilder(tmp_path / "repo")
+        ten = "".join(f"line {i}\n" for i in range(1, 11))
+        rb.commit({"a.txt": ten, "old.txt": "old\n", "legacy.txt": "legacy\n"}, "base")
+        rb.commit({"a.txt": ten.replace("line 5\n", "line 5 fixed\n")}, "fix",
+                  delete=["legacy.txt"])
+        rb.commit({"new.txt": "new\n"}, "add new.txt")
+        rb.commit({}, "drop old.txt", delete=["old.txt"])
+        rb.commit({"README": "notes\n"}, "noise")
+        oracle = RecordingOracle()
+        with Porter(rb.root, *NO_BUILD, oracle=oracle, scratch_dir=tmp_path / "s") as porter:
+            # reverting t3 then t2 recreates old.txt and deletes new.txt; the
+            # reverse fix recreates legacy.txt
+            att = porter.attempt("t3", ["t3", "t2"], ["t1"])
+            assert att.verdict.kind == KIND_TRIGGERED
+            assert oracle.trees[-1] == ["a.txt", "legacy.txt", "old.txt"]
+            slot = porter._checkout("t4")
+            fresh = checkout_worktree(rb.root, "t4", tmp_path / "fresh")
+            with fresh:
+                assert tree_hash(slot.path) == tree_hash(fresh.path)
+            assert porter.attempt("t4", [], ["t1"]).verdict.kind == KIND_TRIGGERED
+            assert oracle.trees[-1] == ["README", "a.txt", "legacy.txt", "new.txt"]
+        assert len(_worktrees(rb.root)) == 1
+
+    def test_porters_on_one_repository_run_in_parallel(self, tmp_path):
+        fx = forge_repo(tmp_path / "fx", ["C1", "C4"])
+        errors = []
+        done = []
+
+        def work(name):
+            try:
+                with Porter(fx.repo, fx.recipe, fx.poc, oracle=RecordingOracle(),
+                            scratch_dir=tmp_path / name / "scratch") as porter:
+                    for _ in range(40):
+                        for ref in (fx.fix, fx.target):
+                            porter.attempt(ref, (), [fx.fix])
+                    done.append(porter.attempt_count)
+            except Exception as exc:  # noqa: BLE001 - reported by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(n,)) for n in "abcd"]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert done == [80] * 4
+        assert len(_worktrees(fx.repo)) == 1
+        assert not list(tmp_path.glob("*/scratch/wt-*"))
+
+    def test_revive_spends_at_most_three_git_spawns_per_attempt(self, tmp_path, monkeypatch):
+        fx = forge_repo(tmp_path, SCENARIOS[4])
+        spawned = []
+        real = gitio.run_git
+        monkeypatch.setattr(gitio, "run_git", lambda *a, **kw: spawned.append(a) or real(*a, **kw))
+        with make_porter(fx, tmp_path) as porter:
+            rec = porter.revive("CVE-0000-0010", "packdemo", [fx.fix], fx.target)
+        assert rec.revert_stack == fx.expected_stack
+        assert len(spawned) <= 3 * porter.attempt_count
+
+    def test_close_removes_a_scratch_dir_it_made(self, tmp_path, monkeypatch):
+        fx = forge_repo(tmp_path / "fx", [])
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        with Porter(fx.repo, fx.recipe, fx.poc) as porter:
+            assert porter.attempt(fx.fix, (), [fx.fix]).verdict.kind == KIND_TRIGGERED
+            assert list(tmp.iterdir())
+        assert list(tmp.iterdir()) == []
+        assert len(_worktrees(fx.repo)) == 1
