@@ -40,7 +40,7 @@ from .gitio import (
     commit_diff,
     resolve_ref,
 )
-from .oracle import OracleError
+from .oracle import Oracle, OracleError
 from .patchcore import Granularity
 from .porter import (
     BisectError,
@@ -49,6 +49,7 @@ from .porter import (
     Porter,
     RevivalRecord,
     find_breaking_commit,
+    probe_answer,
     status_of,
 )
 from .report import (
@@ -74,6 +75,7 @@ CATEGORIES_FILE = "categories.json"
 MANIFEST_FILE = "manifest.json"
 ACTIVITY_CSV = "activity.csv"
 ACTIVITY_SVG = "activity.svg"
+VERDICT_CACHE = "verdict-cache"
 
 
 def _load_cfg(path: str, args) -> CaseConfig:
@@ -106,13 +108,21 @@ def _case_dir(args, cfg: CaseConfig) -> Path:
 
 
 def _porter(cfg: CaseConfig, case_dir: Path) -> Porter:
+    """A porter for the case whose oracle uses the workspace's verdict
+    store: the case's `cache_dir`, else `<workspace>/verdict-cache`."""
+    scratch = case_dir / "scratch"
+    oracle = Oracle(
+        cfg.cache_dir or case_dir.parent / VERDICT_CACHE,
+        scratch_dir=scratch / "oracle",
+    )
     return Porter(
         cfg.repo,
         cfg.build,
         cfg.poc,
+        oracle=oracle,
         policy=cfg.policy,
         limits=cfg.limits,
-        scratch_dir=case_dir / "scratch",
+        scratch_dir=scratch,
     )
 
 
@@ -189,13 +199,7 @@ def cmd_bisect(args) -> int:
         candidates = [c.id for c in porter.commits.between(args.good, args.bad).ordered]
 
         def probe(commit_id: str) -> str:
-            att = porter.attempt(commit_id, (), cfg.fix_commits)
-            status = status_of(att.verdict.kind)
-            if status == "triggered":
-                return "good"
-            if status == "sandbox-failure":
-                return "skip"
-            return "bad"
+            return probe_answer(porter.attempt(commit_id, (), cfg.fix_commits).verdict.kind)
 
         result = find_breaking_commit(candidates, probe, skip_budget=cfg.policy.skip_budget)
     payload = {

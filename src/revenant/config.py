@@ -108,7 +108,7 @@ class CaseConfig:
     limits: Limits
     policy: PortPolicy
     workspace: Optional[Path]
-    cache_dir: Optional[Path]
+    cache_dir: Optional[Path]  # verdict store; None means <workspace>/verdict-cache
     source: str
 
 

@@ -146,8 +146,8 @@ class Worktree:
         self.commit = commit_id
 
     def remove(self) -> None:
-        # no `git worktree prune`: it deletes the half-made entry of a
-        # worktree that another porter is adding to the same repository
+        # entries whose directory is gone are pruned by the next
+        # `checkout_worktree`, under the same lock
         with _worktree_list_lock(self.repo):
             run_git(self.repo, "worktree", "remove", "--force", str(self.path), check=False)
 
@@ -313,6 +313,9 @@ def checkout_worktree(repo: Path, commit: str, dest: Path) -> Worktree:
     if dest.exists():
         dest.rmdir()  # `git worktree add` wants to create it
     with _worktree_list_lock(repo):
+        # drop the entries of worktrees whose directory is gone, as a
+        # crashed run leaves them; under the lock no entry is half-made
+        run_git(repo, "worktree", "prune")
         run_git(repo, "worktree", "add", "--detach", str(dest), commit_id)
     return Worktree(repo=repo, commit=commit_id, path=dest)
 

@@ -3,12 +3,14 @@
 The oracle answers one question: does this tree, built this way and fed
 this input, still exhibit the vulnerability's detector signal?  Answers
 are five-valued (Triggered, NotTriggered, BuildFailed, PocIncompatible,
-Hang) plus SandboxFailure for environment trouble, and are cached by
-content hash so repeated probes of identical trees are free.
+Hang) plus SandboxFailure for environment trouble, and are kept in an
+on-disk store keyed by content hash, so a tree probed again, by any
+oracle sharing the store, is never rebuilt.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -17,12 +19,14 @@ import resource
 import shlex
 import shutil
 import signal
+import stat
 import subprocess
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 SANITIZER_ASAN = "AddressSanitizer"
 SANITIZER_VALGRIND = "Valgrind"
@@ -88,6 +92,7 @@ class BuildOutcome:
     ok: bool
     artifacts: List[str] = field(default_factory=list)
     log_excerpt: str = ""
+    transient: bool = False  # failed on its budget or a spawn, not on its steps
 
 
 @dataclass
@@ -96,14 +101,22 @@ class OracleVerdict:
     detector_class: str = ""
     evidence: str = ""
     wall_time: float = 0.0
+    # decided by a clock or the environment rather than by the inputs (a
+    # timeout, the launch window, a spawn failure): a rerun may differ
+    transient: bool = False
 
     @property
     def triggered(self) -> bool:
         return self.kind == KIND_TRIGGERED
 
+    @property
+    def storable(self) -> bool:
+        """Whether the inputs alone decided the verdict, so it may be kept."""
+        return not self.transient and self.kind != KIND_SANDBOX_FAILURE
+
     def to_dict(self) -> dict:
-        # wall_time is deliberately absent: serialized verdicts must be
-        # byte-identical across reruns of the same inputs
+        # wall_time and transient are deliberately absent: serialized
+        # verdicts must be byte-identical across reruns of the same inputs
         return {
             "kind": self.kind,
             "detector_class": self.detector_class,
@@ -258,17 +271,17 @@ def build(
         budget = deadline - time.monotonic()
         if budget <= 0:
             log_parts.append("BUILD TIMEOUT: budget exhausted before step ran")
-            return BuildOutcome(False, [], _tail("\n".join(log_parts)))
+            return BuildOutcome(False, [], _tail("\n".join(log_parts)), transient=True)
         res = run_limited(
             ["sh", "-c", step], cwd=workdir, env=env, timeout=budget, counters=counters
         )
         log_parts.append(f"$ {step}\n{res.output}")
         if res.spawn_error:
             log_parts.append(f"SPAWN FAILURE: {res.spawn_error}")
-            return BuildOutcome(False, [], _tail("\n".join(log_parts)))
+            return BuildOutcome(False, [], _tail("\n".join(log_parts)), transient=True)
         if res.timed_out:
             log_parts.append(f"BUILD TIMEOUT after {res.wall_time:.1f}s in: {step}")
-            return BuildOutcome(False, [], _tail("\n".join(log_parts)))
+            return BuildOutcome(False, [], _tail("\n".join(log_parts)), transient=True)
         if res.returncode != 0:
             log_parts.append(f"step failed with exit {res.returncode}")
             return BuildOutcome(False, [], _tail("\n".join(log_parts)))
@@ -309,6 +322,7 @@ def run_poc(
 
     Precedence: a detector report always wins; then timeout handling; then
     the launch-incompatibility heuristics; anything else is NotTriggered.
+    A verdict that a timeout or the launch window decided is transient.
     """
     if counters is not None:
         counters["poc_runs"] = counters.get("poc_runs", 0) + 1
@@ -339,12 +353,14 @@ def run_poc(
                 detector_class=hit.weakness_class,
                 evidence=hit.excerpt,
                 wall_time=res.wall_time,
+                transient=res.timed_out,
             )
         return OracleVerdict(
             KIND_TRIGGERED,
             detector_class=hit.weakness_class,
             evidence=hit.excerpt,
             wall_time=res.wall_time,
+            transient=res.timed_out,
         )
     if res.timed_out:
         if poc.hang_is_trigger:
@@ -353,68 +369,164 @@ def run_poc(
                 detector_class=HANG_TRIGGER_CLASS,
                 evidence=f"no exit within {poc.run_timeout:.0f}s",
                 wall_time=res.wall_time,
+                transient=True,
             )
         return OracleVerdict(
             KIND_HANG,
             evidence=f"no exit within {poc.run_timeout:.0f}s",
             wall_time=res.wall_time,
+            transient=True,
         )
-    if looks_like_usage_error(res.output) or (
-        res.returncode in USAGE_EXIT_CODES and res.wall_time < LAUNCH_FAILURE_WINDOW
-    ):
+    usage = looks_like_usage_error(res.output)
+    # without usage text, a usage exit code counts only at launch, so the
+    # clock chooses between PocIncompatible and NotTriggered
+    clocked = not usage and res.returncode in USAGE_EXIT_CODES
+    if usage or (clocked and res.wall_time < LAUNCH_FAILURE_WINDOW):
         return OracleVerdict(
             KIND_POC_INCOMPATIBLE,
             evidence=_tail(res.output, 1024) or f"exit {res.returncode} at launch",
             wall_time=res.wall_time,
+            transient=clocked,
         )
     return OracleVerdict(
         KIND_NOT_TRIGGERED,
         evidence=_tail(res.output, 1024),
         wall_time=res.wall_time,
+        transient=clocked,
     )
 
 
-# ---------- content-addressed verdict cache ----------
+# ---------- content-addressed verdict store ----------
+
+# Part of every store key.  Bump it when classification changes, so that
+# entries written by older code are never read.
+STORE_SCHEMA = "verdict-store/1"
+MISSING_INPUT = "missing"
+# ambient variables that steer a build or a PoC run, besides the recipe's
+# own env; the compiler binary they resolve to is not itself keyed
+KEYED_ENV = (
+    "PATH", "CC", "CXX", "CFLAGS", "CPPFLAGS", "LDFLAGS", "LD_LIBRARY_PATH",
+    "ASAN_OPTIONS",
+)
 
 
 def tree_hash(root: Path) -> str:
-    """Order-independent content hash of a directory tree, skipping .git."""
+    """Order-independent content hash of a directory tree, skipping .git.
+
+    A regular file contributes its path, its executable bit and its bytes;
+    a symlink its path and its unresolved target.  Trees that can build
+    differently therefore never share a hash.
+    """
     root = Path(root)
     h = hashlib.sha256()
     for path in sorted(root.rglob("*")):
         rel = path.relative_to(root)
-        if ".git" in rel.parts or rel.name == ".git":
+        if ".git" in rel.parts:
             continue
-        if path.is_symlink() or not path.is_file():
+        mode = path.lstat().st_mode
+        if stat.S_ISLNK(mode):
+            kind, data = b"l", os.fsencode(os.readlink(path))
+        elif stat.S_ISREG(mode):
+            kind, data = (b"x" if mode & 0o111 else b"f"), path.read_bytes()
+        else:
             continue
-        h.update(str(rel).encode())
-        h.update(b"\x00")
-        h.update(path.read_bytes())
-        h.update(b"\x01")
+        h.update(b"%s\x00%s%d\x00" % (os.fsencode(rel), kind, len(data)))
+        h.update(data)
     return h.hexdigest()
 
 
-class Oracle:
-    """Verdict runner with a content-hash cache and call counters.
+def verdict_key(tree: str, recipe: BuildRecipe, poc: PocSpec) -> str:
+    """Store key of a verdict: the tree hash, the recipe, the PoC spec, the
+    bytes of the PoC input (or a fixed marker when it cannot be read) and
+    the `KEYED_ENV` values the build and the PoC run see."""
+    try:
+        input_digest = _sha(Path(poc.input_file).read_bytes())
+    except OSError:
+        input_digest = MISSING_INPUT
+    env = _merged_env(recipe.env)
+    parts = [
+        STORE_SCHEMA, tree, recipe.stable_hash(), poc.stable_hash(), input_digest,
+        [env.get(name) for name in KEYED_ENV],
+    ]
+    return _sha(json.dumps(parts).encode())
 
-    A verdict never mutates the worktree it is given: the build and the
-    PoC run happen in a disposable copy.
+
+class VerdictStore:
+    """Verdicts on disk, one JSON file per key.
+
+    Every oracle that opens the same directory shares it, across threads
+    and processes.  An entry holds `OracleVerdict.to_dict()` and is written
+    to a temp file, then renamed into place; an entry that cannot be read
+    or parsed counts as absent.  Deleting the directory clears the store.
     """
 
-    def __init__(self, scratch_dir: Optional[Path] = None):
-        self.cache: Dict[Tuple[str, str, str], OracleVerdict] = {}
+    def __init__(self, root: Path):
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+
+    @contextmanager
+    def locked(self, key: str) -> Iterator[None]:
+        """Hold the key's lock, so that one holder at a time reads or
+        writes its entry.  Locks do not nest."""
+        fd = os.open(self.root / f"{key}.lock", os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            yield
+        finally:
+            os.close(fd)  # releases the lock
+
+    def get(self, key: str) -> Optional[OracleVerdict]:
+        try:
+            data = json.loads((self.root / f"{key}.json").read_text("utf-8"))
+            return OracleVerdict.from_dict(data)
+        except (OSError, ValueError, KeyError, TypeError):
+            return None
+
+    def put(self, key: str, verdict: OracleVerdict) -> None:
+        """Write the key's entry.  The caller holds the key's lock, so the
+        temp file name is the key's own."""
+        tmp = self.root / f"{key}.tmp"
+        tmp.write_text(json.dumps(verdict.to_dict(), sort_keys=True), encoding="utf-8")
+        os.replace(tmp, self.root / f"{key}.json")
+
+
+class Oracle:
+    """Verdict runner with a verdict store and call counters.
+
+    Verdicts are kept in the store at `store_dir`.  A verdict that is not
+    `storable` (a SandboxFailure, or one a timeout or the launch window
+    decided) is never kept, so a later call retries it.  Oracles that
+    share a store build each key once: the first caller builds while
+    holding the key's lock, later ones wait and read.
+
+    A verdict never mutates the worktree it is given: the build and the
+    PoC run happen in a disposable copy under `scratch_dir` (by default
+    the system temp directory).
+    """
+
+    def __init__(self, store_dir: Path, scratch_dir: Optional[Path] = None):
         self.counters: Dict[str, int] = {}
+        self.store = VerdictStore(store_dir)
         self.scratch_dir = Path(scratch_dir) if scratch_dir else None
         if self.scratch_dir:
             self.scratch_dir.mkdir(parents=True, exist_ok=True)
 
     def verdict(self, worktree_path: Path, recipe: BuildRecipe, poc: PocSpec) -> OracleVerdict:
         worktree_path = Path(worktree_path)
-        key = (tree_hash(worktree_path), recipe.stable_hash(), poc.stable_hash())
-        cached = self.cache.get(key)
-        if cached is not None:
-            self.counters["cache_hits"] = self.counters.get("cache_hits", 0) + 1
-            return cached
+        key = verdict_key(tree_hash(worktree_path), recipe, poc)
+        with self.store.locked(key):
+            stored = self.store.get(key)
+            if stored is not None:
+                self.counters["cache_hits"] = self.counters.get("cache_hits", 0) + 1
+                return stored
+            verdict = self._build_and_run(worktree_path, recipe, poc)
+            if verdict.storable:
+                self.store.put(key, verdict)
+        return verdict
+
+    def _build_and_run(
+        self, worktree_path: Path, recipe: BuildRecipe, poc: PocSpec
+    ) -> OracleVerdict:
         self.counters["verdicts"] = self.counters.get("verdicts", 0) + 1
         tmp = tempfile.mkdtemp(
             prefix="oracle-", dir=str(self.scratch_dir) if self.scratch_dir else None
@@ -429,17 +541,16 @@ class Oracle:
             )
             outcome = build(stage, recipe, counters=self.counters)
             if not outcome.ok:
-                verdict = OracleVerdict(KIND_BUILD_FAILED, evidence=outcome.log_excerpt)
-            else:
-                verdict = run_poc(
-                    outcome.artifacts,
-                    poc,
-                    cwd=stage,
-                    env=_merged_env(recipe.env),
-                    sanitizer=recipe.sanitizer,
-                    counters=self.counters,
+                return OracleVerdict(
+                    KIND_BUILD_FAILED, evidence=outcome.log_excerpt, transient=outcome.transient
                 )
+            return run_poc(
+                outcome.artifacts,
+                poc,
+                cwd=stage,
+                env=_merged_env(recipe.env),
+                sanitizer=recipe.sanitizer,
+                counters=self.counters,
+            )
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
-        self.cache[key] = verdict
-        return verdict

@@ -62,6 +62,17 @@ PROBE_BAD = "bad"
 PROBE_SKIP = "skip"
 
 
+def probe_answer(kind: str) -> str:
+    """How bisection reads a verdict kind: Triggered is good, a
+    SandboxFailure says nothing about the commit and is skipped, and
+    anything else is bad."""
+    if kind == KIND_TRIGGERED:
+        return PROBE_GOOD
+    if kind == KIND_SANDBOX_FAILURE:
+        return PROBE_SKIP
+    return PROBE_BAD
+
+
 class PortError(Exception):
     pass
 
@@ -358,9 +369,10 @@ class Porter:
 
     Every attempt reuses one worktree, made on the first attempt and
     switched to each later attempt's ref.  Facts about commits are
-    remembered in `commits` for the porter's life.  Close the porter (or
-    use it as a context manager) to remove the worktree and any scratch
-    directory it made.
+    remembered in `commits` for the porter's life.  A porter built
+    without an oracle makes one whose verdict store lives in the porter's
+    scratch directory.  Close the porter (or use it as a context manager)
+    to remove the worktree and any scratch directory it made.
     """
 
     def __init__(
@@ -383,7 +395,9 @@ class Porter:
             tempfile.mkdtemp(prefix="porter-")
         )
         self._scratch.mkdir(parents=True, exist_ok=True)
-        self.oracle = oracle or Oracle(scratch_dir=self._scratch / "oracle")
+        self.oracle = oracle or Oracle(
+            self._scratch / "verdicts", scratch_dir=self._scratch / "oracle"
+        )
         self.commits = CommitMemo(self.repo)
         self._slot: Optional[Worktree] = None
         self.attempt_count = 0
@@ -606,9 +620,7 @@ class Porter:
 
         def probe(commit_id: str) -> str:
             att = self.attempt(commit_id, applicable(commit_id), fix_commits)
-            if att.verdict.kind == KIND_SANDBOX_FAILURE:
-                return PROBE_SKIP
-            return PROBE_GOOD if att.verdict.kind == KIND_TRIGGERED else PROBE_BAD
+            return probe_answer(att.verdict.kind)
 
         while True:
             last = self.attempt(target_id, list(reversed(stack)), fix_commits)

@@ -37,11 +37,14 @@ def write_case(tmp_path, fx, **overrides):
     return path
 
 
+def summaries(capsys):
+    """Fields of every summary line printed since the last read."""
+    return [dict(pair.split("=", 1) for pair in line.split()[1:] if "=" in pair)
+            for line in capsys.readouterr().out.strip().splitlines()]
+
+
 def summary(capsys):
-    out = capsys.readouterr().out.strip().splitlines()
-    return dict(
-        pair.split("=", 1) for pair in out[-1].split()[1:] if "=" in pair
-    )
+    return summaries(capsys)[-1]
 
 
 class TestPort:
@@ -249,13 +252,55 @@ def test_commands_leave_no_worktree_and_report_oracle_counts(tmp_path, fixture, 
     for argv in runs:
         assert main(argv) == 0
         fields = summary(capsys)
-        assert int(fields["builds"]) >= 1
-        assert fields["hits"].isdigit()
+        # later commands answer from the workspace's verdict store
+        assert int(fields["builds"]) + int(fields["hits"]) >= 1
         out = subprocess.run(["git", "-C", str(fixture.repo), "worktree", "list", "--porcelain"],
                              capture_output=True, text=True, check=True).stdout
         assert [ln for ln in out.splitlines() if ln.startswith("worktree ")] == [
             f"worktree {fixture.repo}"
         ]
         assert list((tmp_path / "ws" / CVE / "scratch").glob("wt-*")) == []
+    # revive already checked the fix commit itself
+    assert (fields["builds"], fields["hits"]) == ("0", "1")
     record = json.loads((tmp_path / "ws" / CVE / "revival_record.json").read_text())
     assert "builds" not in record["effort"] and "hits" not in record["effort"]
+
+
+class TestVerdictStore:
+    def test_identical_rerun_builds_nothing(self, tmp_path, fixture, capsys):
+        case = write_case(tmp_path, fixture)
+        record = tmp_path / "ws" / CVE / "revival_record.json"
+        assert main(["revive", "--config", str(case)]) == 0
+        assert int(summary(capsys)["builds"]) >= 1
+        first = record.read_bytes()
+        assert main(["revive", "--config", str(case)]) == 0
+        assert summary(capsys)["builds"] == "0"
+        assert record.read_bytes() == first
+        assert list((tmp_path / "ws" / "verdict-cache").glob("*.json"))
+
+    def test_jobs_cases_share_their_builds(self, tmp_path, fixture, capsys):
+        for run in range(5):
+            root = tmp_path / str(run)
+            (root / "alone").mkdir(parents=True)
+            alone = write_case(root / "alone", fixture, workspace=str(root / "ws-alone"))
+            assert main(["revive", "--config", str(alone)]) == 0
+            [single] = summaries(capsys)
+            configs = []
+            for cve in ("CVE-2021-0001", "CVE-2021-0002"):
+                (root / cve).mkdir()
+                configs += ["--config", str(write_case(root / cve, fixture, cve=cve,
+                                                       workspace=str(root / "ws")))]
+            assert main(["revive", "--jobs", "2", *configs]) == 0
+            pair = summaries(capsys)
+            assert [f["final"] for f in pair] == ["Revived", "Revived"]
+            assert sum(int(f["builds"]) for f in pair) == int(single["builds"]) >= 1
+
+    def test_cache_dir_is_shared_across_workspaces(self, tmp_path, fixture, capsys):
+        store = tmp_path / "store"
+        case = write_case(tmp_path, fixture, cache_dir=str(store))
+        assert main(["revive", "--config", str(case), "--workspace", str(tmp_path / "a")]) == 0
+        assert int(summary(capsys)["builds"]) >= 1
+        assert main(["revive", "--config", str(case), "--workspace", str(tmp_path / "b")]) == 0
+        assert summary(capsys)["builds"] == "0"
+        assert not (tmp_path / "a" / "verdict-cache").exists()
+        assert list(store.glob("*.json"))

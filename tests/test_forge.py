@@ -67,7 +67,7 @@ def test_fix_transform_changes_expected_regions():
 @pytest.mark.parametrize("arch", ARCHETYPES)
 def test_breaker_transforms_apply_and_build(tmp_path, arch):
     fx = forge_repo(tmp_path, [arch])
-    oracle = Oracle(scratch_dir=tmp_path / "scratch")
+    oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
     with checkout_worktree(fx.repo, fx.target, tmp_path / "wt") as wt:
         v = oracle.verdict(wt.path, fx.recipe, fx.poc)
     # unfixed targets never trigger on their own: either the code is safe
@@ -78,7 +78,7 @@ def test_breaker_transforms_apply_and_build(tmp_path, arch):
 
 def test_vulnerable_base_triggers(tmp_path):
     fx = forge_repo(tmp_path, [])
-    oracle = Oracle(scratch_dir=tmp_path / "scratch")
+    oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
     with checkout_worktree(fx.repo, fx.base, tmp_path / "wt") as wt:
         v = oracle.verdict(wt.path, fx.recipe, fx.poc)
     assert v.kind == KIND_TRIGGERED
@@ -87,7 +87,7 @@ def test_vulnerable_base_triggers(tmp_path):
 
 def test_fixed_state_is_clean(tmp_path):
     fx = forge_repo(tmp_path, [])
-    oracle = Oracle(scratch_dir=tmp_path / "scratch")
+    oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
     with checkout_worktree(fx.repo, fx.fix, tmp_path / "wt") as wt:
         v = oracle.verdict(wt.path, fx.recipe, fx.poc)
     assert v.kind == KIND_NOT_TRIGGERED
@@ -96,7 +96,7 @@ def test_fixed_state_is_clean(tmp_path):
 def test_hang_poc_spins_vulnerable_base(tmp_path):
     fx = forge_repo(tmp_path, [], poc_kind="hang")
     assert fx.poc.hang_is_trigger
-    oracle = Oracle(scratch_dir=tmp_path / "scratch")
+    oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
     with checkout_worktree(fx.repo, fx.base, tmp_path / "wt") as wt:
         v = oracle.verdict(wt.path, fx.recipe, fx.poc)
     assert v.kind == KIND_TRIGGERED

@@ -1,10 +1,14 @@
 import json
+import os
 import shutil
+import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import pytest
 
+import revenant.oracle as oracle_mod
 from revenant.oracle import (
     KIND_BUILD_FAILED,
     KIND_HANG,
@@ -25,6 +29,7 @@ from revenant.oracle import (
     looks_like_usage_error,
     run_poc,
     tree_hash,
+    verdict_key,
 )
 
 CORPUS = Path(__file__).parent / "data" / "detector_corpus"
@@ -228,7 +233,7 @@ class TestOracle:
         long_input = tmp_path / "long.bin"
         long_input.write_bytes(b"x" * 8)
         poc = PocSpec(command="{binary} {input}", input_file=str(long_input))
-        oracle = Oracle(scratch_dir=tmp_path / "scratch")
+        oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
         v1 = oracle.verdict(tree, DEMO_RECIPE, poc)
         assert v1.kind == KIND_TRIGGERED
         assert v1.detector_class == "heap-buffer-overflow"
@@ -243,7 +248,7 @@ class TestOracle:
         short_input = tmp_path / "short.bin"
         short_input.write_bytes(b"xy")
         poc = PocSpec(command="{binary} {input}", input_file=str(short_input))
-        oracle = Oracle()
+        oracle = Oracle(tmp_path / "store")
         v = oracle.verdict(tree, DEMO_RECIPE, poc)
         assert v.kind == KIND_NOT_TRIGGERED
 
@@ -253,7 +258,7 @@ class TestOracle:
         long_input = tmp_path / "long.bin"
         long_input.write_bytes(b"x" * 8)
         poc = PocSpec(command="{binary} {input}", input_file=str(long_input))
-        Oracle().verdict(tree, DEMO_RECIPE, poc)
+        Oracle(tmp_path / "store").verdict(tree, DEMO_RECIPE, poc)
         assert tree_hash(tree) == before
         assert not (tree / "demo").exists()
 
@@ -262,7 +267,7 @@ class TestOracle:
         tree.mkdir()
         (tree / "demo.c").write_text("int main(void){return\n")
         poc = PocSpec(command="{binary} {input}", input_file=str(tmp_path / "x"))
-        v = Oracle().verdict(tree, DEMO_RECIPE, poc)
+        v = Oracle(tmp_path / "store").verdict(tree, DEMO_RECIPE, poc)
         assert v.kind == KIND_BUILD_FAILED
 
     def test_verdict_serialization_excludes_wall_time(self):
@@ -270,6 +275,208 @@ class TestOracle:
         d = v.to_dict()
         assert "wall_time" not in d
         assert OracleVerdict.from_dict(d).detector_class == "SEGV"
+
+
+class TestTreeHash:
+    def test_exec_bit_changes_the_hash(self, tmp_path):
+        tree = _demo_tree(tmp_path)
+        (tree / "build.sh").write_text("cc -o demo demo.c\n")
+        before = tree_hash(tree)
+        (tree / "build.sh").chmod(0o755)
+        assert tree_hash(tree) != before
+
+    def test_symlink_target_changes_the_hash(self, tmp_path):
+        tree = _demo_tree(tmp_path)
+        (tree / "other.c").write_text(DEMO_C)
+        (tree / "main.c").symlink_to("demo.c")
+        before = tree_hash(tree)
+        (tree / "main.c").unlink()
+        (tree / "main.c").symlink_to("other.c")
+        assert tree_hash(tree) != before
+
+    def test_file_and_symlink_with_one_content_differ(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir()
+        b.mkdir()
+        (a / "x").write_text("y")
+        (b / "x").symlink_to("y")
+        assert tree_hash(a) != tree_hash(b)
+
+
+class TestVerdictStore:
+    def _long_poc(self, tmp_path):
+        long_input = tmp_path / "input.bin"
+        long_input.write_bytes(b"x" * 8)
+        return PocSpec(command="{binary} {input}", input_file=str(long_input))
+
+    def test_store_outlives_the_oracle(self, tmp_path):
+        tree = _demo_tree(tmp_path)
+        poc = self._long_poc(tmp_path)
+        built = Oracle(tmp_path / "store", scratch_dir=tmp_path / "s1").verdict(
+            tree, DEMO_RECIPE, poc)
+        assert built.kind == KIND_TRIGGERED
+        second = Oracle(tmp_path / "store", scratch_dir=tmp_path / "s2")
+        assert second.verdict(tree, DEMO_RECIPE, poc).to_dict() == built.to_dict()
+        assert second.counters == {"cache_hits": 1}
+
+    def test_same_input_path_with_other_bytes_is_another_verdict(self, tmp_path):
+        tree = _demo_tree(tmp_path)
+        poc = self._long_poc(tmp_path)
+        oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
+        assert oracle.verdict(tree, DEMO_RECIPE, poc).kind == KIND_TRIGGERED
+        Path(poc.input_file).write_bytes(b"xy")
+        assert oracle.verdict(tree, DEMO_RECIPE, poc).kind == KIND_NOT_TRIGGERED
+        assert oracle.counters["builds"] == 2
+        assert "cache_hits" not in oracle.counters
+
+    def test_missing_input_has_its_own_key(self, tmp_path):
+        tree = tree_hash(_demo_tree(tmp_path))
+        poc = self._long_poc(tmp_path)
+        present = verdict_key(tree, DEMO_RECIPE, poc)
+        Path(poc.input_file).unlink()
+        assert verdict_key(tree, DEMO_RECIPE, poc) != present
+
+    def test_sandbox_failure_is_not_stored(self, tmp_path, monkeypatch):
+        tree = _demo_tree(tmp_path)
+        runner_dir = tmp_path / "bin"
+        runner_dir.mkdir()
+        monkeypatch.setenv("PATH", f"{runner_dir}{os.pathsep}{os.environ['PATH']}")
+        poc = PocSpec(command="revenant-test-runner {binary} {input}",
+                      input_file=self._long_poc(tmp_path).input_file)
+        oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
+        assert oracle.verdict(tree, DEMO_RECIPE, poc).kind == KIND_SANDBOX_FAILURE
+        # the cause goes away: the runner appears in a directory on PATH, so
+        # the key is the same
+        _script(runner_dir, "revenant-test-runner", 'exec "$@"\n')
+        assert oracle.verdict(tree, DEMO_RECIPE, poc).kind == KIND_TRIGGERED
+        assert oracle.counters["builds"] == 2
+        assert oracle.verdict(tree, DEMO_RECIPE, poc).kind == KIND_TRIGGERED
+        assert (oracle.counters["builds"], oracle.counters["cache_hits"]) == (2, 1)
+
+    def test_build_timeout_is_not_stored(self, tmp_path):
+        tree = _demo_tree(tmp_path)
+        poc = self._long_poc(tmp_path)
+        recipe = BuildRecipe.make(["sleep 2"], ["demo"], timeout=1)
+        oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
+        for builds in (1, 2):
+            v = oracle.verdict(tree, recipe, poc)
+            assert v.kind == KIND_BUILD_FAILED
+            assert "BUILD TIMEOUT" in v.evidence
+            assert oracle.counters["builds"] == builds
+        assert "cache_hits" not in oracle.counters
+        assert not list((tmp_path / "store").glob("*.json"))
+
+    def test_build_spawn_failure_is_not_stored(self, tmp_path, monkeypatch):
+        tree = _demo_tree(tmp_path)
+        poc = self._long_poc(tmp_path)
+        oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
+        real_run = oracle_mod.run_limited
+        monkeypatch.setattr(
+            oracle_mod, "run_limited",
+            lambda *a, **kw: oracle_mod.RunResult(-1, "", 0.0, False, spawn_error="EAGAIN"),
+        )
+        v = oracle.verdict(tree, DEMO_RECIPE, poc)
+        assert (v.kind, v.storable) == (KIND_BUILD_FAILED, False)
+        monkeypatch.setattr(oracle_mod, "run_limited", real_run)
+        assert oracle.verdict(tree, DEMO_RECIPE, poc).kind == KIND_TRIGGERED
+        assert "cache_hits" not in oracle.counters
+
+    @pytest.mark.parametrize("hang_is_trigger,kind", [(False, KIND_HANG), (True, KIND_TRIGGERED)])
+    def test_poc_timeout_is_not_stored(self, tmp_path, hang_is_trigger, kind):
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        _script(tree, "tool.sh", "sleep 5\n")
+        recipe = BuildRecipe.make(["cp tool.sh tool"], ["tool"])
+        poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path),
+                      run_timeout=0.3, hang_is_trigger=hang_is_trigger)
+        oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
+        assert [oracle.verdict(tree, recipe, poc).kind for _ in range(2)] == [kind] * 2
+        assert oracle.counters["builds"] == 2
+        assert "cache_hits" not in oracle.counters
+
+    @pytest.mark.parametrize("body,kind,stored", [
+        ("exit 2\n", KIND_POC_INCOMPATIBLE, False),
+        ("sleep 0.3; exit 2\n", KIND_NOT_TRIGGERED, False),
+        ('echo "usage: tool FILE"; exit 2\n', KIND_POC_INCOMPATIBLE, True),
+        ("exit 1\n", KIND_NOT_TRIGGERED, True),
+    ])
+    def test_launch_window_verdicts_are_not_stored(self, tmp_path, body, kind, stored):
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        _script(tree, "tool.sh", body)
+        recipe = BuildRecipe.make(["cp tool.sh tool"], ["tool"])
+        poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path))
+        oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
+        assert [oracle.verdict(tree, recipe, poc).kind for _ in range(2)] == [kind] * 2
+        assert oracle.counters["builds"] == (1 if stored else 2)
+
+    @pytest.mark.parametrize("name", ["PATH", "CC", "CFLAGS", "LD_LIBRARY_PATH"])
+    def test_build_environment_is_keyed(self, tmp_path, monkeypatch, name):
+        tree = tree_hash(_demo_tree(tmp_path))
+        poc = self._long_poc(tmp_path)
+        before = verdict_key(tree, DEMO_RECIPE, poc)
+        monkeypatch.setenv(name, os.environ.get(name, "") + ":changed")
+        assert verdict_key(tree, DEMO_RECIPE, poc) != before
+
+    def test_unrelated_environment_is_not_keyed(self, tmp_path, monkeypatch):
+        tree = tree_hash(_demo_tree(tmp_path))
+        poc = self._long_poc(tmp_path)
+        before = verdict_key(tree, DEMO_RECIPE, poc)
+        monkeypatch.setenv("REVENANT_TEST_UNRELATED", "1")
+        assert verdict_key(tree, DEMO_RECIPE, poc) == before
+
+    def test_truncated_entry_and_leftover_tmp_are_misses(self, tmp_path):
+        tree = _demo_tree(tmp_path)
+        poc = self._long_poc(tmp_path)
+        store = tmp_path / "store"
+        oracle = Oracle(store, scratch_dir=tmp_path / "scratch")
+        oracle.verdict(tree, DEMO_RECIPE, poc)
+        [entry] = store.glob("*.json")
+        whole = entry.read_text()
+        entry.write_text(whole[: len(whole) // 2])
+        assert oracle.verdict(tree, DEMO_RECIPE, poc).kind == KIND_TRIGGERED
+        assert oracle.counters["builds"] == 2
+        assert entry.read_text() == whole  # the broken entry was overwritten
+        # a crash between writing the temp file and renaming it
+        entry.rename(entry.with_suffix(".tmp"))
+        assert oracle.verdict(tree, DEMO_RECIPE, poc).kind == KIND_TRIGGERED
+        assert oracle.counters["builds"] == 3
+        assert entry.read_text() == whole
+        assert "cache_hits" not in oracle.counters
+
+    def test_concurrent_callers_build_a_key_once(self, tmp_path):
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        _script(tree, "tool.sh", """\
+            echo "==1==ERROR: AddressSanitizer: heap-buffer-overflow on address 0x1"
+            exit 1
+            """)
+        # a slow build, so that every caller arrives while the first builds
+        recipe = BuildRecipe.make(["sleep 0.5", "cp tool.sh tool"], ["tool"])
+        poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path))
+        oracles = [Oracle(tmp_path / "store", scratch_dir=tmp_path / f"s{i}")
+                   for i in range(4)]
+        start = threading.Barrier(len(oracles))
+        kinds = []
+
+        def ask(oracle):
+            start.wait()
+            kinds.append(oracle.verdict(tree, recipe, poc).kind)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=ask, args=(o,)) for o in oracles]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert kinds == [KIND_TRIGGERED] * 4
+        assert sum(o.counters.get("builds", 0) for o in oracles) == 1
+        assert sum(o.counters.get("cache_hits", 0) for o in oracles) == 3
 
 
 OVERFLOW_C = textwrap.dedent(
@@ -314,7 +521,7 @@ class TestPocEnvironment:
             """)
         poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path))
         steps = ["cp tool.sh tool"]
-        oracle = Oracle(scratch_dir=tmp_path / "scratch")
+        oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
         assert oracle.verdict(tree, BuildRecipe.make(steps, ["tool"]), poc).kind == KIND_NOT_TRIGGERED
         crash = BuildRecipe.make(steps, ["tool"], env={"POC_MODE": "crash"})
         v = oracle.verdict(tree, crash, poc)
@@ -332,7 +539,7 @@ class TestPocEnvironment:
             sanitizer=SANITIZER_ASAN,
         )
         poc = PocSpec(command="{binary}", input_file="")
-        v = Oracle(scratch_dir=tmp_path / "scratch").verdict(tree, recipe, poc)
+        v = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch").verdict(tree, recipe, poc)
         assert v.kind == KIND_TRIGGERED
         assert not list(tmp_path.glob("asan*"))
 

@@ -1,5 +1,6 @@
 import math
 import random
+import shutil
 import subprocess
 import tempfile
 import threading
@@ -10,6 +11,11 @@ from revenant import gitio
 from revenant.forge import forge_repo
 from revenant.gitio import checkout_worktree
 from revenant.oracle import (
+    KIND_BUILD_FAILED,
+    KIND_HANG,
+    KIND_NOT_TRIGGERED,
+    KIND_POC_INCOMPATIBLE,
+    KIND_SANDBOX_FAILURE,
     KIND_TRIGGERED,
     BuildRecipe,
     Oracle,
@@ -24,6 +30,8 @@ from revenant.porter import (
     ABORT_TOO_MANY_FILES,
     FINAL_ABORTED,
     FINAL_REVIVED,
+    KIND_PORT_CONFLICT,
+    KIND_REVERT_CONFLICT,
     PROBE_BAD,
     PROBE_GOOD,
     PROBE_SKIP,
@@ -35,9 +43,24 @@ from revenant.porter import (
     SkipBudgetExhausted,
     derive_reverse_patch,
     find_breaking_commit,
+    probe_answer,
 )
 
 from gitutil import RepoBuilder
+
+
+@pytest.mark.parametrize("kind,answer", [
+    (KIND_TRIGGERED, PROBE_GOOD),
+    (KIND_NOT_TRIGGERED, PROBE_BAD),
+    (KIND_BUILD_FAILED, PROBE_BAD),
+    (KIND_POC_INCOMPATIBLE, PROBE_BAD),
+    (KIND_HANG, PROBE_BAD),
+    (KIND_SANDBOX_FAILURE, PROBE_SKIP),
+    (KIND_PORT_CONFLICT, PROBE_BAD),
+    (KIND_REVERT_CONFLICT, PROBE_BAD),
+])
+def test_probe_answer(kind, answer):
+    assert probe_answer(kind) == answer
 
 
 def call_bound(n: int, skip_budget: int = 3) -> int:
@@ -295,8 +318,8 @@ class TestGranularity:
 class RecordingOracle(Oracle):
     """Answers Triggered without building, and keeps each tree's files."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, store_dir):
+        super().__init__(store_dir)
         self.trees = []
 
     def verdict(self, worktree_path, recipe, poc):
@@ -326,7 +349,7 @@ class TestWorktreeSlot:
         rb.commit({"new.txt": "new\n"}, "add new.txt")
         rb.commit({}, "drop old.txt", delete=["old.txt"])
         rb.commit({"README": "notes\n"}, "noise")
-        oracle = RecordingOracle()
+        oracle = RecordingOracle(tmp_path / "store")
         with Porter(rb.root, *NO_BUILD, oracle=oracle, scratch_dir=tmp_path / "s") as porter:
             # reverting t3 then t2 recreates old.txt and deletes new.txt; the
             # reverse fix recreates legacy.txt
@@ -348,7 +371,8 @@ class TestWorktreeSlot:
 
         def work(name):
             try:
-                with Porter(fx.repo, fx.recipe, fx.poc, oracle=RecordingOracle(),
+                with Porter(fx.repo, fx.recipe, fx.poc,
+                            oracle=RecordingOracle(tmp_path / name / "store"),
                             scratch_dir=tmp_path / name / "scratch") as porter:
                     for _ in range(40):
                         for ref in (fx.fix, fx.target):
@@ -388,3 +412,16 @@ class TestWorktreeSlot:
             assert list(tmp.iterdir())
         assert list(tmp.iterdir()) == []
         assert len(_worktrees(fx.repo)) == 1
+
+    def test_new_porter_prunes_a_crashed_slot(self, tmp_path):
+        fx = forge_repo(tmp_path / "fx", ["C1"])
+        crashed = Porter(fx.repo, *NO_BUILD, oracle=RecordingOracle(tmp_path / "store"),
+                         scratch_dir=tmp_path / "crashed")
+        crashed.attempt(fx.fix, (), [fx.fix])
+        # the run dies: its slot directory goes, its worktree entry stays
+        shutil.rmtree(crashed._slot.path)
+        assert len(_worktrees(fx.repo)) == 2
+        with make_porter(fx, tmp_path) as porter:
+            rec = porter.revive("CVE-0000-0012", "packdemo", [fx.fix], fx.target)
+        assert rec.final == FINAL_REVIVED
+        assert _worktrees(fx.repo) == [f"worktree {fx.repo}"]
