@@ -22,11 +22,13 @@ import signal
 import stat
 import subprocess
 import tempfile
+import threading
 import time
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 SANITIZER_ASAN = "AddressSanitizer"
 SANITIZER_VALGRIND = "Valgrind"
@@ -410,6 +412,30 @@ KEYED_ENV = (
 )
 
 
+def _tree_entries(root: Path) -> Iterator[Tuple[str, int, bytes]]:
+    """`(relative path, st_mode, content)` of every regular file and
+    symlink under `root`, skipping .git, in `sorted(root.rglob("*"))`
+    order.  A symlink's content is its unresolved target."""
+
+    def walk(path: str, prefix: str) -> Iterator[Tuple[str, int, bytes]]:
+        with os.scandir(path) as it:
+            entries = sorted(it, key=lambda e: e.name)
+        for entry in entries:
+            if entry.name == ".git":
+                continue
+            rel = prefix + entry.name
+            mode = entry.stat(follow_symlinks=False).st_mode
+            if stat.S_ISDIR(mode):
+                yield from walk(entry.path, rel + "/")
+            elif stat.S_ISLNK(mode):
+                yield rel, mode, os.fsencode(os.readlink(entry.path))
+            elif stat.S_ISREG(mode):
+                with open(entry.path, "rb") as f:
+                    yield rel, mode, f.read()
+
+    return walk(os.fspath(root), "")
+
+
 def tree_hash(root: Path) -> str:
     """Order-independent content hash of a directory tree, skipping .git.
 
@@ -417,22 +443,23 @@ def tree_hash(root: Path) -> str:
     a symlink its path and its unresolved target.  Trees that can build
     differently therefore never share a hash.
     """
-    root = Path(root)
     h = hashlib.sha256()
-    for path in sorted(root.rglob("*")):
-        rel = path.relative_to(root)
-        if ".git" in rel.parts:
-            continue
-        mode = path.lstat().st_mode
+    for rel, mode, data in _tree_entries(root):
         if stat.S_ISLNK(mode):
-            kind, data = b"l", os.fsencode(os.readlink(path))
-        elif stat.S_ISREG(mode):
-            kind, data = (b"x" if mode & 0o111 else b"f"), path.read_bytes()
+            kind = b"l"
         else:
-            continue
+            kind = b"x" if mode & 0o111 else b"f"
         h.update(b"%s\x00%s%d\x00" % (os.fsencode(rel), kind, len(data)))
         h.update(data)
     return h.hexdigest()
+
+
+def build_identity(recipe: BuildRecipe) -> Tuple[str, List[Optional[str]]]:
+    """What a build depends on besides the tree: the recipe and the
+    `KEYED_ENV` values it runs under.  Part of every verdict key, and what
+    a build slot compares to decide whether its products can be reused."""
+    env = _merged_env(recipe.env)
+    return recipe.stable_hash(), [env.get(name) for name in KEYED_ENV]
 
 
 def verdict_key(tree: str, recipe: BuildRecipe, poc: PocSpec) -> str:
@@ -443,11 +470,8 @@ def verdict_key(tree: str, recipe: BuildRecipe, poc: PocSpec) -> str:
         input_digest = _sha(Path(poc.input_file).read_bytes())
     except OSError:
         input_digest = MISSING_INPUT
-    env = _merged_env(recipe.env)
-    parts = [
-        STORE_SCHEMA, tree, recipe.stable_hash(), poc.stable_hash(), input_digest,
-        [env.get(name) for name in KEYED_ENV],
-    ]
+    recipe_hash, env_values = build_identity(recipe)
+    parts = [STORE_SCHEMA, tree, recipe_hash, poc.stable_hash(), input_digest, env_values]
     return _sha(json.dumps(parts).encode())
 
 
@@ -490,8 +514,141 @@ class VerdictStore:
         os.replace(tmp, self.root / f"{key}.json")
 
 
+def _remove(path: Path) -> None:
+    """Delete whatever is at `path`, without following a symlink."""
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        return
+    if stat.S_ISDIR(mode):
+        shutil.rmtree(path)
+    else:
+        os.unlink(path)
+
+
+def _stat_key(path: Path) -> Optional[Tuple[int, ...]]:
+    try:
+        st = os.lstat(path)
+    except OSError:
+        return None
+    return (st.st_mode, st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino)
+
+
+class BuildSlot:
+    """One staging tree that successive builds reuse.
+
+    `sync` makes the slot hold a worktree's files and touches only what
+    differs: it writes each file whose kind, mode or bytes changed,
+    deletes each path that left the tree, and leaves every other file, and
+    every untracked build product, as it was.  Written files get an mtime
+    later than the end of the slot's last build, so the build's own
+    dependency tracking (make's timestamp checks) redoes what they affect.
+
+    The slot stays as trustworthy as a fresh copy.  Each written file's
+    `lstat` is recorded, and a file that a build or PoC step changed no
+    longer matches it and is written again.  A declared artifact that the
+    tree does not track is deleted before each build.  The slot is wiped
+    when the build identity (recipe and keyed environment) differs from
+    its last build's, when a symlink changes (make follows symlinks, so a
+    retargeted one may look older than the objects built from it), and on
+    request.
+    """
+
+    def __init__(self, scratch_dir: Optional[Path] = None):
+        home = tempfile.mkdtemp(prefix="oracle-", dir=str(scratch_dir) if scratch_dir else None)
+        self.root = Path(home) / "tree"
+        self.fresh = True  # nothing built since the last wipe
+        self.built_ns = 0  # wall clock when the last build and PoC ended
+        self._identity: Optional[Tuple[str, List[Optional[str]]]] = None
+        # rel -> (source st_mode, content digest, slot _stat_key)
+        self._files: Dict[str, Tuple[int, str, Optional[Tuple[int, ...]]]] = {}
+        # removes the slot's directory when called, or else when the slot is
+        # garbage-collected or the interpreter exits
+        self.close = weakref.finalize(self, shutil.rmtree, home, True)
+
+    def wipe(self) -> None:
+        shutil.rmtree(self.root, ignore_errors=True)
+        self.root.mkdir(parents=True, exist_ok=True)
+        self._files.clear()
+        self._identity = None
+        self.fresh = True
+
+    def sync(self, worktree: Path, recipe: BuildRecipe) -> None:
+        """Make the slot hold `worktree`'s files, ready for `recipe`."""
+        identity = build_identity(recipe)
+        if identity != self._identity:
+            self.wipe()
+            self._identity = identity
+        seen = set()
+        changed = []
+        for rel, mode, data in _tree_entries(worktree):
+            seen.add(rel)
+            digest = _sha(data)
+            known = self._files.get(rel)
+            if known != (mode, digest, _stat_key(self.root / rel)):
+                changed.append((rel, mode, digest))
+        gone = [rel for rel in self._files if rel not in seen]
+        modes = [self._files[rel][0] for rel in gone]
+        for rel, mode, _ in changed:
+            modes += [mode, self._files.get(rel, (0,))[0]]
+        if not self.fresh and any(stat.S_ISLNK(m) for m in modes):
+            self.wipe()
+            return self.sync(worktree, recipe)
+        dirs: Set[str] = set()  # parents known to be real directories
+        for rel in gone:
+            if self._real_parents(rel, dirs):
+                _remove(self.root / rel)
+            del self._files[rel]
+        for rel, mode, digest in changed:
+            self._write(Path(worktree, rel), rel, mode, digest, dirs)
+        for art in recipe.artifact_paths:
+            rel = os.path.normpath(art)
+            if rel in (".", "..") or os.path.isabs(rel) or rel.startswith("../"):
+                continue  # not a path inside the slot
+            if rel in seen or any(p.startswith(rel + "/") for p in seen):
+                continue
+            if self._real_parents(rel, dirs):
+                _remove(self.root / rel)
+
+    def _real_parents(self, rel: str, dirs: Set[str], make: bool = False) -> bool:
+        """Whether every parent of `rel` is a real directory in the slot, so
+        that a path operation stays inside it.  With `make`, replace what
+        is in the way by directories."""
+        parts = rel.split("/")[:-1]
+        for i in range(1, len(parts) + 1):
+            sub = "/".join(parts[:i])
+            if sub in dirs:
+                continue
+            path = self.root / sub
+            try:
+                is_dir = stat.S_ISDIR(os.lstat(path).st_mode)
+            except FileNotFoundError:
+                is_dir = None
+            if not is_dir:
+                if not make:
+                    return False
+                if is_dir is not None:
+                    os.unlink(path)
+                path.mkdir()
+            dirs.add(sub)
+        return True
+
+    def _write(self, src: Path, rel: str, mode: int, digest: str, dirs: Set[str]) -> None:
+        self._real_parents(rel, dirs, make=True)
+        dst = self.root / rel
+        _remove(dst)
+        if stat.S_ISLNK(mode):
+            os.symlink(os.readlink(src), dst)
+        else:
+            shutil.copyfile(src, dst)
+            os.chmod(dst, stat.S_IMODE(mode))
+        if os.lstat(dst).st_mtime_ns <= self.built_ns:
+            os.utime(dst, ns=(self.built_ns + 1, self.built_ns + 1), follow_symlinks=False)
+        self._files[rel] = (mode, digest, _stat_key(dst))
+
+
 class Oracle:
-    """Verdict runner with a verdict store and call counters.
+    """Verdict runner with a verdict store, a build slot and call counters.
 
     Verdicts are kept in the store at `store_dir`.  A verdict that is not
     `storable` (a SandboxFailure, or one a timeout or the launch window
@@ -500,8 +657,16 @@ class Oracle:
     holding the key's lock, later ones wait and read.
 
     A verdict never mutates the worktree it is given: the build and the
-    PoC run happen in a disposable copy under `scratch_dir` (by default
-    the system temp directory).
+    PoC run happen in the oracle's `BuildSlot`, `oracle-<suffix>/tree`
+    under `scratch_dir` (by default the system temp directory), made on
+    the first build and removed by `close()`.  Each build there redoes
+    only what the tree's changes affect; a build that fails in a slot that
+    built before is retried once from a wiped slot, so a stale product
+    never decides a `BuildFailed`.
+
+    An oracle is meant for one caller at a time.  Concurrent callers are
+    safe but take turns: a lock, taken only while the key's lock is held,
+    serializes the slot's sync, build and PoC run and the counters.
     """
 
     def __init__(self, store_dir: Path, scratch_dir: Optional[Path] = None):
@@ -510,6 +675,15 @@ class Oracle:
         self.scratch_dir = Path(scratch_dir) if scratch_dir else None
         if self.scratch_dir:
             self.scratch_dir.mkdir(parents=True, exist_ok=True)
+        self._slot: Optional[BuildSlot] = None
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Remove the build slot; a later verdict makes a new one."""
+        with self._lock:
+            if self._slot is not None:
+                self._slot.close()
+                self._slot = None
 
     def verdict(self, worktree_path: Path, recipe: BuildRecipe, poc: PocSpec) -> OracleVerdict:
         worktree_path = Path(worktree_path)
@@ -517,9 +691,11 @@ class Oracle:
         with self.store.locked(key):
             stored = self.store.get(key)
             if stored is not None:
-                self.counters["cache_hits"] = self.counters.get("cache_hits", 0) + 1
+                with self._lock:
+                    self.counters["cache_hits"] = self.counters.get("cache_hits", 0) + 1
                 return stored
-            verdict = self._build_and_run(worktree_path, recipe, poc)
+            with self._lock:
+                verdict = self._build_and_run(worktree_path, recipe, poc)
             if verdict.storable:
                 self.store.put(key, verdict)
         return verdict
@@ -528,29 +704,35 @@ class Oracle:
         self, worktree_path: Path, recipe: BuildRecipe, poc: PocSpec
     ) -> OracleVerdict:
         self.counters["verdicts"] = self.counters.get("verdicts", 0) + 1
-        tmp = tempfile.mkdtemp(
-            prefix="oracle-", dir=str(self.scratch_dir) if self.scratch_dir else None
-        )
+        if self._slot is None:
+            self._slot = BuildSlot(self.scratch_dir)
+        slot = self._slot
         try:
-            stage = Path(tmp) / "tree"
-            shutil.copytree(
-                worktree_path,
-                stage,
-                ignore=shutil.ignore_patterns(".git"),
-                symlinks=True,
-            )
-            outcome = build(stage, recipe, counters=self.counters)
+            slot.sync(worktree_path, recipe)
+            outcome = build(slot.root, recipe, counters=self.counters)
+            if not outcome.ok and not outcome.transient and not slot.fresh:
+                # a product of an earlier build may be to blame: only a
+                # clean build may decide BuildFailed
+                slot.wipe()
+                slot.sync(worktree_path, recipe)
+                outcome = build(slot.root, recipe, counters=self.counters)
+            slot.fresh = False
             if not outcome.ok:
+                if outcome.transient:
+                    slot.wipe()  # a killed build may leave half-written products
                 return OracleVerdict(
                     KIND_BUILD_FAILED, evidence=outcome.log_excerpt, transient=outcome.transient
                 )
             return run_poc(
                 outcome.artifacts,
                 poc,
-                cwd=stage,
+                cwd=slot.root,
                 env=_merged_env(recipe.env),
                 sanitizer=recipe.sanitizer,
                 counters=self.counters,
             )
+        except BaseException:
+            slot.wipe()  # a sync or build cut short leaves the slot unknown
+            raise
         finally:
-            shutil.rmtree(tmp, ignore_errors=True)
+            slot.built_ns = time.time_ns()

@@ -23,7 +23,6 @@ from .model import (
     FilePatch,
     HunkLine,
     HunkRejected,
-    SourcePatch,
     join_lines,
     split_lines,
 )
@@ -238,27 +237,3 @@ def apply_file_patch(
 
     return join_lines(buf, final_nl), report
 
-
-def apply_source_patch(
-    read_file,
-    patch: SourcePatch,
-    max_fuzz: int = 0,
-    search_window: int = 200,
-    normalize_trailing_whitespace: bool = False,
-) -> dict:
-    """Apply every FilePatch via a `read_file(path) -> str` callable.
-
-    Returns {path: (new_content, ApplyReport)} without writing anything;
-    all-or-nothing semantics belong to the caller.
-    """
-    out = {}
-    for fp in patch.files:
-        content = "" if fp.mode_change == "created" else read_file(fp.path)
-        out[fp.path] = apply_file_patch(
-            content,
-            fp,
-            max_fuzz=max_fuzz,
-            search_window=search_window,
-            normalize_trailing_whitespace=normalize_trailing_whitespace,
-        )
-    return out

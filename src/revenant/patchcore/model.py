@@ -56,10 +56,6 @@ class HunkRejected(PatchApplyError):
     pass
 
 
-class AmbiguousAnchor(PatchApplyError):
-    pass
-
-
 class FunctionBoundaryUnavailable(PatchError):
     pass
 

@@ -372,7 +372,8 @@ class Porter:
     remembered in `commits` for the porter's life.  A porter built
     without an oracle makes one whose verdict store lives in the porter's
     scratch directory.  Close the porter (or use it as a context manager)
-    to remove the worktree and any scratch directory it made.
+    to remove the worktree, its oracle's build slot, and any scratch
+    directory it made.
     """
 
     def __init__(
@@ -404,10 +405,12 @@ class Porter:
         self._reverse_cache: Dict[Tuple[str, ...], SourcePatch] = {}
 
     def close(self) -> None:
-        """Remove the worktree, and the scratch directory if the porter made it."""
+        """Remove the worktree and the oracle's build slot, and the scratch
+        directory if the porter made it."""
         if self._slot is not None:
             self._slot.remove()
             self._slot = None
+        self.oracle.close()
         if self._own_scratch:
             shutil.rmtree(self._scratch, ignore_errors=True)
 

@@ -260,6 +260,7 @@ def test_commands_leave_no_worktree_and_report_oracle_counts(tmp_path, fixture, 
             f"worktree {fixture.repo}"
         ]
         assert list((tmp_path / "ws" / CVE / "scratch").glob("wt-*")) == []
+        assert list((tmp_path / "ws" / CVE / "scratch").glob("oracle/*")) == []
     # revive already checked the fix commit itself
     assert (fields["builds"], fields["hits"]) == ("0", "1")
     record = json.loads((tmp_path / "ws" / CVE / "revival_record.json").read_text())

@@ -479,6 +479,231 @@ class TestVerdictStore:
         assert sum(o.counters.get("cache_hits", 0) for o in oracles) == 3
 
 
+needs_make = pytest.mark.skipif(
+    shutil.which("make") is None or shutil.which("cc") is None, reason="needs make and cc"
+)
+
+CRASH_SH = 'echo "==1==ERROR: AddressSanitizer: heap-buffer-overflow on address 0x1"\nexit 1\n'
+CLEAN_SH = "echo clean\n"
+SHELL_RECIPE = BuildRecipe.make(["sh build.sh"], ["tool"])
+
+MAIN_C = textwrap.dedent(
+    """\
+    #include <stdio.h>
+    int main(void) {
+    #ifdef CRASH
+        puts("==1==ERROR: AddressSanitizer: heap-buffer-overflow on address 0x1");
+        return 1;
+    #else
+        puts("clean");
+        return 0;
+    #endif
+    }
+    """
+)
+MAKEFILE = "tool: main.o\n\tcc -o tool main.o\n\nmain.o: main.c\n\tcc $(CFLAGS) -c -o main.o main.c\n"
+MAKE_RECIPE = BuildRecipe.make(["make -s"], ["tool"])
+
+
+def _tree_of(root: Path, files: dict) -> Path:
+    """Write a tree: each path maps to its text, or to ("link", target)."""
+    root.mkdir(parents=True)
+    for rel, spec in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if isinstance(spec, tuple):
+            path.symlink_to(spec[1])
+        else:
+            path.write_text(spec)
+    return root
+
+
+def _shell_tree(root: Path, build_sh: str, **extra) -> Path:
+    files = {"build.sh": build_sh, "crash.sh": CRASH_SH, "clean.sh": CLEAN_SH}
+    files.update(extra)
+    return _tree_of(root, files)
+
+
+class TestBuildSlot:
+    """Each test fails on a slot that copies changed files and keeps
+    everything else: the slot must answer as a fresh copy would."""
+
+    def _oracle(self, tmp_path):
+        return Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
+
+    def _poc(self, tmp_path):
+        return PocSpec(command="sh {binary} {input}", input_file=_poc_file(tmp_path))
+
+    def test_a_build_step_that_edits_a_tracked_file_is_undone(self, tmp_path):
+        build_sh = "cp crash.sh tool\nsed -i s/AddressSanitizer/Nothing/ crash.sh\n"
+        first = _shell_tree(tmp_path / "a", build_sh)
+        second = _shell_tree(tmp_path / "b", build_sh, README="another tree\n")
+        oracle, poc = self._oracle(tmp_path), self._poc(tmp_path)
+        assert oracle.verdict(first, SHELL_RECIPE, poc).kind == KIND_TRIGGERED
+        assert oracle.verdict(second, SHELL_RECIPE, poc).kind == KIND_TRIGGERED
+        assert oracle.counters["builds"] == 2
+
+    def test_a_stale_artifact_is_removed(self, tmp_path):
+        makes_it = _shell_tree(tmp_path / "a", "cp crash.sh tool\n")
+        stops = _shell_tree(tmp_path / "b", "true\n")
+        oracle, poc = self._oracle(tmp_path), self._poc(tmp_path)
+        assert oracle.verdict(makes_it, SHELL_RECIPE, poc).kind == KIND_TRIGGERED
+        v = oracle.verdict(stops, SHELL_RECIPE, poc)
+        assert v.kind == KIND_BUILD_FAILED
+        assert "MISSING ARTIFACT: tool" in v.evidence
+
+    @needs_make
+    def test_a_new_build_identity_wipes_the_slot(self, tmp_path, monkeypatch):
+        tree = _tree_of(tmp_path / "tree", {"Makefile": MAKEFILE, "main.c": MAIN_C})
+        oracle = self._oracle(tmp_path)
+        poc = PocSpec(command="{binary}", input_file=_poc_file(tmp_path))
+        monkeypatch.delenv("CFLAGS", raising=False)
+        assert oracle.verdict(tree, MAKE_RECIPE, poc).kind == KIND_NOT_TRIGGERED
+        # make does not track CFLAGS: main.o would look up to date
+        monkeypatch.setenv("CFLAGS", "-DCRASH")
+        assert oracle.verdict(tree, MAKE_RECIPE, poc).kind == KIND_TRIGGERED
+        monkeypatch.delenv("CFLAGS")
+        other_recipe = BuildRecipe.make(["make -s"], ["tool"], timeout=600)
+        assert oracle.verdict(tree, other_recipe, poc).kind == KIND_NOT_TRIGGERED
+        assert oracle.counters["builds"] == 3
+
+    @needs_make
+    def test_content_a_b_a_still_recompiles(self, tmp_path):
+        # every tree is written before the first build, so their files are
+        # older than any object the slot builds
+        crash = "#define CRASH 1\n" + MAIN_C
+        a = _tree_of(tmp_path / "a", {"Makefile": MAKEFILE, "main.c": crash})
+        b = _tree_of(tmp_path / "b", {"Makefile": MAKEFILE, "main.c": MAIN_C})
+        a2 = _tree_of(tmp_path / "a2", {"Makefile": MAKEFILE, "main.c": crash, "README": "a\n"})
+        oracle = self._oracle(tmp_path)
+        poc = PocSpec(command="{binary}", input_file=_poc_file(tmp_path))
+        kinds = [oracle.verdict(t, MAKE_RECIPE, poc).kind for t in (a, b, a2)]
+        assert kinds == [KIND_TRIGGERED, KIND_NOT_TRIGGERED, KIND_TRIGGERED]
+
+    def test_a_file_removed_from_the_tree_leaves_the_slot(self, tmp_path):
+        build_sh = "if [ -e plugin.c ]; then cp crash.sh tool; else cp clean.sh tool; fi\n"
+        with_plugin = _shell_tree(tmp_path / "a", build_sh, **{"plugin.c": "int x;\n"})
+        without = _shell_tree(tmp_path / "b", build_sh)
+        oracle, poc = self._oracle(tmp_path), self._poc(tmp_path)
+        assert oracle.verdict(with_plugin, SHELL_RECIPE, poc).kind == KIND_TRIGGERED
+        assert oracle.verdict(without, SHELL_RECIPE, poc).kind == KIND_NOT_TRIGGERED
+
+    def test_a_path_changes_between_file_symlink_and_directory(self, tmp_path):
+        build_sh = textwrap.dedent("""\
+            if [ -d conf ]; then v=$(cat conf/value); else v=$(cat conf); fi
+            if [ "$v" = crash ]; then cp crash.sh tool; else cp clean.sh tool; fi
+            """)
+        extra = {"conf.crash": "crash\n", "conf.clean": "clean\n"}
+        kinds = [
+            {"conf": "crash\n"},
+            {"conf": ("link", "conf.clean")},
+            {"conf/value": "crash\n"},
+            {"conf": ("link", "conf.crash"), "conf.crash": "crash\n"},
+            {"conf": "clean\n"},
+            {"conf/value": ("link", "../conf.crash")},
+        ]
+        oracle, poc = self._oracle(tmp_path), self._poc(tmp_path)
+        for i, files in enumerate(kinds):
+            tree = _shell_tree(tmp_path / f"t{i}", build_sh, **{**extra, **files})
+            clean = Oracle(tmp_path / f"clean{i}", scratch_dir=tmp_path / "scratch")
+            expected = clean.verdict(tree, SHELL_RECIPE, poc).to_dict()
+            clean.close()
+            assert oracle.verdict(tree, SHELL_RECIPE, poc).to_dict() == expected, files
+        assert oracle.counters["builds"] == len(kinds)
+
+    @needs_make
+    def test_a_retargeted_symlink_recompiles(self, tmp_path):
+        # make follows the link to a source older than the object
+        files = {"Makefile": MAKEFILE, "crash.c": "#define CRASH 1\n" + MAIN_C, "clean.c": MAIN_C}
+        trees = [
+            _tree_of(tmp_path / "a", {**files, "main.c": ("link", "crash.c")}),
+            _tree_of(tmp_path / "b", {**files, "main.c": ("link", "clean.c")}),
+            _tree_of(tmp_path / "c", {**files, "main.c": ("link", "crash.c"), "README": "c\n"}),
+        ]
+        oracle = self._oracle(tmp_path)
+        poc = PocSpec(command="{binary}", input_file=_poc_file(tmp_path))
+        kinds = [oracle.verdict(t, MAKE_RECIPE, poc).kind for t in trees]
+        assert kinds == [KIND_TRIGGERED, KIND_NOT_TRIGGERED, KIND_TRIGGERED]
+
+    def test_an_incremental_build_failure_is_retried_clean(self, tmp_path):
+        first = _shell_tree(tmp_path / "a", "touch stamp\ncp crash.sh tool\n")
+        # fails only on the leftovers of an earlier build
+        stale = _shell_tree(tmp_path / "b", textwrap.dedent("""\
+            if [ -e stamp ]; then echo "stale stamp"; exit 1; fi
+            touch stamp
+            cp crash.sh tool
+            """))
+        broken = _shell_tree(tmp_path / "c", textwrap.dedent("""\
+            if [ -e stamp ]; then echo "incremental"; fi
+            touch stamp
+            echo "genuinely broken"; exit 1
+            """))
+        oracle, poc = self._oracle(tmp_path), self._poc(tmp_path)
+        assert oracle.verdict(first, SHELL_RECIPE, poc).kind == KIND_TRIGGERED
+        assert oracle.verdict(stale, SHELL_RECIPE, poc).kind == KIND_TRIGGERED
+        assert oracle.counters["builds"] == 3  # the failed try, then the clean one
+        v = oracle.verdict(broken, SHELL_RECIPE, poc)
+        assert v.kind == KIND_BUILD_FAILED
+        assert "genuinely broken" in v.evidence and "incremental" not in v.evidence
+        assert oracle.counters["builds"] == 5
+        # the store holds what the clean builds decided
+        reader = Oracle(tmp_path / "store", scratch_dir=tmp_path / "reader")
+        assert reader.verdict(stale, SHELL_RECIPE, poc).kind == KIND_TRIGGERED
+        assert reader.verdict(broken, SHELL_RECIPE, poc).to_dict() == v.to_dict()
+        assert reader.counters == {"cache_hits": 2}
+
+    def test_close_removes_the_slot(self, tmp_path):
+        tree = _shell_tree(tmp_path / "a", "cp crash.sh tool\n")
+        oracle, poc = self._oracle(tmp_path), self._poc(tmp_path)
+        assert not list((tmp_path / "scratch").iterdir())  # made on the first build
+        oracle.verdict(tree, SHELL_RECIPE, poc)
+        assert [p.name[:7] for p in (tmp_path / "scratch").iterdir()] == ["oracle-"]
+        oracle.close()
+        assert not list((tmp_path / "scratch").iterdir())
+        # a closed oracle still answers, from a new slot
+        other = _shell_tree(tmp_path / "b", "cp clean.sh tool\n")
+        assert oracle.verdict(other, SHELL_RECIPE, poc).kind == KIND_NOT_TRIGGERED
+        oracle.close()
+        assert not list((tmp_path / "scratch").iterdir())
+
+    def test_two_threads_share_one_oracle(self, tmp_path):
+        # a slow build, so that the callers overlap
+        build_sh = "sleep 0.2\ncp tool.sh tool\n"
+        oracle, poc = self._oracle(tmp_path), self._poc(tmp_path)
+        rounds = 3
+        work = {
+            KIND_TRIGGERED: [_tree_of(tmp_path / f"crash{r}", {
+                "build.sh": build_sh, "tool.sh": CRASH_SH, "README": f"{r}\n"})
+                for r in range(rounds)],
+            KIND_NOT_TRIGGERED: [_tree_of(tmp_path / f"clean{r}", {
+                "build.sh": build_sh, "tool.sh": CLEAN_SH, "README": f"{r}\n"})
+                for r in range(rounds)],
+        }
+        start = threading.Barrier(2, timeout=30)
+        answers = {kind: [] for kind in work}
+
+        def ask(kind):
+            for tree in work[kind]:
+                start.wait()
+                answers[kind].append(oracle.verdict(tree, SHELL_RECIPE, poc).kind)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=ask, args=(kind,), daemon=True) for kind in work]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert answers == {kind: [kind] * rounds for kind in work}
+        assert oracle.counters["builds"] == 2 * rounds
+        oracle.close()
+        assert not list((tmp_path / "scratch").iterdir())
+
+
 OVERFLOW_C = textwrap.dedent(
     """\
     #include <stdlib.h>

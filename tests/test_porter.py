@@ -8,7 +8,16 @@ import threading
 import pytest
 
 from revenant import gitio
-from revenant.forge import forge_repo
+from revenant.forge import (
+    BREAKERS,
+    PACK_C_VULN,
+    PACK_H,
+    README,
+    TOOL_C,
+    apply_fix,
+    forge_repo,
+    overflow_poc_bytes,
+)
 from revenant.gitio import checkout_worktree
 from revenant.oracle import (
     KIND_BUILD_FAILED,
@@ -413,6 +422,15 @@ class TestWorktreeSlot:
         assert list(tmp.iterdir()) == []
         assert len(_worktrees(fx.repo)) == 1
 
+    def test_close_removes_the_build_slot_of_a_passed_oracle(self, tmp_path):
+        fx = forge_repo(tmp_path / "fx", [])
+        oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "oracle")
+        with Porter(fx.repo, fx.recipe, fx.poc, oracle=oracle,
+                    scratch_dir=tmp_path / "scratch") as porter:
+            assert porter.attempt(fx.fix, (), [fx.fix]).verdict.kind == KIND_TRIGGERED
+            assert [p.name[:7] for p in (tmp_path / "oracle").iterdir()] == ["oracle-"]
+        assert list((tmp_path / "oracle").iterdir()) == []
+
     def test_new_porter_prunes_a_crashed_slot(self, tmp_path):
         fx = forge_repo(tmp_path / "fx", ["C1"])
         crashed = Porter(fx.repo, *NO_BUILD, oracle=RecordingOracle(tmp_path / "store"),
@@ -425,3 +443,96 @@ class TestWorktreeSlot:
             rec = porter.revive("CVE-0000-0012", "packdemo", [fx.fix], fx.target)
         assert rec.final == FINAL_REVIVED
         assert _worktrees(fx.repo) == [f"worktree {fx.repo}"]
+
+
+# ---------- incremental builds against clean builds ----------
+
+UNITS = 3
+MAKEFILE = (
+    "OBJS = $(patsubst %.c,%.o,$(wildcard *.c lib/*.c))\n"
+    "pack_tool: $(OBJS)\n\tcc -o $@ $(OBJS)\n\n"
+    "%.o: %.c pack.h\n\tcc -O0 -c -o $@ $<\n"
+)
+
+
+def forge_make_project(root, archetypes):
+    """The forge's pack_tool with a few more units, built by make, under a
+    history whose noise edits a unit, edits pack.h (which every unit
+    includes) or renames a unit (whose old copy would then link twice)."""
+    rb = RepoBuilder(root / "repo")
+    files = {"pack.h": PACK_H, "pack.c": PACK_C_VULN, "tool.c": TOOL_C, "README": README,
+             "Makefile": MAKEFILE}
+    for i in range(UNITS):
+        files[f"lib/u{i}.c"] = f"int u{i}_f0(int x) {{ return x + {i}; }}\n"
+
+    def noise(n):
+        units = sorted(p for p in files if p.startswith("lib/"))
+        unit = units[n % len(units)]
+        gone = []
+        if n % 3 == 0:
+            files[unit] += f"int n{n}(int x) {{ return x * {n + 2}; }}\n"
+        elif n % 3 == 1:
+            files["pack.h"] += f"/* note {n} */\n"
+        else:
+            files[f"lib/moved{n}.c"] = files.pop(unit)
+            gone.append(unit)
+        rb.commit(files, f"noise {n}", delete=gone)
+
+    rb.commit(files, "initial import")
+    noise(0)
+    files.update(apply_fix(files))
+    fix = rb.commit(files, "fix")
+    for n, arch in enumerate(archetypes, start=1):
+        noise(n)
+        transform, message = BREAKERS[arch]
+        files.update(transform(files))
+        rb.commit(files, message)
+    noise(len(archetypes) + 1)
+    poc_file = root / "poc.bin"
+    poc_file.write_bytes(overflow_poc_bytes())
+    recipe = BuildRecipe.make(["make -s -j2"], ["pack_tool"], timeout=120)
+    poc = PocSpec(command="{binary} -i {input}", input_file=str(poc_file),
+                  expected_detector="heap-buffer-overflow")
+    return rb.root, fix, rb.head(), recipe, poc
+
+
+class VerdictLog(Oracle):
+    """Logs each verdict with its tree.  With `clean`, every verdict comes
+    from a fresh oracle on an empty store, so from a clean build."""
+
+    def __init__(self, store_dir, scratch_dir, clean=False):
+        super().__init__(store_dir, scratch_dir=scratch_dir)
+        self.clean = clean
+        self.log = []
+
+    def verdict(self, worktree_path, recipe, poc):
+        if self.clean:
+            fresh = Oracle(self.store.root / f"clean-{len(self.log)}",
+                           scratch_dir=self.scratch_dir)
+            try:
+                v = fresh.verdict(worktree_path, recipe, poc)
+            finally:
+                fresh.close()
+        else:
+            v = super().verdict(worktree_path, recipe, poc)
+        self.log.append((tree_hash(worktree_path), v.to_dict()))
+        return v
+
+
+@pytest.mark.skipif(shutil.which("make") is None or shutil.which("cc") is None,
+                    reason="needs make and cc")
+@pytest.mark.parametrize("archetypes", [["C1", "C4"], ["C5", "C3", "C4"], ["C6", "C2", "C4"]])
+def test_incremental_builds_match_clean_builds(tmp_path, archetypes):
+    repo, fix, target, recipe, poc = forge_make_project(tmp_path / "fx", archetypes)
+    runs = {}
+    for clean in (False, True):
+        oracle = VerdictLog(tmp_path / f"store-{clean}", tmp_path / f"oracle-{clean}", clean)
+        with Porter(repo, recipe, poc, oracle=oracle,
+                    scratch_dir=tmp_path / f"scratch-{clean}") as porter:
+            record = porter.revive("CVE-0000-0013", "packdemo", [fix], target)
+        runs[clean] = (record.to_json(), oracle.log)
+        assert record.final == FINAL_REVIVED
+        assert len(record.revert_stack) == len(archetypes)
+        if not clean:
+            assert oracle.counters["builds"] >= 3  # one slot built several trees
+    assert runs[False] == runs[True]
