@@ -178,15 +178,20 @@ def parse_case(data: dict, base_dir: Path, source: str = "<memory>") -> CaseConf
 
     limits_raw = data.get("limits", {})
     _check_keys(limits_raw, _LIMIT_KEYS, f"{where}: limits")
+    lim = Limits()  # the defaults
     limits = Limits(
-        max_reverted_commits=_int(limits_raw, "max_reverted_commits", f"{where}: limits", 4),
-        max_files_per_commit=_int(limits_raw, "max_files_per_commit", f"{where}: limits", 14),
-        max_chunks_per_file=_int(limits_raw, "max_chunks_per_file", f"{where}: limits", 30),
+        max_reverted_commits=_int(limits_raw, "max_reverted_commits", f"{where}: limits",
+                                  lim.max_reverted_commits),
+        max_files_per_commit=_int(limits_raw, "max_files_per_commit", f"{where}: limits",
+                                  lim.max_files_per_commit),
+        max_chunks_per_file=_int(limits_raw, "max_chunks_per_file", f"{where}: limits",
+                                 lim.max_chunks_per_file),
     )
 
     policy_raw = data.get("policy", {})
     _check_keys(policy_raw, _POLICY_KEYS, f"{where}: policy")
-    granularity_name = policy_raw.get("granularity", Granularity.PatchHunks.value)
+    pol = PortPolicy()  # the defaults
+    granularity_name = policy_raw.get("granularity", pol.granularity.value)
     try:
         granularity = Granularity(granularity_name)
     except ValueError:
@@ -196,13 +201,14 @@ def parse_case(data: dict, base_dir: Path, source: str = "<memory>") -> CaseConf
         ) from None
     policy = PortPolicy(
         granularity=granularity,
-        max_fuzz=_int(policy_raw, "max_fuzz", f"{where}: policy", 2),
-        search_window=_int(policy_raw, "search_window", f"{where}: policy", 200),
+        max_fuzz=_int(policy_raw, "max_fuzz", f"{where}: policy", pol.max_fuzz),
+        search_window=_int(policy_raw, "search_window", f"{where}: policy", pol.search_window),
         normalize_trailing_whitespace=_bool(
-            policy_raw, "normalize_trailing_whitespace", f"{where}: policy", False,
+            policy_raw, "normalize_trailing_whitespace", f"{where}: policy",
+            pol.normalize_trailing_whitespace,
         ),
-        skip_budget=_int(policy_raw, "skip_budget", f"{where}: policy", 3),
-        check_origin=_bool(policy_raw, "check_origin", f"{where}: policy", True),
+        skip_budget=_int(policy_raw, "skip_budget", f"{where}: policy", pol.skip_budget),
+        check_origin=_bool(policy_raw, "check_origin", f"{where}: policy", pol.check_origin),
     )
 
     workspace = data.get("workspace")

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .oracle import BuildRecipe, PocSpec
+from .porter import Limits
 
 AUTHOR = "Forge <forge@example.invalid>"
 BASE_EPOCH = 1_600_000_000
@@ -33,7 +34,7 @@ GUARD_BYTES = 8
 
 ARCHETYPES = ("C1", "C2", "C3", "C4", "C5", "C6")
 
-DEFAULT_MAX_REVERTED = 4
+DEFAULT_MAX_REVERTED = Limits().max_reverted_commits
 
 
 class ForgeError(Exception):

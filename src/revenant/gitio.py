@@ -1,21 +1,25 @@
-"""Thin porcelain over a local git checkout.
+"""Thin porcelain over a local git repository.
 
 Everything here shells out to git.  A `CommitMemo` remembers what a full
 commit id names, which never changes, for as long as its owner keeps it;
-the module-level functions start from an empty memo on every call.  File
-contents travel as str with surrogateescape so arbitrary bytes survive
-the Python layer unchanged.
+the module-level functions start from an empty memo on every call.  A
+`CommitTree` is a commit's files plus edits held in memory, so patching
+one writes nothing to disk.  File contents travel as str with
+surrogateescape so arbitrary bytes survive the Python layer unchanged.
 """
 
 from __future__ import annotations
 
 import fcntl
+import hashlib
 import os
 import subprocess
-from contextlib import contextmanager
+import sys
+from collections import OrderedDict
+from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .patchcore import (
     ApplyReport,
@@ -29,6 +33,21 @@ from .patchcore import (
 
 ENCODING = "utf-8"
 ERRORS = "surrogateescape"
+
+# the modes of a tree entry, as git writes them
+MODE_FILE = "100644"
+MODE_EXEC = "100755"
+MODE_LINK = "120000"
+
+# one tree entry: (path, mode, git object id)
+Entry = Tuple[str, str, str]
+
+LISTING_MEMO = 16  # commit listings a CommitMemo keeps, most recently used
+TEXT_MEMO = 64  # blob texts a CommitMemo keeps, most recently used
+# object ids written to `git cat-file --batch` before reading their
+# contents back: 256 ids of at most 65 bytes fit in a pipe's buffer, so
+# the write never waits on git while git waits on us
+CAT_FILE_BATCH = 256
 
 
 class GitGatewayError(Exception):
@@ -61,28 +80,79 @@ class RevertConflict(GitGatewayError):
         self.reports = reports or []
 
 
+def decode_text(data: bytes) -> str:
+    """File bytes as text: UTF-8 with surrogateescape, and universal
+    newlines, as `open` reads a file in text mode."""
+    return data.decode(ENCODING, ERRORS).replace("\r\n", "\n").replace("\r", "\n")
+
+
+def encode_text(text: str) -> bytes:
+    return text.encode(ENCODING, ERRORS)
+
+
 def read_file(path: Path) -> str:
-    return path.read_text(encoding=ENCODING, errors=ERRORS)
+    return decode_text(path.read_bytes())
 
 
 def write_file(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding=ENCODING, errors=ERRORS)
+    path.write_bytes(encode_text(text))
 
 
-def run_git(repo: Path, *args: str, check: bool = True) -> subprocess.CompletedProcess:
+def blob_id(data: bytes, algorithm: str = "sha1") -> str:
+    """The object id git gives a blob holding `data`."""
+    return hashlib.new(algorithm, b"blob %d\0%s" % (len(data), data)).hexdigest()
+
+
+def run_git(
+    repo: Path, *args: str, check: bool = True, text: bool = True
+) -> subprocess.CompletedProcess:
+    """Run git in `repo`; its output is str, or bytes without `text`."""
     proc = subprocess.run(
         ["git", "-C", str(repo), *args],
         capture_output=True,
-        text=True,
-        encoding=ENCODING,
-        errors=ERRORS,
+        text=text,
+        encoding=ENCODING if text else None,
+        errors=ERRORS if text else None,
     )
     if check and proc.returncode != 0:
+        stderr = proc.stderr if text else proc.stderr.decode(ENCODING, ERRORS)
         raise GitGatewayError(
-            f"git {' '.join(args)} failed ({proc.returncode}): {proc.stderr.strip()}"
+            f"git {' '.join(args)} failed ({proc.returncode}): {stderr.strip()}"
         )
     return proc
+
+
+def _cat_file(repo: Path, oids: Sequence[str]) -> Iterator[bytes]:
+    """The contents of the blobs `oids`, in order, one at a time, from one
+    `git cat-file --batch`.  The process is killed if need be and waited
+    for when the generator finishes or is closed."""
+    proc = subprocess.Popen(
+        ["git", "-C", str(repo), "cat-file", "--batch"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        for start in range(0, len(oids), CAT_FILE_BATCH):
+            batch = oids[start : start + CAT_FILE_BATCH]
+            proc.stdin.write("".join(f"{oid}\n" for oid in batch).encode())
+            proc.stdin.flush()
+            for oid in batch:
+                header = proc.stdout.readline().split()
+                if len(header) != 3 or header[1] != b"blob":
+                    raise GitGatewayError(f"git cat-file has no blob {oid} in {repo}")
+                size = int(header[2])
+                data = proc.stdout.read(size)
+                if len(data) != size or proc.stdout.read(1) != b"\n":
+                    raise GitGatewayError(f"git cat-file cut blob {oid} short in {repo}")
+                yield data
+    finally:
+        proc.kill()
+        proc.wait()
+        with suppress(OSError):  # a write cut short leaves bytes to flush
+            proc.stdin.close()
+        proc.stdout.close()
 
 
 @dataclass(frozen=True)
@@ -138,12 +208,8 @@ class Worktree:
     def exists(self, relpath: str) -> bool:
         return (self.path / relpath).is_file()
 
-    def switch(self, commit_id: str) -> None:
-        """Reset the worktree to `commit_id`, dropping every edit and every
-        file that is not tracked there, so it matches a fresh checkout."""
-        run_git(self.path, "checkout", "--quiet", "--detach", "--force", commit_id)
-        run_git(self.path, "clean", "-fdxq")
-        self.commit = commit_id
+    def delete(self, relpath: str) -> None:
+        (self.path / relpath).unlink(missing_ok=True)
 
     def remove(self) -> None:
         # entries whose directory is gone are pruned by the next
@@ -201,9 +267,11 @@ class CommitMemo:
     """Facts about one repository's commits, remembered by full id.
 
     A full id always names the same commit, so its CommitRef, its diff and
-    the inverse of that diff are kept for the life of the memo.  A name
-    (branch, tag, abbreviated id) can move, so it is resolved again on
-    every call.  The shallow-clone check runs once.  Patches are shared
+    the inverse of that diff are kept for the life of the memo, and the
+    listings of the last `LISTING_MEMO` commits and the texts of the last
+    `TEXT_MEMO` blobs read are kept too.  A name (branch, tag, abbreviated
+    id) can move, so it is resolved again on every call.  The
+    shallow-clone check runs once.  Patches and listings are shared
     between callers, who must not modify them.
     """
 
@@ -212,6 +280,8 @@ class CommitMemo:
         self._refs: Dict[str, CommitRef] = {}
         self._diffs: Dict[Tuple[str, int], SourcePatch] = {}
         self._inverses: Dict[str, SourcePatch] = {}
+        self._listings: "OrderedDict[str, Dict[str, Tuple[str, str]]]" = OrderedDict()
+        self._texts: "OrderedDict[str, str]" = OrderedDict()
         self._full_history = False
 
     def _commit_id(self, name: str) -> str:
@@ -284,6 +354,130 @@ class CommitMemo:
             patch = self._inverses[ref.id] = invert(self.diff(ref.id))
         return patch
 
+    def listing(self, commit: str) -> Dict[str, Tuple[str, str]]:
+        """Path -> (mode, blob id) of every file and symlink in the commit,
+        from one `git ls-tree`.  A submodule, which a checkout leaves as an
+        empty directory, is not listed."""
+        commit_id = self.resolve(commit).id
+        found = self._listings.get(commit_id)
+        if found is not None:
+            self._listings.move_to_end(commit_id)
+            return found
+        out = run_git(self.repo, "ls-tree", "-r", "-z", "--full-tree", commit_id, text=False)
+        found = {}
+        for record in out.stdout.split(b"\0"):
+            meta, _, path = record.partition(b"\t")
+            if not path:
+                continue
+            mode, kind, oid = meta.decode().split()
+            if kind != "blob":
+                continue
+            if mode not in (MODE_EXEC, MODE_LINK):
+                mode = MODE_FILE  # what a checkout of any other file mode writes
+            # listings of nearby commits share most paths and ids
+            found[sys.intern(os.fsdecode(path))] = (mode, sys.intern(oid))
+        self._listings[commit_id] = found
+        if len(self._listings) > LISTING_MEMO:
+            self._listings.popitem(last=False)
+        return found
+
+    def text(self, oid: str) -> str:
+        """The blob `oid` as text, as `read_file` reads a file."""
+        text = self._texts.get(oid)
+        if text is not None:
+            self._texts.move_to_end(oid)
+            return text
+        text = decode_text(run_git(self.repo, "cat-file", "blob", oid, text=False).stdout)
+        self._texts[oid] = text
+        if len(self._texts) > TEXT_MEMO:
+            self._texts.popitem(last=False)
+        return text
+
+
+class CommitTree:
+    """A commit's files plus edits held in memory: what an attempt builds.
+
+    Unedited files are the commit's blobs, as `CommitMemo.listing` gives
+    them; `write` and `delete` record edits and touch no disk.  Files read
+    and write as text the way a `Worktree`'s do, and a file written where
+    none was gets mode 100644.  A symlink reads and writes as its target,
+    as `git apply` treats it.  The committed bytes are used as they are:
+    checkout filters (eol conversion, smudge, ident) are not applied.
+
+    `entries()` lists each file as (path, mode, object id), with ids of
+    edited files computed as git would, in the repository's hash
+    algorithm, so the listing equals that of a checkout of the commit
+    with the same edits made on disk.  `blobs()` streams file contents.
+    """
+
+    def __init__(self, commits: CommitMemo, commit: str):
+        self.commits = commits
+        self.repo = commits.repo
+        self.commit = commits.resolve(commit).id
+        self._listing = commits.listing(self.commit)
+        self._edits: Dict[str, Optional[Tuple[str, bytes]]] = {}  # None: deleted
+        self._entries: Optional[List[Entry]] = None
+
+    def _mode(self, relpath: str) -> Optional[str]:
+        if relpath in self._edits:
+            edit = self._edits[relpath]
+            return None if edit is None else edit[0]
+        listed = self._listing.get(relpath)
+        return None if listed is None else listed[0]
+
+    def exists(self, relpath: str) -> bool:
+        return self._mode(relpath) is not None
+
+    def read(self, relpath: str) -> str:
+        if relpath in self._edits:
+            edit = self._edits[relpath]
+            if edit is None:
+                raise FileNotFoundError(relpath)
+            return decode_text(edit[1])
+        if relpath not in self._listing:
+            raise FileNotFoundError(relpath)
+        return self.commits.text(self._listing[relpath][1])
+
+    def write(self, relpath: str, text: str) -> None:
+        self._edits[relpath] = (self._mode(relpath) or MODE_FILE, encode_text(text))
+        self._entries = None
+
+    def delete(self, relpath: str) -> None:
+        self._edits[relpath] = None
+        self._entries = None
+
+    def entries(self) -> List[Entry]:
+        """(path, mode, object id) of every file, sorted by path."""
+        if self._entries is None:
+            algorithm = "sha256" if len(self.commit) == 64 else "sha1"
+            listed = [
+                (path, mode, oid)
+                for path, (mode, oid) in self._listing.items()
+                if path not in self._edits
+            ]
+            edited = [
+                (path, edit[0], blob_id(edit[1], algorithm))
+                for path, edit in self._edits.items()
+                if edit is not None
+            ]
+            self._entries = sorted(listed + edited)
+        return self._entries
+
+    def blobs(self, entries: Iterable[Entry]) -> Iterator[Tuple[Entry, bytes]]:
+        """Each of `entries` with its content, one at a time: edited files
+        from memory, the rest from one `git cat-file --batch`, which is
+        waited for before this generator finishes or is closed."""
+        listed = []
+        for entry in entries:
+            edit = self._edits.get(entry[0])
+            if edit is None:
+                listed.append(entry)
+            else:
+                yield entry, edit[1]
+        if listed:
+            with closing(_cat_file(self.repo, [oid for _, _, oid in listed])) as contents:
+                yield from zip(listed, contents)
+
 
 def resolve_ref(repo: Path, name: str) -> CommitRef:
     """`CommitMemo.resolve` with nothing remembered."""
@@ -321,47 +515,47 @@ def checkout_worktree(repo: Path, commit: str, dest: Path) -> Worktree:
 
 
 def revert_onto(
-    worktree: Worktree,
+    tree,
     commit: str,
     max_fuzz: int = 0,
     search_window: int = 200,
     normalize_trailing_whitespace: bool = False,
     inverse: Optional[SourcePatch] = None,
 ) -> List[ApplyReport]:
-    """Apply the inverse of `commit`'s diff to the worktree, atomically.
+    """Apply the inverse of `commit`'s diff to `tree`, atomically.
 
-    Either every hunk of every touched file applies and the files are
-    written, or RevertConflict is raised and nothing changes.  Files the
-    commit touched that are absent from the worktree are skipped with an
-    empty report (filtered checkouts are legitimate).  A caller that
-    already holds the inverse (see `CommitMemo.inverse`) passes it in.
+    `tree` is a `Worktree` or a `CommitTree`.  Either every hunk of every
+    touched file applies and the files are written, or RevertConflict is
+    raised and nothing changes.  Files the commit touched that are absent
+    from the tree are skipped with an empty report (filtered checkouts are
+    legitimate).  A caller that already holds the inverse (see
+    `CommitMemo.inverse`) passes it in.
     """
     if inverse is None:
-        inverse = invert(commit_diff(worktree.repo, commit))
+        inverse = invert(commit_diff(tree.repo, commit))
     staged: List[Tuple[str, Optional[str]]] = []  # (path, new_content or None=delete)
     reports: List[ApplyReport] = []
     failures: List[ApplyReport] = []
 
     for fp in inverse.files:
-        target = worktree.path / fp.path
         if fp.is_binary:
             report = ApplyReport(path=fp.path)
             failures.append(report)
             reports.append(report)
             continue
         if fp.mode_change == MODE_CREATED:
-            if target.exists():
+            if tree.exists(fp.path):
                 report = ApplyReport(path=fp.path)
                 failures.append(report)
                 reports.append(report)
                 continue
             content = ""
-        elif not target.is_file():
-            # the worktree may be a filtered subset; nothing to do here
+        elif not tree.exists(fp.path):
+            # the tree may be a filtered subset; nothing to do here
             reports.append(ApplyReport(path=fp.path))
             continue
         else:
-            content = read_file(target)
+            content = tree.read(fp.path)
         new_content, report = apply_file_patch(
             content,
             fp,
@@ -380,12 +574,10 @@ def revert_onto(
         raise RevertConflict(f"revert of {commit} conflicts in: {paths}", reports)
 
     for relpath, content in staged:
-        target = worktree.path / relpath
         if content is None:
-            if target.exists():
-                target.unlink()
+            tree.delete(relpath)
         else:
-            write_file(target, content)
+            tree.write(relpath, content)
     return reports
 
 

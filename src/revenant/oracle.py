@@ -1,4 +1,4 @@
-"""Build a worktree, run a proof-of-concept input, classify the outcome.
+"""Build a tree, run a proof-of-concept input, classify the outcome.
 
 The oracle answers one question: does this tree, built this way and fed
 this input, still exhibit the vulnerability's detector signal?  Answers
@@ -25,10 +25,12 @@ import tempfile
 import threading
 import time
 import weakref
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+
+from .gitio import MODE_EXEC, MODE_FILE, MODE_LINK, Entry, blob_id
 
 SANITIZER_ASAN = "AddressSanitizer"
 SANITIZER_VALGRIND = "Valgrind"
@@ -400,9 +402,9 @@ def run_poc(
 
 # ---------- content-addressed verdict store ----------
 
-# Part of every store key.  Bump it when classification changes, so that
-# entries written by older code are never read.
-STORE_SCHEMA = "verdict-store/1"
+# Part of every store key.  Bump it when classification or the tree hash
+# changes, so that entries written by older code are never read.
+STORE_SCHEMA = "verdict-store/2"
 MISSING_INPUT = "missing"
 # ambient variables that steer a build or a PoC run, besides the recipe's
 # own env; the compiler binary they resolve to is not itself keyed
@@ -412,45 +414,74 @@ KEYED_ENV = (
 )
 
 
-def _tree_entries(root: Path) -> Iterator[Tuple[str, int, bytes]]:
-    """`(relative path, st_mode, content)` of every regular file and
-    symlink under `root`, skipping .git, in `sorted(root.rglob("*"))`
-    order.  A symlink's content is its unresolved target."""
+class DiskTree:
+    """A directory seen as a tree: every regular file and symlink under
+    `root`, skipping .git, as (path, mode, object id) entries.
 
-    def walk(path: str, prefix: str) -> Iterator[Tuple[str, int, bytes]]:
+    Modes and ids are the ones git would record for them: 100755 for a
+    file whose owner may execute it, 100644 for any other file, 120000
+    for a symlink, whose content is its unresolved target; ids are SHA-1
+    blob ids.  The entries are read once and kept, so hashing the tree
+    and syncing a build slot from it read each file once between them.
+    """
+
+    def __init__(self, root: Path):
+        self.root = Path(root)
+        self._entries: Optional[List[Entry]] = None
+
+    def entries(self) -> List[Entry]:
+        """(path, mode, object id) of every file, sorted by path."""
+        if self._entries is None:
+            self._entries = sorted(self._walk(os.fspath(self.root), ""))
+        return self._entries
+
+    def _walk(self, path: str, prefix: str) -> Iterator[Entry]:
         with os.scandir(path) as it:
-            entries = sorted(it, key=lambda e: e.name)
+            for entry in it:
+                if entry.name == ".git":
+                    continue
+                rel = prefix + entry.name
+                mode = entry.stat(follow_symlinks=False).st_mode
+                if stat.S_ISDIR(mode):
+                    yield from self._walk(entry.path, rel + "/")
+                elif stat.S_ISLNK(mode) or stat.S_ISREG(mode):
+                    yield rel, _git_mode(mode), blob_id(self._read(rel, stat.S_ISLNK(mode)))
+
+    def _read(self, rel: str, is_link: bool) -> bytes:
+        path = self.root / rel
+        return os.fsencode(os.readlink(path)) if is_link else path.read_bytes()
+
+    def blobs(self, entries: Iterable[Entry]) -> Iterator[Tuple[Entry, bytes]]:
+        """Each of `entries` with its content, read one at a time."""
         for entry in entries:
-            if entry.name == ".git":
-                continue
-            rel = prefix + entry.name
-            mode = entry.stat(follow_symlinks=False).st_mode
-            if stat.S_ISDIR(mode):
-                yield from walk(entry.path, rel + "/")
-            elif stat.S_ISLNK(mode):
-                yield rel, mode, os.fsencode(os.readlink(entry.path))
-            elif stat.S_ISREG(mode):
-                with open(entry.path, "rb") as f:
-                    yield rel, mode, f.read()
-
-    return walk(os.fspath(root), "")
+            yield entry, self._read(entry[0], entry[1] == MODE_LINK)
 
 
-def tree_hash(root: Path) -> str:
-    """Order-independent content hash of a directory tree, skipping .git.
+def _git_mode(st_mode: int) -> str:
+    if stat.S_ISLNK(st_mode):
+        return MODE_LINK
+    return MODE_EXEC if st_mode & stat.S_IXUSR else MODE_FILE
 
-    A regular file contributes its path, its executable bit and its bytes;
-    a symlink its path and its unresolved target.  Trees that can build
-    differently therefore never share a hash.
+
+def _as_tree(tree):
+    """A directory path as a `DiskTree`; a tree view (`DiskTree`,
+    `gitio.CommitTree`) as it is."""
+    return DiskTree(tree) if isinstance(tree, (str, os.PathLike)) else tree
+
+
+def tree_hash(tree) -> str:
+    """Content hash of a tree: a directory (.git skipped), a `DiskTree`
+    or a `gitio.CommitTree`.
+
+    Each entry contributes its path, its mode (file, executable file or
+    symlink) and its git object id, which stands for its bytes or its
+    link target.  Trees that can build differently therefore never share
+    a hash, and a commit with edits held in memory hashes as a checkout
+    of it with the same edits made on disk.
     """
     h = hashlib.sha256()
-    for rel, mode, data in _tree_entries(root):
-        if stat.S_ISLNK(mode):
-            kind = b"l"
-        else:
-            kind = b"x" if mode & 0o111 else b"f"
-        h.update(b"%s\x00%s%d\x00" % (os.fsencode(rel), kind, len(data)))
-        h.update(data)
+    for rel, mode, oid in _as_tree(tree).entries():
+        h.update(b"%s %s %s\x00" % (mode.encode(), oid.encode(), os.fsencode(rel)))
     return h.hexdigest()
 
 
@@ -537,12 +568,14 @@ def _stat_key(path: Path) -> Optional[Tuple[int, ...]]:
 class BuildSlot:
     """One staging tree that successive builds reuse.
 
-    `sync` makes the slot hold a worktree's files and touches only what
-    differs: it writes each file whose kind, mode or bytes changed,
-    deletes each path that left the tree, and leaves every other file, and
-    every untracked build product, as it was.  Written files get an mtime
-    later than the end of the slot's last build, so the build's own
-    dependency tracking (make's timestamp checks) redoes what they affect.
+    `sync` makes the slot hold a tree's files and touches only what
+    differs: it writes each entry whose mode or object id changed, taking
+    the contents from the tree one file at a time (a `gitio.CommitTree`
+    streams them from git), deletes each path that left the tree, and
+    leaves every other file, and every untracked build product, as it
+    was.  Written files get an mtime later than the end of the slot's last
+    build, so the build's own dependency tracking (make's timestamp
+    checks) redoes what they affect.
 
     The slot stays as trustworthy as a fresh copy.  Each written file's
     `lstat` is recorded, and a file that a build or PoC step changed no
@@ -560,8 +593,8 @@ class BuildSlot:
         self.fresh = True  # nothing built since the last wipe
         self.built_ns = 0  # wall clock when the last build and PoC ended
         self._identity: Optional[Tuple[str, List[Optional[str]]]] = None
-        # rel -> (source st_mode, content digest, slot _stat_key)
-        self._files: Dict[str, Tuple[int, str, Optional[Tuple[int, ...]]]] = {}
+        # rel -> (mode, object id, slot _stat_key)
+        self._files: Dict[str, Tuple[str, str, Optional[Tuple[int, ...]]]] = {}
         # removes the slot's directory when called, or else when the slot is
         # garbage-collected or the interpreter exits
         self.close = weakref.finalize(self, shutil.rmtree, home, True)
@@ -573,34 +606,35 @@ class BuildSlot:
         self._identity = None
         self.fresh = True
 
-    def sync(self, worktree: Path, recipe: BuildRecipe) -> None:
-        """Make the slot hold `worktree`'s files, ready for `recipe`."""
+    def sync(self, tree, recipe: BuildRecipe) -> None:
+        """Make the slot hold `tree`'s files (a directory, a `DiskTree` or
+        a `gitio.CommitTree`), ready for `recipe`."""
+        tree = _as_tree(tree)
         identity = build_identity(recipe)
         if identity != self._identity:
             self.wipe()
             self._identity = identity
         seen = set()
         changed = []
-        for rel, mode, data in _tree_entries(worktree):
+        for rel, mode, oid in tree.entries():
             seen.add(rel)
-            digest = _sha(data)
-            known = self._files.get(rel)
-            if known != (mode, digest, _stat_key(self.root / rel)):
-                changed.append((rel, mode, digest))
+            if self._files.get(rel) != (mode, oid, _stat_key(self.root / rel)):
+                changed.append((rel, mode, oid))
         gone = [rel for rel in self._files if rel not in seen]
         modes = [self._files[rel][0] for rel in gone]
         for rel, mode, _ in changed:
-            modes += [mode, self._files.get(rel, (0,))[0]]
-        if not self.fresh and any(stat.S_ISLNK(m) for m in modes):
+            modes += [mode, self._files.get(rel, ("",))[0]]
+        if not self.fresh and MODE_LINK in modes:
             self.wipe()
-            return self.sync(worktree, recipe)
+            return self.sync(tree, recipe)
         dirs: Set[str] = set()  # parents known to be real directories
         for rel in gone:
             if self._real_parents(rel, dirs):
                 _remove(self.root / rel)
             del self._files[rel]
-        for rel, mode, digest in changed:
-            self._write(Path(worktree, rel), rel, mode, digest, dirs)
+        with closing(tree.blobs(changed)) as contents:
+            for entry, data in contents:
+                self._write(entry, data, dirs)
         for art in recipe.artifact_paths:
             rel = os.path.normpath(art)
             if rel in (".", "..") or os.path.isabs(rel) or rel.startswith("../"):
@@ -633,18 +667,19 @@ class BuildSlot:
             dirs.add(sub)
         return True
 
-    def _write(self, src: Path, rel: str, mode: int, digest: str, dirs: Set[str]) -> None:
+    def _write(self, entry: Entry, data: bytes, dirs: Set[str]) -> None:
+        rel, mode, oid = entry
         self._real_parents(rel, dirs, make=True)
         dst = self.root / rel
         _remove(dst)
-        if stat.S_ISLNK(mode):
-            os.symlink(os.readlink(src), dst)
+        if mode == MODE_LINK:
+            os.symlink(os.fsdecode(data), dst)
         else:
-            shutil.copyfile(src, dst)
-            os.chmod(dst, stat.S_IMODE(mode))
+            dst.write_bytes(data)
+            os.chmod(dst, 0o755 if mode == MODE_EXEC else 0o644)
         if os.lstat(dst).st_mtime_ns <= self.built_ns:
             os.utime(dst, ns=(self.built_ns + 1, self.built_ns + 1), follow_symlinks=False)
-        self._files[rel] = (mode, digest, _stat_key(dst))
+        self._files[rel] = (mode, oid, _stat_key(dst))
 
 
 class Oracle:
@@ -656,13 +691,18 @@ class Oracle:
     share a store build each key once: the first caller builds while
     holding the key's lock, later ones wait and read.
 
-    A verdict never mutates the worktree it is given: the build and the
-    PoC run happen in the oracle's `BuildSlot`, `oracle-<suffix>/tree`
+    A verdict is asked for a tree: a directory, or a `gitio.CommitTree`
+    (a commit plus edits held in memory).  Its key holds `tree_hash`, so
+    a commit tree and a checkout of it with the same edits share their
+    verdicts, and a stored verdict costs no file write and no git blob
+    read.  A verdict never mutates the tree it is given: the build and
+    the PoC run happen in the oracle's `BuildSlot`, `oracle-<suffix>/tree`
     under `scratch_dir` (by default the system temp directory), made on
-    the first build and removed by `close()`.  Each build there redoes
-    only what the tree's changes affect; a build that fails in a slot that
-    built before is retried once from a wiped slot, so a stale product
-    never decides a `BuildFailed`.
+    the first build and removed by `close()`; it is the only place the
+    tree's files are written.  Each build there redoes only what the
+    tree's changes affect; a build that fails in a slot that built before
+    is retried once from a wiped slot, so a stale product never decides a
+    `BuildFailed`.
 
     An oracle is meant for one caller at a time.  Concurrent callers are
     safe but take turns: a lock, taken only while the key's lock is held,
@@ -685,9 +725,10 @@ class Oracle:
                 self._slot.close()
                 self._slot = None
 
-    def verdict(self, worktree_path: Path, recipe: BuildRecipe, poc: PocSpec) -> OracleVerdict:
-        worktree_path = Path(worktree_path)
-        key = verdict_key(tree_hash(worktree_path), recipe, poc)
+    def verdict(self, tree, recipe: BuildRecipe, poc: PocSpec) -> OracleVerdict:
+        # one view for the key and the sync, so a directory is read once
+        tree = _as_tree(tree)
+        key = verdict_key(tree_hash(tree), recipe, poc)
         with self.store.locked(key):
             stored = self.store.get(key)
             if stored is not None:
@@ -695,26 +736,24 @@ class Oracle:
                     self.counters["cache_hits"] = self.counters.get("cache_hits", 0) + 1
                 return stored
             with self._lock:
-                verdict = self._build_and_run(worktree_path, recipe, poc)
+                verdict = self._build_and_run(tree, recipe, poc)
             if verdict.storable:
                 self.store.put(key, verdict)
         return verdict
 
-    def _build_and_run(
-        self, worktree_path: Path, recipe: BuildRecipe, poc: PocSpec
-    ) -> OracleVerdict:
+    def _build_and_run(self, tree, recipe: BuildRecipe, poc: PocSpec) -> OracleVerdict:
         self.counters["verdicts"] = self.counters.get("verdicts", 0) + 1
         if self._slot is None:
             self._slot = BuildSlot(self.scratch_dir)
         slot = self._slot
         try:
-            slot.sync(worktree_path, recipe)
+            slot.sync(tree, recipe)
             outcome = build(slot.root, recipe, counters=self.counters)
             if not outcome.ok and not outcome.transient and not slot.fresh:
                 # a product of an earlier build may be to blame: only a
                 # clean build may decide BuildFailed
                 slot.wipe()
-                slot.sync(worktree_path, recipe)
+                slot.sync(tree, recipe)
                 outcome = build(slot.root, recipe, counters=self.counters)
             slot.fresh = False
             if not outcome.ok:

@@ -30,8 +30,8 @@ from .patchcore.model import MODE_CREATED, MODE_DELETED
 from .gitio import (
     CommitMemo,
     CommitRef,
+    CommitTree,
     RevertConflict,
-    Worktree,
     checkout_worktree,
     read_file,
     revert_onto,
@@ -367,13 +367,14 @@ class RevivalRecord:
 class Porter:
     """Holds one project's repo, build recipe and PoC, and runs ports.
 
-    Every attempt reuses one worktree, made on the first attempt and
-    switched to each later attempt's ref.  Facts about commits are
-    remembered in `commits` for the porter's life.  A porter built
-    without an oracle makes one whose verdict store lives in the porter's
-    scratch directory.  Close the porter (or use it as a context manager)
-    to remove the worktree, its oracle's build slot, and any scratch
-    directory it made.
+    Every attempt is a `CommitTree`: the ref's commit plus the edits its
+    reverts and the reverse fix make, held in memory, so no attempt
+    checks anything out; the oracle's build slot is the only place its
+    files are written.  Facts about commits are remembered in `commits`
+    for the porter's life.  A porter built without an oracle makes one
+    whose verdict store lives in the porter's scratch directory.  Close
+    the porter (or use it as a context manager) to remove its oracle's
+    build slot and any scratch directory it made.
     """
 
     def __init__(
@@ -400,16 +401,12 @@ class Porter:
             self._scratch / "verdicts", scratch_dir=self._scratch / "oracle"
         )
         self.commits = CommitMemo(self.repo)
-        self._slot: Optional[Worktree] = None
         self.attempt_count = 0
         self._reverse_cache: Dict[Tuple[str, ...], SourcePatch] = {}
 
     def close(self) -> None:
-        """Remove the worktree and the oracle's build slot, and the scratch
-        directory if the porter made it."""
-        if self._slot is not None:
-            self._slot.remove()
-            self._slot = None
+        """Remove the oracle's build slot, and the scratch directory if the
+        porter made it."""
         self.oracle.close()
         if self._own_scratch:
             shutil.rmtree(self._scratch, ignore_errors=True)
@@ -430,30 +427,16 @@ class Porter:
             )
         return self._reverse_cache[key]
 
-    def _checkout(self, ref: str) -> Worktree:
-        """The porter's worktree at `ref`, made on first use."""
-        commit_id = self.commits.resolve(ref).id
-        if self._slot is None:
-            # a unique name: porters on one repository share its worktree list
-            dest = Path(tempfile.mkdtemp(prefix="wt-", dir=self._scratch))
-            self._slot = checkout_worktree(self.repo, commit_id, dest)
-        else:
-            self._slot.switch(commit_id)
-        return self._slot
-
-    def _apply_reverse(
-        self, wt: Worktree, reverse: SourcePatch
-    ) -> Tuple[bool, int, int, List[dict]]:
-        """Apply the reverse patch at the configured granularity.
+    def _apply_reverse(self, tree, reverse: SourcePatch) -> Tuple[bool, int, int, List[dict]]:
+        """Apply the reverse patch to `tree` (a `CommitTree` or a
+        `Worktree`) at the configured granularity.
 
         All units of all files must apply; on any rejection nothing is
         written.  Returns (ok, files, hunks, regions).
         """
         pol = self.policy
         try:
-            units = split_by_granularity(
-                reverse, pol.granularity, worktree=wt.path, read_file=wt.read
-            )
+            units = split_by_granularity(reverse, pol.granularity, read_file=tree.read)
         except (HunkRejected, PatchError):
             return False, 0, 0, []
 
@@ -463,10 +446,8 @@ class Porter:
         hunks = 0
 
         def current(path: str) -> Optional[str]:
-            if path in state:
-                return state[path]
-            full = wt.path / path
-            state[path] = read_file(full) if full.is_file() else None
+            if path not in state:
+                state[path] = tree.read(path) if tree.exists(path) else None
             return state[path]
 
         for unit in units:
@@ -505,11 +486,9 @@ class Porter:
 
         for path, value in staged.items():
             if value is None:
-                full = wt.path / path
-                if full.exists():
-                    full.unlink()
+                tree.delete(path)
             else:
-                wt.write(path, value)
+                tree.write(path, value)
         return True, len(staged), hunks, regions
 
     def _revert_regions(self, breaker: str) -> List[dict]:
@@ -528,17 +507,16 @@ class Porter:
     def attempt(
         self, ref: str, reverts_newest_first: Sequence[str], fix_commits: Sequence[str]
     ) -> AttemptResult:
-        """Check out `ref`, revert the given commits, reverse-port the fix,
-        and get a verdict.  The worktree is reset by the next attempt;
-        failures at the patching stage come back as synthetic verdict
-        kinds."""
+        """Take `ref`'s commit, revert the given commits, reverse-port the
+        fix, and get a verdict.  Failures at the patching stage come back
+        as synthetic verdict kinds."""
         self.attempt_count += 1
         reverse = self.reverse_patch(fix_commits)
-        wt = self._checkout(ref)
+        tree = CommitTree(self.commits, ref)
         for breaker in reverts_newest_first:
             try:
                 revert_onto(
-                    wt,
+                    tree,
                     breaker,
                     max_fuzz=self.policy.max_fuzz,
                     search_window=self.policy.search_window,
@@ -549,7 +527,7 @@ class Porter:
                 return AttemptResult(
                     OracleVerdict(KIND_REVERT_CONFLICT, evidence=str(exc))
                 )
-        ok, files, hunks, regions = self._apply_reverse(wt, reverse)
+        ok, files, hunks, regions = self._apply_reverse(tree, reverse)
         if not ok:
             return AttemptResult(
                 OracleVerdict(
@@ -559,7 +537,7 @@ class Porter:
             )
         for breaker in reverts_newest_first:
             regions = regions + self._revert_regions(breaker)
-        verdict = self.oracle.verdict(wt.path, self.recipe, self.poc)
+        verdict = self.oracle.verdict(tree, self.recipe, self.poc)
         return AttemptResult(verdict, files, hunks, regions)
 
     # -- tier evaluation --

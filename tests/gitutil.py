@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import stat
 import subprocess
 from pathlib import Path
 from typing import Dict, Iterable, Optional
@@ -19,9 +21,16 @@ class RepoBuilder:
         self.git("init", "-q", "-b", "main")
 
     def git(self, *args: str, check: bool = True) -> subprocess.CompletedProcess:
+        return self.git_input(None, *args, check=check)
+
+    def git_input(
+        self, stdin: Optional[str], *args: str, check: bool = True
+    ) -> subprocess.CompletedProcess:
+        """Run git in the repository with `stdin` as its input."""
         stamp = f"@{self.epoch + self.count * self.step} +0000"
         proc = subprocess.run(
             ["git", "-C", str(self.root), *args],
+            input=stdin,
             capture_output=True,
             text=True,
             env={
@@ -63,3 +72,26 @@ class RepoBuilder:
 
     def head(self) -> str:
         return self.git("rev-parse", "HEAD").stdout.strip()
+
+
+def worktrees(repo: Path) -> list:
+    """The `worktree <path>` lines of the repository's worktree list."""
+    out = subprocess.run(["git", "-C", str(repo), "worktree", "list", "--porcelain"],
+                         capture_output=True, text=True, check=True).stdout
+    return [ln for ln in out.splitlines() if ln.startswith("worktree ")]
+
+
+def snapshot(root: Path) -> dict:
+    """Every file and symlink under `root` but .git: path -> ("link",
+    target), or (exec bit, bytes)."""
+    out = {}
+    for path in Path(root).rglob("*"):
+        rel = path.relative_to(root)
+        if ".git" in rel.parts:
+            continue
+        st = os.lstat(path)
+        if stat.S_ISLNK(st.st_mode):
+            out[str(rel)] = ("link", os.readlink(path))
+        elif stat.S_ISREG(st.st_mode):
+            out[str(rel)] = (bool(st.st_mode & stat.S_IXUSR), path.read_bytes())
+    return out

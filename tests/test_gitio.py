@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
 from revenant import gitio
@@ -18,7 +20,7 @@ from revenant.gitio import (
     resolve_ref,
     revert_onto,
 )
-from gitutil import BASE_EPOCH, RepoBuilder
+from gitutil import BASE_EPOCH, RepoBuilder, worktrees
 
 TEN = "".join(f"line {i}\n" for i in range(1, 11))
 
@@ -109,6 +111,17 @@ def test_commit_memo_follows_moving_names_and_remembers_ids(repo, monkeypatch):
     assert memo.resolve(first.id) is first
     assert memo.inverse(moved) is memo.inverse(moved)
     assert [a[1] for a in spawned] == ["diff"]
+
+
+def test_checkout_worktree_prunes_a_crashed_worktree(repo, tmp_path):
+    crashed = checkout_worktree(repo.root, "t0", tmp_path / "crashed")
+    # the run dies: its directory goes, its worktree entry stays
+    shutil.rmtree(crashed.path)
+    assert len(worktrees(repo.root)) == 2
+    with checkout_worktree(repo.root, "t0", tmp_path / "next") as wt:
+        assert wt.read("README") == "hello\n"
+        assert worktrees(repo.root) == [f"worktree {repo.root}", f"worktree {wt.path}"]
+    assert worktrees(repo.root) == [f"worktree {repo.root}"]
 
 
 def test_checkout_worktree_rejects_nonempty_dest(repo, tmp_path):

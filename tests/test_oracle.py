@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import subprocess
 import sys
 import textwrap
 import threading
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import revenant.oracle as oracle_mod
+from revenant.gitio import MODE_EXEC, CommitMemo, CommitTree, checkout_worktree
 from revenant.oracle import (
     KIND_BUILD_FAILED,
     KIND_HANG,
@@ -20,6 +22,7 @@ from revenant.oracle import (
     SANITIZER_ASAN,
     SANITIZER_VALGRIND,
     BuildRecipe,
+    BuildSlot,
     Oracle,
     OracleVerdict,
     PocSpec,
@@ -31,6 +34,8 @@ from revenant.oracle import (
     tree_hash,
     verdict_key,
 )
+
+from gitutil import RepoBuilder, snapshot
 
 CORPUS = Path(__file__).parent / "data" / "detector_corpus"
 
@@ -702,6 +707,101 @@ class TestBuildSlot:
         assert oracle.counters["builds"] == 2 * rounds
         oracle.close()
         assert not list((tmp_path / "scratch").iterdir())
+
+
+def _no_child_left() -> bool:
+    """Whether this process has no child, running or not yet waited for."""
+    try:
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestCommitTree:
+    """A commit plus edits held in memory keys and builds as a checkout of
+    the commit with the same edits made on disk."""
+
+    def _repo(self, tmp_path):
+        rb = RepoBuilder(tmp_path / "repo")
+        (rb.root / "src").mkdir()
+        (rb.root / "main.c").symlink_to("src/demo.c")
+        rb.commit({"src/demo.c": DEMO_C, "run.sh": "cc -o demo main.c\n",
+                   "docs/a/b.txt": "nested\n", "crlf.txt": "one\r\ntwo\r\n"}, "base")
+        (rb.root / "run.sh").chmod(0o755)
+        rb.commit({}, "make run.sh executable")
+        return rb
+
+    def _edit(self, tree):
+        tree.write("run.sh", "cc -O0 -o demo main.c\n")
+        tree.delete("docs/a/b.txt")
+        tree.write("docs/c/new.txt", "created\n")
+        tree.write("crlf.txt", tree.read("crlf.txt") + "three\n")
+
+    def test_edits_in_memory_match_edits_on_disk(self, tmp_path):
+        rb = self._repo(tmp_path)
+        view = CommitTree(CommitMemo(rb.root), "t1")
+        self._edit(view)
+        assert {path: mode for path, mode, _ in view.entries()}["run.sh"] == MODE_EXEC
+        (tmp_path / "slots").mkdir()
+        with checkout_worktree(rb.root, "t1", tmp_path / "wt") as wt:
+            self._edit(wt)
+            assert tree_hash(view) == tree_hash(wt.path)
+            want = snapshot(wt.path)
+            for source in (view, wt.path):
+                slot = BuildSlot(tmp_path / "slots")
+                slot.sync(source, SHELL_RECIPE)
+                assert snapshot(slot.root) == want
+                # a build step overwrites a file no edit touched
+                (slot.root / "src" / "demo.c").write_text("overwritten\n")
+                slot.sync(source, SHELL_RECIPE)
+                assert snapshot(slot.root) == want
+                slot.close()
+
+    def test_a_stored_verdict_starts_no_cat_file(self, tmp_path, monkeypatch):
+        rb = self._repo(tmp_path)
+        memo = CommitMemo(rb.root)
+        recipe = BuildRecipe.make(["cc -O0 -o demo main.c"], ["demo"])
+        poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path))
+        started = []
+        real = subprocess.Popen
+
+        class Recording(real):
+            def __init__(self, argv, *args, **kwargs):
+                started.append(argv)
+                super().__init__(argv, *args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", Recording)
+        first = Oracle(tmp_path / "store", scratch_dir=tmp_path / "s1")
+        assert first.verdict(CommitTree(memo, "t1"), recipe, poc).kind == KIND_TRIGGERED
+        assert sum("cat-file" in argv for argv in started) == 1
+        started.clear()
+        second = Oracle(tmp_path / "store", scratch_dir=tmp_path / "s2")
+        assert second.verdict(CommitTree(memo, "t1"), recipe, poc).kind == KIND_TRIGGERED
+        assert second.counters == {"cache_hits": 1}
+        assert not any("cat-file" in argv for argv in started)
+        first.close()
+
+    def test_a_sync_failing_mid_stream_reaps_git(self, tmp_path):
+        rb = RepoBuilder(tmp_path / "repo")
+        rb.commit({"README": "x\n"}, "base")
+
+        def git(*args, stdin=""):
+            return rb.git_input(stdin, *args).stdout.strip()
+
+        blob = git("hash-object", "-w", "--stdin", stdin="text\n")
+        # no file system takes a 300-byte name, so the slot cannot write it
+        names = ["a.txt", "b.txt", "x" * 300, "z.txt"]
+        listing = "".join(f"100644 blob {blob}\t{name}\n" for name in names)
+        commit = git("commit-tree", git("mktree", stdin=listing), "-m", "long name")
+        tree = CommitTree(CommitMemo(rb.root), commit)
+        assert [path for path, _, _ in tree.entries()] == names
+        oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
+        assert _no_child_left()
+        with pytest.raises(OSError):
+            oracle.verdict(tree, SHELL_RECIPE, PocSpec("sh {binary}", _poc_file(tmp_path)))
+        assert _no_child_left()
+        oracle.close()
 
 
 OVERFLOW_C = textwrap.dedent(

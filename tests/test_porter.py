@@ -4,10 +4,10 @@ import shutil
 import subprocess
 import tempfile
 import threading
+from contextlib import contextmanager
 
 import pytest
 
-from revenant import gitio
 from revenant.forge import (
     BREAKERS,
     PACK_C_VULN,
@@ -18,7 +18,7 @@ from revenant.forge import (
     forge_repo,
     overflow_poc_bytes,
 )
-from revenant.gitio import checkout_worktree
+from revenant.gitio import MODE_EXEC, MODE_LINK, RevertConflict, checkout_worktree, revert_onto
 from revenant.oracle import (
     KIND_BUILD_FAILED,
     KIND_HANG,
@@ -27,6 +27,7 @@ from revenant.oracle import (
     KIND_SANDBOX_FAILURE,
     KIND_TRIGGERED,
     BuildRecipe,
+    BuildSlot,
     Oracle,
     OracleVerdict,
     PocSpec,
@@ -55,7 +56,7 @@ from revenant.porter import (
     probe_answer,
 )
 
-from gitutil import RepoBuilder
+from gitutil import RepoBuilder, snapshot, worktrees
 
 
 @pytest.mark.parametrize("kind,answer", [
@@ -325,27 +326,165 @@ class TestGranularity:
 
 
 class RecordingOracle(Oracle):
-    """Answers Triggered without building, and keeps each tree's files."""
+    """Answers Triggered without building, and keeps each tree's paths."""
 
     def __init__(self, store_dir):
         super().__init__(store_dir)
         self.trees = []
 
-    def verdict(self, worktree_path, recipe, poc):
-        self.trees.append(
-            sorted(str(f.relative_to(worktree_path)) for f in worktree_path.rglob("*")
-                   if f.is_file() and ".git" not in f.relative_to(worktree_path).parts)
-        )
+    def verdict(self, tree, recipe, poc):
+        self.trees.append([path for path, _, _ in tree.entries()])
         return OracleVerdict(KIND_TRIGGERED)
 
 
 NO_BUILD = (BuildRecipe.make(["true"], []), PocSpec("true", ""))
 
 
-def _worktrees(repo):
-    out = subprocess.run(["git", "-C", str(repo), "worktree", "list", "--porcelain"],
-                         capture_output=True, text=True, check=True).stdout
-    return [ln for ln in out.splitlines() if ln.startswith("worktree ")]
+# ---------- attempt trees against real checkouts ----------
+
+
+def tamper(root):
+    """Overwrite the first regular file under `root`, as a build step might."""
+    for rel, kind in sorted(snapshot(root).items()):
+        if kind[0] != "link":
+            (root / rel).write_bytes(b"tampered\n")
+            return
+
+
+class ReferenceOracle(Oracle):
+    """Hands each tree to `check` before answering; without `build` it
+    answers Triggered and builds nothing."""
+
+    def __init__(self, tmp_path, build=True):
+        super().__init__(tmp_path / "store", scratch_dir=tmp_path / "oracle")
+        self.build = build
+        self.check = None
+
+    def verdict(self, tree, recipe, poc):
+        self.check(tree, recipe)
+        if not self.build:
+            return OracleVerdict(KIND_TRIGGERED)
+        return super().verdict(tree, recipe, poc)
+
+
+class ReferencePorter(Porter):
+    """Replays every attempt on a real checkout: the attempt's ref, with
+    `revert_onto` and the reverse patch applied on disk.  A conflict must
+    be the same conflict.  A tree that reaches the oracle must hash as the
+    checkout does, and a build slot synced from it must hold the same
+    bytes, modes and link targets as one synced from the checkout, and as
+    the checkout itself, also after a build step overwrote a file."""
+
+    def __init__(self, repo, recipe, poc, tmp_path, build=True, **kw):
+        self.tmp = tmp_path
+        oracle = ReferenceOracle(tmp_path, build)
+        super().__init__(repo, recipe, poc, oracle=oracle, scratch_dir=tmp_path / "scratch", **kw)
+        oracle.check = self._check
+        (tmp_path / "slots").mkdir()
+        self.slots = [BuildSlot(tmp_path / "slots") for _ in range(2)]
+        self.replayed = 0
+        self.trees = []  # every tree the oracle was asked about
+
+    def close(self):
+        for slot in self.slots:
+            slot.close()
+        super().close()
+
+    @contextmanager
+    def _replay(self, ref, reverts, fix_commits):
+        """A checkout of `ref` with the attempt's edits made on disk, and the
+        conflict kind they met, if any."""
+        self.replayed += 1
+        dest = self.tmp / f"replay-{self.replayed}"
+        pol = self.policy
+        with checkout_worktree(self.repo, ref, dest) as wt:
+            kind = None
+            try:
+                for breaker in reverts:
+                    revert_onto(wt, breaker, max_fuzz=pol.max_fuzz,
+                                search_window=pol.search_window,
+                                normalize_trailing_whitespace=pol.normalize_trailing_whitespace)
+            except RevertConflict:
+                kind = KIND_REVERT_CONFLICT
+            if kind is None and not self._apply_reverse(wt, self.reverse_patch(fix_commits))[0]:
+                kind = KIND_PORT_CONFLICT
+            yield kind, wt
+
+    def attempt(self, ref, reverts_newest_first, fix_commits):
+        self._pending = (list(reverts_newest_first), list(fix_commits))
+        result = super().attempt(ref, reverts_newest_first, fix_commits)
+        if result.verdict.kind in (KIND_REVERT_CONFLICT, KIND_PORT_CONFLICT):
+            with self._replay(ref, *self._pending) as (kind, _):
+                assert kind == result.verdict.kind
+        return result
+
+    def _check(self, tree, recipe):
+        with self._replay(tree.commit, *self._pending) as (kind, wt):
+            assert kind is None
+            assert tree_hash(tree) == tree_hash(wt.path)
+            want = snapshot(wt.path)
+            for slot, source in zip(self.slots, (tree, wt.path)):
+                tamper(slot.root)
+                slot.sync(source, recipe)
+                assert snapshot(slot.root) == want
+        self.trees.append(tree)
+
+
+class TestAttemptTree:
+    def test_every_attempt_of_a_forged_revive_matches_a_checkout(self, tmp_path):
+        fx = forge_repo(tmp_path / "fx", SCENARIOS[4])
+        with ReferencePorter(fx.repo, fx.recipe, fx.poc, tmp_path) as porter:
+            rec = porter.revive("CVE-0000-0014", "packdemo", [fx.fix], fx.target)
+        assert rec.final == FINAL_REVIVED
+        assert rec.revert_stack == fx.expected_stack
+        assert porter.replayed == porter.attempt_count
+        assert len(porter.trees) == porter.oracle.counters.get("verdicts", 0) > 0
+
+    @pytest.mark.skipif(shutil.which("make") is None or shutil.which("cc") is None,
+                        reason="needs make and cc")
+    def test_every_attempt_of_a_make_project_revive_matches_a_checkout(self, tmp_path):
+        repo, fix, target, recipe, poc = forge_make_project(tmp_path / "fx", ["C5", "C3", "C4"])
+        with ReferencePorter(repo, recipe, poc, tmp_path) as porter:
+            rec = porter.revive("CVE-0000-0015", "packdemo", [fix], target)
+        assert rec.final == FINAL_REVIVED
+        assert len(rec.revert_stack) == 3
+        assert porter.replayed == porter.attempt_count
+        assert len(porter.trees) == porter.oracle.counters.get("verdicts", 0) > 0
+
+    def test_modes_links_nested_dirs_and_created_and_deleted_files(self, tmp_path):
+        rb = RepoBuilder(tmp_path / "repo")
+        ten = "".join(f"line {i}\n" for i in range(1, 11))
+        (rb.root / "src" / "deep").mkdir(parents=True)
+        (rb.root / "link.c").symlink_to("src/deep/core.c")
+        (rb.root / "tools").mkdir()
+        (rb.root / "tools" / "dir-link").symlink_to("../src")
+        rb.commit({"a.txt": ten, "run.sh": "#!/bin/sh\necho one\n",
+                   "src/deep/core.c": "int core;\n", "docs/old.txt": "old\n",
+                   "legacy.txt": "legacy\n"}, "base")
+        (rb.root / "run.sh").chmod(0o755)
+        rb.commit({}, "make run.sh executable")
+        rb.commit({"a.txt": ten.replace("line 5\n", "line 5 fixed\n")}, "fix",
+                  delete=["legacy.txt"])
+        rb.commit({"new/dir/new.txt": "new\n"}, "add a nested file")
+        rb.commit({}, "drop docs/old.txt", delete=["docs/old.txt"])
+        rb.commit({"run.sh": "#!/bin/sh\necho two\n"}, "edit the executable")
+        rb.commit({"README": "notes\n"}, "noise")
+        attempts = [
+            ("t6", []),
+            ("t6", ["t5"]),
+            ("t6", ["t5", "t4", "t3"]),
+            ("t4", ["t4", "t3"]),
+            ("t3", ["t3"]),
+            ("t2", []),
+        ]
+        with ReferencePorter(rb.root, *NO_BUILD, tmp_path, build=False) as porter:
+            for ref, reverts in attempts:
+                assert porter.attempt(ref, reverts, ["t2"]).verdict.kind == KIND_TRIGGERED
+        assert len(porter.trees) == len(attempts)
+        modes = {path: mode for path, mode, _ in porter.trees[1].entries()}
+        assert modes["run.sh"] == MODE_EXEC  # an edited file keeps its mode
+        assert modes["link.c"] == modes["tools/dir-link"] == MODE_LINK
+        assert worktrees(rb.root) == [f"worktree {rb.root}"]
 
 
 class TestWorktreeSlot:
@@ -358,20 +497,21 @@ class TestWorktreeSlot:
         rb.commit({"new.txt": "new\n"}, "add new.txt")
         rb.commit({}, "drop old.txt", delete=["old.txt"])
         rb.commit({"README": "notes\n"}, "noise")
-        oracle = RecordingOracle(tmp_path / "store")
-        with Porter(rb.root, *NO_BUILD, oracle=oracle, scratch_dir=tmp_path / "s") as porter:
+        with ReferencePorter(rb.root, *NO_BUILD, tmp_path, build=False) as porter:
             # reverting t3 then t2 recreates old.txt and deletes new.txt; the
             # reverse fix recreates legacy.txt
-            att = porter.attempt("t3", ["t3", "t2"], ["t1"])
-            assert att.verdict.kind == KIND_TRIGGERED
-            assert oracle.trees[-1] == ["a.txt", "legacy.txt", "old.txt"]
-            slot = porter._checkout("t4")
-            fresh = checkout_worktree(rb.root, "t4", tmp_path / "fresh")
-            with fresh:
-                assert tree_hash(slot.path) == tree_hash(fresh.path)
+            assert porter.attempt("t3", ["t3", "t2"], ["t1"]).verdict.kind == KIND_TRIGGERED
             assert porter.attempt("t4", [], ["t1"]).verdict.kind == KIND_TRIGGERED
-            assert oracle.trees[-1] == ["README", "a.txt", "legacy.txt", "new.txt"]
-        assert len(_worktrees(rb.root)) == 1
+            trees = porter.trees
+            for tree, reverts in zip(trees, (["t3", "t2"], [])):
+                with porter._replay(tree.commit, reverts, ["t1"]) as (kind, wt):
+                    assert kind is None
+                    assert tree_hash(tree) == tree_hash(wt.path)
+        assert [[path for path, _, _ in tree.entries()] for tree in trees] == [
+            ["a.txt", "legacy.txt", "old.txt"],
+            ["README", "a.txt", "legacy.txt", "new.txt"],
+        ]
+        assert worktrees(rb.root) == [f"worktree {rb.root}"]
 
     def test_porters_on_one_repository_run_in_parallel(self, tmp_path):
         fx = forge_repo(tmp_path / "fx", ["C1", "C4"])
@@ -398,18 +538,30 @@ class TestWorktreeSlot:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert done == [80] * 4
-        assert len(_worktrees(fx.repo)) == 1
+        assert len(worktrees(fx.repo)) == 1
         assert not list(tmp_path.glob("*/scratch/wt-*"))
 
-    def test_revive_spends_at_most_three_git_spawns_per_attempt(self, tmp_path, monkeypatch):
+    def test_revive_spends_at_most_two_and_a_quarter_git_spawns_per_attempt(
+        self, tmp_path, monkeypatch
+    ):
         fx = forge_repo(tmp_path, SCENARIOS[4])
-        spawned = []
-        real = gitio.run_git
-        monkeypatch.setattr(gitio, "run_git", lambda *a, **kw: spawned.append(a) or real(*a, **kw))
+        spawned = []  # the git subcommand of every git process started
+        real = subprocess.Popen
+
+        class Recording(real):
+            def __init__(self, argv, *args, **kwargs):
+                if argv[0] == "git":
+                    spawned.append(argv[3])  # git -C <repo> <subcommand>
+                super().__init__(argv, *args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", Recording)
         with make_porter(fx, tmp_path) as porter:
             rec = porter.revive("CVE-0000-0010", "packdemo", [fx.fix], fx.target)
         assert rec.revert_stack == fx.expected_stack
-        assert len(spawned) <= 3 * porter.attempt_count
+        # an attempt checks nothing out: one `ls-tree` per new commit, one
+        # `cat-file` per blob read for patching or streamed into the slot
+        assert not {"worktree", "checkout", "clean"} & set(spawned)
+        assert len(spawned) <= 2.25 * porter.attempt_count
 
     def test_close_removes_a_scratch_dir_it_made(self, tmp_path, monkeypatch):
         fx = forge_repo(tmp_path / "fx", [])
@@ -420,7 +572,7 @@ class TestWorktreeSlot:
             assert porter.attempt(fx.fix, (), [fx.fix]).verdict.kind == KIND_TRIGGERED
             assert list(tmp.iterdir())
         assert list(tmp.iterdir()) == []
-        assert len(_worktrees(fx.repo)) == 1
+        assert len(worktrees(fx.repo)) == 1
 
     def test_close_removes_the_build_slot_of_a_passed_oracle(self, tmp_path):
         fx = forge_repo(tmp_path / "fx", [])
@@ -430,19 +582,6 @@ class TestWorktreeSlot:
             assert porter.attempt(fx.fix, (), [fx.fix]).verdict.kind == KIND_TRIGGERED
             assert [p.name[:7] for p in (tmp_path / "oracle").iterdir()] == ["oracle-"]
         assert list((tmp_path / "oracle").iterdir()) == []
-
-    def test_new_porter_prunes_a_crashed_slot(self, tmp_path):
-        fx = forge_repo(tmp_path / "fx", ["C1"])
-        crashed = Porter(fx.repo, *NO_BUILD, oracle=RecordingOracle(tmp_path / "store"),
-                         scratch_dir=tmp_path / "crashed")
-        crashed.attempt(fx.fix, (), [fx.fix])
-        # the run dies: its slot directory goes, its worktree entry stays
-        shutil.rmtree(crashed._slot.path)
-        assert len(_worktrees(fx.repo)) == 2
-        with make_porter(fx, tmp_path) as porter:
-            rec = porter.revive("CVE-0000-0012", "packdemo", [fx.fix], fx.target)
-        assert rec.final == FINAL_REVIVED
-        assert _worktrees(fx.repo) == [f"worktree {fx.repo}"]
 
 
 # ---------- incremental builds against clean builds ----------
@@ -505,17 +644,17 @@ class VerdictLog(Oracle):
         self.clean = clean
         self.log = []
 
-    def verdict(self, worktree_path, recipe, poc):
+    def verdict(self, tree, recipe, poc):
         if self.clean:
             fresh = Oracle(self.store.root / f"clean-{len(self.log)}",
                            scratch_dir=self.scratch_dir)
             try:
-                v = fresh.verdict(worktree_path, recipe, poc)
+                v = fresh.verdict(tree, recipe, poc)
             finally:
                 fresh.close()
         else:
-            v = super().verdict(worktree_path, recipe, poc)
-        self.log.append((tree_hash(worktree_path), v.to_dict()))
+            v = super().verdict(tree, recipe, poc)
+        self.log.append((list(tree.entries()), v.to_dict()))
         return v
 
 
