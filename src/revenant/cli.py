@@ -127,9 +127,11 @@ def _porter(cfg: CaseConfig, case_dir: Path) -> Porter:
 
 
 def _oracle_counts(porter: Porter) -> str:
-    """The oracle's build and cache-hit counts, for a summary line."""
+    """The oracle's build, store-hit and trace-hit counts, for a summary
+    line; trace hits are store hits too."""
     counters = porter.oracle.counters
-    return f"builds={counters.get('builds', 0)} hits={counters.get('cache_hits', 0)}"
+    return " ".join(f"{field}={counters.get(name, 0)}" for field, name in (
+        ("builds", "builds"), ("hits", "cache_hits"), ("traced", "trace_hits")))
 
 
 def _write(path: Path, text: str) -> Path:

@@ -5,7 +5,10 @@ this input, still exhibit the vulnerability's detector signal?  Answers
 are five-valued (Triggered, NotTriggered, BuildFailed, PocIncompatible,
 Hang) plus SandboxFailure for environment trouble, and are kept in an
 on-disk store keyed by content hash, so a tree probed again, by any
-oracle sharing the store, is never rebuilt.
+oracle sharing the store, is never rebuilt.  The store also keeps, for
+each built verdict, a trace of the tree files the build and the PoC
+read, so a tree that agrees with it on those files and on its listing is
+answered without a build.
 """
 
 from __future__ import annotations
@@ -402,16 +405,20 @@ def run_poc(
 
 # ---------- content-addressed verdict store ----------
 
-# Part of every store key.  Bump it when classification or the tree hash
-# changes, so that entries written by older code are never read.
-STORE_SCHEMA = "verdict-store/2"
+# Part of every store key.  Bump it when classification, the tree hash or
+# the trace format changes, so that entries written by older code are
+# never read.
+STORE_SCHEMA = "verdict-store/3"
 MISSING_INPUT = "missing"
+NO_COMPILER = "no compiler"
 # ambient variables that steer a build or a PoC run, besides the recipe's
-# own env; the compiler binary they resolve to is not itself keyed
+# own env; the C compiler they resolve to is keyed by its `--version`
 KEYED_ENV = (
     "PATH", "CC", "CXX", "CFLAGS", "CPPFLAGS", "LDFLAGS", "LD_LIBRARY_PATH",
     "ASAN_OPTIONS",
 )
+TRACES_KEPT = 16  # traces a store keeps per build identity and PoC, newest first
+LOCK_PREFIX = 2  # hex digits of a key that choose its lock file: 256 lock files
 
 
 class DiskTree:
@@ -485,45 +492,105 @@ def tree_hash(tree) -> str:
     return h.hexdigest()
 
 
-def build_identity(recipe: BuildRecipe) -> Tuple[str, List[Optional[str]]]:
-    """What a build depends on besides the tree: the recipe and the
-    `KEYED_ENV` values it runs under.  Part of every verdict key, and what
-    a build slot compares to decide whether its products can be reused."""
+def listing_digest(entries: Iterable[Entry]) -> str:
+    """Digest of a tree's (path, mode) listing, without file contents: what
+    a trace pins besides the files that were read, so that a file added,
+    removed or renamed, or a changed mode, never matches."""
+    h = hashlib.sha256()
+    for rel, mode, _ in entries:
+        h.update(b"%s %s\x00" % (mode.encode(), os.fsencode(rel)))
+    return h.hexdigest()
+
+
+_compilers: Dict[Tuple[object, ...], str] = {}
+_compilers_lock = threading.Lock()
+
+
+def compiler_version(env: Dict[str, str]) -> str:
+    """First line of `--version` of the C compiler a build runs: `$CC`, or
+    `cc` when it is unset, found on the build's PATH; `NO_COMPILER` when
+    there is none.  Remembered per binary (the file the path resolves
+    to, its size and mtime), so each binary runs at most once per process
+    and one upgraded in place runs again."""
+    argv = (env.get("CC") or "cc").split()
+    found = shutil.which(argv[0], path=env.get("PATH", os.defpath))
+    if found is None:
+        return NO_COMPILER
+    try:
+        st = os.stat(found)  # follows symlinks to the real file
+    except OSError:
+        return NO_COMPILER
+    memo_key = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, *argv[1:])
+    with _compilers_lock:
+        if memo_key not in _compilers:
+            try:
+                out = subprocess.run(
+                    [found, *argv[1:], "--version"], env=env, stdin=subprocess.DEVNULL,
+                    stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, timeout=60,
+                ).stdout
+            except (OSError, subprocess.SubprocessError):
+                return NO_COMPILER  # not remembered: a later call tries again
+            _compilers[memo_key] = out.decode("utf-8", "replace").split("\n", 1)[0].strip()
+        return _compilers[memo_key]
+
+
+def build_identity(recipe: BuildRecipe) -> Tuple[str, List[Optional[str]], str]:
+    """What a build depends on besides the tree: the recipe, the
+    `KEYED_ENV` values it runs under and the C compiler's version.  Part
+    of every verdict key, and what a build slot compares to decide whether
+    its products can be reused."""
     env = _merged_env(recipe.env)
-    return recipe.stable_hash(), [env.get(name) for name in KEYED_ENV]
+    return recipe.stable_hash(), [env.get(name) for name in KEYED_ENV], compiler_version(env)
 
 
-def verdict_key(tree: str, recipe: BuildRecipe, poc: PocSpec) -> str:
-    """Store key of a verdict: the tree hash, the recipe, the PoC spec, the
-    bytes of the PoC input (or a fixed marker when it cannot be read) and
-    the `KEYED_ENV` values the build and the PoC run see."""
+def verdict_group(recipe: BuildRecipe, poc: PocSpec) -> str:
+    """Everything a verdict key holds but the tree: the schema, the build
+    identity, the PoC spec and the bytes of the PoC input (or a fixed
+    marker when it cannot be read).  The store keeps traces per group."""
     try:
         input_digest = _sha(Path(poc.input_file).read_bytes())
     except OSError:
         input_digest = MISSING_INPUT
-    recipe_hash, env_values = build_identity(recipe)
-    parts = [STORE_SCHEMA, tree, recipe_hash, poc.stable_hash(), input_digest, env_values]
+    parts = [STORE_SCHEMA, build_identity(recipe), poc.stable_hash(), input_digest]
     return _sha(json.dumps(parts).encode())
 
 
+def _keyed(group: str, tree: str) -> str:
+    return _sha(f"{group} {tree}".encode())
+
+
+def verdict_key(tree: str, recipe: BuildRecipe, poc: PocSpec) -> str:
+    """Store key of a verdict: the tree hash and the `verdict_group`."""
+    return _keyed(verdict_group(recipe, poc), tree)
+
+
 class VerdictStore:
-    """Verdicts on disk, one JSON file per key.
+    """Verdicts on disk: one JSON file per key, plus traces.
 
     Every oracle that opens the same directory shares it, across threads
-    and processes.  An entry holds `OracleVerdict.to_dict()` and is written
-    to a temp file, then renamed into place; an entry that cannot be read
-    or parsed counts as absent.  Deleting the directory clears the store.
+    and processes.  An entry holds `OracleVerdict.to_dict()` for one whole
+    tree.  A trace, under `traces/<group>/`, holds the verdict a build of
+    some tree gave, the tree's `listing_digest` and the (path, mode, object
+    id) of every file the build and the PoC read and of every symlink; it
+    answers any tree in the group with the same listing and the same read
+    entries.  A group keeps its newest `TRACES_KEPT` traces.  Entries and
+    traces are written to a temp file, then renamed into place; one that
+    cannot be read or parsed counts as absent.  Deleting the directory
+    clears the store.
     """
 
     def __init__(self, root: Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        (self.root / "locks").mkdir(parents=True, exist_ok=True)
 
     @contextmanager
     def locked(self, key: str) -> Iterator[None]:
         """Hold the key's lock, so that one holder at a time reads or
-        writes its entry.  Locks do not nest."""
-        fd = os.open(self.root / f"{key}.lock", os.O_RDWR | os.O_CREAT, 0o644)
+        writes its entry.  Keys share a fixed set of lock files, chosen by
+        their first `LOCK_PREFIX` digits; two keys on one just take turns.
+        Locks do not nest."""
+        lock = self.root / "locks" / f"{key[:LOCK_PREFIX]}.lock"
+        fd = os.open(lock, os.O_RDWR | os.O_CREAT, 0o644)
         try:
             fcntl.flock(fd, fcntl.LOCK_EX)
             yield
@@ -538,11 +605,65 @@ class VerdictStore:
             return None
 
     def put(self, key: str, verdict: OracleVerdict) -> None:
-        """Write the key's entry.  The caller holds the key's lock, so the
-        temp file name is the key's own."""
-        tmp = self.root / f"{key}.tmp"
-        tmp.write_text(json.dumps(verdict.to_dict(), sort_keys=True), encoding="utf-8")
-        os.replace(tmp, self.root / f"{key}.json")
+        """Write the key's entry.  The caller holds the key's lock."""
+        self._write(self.root / f"{key}.json", verdict.to_dict())
+
+    def match(self, group: str, entries: List[Entry]) -> Optional[OracleVerdict]:
+        """The verdict of the newest trace in `group` that the tree with
+        these entries agrees with, or None."""
+        paths = self._traces(group)
+        if not paths:
+            return None
+        listing = listing_digest(entries)
+        files = {rel: (mode, oid) for rel, mode, oid in entries}
+        for path in paths:
+            try:
+                trace = json.loads(path.read_text("utf-8"))
+                if trace["listing"] == listing and all(
+                    files.get(rel) == (mode, oid) for rel, mode, oid in trace["reads"]
+                ):
+                    return OracleVerdict.from_dict(trace["verdict"])
+            except (OSError, ValueError, KeyError, TypeError):
+                continue
+        return None
+
+    def put_trace(self, group: str, entries: List[Entry], reads: List[Entry],
+                  verdict: OracleVerdict) -> None:
+        """Keep a trace: the tree with `entries`, reading `reads`, gave
+        `verdict`.  Then drop the group's traces beyond the newest
+        `TRACES_KEPT`."""
+        trace = {
+            "listing": listing_digest(entries),
+            "reads": [list(entry) for entry in reads],
+            "verdict": verdict.to_dict(),
+        }
+        name = _sha(json.dumps(trace, sort_keys=True).encode())
+        self._write(self.root / "traces" / group / f"{name}.json", trace)
+        for old in self._traces(group)[TRACES_KEPT:]:
+            try:
+                old.unlink()
+            except FileNotFoundError:
+                pass  # another oracle dropped it first
+
+    def _traces(self, group: str) -> List[Path]:
+        """The group's trace files, newest first."""
+        found = []
+        for path in (self.root / "traces" / group).glob("*.json"):
+            try:
+                found.append((path.stat().st_mtime_ns, path.name, path))
+            except FileNotFoundError:
+                continue
+        return [path for _, _, path in sorted(found, reverse=True)]
+
+    @staticmethod
+    def _write(path: Path, data: dict) -> None:
+        """Write `data` as JSON to `path` through a temp file named for the
+        writing process and thread, so that a reader sees the whole file
+        or none."""
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+        tmp.write_text(json.dumps(data, sort_keys=True), encoding="utf-8")
+        os.replace(tmp, path)
 
 
 def _remove(path: Path) -> None:
@@ -557,12 +678,37 @@ def _remove(path: Path) -> None:
         os.unlink(path)
 
 
-def _stat_key(path: Path) -> Optional[Tuple[int, ...]]:
+def _lstat(path: Path) -> Optional[os.stat_result]:
     try:
-        st = os.lstat(path)
+        return os.lstat(path)
     except OSError:
         return None
+
+
+def _stat_key(st: Optional[os.stat_result]) -> Optional[Tuple[int, ...]]:
+    if st is None:
+        return None
     return (st.st_mode, st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino)
+
+
+def _atime_ns(path: Path) -> int:
+    """The file's atime; -1, which counts as read, when it is gone."""
+    st = _lstat(path)
+    return -1 if st is None else st.st_atime_ns
+
+
+def _records_reads(directory: Path) -> bool:
+    """Whether reading a file in `directory` moves its atime from 0, as it
+    does on a `relatime` or `strictatime` mount; not under `noatime` or a
+    directory with `chattr +A`."""
+    canary = directory / ".atime-canary"
+    try:
+        canary.write_bytes(b"canary\n")
+        os.utime(canary, ns=(0, os.lstat(canary).st_mtime_ns))
+        canary.read_bytes()
+        return _atime_ns(canary) > 0
+    finally:
+        canary.unlink(missing_ok=True)
 
 
 class BuildSlot:
@@ -585,24 +731,36 @@ class BuildSlot:
     its last build's, when a symlink changes (make follows symlinks, so a
     retargeted one may look older than the objects built from it), and on
     request.
+
+    The slot also records which tracked files were read, when the file
+    system keeps atimes (`traces`, checked on a canary file when the slot
+    is made).  `sync` leaves every tracked file with atime 0, keeping its
+    mtime; after the build and the PoC run, `note_reads` adds each file
+    whose atime rose to the slot's read set.  The set holds every read
+    since the last wipe, because an incremental build reads only what it
+    redoes, yet its products depend on what earlier builds read.
     """
 
     def __init__(self, scratch_dir: Optional[Path] = None):
         home = tempfile.mkdtemp(prefix="oracle-", dir=str(scratch_dir) if scratch_dir else None)
         self.root = Path(home) / "tree"
-        self.fresh = True  # nothing built since the last wipe
-        self.built_ns = 0  # wall clock when the last build and PoC ended
-        self._identity: Optional[Tuple[str, List[Optional[str]]]] = None
-        # rel -> (mode, object id, slot _stat_key)
-        self._files: Dict[str, Tuple[str, str, Optional[Tuple[int, ...]]]] = {}
         # removes the slot's directory when called, or else when the slot is
         # garbage-collected or the interpreter exits
         self.close = weakref.finalize(self, shutil.rmtree, home, True)
+        self.root.mkdir()
+        self.traces = _records_reads(self.root)
+        self.fresh = True  # nothing built since the last wipe
+        self.built_ns = 0  # wall clock when the last build and PoC ended
+        self._identity: Optional[Tuple[str, List[Optional[str]], str]] = None
+        # rel -> (mode, object id, slot _stat_key)
+        self._files: Dict[str, Tuple[str, str, Optional[Tuple[int, ...]]]] = {}
+        self._read: Set[str] = set()  # tracked paths read since the last wipe
 
     def wipe(self) -> None:
         shutil.rmtree(self.root, ignore_errors=True)
         self.root.mkdir(parents=True, exist_ok=True)
         self._files.clear()
+        self._read.clear()
         self._identity = None
         self.fresh = True
 
@@ -616,10 +774,14 @@ class BuildSlot:
             self._identity = identity
         seen = set()
         changed = []
+        read = []  # unchanged files whose atime a read moved
         for rel, mode, oid in tree.entries():
             seen.add(rel)
-            if self._files.get(rel) != (mode, oid, _stat_key(self.root / rel)):
+            st = _lstat(self.root / rel)
+            if self._files.get(rel) != (mode, oid, _stat_key(st)):
                 changed.append((rel, mode, oid))
+            elif st.st_atime_ns and mode != MODE_LINK:
+                read.append(rel)
         gone = [rel for rel in self._files if rel not in seen]
         modes = [self._files[rel][0] for rel in gone]
         for rel, mode, _ in changed:
@@ -635,6 +797,12 @@ class BuildSlot:
         with closing(tree.blobs(changed)) as contents:
             for entry, data in contents:
                 self._write(entry, data, dirs)
+        if self.traces:
+            for rel in read:
+                path = self.root / rel
+                os.utime(path, ns=(0, os.lstat(path).st_mtime_ns))
+                # utime moved the ctime the stat check compares
+                self._files[rel] = self._files[rel][:2] + (_stat_key(_lstat(path)),)
         for art in recipe.artifact_paths:
             rel = os.path.normpath(art)
             if rel in (".", "..") or os.path.isabs(rel) or rel.startswith("../"):
@@ -643,6 +811,24 @@ class BuildSlot:
                 continue
             if self._real_parents(rel, dirs):
                 _remove(self.root / rel)
+
+    def note_reads(self) -> None:
+        """Add the tracked files read since the sync to the read set."""
+        if self.traces:
+            self._read.update(
+                rel for rel, (mode, _, _) in self._files.items()
+                if rel not in self._read and mode != MODE_LINK
+                and _atime_ns(self.root / rel) != 0
+            )
+
+    def reads(self, tree) -> Optional[List[Entry]]:
+        """The entries of `tree`, which the slot holds, that a build or PoC
+        run since the last wipe read, and every symlink, which is read
+        through without its own atime moving; None if the slot records no
+        reads."""
+        if not self.traces:
+            return None
+        return [e for e in _as_tree(tree).entries() if e[1] == MODE_LINK or e[0] in self._read]
 
     def _real_parents(self, rel: str, dirs: Set[str], make: bool = False) -> bool:
         """Whether every parent of `rel` is a real directory in the slot, so
@@ -677,9 +863,10 @@ class BuildSlot:
         else:
             dst.write_bytes(data)
             os.chmod(dst, 0o755 if mode == MODE_EXEC else 0o644)
-        if os.lstat(dst).st_mtime_ns <= self.built_ns:
-            os.utime(dst, ns=(self.built_ns + 1, self.built_ns + 1), follow_symlinks=False)
-        self._files[rel] = (mode, oid, _stat_key(dst))
+        # atime 0: not read yet
+        mtime = max(os.lstat(dst).st_mtime_ns, self.built_ns + 1)
+        os.utime(dst, ns=(0, mtime), follow_symlinks=False)
+        self._files[rel] = (mode, oid, _stat_key(_lstat(dst)))
 
 
 class Oracle:
@@ -695,14 +882,22 @@ class Oracle:
     (a commit plus edits held in memory).  Its key holds `tree_hash`, so
     a commit tree and a checkout of it with the same edits share their
     verdicts, and a stored verdict costs no file write and no git blob
-    read.  A verdict never mutates the tree it is given: the build and
-    the PoC run happen in the oracle's `BuildSlot`, `oracle-<suffix>/tree`
-    under `scratch_dir` (by default the system temp directory), made on
-    the first build and removed by `close()`; it is the only place the
-    tree's files are written.  Each build there redoes only what the
-    tree's changes affect; a build that fails in a slot that built before
-    is retried once from a wiped slot, so a stale product never decides a
-    `BuildFailed`.
+    read.  A tree whose key is not stored is answered by a stored trace
+    when it agrees with the trace's tree on its listing and on every file
+    that tree's build and PoC run read (`VerdictStore.match`).  A verdict
+    never mutates the tree it is given: the build and the PoC run happen
+    in the oracle's `BuildSlot`, `oracle-<suffix>/tree` under
+    `scratch_dir` (by default the system temp directory), made on the
+    first build and removed by `close()`; it is the only place the tree's
+    files are written.  Each build there redoes only what the tree's
+    changes affect; a build that fails in a slot that built before is
+    retried once from a wiped slot, so a stale product never decides a
+    `BuildFailed`.  A storable verdict is kept under its key and, when the
+    slot records reads, as a trace.
+
+    `counters` holds `builds`, `cache_hits` (verdicts the store answered)
+    and, of those, `trace_hits` (answered by a trace), besides the
+    launches and the build-and-run calls (`verdicts`).
 
     An oracle is meant for one caller at a time.  Concurrent callers are
     safe but take turns: a lock, taken only while the key's lock is held,
@@ -725,20 +920,33 @@ class Oracle:
                 self._slot.close()
                 self._slot = None
 
+    def _count(self, *names: str) -> None:
+        with self._lock:
+            for name in names:
+                self.counters[name] = self.counters.get(name, 0) + 1
+
     def verdict(self, tree, recipe: BuildRecipe, poc: PocSpec) -> OracleVerdict:
-        # one view for the key and the sync, so a directory is read once
+        # one view for the key, the trace lookup and the sync, so a
+        # directory is read once
         tree = _as_tree(tree)
-        key = verdict_key(tree_hash(tree), recipe, poc)
+        group = verdict_group(recipe, poc)
+        key = _keyed(group, tree_hash(tree))
         with self.store.locked(key):
             stored = self.store.get(key)
             if stored is not None:
-                with self._lock:
-                    self.counters["cache_hits"] = self.counters.get("cache_hits", 0) + 1
+                self._count("cache_hits")
+                return stored
+            stored = self.store.match(group, tree.entries())
+            if stored is not None:
+                self._count("cache_hits", "trace_hits")
                 return stored
             with self._lock:
                 verdict = self._build_and_run(tree, recipe, poc)
+                reads = self._slot.reads(tree) if verdict.storable else None
             if verdict.storable:
                 self.store.put(key, verdict)
+                if reads is not None:
+                    self.store.put_trace(group, tree.entries(), reads, verdict)
         return verdict
 
     def _build_and_run(self, tree, recipe: BuildRecipe, poc: PocSpec) -> OracleVerdict:
@@ -757,12 +965,13 @@ class Oracle:
                 outcome = build(slot.root, recipe, counters=self.counters)
             slot.fresh = False
             if not outcome.ok:
+                slot.note_reads()
                 if outcome.transient:
                     slot.wipe()  # a killed build may leave half-written products
                 return OracleVerdict(
                     KIND_BUILD_FAILED, evidence=outcome.log_excerpt, transient=outcome.transient
                 )
-            return run_poc(
+            verdict = run_poc(
                 outcome.artifacts,
                 poc,
                 cwd=slot.root,
@@ -770,6 +979,8 @@ class Oracle:
                 sanitizer=recipe.sanitizer,
                 counters=self.counters,
             )
+            slot.note_reads()
+            return verdict
         except BaseException:
             slot.wipe()  # a sync or build cut short leaves the slot unknown
             raise

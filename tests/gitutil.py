@@ -5,8 +5,11 @@ from __future__ import annotations
 import os
 import stat
 import subprocess
+import tempfile
 from pathlib import Path
 from typing import Dict, Iterable, Optional
+
+from revenant.oracle import _records_reads
 
 BASE_EPOCH = 1_500_000_000  # 2017-07-14, arbitrary but fixed
 
@@ -95,3 +98,10 @@ def snapshot(root: Path) -> dict:
         elif stat.S_ISREG(st.st_mode):
             out[str(rel)] = (bool(st.st_mode & stat.S_IXUSR), path.read_bytes())
     return out
+
+
+def atimes_recorded() -> bool:
+    """Whether reading a file in the temp directory moves its atime, which
+    the oracle's traces need."""
+    with tempfile.TemporaryDirectory() as d:
+        return _records_reads(Path(d))

@@ -5,6 +5,9 @@ import pytest
 
 from revenant.cli import main
 from revenant.forge import forge_repo, overflow_poc_bytes
+from revenant.oracle import LOCK_PREFIX
+
+from gitutil import atimes_recorded
 
 CVE = "CVE-2021-9999"
 
@@ -305,3 +308,54 @@ class TestVerdictStore:
         assert summary(capsys)["builds"] == "0"
         assert not (tmp_path / "a" / "verdict-cache").exists()
         assert list(store.glob("*.json"))
+
+    def test_locks_are_striped_not_per_key(self, tmp_path, fixture, capsys):
+        case = write_case(tmp_path, fixture)
+        assert main(["revive", "--config", str(case)]) == 0
+        store = tmp_path / "ws" / "verdict-cache"
+        assert list(store.glob("*.json"))
+        locks = [p.relative_to(store) for p in store.rglob("*.lock")]
+        assert locks and all(p.parent.name == "locks" for p in locks)
+        assert {len(p.stem) for p in locks} == {LOCK_PREFIX}
+
+    @pytest.mark.skipif(not atimes_recorded(), reason="no atimes in the temp dir")
+    def test_a_commit_to_an_unread_file_is_answered_by_traces(self, tmp_path, capsys):
+        fx = forge_repo(tmp_path / "fx", ["C1"])
+        (tmp_path / "a").mkdir()
+        ws = str(tmp_path / "ws")
+        case = write_case(tmp_path / "a", fx, workspace=ws)
+        assert main(["revive", "--config", str(case)]) == 0
+        assert int(summary(capsys)["builds"]) >= 1
+        # the same target plus a commit to CHANGES, which build.sh never reads
+        target = commit_file(fx.repo, fx.target, "CHANGES", "a release note\n")
+        (tmp_path / "b").mkdir()
+        case = write_case(tmp_path / "b", fx, target=target, workspace=ws)
+        assert main(["revive", "--config", str(case)]) == 0
+        fields = summary(capsys)
+        assert fields["final"] == "Revived"
+        assert fields["builds"] == "0"
+        assert int(fields["traced"]) >= 1
+        assert int(fields["hits"]) >= int(fields["traced"])
+        traced = (tmp_path / "ws" / CVE / "revival_record.json").read_bytes()
+        (tmp_path / "c").mkdir()
+        case = write_case(tmp_path / "c", fx, target=target, workspace=str(tmp_path / "empty"))
+        assert main(["revive", "--config", str(case)]) == 0
+        assert int(summary(capsys)["builds"]) >= 1
+        assert (tmp_path / "empty" / CVE / "revival_record.json").read_bytes() == traced
+
+
+def commit_file(repo, parent, path, text):
+    """A commit on `parent` that replaces the top-level file `path`."""
+    env = {"GIT_AUTHOR_NAME": "t", "GIT_AUTHOR_EMAIL": "t@example.invalid",
+           "GIT_COMMITTER_NAME": "t", "GIT_COMMITTER_EMAIL": "t@example.invalid",
+           "GIT_CONFIG_GLOBAL": "/dev/null", "GIT_CONFIG_NOSYSTEM": "1",
+           "PATH": "/usr/bin:/bin"}
+
+    def git(*args, stdin=None):
+        return subprocess.run(["git", "-C", str(repo), *args], input=stdin, env=env,
+                              capture_output=True, text=True, check=True).stdout.strip()
+
+    blob = git("hash-object", "-w", "--stdin", stdin=text)
+    rows = [row for row in git("ls-tree", parent).splitlines() if row.split("\t")[1] != path]
+    tree = git("mktree", stdin="\n".join(rows + [f"100644 blob {blob}\t{path}"]) + "\n")
+    return git("commit-tree", tree, "-p", parent, "-m", f"edit {path}")

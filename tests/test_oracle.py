@@ -19,6 +19,7 @@ from revenant.oracle import (
     KIND_SANDBOX_FAILURE,
     KIND_TRIGGERED,
     HANG_TRIGGER_CLASS,
+    NO_COMPILER,
     SANITIZER_ASAN,
     SANITIZER_VALGRIND,
     BuildRecipe,
@@ -29,13 +30,14 @@ from revenant.oracle import (
     _merged_env,
     build,
     classify_detector_output,
+    compiler_version,
     looks_like_usage_error,
     run_poc,
     tree_hash,
     verdict_key,
 )
 
-from gitutil import RepoBuilder, snapshot
+from gitutil import RepoBuilder, atimes_recorded, snapshot
 
 CORPUS = Path(__file__).parent / "data" / "detector_corpus"
 
@@ -430,6 +432,32 @@ class TestVerdictStore:
         monkeypatch.setenv("REVENANT_TEST_UNRELATED", "1")
         assert verdict_key(tree, DEMO_RECIPE, poc) == before
 
+    def test_the_compiler_version_is_keyed(self, tmp_path, monkeypatch):
+        tree = tree_hash(_demo_tree(tmp_path))
+        poc = self._long_poc(tmp_path)
+        bindir = tmp_path / "bin"
+        bindir.mkdir()
+        runs = tmp_path / "runs"
+        shim = Path(_script(bindir, "cc", f'echo "shim cc 1.0"; echo run >> {runs}\n'))
+        monkeypatch.setenv("PATH", f"{bindir}{os.pathsep}{os.environ['PATH']}")
+        monkeypatch.delenv("CC", raising=False)
+        before = verdict_key(tree, DEMO_RECIPE, poc)
+        assert verdict_key(tree, DEMO_RECIPE, poc) == before
+        assert runs.read_text() == "run\n"  # once per binary
+        # an upgrade in place: the same file, rewritten
+        inode = shim.stat().st_ino
+        shim.write_text(shim.read_text().replace("1.0", "2.10"))
+        assert shim.stat().st_ino == inode
+        upgraded = verdict_key(tree, DEMO_RECIPE, poc)
+        assert upgraded != before
+        monkeypatch.setenv("REVENANT_TEST_UNRELATED", "1")
+        assert verdict_key(tree, DEMO_RECIPE, poc) == upgraded
+
+    def test_a_missing_compiler_keys_as_a_marker(self, tmp_path):
+        env = {"PATH": str(tmp_path), "CC": "revenant-test-no-such-cc"}
+        assert compiler_version(env) == NO_COMPILER
+        assert compiler_version({"PATH": str(tmp_path)}) == NO_COMPILER
+
     def test_truncated_entry_and_leftover_tmp_are_misses(self, tmp_path):
         tree = _demo_tree(tmp_path)
         poc = self._long_poc(tmp_path)
@@ -438,12 +466,18 @@ class TestVerdictStore:
         oracle.verdict(tree, DEMO_RECIPE, poc)
         [entry] = store.glob("*.json")
         whole = entry.read_text()
-        entry.write_text(whole[: len(whole) // 2])
+        # the tree's trace, kept where the slot records reads, would answer
+        # it too: break it alike
+        traces = {path: path.read_text() for path in store.glob("traces/*/*.json")}
+        for path, text in [(entry, whole), *traces.items()]:
+            path.write_text(text[: len(text) // 2])
         assert oracle.verdict(tree, DEMO_RECIPE, poc).kind == KIND_TRIGGERED
         assert oracle.counters["builds"] == 2
         assert entry.read_text() == whole  # the broken entry was overwritten
-        # a crash between writing the temp file and renaming it
-        entry.rename(entry.with_suffix(".tmp"))
+        assert {path: path.read_text() for path in traces} == traces
+        # a crash between writing the temp files and renaming them
+        for path in [entry, *traces]:
+            path.rename(path.with_suffix(".tmp"))
         assert oracle.verdict(tree, DEMO_RECIPE, poc).kind == KIND_TRIGGERED
         assert oracle.counters["builds"] == 3
         assert entry.read_text() == whole
@@ -676,12 +710,13 @@ class TestBuildSlot:
         build_sh = "sleep 0.2\ncp tool.sh tool\n"
         oracle, poc = self._oracle(tmp_path), self._poc(tmp_path)
         rounds = 3
+        # trees differ in a file the build reads, so that no trace answers
         work = {
             KIND_TRIGGERED: [_tree_of(tmp_path / f"crash{r}", {
-                "build.sh": build_sh, "tool.sh": CRASH_SH, "README": f"{r}\n"})
+                "build.sh": build_sh, "tool.sh": CRASH_SH + f"# {r}\n"})
                 for r in range(rounds)],
             KIND_NOT_TRIGGERED: [_tree_of(tmp_path / f"clean{r}", {
-                "build.sh": build_sh, "tool.sh": CLEAN_SH, "README": f"{r}\n"})
+                "build.sh": build_sh, "tool.sh": CLEAN_SH + f"# {r}\n"})
                 for r in range(rounds)],
         }
         start = threading.Barrier(2, timeout=30)
@@ -707,6 +742,103 @@ class TestBuildSlot:
         assert oracle.counters["builds"] == 2 * rounds
         oracle.close()
         assert not list((tmp_path / "scratch").iterdir())
+
+
+needs_atime = pytest.mark.skipif(not atimes_recorded(), reason="no atimes in the temp dir")
+
+
+class TestTraces:
+    """A stored trace answers a tree only if a build of it would give the
+    same verdict.  Each hazard test asks one oracle for trees in turn and
+    fails when the guard it names is removed: a trace would answer a tree
+    whose fresh verdict differs."""
+
+    def _poc(self, tmp_path):
+        return PocSpec(command="sh {binary} {input}", input_file=_poc_file(tmp_path))
+
+    def _replay(self, tmp_path, trees, recipe=SHELL_RECIPE):
+        """One oracle's verdicts on `trees` in turn, each checked against a
+        fresh oracle's on an empty store; returns that oracle."""
+        oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
+        poc = self._poc(tmp_path)
+        for i, tree in enumerate(trees):
+            clean = Oracle(tmp_path / f"clean{i}", scratch_dir=tmp_path / "scratch")
+            want = clean.verdict(tree, recipe, poc).to_dict()
+            clean.close()
+            assert oracle.verdict(tree, recipe, poc).to_dict() == want, tree.name
+        return oracle
+
+    @needs_atime
+    def test_a_tree_that_differs_in_an_unread_file_is_answered(self, tmp_path):
+        trees = [_shell_tree(tmp_path / f"t{i}", "cp crash.sh tool\n", README=f"{i}\n")
+                 for i in range(3)]
+        oracle = self._replay(tmp_path, trees)
+        assert oracle.counters["builds"] == 1
+        assert oracle.counters["trace_hits"] == oracle.counters["cache_hits"] == 2
+        [trace] = (tmp_path / "store").glob("traces/*/*.json")
+        reads = [rel for rel, _, _ in json.loads(trace.read_text())["reads"]]
+        assert reads == ["build.sh", "crash.sh"]
+
+    def test_a_read_in_an_earlier_incremental_build_counts(self, tmp_path):
+        # (a) the read set is the union since the last wipe: the second
+        # build reuses obj without reading main.src, which it depends on
+        build_sh = ("if [ ! -e obj ] || [ main.src -nt obj ]; then cp main.src obj; fi\n"
+                    "cp obj tool\n")
+        trees = [
+            _tree_of(tmp_path / "a", {"build.sh": build_sh + "# a\n", "main.src": CRASH_SH}),
+            _tree_of(tmp_path / "b", {"build.sh": build_sh + "# b\n", "main.src": CRASH_SH}),
+            _tree_of(tmp_path / "c", {"build.sh": build_sh + "# b\n", "main.src": CLEAN_SH}),
+        ]
+        oracle = self._replay(tmp_path, trees)
+        assert oracle.counters["builds"] == 3
+
+    def test_a_file_added_removed_or_renamed_misses(self, tmp_path):
+        # (b) the listing digest: a wildcard lists names, reads no file
+        build_sh = 'case "$(echo *.c)" in *b.c*) cp crash.sh tool;; *) cp clean.sh tool;; esac\n'
+        variants = [
+            {"a.c": "a\n"},
+            {"a.c": "a\n", "b.c": "b\n"},  # added
+            {"a.c": "a\n", "c.c": "b\n"},  # renamed
+            {"b.c": "b\n"},  # removed
+        ]
+        trees = [_shell_tree(tmp_path / f"t{i}", build_sh, **files)
+                 for i, files in enumerate(variants)]
+        oracle = self._replay(tmp_path, trees)
+        assert oracle.counters["builds"] == len(trees)
+
+    def test_no_trace_without_atimes(self, tmp_path, monkeypatch):
+        # (c) atimes that never move, as on a noatime mount: the canary
+        # fails and the slot records no traces
+        monkeypatch.setattr(oracle_mod, "_atime_ns", lambda path: 0)
+        trees = [_shell_tree(tmp_path / "a", "cp tool.sh tool\n", **{"tool.sh": CRASH_SH}),
+                 _shell_tree(tmp_path / "b", "cp tool.sh tool\n", **{"tool.sh": CLEAN_SH})]
+        oracle = self._replay(tmp_path, trees)
+        assert oracle.counters["builds"] == 2
+        assert not list((tmp_path / "store").glob("traces/*/*.json"))
+
+    def test_a_file_only_the_poc_reads_counts(self, tmp_path):
+        # (d) the trace spans the PoC run as well as the build
+        tool_sh = 'if [ "$(cat data.txt)" = crash ]; then sh crash.sh; else sh clean.sh; fi\n'
+        trees = [_shell_tree(tmp_path / f"t{i}", "cp tool.sh tool\n",
+                             **{"tool.sh": tool_sh, "data.txt": f"{data}\n"})
+                 for i, data in enumerate(["crash", "clean"])]
+        oracle = self._replay(tmp_path, trees)
+        assert oracle.counters["builds"] == 2
+
+    def test_a_mode_or_a_symlink_target_counts(self, tmp_path):
+        # (e) `test -x` reads no file, and reading through a symlink marks
+        # its target, not the link
+        build_sh = ('if [ -x helper ] || [ "$(cat conf)" = crash ]; then cp crash.sh tool;'
+                    " else cp clean.sh tool; fi\n")
+        extra = {"helper": "true\n", "on.txt": "crash\n", "off.txt": "clean\n"}
+        trees = []
+        for i, (target, mode) in enumerate([("off.txt", 0o644), ("off.txt", 0o755),
+                                            ("on.txt", 0o644), ("off.txt", 0o644)]):
+            tree = _shell_tree(tmp_path / f"t{i}", build_sh, conf=("link", target), **extra)
+            (tree / "helper").chmod(mode)
+            trees.append(tree)
+        oracle = self._replay(tmp_path, trees)
+        assert oracle.counters["builds"] == 3  # the last is the first tree again
 
 
 def _no_child_left() -> bool:

@@ -56,7 +56,7 @@ from revenant.porter import (
     probe_answer,
 )
 
-from gitutil import RepoBuilder, snapshot, worktrees
+from gitutil import RepoBuilder, atimes_recorded, snapshot, worktrees
 
 
 @pytest.mark.parametrize("kind,answer", [
@@ -353,7 +353,8 @@ def tamper(root):
 
 class ReferenceOracle(Oracle):
     """Hands each tree to `check` before answering; without `build` it
-    answers Triggered and builds nothing."""
+    answers Triggered and builds nothing.  It drops the store's traces
+    before each verdict, so every tree it is asked about is built."""
 
     def __init__(self, tmp_path, build=True):
         super().__init__(tmp_path / "store", scratch_dir=tmp_path / "oracle")
@@ -364,6 +365,7 @@ class ReferenceOracle(Oracle):
         self.check(tree, recipe)
         if not self.build:
             return OracleVerdict(KIND_TRIGGERED)
+        shutil.rmtree(self.store.root / "traces", ignore_errors=True)
         return super().verdict(tree, recipe, poc)
 
 
@@ -594,10 +596,12 @@ MAKEFILE = (
 )
 
 
-def forge_make_project(root, archetypes):
+def forge_make_project(root, archetypes, notes=False):
     """The forge's pack_tool with a few more units, built by make, under a
     history whose noise edits a unit, edits pack.h (which every unit
-    includes) or renames a unit (whose old copy would then link twice)."""
+    includes) or renames a unit (whose old copy would then link twice).
+    With `notes`, each noise commit is followed by one that edits only
+    README, which the build never reads."""
     rb = RepoBuilder(root / "repo")
     files = {"pack.h": PACK_H, "pack.c": PACK_C_VULN, "tool.c": TOOL_C, "README": README,
              "Makefile": MAKEFILE}
@@ -616,6 +620,9 @@ def forge_make_project(root, archetypes):
             files[f"lib/moved{n}.c"] = files.pop(unit)
             gone.append(unit)
         rb.commit(files, f"noise {n}", delete=gone)
+        if notes:
+            files["README"] += f"note {n}\n"
+            rb.commit(files, f"note {n}")
 
     rb.commit(files, "initial import")
     noise(0)
@@ -636,13 +643,15 @@ def forge_make_project(root, archetypes):
 
 
 class VerdictLog(Oracle):
-    """Logs each verdict with its tree.  With `clean`, every verdict comes
-    from a fresh oracle on an empty store, so from a clean build."""
+    """Logs each verdict with its tree's entries, and keeps the trees.
+    With `clean`, every verdict comes from a fresh oracle on an empty
+    store, so from a clean build."""
 
     def __init__(self, store_dir, scratch_dir, clean=False):
         super().__init__(store_dir, scratch_dir=scratch_dir)
         self.clean = clean
         self.log = []
+        self.trees = []
 
     def verdict(self, tree, recipe, poc):
         if self.clean:
@@ -655,6 +664,7 @@ class VerdictLog(Oracle):
         else:
             v = super().verdict(tree, recipe, poc)
         self.log.append((list(tree.entries()), v.to_dict()))
+        self.trees.append(tree)
         return v
 
 
@@ -675,3 +685,32 @@ def test_incremental_builds_match_clean_builds(tmp_path, archetypes):
         if not clean:
             assert oracle.counters["builds"] >= 3  # one slot built several trees
     assert runs[False] == runs[True]
+
+
+@pytest.mark.parametrize("project", [
+    "forge",
+    pytest.param("make", marks=pytest.mark.skipif(
+        shutil.which("make") is None or shutil.which("cc") is None, reason="needs make and cc")),
+])
+def test_every_verdict_of_a_revive_matches_a_fresh_oracle(tmp_path, project):
+    """Replay: each verdict a revive got, exact, traced or built, equals
+    the verdict of a fresh oracle on an empty store for the same tree."""
+    if project == "make":
+        repo, fix, target, recipe, poc = forge_make_project(
+            tmp_path / "fx", ["C5", "C3", "C4"], notes=True)
+    else:
+        fx = forge_repo(tmp_path / "fx", SCENARIOS[4])
+        repo, fix, target, recipe, poc = fx.repo, fx.fix, fx.target, fx.recipe, fx.poc
+    oracle = VerdictLog(tmp_path / "store", tmp_path / "oracle")
+    with Porter(repo, recipe, poc, oracle=oracle, scratch_dir=tmp_path / "scratch") as porter:
+        assert porter.revive("CVE-0000-0016", "packdemo", [fix], target).final == FINAL_REVIVED
+    if atimes_recorded():
+        assert oracle.counters["trace_hits"] >= 1
+    fresh = {}
+    for tree, (_, got) in zip(oracle.trees, oracle.log):
+        key = tree_hash(tree)
+        if key not in fresh:
+            clean = Oracle(tmp_path / f"clean-{len(fresh)}", scratch_dir=tmp_path / "oracle")
+            fresh[key] = clean.verdict(tree, recipe, poc).to_dict()
+            clean.close()
+        assert got == fresh[key]
