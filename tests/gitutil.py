@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import stat
 import subprocess
@@ -9,19 +10,21 @@ import tempfile
 from pathlib import Path
 from typing import Dict, Iterable, Optional
 
+from revenant.gitio import MODE_EXEC, MODE_FILE, MODE_LINK
 from revenant.oracle import _records_reads
 
 BASE_EPOCH = 1_500_000_000  # 2017-07-14, arbitrary but fixed
 
 
 class RepoBuilder:
-    def __init__(self, root: Path, epoch: int = BASE_EPOCH, step: int = 3600):
+    def __init__(self, root: Path, epoch: int = BASE_EPOCH, step: int = 3600,
+                 object_format: str = "sha1"):
         self.root = Path(root)
         self.epoch = epoch
         self.step = step
         self.count = 0
         self.root.mkdir(parents=True, exist_ok=True)
-        self.git("init", "-q", "-b", "main")
+        self.git("init", "-q", "-b", "main", f"--object-format={object_format}")
 
     def git(self, *args: str, check: bool = True) -> subprocess.CompletedProcess:
         return self.git_input(None, *args, check=check)
@@ -75,6 +78,53 @@ class RepoBuilder:
 
     def head(self) -> str:
         return self.git("rev-parse", "HEAD").stdout.strip()
+
+
+def ls_tree_listing(repo: Path, commit: str) -> dict:
+    """Path -> (mode, blob id) of every file and symlink in `commit`, read
+    from `git ls-tree -r`: the reference for `CommitMemo.listing`.  Any
+    mode but 100755 and 120000 reads as 100644, and submodules are left
+    out."""
+    out = subprocess.run(["git", "-C", str(repo), "ls-tree", "-r", "-z", "--full-tree", commit],
+                         capture_output=True, check=True).stdout
+    found = {}
+    for record in out.split(b"\0"):
+        meta, _, path = record.partition(b"\t")
+        if not path:
+            continue
+        mode, kind, oid = meta.decode().split()
+        if kind != "blob":
+            continue
+        if mode not in (MODE_EXEC, MODE_LINK):
+            mode = MODE_FILE
+        found[os.fsdecode(path)] = (mode, oid)
+    return found
+
+
+def no_child_left() -> bool:
+    """Whether this process has no child, running or not yet waited for,
+    once unreachable objects (a memo's reader among them) are collected."""
+    gc.collect()
+    try:
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def record_git(monkeypatch) -> list:
+    """The git subcommand of every git process started."""
+    spawned = []
+    real = subprocess.Popen
+
+    class Recording(real):
+        def __init__(self, argv, *args, **kwargs):
+            if argv[0] == "git":
+                spawned.append(argv[3])  # git -C <repo> <subcommand>
+            super().__init__(argv, *args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", Recording)
+    return spawned
 
 
 def worktrees(repo: Path) -> list:

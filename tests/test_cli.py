@@ -3,11 +3,12 @@ import subprocess
 
 import pytest
 
+from revenant import gitio
 from revenant.cli import main
 from revenant.forge import forge_repo, overflow_poc_bytes
 from revenant.oracle import LOCK_PREFIX
 
-from gitutil import atimes_recorded
+from gitutil import atimes_recorded, no_child_left
 
 CVE = "CVE-2021-9999"
 
@@ -165,6 +166,18 @@ class TestCategorize:
         rc = main(["categorize", "abc123"])
         assert rc == 5
 
+    def test_one_memo_serves_every_commit(self, fixture, capsys, monkeypatch):
+        commits = [fixture.fix, fixture.breakers[0]["id"], fixture.target, fixture.fix]
+        calls = []
+        real = gitio.run_git
+        monkeypatch.setattr(gitio, "run_git",
+                            lambda repo, *args, **kw: calls.append(args) or real(repo, *args, **kw))
+        assert main(["categorize", "--repo", str(fixture.repo), *commits]) == 0
+        assert len(summaries(capsys)) == 4
+        # the shallow-clone check runs once, and a commit is diffed once
+        assert calls.count(("rev-parse", "--is-shallow-repository")) == 1
+        assert [args[0] for args in calls].count("diff") == 3
+
 
 class TestActivity:
     def test_emits_csv_and_svg(self, tmp_path, fixture, capsys):
@@ -268,6 +281,27 @@ def test_commands_leave_no_worktree_and_report_oracle_counts(tmp_path, fixture, 
     assert (fields["builds"], fields["hits"]) == ("0", "1")
     record = json.loads((tmp_path / "ws" / CVE / "revival_record.json").read_text())
     assert "builds" not in record["effort"] and "hits" not in record["effort"]
+
+
+def test_no_command_leaves_a_child_and_summaries_count_git_and_wall(tmp_path, fixture, capsys):
+    case = write_case(tmp_path, fixture)
+    runs = [
+        ["port", "--config", str(case), "--ref", fixture.fix],
+        ["tiers", "--config", str(case)],
+        ["bisect", "--config", str(case), fixture.fix, fixture.target],
+        ["revive", "--config", str(case)],
+        ["categorize", "--config", str(case), fixture.breakers[0]["id"]],
+        ["manifest", "--config", str(case)],
+        ["activity", "--config", str(case)],
+    ]
+    for argv in runs:
+        assert main(argv) == 0
+        fields = summary(capsys)
+        if argv[0] in ("port", "tiers", "bisect", "revive"):
+            # a resolve, a diff and the reader at least
+            assert int(fields["git"]) >= 3
+            assert float(fields["wall"]) > 0
+        assert no_child_left(), argv[0]
 
 
 class TestVerdictStore:

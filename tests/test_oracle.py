@@ -37,7 +37,7 @@ from revenant.oracle import (
     verdict_key,
 )
 
-from gitutil import RepoBuilder, atimes_recorded, snapshot
+from gitutil import RepoBuilder, atimes_recorded, no_child_left, snapshot
 
 CORPUS = Path(__file__).parent / "data" / "detector_corpus"
 
@@ -841,15 +841,6 @@ class TestTraces:
         assert oracle.counters["builds"] == 3  # the last is the first tree again
 
 
-def _no_child_left() -> bool:
-    """Whether this process has no child, running or not yet waited for."""
-    try:
-        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
-    except ChildProcessError:
-        return True
-    return False
-
-
 class TestCommitTree:
     """A commit plus edits held in memory keys and builds as a checkout of
     the commit with the same edits made on disk."""
@@ -926,14 +917,18 @@ class TestCommitTree:
         names = ["a.txt", "b.txt", "x" * 300, "z.txt"]
         listing = "".join(f"100644 blob {blob}\t{name}\n" for name in names)
         commit = git("commit-tree", git("mktree", stdin=listing), "-m", "long name")
-        tree = CommitTree(CommitMemo(rb.root), commit)
+        memo = CommitMemo(rb.root)
+        tree = CommitTree(memo, commit)
         assert [path for path, _, _ in tree.entries()] == names
         oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
-        assert _no_child_left()
         with pytest.raises(OSError):
             oracle.verdict(tree, SHELL_RECIPE, PocSpec("sh {binary}", _poc_file(tmp_path)))
-        assert _no_child_left()
+        # the stream cut short stopped the reader with its replies unread
+        assert no_child_left()
+        assert list(memo.blobs([blob, blob])) == [b"text\n", b"text\n"]
         oracle.close()
+        memo.close()
+        assert no_child_left()
 
 
 OVERFLOW_C = textwrap.dedent(

@@ -1,7 +1,6 @@
 import math
 import random
 import shutil
-import subprocess
 import tempfile
 import threading
 from contextlib import contextmanager
@@ -56,7 +55,7 @@ from revenant.porter import (
     probe_answer,
 )
 
-from gitutil import RepoBuilder, atimes_recorded, snapshot, worktrees
+from gitutil import RepoBuilder, atimes_recorded, no_child_left, record_git, snapshot, worktrees
 
 
 @pytest.mark.parametrize("kind,answer", [
@@ -170,6 +169,20 @@ class TestDeriveReverse:
         new_text, report = apply_file_patch(v2, reverse.files[0])
         assert report.all_applied
         assert new_text == base
+
+    def test_composition_checks_nothing_out(self, tmp_path, monkeypatch):
+        rb = RepoBuilder(tmp_path / "repo")
+        base = "\n".join(f"line {i}" for i in range(30)) + "\n"
+        rb.commit({"a.txt": base, "b.txt": "kept\n"}, "base")
+        rb.commit({"a.txt": base.replace("line 5", "line 5 patched"), "c.txt": "new\n"},
+                  "first fix")
+        rb.commit({"b.txt": "kept\nhardened\n"}, "second fix", delete=["c.txt"])
+        spawned = record_git(monkeypatch)
+        reverse = derive_reverse_patch(rb.root, ["t1", "t2"])
+        assert sorted(fp.path for fp in reverse.files) == ["a.txt", "b.txt"]
+        assert "worktree" not in spawned
+        assert spawned.count("cat-file") == 1
+        assert no_child_left()
 
     def test_reverse_patch_digest_is_stable(self, tmp_path):
         fx = forge_repo(tmp_path, [])
@@ -543,27 +556,29 @@ class TestWorktreeSlot:
         assert len(worktrees(fx.repo)) == 1
         assert not list(tmp_path.glob("*/scratch/wt-*"))
 
-    def test_revive_spends_at_most_two_and_a_quarter_git_spawns_per_attempt(
+    def test_revive_spends_three_quarters_of_a_git_spawn_per_attempt(
         self, tmp_path, monkeypatch
     ):
         fx = forge_repo(tmp_path, SCENARIOS[4])
-        spawned = []  # the git subcommand of every git process started
-        real = subprocess.Popen
-
-        class Recording(real):
-            def __init__(self, argv, *args, **kwargs):
-                if argv[0] == "git":
-                    spawned.append(argv[3])  # git -C <repo> <subcommand>
-                super().__init__(argv, *args, **kwargs)
-
-        monkeypatch.setattr(subprocess, "Popen", Recording)
+        spawned = record_git(monkeypatch)
         with make_porter(fx, tmp_path) as porter:
             rec = porter.revive("CVE-0000-0010", "packdemo", [fx.fix], fx.target)
         assert rec.revert_stack == fx.expected_stack
-        # an attempt checks nothing out: one `ls-tree` per new commit, one
-        # `cat-file` per blob read for patching or streamed into the slot
-        assert not {"worktree", "checkout", "clean"} & set(spawned)
-        assert len(spawned) <= 2.25 * porter.attempt_count
+        # an attempt checks nothing out, and every listing, patched text and
+        # synced blob comes over one `cat-file --batch`: 12 git processes
+        # for 17 attempts
+        assert not {"worktree", "checkout", "clean", "ls-tree"} & set(spawned)
+        assert spawned.count("cat-file") == 1
+        assert len(spawned) <= 0.75 * porter.attempt_count
+        assert porter.commits.spawns == len(spawned)
+
+    def test_close_leaves_no_child(self, tmp_path):
+        fx = forge_repo(tmp_path / "fx", ["C1"])
+        porter = make_porter(fx, tmp_path)
+        assert porter.attempt(fx.target, (), [fx.fix]).verdict.kind == KIND_PORT_CONFLICT
+        assert not no_child_left()  # the memo's reader
+        porter.close()
+        assert no_child_left()
 
     def test_close_removes_a_scratch_dir_it_made(self, tmp_path, monkeypatch):
         fx = forge_repo(tmp_path / "fx", [])
