@@ -2,11 +2,14 @@
 
 Everything here shells out to git.  A `CommitMemo` remembers what a full
 commit id names, which never changes, for as long as its owner keeps it,
-and reads every object it needs (tree objects for commit listings, blobs
-for patching and for the build slot) over one `git cat-file --batch`
-process that it starts on the first such read; close the memo to stop
-it.  The module-level functions start from an empty memo on every call.
-A `CommitTree` is a commit's files plus edits held in memory, so patching
+and reads every object it needs over one `git cat-file --batch` process
+that it starts on the first such read: the commit objects that names
+resolve to, tree objects for commit listings and touched files, and
+blobs for patching and for the build slot.  Close the memo to stop it.
+Besides that reader, a memo runs git only to check once that the clone
+is not shallow, to diff a commit and to walk a range.  The module-level
+functions start from an empty memo on every call and close it.  A
+`CommitTree` is a commit's files plus edits held in memory, so patching
 one writes nothing to disk.  File contents travel as str with
 surrogateescape so arbitrary bytes survive the Python layer unchanged.
 """
@@ -14,7 +17,6 @@ surrogateescape so arbitrary bytes survive the Python layer unchanged.
 from __future__ import annotations
 
 import fcntl
-import functools
 import hashlib
 import os
 import subprocess
@@ -209,8 +211,11 @@ _LOG_ARGS = (
     "--first-parent",
     "--name-only",
     "--no-renames",
-    "--format=%x01%H%x00%h%x00%ct%x00%at%x00%T%x00%P",
+    "-z",
+    "--format=%x01%H%x00%ct%x00%at%x00%T%x00%P",
 )
+
+SHORT_ID = 12  # hex digits of a commit id its CommitRef shows
 
 # runs git with the given arguments in one repository, as `run_git` does
 Git = Callable[..., subprocess.CompletedProcess]
@@ -220,31 +225,46 @@ def _log(git: Git, *revs: str) -> List[CommitRef]:
     """CommitRefs of `git log --first-parent` over `revs`, in log order."""
     proc = git(*_LOG_ARGS, *revs, "--")
     refs: List[CommitRef] = []
-    for block in proc.stdout.split("\x01"):
-        if not block.strip():
-            continue
-        head, _, names_blob = block.partition("\n")
-        full, short, ct, at, tree, parents_raw = head.split("\x00")
+    for block in proc.stdout.split("\x01")[1:]:
+        full, ct, at, tree, parents_raw, *names = block.split("\0")
+        # a NUL ends the header, and a newline starts the names, if any
+        if names and names[0].startswith("\n"):
+            names[0] = names[0][1:]
         refs.append(
             CommitRef(
                 id=full,
-                short_id=short,
+                short_id=full[:SHORT_ID],
                 timestamp=int(ct),
                 author_timestamp=int(at),
-                parents=tuple(parents_raw.split()) if parents_raw else (),
-                touched_files=tuple(ln for ln in names_blob.split("\n") if ln),
+                parents=tuple(parents_raw.split()),
+                touched_files=tuple(name for name in names if name),
                 tree=tree,
             )
         )
     return refs
 
 
-def _rev_parse(git: Git, repo: Path, name: str) -> str:
-    """Full id of the commit `name` points at in `repo`; tags are peeled."""
-    proc = git("rev-parse", "--verify", "--quiet", f"{name}^{{commit}}", check=False)
-    if proc.returncode != 0:
-        raise UnknownRef(f"{name!r} does not name a commit in {repo}")
-    return proc.stdout.strip()
+def _parse_commit(data: bytes) -> Tuple[str, Tuple[str, ...], int, int]:
+    """The root tree, the parents and the committer and author timestamps
+    (UTC epoch seconds) of a raw commit object, read from its headers."""
+    tree = ""
+    parents: List[str] = []
+    stamps: Dict[bytes, int] = {}
+    for line in data.partition(b"\n\n")[0].split(b"\n"):
+        key, _, value = line.partition(b" ")  # a continuation line has no key
+        if key == b"tree" and not tree:
+            tree = value.decode()
+        elif key == b"parent":
+            parents.append(value.decode())
+        elif key in (b"author", b"committer"):
+            # `name <email> seconds zone`: the email may hold spaces
+            stamps.setdefault(key, int(value.rpartition(b">")[2].split()[0]))
+    return tree, tuple(parents), stamps[b"committer"], stamps[b"author"]
+
+
+def _width(oid: str) -> int:
+    """Bytes of an object id in a raw tree: SHA-256 or SHA-1."""
+    return 32 if len(oid) == 64 else 20
 
 
 def _entry_mode(mode: bytes) -> str:
@@ -325,9 +345,12 @@ class CommitMemo:
     Objects are read over one `git cat-file --batch` process, the
     memo's *reader*, started by the first read and stopped by `close()`
     (or on leaving a `with` block, or when the memo is garbage); a later
-    read starts a new one.  A memo that only resolves, diffs or walks a
-    range starts no reader.  `spawns` counts the git processes the memo
-    started, reader starts included.
+    read starts a new one.  Names are resolved over the reader too: it
+    peels `<name>^{commit}` and returns the commit object, whose headers
+    give the CommitRef's tree, parents and timestamps, and whose tree,
+    compared with its first parent's, gives the files it touched.  Only
+    `diff` and `between` start a git process of their own.  `spawns`
+    counts the git processes the memo started, reader starts included.
     """
 
     def __init__(self, repo: Path):
@@ -360,9 +383,12 @@ class CommitMemo:
         self.spawns += 1
         return run_git(self.repo, *args, check=check)
 
-    def _commit_id(self, name: str) -> str:
-        if name in self._refs:
-            return name
+    def _peeled(self, name: str) -> Tuple[str, bytes]:
+        """The full id and the raw object of the commit `name` points at."""
+        # the reader takes one name per line, and no ref name holds a space
+        # or a control character
+        if not name or " " in name or not name.isprintable():
+            raise UnknownRef(f"{name!r} does not name a commit in {self.repo}")
         if not self._full_history:
             shallow = self._git("rev-parse", "--is-shallow-repository")
             if shallow.stdout.strip() == "true":
@@ -370,7 +396,11 @@ class CommitMemo:
                     f"{self.repo} is a shallow clone; fetch full history first"
                 )
             self._full_history = True
-        return _rev_parse(self._git, self.repo, name)
+        ((oid, data),) = self._objects([name], b"commit", peel=True)
+        return oid, data
+
+    def _commit_id(self, name: str) -> str:
+        return name if name in self._refs else self._peeled(name)[0]
 
     def resolve(self, name: str) -> CommitRef:
         """Resolve a branch, tag or abbreviated id to a CommitRef.
@@ -378,11 +408,56 @@ class CommitMemo:
         Tags are peeled to the commit they point at.  Shallow clones are
         refused because every range operation here assumes full history.
         """
-        commit_id = self._commit_id(name)
-        ref = self._refs.get(commit_id)
+        ref = self._refs.get(name)
         if ref is None:
-            ref = self._refs[commit_id] = _log(self._git, "-1", commit_id)[0]
+            oid, data = self._peeled(name)
+            ref = self._refs.get(oid)
+            if ref is None:
+                tree, parents, committed, authored = _parse_commit(data)
+                before = self._tree_of(parents[0]) if parents else None
+                ref = self._refs.setdefault(oid, CommitRef(
+                    id=oid,
+                    short_id=oid[:SHORT_ID],
+                    timestamp=committed,
+                    author_timestamp=authored,
+                    parents=parents,
+                    touched_files=self._touched(before, tree),
+                    tree=tree,
+                ))
         return ref
+
+    def _tree_of(self, commit_id: str) -> str:
+        """The root tree of the commit `commit_id`."""
+        ref = self._refs.get(commit_id)
+        if ref is not None:
+            return ref.tree
+        ((_, data),) = self._objects([commit_id], b"commit")
+        return _parse_commit(data)[0]
+
+    def _touched(self, before: Optional[str], after: str) -> Tuple[str, ...]:
+        """Paths of the files, symlinks and gitlinks that differ between
+        the root trees `before` (None: the empty tree) and `after`, sorted
+        as `git log --name-only` lists them: by their bytes."""
+        touched = set()
+        level: List[Tuple[str, Optional[str], Optional[str]]] = [("", before, after)]
+        while level:  # one exchange per level of changed trees
+            wanted = {tree for _, old, new in level for tree in (old, new) if tree}
+            trees = self._read_trees(wanted, _width(after))
+            deeper = []
+            for prefix, old, new in level:
+                was = {name: (mode, oid) for name, mode, oid in trees[old]} if old else {}
+                now = {name: (mode, oid) for name, mode, oid in trees[new]} if new else {}
+                for name in was.keys() | now.keys():
+                    sides = (was.get(name), now.get(name))
+                    if sides[0] == sides[1]:
+                        continue
+                    subtrees = [s[1] if s and s[0] == MODE_TREE else None for s in sides]
+                    if any(subtrees):
+                        deeper.append((f"{prefix}{name}/", *subtrees))
+                    if any(s and s[0] != MODE_TREE for s in sides):
+                        touched.add(prefix + name)
+            level = deeper
+        return tuple(sorted(touched, key=os.fsencode))
 
     def between(self, base: str, tip: str) -> CommitRange:
         """First-parent path (base, tip], oldest first."""
@@ -433,21 +508,10 @@ class CommitMemo:
         a checkout writes it; a submodule, which a checkout leaves as an
         empty directory, is not listed."""
         ref = self.resolve(commit)
-        width = 32 if len(ref.id) == 64 else 20  # SHA-256 or SHA-1 ids
         trees: Dict[str, List[Entry]] = {}
         level = [ref.tree]
         while level:  # one exchange per level of new trees
-            missing = []
-            for tree in level:
-                entries = _recall(self._trees, tree)
-                if entries is None:
-                    missing.append(tree)
-                else:
-                    trees[tree] = entries
-            for tree, data in zip(missing, list(self._objects(missing, b"tree"))):
-                trees[tree] = self._trees[tree] = _parse_tree(data, width)
-                if len(self._trees) > TREE_MEMO:
-                    self._trees.popitem(last=False)
+            trees.update(self._read_trees(level, _width(ref.id)))
             level = list({
                 oid for tree in level for _, mode, oid in trees[tree]
                 if mode == MODE_TREE and oid not in trees
@@ -456,12 +520,29 @@ class CommitMemo:
         _flatten(trees, ref.tree, "", found)
         return found
 
+    def _read_trees(self, tree_ids: Iterable[str], width: int) -> Dict[str, List[Entry]]:
+        """The entries of each tree of `tree_ids`, remembered or read in
+        one exchange."""
+        trees: Dict[str, List[Entry]] = {}
+        missing = []
+        for tree in tree_ids:
+            entries = _recall(self._trees, tree)
+            if entries is None:
+                missing.append(tree)
+            else:
+                trees[tree] = entries
+        for tree, (_, data) in zip(missing, list(self._objects(missing, b"tree"))):
+            trees[tree] = self._trees[tree] = _parse_tree(data, width)
+            if len(self._trees) > TREE_MEMO:
+                self._trees.popitem(last=False)
+        return trees
+
     def text(self, oid: str) -> str:
         """The blob `oid` as text, as `read_file` reads a file."""
         text = _recall(self._texts, oid)
         if text is not None:
             return text
-        (data,) = self._objects([oid], b"blob")
+        ((_, data),) = self._objects([oid], b"blob")
         text = self._texts[oid] = decode_text(data)
         if len(self._texts) > TEXT_MEMO:
             self._texts.popitem(last=False)
@@ -471,30 +552,43 @@ class CommitMemo:
         """The contents of the blobs `oids`, in order, one at a time.  Until
         the stream is finished or closed, another read of this memo raises
         GitGatewayError in the stream's thread and waits in any other."""
-        return self._objects(oids, b"blob")
+        with closing(self._objects(oids, b"blob")) as replies:
+            for _, data in replies:
+                yield data
 
-    def _objects(self, oids: Sequence[str], kind: bytes) -> Iterator[bytes]:
-        """The contents of the objects `oids` of type `kind`, in order, from
-        the reader, which gets up to `CAT_FILE_BATCH` ids before their
-        replies are read.  A stream closed before its last reply, or a
-        reply that is missing or short, stops the reader, so that no
-        unread reply can answer a later request."""
+    def _objects(
+        self, requests: Sequence[str], kind: bytes, peel: bool = False
+    ) -> Iterator[Tuple[str, bytes]]:
+        """The id and contents of each object of type `kind` that
+        `requests` name, in order, from the reader, which gets up to
+        `CAT_FILE_BATCH` requests before their replies are read.  A request
+        is an object id or, with `peel`, a name that is peeled to `kind`;
+        one that names no such object raises UnknownRef with `peel`, else
+        GitGatewayError.  A stream closed before its last reply, or a
+        reply that is short or not the one asked for, stops the reader, so
+        that no unread reply can answer a later request."""
         me = threading.get_ident()
         if self._streaming == me:
             raise GitGatewayError(f"a read of {self.repo} while its object stream is open")
         with self._lock:
             self._streaming = me
-            pending = len(oids)
+            pending = len(requests)
             try:
-                for start in range(0, len(oids), CAT_FILE_BATCH):
-                    batch = oids[start : start + CAT_FILE_BATCH]
+                for start in range(0, len(requests), CAT_FILE_BATCH):
+                    batch = requests[start : start + CAT_FILE_BATCH]
+                    if peel:
+                        batch = [f"{name}^{{{kind.decode()}}}" for name in batch]
                     reader = self._started()
-                    reader.stdin.write("".join(f"{oid}\n" for oid in batch).encode())
+                    reader.stdin.write("".join(f"{line}\n" for line in batch).encode())
                     reader.stdin.flush()
-                    for oid in batch:
-                        data = self._reply(reader, oid, kind)
+                    for line in batch:
+                        reply = self._reply(reader, line, kind, peel)
                         pending -= 1
-                        yield data
+                        if reply is None:
+                            raise (UnknownRef if peel else GitGatewayError)(
+                                f"{line} names no {kind.decode()} in {self.repo}"
+                            )
+                        yield reply
             finally:
                 self._streaming = None
                 if pending:
@@ -512,15 +606,21 @@ class CommitMemo:
             self._stop_reader = weakref.finalize(self, _stop, self._reader)
         return self._reader
 
-    def _reply(self, reader: subprocess.Popen, oid: str, kind: bytes) -> bytes:
+    def _reply(
+        self, reader: subprocess.Popen, line: str, kind: bytes, peel: bool
+    ) -> Optional[Tuple[str, bytes]]:
+        """The id and contents of the object the reader returns for the
+        request `line`, or None when it has none (a one-line reply)."""
         header = reader.stdout.readline().split()
-        if len(header) != 3 or header[0] != oid.encode() or header[1] != kind:
-            raise GitGatewayError(f"git cat-file has no {kind.decode()} {oid} in {self.repo}")
+        if len(header) == 2 and header[1] in (b"missing", b"ambiguous"):
+            return None
+        if len(header) != 3 or header[1] != kind or not (peel or header[0] == line.encode()):
+            raise GitGatewayError(f"git cat-file gave no {kind.decode()} for {line} in {self.repo}")
         size = int(header[2])
         data = reader.stdout.read(size)
         if len(data) != size or reader.stdout.read(1) != b"\n":
-            raise GitGatewayError(f"git cat-file cut {oid} short in {self.repo}")
-        return data
+            raise GitGatewayError(f"git cat-file cut {line} short in {self.repo}")
+        return header[0].decode(), data
 
 
 class CommitTree:
@@ -610,17 +710,20 @@ class CommitTree:
 
 def resolve_ref(repo: Path, name: str) -> CommitRef:
     """`CommitMemo.resolve` with nothing remembered."""
-    return CommitMemo(repo).resolve(name)
+    with CommitMemo(repo) as memo:
+        return memo.resolve(name)
 
 
 def commits_between(repo: Path, base: str, tip: str) -> CommitRange:
     """`CommitMemo.between` with nothing remembered."""
-    return CommitMemo(repo).between(base, tip)
+    with CommitMemo(repo) as memo:
+        return memo.between(base, tip)
 
 
 def commit_diff(repo: Path, commit: str, context: int = 3) -> SourcePatch:
     """`CommitMemo.diff` with nothing remembered."""
-    return CommitMemo(repo).diff(commit, context)
+    with CommitMemo(repo) as memo:
+        return memo.diff(commit, context)
 
 
 def checkout_worktree(repo: Path, commit: str, dest: Path) -> Worktree:
@@ -632,7 +735,10 @@ def checkout_worktree(repo: Path, commit: str, dest: Path) -> Worktree:
     dest = Path(dest)
     if dest.exists() and any(dest.iterdir()):
         raise DirtyDestination(f"{dest} exists and is not empty")
-    commit_id = _rev_parse(functools.partial(run_git, repo), repo, commit)
+    proc = run_git(repo, "rev-parse", "--verify", "--quiet", f"{commit}^{{commit}}", check=False)
+    if proc.returncode != 0:
+        raise UnknownRef(f"{commit!r} does not name a commit in {repo}")
+    commit_id = proc.stdout.strip()
     if dest.exists():
         dest.rmdir()  # `git worktree add` wants to create it
     with _worktree_list_lock(repo):

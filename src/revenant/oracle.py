@@ -8,7 +8,9 @@ on-disk store keyed by content hash, so a tree probed again, by any
 oracle sharing the store, is never rebuilt.  The store also keeps, for
 each built verdict, a trace of the tree files the build and the PoC
 read, so a tree that agrees with it on those files and on its listing is
-answered without a build.
+answered without a build.  Each build step and PoC run is one child
+process, started cheaply (`run_limited`): `/bin/sh` sets its limits and
+execs it in its own process group, under a wall-clock budget.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import hashlib
 import json
 import os
 import re
-import resource
 import shlex
 import shutil
 import signal
@@ -193,11 +194,21 @@ def classify_detector_output(text: str) -> Optional[DetectorHit]:
 # ---------- process running ----------
 
 
-def _set_limits():
-    # no core dumps, bounded output files; address space is left alone
-    # because sanitizer runtimes reserve huge shadow mappings
-    resource.setrlimit(resource.RLIMIT_CORE, (0, 0))
-    resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 30, 1 << 30))
+# Every build step and PoC run starts as `sh -c LIMITED LAUNCHER argv...`:
+# the shell sets the limits and then execs argv in its place.  No Python
+# code runs between fork and exec, so `subprocess` can vfork instead of
+# copying the interpreter.  The limits: no core dumps, and output files of
+# at most 1 GiB (`ulimit -f` counts 512-byte blocks), soft and hard; the
+# address space is left alone because sanitizer runtimes reserve huge
+# shadow mappings.  A limit the shell cannot set, or a program it cannot
+# exec, is reported by the shell under its `$0`, LAUNCHER.  Like POSIX
+# `exec`, the shell runs an executable without a `#!` line as a shell
+# script, where exec(2) would fail with ENOEXEC.
+LIMITED = 'ulimit -c 0 && ulimit -f 2097152 && exec "$@"'
+LAUNCHER = "revenant-launch"
+# how long the pipe may stay open after a timed-out run's process group is
+# killed: a process that left the group can hold it for ever
+DRAIN_DEADLINE = 1.0  # seconds
 
 
 @dataclass
@@ -216,34 +227,45 @@ def run_limited(
     timeout: float,
     counters: Optional[Dict[str, int]] = None,
 ) -> RunResult:
-    """Run a command with a wall-clock budget in its own process group."""
+    """Run a command under the limits of `LIMITED`, with a wall-clock
+    budget, in its own process group, and return its merged stdout and
+    stderr.  A command that cannot be started, or whose limits cannot be
+    set, gives `spawn_error`.  On a timeout the group is killed and what
+    the pipe yields within `DRAIN_DEADLINE` is returned."""
     if counters is not None:
         counters["subprocess_launches"] = counters.get("subprocess_launches", 0) + 1
     t0 = time.monotonic()
     try:
         proc = subprocess.Popen(
-            argv,
+            ["/bin/sh", "-c", LIMITED, LAUNCHER, *argv],
             cwd=str(cwd),
             env=env,
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             start_new_session=True,
-            preexec_fn=_set_limits,
         )
     except OSError as exc:
         return RunResult(-1, "", time.monotonic() - t0, False, spawn_error=str(exc))
+    timed_out = False
     try:
         out, _ = proc.communicate(timeout=timeout)
-        timed_out = False
     except subprocess.TimeoutExpired:
+        timed_out = True
         try:
             os.killpg(proc.pid, signal.SIGKILL)
         except ProcessLookupError:
             pass
-        out, _ = proc.communicate()
-        timed_out = True
+        try:
+            out, _ = proc.communicate(timeout=DRAIN_DEADLINE)
+        except subprocess.TimeoutExpired as exc:
+            out = exc.output  # all the pipe gave, over both waits
+            proc.kill()  # in case it left its group, so the wait ends
+            proc.stdout.close()
+            proc.wait()
     wall = time.monotonic() - t0
     text = out.decode("utf-8", errors="replace") if out else ""
+    if proc.returncode != 0 and text.startswith(f"{LAUNCHER}:"):
+        return RunResult(proc.returncode, "", wall, timed_out, spawn_error=text.strip())
     return RunResult(proc.returncode, text, wall, timed_out)
 
 

@@ -88,6 +88,24 @@ class TestTiers:
         assert payload["tiers"]["latest"]["status"] == "port-conflict"
 
 
+    def test_three_tiers_resolve_their_names_over_the_reader(self, tmp_path, fixture, capsys,
+                                                             monkeypatch):
+        tiers = {"reference": fixture.fix, "breaker": fixture.breakers[0]["id"][:12],
+                 "latest": "main"}
+        case = write_case(tmp_path, fixture, tiers=tiers)
+        calls = []
+        real = gitio.run_git
+        monkeypatch.setattr(gitio, "run_git",
+                            lambda repo, *args, **kw: calls.append(args) or real(repo, *args, **kw))
+        assert main(["tiers", "--config", str(case)]) == 0
+        fields = summary(capsys)
+        assert (fields["reference"], fields["latest"]) == ("triggered", "port-conflict")
+        payload = json.loads((tmp_path / "ws" / CVE / "tiers.json").read_text())
+        assert sorted(payload["tiers"]) == sorted(tiers)
+        assert calls and not [args for args in calls if args[:2] == ("rev-parse", "--verify")]
+        assert not [args for args in calls if args[0] == "log" and "-1" in args]
+        assert calls.count(("rev-parse", "--is-shallow-repository")) == 1
+
 class TestBisect:
     def test_finds_planted_breaker(self, tmp_path, fixture, capsys):
         case = write_case(tmp_path, fixture)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
 import os
 import random
 import shutil
@@ -286,13 +288,17 @@ def test_listings_of_a_make_project_match_ls_tree(tmp_path):
     assert_listings_match_ls_tree(repo)
 
 
-def test_listing_keeps_modes_links_and_odd_names_and_skips_gitlinks(tmp_path):
+ODD = b"caf\xe9 two\nlines.txt"  # a space, a byte that is not UTF-8, a newline
+
+
+def odd_repo(tmp_path) -> RepoBuilder:
+    """A repository with an executable, file and directory symlinks,
+    nested directories, a gitlink and a file named `ODD`."""
     rb = RepoBuilder(tmp_path / "repo")
     (rb.root / "src" / "deep").mkdir(parents=True)
     (rb.root / "link.c").symlink_to("src/deep/core.c")
     (rb.root / "dir-link").symlink_to("src")
-    odd = b"caf\xe9 two\nlines.txt"  # a space, a byte that is not UTF-8, a newline
-    with open(os.path.join(os.fsencode(rb.root / "src"), odd), "wb") as f:
+    with open(os.path.join(os.fsencode(rb.root / "src"), ODD), "wb") as f:
         f.write(b"odd\n")
     rb.commit({"src/deep/core.c": "int core;\n", "run.sh": "#!/bin/sh\n"}, "base")
     (rb.root / "run.sh").chmod(0o755)
@@ -300,11 +306,16 @@ def test_listing_keeps_modes_links_and_odd_names_and_skips_gitlinks(tmp_path):
     # a submodule's commit, which a checkout leaves as an empty directory
     rb.git("update-index", "--add", "--cacheinfo", f"160000,{rb.head()},vendor/sub")
     rb.git("commit", "-q", "-m", "add a submodule")
+    return rb
+
+
+def test_listing_keeps_modes_links_and_odd_names_and_skips_gitlinks(tmp_path):
+    rb = odd_repo(tmp_path)
     assert_listings_match_ls_tree(rb.root)
     with CommitMemo(rb.root) as memo:
         listing = memo.listing("HEAD")
     assert sorted(listing) == sorted(["dir-link", "link.c", "run.sh", "src/deep/core.c",
-                                      "src/" + os.fsdecode(odd)])
+                                      "src/" + os.fsdecode(ODD)])
     assert listing["run.sh"][0] == MODE_EXEC
     assert listing["link.c"][0] == listing["dir-link"][0] == MODE_LINK
 
@@ -351,10 +362,121 @@ def test_a_listing_reads_only_the_trees_its_commit_changed(repo):
     repo.commit({"src/deep/core.c": "int core;\n", "docs/a.txt": "a\n"}, "nest")
     with CommitMemo(repo.root) as memo:
         memo.listing("HEAD")
-        assert len(memo._trees) == 4  # the root, src, src/deep and docs
+        # the root, src, src/deep and docs, and the parent's root and src,
+        # which resolving compared to find the touched files
+        assert len(memo._trees) == 6
         repo.commit({"src/deep/core.c": "int core2;\n"}, "edit a nested file")
         memo.listing("HEAD")
-        assert len(memo._trees) == 7  # a new root, src and src/deep
+        assert len(memo._trees) == 9  # a new root, src and src/deep
+
+
+# ---------- names resolved over the reader ----------
+
+
+def log_ref(repo, name):
+    """The CommitRef of `name` as `git log -1` gives it: the reference for
+    `CommitMemo.resolve`."""
+    (ref,) = gitio._log(lambda *args: gitio.run_git(repo, *args), "-1", name)
+    return ref
+
+
+def assert_refs_match_git_log(repo):
+    """Every commit's CommitRef, built from the objects a memo reads, equals
+    `git log -1`'s, whether its parent was resolved before it or not."""
+    commits = subprocess.run(["git", "-C", str(repo), "rev-list", "--all"],
+                             capture_output=True, text=True, check=True).stdout.split()
+    assert commits
+    for order in (commits, commits[::-1]):  # newest first, then oldest first
+        with CommitMemo(repo) as memo:
+            for commit in order:
+                ref = memo.resolve(commit)
+                assert ref == log_ref(repo, commit), commit
+                assert ref.short_id == commit[:12]
+
+
+@pytest.mark.parametrize("source", ["forged", "make project", "hand-built"])
+def test_refs_built_over_the_reader_match_git_log(tmp_path, source):
+    if source == "forged":
+        repo = forge_repo(tmp_path, ["C1", "C4", "C5", "C3"]).repo
+    elif source == "make project":
+        repo, *_ = forge_make_project(tmp_path, ["C5", "C3"], notes=True)
+    else:
+        repo = odd_repo(tmp_path).root
+        with CommitMemo(repo) as memo:
+            assert "src/" + os.fsdecode(ODD) in memo.resolve("t0").touched_files
+    assert_refs_match_git_log(repo)
+
+
+def test_resolving_follows_merges_tags_type_changes_and_moving_branches(repo):
+    repo.commit({"a": "file\n", "a.c": "x\n", "a0": "y\n"}, "siblings of a")
+    repo.git("rm", "-q", "a")
+    repo.commit({"a/inner": "dir\n", "a.c": "x2\n"}, "a becomes a directory")
+    (repo.root / "run").symlink_to("a/inner")
+    repo.commit({}, "a symlink")
+    (repo.root / "README").chmod(0o755)
+    repo.commit({}, "a mode change", delete=["a0"])
+    repo.git("checkout", "-q", "-b", "side", "t1")
+    repo.commit({"side.txt": "side\n", "src/main.c": "side\n"}, "side work", tag=False)
+    repo.git("checkout", "-q", "main")
+    repo.git("merge", "-q", "--no-ff", "--no-edit", "side")
+    repo.git("tag", "-a", "-m", "annotated", "v1.0")
+    assert_refs_match_git_log(repo.root)
+    with CommitMemo(repo.root) as memo:
+        merge = memo.resolve("v1.0")
+        assert merge == log_ref(repo.root, "v1.0") == memo.resolve("main")
+        assert len(merge.parents) == 2
+        assert merge.touched_files == ("side.txt", "src/main.c")
+        assert memo.resolve("t2").touched_files == ("a", "a.c", "a/inner")
+        moved = repo.commit({"README": "moved\n"}, "move main")
+        assert memo.resolve("main") == log_ref(repo.root, moved)
+        assert memo.resolve("main").id == moved
+
+
+def ambiguous_prefix(repo) -> str:
+    """Four hex digits that begin the ids of two commits: HEAD and one
+    written here, whose message is chosen so."""
+    head = repo.git("cat-file", "commit", "HEAD").stdout.encode()
+    prefix = repo.head()[:4]
+    for n in range(10_000_000):
+        body = head + b"%d\n" % n
+        if hashlib.sha1(b"commit %d\0%s" % (len(body), body)).hexdigest().startswith(prefix):
+            break
+    written = subprocess.run(["git", "-C", str(repo.root), "hash-object", "-t", "commit",
+                              "-w", "--stdin"], input=body, capture_output=True, check=True)
+    assert written.stdout.decode().startswith(prefix)
+    return prefix
+
+
+def test_unknown_ambiguous_and_spaced_names_leave_the_reader_in_sync(repo, monkeypatch):
+    repo.commit({"src/main.c": TEN.replace("line 5", "line five")}, "edit")
+    prefix = ambiguous_prefix(repo)
+    # git refuses the ambiguous prefix too
+    assert repo.git("rev-parse", "--verify", "--quiet", f"{prefix}^{{commit}}",
+                    check=False).returncode != 0
+    started = record_git(monkeypatch)
+    with CommitMemo(repo.root) as memo:
+        for name in ("", "t0 t1", "t0\nt1", "t0\t", "t0\0", "no-such-ref", prefix,
+                     f"{repo.head()}^{{tree}}"):
+            with pytest.raises(UnknownRef):
+                memo.resolve(name)
+            readme = memo.listing("t0")["README"][1]
+            assert memo.text(readme) == "hello\n"
+            assert memo.resolve("t1") == log_ref(repo.root, "t1")
+    assert started.count("cat-file") == 1
+    assert no_child_left()
+
+
+def test_a_short_reply_stops_the_reader_and_the_next_resolve_works(repo):
+    with CommitMemo(repo.root) as memo:
+        memo.resolve("t0")
+        pipe = memo._reader.stdout
+        # the reply to the next name breaks off after its header
+        memo._reader.stdout = io.BytesIO(b"%s commit 200\ntree " % repo.head().encode())
+        with pytest.raises(GitGatewayError):
+            memo.resolve("main")
+        pipe.close()
+        assert no_child_left()
+        assert memo.resolve("main") == log_ref(repo.root, "t0")
 
 
 # ---------- the memo's reader ----------
@@ -373,16 +495,28 @@ def test_one_reader_serves_listings_texts_and_streams(repo, monkeypatch):
     assert no_child_left()
 
 
-def test_a_memo_that_only_resolves_diffs_and_walks_starts_no_reader(repo, monkeypatch):
+def test_resolving_starts_exactly_one_reader_and_the_wrappers_leave_no_child(
+    repo, monkeypatch
+):
     repo.commit({"src/main.c": TEN.replace("line 5", "line five")}, "edit")
     started = record_git(monkeypatch)
-    memo = CommitMemo(repo.root)
-    memo.diff(memo.between("t0", "t1").tip.id)
-    resolve_ref(repo.root, "t0")
-    commit_diff(repo.root, "t1")
-    commits_between(repo.root, "t0", "t1")
-    assert started and "cat-file" not in started
+    with CommitMemo(repo.root) as memo:
+        memo.diff(memo.between("t0", "t1").tip.id)
+        assert memo.resolve("main") is memo.resolve("t1")
+        assert started == ["rev-parse", "cat-file", "merge-base", "log", "diff"]
+        assert not no_child_left()  # the reader
     assert no_child_left()
+    closed = []
+    real_close = CommitMemo.close
+    monkeypatch.setattr(CommitMemo, "close", lambda memo: closed.append(memo) or real_close(memo))
+    for wrapper, args in ((resolve_ref, ("t0",)), (commit_diff, ("t1",)),
+                          (commits_between, ("t0", "t1"))):
+        del started[:]
+        wrapper(repo.root, *args)
+        assert started.count("cat-file") == 1, wrapper.__name__
+        assert len(closed) == 1, wrapper.__name__
+        del closed[:]
+        assert no_child_left(), wrapper.__name__
 
 
 def test_a_dropped_memo_is_reaped(repo):

@@ -1,10 +1,12 @@
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import textwrap
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -195,6 +197,117 @@ class TestBuild:
         out = build(tmp_path, recipe)
         assert not out.ok
         assert "TIMEOUT" in out.log_excerpt
+
+
+def _limits(text: str) -> dict:
+    """Soft and hard limit of core and file size in `/proc/<pid>/limits`."""
+    found = {}
+    for line in text.splitlines():
+        for name in ("Max core file size", "Max file size"):
+            if line.startswith(name + " "):
+                found[name] = line[len(name):].split()[:2]
+    return found
+
+
+LIMITS = {"Max core file size": ["0", "0"], "Max file size": ["1073741824", "1073741824"]}
+needs_proc = pytest.mark.skipif(not Path("/proc/self/limits").exists(),
+                                reason="no /proc/self/limits")
+
+
+class TestLaunches:
+    """Each build step and PoC run is exec'd by `/bin/sh` under its limits;
+    what the shell reports is a spawn failure, what the program does is
+    not."""
+
+    @needs_proc
+    def test_a_build_step_and_a_poc_run_under_the_limits(self, tmp_path):
+        recipe = BuildRecipe.make(["cat /proc/self/limits > limits.txt"], ["limits.txt"])
+        assert build(tmp_path, recipe).ok
+        assert _limits((tmp_path / "limits.txt").read_text()) == LIMITS
+        tool = _script(tmp_path, "t", "grep -E '^Max (core )?file size' /proc/self/limits\n")
+        poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path))
+        v = run_poc([tool], poc, cwd=tmp_path)
+        assert v.kind == KIND_NOT_TRIGGERED
+        assert _limits(v.evidence) == LIMITS
+
+    @staticmethod
+    def _path_with(tmp_path, *tools) -> str:
+        """A directory holding only `tools`, linked from the host's PATH."""
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        for tool in tools:
+            (bin_dir / tool).symlink_to(shutil.which(tool))
+        return str(bin_dir)
+
+    def test_a_missing_valgrind_is_a_sandbox_failure_never_stored(self, tmp_path):
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        _script(tree, "tool.sh", "echo ran\n")
+        recipe = BuildRecipe.make(["cp tool.sh tool"], ["tool"], sanitizer=SANITIZER_VALGRIND,
+                                  env={"PATH": self._path_with(tmp_path, "sh", "cp")})
+        poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path))
+        oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
+        for builds in (1, 2):
+            v = oracle.verdict(tree, recipe, poc)
+            assert (v.kind, v.storable) == (KIND_SANDBOX_FAILURE, False)
+            assert v.evidence.startswith(f"{oracle_mod.LAUNCHER}:") and "valgrind" in v.evidence
+            assert oracle.counters["builds"] == builds
+        assert not list((tmp_path / "store").glob("*.json"))
+
+    def test_a_missing_step_command_is_a_transient_build_failure(self, tmp_path):
+        tree = _demo_tree(tmp_path)
+        # no `sh` on the recipe's PATH: the launcher cannot exec the step
+        recipe = BuildRecipe.make(["true"], ["demo"],
+                                  env={"PATH": self._path_with(tmp_path, "cp")})
+        poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path))
+        oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
+        for builds in (1, 2):
+            v = oracle.verdict(tree, recipe, poc)
+            assert (v.kind, v.storable) == (KIND_BUILD_FAILED, False)
+            assert "SPAWN FAILURE" in v.evidence
+            assert oracle.counters["builds"] == builds
+        assert not list((tmp_path / "store").glob("*.json"))
+
+    @pytest.mark.parametrize("code", [126, 127])
+    def test_a_program_that_exits_126_or_127_keeps_its_verdict(self, tmp_path, code):
+        tool = _script(tmp_path, "t", f"echo consumed the input\nexit {code}\n")
+        poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path))
+        v = run_poc([tool], poc, cwd=tmp_path)
+        assert (v.kind, v.storable) == (KIND_NOT_TRIGGERED, True)
+        assert v.evidence == "consumed the input\n"
+
+    def test_a_script_without_a_shebang_runs_under_sh(self, tmp_path):
+        tool = tmp_path / "t"
+        tool.write_text("echo no shebang\n")
+        tool.chmod(0o755)
+        poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path))
+        v = run_poc([str(tool)], poc, cwd=tmp_path)
+        assert (v.kind, v.evidence) == (KIND_NOT_TRIGGERED, "no shebang\n")
+
+    @pytest.mark.skipif(shutil.which("setsid") is None, reason="setsid not installed")
+    def test_an_escaped_grandchild_cannot_hold_a_timed_out_run(self, tmp_path):
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        pid_file = tmp_path / "sleeper.pid"
+        # the sleeper leaves the process group, and holds the output pipe
+        _script(tree, "tool.sh", f"""\
+            setsid sh -c 'echo $$ > "{pid_file}"; exec sleep 20' &
+            sleep 20
+            """)
+        recipe = BuildRecipe.make(["cp tool.sh tool"], ["tool"])
+        poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path), run_timeout=1)
+        oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
+        t0 = time.monotonic()
+        try:
+            v = oracle.verdict(tree, recipe, poc)
+            elapsed = time.monotonic() - t0
+        finally:
+            while not pid_file.exists() and time.monotonic() - t0 < 30:
+                time.sleep(0.05)
+            os.kill(int(pid_file.read_text()), signal.SIGKILL)
+        assert elapsed < poc.run_timeout + oracle_mod.DRAIN_DEADLINE + 1
+        assert (v.kind, v.storable) == (KIND_HANG, False)
+        assert not list((tmp_path / "store").glob("*.json"))
 
 
 DEMO_C = textwrap.dedent(
@@ -904,6 +1017,29 @@ class TestCommitTree:
         assert second.counters == {"cache_hits": 1}
         assert not any("cat-file" in argv for argv in started)
         first.close()
+
+    def test_no_launch_passes_preexec_fn(self, tmp_path, monkeypatch):
+        rb = self._repo(tmp_path)
+        calls = []
+        real = subprocess.Popen
+
+        class Recording(real):
+            def __init__(self, argv, *args, **kwargs):
+                calls.append((argv, kwargs))
+                super().__init__(argv, *args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", Recording)
+        monkeypatch.setattr(oracle_mod, "_compilers", {})  # run `cc --version` too
+        recipe = BuildRecipe.make(["cc -O0 -o demo main.c"], ["demo"])
+        poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path))
+        with CommitMemo(rb.root) as memo:
+            oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
+            assert oracle.verdict(CommitTree(memo, "t1"), recipe, poc).kind == KIND_TRIGGERED
+            oracle.close()
+        launched = [argv[0] for argv, _ in calls]
+        assert launched.count("/bin/sh") == 2  # the build step and the PoC
+        assert "git" in launched and len(launched) > 3
+        assert [argv for argv, kwargs in calls if kwargs.get("preexec_fn") is not None] == []
 
     def test_a_sync_failing_mid_stream_reaps_git(self, tmp_path):
         rb = RepoBuilder(tmp_path / "repo")
