@@ -23,7 +23,6 @@ from . import __version__
 from .categorize import categorize_commit, tally
 from .config import CaseConfig, ConfigError, default_workspace, load_case
 from .curation import (
-    MODE_STATIC,
     POLICY_LATEST_FIRST,
     POLICY_MAX_SUBSET,
     SuiteCrashed,
@@ -42,6 +41,7 @@ from .porter import (
     FINAL_REVIVED,
     PortError,
     Porter,
+    RECORD_SCHEMA,
     RevivalRecord,
     find_breaking_commit,
     probe_answer,
@@ -297,7 +297,7 @@ def cmd_manifest(args) -> int:
             return EXIT_PRECONDITION
         records.append(RevivalRecord.from_json(record_path.read_text("utf-8")))
 
-    graph = detect_conflicts(records, mode=MODE_STATIC)
+    graph = detect_conflicts(records)
     functionality = None
     if args.suite:
         if not args.suite_cwd:
@@ -373,7 +373,7 @@ def _sniff_report_rows(paths: Sequence[str]) -> Tuple[List[dict], List[RevivalRe
     records = []
     for path in paths:
         data = json.loads(Path(path).read_text("utf-8"))
-        if isinstance(data, dict) and data.get("schema") == "revival-record/1":
+        if isinstance(data, dict) and data.get("schema") == RECORD_SCHEMA:
             records.append(RevivalRecord.from_dict(data))
         elif isinstance(data, dict) and "tiers" in data:
             matrix_rows.append(

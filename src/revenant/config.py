@@ -157,7 +157,7 @@ def parse_case(data: dict, base_dir: Path, source: str = "<memory>") -> CaseConf
         artifact_paths=_str_list(build_raw, "artifacts", f"{where}: build"),
         env=env,
         sanitizer=_SANITIZERS[sanitizer_name],
-        timeout=_num(build_raw, "timeout", f"{where}: build", 1200),
+        timeout=_num(build_raw, "timeout", f"{where}: build", BuildRecipe.timeout),
     )
 
     poc_raw = data.get("poc")
@@ -169,9 +169,10 @@ def parse_case(data: dict, base_dir: Path, source: str = "<memory>") -> CaseConf
     poc = PocSpec(
         command=command,
         input_file=input_file,
-        expected_detector=poc_raw.get("expected_detector", ""),
-        run_timeout=float(_num(poc_raw, "run_timeout", f"{where}: poc", 30.0)),
-        hang_is_trigger=_bool(poc_raw, "hang_is_trigger", f"{where}: poc", False),
+        expected_detector=poc_raw.get("expected_detector", PocSpec.expected_detector),
+        run_timeout=float(_num(poc_raw, "run_timeout", f"{where}: poc", PocSpec.run_timeout)),
+        hang_is_trigger=_bool(poc_raw, "hang_is_trigger", f"{where}: poc",
+                              PocSpec.hang_is_trigger),
     )
     _expect(isinstance(poc.expected_detector, str),
             f"{where}: poc.expected_detector must be a string")

@@ -12,7 +12,7 @@ import json
 import re
 import subprocess
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .porter import FINAL_REVIVED, Limits, RevivalRecord
 
@@ -20,10 +20,6 @@ RULE_COMPLEXITY = "complexity"
 RULE_INTERCOMPAT = "intercompatibility"
 
 REASON_OVERLAP = "overlapping-region"
-REASON_ORACLE = "oracle-regression"
-
-MODE_STATIC = "static"
-MODE_ORACLE_CONFIRMED = "oracle-confirmed"
 
 POLICY_LATEST_FIRST = "latest-first"
 POLICY_MAX_SUBSET = "max-subset"
@@ -180,27 +176,17 @@ def _revert_dependency(ra: RevivalRecord, rb: RevivalRecord) -> Optional[str]:
     return None
 
 
-def detect_conflicts(
-    records: Sequence[RevivalRecord],
-    mode: str = MODE_STATIC,
-    joint_check: Optional[Callable[[RevivalRecord, RevivalRecord], bool]] = None,
-) -> ConflictGraph:
+def detect_conflicts(records: Sequence[RevivalRecord]) -> ConflictGraph:
     """Build the pairwise conflict graph for records revived at one target.
 
-    Static mode over-approximates: any line-region overlap in the same file
-    counts, as does one record reverting a commit another record's port was
-    derived from. Oracle-confirmed mode additionally consults joint_check,
-    which must apply the pair together and report whether both PoCs still
-    trigger.
+    The check is static and over-approximates: any line-region overlap in
+    the same file counts, as does one record reverting a commit another
+    record's port was derived from.
     """
     recs = list(records)
     targets = {r.target for r in recs}
     if len(targets) > 1:
         raise ValueError(f"records target different commits: {sorted(targets)}")
-    if mode not in (MODE_STATIC, MODE_ORACLE_CONFIRMED):
-        raise ValueError(f"unknown conflict mode: {mode!r}")
-    if mode == MODE_ORACLE_CONFIRMED and joint_check is None:
-        raise ValueError("oracle-confirmed mode needs a joint_check callable")
 
     graph = ConflictGraph(r.cve for r in recs)
     for i, ra in enumerate(recs):
@@ -212,12 +198,6 @@ def detect_conflicts(
             hit = _overlap_evidence(ra, rb)
             if hit:
                 graph.add_edge(ra.cve, rb.cve, REASON_OVERLAP, hit)
-                continue
-            if mode == MODE_ORACLE_CONFIRMED and not joint_check(ra, rb):
-                graph.add_edge(
-                    ra.cve, rb.cve, REASON_ORACLE,
-                    "joint application degrades a previously triggered verdict",
-                )
     return graph
 
 

@@ -32,11 +32,10 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from .patchcore import (
     ApplyReport,
     MODE_CREATED,
-    MODE_DELETED,
     SourcePatch,
-    apply_file_patch,
     invert,
     parse_unified_diff,
+    stage_patch,
 )
 
 ENCODING = "utf-8"
@@ -749,70 +748,43 @@ def checkout_worktree(repo: Path, commit: str, dest: Path) -> Worktree:
     return Worktree(repo=repo, commit=commit_id, path=dest)
 
 
+def tree_reader(tree) -> Callable[[str], Optional[str]]:
+    """Read `tree` (anything with `exists` and `read`) as `stage_patch`
+    does: a file's text, or None when it is absent."""
+    return lambda relpath: tree.read(relpath) if tree.exists(relpath) else None
+
+
 def revert_onto(
-    tree,
-    commit: str,
-    max_fuzz: int = 0,
-    search_window: int = 200,
-    normalize_trailing_whitespace: bool = False,
-    inverse: Optional[SourcePatch] = None,
+    tree, commit: str, inverse: Optional[SourcePatch] = None, **options
 ) -> List[ApplyReport]:
     """Apply the inverse of `commit`'s diff to `tree`, atomically.
 
     `tree` is a `Worktree` or a `CommitTree`.  Either every hunk of every
     touched file applies and the files are written, or RevertConflict is
-    raised and nothing changes.  Files the commit touched that are absent
-    from the tree are skipped with an empty report (filtered checkouts are
-    legitimate).  A caller that already holds the inverse (see
-    `CommitMemo.inverse`) passes it in.
+    raised and nothing changes.  A text file the commit touched that is
+    absent from the tree, and that the revert does not create, is skipped
+    with an empty report (filtered checkouts are legitimate).  A caller
+    that already holds the inverse (see `CommitMemo.inverse`) passes it
+    in.  `options` are `apply_file_patch`'s keyword arguments.
     """
     if inverse is None:
         inverse = invert(commit_diff(tree.repo, commit))
-    staged: List[Tuple[str, Optional[str]]] = []  # (path, new_content or None=delete)
-    reports: List[ApplyReport] = []
-    failures: List[ApplyReport] = []
-
-    for fp in inverse.files:
-        if fp.is_binary:
-            report = ApplyReport(path=fp.path)
-            failures.append(report)
-            reports.append(report)
-            continue
-        if fp.mode_change == MODE_CREATED:
-            if tree.exists(fp.path):
-                report = ApplyReport(path=fp.path)
-                failures.append(report)
-                reports.append(report)
-                continue
-            content = ""
-        elif not tree.exists(fp.path):
-            # the tree may be a filtered subset; nothing to do here
-            reports.append(ApplyReport(path=fp.path))
-            continue
-        else:
-            content = tree.read(fp.path)
-        new_content, report = apply_file_patch(
-            content,
-            fp,
-            max_fuzz=max_fuzz,
-            search_window=search_window,
-            normalize_trailing_whitespace=normalize_trailing_whitespace,
-        )
-        reports.append(report)
-        if not report.all_applied:
-            failures.append(report)
-            continue
-        staged.append((fp.path, None if fp.mode_change == MODE_DELETED else new_content))
-
-    if failures:
-        paths = ", ".join(r.path for r in failures)
+    kept = [
+        fp.is_binary or fp.mode_change == MODE_CREATED or tree.exists(fp.path)
+        for fp in inverse.files
+    ]
+    staged = stage_patch(
+        tree_reader(tree), [fp for fp, keep in zip(inverse.files, kept) if keep], **options
+    )
+    applied = iter(staged.reports)
+    reports = [
+        next(applied) if keep else ApplyReport(path=fp.path)
+        for fp, keep in zip(inverse.files, kept)
+    ]
+    if staged.conflicts:
+        paths = ", ".join(staged.conflicts)
         raise RevertConflict(f"revert of {commit} conflicts in: {paths}", reports)
-
-    for relpath, content in staged:
-        if content is None:
-            tree.delete(relpath)
-        else:
-            tree.write(relpath, content)
+    staged.write_to(tree)
     return reports
 
 

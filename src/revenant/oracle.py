@@ -70,13 +70,14 @@ class BuildRecipe:
     timeout: int = 1200  # whole-build budget, seconds
 
     @staticmethod
-    def make(steps, artifact_paths, env=None, sanitizer=SANITIZER_NONE, timeout=1200):
+    def make(steps, artifact_paths, env=None, **fields):
+        """A recipe from lists and an env dict; `fields` (`sanitizer`,
+        `timeout`) keep their defaults unless given."""
         return BuildRecipe(
             steps=tuple(steps),
             artifact_paths=tuple(artifact_paths),
             env=tuple(sorted((env or {}).items())),
-            sanitizer=sanitizer,
-            timeout=timeout,
+            **fields,
         )
 
     def stable_hash(self) -> str:

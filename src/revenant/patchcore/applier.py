@@ -8,27 +8,40 @@ hunk is rejected rather than guessed.
 
 With max_fuzz=0 and search_window=0 the behavior is strict application:
 every hunk must match byte-exactly at its declared position.
+
+`stage_patch` is the one way a whole patch is applied to a tree: it stages
+every file's result in memory, and the caller writes them only when no
+file conflicted.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .model import (
     ADD,
     CONTEXT,
+    MODE_CREATED,
+    MODE_DELETED,
     REMOVE,
     FilePatch,
     HunkLine,
     HunkRejected,
+    PatchApplyError,
     join_lines,
     split_lines,
 )
 
 REJECT_NO_ANCHOR = "no-anchor"
 REJECT_AMBIGUOUS = "ambiguous-anchor"
+
+# why `stage_patch` could not patch a file
+CONFLICT_EXISTS = "exists"  # created where a file already is
+CONFLICT_MISSING = "missing"  # changed or deleted where no file is
+CONFLICT_BINARY = "binary"  # a binary patch, which cannot apply textually
+CONFLICT_REJECTED = "rejected"  # a hunk found no anchor
 
 _TRAILING_WS = re.compile(r"[ \t\r]+$")
 
@@ -237,3 +250,62 @@ def apply_file_patch(
 
     return join_lines(buf, final_nl), report
 
+
+@dataclass
+class StagedPatch:
+    """A patch applied in memory, before anything is written.
+
+    `writes` maps each patched path to its new text, or None for a delete;
+    `reports` holds one ApplyReport per FilePatch, in order (empty for a
+    file that conflicted before any hunk was tried); `conflicts` maps each
+    path that could not be patched to its CONFLICT_* reason, in order.
+    """
+
+    writes: Dict[str, Optional[str]] = field(default_factory=dict)
+    reports: List[ApplyReport] = field(default_factory=list)
+    conflicts: Dict[str, str] = field(default_factory=dict)
+
+    def write_to(self, tree) -> None:
+        """Make the staged writes on `tree` (anything with `write` and
+        `delete`); a patch with conflicts writes nothing and raises."""
+        if self.conflicts:
+            raise PatchApplyError(f"conflicts in: {', '.join(self.conflicts)}")
+        for path, text in self.writes.items():
+            if text is None:
+                tree.delete(path)
+            else:
+                tree.write(path, text)
+
+
+def stage_patch(
+    read: Callable[[str], Optional[str]], files: Sequence[FilePatch], **options
+) -> StagedPatch:
+    """Apply every FilePatch in `files` to the texts `read(path)` returns
+    (None when the file is absent), and stage the results.
+
+    A file created where one exists, a missing file, a binary patch and
+    a rejected hunk each make a conflict.  A later FilePatch on a path
+    sees the text staged for it so far.  Every file is applied even after
+    a conflict, so the result names every conflicting path.  `options`
+    are `apply_file_patch`'s keyword arguments.  Nothing is written.
+    """
+    staged = StagedPatch()
+    for fp in files:
+        text = staged.writes[fp.path] if fp.path in staged.writes else read(fp.path)
+        created = fp.mode_change == MODE_CREATED
+        report = ApplyReport(path=fp.path)
+        if created and text is not None:
+            conflict = CONFLICT_EXISTS
+        elif not created and text is None:
+            conflict = CONFLICT_MISSING
+        elif fp.is_binary:
+            conflict = CONFLICT_BINARY
+        else:
+            new_text, report = apply_file_patch(text or "", fp, **options)
+            conflict = None if report.all_applied else CONFLICT_REJECTED
+        staged.reports.append(report)
+        if conflict is not None:
+            staged.conflicts.setdefault(fp.path, conflict)
+        else:
+            staged.writes[fp.path] = None if fp.mode_change == MODE_DELETED else new_text
+    return staged

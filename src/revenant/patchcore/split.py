@@ -10,7 +10,7 @@ the earlier parts introduce.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .applier import apply_file_patch
 from .diffgen import whole_file_patch
@@ -113,23 +113,15 @@ def _provenance(base: str, label: str) -> str:
 def split_by_granularity(
     patch: SourcePatch,
     granularity: Granularity,
-    worktree: Optional[object] = None,
-    read_file=None,
+    read_file: Optional[Callable[[str], str]] = None,
 ) -> List[SourcePatch]:
     """Split `patch` into parts that are each one unit at `granularity`.
 
-    WholeFiles and FunctionScope need the pre-patch file contents; pass
-    either `worktree` (a pathlib.Path-like root) or a `read_file(path)`
-    callable.  FunctionScope falls back to ChunkScope for files whose
-    function boundaries cannot be located, and says so in the part's
-    provenance.
+    WholeFiles and FunctionScope need the pre-patch file contents, which
+    `read_file(path)` returns.  FunctionScope falls back to ChunkScope for
+    files whose function boundaries cannot be located, and says so in the
+    part's provenance.
     """
-    if read_file is None and worktree is not None:
-        root = worktree
-
-        def read_file(p):  # noqa: F811 - deliberate local binding
-            return (root / p).read_text()
-
     prov = patch.provenance
 
     if granularity is Granularity.PatchHunks:

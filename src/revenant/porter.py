@@ -8,26 +8,28 @@ or the PoC, revert it, and try again, within configured budgets.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import shutil
 import tempfile
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .patchcore import (
+    CONFLICT_EXISTS,
+    CONFLICT_MISSING,
     Granularity,
-    HunkRejected,
     PatchError,
     SourcePatch,
-    apply_file_patch,
+    diff_trees,
     invert,
     render_unified_diff,
     split_by_granularity,
+    stage_patch,
 )
-from .patchcore.model import MODE_CREATED, MODE_DELETED
 from .gitio import (  # noqa: F401 - checkout_worktree: see below
     CommitMemo,
     CommitRef,
@@ -35,6 +37,7 @@ from .gitio import (  # noqa: F401 - checkout_worktree: see below
     RevertConflict,
     checkout_worktree,
     revert_onto,
+    tree_reader,
 )
 from .oracle import (
     KIND_POC_INCOMPATIBLE,
@@ -112,6 +115,15 @@ class PortPolicy:
     skip_budget: int = 3
     check_origin: bool = True
 
+    @property
+    def apply_options(self) -> dict:
+        """The keyword arguments `apply_file_patch` takes from the policy."""
+        return {
+            "max_fuzz": self.max_fuzz,
+            "search_window": self.search_window,
+            "normalize_trailing_whitespace": self.normalize_trailing_whitespace,
+        }
+
 
 # ---------- reverse patch derivation ----------
 
@@ -123,7 +135,7 @@ def derive_reverse_patch(
 
     A single fix is simply its commit diff inverted.  Several fixes are
     composed by strictly replaying each one onto the files of the first
-    fix's parent, read from its commit; any replay rejection means the
+    fix's parent, read from its commit; any replay conflict means the
     fixes are not a clean sequence and raises CompositionConflict.
     `commits` is the caller's memo of the repository, if it keeps one; a
     memo made here is closed before returning.
@@ -137,32 +149,17 @@ def derive_reverse_patch(
         first = commits.resolve(fix_commits[0])
         if not first.parents:
             raise PortError(f"fix {first.short_id} has no parent")
-        touched = sorted({fp.path for d in diffs for fp in d.files})
-        parent = CommitTree(commits, first.parents[0])
-        state: Dict[str, Optional[str]] = {
-            path: parent.read(path) if parent.exists(path) else None for path in touched
-        }
-    before = dict(state)
+        read = tree_reader(CommitTree(commits, first.parents[0]))
+        before = {path: read(path) for path in sorted({fp.path for d in diffs for fp in d.files})}
+    state = dict(before)
 
     for commit, diff in zip(fix_commits, diffs):
-        for fp in diff.files:
-            current = state.get(fp.path)
-            if fp.mode_change == MODE_CREATED:
-                if current is not None:
-                    raise CompositionConflict(
-                        f"{commit}: creates {fp.path} which already exists"
-                    )
-                current = ""
-            elif current is None:
-                raise CompositionConflict(f"{commit}: {fp.path} is missing")
-            new_content, report = apply_file_patch(current, fp)
-            if not report.all_applied:
-                raise CompositionConflict(
-                    f"{commit}: does not apply cleanly to {fp.path}"
-                )
-            state[fp.path] = None if fp.mode_change == MODE_DELETED else new_content
-
-    from .patchcore import diff_trees
+        staged = stage_patch(state.get, diff.files)
+        if staged.conflicts:
+            path, reason = next(iter(staged.conflicts.items()))
+            message = _COMPOSITION_CONFLICT.get(reason, "{commit}: does not apply cleanly to {path}")
+            raise CompositionConflict(message.format(commit=commit, path=path))
+        state.update(staged.writes)
 
     forward = diff_trees(
         {p: t for p, t in before.items() if t is not None},
@@ -172,6 +169,12 @@ def derive_reverse_patch(
         (fix_commits[0], fix_commits[-1])
     ))
     return invert(forward)
+
+
+_COMPOSITION_CONFLICT = {
+    CONFLICT_EXISTS: "{commit}: creates {path} which already exists",
+    CONFLICT_MISSING: "{commit}: {path} is missing",
+}
 
 
 def patch_digest(patch: SourcePatch) -> str:
@@ -192,7 +195,7 @@ class BisectResult:
 def find_breaking_commit(
     candidates: Sequence,
     probe: Callable[[str], str],
-    skip_budget: int = 3,
+    skip_budget: int = PortPolicy.skip_budget,
 ) -> BisectResult:
     """Earliest candidate where `probe` says "bad", by binary search.
 
@@ -297,40 +300,33 @@ def status_of(kind: str) -> str:
 # ---------- revival record ----------
 
 
-@dataclass
+RECORD_SCHEMA = "revival-record/1"
+
+
+@dataclass(kw_only=True)
 class RevivalRecord:
+    """What one revival did.  A serialized record may leave out the
+    fields that have a default."""
+
     cve: str
     project: str
     fix_commits: List[str]
     target: str
     granularity: str
     final: str
-    abort_reason: str
-    aborted_on: str
+    abort_reason: str = ""
+    aborted_on: str = ""
     revert_stack: List[str]  # newest first
-    verdict: dict
-    effort: dict
-    flags: dict
-    touched_regions: List[dict]
-    port_digest: str
+    verdict: dict = field(default_factory=dict)
+    effort: dict = field(default_factory=dict)
+    flags: dict = field(default_factory=dict)
+    touched_regions: List[dict] = field(default_factory=list)
+    port_digest: str = ""
 
     def to_dict(self) -> dict:
         return {
-            "schema": "revival-record/1",
-            "cve": self.cve,
-            "project": self.project,
-            "fix_commits": list(self.fix_commits),
-            "target": self.target,
-            "granularity": self.granularity,
-            "final": self.final,
-            "abort_reason": self.abort_reason,
-            "aborted_on": self.aborted_on,
-            "revert_stack": list(self.revert_stack),
-            "verdict": dict(self.verdict),
-            "effort": dict(self.effort),
-            "flags": dict(self.flags),
-            "touched_regions": [dict(r) for r in self.touched_regions],
-            "port_digest": self.port_digest,
+            "schema": RECORD_SCHEMA,
+            **{f.name: copy.deepcopy(getattr(self, f.name)) for f in fields(self)},
         }
 
     def to_json(self) -> str:
@@ -338,22 +334,12 @@ class RevivalRecord:
 
     @staticmethod
     def from_dict(d: dict) -> "RevivalRecord":
-        return RevivalRecord(
-            cve=d["cve"],
-            project=d["project"],
-            fix_commits=list(d["fix_commits"]),
-            target=d["target"],
-            granularity=d["granularity"],
-            final=d["final"],
-            abort_reason=d.get("abort_reason", ""),
-            aborted_on=d.get("aborted_on", ""),
-            revert_stack=list(d["revert_stack"]),
-            verdict=dict(d.get("verdict", {})),
-            effort=dict(d.get("effort", {})),
-            flags=dict(d.get("flags", {})),
-            touched_regions=[dict(r) for r in d.get("touched_regions", [])],
-            port_digest=d.get("port_digest", ""),
-        )
+        """The record `to_dict` gave; a missing required key raises KeyError."""
+        return RevivalRecord(**{
+            f.name: copy.deepcopy(d[f.name])
+            for f in fields(RevivalRecord)
+            if f.name in d or (f.default is MISSING and f.default_factory is MISSING)
+        })
 
     @staticmethod
     def from_json(text: str) -> "RevivalRecord":
@@ -432,65 +418,27 @@ class Porter:
         """Apply the reverse patch to `tree` (a `CommitTree` or a
         `Worktree`) at the configured granularity.
 
-        All units of all files must apply; on any rejection nothing is
+        All units of all files must apply; on any conflict nothing is
         written.  Returns (ok, files, hunks, regions).
         """
-        pol = self.policy
         try:
-            units = split_by_granularity(reverse, pol.granularity, read_file=tree.read)
-        except (HunkRejected, PatchError):
+            units = split_by_granularity(reverse, self.policy.granularity, read_file=tree.read)
+        except (PatchError, FileNotFoundError):  # an absent file conflicts, as in stage_patch
             return False, 0, 0, []
-
-        state: Dict[str, Optional[str]] = {}
-        staged: Dict[str, Optional[str]] = {}
-        regions: List[dict] = []
-        hunks = 0
-
-        def current(path: str) -> Optional[str]:
-            if path not in state:
-                state[path] = tree.read(path) if tree.exists(path) else None
-            return state[path]
-
-        for unit in units:
-            for fp in unit.files:
-                if fp.is_binary:
-                    return False, 0, 0, []
-                text = current(fp.path)
-                if fp.mode_change == MODE_CREATED:
-                    if text is not None:
-                        return False, 0, 0, []
-                    text = ""
-                elif text is None:
-                    return False, 0, 0, []
-                new_text, report = apply_file_patch(
-                    text,
-                    fp,
-                    max_fuzz=pol.max_fuzz,
-                    search_window=pol.search_window,
-                    normalize_trailing_whitespace=pol.normalize_trailing_whitespace,
+        files = [fp for unit in units for fp in unit.files]
+        staged = stage_patch(tree_reader(tree), files, **self.policy.apply_options)
+        if staged.conflicts:
+            return False, 0, 0, []
+        staged.write_to(tree)
+        regions = []
+        for fp, report in zip(files, staged.reports):
+            for hunk, res in zip(fp.hunks, report.results):
+                start = max(1, hunk.new_start + res.offset)
+                regions.append(
+                    {"file": fp.path, "start": start, "end": start + max(hunk.new_len, 1) - 1}
                 )
-                if not report.all_applied:
-                    return False, 0, 0, []
-                hunks += report.applied_count
-                for hunk, res in zip(fp.hunks, report.results):
-                    start = max(1, hunk.new_start + (res.offset or 0))
-                    regions.append(
-                        {
-                            "file": fp.path,
-                            "start": start,
-                            "end": start + max(hunk.new_len, 1) - 1,
-                        }
-                    )
-                value = None if fp.mode_change == MODE_DELETED else new_text
-                state[fp.path] = value
-                staged[fp.path] = value
-
-        for path, value in staged.items():
-            if value is None:
-                tree.delete(path)
-            else:
-                tree.write(path, value)
-        return True, len(staged), hunks, regions
+        hunks = sum(report.applied_count for report in staged.reports)
+        return True, len(staged.writes), hunks, regions
 
     def _revert_regions(self, breaker: str) -> List[dict]:
         out = []
@@ -517,12 +465,8 @@ class Porter:
         for breaker in reverts_newest_first:
             try:
                 revert_onto(
-                    tree,
-                    breaker,
-                    max_fuzz=self.policy.max_fuzz,
-                    search_window=self.policy.search_window,
-                    normalize_trailing_whitespace=self.policy.normalize_trailing_whitespace,
-                    inverse=self.commits.inverse(breaker),
+                    tree, breaker, inverse=self.commits.inverse(breaker),
+                    **self.policy.apply_options,
                 )
             except RevertConflict as exc:
                 return AttemptResult(

@@ -8,7 +8,7 @@ from revenant.cli import main
 from revenant.forge import forge_repo, overflow_poc_bytes
 from revenant.oracle import LOCK_PREFIX
 
-from gitutil import atimes_recorded, no_child_left
+from gitutil import RepoBuilder, atimes_recorded, no_child_left
 
 CVE = "CVE-2021-9999"
 
@@ -161,6 +161,31 @@ class TestReviveAndManifest:
         rc = main(["revive", "--config", str(case)])
         assert rc == 4
         assert "does not trigger at the fix commit" in capsys.readouterr().err
+
+    def test_binary_file_in_a_fix_composition_exits_4(self, tmp_path, capsys):
+        rb = RepoBuilder(tmp_path / "repo")
+        rb.commit({"a.txt": "one\n", "blob.bin": "\0one\n"}, "base")
+        rb.commit({"a.txt": "one\ntwo\n"}, "first fix")
+        rb.commit({"blob.bin": "\0two\n"}, "second fix")
+        configs = []
+        for n in (1, 2):
+            case = {
+                "cve": f"CVE-2021-{n}", "project": "pack", "repo": str(rb.root),
+                "fix_commits": ["t1", "t2"], "target": "t2",
+                "build": {"steps": ["true"], "artifacts": ["tool"]},
+                "poc": {"command": "{binary} {input}", "input": "poc.bin"},
+                "workspace": str(tmp_path / "ws"),
+            }
+            path = tmp_path / f"case{n}.json"
+            path.write_text(json.dumps(case))
+            configs += ["--config", str(path)]
+        assert main(["revive", *configs[:2]]) == 4
+        assert "t2: does not apply cleanly to blob.bin" in capsys.readouterr().err
+        # under --jobs each case fails alone instead of taking down the pool
+        assert main(["revive", "--jobs", "2", *configs]) == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert all(line.startswith("error case=") and "blob.bin" in line for line in lines)
 
 
 class TestCategorize:

@@ -10,7 +10,7 @@ from revenant.config import (
     merge_defaults,
     parse_case,
 )
-from revenant.oracle import SANITIZER_ASAN, SANITIZER_NONE
+from revenant.oracle import SANITIZER_ASAN, SANITIZER_NONE, BuildRecipe, PocSpec
 from revenant.patchcore import Granularity
 
 
@@ -77,6 +77,15 @@ class TestParse:
         assert cfg.policy.granularity is Granularity.PatchHunks
         assert cfg.limits.max_reverted_commits == 4
         assert cfg.workspace is None
+
+    def test_omitted_build_and_poc_keys_take_the_dataclass_defaults(self, tmp_path):
+        case = full_case()
+        case["build"] = {"steps": ["make"], "artifacts": ["tool"]}
+        case["poc"] = {"command": "{binary} {input}", "input": "poc.bin"}
+        cfg = load_case(write(tmp_path, "case.json", case))
+        assert cfg.build == BuildRecipe(steps=("make",), artifact_paths=("tool",))
+        assert cfg.build == BuildRecipe.make(["make"], ["tool"])
+        assert cfg.poc == PocSpec(command="{binary} {input}", input_file=cfg.poc.input_file)
 
     @pytest.mark.parametrize(
         "mutate",

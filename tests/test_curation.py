@@ -9,11 +9,8 @@ from revenant.curation import (
     FORMAT_EXIT_CODE,
     FORMAT_PASS_FAIL,
     FORMAT_TAP,
-    MODE_ORACLE_CONFIRMED,
-    MODE_STATIC,
     POLICY_LATEST_FIRST,
     POLICY_MAX_SUBSET,
-    REASON_ORACLE,
     REASON_OVERLAP,
     RULE_COMPLEXITY,
     RULE_INTERCOMPAT,
@@ -83,7 +80,7 @@ class TestConflictGraph:
     def test_edges_deduplicate(self):
         g = ConflictGraph()
         g.add_edge("a", "b", REASON_OVERLAP, "first")
-        g.add_edge("b", "a", REASON_ORACLE, "second")
+        g.add_edge("b", "a", "another-reason", "second")
         assert len(g.edges) == 1
         assert g.has_edge("a", "b") and g.has_edge("b", "a")
 
@@ -122,20 +119,6 @@ class TestDetectConflicts:
     def test_mixed_targets_rejected(self):
         with pytest.raises(ValueError):
             detect_conflicts([record("CVE-2020-1"), record("CVE-2020-2", target="other")])
-
-    def test_oracle_mode_adds_regression_edges(self):
-        ra = record("CVE-2020-1", regions=[span("a.c", 1, 5)])
-        rb = record("CVE-2020-2", regions=[span("b.c", 1, 5)])
-
-        g = detect_conflicts([ra, rb], MODE_ORACLE_CONFIRMED, joint_check=lambda a, b: False)
-        assert g.edges[("CVE-2020-1", "CVE-2020-2")].reason == REASON_ORACLE
-
-        g = detect_conflicts([ra, rb], MODE_ORACLE_CONFIRMED, joint_check=lambda a, b: True)
-        assert not g.edges
-
-    def test_oracle_mode_requires_callable(self):
-        with pytest.raises(ValueError):
-            detect_conflicts([record("CVE-2020-1")], MODE_ORACLE_CONFIRMED)
 
 
 def star_graph(center, leaves):

@@ -26,10 +26,9 @@ from pathlib import Path
 import pytest
 
 from revenant.curation import FORMAT_PASS_FAIL, rule_functionality
-from revenant.gitio import checkout_worktree
+from revenant.gitio import checkout_worktree, tree_reader
 from revenant.oracle import BuildRecipe, PocSpec
-from revenant.patchcore import apply_file_patch
-from revenant.patchcore.model import MODE_CREATED, MODE_DELETED
+from revenant.patchcore import stage_patch
 from revenant.porter import FINAL_REVIVED, Porter, derive_reverse_patch
 
 pytestmark = [pytest.mark.network, pytest.mark.slow]
@@ -65,14 +64,9 @@ def make_porter(case, repo, scratch):
 
 
 def apply_reverse_in_tree(wt, reverse):
-    for fp in reverse.files:
-        text = "" if fp.mode_change == MODE_CREATED else wt.read(fp.path)
-        new_text, report = apply_file_patch(text, fp, max_fuzz=2, search_window=200)
-        assert report.all_applied, f"reverse patch rejected in {fp.path}"
-        if fp.mode_change == MODE_DELETED:
-            (wt.path / fp.path).unlink()
-        else:
-            wt.write(fp.path, new_text)
+    staged = stage_patch(tree_reader(wt), reverse.files, max_fuzz=2, search_window=200)
+    assert not staged.conflicts, f"reverse patch conflicts in {list(staged.conflicts)}"
+    staged.write_to(wt)
 
 
 def test_libxml2_cve_2016_1840_revival_reverts_fb56f80e(tmp_path):

@@ -11,15 +11,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from revenant.patchcore import (
+    CONFLICT_BINARY,
+    CONFLICT_EXISTS,
+    CONFLICT_MISSING,
+    CONFLICT_REJECTED,
+    MODE_CREATED,
+    MODE_DELETED,
     REJECT_AMBIGUOUS,
     REJECT_NO_ANCHOR,
     HunkRejected,
+    PatchApplyError,
     SourcePatch,
     apply_file_patch,
     diff_texts,
     invert,
     parse_unified_diff,
     render_unified_diff,
+    stage_patch,
+    whole_file_patch,
 )
 from genpatch import gen_pair
 
@@ -258,3 +267,119 @@ def test_patch_tool_agrees_with_our_applier(tmp_path):
         ours, report = apply_file_patch(old, fp, max_fuzz=0, search_window=0)
         assert report.all_applied
         assert ours == theirs == new
+
+
+# ---------- stage_patch: a whole patch over a tree ----------
+
+
+class DictTree:
+    """Files held in a dict, with the calls `StagedPatch.write_to` makes
+    and a count of the reads `stage_patch` makes."""
+
+    def __init__(self, files):
+        self.files = dict(files)
+        self.reads = []
+
+    def read(self, path):
+        self.reads.append(path)
+        return self.files.get(path)
+
+    def write(self, path, text):
+        self.files[path] = text
+
+    def delete(self, path):
+        del self.files[path]
+
+
+def test_stage_created_over_existing_conflicts():
+    fp = whole_file_patch("", "new\n", "f")
+    assert fp.mode_change == MODE_CREATED
+    staged = stage_patch(DictTree({"f": "old\n"}).read, [fp])
+    assert staged.conflicts == {"f": CONFLICT_EXISTS}
+    assert staged.writes == {}
+    assert [r.results for r in staged.reports] == [[]]
+
+
+def test_stage_created_where_absent_writes_the_file():
+    tree = DictTree({})
+    staged = stage_patch(tree.read, [whole_file_patch("", "new\n", "f")])
+    assert staged.conflicts == {}
+    staged.write_to(tree)
+    assert tree.files == {"f": "new\n"}
+
+
+def test_stage_missing_file_conflicts():
+    staged = stage_patch(DictTree({}).read, [diff_texts(OLD, NEW, "f")])
+    assert staged.conflicts == {"f": CONFLICT_MISSING}
+    assert staged.writes == {}
+
+
+def test_stage_binary_file_conflicts():
+    fp = parse_unified_diff("Binary files a/x and b/x differ\n").files[0]
+    staged = stage_patch(DictTree({"x": "anything"}).read, [fp])
+    assert staged.conflicts == {"x": CONFLICT_BINARY}
+    assert staged.writes == {}
+
+
+def test_stage_delete_stages_none_and_removes_the_file():
+    fp = whole_file_patch(OLD, "", "f")
+    assert fp.mode_change == MODE_DELETED
+    tree = DictTree({"f": OLD, "g": "kept\n"})
+    staged = stage_patch(tree.read, [fp])
+    assert staged.writes == {"f": None}
+    staged.write_to(tree)
+    assert tree.files == {"g": "kept\n"}
+
+
+def test_stage_later_patch_on_a_path_sees_the_staged_text():
+    mid = OLD.replace("two\n", "TWO\n")
+    end = mid.replace("nine\n", "NINE\n")
+    tree = DictTree({"f": OLD})
+    # the second patch anchors only on the first one's output
+    staged = stage_patch(tree.read, [diff_texts(OLD, mid, "f"), diff_texts(mid, end, "f")],
+                         max_fuzz=0, search_window=0)
+    assert staged.conflicts == {}
+    assert staged.writes == {"f": end}
+    assert tree.reads == ["f"]
+    # a file created by one patch is there for the next
+    staged = stage_patch(DictTree({}).read, [whole_file_patch("", OLD, "g"),
+                                             diff_texts(OLD, NEW, "g")])
+    assert staged.writes == {"g": NEW}
+    # and a file deleted by one patch is missing for the next
+    staged = stage_patch(DictTree({"f": OLD}).read, [whole_file_patch(OLD, "", "f"),
+                                                     diff_texts(OLD, NEW, "f")])
+    assert staged.conflicts == {"f": CONFLICT_MISSING}
+
+
+def test_stage_writes_nothing_on_a_conflict():
+    tree = DictTree({"a": OLD, "b": "unrelated\n"})
+    before = dict(tree.files)
+    staged = stage_patch(tree.read, [diff_texts(OLD, NEW, "a"), diff_texts(OLD, NEW, "b")])
+    assert staged.writes == {"a": NEW}
+    assert staged.conflicts == {"b": CONFLICT_REJECTED}
+    assert tree.files == before
+    with pytest.raises(PatchApplyError):
+        staged.write_to(tree)
+    assert tree.files == before
+
+
+def test_stage_reports_every_file_and_lists_every_conflict():
+    files = [
+        diff_texts(OLD, NEW, "ok1"),
+        diff_texts(OLD, NEW, "rejected"),
+        diff_texts(OLD, NEW, "missing"),
+        whole_file_patch("", "x\n", "exists"),
+        diff_texts(OLD, NEW, "ok2"),
+    ]
+    tree = DictTree({"ok1": OLD, "rejected": "other\n", "exists": "y\n", "ok2": OLD})
+    staged = stage_patch(tree.read, files)
+    assert [r.path for r in staged.reports] == [fp.path for fp in files]
+    assert list(staged.conflicts.items()) == [
+        ("rejected", CONFLICT_REJECTED),
+        ("missing", CONFLICT_MISSING),
+        ("exists", CONFLICT_EXISTS),
+    ]
+    # files after a conflict are still applied and reported
+    assert [r.applied_count for r in staged.reports] == [1, 0, 0, 0, 1]
+    assert staged.reports[1].rejected_count == 1
+    assert staged.writes == {"ok1": NEW, "ok2": NEW}

@@ -94,7 +94,9 @@ def test_whole_files_replaces_wholesale(tmp_path):
     new = _edit_c_file()
     (tmp_path / "m.c").write_text(C_FILE)
     patch = SourcePatch([diff_texts(C_FILE, new, "m.c")])
-    parts = split_by_granularity(patch, Granularity.WholeFiles, worktree=tmp_path)
+    parts = split_by_granularity(
+        patch, Granularity.WholeFiles, read_file=lambda p: (tmp_path / p).read_text()
+    )
     assert len(parts) == 1
     fp = parts[0].files[0]
     assert len(fp.hunks) == 1
@@ -108,7 +110,9 @@ def test_function_scope_groups_by_function(tmp_path):
     new = _edit_c_file()
     (tmp_path / "m.c").write_text(C_FILE)
     patch = SourcePatch([diff_texts(C_FILE, new, "m.c")])
-    parts = split_by_granularity(patch, Granularity.FunctionScope, worktree=tmp_path)
+    parts = split_by_granularity(
+        patch, Granularity.FunctionScope, read_file=lambda p: (tmp_path / p).read_text()
+    )
     assert len(parts) == 2
     assert parts[0].provenance.startswith("fn:helper@")
     assert parts[1].provenance.startswith("fn:main@")
@@ -120,7 +124,9 @@ def test_function_scope_falls_back_to_chunks(tmp_path):
     new = "alpha\nBETA\ngamma\nDELTA\n"
     (tmp_path / "notes.txt").write_text(old)
     patch = SourcePatch([diff_texts(old, new, "notes.txt", context=0)])
-    parts = split_by_granularity(patch, Granularity.FunctionScope, worktree=tmp_path)
+    parts = split_by_granularity(
+        patch, Granularity.FunctionScope, read_file=lambda p: (tmp_path / p).read_text()
+    )
     assert len(parts) == 2
     assert all(FALLBACK_NOTE in p.provenance for p in parts)
     assert _apply_parts(old, parts) == new

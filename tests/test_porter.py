@@ -37,6 +37,7 @@ from revenant.porter import (
     ABORT_COMPLEXITY,
     ABORT_TOO_MANY_CHUNKS,
     ABORT_TOO_MANY_FILES,
+    CompositionConflict,
     FINAL_ABORTED,
     FINAL_REVIVED,
     KIND_PORT_CONFLICT,
@@ -184,6 +185,15 @@ class TestDeriveReverse:
         assert spawned.count("cat-file") == 1
         assert no_child_left()
 
+    def test_binary_file_in_a_composition_is_a_composition_conflict(self, tmp_path):
+        rb = RepoBuilder(tmp_path / "repo")
+        base = "\n".join(f"line {i}" for i in range(30)) + "\n"
+        rb.commit({"a.txt": base, "blob.bin": "\0one\n"}, "base")
+        rb.commit({"a.txt": base.replace("line 5", "line 5 patched")}, "first fix")
+        rb.commit({"blob.bin": "\0two\n"}, "second fix")
+        with pytest.raises(CompositionConflict, match="HEAD: does not apply cleanly to blob.bin"):
+            derive_reverse_patch(rb.root, ["HEAD~1", "HEAD"])
+
     def test_reverse_patch_digest_is_stable(self, tmp_path):
         fx = forge_repo(tmp_path, [])
         r1 = derive_reverse_patch(fx.repo, [fx.fix])
@@ -280,6 +290,22 @@ class TestRevive:
         text = rec.to_json()
         assert RevivalRecord.from_json(text).to_json() == text
         assert '"wall_time"' not in text
+        data = rec.to_dict()
+        assert list(data) == [
+            "schema", "cve", "project", "fix_commits", "target", "granularity", "final",
+            "abort_reason", "aborted_on", "revert_stack", "verdict", "effort", "flags",
+            "touched_regions", "port_digest",
+        ]
+        defaults = {"abort_reason": "", "aborted_on": "", "verdict": {}, "effort": {},
+                    "flags": {}, "touched_regions": [], "port_digest": ""}
+        for key, default in defaults.items():
+            partial = {k: v for k, v in data.items() if k != key}
+            got = RevivalRecord.from_dict(partial).to_dict()
+            assert got == {**data, key: default}
+            assert list(got) == list(data)
+        for key in ("cve", "fix_commits", "revert_stack"):
+            with pytest.raises(KeyError):
+                RevivalRecord.from_dict({k: v for k, v in data.items() if k != key})
 
     def test_revived_record_carries_regions(self, tmp_path):
         fx = forge_repo(tmp_path, ["C1"])
@@ -336,6 +362,17 @@ class TestGranularity:
         )
         rec = porter.revive("CVE-0000-0011", "packdemo", [fx.fix], fx.target)
         assert rec.final == FINAL_REVIVED
+
+    @pytest.mark.parametrize("granularity", [Granularity.WholeFiles, Granularity.FunctionScope])
+    def test_a_fixed_file_absent_from_the_tree_is_a_port_conflict(self, tmp_path, granularity):
+        rb = RepoBuilder(tmp_path / "repo")
+        rb.commit({"a.txt": "a\n", "b.txt": "b\n"}, "base")
+        rb.commit({"a.txt": "a fixed\n", "b.txt": "b fixed\n"}, "fix")
+        rb.commit({}, "drop b.txt", delete=["b.txt"])
+        with ReferencePorter(rb.root, *NO_BUILD, tmp_path, build=False,
+                             policy=PortPolicy(granularity=granularity)) as porter:
+            assert porter.attempt("t2", (), ["t1"]).verdict.kind == KIND_PORT_CONFLICT
+            assert porter.attempt("t1", (), ["t1"]).verdict.kind == KIND_TRIGGERED
 
 
 class RecordingOracle(Oracle):
