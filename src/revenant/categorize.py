@@ -18,9 +18,9 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from .patchcore import ADD, CONTEXT, REMOVE, SourcePatch
+from .patchcore import CONTEXT, REMOVE, SourcePatch
 from .patchcore.model import MODE_DELETED
 from .gitio import CommitMemo, commit_diff
 

@@ -17,7 +17,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
 from .categorize import categorize_commit, tally
@@ -89,11 +89,10 @@ def _load_cfg(path: str, args) -> CaseConfig:
 
 
 def _workspace(args, cfg: Optional[CaseConfig] = None) -> Path:
-    if getattr(args, "workspace", None):
-        return Path(args.workspace)
-    if cfg is not None and cfg.workspace:
-        return cfg.workspace
-    return default_workspace()
+    """`--workspace`, else the config's, else the default; absolute, so a
+    build slot under it stays reachable from a build's working directory."""
+    workspace = getattr(args, "workspace", None) or (cfg and cfg.workspace)
+    return Path(workspace or default_workspace()).resolve()
 
 
 def _case_dir(args, cfg: CaseConfig) -> Path:
@@ -525,15 +524,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the exit code of an error: that of the first class here it is an instance of
+_EXIT_CODES = {
+    ConfigError: EXIT_CONFIG,
+    SuiteCrashed: EXIT_ENVIRONMENT,
+    BisectError: EXIT_PRECONDITION,
+    PortError: EXIT_PRECONDITION,
+    GitGatewayError: EXIT_PRECONDITION,
+    TooLarge: EXIT_PRECONDITION,
+    ValueError: EXIT_PRECONDITION,
+    OracleError: EXIT_ENVIRONMENT,
+    OSError: EXIT_ENVIRONMENT,
+}
+
+
 def _code_for(exc: BaseException) -> int:
-    if isinstance(exc, ConfigError):
-        return EXIT_CONFIG
-    if isinstance(exc, SuiteCrashed):
-        return EXIT_ENVIRONMENT
-    if isinstance(exc, (BisectError, PortError, GitGatewayError, TooLarge, ValueError)):
-        return EXIT_PRECONDITION
-    if isinstance(exc, (OracleError, OSError)):
-        return EXIT_ENVIRONMENT
+    """The exit code of `exc`; an error with none is raised again."""
+    for kind, code in _EXIT_CODES.items():
+        if isinstance(exc, kind):
+            return code
     raise exc
 
 
@@ -541,17 +550,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ConfigError,
-        SuiteCrashed,
-        BisectError,
-        PortError,
-        GitGatewayError,
-        TooLarge,
-        ValueError,
-        OracleError,
-        OSError,
-    ) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _code_for(exc)
 

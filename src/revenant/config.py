@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -39,11 +39,6 @@ _TOP_KEYS = {
 }
 _BUILD_KEYS = {"steps", "artifacts", "env", "sanitizer", "timeout"}
 _POC_KEYS = {"command", "input", "expected_detector", "run_timeout", "hang_is_trigger"}
-_LIMIT_KEYS = {"max_reverted_commits", "max_files_per_commit", "max_chunks_per_file"}
-_POLICY_KEYS = {
-    "granularity", "max_fuzz", "search_window",
-    "normalize_trailing_whitespace", "skip_budget", "check_origin",
-}
 
 
 class ConfigError(Exception):
@@ -93,6 +88,30 @@ def _bool(section: dict, key: str, where: str, default: bool) -> bool:
     value = section.get(key, default)
     _expect(isinstance(value, bool), f"{where}: {key} must be true or false")
     return value
+
+
+def _section(data: dict, name: str, cls, where: str):
+    """The `cls` dataclass (`Limits` or `PortPolicy`) read from the object
+    at `name`, whose keys are its field names.  An omitted key keeps the
+    field's default; a given one is checked by the default's type: bool,
+    `Granularity` (by value) or a non-negative int."""
+    raw = data.get(name, {})
+    where = f"{where}: {name}"
+    _check_keys(raw, {f.name for f in fields(cls)}, where)
+    values = {}
+    for key, default in ((f.name, f.default) for f in fields(cls)):
+        if isinstance(default, bool):
+            values[key] = _bool(raw, key, where, default)
+        elif isinstance(default, Granularity):
+            try:
+                values[key] = Granularity(raw.get(key, default.value))
+            except ValueError:
+                raise ConfigError(
+                    f"{where}.{key} must be one of {[g.value for g in Granularity]}"
+                ) from None
+        else:
+            values[key] = _int(raw, key, where, default)
+    return cls(**values)
 
 
 @dataclass
@@ -177,40 +196,8 @@ def parse_case(data: dict, base_dir: Path, source: str = "<memory>") -> CaseConf
     _expect(isinstance(poc.expected_detector, str),
             f"{where}: poc.expected_detector must be a string")
 
-    limits_raw = data.get("limits", {})
-    _check_keys(limits_raw, _LIMIT_KEYS, f"{where}: limits")
-    lim = Limits()  # the defaults
-    limits = Limits(
-        max_reverted_commits=_int(limits_raw, "max_reverted_commits", f"{where}: limits",
-                                  lim.max_reverted_commits),
-        max_files_per_commit=_int(limits_raw, "max_files_per_commit", f"{where}: limits",
-                                  lim.max_files_per_commit),
-        max_chunks_per_file=_int(limits_raw, "max_chunks_per_file", f"{where}: limits",
-                                 lim.max_chunks_per_file),
-    )
-
-    policy_raw = data.get("policy", {})
-    _check_keys(policy_raw, _POLICY_KEYS, f"{where}: policy")
-    pol = PortPolicy()  # the defaults
-    granularity_name = policy_raw.get("granularity", pol.granularity.value)
-    try:
-        granularity = Granularity(granularity_name)
-    except ValueError:
-        raise ConfigError(
-            f"{where}: policy.granularity must be one of "
-            f"{[g.value for g in Granularity]}"
-        ) from None
-    policy = PortPolicy(
-        granularity=granularity,
-        max_fuzz=_int(policy_raw, "max_fuzz", f"{where}: policy", pol.max_fuzz),
-        search_window=_int(policy_raw, "search_window", f"{where}: policy", pol.search_window),
-        normalize_trailing_whitespace=_bool(
-            policy_raw, "normalize_trailing_whitespace", f"{where}: policy",
-            pol.normalize_trailing_whitespace,
-        ),
-        skip_budget=_int(policy_raw, "skip_budget", f"{where}: policy", pol.skip_budget),
-        check_origin=_bool(policy_raw, "check_origin", f"{where}: policy", pol.check_origin),
-    )
+    limits = _section(data, "limits", Limits, where)
+    policy = _section(data, "policy", PortPolicy, where)
 
     workspace = data.get("workspace")
     cache_dir = data.get("cache_dir")

@@ -270,14 +270,22 @@ def run_limited(
     return RunResult(proc.returncode, text, wall, timed_out)
 
 
-def _merged_env(extra: Tuple[Tuple[str, str], ...]) -> Dict[str, str]:
-    """The environment a recipe's build and its PoC run under."""
-    env = dict(os.environ)
-    # make sanitizer reports land on stdout/stderr, never in log files: an
-    # ambient log_path would turn Triggered into NotTriggered.  A recipe
-    # that sets ASAN_OPTIONS itself still wins.
-    env["ASAN_OPTIONS"] = "log_path=stderr:abort_on_error=0"
-    env.update(dict(extra))
+# the ambient variables a build and a PoC run see; the C compiler they
+# resolve to is keyed by its `--version`
+PASSED_ENV = ("PATH", "CC", "CXX", "CFLAGS", "CPPFLAGS", "LDFLAGS", "LD_LIBRARY_PATH")
+
+
+def run_env(recipe_env: Iterable[Tuple[str, str]] = ()) -> Dict[str, str]:
+    """The whole environment a recipe's build and its PoC run under, which
+    its verdict key holds whole: the ambient values of `PASSED_ENV`, a
+    fixed locale and time zone, sanitizer reports pinned to stdout/stderr
+    (an ambient log_path would turn Triggered into NotTriggered), and the
+    recipe's own env, which wins over all of them.  Nothing else of the
+    ambient environment is passed; a build that needs another variable
+    declares it in its recipe."""
+    env = {name: os.environ[name] for name in PASSED_ENV if name in os.environ}
+    env.update(LC_ALL="C", TZ="UTC", ASAN_OPTIONS="log_path=stderr:abort_on_error=0")
+    env.update(recipe_env)
     return env
 
 
@@ -285,14 +293,16 @@ def build(
     workdir: Path,
     recipe: BuildRecipe,
     counters: Optional[Dict[str, int]] = None,
+    env: Optional[Dict[str, str]] = None,
 ) -> BuildOutcome:
-    """Run the recipe's steps in order inside `workdir`.
+    """Run the recipe's steps in order inside `workdir`, under `env` (by
+    default the recipe's `run_env`).
 
     Ok iff every step exits zero within the shared budget and every
     declared artifact exists afterwards.
     """
     workdir = Path(workdir)
-    env = _merged_env(recipe.env)
+    env = run_env(recipe.env) if env is None else env
     deadline = time.monotonic() + recipe.timeout
     log_parts: List[str] = []
     if counters is not None:
@@ -348,7 +358,8 @@ def run_poc(
     sanitizer: str = SANITIZER_NONE,
     counters: Optional[Dict[str, int]] = None,
 ) -> OracleVerdict:
-    """Execute the PoC command against the built artifacts and classify.
+    """Execute the PoC command against the built artifacts under `env` (by
+    default `run_env()`) and classify.
 
     Precedence: a detector report always wins; then timeout handling; then
     the launch-incompatibility heuristics; anything else is NotTriggered.
@@ -366,11 +377,9 @@ def run_poc(
     argv = shlex.split(command)
     if sanitizer == SANITIZER_VALGRIND:
         argv = ["valgrind", "-q", "--error-exitcode=96"] + argv
-    run_env = dict(os.environ)
-    if env:
-        run_env.update(env)
     res = run_limited(
-        argv, cwd=cwd, env=run_env, timeout=poc.run_timeout, counters=counters
+        argv, cwd=cwd, env=run_env() if env is None else env, timeout=poc.run_timeout,
+        counters=counters,
     )
     if res.spawn_error:
         return OracleVerdict(KIND_SANDBOX_FAILURE, evidence=res.spawn_error)
@@ -431,15 +440,9 @@ def run_poc(
 # Part of every store key.  Bump it when classification, the tree hash or
 # the trace format changes, so that entries written by older code are
 # never read.
-STORE_SCHEMA = "verdict-store/3"
+STORE_SCHEMA = "verdict-store/4"
 MISSING_INPUT = "missing"
 NO_COMPILER = "no compiler"
-# ambient variables that steer a build or a PoC run, besides the recipe's
-# own env; the C compiler they resolve to is keyed by its `--version`
-KEYED_ENV = (
-    "PATH", "CC", "CXX", "CFLAGS", "CPPFLAGS", "LDFLAGS", "LD_LIBRARY_PATH",
-    "ASAN_OPTIONS",
-)
 TRACES_KEPT = 16  # traces a store keeps per build identity and PoC, newest first
 LOCK_PREFIX = 2  # hex digits of a key that choose its lock file: 256 lock files
 
@@ -557,16 +560,18 @@ def compiler_version(env: Dict[str, str]) -> str:
         return _compilers[memo_key]
 
 
-def build_identity(recipe: BuildRecipe) -> Tuple[str, List[Optional[str]], str]:
-    """What a build depends on besides the tree: the recipe, the
-    `KEYED_ENV` values it runs under and the C compiler's version.  Part
-    of every verdict key, and what a build slot compares to decide whether
-    its products can be reused."""
-    env = _merged_env(recipe.env)
-    return recipe.stable_hash(), [env.get(name) for name in KEYED_ENV], compiler_version(env)
+Identity = Tuple[str, List[Tuple[str, str]], str]
 
 
-def verdict_group(recipe: BuildRecipe, poc: PocSpec) -> str:
+def build_identity(recipe: BuildRecipe, env: Dict[str, str]) -> Identity:
+    """What a build depends on besides the tree: the recipe, the whole
+    environment `env` it runs under (its `run_env`) and the C compiler's
+    version.  Part of every verdict key, and what a build slot compares to
+    decide whether its products can be reused."""
+    return recipe.stable_hash(), sorted(env.items()), compiler_version(env)
+
+
+def verdict_group(identity: Identity, poc: PocSpec) -> str:
     """Everything a verdict key holds but the tree: the schema, the build
     identity, the PoC spec and the bytes of the PoC input (or a fixed
     marker when it cannot be read).  The store keeps traces per group."""
@@ -574,7 +579,7 @@ def verdict_group(recipe: BuildRecipe, poc: PocSpec) -> str:
         input_digest = _sha(Path(poc.input_file).read_bytes())
     except OSError:
         input_digest = MISSING_INPUT
-    parts = [STORE_SCHEMA, build_identity(recipe), poc.stable_hash(), input_digest]
+    parts = [STORE_SCHEMA, identity, poc.stable_hash(), input_digest]
     return _sha(json.dumps(parts).encode())
 
 
@@ -584,7 +589,7 @@ def _keyed(group: str, tree: str) -> str:
 
 def verdict_key(tree: str, recipe: BuildRecipe, poc: PocSpec) -> str:
     """Store key of a verdict: the tree hash and the `verdict_group`."""
-    return _keyed(verdict_group(recipe, poc), tree)
+    return _keyed(verdict_group(build_identity(recipe, run_env(recipe.env)), poc), tree)
 
 
 class VerdictStore:
@@ -750,7 +755,7 @@ class BuildSlot:
     `lstat` is recorded, and a file that a build or PoC step changed no
     longer matches it and is written again.  A declared artifact that the
     tree does not track is deleted before each build.  The slot is wiped
-    when the build identity (recipe and keyed environment) differs from
+    when the build identity (recipe and run environment) differs from
     its last build's, when a symlink changes (make follows symlinks, so a
     retargeted one may look older than the objects built from it), and on
     request.
@@ -765,7 +770,10 @@ class BuildSlot:
     """
 
     def __init__(self, scratch_dir: Optional[Path] = None):
-        home = tempfile.mkdtemp(prefix="oracle-", dir=str(scratch_dir) if scratch_dir else None)
+        # absolute, so artifact paths still resolve from a build step's or
+        # a PoC run's working directory
+        home = os.path.abspath(
+            tempfile.mkdtemp(prefix="oracle-", dir=str(scratch_dir) if scratch_dir else None))
         self.root = Path(home) / "tree"
         # removes the slot's directory when called, or else when the slot is
         # garbage-collected or the interpreter exits
@@ -774,7 +782,7 @@ class BuildSlot:
         self.traces = _records_reads(self.root)
         self.fresh = True  # nothing built since the last wipe
         self.built_ns = 0  # wall clock when the last build and PoC ended
-        self._identity: Optional[Tuple[str, List[Optional[str]], str]] = None
+        self._identity: Optional[Identity] = None
         # rel -> (mode, object id, slot _stat_key)
         self._files: Dict[str, Tuple[str, str, Optional[Tuple[int, ...]]]] = {}
         self._read: Set[str] = set()  # tracked paths read since the last wipe
@@ -787,11 +795,12 @@ class BuildSlot:
         self._identity = None
         self.fresh = True
 
-    def sync(self, tree, recipe: BuildRecipe) -> None:
+    def sync(self, tree, recipe: BuildRecipe, identity: Optional[Identity] = None) -> None:
         """Make the slot hold `tree`'s files (a directory, a `DiskTree` or
-        a `gitio.CommitTree`), ready for `recipe`."""
+        a `gitio.CommitTree`), ready for `recipe`, whose `build_identity`
+        is `identity` (worked out from its `run_env` when not given)."""
         tree = _as_tree(tree)
-        identity = build_identity(recipe)
+        identity = identity or build_identity(recipe, run_env(recipe.env))
         if identity != self._identity:
             self.wipe()
             self._identity = identity
@@ -811,7 +820,7 @@ class BuildSlot:
             modes += [mode, self._files.get(rel, ("",))[0]]
         if not self.fresh and MODE_LINK in modes:
             self.wipe()
-            return self.sync(tree, recipe)
+            return self.sync(tree, recipe, identity)
         dirs: Set[str] = set()  # parents known to be real directories
         for rel in gone:
             if self._real_parents(rel, dirs):
@@ -952,7 +961,9 @@ class Oracle:
         # one view for the key, the trace lookup and the sync, so a
         # directory is read once
         tree = _as_tree(tree)
-        group = verdict_group(recipe, poc)
+        env = run_env(recipe.env)
+        identity = build_identity(recipe, env)
+        group = verdict_group(identity, poc)
         key = _keyed(group, tree_hash(tree))
         with self.store.locked(key):
             stored = self.store.get(key)
@@ -964,7 +975,7 @@ class Oracle:
                 self._count("cache_hits", "trace_hits")
                 return stored
             with self._lock:
-                verdict = self._build_and_run(tree, recipe, poc)
+                verdict = self._build_and_run(tree, recipe, poc, env, identity)
                 reads = self._slot.reads(tree) if verdict.storable else None
             if verdict.storable:
                 self.store.put(key, verdict)
@@ -972,20 +983,21 @@ class Oracle:
                     self.store.put_trace(group, tree.entries(), reads, verdict)
         return verdict
 
-    def _build_and_run(self, tree, recipe: BuildRecipe, poc: PocSpec) -> OracleVerdict:
+    def _build_and_run(self, tree, recipe: BuildRecipe, poc: PocSpec,
+                       env: Dict[str, str], identity: Identity) -> OracleVerdict:
         self.counters["verdicts"] = self.counters.get("verdicts", 0) + 1
         if self._slot is None:
             self._slot = BuildSlot(self.scratch_dir)
         slot = self._slot
         try:
-            slot.sync(tree, recipe)
-            outcome = build(slot.root, recipe, counters=self.counters)
+            slot.sync(tree, recipe, identity)
+            outcome = build(slot.root, recipe, counters=self.counters, env=env)
             if not outcome.ok and not outcome.transient and not slot.fresh:
                 # a product of an earlier build may be to blame: only a
                 # clean build may decide BuildFailed
                 slot.wipe()
-                slot.sync(tree, recipe)
-                outcome = build(slot.root, recipe, counters=self.counters)
+                slot.sync(tree, recipe, identity)
+                outcome = build(slot.root, recipe, counters=self.counters, env=env)
             slot.fresh = False
             if not outcome.ok:
                 slot.note_reads()
@@ -998,7 +1010,7 @@ class Oracle:
                 outcome.artifacts,
                 poc,
                 cwd=slot.root,
-                env=_merged_env(recipe.env),
+                env=env,
                 sanitizer=recipe.sanitizer,
                 counters=self.counters,
             )

@@ -7,7 +7,7 @@ parsing, rendering and application live in sibling modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, List
 

@@ -281,20 +281,9 @@ class TierResult:
         }
 
 
-_KIND_TO_STATUS = {
-    KIND_TRIGGERED: "triggered",
-    "NotTriggered": "not-triggered",
-    "BuildFailed": "build-failed",
-    KIND_POC_INCOMPATIBLE: "poc-incompatible",
-    "Hang": "hang",
-    KIND_SANDBOX_FAILURE: "sandbox-failure",
-    KIND_PORT_CONFLICT: "port-conflict",
-    KIND_REVERT_CONFLICT: "revert-conflict",
-}
-
-
 def status_of(kind: str) -> str:
-    return _KIND_TO_STATUS.get(kind, kind.lower())
+    """A verdict kind in kebab case: NotTriggered is not-triggered."""
+    return "".join(f"-{c}" if c.isupper() and i else c for i, c in enumerate(kind)).lower()
 
 
 # ---------- revival record ----------
@@ -553,21 +542,16 @@ class Porter:
             if last.verdict.kind == KIND_TRIGGERED:
                 final = FINAL_REVIVED
                 break
-            if len(stack) >= self.limits.max_reverted_commits:
-                final = FINAL_ABORTED
-                abort_reason = (
-                    ABORT_FUNCTIONALITY_REMOVED
-                    if last.verdict.kind == KIND_POC_INCOMPATIBLE
-                    else ABORT_COMPLEXITY
-                )
-                break
-            lo = index[stack[-1]] + 1 if stack else 0
-            window = cands[lo:]
-            try:
-                res = find_breaking_commit(
-                    window, probe, skip_budget=self.policy.skip_budget
-                )
-            except PreconditionViolated:
+            res = None  # no breaker found: out of budget, or none in the window
+            if len(stack) < self.limits.max_reverted_commits:
+                lo = index[stack[-1]] + 1 if stack else 0
+                try:
+                    res = find_breaking_commit(
+                        cands[lo:], probe, skip_budget=self.policy.skip_budget
+                    )
+                except PreconditionViolated:
+                    pass
+            if res is None:
                 final = FINAL_ABORTED
                 abort_reason = (
                     ABORT_FUNCTIONALITY_REMOVED

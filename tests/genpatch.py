@@ -8,7 +8,7 @@ failures cannot be self-consistent bugs.
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from typing import Tuple
 
 WORDS = [
     "alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf",

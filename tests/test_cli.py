@@ -5,7 +5,8 @@ import pytest
 
 from revenant import gitio
 from revenant.cli import main
-from revenant.forge import forge_repo, overflow_poc_bytes
+from revenant.config import DEFAULT_WORKSPACE
+from revenant.forge import forge_repo
 from revenant.oracle import LOCK_PREFIX
 
 from gitutil import RepoBuilder, atimes_recorded, no_child_left
@@ -298,6 +299,24 @@ class TestConfigErrors:
         rc = main(["port", "--config", str(case), "--ref", fixture.fix])
         assert rc == 0
         assert (tmp_path / "env-ws" / CVE / "port.json").exists()
+
+    @pytest.mark.parametrize("flags,workspace", [
+        (["--workspace", "ws"], "ws"),
+        ([], DEFAULT_WORKSPACE),
+    ])
+    def test_a_relative_workspace_still_triggers(self, tmp_path, fixture, capsys, monkeypatch,
+                                                 flags, workspace):
+        # the build slot lives under the workspace: its artifact paths must
+        # not be taken from the PoC's working directory
+        monkeypatch.delenv("REVENANT_WORKSPACE", raising=False)
+        monkeypatch.chdir(tmp_path)
+        case = write_case(tmp_path, fixture)
+        data = json.loads(case.read_text())
+        del data["workspace"]
+        case.write_text(json.dumps(data))
+        rc = main(["port", "--config", str(case), "--ref", fixture.fix, *flags])
+        assert (rc, summary(capsys)["status"]) == (0, "triggered")
+        assert (tmp_path / workspace / CVE / "port.json").exists()
 
 
 def test_commands_leave_no_worktree_and_report_oracle_counts(tmp_path, fixture, capsys):

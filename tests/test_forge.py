@@ -6,7 +6,6 @@ import pytest
 
 from revenant.forge import (
     ARCHETYPES,
-    BREAKERS,
     PACK_C_VULN,
     ForgeError,
     apply_fix,

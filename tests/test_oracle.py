@@ -29,11 +29,11 @@ from revenant.oracle import (
     Oracle,
     OracleVerdict,
     PocSpec,
-    _merged_env,
     build,
     classify_detector_output,
     compiler_version,
     looks_like_usage_error,
+    run_env,
     run_poc,
     tree_hash,
     verdict_key,
@@ -1133,9 +1133,38 @@ class TestPocEnvironment:
 
     def test_recipe_asan_options_win_over_the_pin(self, monkeypatch):
         monkeypatch.setenv("ASAN_OPTIONS", "log_path=/dev/null")
-        assert _merged_env(())["ASAN_OPTIONS"] == "log_path=stderr:abort_on_error=0"
+        assert run_env()["ASAN_OPTIONS"] == "log_path=stderr:abort_on_error=0"
         mine = (("ASAN_OPTIONS", "detect_leaks=0"),)
-        assert _merged_env(mine)["ASAN_OPTIONS"] == "detect_leaks=0"
+        assert run_env(mine)["ASAN_OPTIONS"] == "detect_leaks=0"
+
+    @needs_make
+    def test_ambient_makeflags_neither_change_a_verdict_nor_poison_the_store(
+        self, tmp_path, monkeypatch
+    ):
+        tree = _tree_of(tmp_path / "tree", {"Makefile": MAKEFILE, "main.c": MAIN_C})
+        poc = PocSpec(command="{binary}", input_file=_poc_file(tmp_path))
+        store = tmp_path / "store"
+        # make -n prints the commands without running them: no tool is built
+        monkeypatch.setenv("MAKEFLAGS", "-n")
+        first = Oracle(store, scratch_dir=tmp_path / "first")
+        assert first.verdict(tree, MAKE_RECIPE, poc).kind == KIND_NOT_TRIGGERED
+        monkeypatch.delenv("MAKEFLAGS")
+        shared = Oracle(store, scratch_dir=tmp_path / "shared")
+        assert shared.verdict(tree, MAKE_RECIPE, poc).kind == KIND_NOT_TRIGGERED
+        assert shared.counters == {"cache_hits": 1}
+        fresh = Oracle(tmp_path / "fresh-store", scratch_dir=tmp_path / "fresh")
+        assert fresh.verdict(tree, MAKE_RECIPE, poc).kind == KIND_NOT_TRIGGERED
+
+    def test_an_unrelated_ambient_variable_is_invisible_to_a_build_step(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REVENANT_TEST_UNRELATED", "1")
+        monkeypatch.setenv("TZ", "Europe/Paris")
+        recipe = BuildRecipe.make(["env > seen.txt"], ["seen.txt"], env={"MINE": "2"})
+        assert build(tmp_path, recipe).ok
+        seen = (tmp_path / "seen.txt").read_text().splitlines()
+        assert not [line for line in seen if line.startswith("REVENANT_TEST_UNRELATED=")]
+        assert {"LC_ALL=C", "TZ=UTC", "MINE=2"} <= set(seen)
 
 
 @pytest.mark.slow

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from revenant.patchcore import (
     ADD,
-    CONTEXT,
     REMOVE,
     FilePatch,
     Hunk,
