@@ -12,7 +12,7 @@ import json
 import re
 import subprocess
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .porter import FINAL_REVIVED, Limits, RevivalRecord
 
@@ -97,15 +97,13 @@ class ConflictGraph:
 
     def __init__(self, nodes: Iterable[str] = ()):
         self.nodes: List[str] = []
-        self._adj: Dict[str, Set[str]] = {}
         self.edges: Dict[Tuple[str, str], ConflictEdge] = {}
         for n in nodes:
             self.add_node(n)
 
     def add_node(self, node: str) -> None:
-        if node not in self._adj:
+        if node not in self.nodes:
             self.nodes.append(node)
-            self._adj[node] = set()
 
     def add_edge(self, a: str, b: str, reason: str, evidence: str = "") -> None:
         if a == b:
@@ -115,14 +113,9 @@ class ConflictGraph:
         key: Tuple[str, str] = tuple(sorted((a, b)))  # type: ignore[assignment]
         if key not in self.edges:
             self.edges[key] = ConflictEdge(key[0], key[1], reason, evidence)
-            self._adj[a].add(b)
-            self._adj[b].add(a)
 
     def has_edge(self, a: str, b: str) -> bool:
         return tuple(sorted((a, b))) in self.edges
-
-    def neighbors(self, node: str) -> frozenset:
-        return frozenset(self._adj.get(node, frozenset()))
 
     def is_independent(self, nodes: Iterable[str]) -> bool:
         chosen = list(nodes)

@@ -90,13 +90,8 @@ def revival_records(tier: str = "latest") -> List[RevivalRecord]:
                 granularity="patch-hunks",
                 final=FINAL_REVIVED if revived else FINAL_ABORTED,
                 abort_reason="" if revived else row["abort_reason"],
-                aborted_on="",
                 revert_stack=list(row["revert_stack"]),
-                verdict={},
                 effort={"commits_reverted": row["commits_reverted"]},
-                flags={},
-                touched_regions=[],
-                port_digest="",
             )
         )
     return out

@@ -489,7 +489,7 @@ class CommitMemo:
                 ref.parents[0],
                 ref.id,
             )
-            patch = parse_unified_diff(proc.stdout, provenance=f"commit:{ref.id}")
+            patch = parse_unified_diff(proc.stdout)
             self._diffs[(ref.id, context)] = patch
         return patch
 

@@ -972,6 +972,7 @@ class Oracle:
                 return stored
             stored = self.store.match(group, tree.entries())
             if stored is not None:
+                self.store.put(key, stored)  # the next probe of this tree is exact
                 self._count("cache_hits", "trace_hits")
                 return stored
             with self._lock:

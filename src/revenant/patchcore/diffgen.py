@@ -105,7 +105,6 @@ def diff_trees(
     old_files: dict,
     new_files: dict,
     context: int = 3,
-    provenance: str = "",
 ) -> SourcePatch:
     """Diff two {path: text} snapshots into a SourcePatch."""
     paths = sorted(set(old_files) | set(new_files))
@@ -121,4 +120,4 @@ def diff_trees(
         elif p not in new_files:
             fp.mode_change = MODE_DELETED
         files.append(fp)
-    return SourcePatch(files=files, provenance=provenance)
+    return SourcePatch(files=files)

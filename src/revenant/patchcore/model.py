@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, List
+from typing import List
 
 CONTEXT = "context"
 REMOVE = "remove"
@@ -139,16 +139,10 @@ class FilePatch:
 @dataclass
 class SourcePatch:
     files: List[FilePatch] = field(default_factory=list)
-    provenance: str = ""
 
     def validate(self) -> None:
         for fp in self.files:
             fp.validate()
-
-    def iter_hunks(self) -> Iterator[tuple]:
-        for fp in self.files:
-            for h in fp.hunks:
-                yield fp, h
 
 
 def _invert_run(removes: List[HunkLine], adds: List[HunkLine]) -> List[HunkLine]:
@@ -202,16 +196,7 @@ def invert(patch: SourcePatch) -> SourcePatch:
 
     Involution holds structurally: invert(invert(p)) == p.
     """
-    prov = patch.provenance
-    if prov == "inverted":
-        prov = ""
-    elif prov.endswith("|inverted"):
-        prov = prov[: -len("|inverted")]
-    elif prov:
-        prov = prov + "|inverted"
-    else:
-        prov = "inverted"
-    return SourcePatch(files=[invert_file_patch(fp) for fp in patch.files], provenance=prov)
+    return SourcePatch(files=[invert_file_patch(fp) for fp in patch.files])
 
 
 def split_lines(text: str) -> tuple[List[str], bool]:

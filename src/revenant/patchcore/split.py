@@ -1,10 +1,10 @@
-"""Re-expression of one patch as several smaller, independently applicable
-patches, at four granularities.
+"""Re-expression of one patch as file patches that each hold one unit, at
+four granularities.
 
-The concatenated outputs are application-equivalent to the input.  New-side
-start lines are renumbered so each emitted patch stands alone; applying the
-parts in order relies on the applier's offset search to absorb the drift
-the earlier parts introduce.
+Applied in order, the parts are equivalent to the input.  New-side start
+lines are renumbered so each part stands alone; applying the parts in order
+relies on the applier's offset search to absorb the drift the earlier parts
+introduce.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .applier import apply_file_patch
 from .diffgen import whole_file_patch
 from .model import (
+    MODE_CREATED,
     FilePatch,
     FunctionBoundaryUnavailable,
     Granularity,
@@ -23,8 +24,6 @@ from .model import (
     SourcePatch,
     split_lines,
 )
-
-FALLBACK_NOTE = "function-scope-fallback"
 
 # a C-family function definition: unindented, ends in an argument list,
 # no trailing semicolon (that would be a prototype)
@@ -106,107 +105,59 @@ def _part(fp: FilePatch, hunks: List[Hunk]) -> FilePatch:
     )
 
 
-def _provenance(base: str, label: str) -> str:
-    return f"{base}|{label}" if base else label
-
-
 def split_by_granularity(
     patch: SourcePatch,
     granularity: Granularity,
-    read_file: Optional[Callable[[str], str]] = None,
-) -> List[SourcePatch]:
-    """Split `patch` into parts that are each one unit at `granularity`.
+    read: Optional[Callable[[str], Optional[str]]] = None,
+) -> List[FilePatch]:
+    """The file patches of `patch`, one per unit at `granularity`, in
+    the order they apply.
 
-    WholeFiles and FunctionScope need the pre-patch file contents, which
-    `read_file(path)` returns.  FunctionScope falls back to ChunkScope for
-    files whose function boundaries cannot be located, and says so in the
-    part's provenance.
+    WholeFiles and FunctionScope need the pre-patch texts, which
+    `read(path)` returns as `stage_patch` reads them: None when the file
+    is absent.  An absent or binary file is left whole, for the applier
+    to report.  WholeFiles applies each file strictly and replaces it in
+    one hunk; a file that does not apply strictly raises HunkRejected.
+    FunctionScope groups a file's hunks by the C function that holds
+    them, and leaves each other hunk on its own.
     """
-    prov = patch.provenance
-
     if granularity is Granularity.PatchHunks:
-        return [
-            SourcePatch([fp], provenance=_provenance(prov, f"file:{fp.path}"))
-            for fp in patch.files
-        ]
+        return list(patch.files)
 
     if granularity is Granularity.ChunkScope:
         out = []
         for fp in patch.files:
-            if fp.is_binary:
-                out.append(
-                    SourcePatch([fp], provenance=_provenance(prov, f"chunk:{fp.path}"))
-                )
-                continue
-            for k, h in enumerate(fp.hunks):
-                out.append(
-                    SourcePatch(
-                        [_part(fp, [h])],
-                        provenance=_provenance(prov, f"chunk:{fp.path}#{k}"),
-                    )
-                )
+            out += [fp] if fp.is_binary else [_part(fp, [h]) for h in fp.hunks]
         return out
 
-    if granularity is Granularity.WholeFiles:
-        if read_file is None:
-            raise ValueError("WholeFiles splitting needs worktree contents")
-        files = []
-        for fp in patch.files:
-            if fp.is_binary:
-                raise HunkRejected(f"{fp.path}: binary files cannot be re-diffed")
-            old = "" if fp.mode_change == "created" else read_file(fp.path)
+    if granularity not in (Granularity.WholeFiles, Granularity.FunctionScope):
+        raise ValueError(f"unknown granularity: {granularity!r}")
+    if read is None:
+        raise ValueError(f"{granularity.value} splitting needs the tree's contents")
+    out = []
+    for fp in patch.files:
+        created = fp.mode_change == MODE_CREATED
+        old = None if fp.is_binary else "" if created else read(fp.path)
+        if old is None:
+            out.append(fp)
+        elif granularity is Granularity.WholeFiles:
             new, report = apply_file_patch(old, fp, max_fuzz=0, search_window=0)
             if not report.all_applied:
-                raise HunkRejected(
-                    f"{fp.path}: patch does not apply strictly to the worktree copy"
-                )
-            files.append(whole_file_patch(old, new, fp.path))
-        return [SourcePatch(files, provenance=_provenance(prov, "whole-files"))]
-
-    if granularity is Granularity.FunctionScope:
-        if read_file is None:
-            raise ValueError("FunctionScope splitting needs worktree contents")
-        out = []
-        for fp in patch.files:
-            if fp.is_binary or fp.mode_change == "created":
-                out.append(
-                    SourcePatch([fp], provenance=_provenance(prov, f"file:{fp.path}"))
-                )
-                continue
+                raise HunkRejected(f"{fp.path}: patch does not apply strictly to the tree's copy")
+            out.append(whole_file_patch(old, new, fp.path))
+        elif created:
+            out.append(fp)
+        else:
             try:
-                spans = locate_functions(read_file(fp.path))
+                spans = locate_functions(old)
             except FunctionBoundaryUnavailable:
-                for k, h in enumerate(fp.hunks):
-                    out.append(
-                        SourcePatch(
-                            [_part(fp, [h])],
-                            provenance=_provenance(
-                                prov, f"{FALLBACK_NOTE}:{fp.path}#{k}"
-                            ),
-                        )
-                    )
-                continue
-            groups: Dict[str, List[Hunk]] = {}
-            order: List[str] = []
+                spans = []
+            groups: Dict[object, List[Hunk]] = {}
             for k, h in enumerate(fp.hunks):
-                begin = h.old_start if h.old_len else h.old_start
                 end = h.old_start + max(h.old_len - 1, 0)
-                key = f"chunk#{k}"
-                for name, lo, hi in spans:
-                    if begin >= lo and end <= hi:
-                        key = f"fn:{name}@{lo}"
-                        break
-                if key not in groups:
-                    groups[key] = []
-                    order.append(key)
-                groups[key].append(h)
-            for key in order:
-                out.append(
-                    SourcePatch(
-                        [_part(fp, groups[key])],
-                        provenance=_provenance(prov, f"{key}:{fp.path}"),
-                    )
-                )
-        return out
-
-    raise ValueError(f"unknown granularity: {granularity!r}")
+                # the function that holds the hunk, else the hunk alone
+                key = next(((name, lo) for name, lo, hi in spans
+                            if lo <= h.old_start and end <= hi), k)
+                groups.setdefault(key, []).append(h)
+            out += [_part(fp, hunks) for hunks in groups.values()]
+    return out

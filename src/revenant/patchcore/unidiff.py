@@ -67,7 +67,7 @@ def _clean_path(raw: str) -> str:
     return path
 
 
-def parse_unified_diff(text: str, provenance: str = "") -> SourcePatch:
+def parse_unified_diff(text: str) -> SourcePatch:
     """Parse one or many file diffs out of `text`.
 
     Raises MalformedHeader, HunkCountMismatch or TruncatedHunk on bad input.
@@ -193,7 +193,7 @@ def parse_unified_diff(text: str, provenance: str = "") -> SourcePatch:
         # would have been consumed by the hunk loop above
         i += 1
 
-    patch = SourcePatch(files=files, provenance=provenance)
+    patch = SourcePatch(files=files)
     patch.validate()
     return patch
 

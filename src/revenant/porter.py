@@ -161,14 +161,10 @@ def derive_reverse_patch(
             raise CompositionConflict(message.format(commit=commit, path=path))
         state.update(staged.writes)
 
-    forward = diff_trees(
+    return invert(diff_trees(
         {p: t for p, t in before.items() if t is not None},
         {p: t for p, t in state.items() if t is not None},
-    )
-    forward = SourcePatch(files=forward.files, provenance="fix:" + "..".join(
-        (fix_commits[0], fix_commits[-1])
     ))
-    return invert(forward)
 
 
 _COMPOSITION_CONFLICT = {
@@ -410,12 +406,12 @@ class Porter:
         All units of all files must apply; on any conflict nothing is
         written.  Returns (ok, files, hunks, regions).
         """
+        read = tree_reader(tree)
         try:
-            units = split_by_granularity(reverse, self.policy.granularity, read_file=tree.read)
-        except (PatchError, FileNotFoundError):  # an absent file conflicts, as in stage_patch
+            files = split_by_granularity(reverse, self.policy.granularity, read)
+        except PatchError:  # whole-files: a file does not apply strictly
             return False, 0, 0, []
-        files = [fp for unit in units for fp in unit.files]
-        staged = stage_patch(tree_reader(tree), files, **self.policy.apply_options)
+        staged = stage_patch(read, files, **self.policy.apply_options)
         if staged.conflicts:
             return False, 0, 0, []
         staged.write_to(tree)

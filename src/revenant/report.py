@@ -13,6 +13,8 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import __version__
 from .categorize import CATEGORIES, DESCRIPTIONS
+from .datasets import TIERS
+from .porter import FINAL_REVIVED
 
 CSV_HEADER = "bucket_start,total_commits,cve_related_commits"
 
@@ -62,7 +64,7 @@ class StatusMatrix:
     @staticmethod
     def from_rows(
         rows: Iterable[dict],
-        tiers: Sequence[str] = ("reference", "intermediate", "latest"),
+        tiers: Sequence[str] = TIERS,
     ) -> "StatusMatrix":
         matrix_rows = []
         footnotes: Dict[str, str] = {}
@@ -90,7 +92,7 @@ class StatusMatrix:
 def render_revival_matrix(
     survey_rows: Iterable[dict],
     paper_style: bool = False,
-    tiers: Sequence[str] = ("reference", "intermediate", "latest"),
+    tiers: Sequence[str] = TIERS,
 ) -> str:
     """Revival outcomes per tier plus how many commits each CVE reversed."""
     header = ["project", "cve", *tiers, "reversed"]
@@ -128,7 +130,7 @@ def render_records_table(records, paper_style: bool = False) -> str:
         header.append("abort")
     body = []
     for record in records:
-        status = "revived" if record.final == "Revived" else "aborted"
+        status = "revived" if record.final == FINAL_REVIVED else "aborted"
         row = [
             record.project,
             record.cve,

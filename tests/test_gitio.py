@@ -156,7 +156,6 @@ def test_commit_diff_shape(repo):
     added = [ln.text for ln in fp.hunks[0].lines if ln.kind == "add"]
     assert removed == ["line 5"]
     assert added == ["line 5 fixed"]
-    assert patch.provenance.startswith("commit:")
 
 
 def test_commit_diff_root_commit_refused(repo):

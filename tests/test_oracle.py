@@ -892,6 +892,25 @@ class TestTraces:
         reads = [rel for rel, _, _ in json.loads(trace.read_text())["reads"]]
         assert reads == ["build.sh", "crash.sh"]
 
+    @needs_atime
+    def test_a_trace_hit_writes_the_trees_exact_entry(self, tmp_path):
+        built, probed = [_shell_tree(tmp_path / f"t{i}", "cp crash.sh tool\n", README=f"{i}\n")
+                         for i in range(2)]
+        poc = self._poc(tmp_path)
+        first = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
+        want = first.verdict(built, SHELL_RECIPE, poc).to_dict()
+        first.close()
+        # the store holds no entry for `probed`, only the trace that matches it
+        oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
+        hits = []
+        for _ in range(2):
+            assert oracle.verdict(probed, SHELL_RECIPE, poc).to_dict() == want
+            hits.append((oracle.counters.get("cache_hits", 0),
+                         oracle.counters.get("trace_hits", 0)))
+        assert hits == [(1, 1), (2, 1)]
+        assert "builds" not in oracle.counters
+        oracle.close()
+
     def test_a_read_in_an_earlier_incremental_build_counts(self, tmp_path):
         # (a) the read set is the union since the last wipe: the second
         # build reuses obj without reading main.src, which it depends on

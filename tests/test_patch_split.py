@@ -12,7 +12,6 @@ from revenant.patchcore import (
     locate_functions,
     split_by_granularity,
 )
-from revenant.patchcore.split import FALLBACK_NOTE
 
 C_FILE = """\
 #include <stdio.h>
@@ -53,11 +52,8 @@ def test_locator_raises_on_flat_text():
 
 def _apply_parts(content: str, parts, window=400):
     for part in parts:
-        assert len(part.files) == 1
-        content, report = apply_file_patch(
-            content, part.files[0], search_window=window
-        )
-        assert report.all_applied, part.provenance
+        content, report = apply_file_patch(content, part, search_window=window)
+        assert report.all_applied, part.path
     return content
 
 
@@ -69,11 +65,11 @@ def _edit_c_file():
 
 def test_chunk_scope_parts_apply_sequentially():
     new = _edit_c_file()
-    patch = SourcePatch([diff_texts(C_FILE, new, "m.c")], provenance="fix")
+    patch = SourcePatch([diff_texts(C_FILE, new, "m.c")])
     parts = split_by_granularity(patch, Granularity.ChunkScope)
     assert len(parts) == 2
     for part in parts:
-        assert len(part.files[0].hunks) == 1
+        assert len(part.hunks) == 1
     assert _apply_parts(C_FILE, parts) == new
 
 
@@ -84,9 +80,9 @@ def test_patch_hunks_partitions_by_file(tmp_path):
         [diff_texts(old_a, new_a, "a.txt"), diff_texts(old_b, new_b, "b.txt")]
     )
     parts = split_by_granularity(patch, Granularity.PatchHunks)
-    assert [p.files[0].path for p in parts] == ["a.txt", "b.txt"]
-    got_a, _ = apply_file_patch(old_a, parts[0].files[0])
-    got_b, _ = apply_file_patch(old_b, parts[1].files[0])
+    assert [p.path for p in parts] == ["a.txt", "b.txt"]
+    got_a, _ = apply_file_patch(old_a, parts[0])
+    got_b, _ = apply_file_patch(old_b, parts[1])
     assert (got_a, got_b) == (new_a, new_b)
 
 
@@ -95,10 +91,10 @@ def test_whole_files_replaces_wholesale(tmp_path):
     (tmp_path / "m.c").write_text(C_FILE)
     patch = SourcePatch([diff_texts(C_FILE, new, "m.c")])
     parts = split_by_granularity(
-        patch, Granularity.WholeFiles, read_file=lambda p: (tmp_path / p).read_text()
+        patch, Granularity.WholeFiles, read=lambda p: (tmp_path / p).read_text()
     )
     assert len(parts) == 1
-    fp = parts[0].files[0]
+    fp = parts[0]
     assert len(fp.hunks) == 1
     assert fp.hunks[0].old_len == C_FILE.count("\n")
     got, report = apply_file_patch(C_FILE, fp, max_fuzz=0, search_window=0)
@@ -111,11 +107,21 @@ def test_function_scope_groups_by_function(tmp_path):
     (tmp_path / "m.c").write_text(C_FILE)
     patch = SourcePatch([diff_texts(C_FILE, new, "m.c")])
     parts = split_by_granularity(
-        patch, Granularity.FunctionScope, read_file=lambda p: (tmp_path / p).read_text()
+        patch, Granularity.FunctionScope, read=lambda p: (tmp_path / p).read_text()
     )
     assert len(parts) == 2
-    assert parts[0].provenance.startswith("fn:helper@")
-    assert parts[1].provenance.startswith("fn:main@")
+    # helper's hunk, then main's
+    helper, main = patch.files[0].hunks
+    assert [[h.lines for h in p.hunks] for p in parts] == [[helper.lines], [main.lines]]
+    assert _apply_parts(C_FILE, parts) == new
+
+
+def test_function_scope_keeps_a_functions_hunks_together():
+    new = C_FILE.replace("int v = argc;", "int v = argc + 1;").replace("return 0;", "return v;")
+    patch = SourcePatch([diff_texts(C_FILE, new, "m.c", context=0)])
+    assert len(patch.files[0].hunks) == 2
+    parts = split_by_granularity(patch, Granularity.FunctionScope, read=lambda p: C_FILE)
+    assert [len(p.hunks) for p in parts] == [2]
     assert _apply_parts(C_FILE, parts) == new
 
 
@@ -125,10 +131,11 @@ def test_function_scope_falls_back_to_chunks(tmp_path):
     (tmp_path / "notes.txt").write_text(old)
     patch = SourcePatch([diff_texts(old, new, "notes.txt", context=0)])
     parts = split_by_granularity(
-        patch, Granularity.FunctionScope, read_file=lambda p: (tmp_path / p).read_text()
+        patch, Granularity.FunctionScope, read=lambda p: (tmp_path / p).read_text()
     )
     assert len(parts) == 2
-    assert all(FALLBACK_NOTE in p.provenance for p in parts)
+    hunks = patch.files[0].hunks
+    assert [[h.lines for h in p.hunks] for p in parts] == [[h.lines] for h in hunks]
     assert _apply_parts(old, parts) == new
 
 

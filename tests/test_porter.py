@@ -341,6 +341,66 @@ class TestTiers:
         assert set(res) == {"reference"}
 
 
+LIB_C = """\
+#include "limits.h"
+
+int parse(const char *s, int n)
+{
+    int total = 0;
+    for (int i = 0; i < n; i++) {
+        total += s[i];
+    }
+    return total;
+}
+
+void reset(char *out, int n)
+{
+    int i = 0;
+    while (i < n) {
+        out[i] = 0;
+        i++;
+    }
+}
+
+int emit(char *out, int n)
+{
+    for (int i = 0; i <= n; i++) {
+        out[i] = 'x';
+    }
+    return n;
+}
+"""
+
+LIB_C_FIXED = LIB_C.replace(
+    "    int total = 0;\n", "    int total = 0;\n    if (n > MAX_LEN)\n        return -1;\n"
+).replace("i <= n", "i < n")
+
+def effort(calls, reverted, hunks, rounds):
+    return {"oracle_calls": calls, "commits_reverted": reverted, "files_touched": 2,
+            "hunks_applied": hunks, "bisect_rounds": rounds}
+
+
+# each hunk of lib.c's reverse fix lands 3 lines lower at the target
+HUNK_REGIONS = [
+    {"file": "lib.c", "start": 6, "end": 11},
+    {"file": "lib.c", "start": 23, "end": 29},
+    {"file": "limits.h", "start": 1, "end": 1},
+]
+
+GRANULARITY_RECORDS = [
+    # whole-files applies strictly, so it reverts the banner commit, then
+    # replaces each file in one hunk
+    (Granularity.WholeFiles, effort(4, 1, 2, 1), [
+        {"file": "lib.c", "start": 1, "end": 27},
+        {"file": "limits.h", "start": 1, "end": 1},
+        {"file": "lib.c", "start": 1, "end": 3},
+    ]),
+    (Granularity.PatchHunks, effort(2, 0, 3, 0), HUNK_REGIONS),
+    (Granularity.FunctionScope, effort(2, 0, 3, 0), HUNK_REGIONS),
+    (Granularity.ChunkScope, effort(2, 0, 3, 0), HUNK_REGIONS),
+]
+
+
 class TestGranularity:
     def test_whole_files_port_succeeds_on_clean_history(self, tmp_path):
         fx = forge_repo(tmp_path, [])
@@ -373,6 +433,26 @@ class TestGranularity:
                              policy=PortPolicy(granularity=granularity)) as porter:
             assert porter.attempt("t2", (), ["t1"]).verdict.kind == KIND_PORT_CONFLICT
             assert porter.attempt("t1", (), ["t1"]).verdict.kind == KIND_TRIGGERED
+
+    @pytest.mark.parametrize("granularity,effort,regions", GRANULARITY_RECORDS)
+    def test_records_pin_each_granularity(self, tmp_path, granularity, effort, regions):
+        # the fix changes two functions of lib.c and limits.h; the target
+        # adds lines above both of lib.c's hunks
+        rb = RepoBuilder(tmp_path / "repo")
+        rb.commit({"lib.c": LIB_C, "limits.h": "#define MAX_LEN 64\n"}, "base")
+        rb.commit({"lib.c": LIB_C_FIXED, "limits.h": "#define MAX_LEN 32\n"}, "fix")
+        rb.commit({"lib.c": "/* lib.c */\n/* demo */\n\n" + LIB_C_FIXED}, "banner")
+        with Porter(rb.root, *NO_BUILD, oracle=RecordingOracle(tmp_path / "verdicts"),
+                    policy=PortPolicy(granularity=granularity),
+                    scratch_dir=tmp_path / "scratch") as porter:
+            rec = porter.revive("CVE-0000-0012", "demo", ["t1"], "t2")
+        assert rec.final == FINAL_REVIVED
+        assert rec.effort == effort
+        assert rec.touched_regions == regions
+        assert rec.port_digest == (
+            "95d9882ebd1b9aed0731d4275ddd9137de24f78ae2e3103cc4d66aa5324d20bd"
+        )
+
 
 
 class RecordingOracle(Oracle):
