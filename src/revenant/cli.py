@@ -356,7 +356,7 @@ def cmd_activity(args) -> int:
                 {"cve": cfg.cve, "timestamp": commits.resolve(commit).timestamp}
                 for commit in record.revert_stack
             ]
-    hist = activity_histogram(commit_range, tracked)
+        hist = activity_histogram(commit_range, tracked, commits.touched)
 
     csv_path = _write(case_dir / ACTIVITY_CSV, emit_activity_csv(hist))
     svg_path = _write(case_dir / ACTIVITY_SVG, emit_activity_plot(hist, lifelines, markers))

@@ -4,14 +4,15 @@ Everything here shells out to git.  A `CommitMemo` remembers what a full
 commit id names, which never changes, for as long as its owner keeps it,
 and reads every object it needs over one `git cat-file --batch` process
 that it starts on the first such read: the commit objects that names
-resolve to, tree objects for commit listings and touched files, and
-blobs for patching and for the build slot.  Close the memo to stop it.
-Besides that reader, a memo runs git only to check once that the clone
-is not shallow, to diff a commit and to walk a range.  The module-level
-functions start from an empty memo on every call and close it.  A
-`CommitTree` is a commit's files plus edits held in memory, so patching
-one writes nothing to disk.  File contents travel as str with
-surrogateescape so arbitrary bytes survive the Python layer unchanged.
+and ranges resolve to, tree objects for commit listings and touched
+files, and blobs for patching and for the build slot.  Close the memo to
+stop it.  Besides that reader, a memo runs git only to check once that
+the clone is not shallow, to diff a commit and to list a range's commit
+ids.  The module-level functions start from an empty memo on every call
+and close it.  A `CommitTree` is a commit's files plus edits held in
+memory, so patching one writes nothing to disk.  File contents travel as
+str with surrogateescape so arbitrary bytes survive the Python layer
+unchanged.
 """
 
 from __future__ import annotations
@@ -140,9 +141,7 @@ class CommitRef:
     id: str
     short_id: str
     timestamp: int  # committer date, UTC epoch seconds
-    author_timestamp: int  # author date, for histogram consumers that want it
     parents: Tuple[str, ...]
-    touched_files: Tuple[str, ...]
     tree: str  # id of the root tree
 
     def __str__(self) -> str:
@@ -205,60 +204,26 @@ class Worktree:
         self.remove()
 
 
-_LOG_ARGS = (
-    "log",
-    "--first-parent",
-    "--name-only",
-    "--no-renames",
-    "-z",
-    "--format=%x01%H%x00%ct%x00%at%x00%T%x00%P",
-)
-
 SHORT_ID = 12  # hex digits of a commit id its CommitRef shows
 
-# runs git with the given arguments in one repository, as `run_git` does
-Git = Callable[..., subprocess.CompletedProcess]
 
-
-def _log(git: Git, *revs: str) -> List[CommitRef]:
-    """CommitRefs of `git log --first-parent` over `revs`, in log order."""
-    proc = git(*_LOG_ARGS, *revs, "--")
-    refs: List[CommitRef] = []
-    for block in proc.stdout.split("\x01")[1:]:
-        full, ct, at, tree, parents_raw, *names = block.split("\0")
-        # a NUL ends the header, and a newline starts the names, if any
-        if names and names[0].startswith("\n"):
-            names[0] = names[0][1:]
-        refs.append(
-            CommitRef(
-                id=full,
-                short_id=full[:SHORT_ID],
-                timestamp=int(ct),
-                author_timestamp=int(at),
-                parents=tuple(parents_raw.split()),
-                touched_files=tuple(name for name in names if name),
-                tree=tree,
-            )
-        )
-    return refs
-
-
-def _parse_commit(data: bytes) -> Tuple[str, Tuple[str, ...], int, int]:
-    """The root tree, the parents and the committer and author timestamps
-    (UTC epoch seconds) of a raw commit object, read from its headers."""
+def _parse_commit(oid: str, data: bytes) -> CommitRef:
+    """The CommitRef of the raw commit object `data` whose id is `oid`:
+    its root tree, parents and committer date, read from its headers."""
     tree = ""
     parents: List[str] = []
-    stamps: Dict[bytes, int] = {}
+    committed: Optional[int] = None
     for line in data.partition(b"\n\n")[0].split(b"\n"):
         key, _, value = line.partition(b" ")  # a continuation line has no key
         if key == b"tree" and not tree:
             tree = value.decode()
         elif key == b"parent":
             parents.append(value.decode())
-        elif key in (b"author", b"committer"):
+        elif key == b"committer" and committed is None:
             # `name <email> seconds zone`: the email may hold spaces
-            stamps.setdefault(key, int(value.rpartition(b">")[2].split()[0]))
-    return tree, tuple(parents), stamps[b"committer"], stamps[b"author"]
+            committed = int(value.rpartition(b">")[2].split()[0])
+    return CommitRef(id=oid, short_id=oid[:SHORT_ID], timestamp=committed,
+                     parents=tuple(parents), tree=tree)
 
 
 def _width(oid: str) -> int:
@@ -346,8 +311,8 @@ class CommitMemo:
     (or on leaving a `with` block, or when the memo is garbage); a later
     read starts a new one.  Names are resolved over the reader too: it
     peels `<name>^{commit}` and returns the commit object, whose headers
-    give the CommitRef's tree, parents and timestamps, and whose tree,
-    compared with its first parent's, gives the files it touched.  Only
+    give the CommitRef's tree, parents and timestamp.  A range's commit
+    ids come from `git rev-list` and their objects from the reader.  Only
     `diff` and `between` start a git process of their own.  `spawns`
     counts the git processes the memo started, reader starts included.
     """
@@ -356,7 +321,7 @@ class CommitMemo:
         self.repo = Path(repo)
         self.spawns = 0
         self._refs: Dict[str, CommitRef] = {}
-        self._diffs: Dict[Tuple[str, int], SourcePatch] = {}
+        self._diffs: Dict[str, SourcePatch] = {}
         self._inverses: Dict[str, SourcePatch] = {}
         self._trees: "OrderedDict[str, List[Entry]]" = OrderedDict()
         self._texts: "OrderedDict[str, str]" = OrderedDict()
@@ -398,9 +363,6 @@ class CommitMemo:
         ((oid, data),) = self._objects([name], b"commit", peel=True)
         return oid, data
 
-    def _commit_id(self, name: str) -> str:
-        return name if name in self._refs else self._peeled(name)[0]
-
     def resolve(self, name: str) -> CommitRef:
         """Resolve a branch, tag or abbreviated id to a CommitRef.
 
@@ -410,38 +372,21 @@ class CommitMemo:
         ref = self._refs.get(name)
         if ref is None:
             oid, data = self._peeled(name)
-            ref = self._refs.get(oid)
-            if ref is None:
-                tree, parents, committed, authored = _parse_commit(data)
-                before = self._tree_of(parents[0]) if parents else None
-                ref = self._refs.setdefault(oid, CommitRef(
-                    id=oid,
-                    short_id=oid[:SHORT_ID],
-                    timestamp=committed,
-                    author_timestamp=authored,
-                    parents=parents,
-                    touched_files=self._touched(before, tree),
-                    tree=tree,
-                ))
+            ref = self._refs.setdefault(oid, _parse_commit(oid, data))
         return ref
 
-    def _tree_of(self, commit_id: str) -> str:
-        """The root tree of the commit `commit_id`."""
-        ref = self._refs.get(commit_id)
-        if ref is not None:
-            return ref.tree
-        ((_, data),) = self._objects([commit_id], b"commit")
-        return _parse_commit(data)[0]
-
-    def _touched(self, before: Optional[str], after: str) -> Tuple[str, ...]:
+    def touched(self, commit: str) -> Tuple[str, ...]:
         """Paths of the files, symlinks and gitlinks that differ between
-        the root trees `before` (None: the empty tree) and `after`, sorted
-        as `git log --name-only` lists them: by their bytes."""
+        the commit's root tree and its first parent's (the empty tree for
+        a root commit), sorted as `git log --name-only` lists them: by
+        their bytes."""
+        ref = self.resolve(commit)
+        before = self.resolve(ref.parents[0]).tree if ref.parents else None
         touched = set()
-        level: List[Tuple[str, Optional[str], Optional[str]]] = [("", before, after)]
+        level: List[Tuple[str, Optional[str], Optional[str]]] = [("", before, ref.tree)]
         while level:  # one exchange per level of changed trees
             wanted = {tree for _, old, new in level for tree in (old, new) if tree}
-            trees = self._read_trees(wanted, _width(after))
+            trees = self._read_trees(wanted, _width(ref.id))
             deeper = []
             for prefix, old, new in level:
                 was = {name: (mode, oid) for name, mode, oid in trees[old]} if old else {}
@@ -459,38 +404,33 @@ class CommitMemo:
         return tuple(sorted(touched, key=os.fsencode))
 
     def between(self, base: str, tip: str) -> CommitRange:
-        """First-parent path (base, tip], oldest first."""
-        base_ref = self.resolve(base)
-        tip_id = self._commit_id(tip)
-        anc = self._git("merge-base", "--is-ancestor", base_ref.id, tip_id, check=False)
-        if anc.returncode != 0:
+        """The tip's first-parent line down to the base, (base, tip],
+        oldest first.  Raises NotAncestor when that line does not reach
+        the base."""
+        base_ref, tip_ref = self.resolve(base), self.resolve(tip)
+        ids = self._git(
+            "rev-list", "--first-parent", "--reverse", f"{base_ref.id}..{tip_ref.id}"
+        ).stdout.split()
+        for oid, data in self._objects([i for i in ids if i not in self._refs], b"commit"):
+            self._refs.setdefault(oid, _parse_commit(oid, data))
+        ordered = [self._refs[oid] for oid in ids]
+        if ordered:
+            reached = ordered[0].parents[:1] == (base_ref.id,)
+        else:
+            reached = base_ref.id == tip_ref.id
+        if not reached:
             raise NotAncestor(f"{base} is not a first-parent ancestor of {tip}")
-        ordered = _log(self._git, "--reverse", f"{base_ref.id}..{tip_id}")
-        for ref in ordered:
-            self._refs.setdefault(ref.id, ref)
-        # guard against the base slipping in (it cannot, with A..B) and make
-        # sure the walk ends at the tip we resolved
-        if ordered and ordered[-1].id != tip_id:
-            raise GitGatewayError("first-parent walk did not end at the tip")
-        return CommitRange(base=base_ref, tip=self.resolve(tip_id), ordered=ordered)
+        return CommitRange(base=base_ref, tip=tip_ref, ordered=ordered)
 
-    def diff(self, commit: str, context: int = 3) -> SourcePatch:
+    def diff(self, commit: str) -> SourcePatch:
         """The commit's diff against its first parent, as a SourcePatch."""
         ref = self.resolve(commit)
-        patch = self._diffs.get((ref.id, context))
+        patch = self._diffs.get(ref.id)
         if patch is None:
             if not ref.parents:
                 raise RootCommit(f"{ref.short_id} has no parent to diff against")
-            proc = self._git(
-                "diff",
-                "--no-color",
-                "--no-renames",
-                f"-U{context}",
-                ref.parents[0],
-                ref.id,
-            )
-            patch = parse_unified_diff(proc.stdout)
-            self._diffs[(ref.id, context)] = patch
+            proc = self._git("diff", "--no-color", "--no-renames", "-U3", ref.parents[0], ref.id)
+            patch = self._diffs[ref.id] = parse_unified_diff(proc.stdout)
         return patch
 
     def inverse(self, commit: str) -> SourcePatch:
@@ -719,10 +659,10 @@ def commits_between(repo: Path, base: str, tip: str) -> CommitRange:
         return memo.between(base, tip)
 
 
-def commit_diff(repo: Path, commit: str, context: int = 3) -> SourcePatch:
+def commit_diff(repo: Path, commit: str) -> SourcePatch:
     """`CommitMemo.diff` with nothing remembered."""
     with CommitMemo(repo) as memo:
-        return memo.diff(commit, context)
+        return memo.diff(commit)
 
 
 def checkout_worktree(repo: Path, commit: str, dest: Path) -> Worktree:
@@ -807,12 +747,15 @@ class ActivityHistogram:
 def activity_histogram(
     commit_range: CommitRange,
     tracked_files: Iterable[str],
+    touched: Callable[[str], Iterable[str]],
     bucket_width_days: int = 14,
 ) -> ActivityHistogram:
     """Bucketed commit counts over the range, by committer timestamp.
 
-    Buckets are anchored at the first in-range commit and cover through the
-    tip; out-of-order timestamps (rebases, clock skew) are clamped into the
+    A commit is related when `touched` (see `CommitMemo.touched`), asked
+    only while some file is tracked, names a tracked file.  Buckets are
+    anchored at the first in-range commit and cover through the tip;
+    out-of-order timestamps (rebases, clock skew) are clamped into the
     edge buckets so every commit is counted exactly once.
     """
     tracked = set(tracked_files)
@@ -829,7 +772,7 @@ def activity_histogram(
         idx = (c.timestamp - start) // width
         idx = min(max(idx, 0), n_buckets - 1)
         totals[idx] += 1
-        if tracked and any(f in tracked for f in c.touched_files):
+        if tracked and any(f in tracked for f in touched(c.id)):
             related[idx] += 1
     buckets = [
         (start + i * width, totals[i], related[i]) for i in range(n_buckets)

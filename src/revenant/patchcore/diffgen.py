@@ -77,15 +77,12 @@ def diff_texts(
     return fp
 
 
-def whole_file_patch(old: str, new: str, path: str) -> FilePatch:
-    """A single-hunk patch replacing the full old content with the new."""
+def whole_file_patch(old: str, new: str, path: str, mode_change: str) -> FilePatch:
+    """A single-hunk patch replacing the full old content with the new.
+    `mode_change` says whether it creates or deletes the file: an empty
+    text may be either, or a file that stays."""
     a = _tagged_lines(old)
     b = _tagged_lines(new)
-    mode = MODE_NONE
-    if old == "" and new != "":
-        mode = MODE_CREATED
-    elif old != "" and new == "":
-        mode = MODE_DELETED
     lines = [HunkLine(REMOVE, t, nl) for t, nl in a]
     lines += [HunkLine(ADD, t, nl) for t, nl in b]
     hunk = Hunk(
@@ -95,7 +92,7 @@ def whole_file_patch(old: str, new: str, path: str) -> FilePatch:
         new_len=len(b),
         lines=lines,
     )
-    fp = FilePatch(path, path, [], mode_change=mode)
+    fp = FilePatch(path, path, [], mode_change=mode_change)
     if a or b:
         fp.hunks.append(hunk)
     return fp

@@ -144,7 +144,7 @@ def split_by_granularity(
             new, report = apply_file_patch(old, fp, max_fuzz=0, search_window=0)
             if not report.all_applied:
                 raise HunkRejected(f"{fp.path}: patch does not apply strictly to the tree's copy")
-            out.append(whole_file_patch(old, new, fp.path))
+            out.append(whole_file_patch(old, new, fp.path, fp.mode_change))
         elif created:
             out.append(fp)
         else:

@@ -113,7 +113,6 @@ class PortPolicy:
     search_window: int = 200
     normalize_trailing_whitespace: bool = False
     skip_budget: int = 3
-    check_origin: bool = True
 
     @property
     def apply_options(self) -> dict:
@@ -506,15 +505,12 @@ class Porter:
         target_id = self.commits.resolve(target).id
         attempts_before = self.attempt_count
 
-        origin_verified = False
-        if self.policy.check_origin:
-            origin = self.attempt(fix_commits[-1], (), fix_commits)
-            if origin.verdict.kind != KIND_TRIGGERED:
-                raise PreconditionViolated(
-                    f"PoC does not trigger at the fix commit itself "
-                    f"(got {origin.verdict.kind}); nothing to revive"
-                )
-            origin_verified = True
+        origin = self.attempt(fix_commits[-1], (), fix_commits)
+        if origin.verdict.kind != KIND_TRIGGERED:
+            raise PreconditionViolated(
+                f"PoC does not trigger at the fix commit itself "
+                f"(got {origin.verdict.kind}); nothing to revive"
+            )
 
         stack: List[str] = []  # discovery order, oldest breaker first
         rounds: List[dict] = []
@@ -590,7 +586,7 @@ class Porter:
                 "hunks_applied": last.hunks_applied,
                 "bisect_rounds": len(rounds),
             },
-            flags={"origin_verified": origin_verified, "non_monotone": non_monotone},
+            flags={"origin_verified": True, "non_monotone": non_monotone},
             touched_regions=last.regions if final == FINAL_REVIVED else [],
             port_digest=patch_digest(reverse),
         )

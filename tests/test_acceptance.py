@@ -27,7 +27,7 @@ from revenant.curation import (
 )
 from revenant.datasets import load_breaker_ledger
 from revenant.forge import ARCHETYPES, forge_flip_history, forge_repo
-from revenant.gitio import activity_histogram, commit_diff, commits_between
+from revenant.gitio import CommitMemo, activity_histogram
 from revenant.oracle import (
     HANG_TRIGGER_CLASS,
     KIND_HANG,
@@ -350,11 +350,12 @@ def test_criterion_08_archetype_diffs_categorized(tmp_path):
 def test_criterion_09_histogram_conservation(tmp_path):
     # long flat history spanning several buckets
     fx = forge_flip_history(tmp_path / "flat", 500, 250)
-    rng = commits_between(fx.repo, fx.base, fx.commit_ids[-1])
-    hist = activity_histogram(rng, ["state.txt"])
-    commits = rng.ordered
+    with CommitMemo(fx.repo) as memo:
+        rng = memo.between(fx.base, fx.commit_ids[-1])
+        hist = activity_histogram(rng, ["state.txt"], memo.touched)
+        commits = rng.ordered
+        recount = sum(1 for c in commits if "state.txt" in memo.touched(c.id))
     assert hist.total == len(commits) == 500
-    recount = sum(1 for c in commits if "state.txt" in c.touched_files)
     assert hist.related_total == recount == 1
     assert len(hist.buckets) >= 2
     starts = [b[0] for b in hist.buckets]
@@ -362,14 +363,15 @@ def test_criterion_09_histogram_conservation(tmp_path):
 
     # forged project history, tracking the fix-touched files
     fx = forge_repo(tmp_path / "proj", ["C1", "C4"])
-    rng = commits_between(fx.repo, fx.base, fx.target)
-    tracked = [fp.path for fp in commit_diff(fx.repo, fx.fix).files]
-    hist = activity_histogram(rng, tracked)
-    commits = rng.ordered
+    with CommitMemo(fx.repo) as memo:
+        rng = memo.between(fx.base, fx.target)
+        tracked = [fp.path for fp in memo.diff(fx.fix).files]
+        hist = activity_histogram(rng, tracked, memo.touched)
+        commits = rng.ordered
+        recount = sum(
+            1 for c in commits if any(p in tracked for p in memo.touched(c.id))
+        )
     assert hist.total == len(commits)
-    recount = sum(
-        1 for c in commits if any(p in tracked for p in c.touched_files)
-    )
     assert hist.related_total == recount > 0
 
 

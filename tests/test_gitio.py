@@ -19,6 +19,7 @@ from revenant.gitio import (
     MODE_EXEC,
     MODE_LINK,
     CommitMemo,
+    CommitRef,
     DirtyDestination,
     GitGatewayError,
     NotAncestor,
@@ -54,7 +55,8 @@ def test_resolve_ref_by_tag_branch_and_prefix(repo):
     assert by_tag.short_id == sha[: len(by_tag.short_id)]
     assert by_tag.timestamp == BASE_EPOCH
     assert by_tag.parents == ()
-    assert set(by_tag.touched_files) == {"src/main.c", "README"}
+    with CommitMemo(repo.root) as memo:
+        assert set(memo.touched("t0")) == {"src/main.c", "README"}
 
 
 def test_resolve_ref_peels_annotated_tags(repo):
@@ -99,6 +101,24 @@ def test_commits_between_rejects_non_ancestor(repo):
     repo.commit({"README": "y\n"}, "fork b", tag=False)
     with pytest.raises(NotAncestor):
         commits_between(repo.root, "main", "other")
+
+
+def test_between_refuses_a_base_merged_in_from_a_side_branch(repo, monkeypatch):
+    repo.git("checkout", "-q", "-b", "side", "t0")
+    side_sha = repo.commit({"side.txt": "side\n"}, "side work", tag=False)
+    repo.git("checkout", "-q", "main")
+    repo.commit({"README": "main 1\n"}, "main work")
+    repo.git("merge", "-q", "--no-ff", "--no-edit", "side")
+    tip = repo.commit({"README": "main 2\n"}, "main moves on")
+    with CommitMemo(repo.root) as memo:
+        memo.resolve("t0")
+        started = record_git(monkeypatch)
+        assert memo.between("t0", "main").ordered[-1].id == tip
+        assert started == ["rev-list"]
+        # the side commit is an ancestor of main, but not on its first-parent line
+        with pytest.raises(NotAncestor):
+            memo.between(side_sha, "main")
+        assert started == ["rev-list"] * 2
 
 
 def test_checkout_worktree_materializes_and_coexists(repo, tmp_path):
@@ -236,13 +256,14 @@ def test_activity_histogram_conserves_and_buckets(repo):
     # commits are one hour apart; with 14-day buckets all land in bucket 0
     for i in range(5):
         repo.commit({"src/main.c": TEN + f"// rev {i}\n"}, f"c{i}")
-    rng = commits_between(repo.root, "t0", "t5")
-    hist = activity_histogram(rng, ["src/main.c"])
-    assert hist.total == len(rng.ordered) == 5
-    assert hist.related_total == 5
-    assert len(hist.buckets) == 1
+    with CommitMemo(repo.root) as memo:
+        rng = memo.between("t0", "t5")
+        hist = activity_histogram(rng, ["src/main.c"], memo.touched)
+        assert hist.total == len(rng.ordered) == 5
+        assert hist.related_total == 5
+        assert len(hist.buckets) == 1
 
-    hourly = activity_histogram(rng, ["nothing.c"], bucket_width_days=1)
+        hourly = activity_histogram(rng, ["nothing.c"], memo.touched, bucket_width_days=1)
     assert hourly.total == 5
     assert hourly.related_total == 0
 
@@ -253,8 +274,9 @@ def test_activity_histogram_bucket_boundaries(tmp_path):
     rb.commit({"f": "0\n"}, "c0")
     for i in range(4):
         rb.commit({"f": f"{i + 1}\n"}, f"c{i + 1}")
-    rng = commits_between(rb.root, "t0", "t4")
-    hist = activity_histogram(rng, ["f"], bucket_width_days=14)
+    with CommitMemo(rb.root) as memo:
+        rng = memo.between("t0", "t4")
+        hist = activity_histogram(rng, ["f"], memo.touched, bucket_width_days=14)
     # commits at +10d, +20d, +30d, +40d from the first in-range commit
     assert hist.total == 4
     assert [b[1] for b in hist.buckets] == [2, 1, 1]
@@ -361,27 +383,33 @@ def test_a_listing_reads_only_the_trees_its_commit_changed(repo):
     repo.commit({"src/deep/core.c": "int core;\n", "docs/a.txt": "a\n"}, "nest")
     with CommitMemo(repo.root) as memo:
         memo.listing("HEAD")
-        # the root, src, src/deep and docs, and the parent's root and src,
-        # which resolving compared to find the touched files
-        assert len(memo._trees) == 6
+        assert len(memo._trees) == 4  # the root, src, src/deep and docs
         repo.commit({"src/deep/core.c": "int core2;\n"}, "edit a nested file")
         memo.listing("HEAD")
-        assert len(memo._trees) == 9  # a new root, src and src/deep
+        assert len(memo._trees) == 7  # a new root, src and src/deep
 
 
 # ---------- names resolved over the reader ----------
 
 
 def log_ref(repo, name):
-    """The CommitRef of `name` as `git log -1` gives it: the reference for
-    `CommitMemo.resolve`."""
-    (ref,) = gitio._log(lambda *args: gitio.run_git(repo, *args), "-1", name)
-    return ref
+    """The CommitRef of `name` and the files it touched, as `git log -1`
+    gives them: the reference for `CommitMemo.resolve` and `touched`."""
+    out = gitio.run_git(repo, "log", "-1", "--first-parent", "--name-only", "--no-renames",
+                        "-z", "--format=%H%x00%ct%x00%T%x00%P", name, "--").stdout
+    full, ct, tree, parents, *names = out.split("\0")
+    # a NUL ends the header, and a newline starts the names, if any
+    if names and names[0].startswith("\n"):
+        names[0] = names[0][1:]
+    ref = CommitRef(id=full, short_id=full[:12], timestamp=int(ct),
+                    parents=tuple(parents.split()), tree=tree)
+    return ref, tuple(name for name in names if name)
 
 
 def assert_refs_match_git_log(repo):
-    """Every commit's CommitRef, built from the objects a memo reads, equals
-    `git log -1`'s, whether its parent was resolved before it or not."""
+    """Every commit's CommitRef, built from the objects a memo reads, and
+    its touched files equal `git log -1`'s, whether its parent was
+    resolved before it or not."""
     commits = subprocess.run(["git", "-C", str(repo), "rev-list", "--all"],
                              capture_output=True, text=True, check=True).stdout.split()
     assert commits
@@ -389,7 +417,7 @@ def assert_refs_match_git_log(repo):
         with CommitMemo(repo) as memo:
             for commit in order:
                 ref = memo.resolve(commit)
-                assert ref == log_ref(repo, commit), commit
+                assert (ref, memo.touched(commit)) == log_ref(repo, commit), commit
                 assert ref.short_id == commit[:12]
 
 
@@ -402,7 +430,7 @@ def test_refs_built_over_the_reader_match_git_log(tmp_path, source):
     else:
         repo = odd_repo(tmp_path).root
         with CommitMemo(repo) as memo:
-            assert "src/" + os.fsdecode(ODD) in memo.resolve("t0").touched_files
+            assert "src/" + os.fsdecode(ODD) in memo.touched("t0")
     assert_refs_match_git_log(repo)
 
 
@@ -422,12 +450,12 @@ def test_resolving_follows_merges_tags_type_changes_and_moving_branches(repo):
     assert_refs_match_git_log(repo.root)
     with CommitMemo(repo.root) as memo:
         merge = memo.resolve("v1.0")
-        assert merge == log_ref(repo.root, "v1.0") == memo.resolve("main")
+        assert merge == log_ref(repo.root, "v1.0")[0] == memo.resolve("main")
         assert len(merge.parents) == 2
-        assert merge.touched_files == ("side.txt", "src/main.c")
-        assert memo.resolve("t2").touched_files == ("a", "a.c", "a/inner")
+        assert memo.touched("v1.0") == ("side.txt", "src/main.c")
+        assert memo.touched("t2") == ("a", "a.c", "a/inner")
         moved = repo.commit({"README": "moved\n"}, "move main")
-        assert memo.resolve("main") == log_ref(repo.root, moved)
+        assert memo.resolve("main") == log_ref(repo.root, moved)[0]
         assert memo.resolve("main").id == moved
 
 
@@ -460,7 +488,7 @@ def test_unknown_ambiguous_and_spaced_names_leave_the_reader_in_sync(repo, monke
                 memo.resolve(name)
             readme = memo.listing("t0")["README"][1]
             assert memo.text(readme) == "hello\n"
-            assert memo.resolve("t1") == log_ref(repo.root, "t1")
+            assert memo.resolve("t1") == log_ref(repo.root, "t1")[0]
     assert started.count("cat-file") == 1
     assert no_child_left()
 
@@ -475,7 +503,7 @@ def test_a_short_reply_stops_the_reader_and_the_next_resolve_works(repo):
             memo.resolve("main")
         pipe.close()
         assert no_child_left()
-        assert memo.resolve("main") == log_ref(repo.root, "t0")
+        assert memo.resolve("main") == log_ref(repo.root, "t0")[0]
 
 
 # ---------- the memo's reader ----------
@@ -502,7 +530,7 @@ def test_resolving_starts_exactly_one_reader_and_the_wrappers_leave_no_child(
     with CommitMemo(repo.root) as memo:
         memo.diff(memo.between("t0", "t1").tip.id)
         assert memo.resolve("main") is memo.resolve("t1")
-        assert started == ["rev-parse", "cat-file", "merge-base", "log", "diff"]
+        assert started == ["rev-parse", "cat-file", "rev-list", "diff"]
         assert not no_child_left()  # the reader
     assert no_child_left()
     closed = []

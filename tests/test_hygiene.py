@@ -1,8 +1,12 @@
-"""Source hygiene: no module keeps a top-level import it never uses.
+"""Source hygiene: no module keeps a top-level import it never uses, and
+no private top-level name in `src/` goes unread.
 
 A package's `__init__.py` re-exports names, `from __future__` imports
 change the compiler, and a line marked `# noqa: F401` keeps a name on
-purpose; none of these is checked.
+purpose; none of these is checked for use.  A private name (`_name`, not
+a dunder such as `__all__`) defined at the top of a module in `src/` is
+read when some other top-level statement of a module in `src/` or
+`tests/` loads it, as a name or as an attribute.
 """
 
 from __future__ import annotations
@@ -18,11 +22,11 @@ def _bound(alias: ast.alias) -> str:
     return alias.asname or alias.name.split(".")[0]
 
 
-def _used(tree: ast.Module) -> set:
-    """Every name the module loads, also inside quoted annotations."""
+def _used(tree: ast.AST) -> set:
+    """Every name `tree` loads, also inside quoted annotations."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             try:
@@ -31,6 +35,47 @@ def _used(tree: ast.Module) -> set:
                 continue
             used |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
     return used
+
+
+def _defined(stmt: ast.stmt) -> list:
+    """The names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def dead_helpers(sources: dict, readers: dict) -> list:
+    """`path: name` for each private top-level name of the modules
+    `sources` (path -> source) that no other live top-level statement of
+    `sources` or `readers` loads; a statement whose private names are all
+    unread is not live."""
+    trees = {path: ast.parse(source) for path, source in {**readers, **sources}.items()}
+    loads = {
+        (path, k): _used(stmt) | {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+        for path, tree in trees.items()
+        for k, stmt in enumerate(tree.body)
+    }
+    private = {}
+    for path in sources:
+        for k, stmt in enumerate(trees[path].body):
+            names = [n for n in _defined(stmt) if n.startswith("_") and not n.startswith("__")]
+            if names:
+                private[(path, k)] = names
+    dead: dict = {}
+
+    def read(name: str, at: tuple) -> bool:
+        return any(name in used for by, used in loads.items() if by != at and by not in dead)
+
+    while True:  # what only dead statements read is dead too
+        found = {at: names for at, names in private.items()
+                 if at not in dead and not any(read(name, at) for name in names)}
+        if not found:
+            return sorted(f"{path}: {name}" for (path, _), names in dead.items() for name in names)
+        dead.update(found)
 
 
 def unused_imports(source: str) -> list:
@@ -63,6 +108,36 @@ def test_no_module_has_an_unused_import():
     found = {str(path.relative_to(ROOT)): unused_imports(path.read_text("utf-8"))
              for path in modules}
     assert {path: hits for path, hits in found.items() if hits} == {}
+
+
+def test_every_private_helper_in_src_is_read():
+    sources = {top: {str(path.relative_to(ROOT)): path.read_text("utf-8")
+                     for path in sorted((ROOT / top).rglob("*.py"))}
+               for top in ("src", "tests")}
+    assert sources["src"]
+    assert dead_helpers(sources["src"], sources["tests"]) == []
+
+
+def test_the_check_sees_a_dead_helper():
+    sources = {
+        "a.py": (
+            "__all__ = ['f']\n"
+            "_ARGS = ('log',)\n"
+            "_LIMIT: int = 3\n"
+            "def _log(git):\n"
+            "    return _log(git) + _ARGS\n"
+            "def _read(x: '_Tree'):\n"
+            "    return x\n"
+            "class _Tree:\n"
+            "    pass\n"
+            "def f():\n"
+            "    return _read(None)\n"
+            "def _peek():\n"
+            "    pass\n"
+        ),
+    }
+    readers = {"test_a.py": "import a\na._peek()\n_LIMIT = 4\n"}
+    assert dead_helpers(sources, readers) == ["a.py: _ARGS", "a.py: _LIMIT", "a.py: _log"]
 
 
 def test_the_check_sees_an_unused_import():

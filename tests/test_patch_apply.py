@@ -292,7 +292,7 @@ class DictTree:
 
 
 def test_stage_created_over_existing_conflicts():
-    fp = whole_file_patch("", "new\n", "f")
+    fp = whole_file_patch("", "new\n", "f", MODE_CREATED)
     assert fp.mode_change == MODE_CREATED
     staged = stage_patch(DictTree({"f": "old\n"}).read, [fp])
     assert staged.conflicts == {"f": CONFLICT_EXISTS}
@@ -302,7 +302,7 @@ def test_stage_created_over_existing_conflicts():
 
 def test_stage_created_where_absent_writes_the_file():
     tree = DictTree({})
-    staged = stage_patch(tree.read, [whole_file_patch("", "new\n", "f")])
+    staged = stage_patch(tree.read, [whole_file_patch("", "new\n", "f", MODE_CREATED)])
     assert staged.conflicts == {}
     staged.write_to(tree)
     assert tree.files == {"f": "new\n"}
@@ -322,7 +322,7 @@ def test_stage_binary_file_conflicts():
 
 
 def test_stage_delete_stages_none_and_removes_the_file():
-    fp = whole_file_patch(OLD, "", "f")
+    fp = whole_file_patch(OLD, "", "f", MODE_DELETED)
     assert fp.mode_change == MODE_DELETED
     tree = DictTree({"f": OLD, "g": "kept\n"})
     staged = stage_patch(tree.read, [fp])
@@ -342,11 +342,11 @@ def test_stage_later_patch_on_a_path_sees_the_staged_text():
     assert staged.writes == {"f": end}
     assert tree.reads == ["f"]
     # a file created by one patch is there for the next
-    staged = stage_patch(DictTree({}).read, [whole_file_patch("", OLD, "g"),
+    staged = stage_patch(DictTree({}).read, [whole_file_patch("", OLD, "g", MODE_CREATED),
                                              diff_texts(OLD, NEW, "g")])
     assert staged.writes == {"g": NEW}
     # and a file deleted by one patch is missing for the next
-    staged = stage_patch(DictTree({"f": OLD}).read, [whole_file_patch(OLD, "", "f"),
+    staged = stage_patch(DictTree({"f": OLD}).read, [whole_file_patch(OLD, "", "f", MODE_DELETED),
                                                      diff_texts(OLD, NEW, "f")])
     assert staged.conflicts == {"f": CONFLICT_MISSING}
 
@@ -368,7 +368,7 @@ def test_stage_reports_every_file_and_lists_every_conflict():
         diff_texts(OLD, NEW, "ok1"),
         diff_texts(OLD, NEW, "rejected"),
         diff_texts(OLD, NEW, "missing"),
-        whole_file_patch("", "x\n", "exists"),
+        whole_file_patch("", "x\n", "exists", MODE_CREATED),
         diff_texts(OLD, NEW, "ok2"),
     ]
     tree = DictTree({"ok1": OLD, "rejected": "other\n", "exists": "y\n", "ok2": OLD})

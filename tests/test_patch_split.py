@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from revenant.patchcore import (
     Granularity,
     SourcePatch,
     apply_file_patch,
     diff_texts,
     locate_functions,
+    parse_unified_diff,
     split_by_granularity,
+    stage_patch,
 )
 
 C_FILE = """\
@@ -100,6 +104,22 @@ def test_whole_files_replaces_wholesale(tmp_path):
     got, report = apply_file_patch(C_FILE, fp, max_fuzz=0, search_window=0)
     assert report.all_applied
     assert got == new
+
+
+# a file emptied but kept, and an empty file filled, as `git diff` shows them
+EMPTIED = "--- a/x.txt\n+++ b/x.txt\n@@ -1,2 +0,0 @@\n-one\n-two\n"
+FILLED = "--- a/x.txt\n+++ b/x.txt\n@@ -0,0 +1 @@\n+one\n"
+
+
+@pytest.mark.parametrize("granularity", list(Granularity))
+@pytest.mark.parametrize("diff, before, after", [(EMPTIED, "one\ntwo\n", ""),
+                                                 (FILLED, "", "one\n")], ids=["emptied", "filled"])
+def test_every_granularity_keeps_an_empty_file(granularity, diff, before, after):
+    read = {"x.txt": before}.get
+    parts = split_by_granularity(parse_unified_diff(diff), granularity, read)
+    staged = stage_patch(read, parts)
+    assert staged.conflicts == {}
+    assert staged.writes == {"x.txt": after}
 
 
 def test_function_scope_groups_by_function(tmp_path):

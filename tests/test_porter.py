@@ -680,12 +680,12 @@ class TestWorktreeSlot:
             rec = porter.revive("CVE-0000-0010", "packdemo", [fx.fix], fx.target)
         assert rec.revert_stack == fx.expected_stack
         # an attempt checks nothing out, and every name, listing, patched
-        # text and synced blob comes over one `cat-file --batch`: 9 git
+        # text and synced blob comes over one `cat-file --batch`: 8 git
         # processes for 17 attempts, the shallow check, the reader, the
-        # range's merge-base and log, and one diff per commit read
+        # range's rev-list, and one diff per commit read
         assert not {"worktree", "checkout", "clean", "ls-tree"} & set(spawned)
         assert spawned.count("cat-file") == 1
-        assert spawned.count("rev-parse") == spawned.count("log") == 1
+        assert spawned.count("rev-parse") == spawned.count("rev-list") == 1
         assert len(spawned) <= 0.53 * porter.attempt_count
         assert porter.commits.spawns == len(spawned)
 
