@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .patchcore import CONTEXT, REMOVE, SourcePatch
 from .patchcore.model import MODE_DELETED
-from .gitio import CommitMemo, commit_diff
+from .gitio import CommitMemo
 
 CATEGORIES = ("C1", "C2", "C3", "C4", "C5", "C6")
 
@@ -252,13 +252,10 @@ def categorize_patch(patch: SourcePatch) -> CategoryCall:
     return CategoryCall("C6", "structural change (residual)")
 
 
-def categorize_commit(
-    repo, commit_id: str, commits: Optional[CommitMemo] = None
-) -> CategoryCall:
-    """The category of the commit's diff; `commits` is the caller's memo
-    of the repository, if it keeps one."""
-    patch = commit_diff(repo, commit_id) if commits is None else commits.diff(commit_id)
-    return categorize_patch(patch)
+def categorize_commit(commits: CommitMemo, commit_id: str) -> CategoryCall:
+    """The category of the commit's diff, read from the caller's memo of
+    the repository."""
+    return categorize_patch(commits.diff(commit_id))
 
 
 def apply_overrides(

@@ -197,7 +197,7 @@ def cmd_bisect(args) -> int:
     cfg = _load_cfg(args.config, args)
     case_dir = _case_dir(args, cfg)
     with _porter(cfg, case_dir) as porter:
-        candidates = [c.id for c in porter.commits.between(args.good, args.bad).ordered]
+        candidates = [c.id for c in porter.commits.between(args.good, args.bad)]
 
         def probe(commit_id: str) -> str:
             return probe_answer(porter.attempt(commit_id, (), cfg.fix_commits).verdict.kind)
@@ -269,7 +269,7 @@ def cmd_categorize(args) -> int:
     rows = []
     with CommitMemo(repo) as commits:
         for commit in args.commits:
-            call = categorize_commit(repo, commit, commits)
+            call = categorize_commit(commits, commit)
             rows.append({"commit": commit, "category": call.category, "rationale": call.rationale})
             print(f"categorize commit={commit} category={call.category} rationale={call.rationale}")
     if args.config:
@@ -334,7 +334,7 @@ def cmd_activity(args) -> int:
     base = args.since or cfg.fix_commits[0]
     tip = args.until or cfg.target
     with CommitMemo(cfg.repo) as commits:
-        commit_range = commits.between(base, tip)
+        ordered = commits.between(base, tip)
         if args.files:
             tracked = [f.strip() for f in args.files.split(",") if f.strip()]
         else:
@@ -356,7 +356,7 @@ def cmd_activity(args) -> int:
                 {"cve": cfg.cve, "timestamp": commits.resolve(commit).timestamp}
                 for commit in record.revert_stack
             ]
-        hist = activity_histogram(commit_range, tracked, commits.touched)
+        hist = activity_histogram(ordered, tracked, commits.touched)
 
     csv_path = _write(case_dir / ACTIVITY_CSV, emit_activity_csv(hist))
     svg_path = _write(case_dir / ACTIVITY_SVG, emit_activity_plot(hist, lifelines, markers))

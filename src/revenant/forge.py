@@ -520,10 +520,9 @@ def forge_repo(
     root: Path,
     archetypes: List[str],
     poc_kind: str = "overflow",
-    noise_between: bool = True,
-    max_reverted: int = DEFAULT_MAX_REVERTED,
 ) -> ForgedFixture:
-    """Build a fixture repo under `root` with the given breaker sequence."""
+    """Build a fixture repo under `root` with the given breaker sequence,
+    a noise commit before each breaker."""
     for a in archetypes:
         if a not in BREAKERS:
             raise ForgeError(f"unknown archetype {a!r}")
@@ -551,8 +550,7 @@ def forge_repo(
 
     breaker_indices: List[Tuple[int, str]] = []
     for j, arch in enumerate(archetypes):
-        if noise_between:
-            noise(j + 1)
+        noise(j + 1)
         transform, message = BREAKERS[arch]
         files.update(transform(files))
         commits.append(_Commit(dict(files), message, "breaker", archetype=arch))
@@ -586,9 +584,7 @@ def forge_repo(
         hang_is_trigger=(poc_kind == "hang"),
     )
 
-    final, reason, stack = expected_outcome(
-        archetypes, [b["id"] for b in breakers], max_reverted
-    )
+    final, reason, stack = expected_outcome(archetypes, [b["id"] for b in breakers])
     fixture = ForgedFixture(
         repo=repo,
         recipe=recipe,

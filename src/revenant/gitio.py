@@ -148,16 +148,6 @@ class CommitRef:
         return self.short_id
 
 
-@dataclass
-class CommitRange:
-    base: CommitRef
-    tip: CommitRef
-    ordered: List[CommitRef] = field(default_factory=list)  # (base, tip], oldest first
-
-    def __len__(self) -> int:
-        return len(self.ordered)
-
-
 @contextmanager
 def _worktree_list_lock(repo: Path) -> Iterator[None]:
     """Hold an exclusive lock on `repo` while its worktree list changes.
@@ -343,9 +333,9 @@ class CommitMemo:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _git(self, *args: str, check: bool = True) -> subprocess.CompletedProcess:
+    def _git(self, *args: str) -> subprocess.CompletedProcess:
         self.spawns += 1
-        return run_git(self.repo, *args, check=check)
+        return run_git(self.repo, *args)
 
     def _peeled(self, name: str) -> Tuple[str, bytes]:
         """The full id and the raw object of the commit `name` points at."""
@@ -403,10 +393,10 @@ class CommitMemo:
             level = deeper
         return tuple(sorted(touched, key=os.fsencode))
 
-    def between(self, base: str, tip: str) -> CommitRange:
+    def between(self, base: str, tip: str) -> List[CommitRef]:
         """The tip's first-parent line down to the base, (base, tip],
-        oldest first.  Raises NotAncestor when that line does not reach
-        the base."""
+        oldest first, so the tip is last.  Raises NotAncestor when that
+        line does not reach the base."""
         base_ref, tip_ref = self.resolve(base), self.resolve(tip)
         ids = self._git(
             "rev-list", "--first-parent", "--reverse", f"{base_ref.id}..{tip_ref.id}"
@@ -420,7 +410,7 @@ class CommitMemo:
             reached = base_ref.id == tip_ref.id
         if not reached:
             raise NotAncestor(f"{base} is not a first-parent ancestor of {tip}")
-        return CommitRange(base=base_ref, tip=tip_ref, ordered=ordered)
+        return ordered
 
     def diff(self, commit: str) -> SourcePatch:
         """The commit's diff against its first parent, as a SourcePatch."""
@@ -653,7 +643,7 @@ def resolve_ref(repo: Path, name: str) -> CommitRef:
         return memo.resolve(name)
 
 
-def commits_between(repo: Path, base: str, tip: str) -> CommitRange:
+def commits_between(repo: Path, base: str, tip: str) -> List[CommitRef]:
     """`CommitMemo.between` with nothing remembered."""
     with CommitMemo(repo) as memo:
         return memo.between(base, tip)
@@ -694,21 +684,18 @@ def tree_reader(tree) -> Callable[[str], Optional[str]]:
     return lambda relpath: tree.read(relpath) if tree.exists(relpath) else None
 
 
-def revert_onto(
-    tree, commit: str, inverse: Optional[SourcePatch] = None, **options
-) -> List[ApplyReport]:
-    """Apply the inverse of `commit`'s diff to `tree`, atomically.
+def revert_onto(tree, commit: str, inverse: SourcePatch, **options) -> List[ApplyReport]:
+    """Apply `inverse`, the inverse of `commit`'s diff (see
+    `CommitMemo.inverse`), to `tree`, atomically.
 
     `tree` is a `Worktree` or a `CommitTree`.  Either every hunk of every
     touched file applies and the files are written, or RevertConflict is
-    raised and nothing changes.  A text file the commit touched that is
-    absent from the tree, and that the revert does not create, is skipped
-    with an empty report (filtered checkouts are legitimate).  A caller
-    that already holds the inverse (see `CommitMemo.inverse`) passes it
-    in.  `options` are `apply_file_patch`'s keyword arguments.
+    raised and nothing changes.  Returns one report per file of
+    `inverse`.  A text file the commit touched that is absent from the
+    tree, and that the revert does not create, is skipped with an empty
+    report (filtered checkouts are legitimate).  `options` are
+    `apply_file_patch`'s keyword arguments.
     """
-    if inverse is None:
-        inverse = invert(commit_diff(tree.repo, commit))
     kept = [
         fp.is_binary or fp.mode_change == MODE_CREATED or tree.exists(fp.path)
         for fp in inverse.files
@@ -745,26 +732,26 @@ class ActivityHistogram:
 
 
 def activity_histogram(
-    commit_range: CommitRange,
+    ordered: Sequence[CommitRef],
     tracked_files: Iterable[str],
     touched: Callable[[str], Iterable[str]],
     bucket_width_days: int = 14,
 ) -> ActivityHistogram:
-    """Bucketed commit counts over the range, by committer timestamp.
+    """Bucketed commit counts over a range, oldest first (see
+    `CommitMemo.between`), by committer timestamp.
 
     A commit is related when `touched` (see `CommitMemo.touched`), asked
     only while some file is tracked, names a tracked file.  Buckets are
-    anchored at the first in-range commit and cover through the tip;
-    out-of-order timestamps (rebases, clock skew) are clamped into the
-    edge buckets so every commit is counted exactly once.
+    anchored at the first in-range commit and cover through the latest
+    timestamp; out-of-order timestamps (rebases, clock skew) are clamped
+    into the edge buckets so every commit is counted exactly once.
     """
     tracked = set(tracked_files)
     width = bucket_width_days * 86400
-    ordered = commit_range.ordered
     if not ordered:
         return ActivityHistogram(bucket_width_days=bucket_width_days, start=0, buckets=[])
     start = ordered[0].timestamp
-    span_end = max(commit_range.tip.timestamp, max(c.timestamp for c in ordered))
+    span_end = max(c.timestamp for c in ordered)
     n_buckets = max((span_end - start) // width + 1, 1)
     totals = [0] * n_buckets
     related = [0] * n_buckets

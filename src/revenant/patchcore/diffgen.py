@@ -8,14 +8,13 @@ round-trips stay byte-exact.
 from __future__ import annotations
 
 import difflib
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .model import (
     ADD,
     CONTEXT,
     MODE_CREATED,
     MODE_DELETED,
-    MODE_NONE,
     REMOVE,
     FilePatch,
     Hunk,
@@ -33,24 +32,13 @@ def _tagged_lines(text: str) -> List[Tuple[str, bool]]:
     return out
 
 
-def diff_texts(
-    old: str,
-    new: str,
-    old_path: str = "a",
-    new_path: Optional[str] = None,
-    context: int = 3,
-) -> FilePatch:
-    """Unified diff of two texts as a FilePatch (empty hunks list if equal)."""
-    if new_path is None:
-        new_path = old_path
+def diff_texts(old: str, new: str, path: str, context: int = 3) -> FilePatch:
+    """Unified diff of two texts as a FilePatch (empty hunks list if equal)
+    that neither creates nor deletes the file: an empty text may be a file
+    that stays."""
     a = _tagged_lines(old)
     b = _tagged_lines(new)
-    mode = MODE_NONE
-    if old == "" and new != "":
-        mode = MODE_CREATED
-    elif old != "" and new == "":
-        mode = MODE_DELETED
-    fp = FilePatch(old_path, new_path, [], mode_change=mode)
+    fp = FilePatch(path, path, [])
 
     matcher = difflib.SequenceMatcher(a=a, b=b, autojunk=False)
     for group in matcher.get_grouped_opcodes(context):
@@ -98,20 +86,16 @@ def whole_file_patch(old: str, new: str, path: str, mode_change: str) -> FilePat
     return fp
 
 
-def diff_trees(
-    old_files: dict,
-    new_files: dict,
-    context: int = 3,
-) -> SourcePatch:
-    """Diff two {path: text} snapshots into a SourcePatch."""
+def diff_trees(old_files: dict, new_files: dict) -> SourcePatch:
+    """Diff two {path: text} snapshots into a SourcePatch.  A path that
+    only the new side holds is created, and one that only the old side
+    holds is deleted, whatever its text."""
     paths = sorted(set(old_files) | set(new_files))
     files = []
     for p in paths:
-        old = old_files.get(p, "")
-        new = new_files.get(p, "")
-        if old == new:
+        if old_files.get(p) == new_files.get(p):
             continue
-        fp = diff_texts(old, new, p, p, context=context)
+        fp = diff_texts(old_files.get(p, ""), new_files.get(p, ""), p)
         if p not in old_files:
             fp.mode_change = MODE_CREATED
         elif p not in new_files:

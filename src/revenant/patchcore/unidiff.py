@@ -3,8 +3,11 @@
 The accepted grammar is what `git diff` and `diff -u` emit: `---`/`+++`
 headers (with optional a/ b/ prefixes and timestamp suffixes), `@@` hunk
 headers, and body lines tagged with space, `-`, `+` or the no-newline
-marker.  Git decoration lines (index, mode, similarity, `diff --git`) are
-skipped.  Rendering is the inverse minus decoration: parse(render(p))
+marker.  Git decoration lines (index, mode, similarity) are skipped, but
+for a file created or deleted empty git writes only `diff --git`, the
+file mode and `index`: such a section becomes a hunkless FilePatch named
+by its `diff --git` header.  A mode change alone (`old mode`/`new mode`)
+is not kept.  Rendering is the inverse minus decoration: parse(render(p))
 gives back a structurally equal patch.
 """
 
@@ -39,7 +42,6 @@ NO_NEWLINE_MARKER = "\\ No newline at end of file"
 
 # git decoration that carries no hunk content
 _SKIP_PREFIXES = (
-    "diff --git ",
     "diff -u ",
     "diff --unified",
     "index ",
@@ -79,13 +81,33 @@ def parse_unified_diff(text: str) -> SourcePatch:
     files: List[FilePatch] = []
     current: Optional[FilePatch] = None
     pending_old: Optional[str] = None
+    # the current `diff --git` section as a hunkless FilePatch; it is
+    # listed once a file mode line creates or deletes it, and dropped
+    # again when a file header or a binary line follows
+    bare: Optional[FilePatch] = None
 
     i = 0
     n = len(lines)
     while i < n:
         line = lines[i]
 
+        if line.startswith("diff --git "):
+            # `a/<path> b/<path>`: with renames off both halves are equal
+            rest = line[len("diff --git a/"):]
+            path = rest[: (len(rest) - 3) // 2]
+            bare = FilePatch(path, path, []) if rest == f"{path} b/{path}" else None
+            i += 1
+            continue
+
+        if bare is not None and line.startswith(("new file mode", "deleted file mode")):
+            bare.mode_change = MODE_CREATED if line.startswith("new") else MODE_DELETED
+            files.append(bare)
+            i += 1
+            continue
+
         m = RE_BINARY.match(line)
+        if files and files[-1] is bare and (m is not None or line.startswith("+++ ")):
+            files.pop()
         if m is not None:
             old = _clean_path(m.group("old"))
             new = _clean_path(m.group("new"))

@@ -13,7 +13,6 @@ import hashlib
 import json
 import shutil
 import tempfile
-from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -21,6 +20,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .patchcore import (
     CONFLICT_EXISTS,
     CONFLICT_MISSING,
+    ApplyReport,
+    FilePatch,
     Granularity,
     PatchError,
     SourcePatch,
@@ -30,15 +31,8 @@ from .patchcore import (
     split_by_granularity,
     stage_patch,
 )
-from .gitio import (  # noqa: F401 - checkout_worktree: see below
-    CommitMemo,
-    CommitRef,
-    CommitTree,
-    RevertConflict,
-    checkout_worktree,
-    revert_onto,
-    tree_reader,
-)
+from .gitio import CommitMemo, CommitTree, RevertConflict, revert_onto, tree_reader
+from .gitio import checkout_worktree  # noqa: F401 - see below
 from .oracle import (
     KIND_POC_INCOMPATIBLE,
     KIND_SANDBOX_FAILURE,
@@ -127,29 +121,25 @@ class PortPolicy:
 # ---------- reverse patch derivation ----------
 
 
-def derive_reverse_patch(
-    repo: Path, fix_commits: Sequence[str], commits: Optional[CommitMemo] = None
-) -> SourcePatch:
-    """Inverse of the combined fix, ready to re-open the hole.
+def derive_reverse_patch(commits: CommitMemo, fix_commits: Sequence[str]) -> SourcePatch:
+    """Inverse of the combined fix, ready to re-open the hole, from the
+    caller's memo of the repository.
 
     A single fix is simply its commit diff inverted.  Several fixes are
     composed by strictly replaying each one onto the files of the first
     fix's parent, read from its commit; any replay conflict means the
     fixes are not a clean sequence and raises CompositionConflict.
-    `commits` is the caller's memo of the repository, if it keeps one; a
-    memo made here is closed before returning.
     """
     if not fix_commits:
         raise PortError("at least one fix commit is required")
-    with nullcontext(commits) if commits is not None else CommitMemo(repo) as commits:
-        if len(fix_commits) == 1:
-            return invert(commits.diff(fix_commits[0]))
-        diffs = [commits.diff(c) for c in fix_commits]
-        first = commits.resolve(fix_commits[0])
-        if not first.parents:
-            raise PortError(f"fix {first.short_id} has no parent")
-        read = tree_reader(CommitTree(commits, first.parents[0]))
-        before = {path: read(path) for path in sorted({fp.path for d in diffs for fp in d.files})}
+    if len(fix_commits) == 1:
+        return commits.inverse(fix_commits[0])
+    diffs = [commits.diff(c) for c in fix_commits]
+    first = commits.resolve(fix_commits[0])
+    if not first.parents:
+        raise PortError(f"fix {first.short_id} has no parent")
+    read = tree_reader(CommitTree(commits, first.parents[0]))
+    before = {path: read(path) for path in sorted({fp.path for d in diffs for fp in d.files})}
     state = dict(before)
 
     for commit, diff in zip(fix_commits, diffs):
@@ -188,19 +178,19 @@ class BisectResult:
 
 
 def find_breaking_commit(
-    candidates: Sequence,
+    ids: Sequence[str],
     probe: Callable[[str], str],
     skip_budget: int = PortPolicy.skip_budget,
 ) -> BisectResult:
     """Earliest candidate where `probe` says "bad", by binary search.
 
-    `candidates` is oldest first and assumed monotone: good commits, then
-    bad ones.  The commit before the range is trusted good; nothing in
-    the range is trusted, including the newest entry.  A "skip" answer
-    removes that candidate from consideration and consumes skip budget.
-    Probe calls stay within ceil(log2(n)) + skip_budget + 1.
+    `ids` are the candidate commit ids, oldest first, assumed monotone:
+    good commits, then bad ones.  The commit before the range is trusted
+    good; nothing in the range is trusted, including the newest entry.
+    A "skip" answer removes that candidate from consideration and
+    consumes skip budget.  Probe calls stay within
+    ceil(log2(n)) + skip_budget + 1.
     """
-    ids = [c.id if isinstance(c, CommitRef) else c for c in candidates]
     if not ids:
         raise PreconditionViolated("empty candidate range")
     active = list(range(len(ids)))
@@ -250,6 +240,20 @@ def find_breaking_commit(
 
 
 # ---------- attempts ----------
+
+
+def _regions(files: Sequence[FilePatch], reports: Sequence[ApplyReport]) -> List[dict]:
+    """The lines each applied hunk of `files` covers in the patched text,
+    where its report says it applied; a file with an empty report (one a
+    revert skipped) has none."""
+    regions = []
+    for fp, report in zip(files, reports):
+        for hunk, res in zip(fp.hunks, report.results):
+            start = max(1, hunk.new_start + res.offset)
+            regions.append(
+                {"file": fp.path, "start": start, "end": start + max(hunk.new_len, 1) - 1}
+            )
+    return regions
 
 
 @dataclass
@@ -393,9 +397,7 @@ class Porter:
     def reverse_patch(self, fix_commits: Sequence[str]) -> SourcePatch:
         key = tuple(fix_commits)
         if key not in self._reverse_cache:
-            self._reverse_cache[key] = derive_reverse_patch(
-                self.repo, fix_commits, self.commits
-            )
+            self._reverse_cache[key] = derive_reverse_patch(self.commits, fix_commits)
         return self._reverse_cache[key]
 
     def _apply_reverse(self, tree, reverse: SourcePatch) -> Tuple[bool, int, int, List[dict]]:
@@ -414,28 +416,8 @@ class Porter:
         if staged.conflicts:
             return False, 0, 0, []
         staged.write_to(tree)
-        regions = []
-        for fp, report in zip(files, staged.reports):
-            for hunk, res in zip(fp.hunks, report.results):
-                start = max(1, hunk.new_start + res.offset)
-                regions.append(
-                    {"file": fp.path, "start": start, "end": start + max(hunk.new_len, 1) - 1}
-                )
         hunks = sum(report.applied_count for report in staged.reports)
-        return True, len(staged.writes), hunks, regions
-
-    def _revert_regions(self, breaker: str) -> List[dict]:
-        out = []
-        for fp in self.commits.inverse(breaker).files:
-            for hunk in fp.hunks:
-                out.append(
-                    {
-                        "file": fp.path,
-                        "start": max(1, hunk.new_start),
-                        "end": max(1, hunk.new_start) + max(hunk.new_len, 1) - 1,
-                    }
-                )
-        return out
+        return True, len(staged.writes), hunks, _regions(files, staged.reports)
 
     def attempt(
         self, ref: str, reverts_newest_first: Sequence[str], fix_commits: Sequence[str]
@@ -446,16 +428,16 @@ class Porter:
         self.attempt_count += 1
         reverse = self.reverse_patch(fix_commits)
         tree = CommitTree(self.commits, ref)
+        reverted = []
         for breaker in reverts_newest_first:
+            inverse = self.commits.inverse(breaker)
             try:
-                revert_onto(
-                    tree, breaker, inverse=self.commits.inverse(breaker),
-                    **self.policy.apply_options,
-                )
+                reports = revert_onto(tree, breaker, inverse, **self.policy.apply_options)
             except RevertConflict as exc:
                 return AttemptResult(
                     OracleVerdict(KIND_REVERT_CONFLICT, evidence=str(exc))
                 )
+            reverted += _regions(inverse.files, reports)
         ok, files, hunks, regions = self._apply_reverse(tree, reverse)
         if not ok:
             return AttemptResult(
@@ -464,10 +446,8 @@ class Porter:
                     evidence=f"reverse patch does not apply at {ref}",
                 )
             )
-        for breaker in reverts_newest_first:
-            regions = regions + self._revert_regions(breaker)
         verdict = self.oracle.verdict(tree, self.recipe, self.poc)
-        return AttemptResult(verdict, files, hunks, regions)
+        return AttemptResult(verdict, files, hunks, regions + reverted)
 
     # -- tier evaluation --
 
@@ -500,8 +480,8 @@ class Porter:
         """Revive the vulnerability at `target`, reverting breaking
         commits as needed within the configured limits."""
         reverse = self.reverse_patch(fix_commits)
-        cands = self.commits.between(fix_commits[-1], target).ordered
-        index = {c.id: i for i, c in enumerate(cands)}
+        cands = [c.id for c in self.commits.between(fix_commits[-1], target)]
+        index = {c: i for i, c in enumerate(cands)}
         target_id = self.commits.resolve(target).id
         attempts_before = self.attempt_count
 

@@ -168,7 +168,6 @@ def emit_activity_plot(
     histogram,
     lifelines: Sequence[dict] = (),
     markers: Sequence[dict] = (),
-    version: str = __version__,
 ) -> str:
     """Self-contained SVG: activity bars, one lane per CVE, triangles at
     breaking commits.
@@ -204,7 +203,7 @@ def emit_activity_plot(
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
-        f"<desc>revenant {version} activity chart</desc>",
+        f"<desc>revenant {__version__} activity chart</desc>",
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
 

@@ -343,7 +343,8 @@ def test_criterion_07_max_subset_equals_brute_force():
 def test_criterion_08_archetype_diffs_categorized(tmp_path):
     for archetype in ARCHETYPES:
         fx = forge_repo(tmp_path / archetype, [archetype])
-        call = categorize_commit(fx.repo, fx.breakers[0]["id"])
+        with CommitMemo(fx.repo) as memo:
+            call = categorize_commit(memo, fx.breakers[0]["id"])
         assert call.category == archetype, f"{archetype}: got {call.category}"
 
 
@@ -351,9 +352,8 @@ def test_criterion_09_histogram_conservation(tmp_path):
     # long flat history spanning several buckets
     fx = forge_flip_history(tmp_path / "flat", 500, 250)
     with CommitMemo(fx.repo) as memo:
-        rng = memo.between(fx.base, fx.commit_ids[-1])
-        hist = activity_histogram(rng, ["state.txt"], memo.touched)
-        commits = rng.ordered
+        commits = memo.between(fx.base, fx.commit_ids[-1])
+        hist = activity_histogram(commits, ["state.txt"], memo.touched)
         recount = sum(1 for c in commits if "state.txt" in memo.touched(c.id))
     assert hist.total == len(commits) == 500
     assert hist.related_total == recount == 1
@@ -364,10 +364,9 @@ def test_criterion_09_histogram_conservation(tmp_path):
     # forged project history, tracking the fix-touched files
     fx = forge_repo(tmp_path / "proj", ["C1", "C4"])
     with CommitMemo(fx.repo) as memo:
-        rng = memo.between(fx.base, fx.target)
+        commits = memo.between(fx.base, fx.target)
         tracked = [fp.path for fp in memo.diff(fx.fix).files]
-        hist = activity_histogram(rng, tracked, memo.touched)
-        commits = rng.ordered
+        hist = activity_histogram(commits, tracked, memo.touched)
         recount = sum(
             1 for c in commits if any(p in tracked for p in memo.touched(c.id))
         )

@@ -9,13 +9,15 @@ from revenant.categorize import (
     tally,
 )
 from revenant.forge import ARCHETYPES, forge_repo
+from revenant.gitio import CommitMemo
 from revenant.patchcore import parse_unified_diff
 
 
 @pytest.mark.parametrize("arch", ARCHETYPES)
 def test_archetype_commits_classify_exactly(tmp_path, arch):
     fx = forge_repo(tmp_path, [arch])
-    call = categorize_commit(fx.repo, fx.breakers[0]["id"])
+    with CommitMemo(fx.repo) as memo:
+        call = categorize_commit(memo, fx.breakers[0]["id"])
     assert call.category == arch, call.rationale
 
 

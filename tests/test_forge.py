@@ -36,7 +36,7 @@ def test_emitted_history_shape(tmp_path):
     assert roles.count("fix") == 1
     assert roles.count("breaker") == 2
     # breakers are recorded oldest first and live inside (fix, target]
-    range_ids = [c.id for c in rng.ordered]
+    range_ids = [c.id for c in rng]
     b_positions = [range_ids.index(b["id"]) for b in fx.breakers]
     assert b_positions == sorted(b_positions)
     assert fx.fix in [c["id"] for c in fx.commits]

@@ -20,6 +20,7 @@ from revenant.gitio import (
     MODE_LINK,
     CommitMemo,
     CommitRef,
+    CommitTree,
     DirtyDestination,
     GitGatewayError,
     NotAncestor,
@@ -74,10 +75,9 @@ def test_commits_between_is_first_parent_oldest_first(repo):
     for i in range(4):
         shas.append(repo.commit({"README": f"hello {i}\n"}, f"c{i + 1}"))
     rng = commits_between(repo.root, "t0", "t4")
-    assert [c.id for c in rng.ordered] == shas[1:]
-    assert rng.base.id == shas[0]
-    assert rng.tip.id == shas[-1]
-    assert all(rng.ordered[i].timestamp < rng.ordered[i + 1].timestamp for i in range(3))
+    assert [c.id for c in rng] == shas[1:]
+    assert rng[-1].id == shas[-1]
+    assert all(rng[i].timestamp < rng[i + 1].timestamp for i in range(3))
 
 
 def test_commits_between_excludes_side_branch(repo):
@@ -89,7 +89,7 @@ def test_commits_between_excludes_side_branch(repo):
     repo.git("merge", "-q", "--no-ff", "--no-edit", "side")
     merge_sha = repo.head()
     rng = commits_between(repo.root, "t0", merge_sha)
-    ids = [c.id for c in rng.ordered]
+    ids = [c.id for c in rng]
     assert side_sha not in ids
     assert ids[-1] == merge_sha
     assert len(ids) == 2
@@ -113,7 +113,7 @@ def test_between_refuses_a_base_merged_in_from_a_side_branch(repo, monkeypatch):
     with CommitMemo(repo.root) as memo:
         memo.resolve("t0")
         started = record_git(monkeypatch)
-        assert memo.between("t0", "main").ordered[-1].id == tip
+        assert memo.between("t0", "main")[-1].id == tip
         assert started == ["rev-list"]
         # the side commit is an ancestor of main, but not on its first-parent line
         with pytest.raises(NotAncestor):
@@ -194,10 +194,16 @@ def test_commit_diff_of_merge_uses_first_parent(repo):
     assert patch.files[0].mode_change == "created"
 
 
+def inverse_of(repo, commit):
+    """The inverse of `commit`'s diff, read from a memo of `repo`."""
+    with CommitMemo(repo.root) as memo:
+        return memo.inverse(commit)
+
+
 def test_revert_onto_restores_previous_content(repo, tmp_path):
     repo.commit({"src/main.c": TEN.replace("line 5\n", "line 5 fixed\n")}, "fix")
     with checkout_worktree(repo.root, "t1", tmp_path / "wt") as wt:
-        reports = revert_onto(wt, "t1")
+        reports = revert_onto(wt, "t1", inverse_of(repo, "t1"))
         assert all(r.all_applied for r in reports)
         assert wt.read("src/main.c") == TEN
 
@@ -205,7 +211,7 @@ def test_revert_onto_restores_previous_content(repo, tmp_path):
 def test_revert_onto_handles_created_and_deleted_files(repo, tmp_path):
     repo.commit({"new.txt": "fresh\n"}, "add file", delete=["README"])
     with checkout_worktree(repo.root, "t1", tmp_path / "wt") as wt:
-        revert_onto(wt, "t1")
+        revert_onto(wt, "t1", inverse_of(repo, "t1"))
         assert not wt.exists("new.txt")
         assert wt.read("README") == "hello\n"
 
@@ -220,7 +226,7 @@ def test_revert_onto_is_atomic_on_conflict(repo, tmp_path):
         wt.write("src/main.c", "completely different\n")
         before_readme = wt.read("README")
         with pytest.raises(RevertConflict) as exc:
-            revert_onto(wt, "t1")
+            revert_onto(wt, "t1", inverse_of(repo, "t1"))
         assert wt.read("README") == before_readme
         assert wt.read("src/main.c") == "completely different\n"
         assert any(not r.all_applied for r in exc.value.reports)
@@ -230,11 +236,25 @@ def test_revert_onto_skips_files_missing_from_worktree(repo, tmp_path):
     repo.commit({"src/main.c": TEN + "tail\n", "README": "v2\n"}, "touch two")
     with checkout_worktree(repo.root, "t1", tmp_path / "wt") as wt:
         (wt.path / "README").unlink()  # filtered subset
-        reports = revert_onto(wt, "t1")
+        reports = revert_onto(wt, "t1", inverse_of(repo, "t1"))
         assert wt.read("src/main.c") == TEN
         skipped = [r for r in reports if r.path == "README"]
         assert len(skipped) == 1
         assert skipped[0].results == []
+
+
+def test_reverting_a_commit_that_adds_or_deletes_an_empty_file(repo):
+    # git writes no ---/+++ lines for a file created or deleted empty
+    repo.commit({"e.txt": ""}, "add an empty file")
+    repo.commit({}, "drop it", delete=["e.txt"])
+    with CommitMemo(repo.root) as memo:
+        assert [fp.path for fp in memo.diff("t1").files] == list(memo.touched("t1"))
+        added = CommitTree(memo, "t1")
+        revert_onto(added, "t1", memo.inverse("t1"))
+        assert not added.exists("e.txt")
+        deleted = CommitTree(memo, "t2")
+        revert_onto(deleted, "t2", memo.inverse("t2"))
+        assert deleted.read("e.txt") == ""
 
 
 def test_revert_dependent_commits_newest_first(repo, tmp_path):
@@ -245,10 +265,10 @@ def test_revert_dependent_commits_newest_first(repo, tmp_path):
     )
     with checkout_worktree(repo.root, "t2", tmp_path / "wt1") as wt:
         with pytest.raises(RevertConflict):
-            revert_onto(wt, "t1")  # A alone cannot come off
+            revert_onto(wt, "t1", inverse_of(repo, "t1"))  # A alone cannot come off
     with checkout_worktree(repo.root, "t2", tmp_path / "wt2") as wt:
-        revert_onto(wt, "t2")  # newest first
-        revert_onto(wt, "t1")
+        revert_onto(wt, "t2", inverse_of(repo, "t2"))  # newest first
+        revert_onto(wt, "t1", inverse_of(repo, "t1"))
         assert wt.read("src/main.c") == TEN
 
 
@@ -259,7 +279,7 @@ def test_activity_histogram_conserves_and_buckets(repo):
     with CommitMemo(repo.root) as memo:
         rng = memo.between("t0", "t5")
         hist = activity_histogram(rng, ["src/main.c"], memo.touched)
-        assert hist.total == len(rng.ordered) == 5
+        assert hist.total == len(rng) == 5
         assert hist.related_total == 5
         assert len(hist.buckets) == 1
 
@@ -280,7 +300,7 @@ def test_activity_histogram_bucket_boundaries(tmp_path):
     # commits at +10d, +20d, +30d, +40d from the first in-range commit
     assert hist.total == 4
     assert [b[1] for b in hist.buckets] == [2, 1, 1]
-    assert hist.buckets[0][0] == rng.ordered[0].timestamp
+    assert hist.buckets[0][0] == rng[0].timestamp
     assert hist.buckets[1][0] - hist.buckets[0][0] == 14 * day
 
 
@@ -528,7 +548,7 @@ def test_resolving_starts_exactly_one_reader_and_the_wrappers_leave_no_child(
     repo.commit({"src/main.c": TEN.replace("line 5", "line five")}, "edit")
     started = record_git(monkeypatch)
     with CommitMemo(repo.root) as memo:
-        memo.diff(memo.between("t0", "t1").tip.id)
+        memo.diff(memo.between("t0", "t1")[-1].id)
         assert memo.resolve("main") is memo.resolve("t1")
         assert started == ["rev-parse", "cat-file", "rev-list", "diff"]
         assert not no_child_left()  # the reader

@@ -3,7 +3,8 @@ no private top-level name in `src/` goes unread.
 
 A package's `__init__.py` re-exports names, `from __future__` imports
 change the compiler, and a line marked `# noqa: F401` keeps a name on
-purpose; none of these is checked for use.  A private name (`_name`, not
+purpose; none of these is checked for use, so such a mark in `src/` may
+sit only on an import of one name.  A private name (`_name`, not
 a dunder such as `__all__`) defined at the top of a module in `src/` is
 read when some other top-level statement of a module in `src/` or
 `tests/` loads it, as a name or as an attribute.
@@ -97,6 +98,26 @@ def unused_imports(source: str) -> list:
     return found
 
 
+def broad_noqa_imports(source: str) -> list:
+    """`line: names` for each import statement of `source` marked
+    `# noqa: F401` that binds more than one name: the mark keeps every
+    name it binds, used or not."""
+    lines = source.splitlines()
+    found = []
+    for stmt in ast.walk(ast.parse(source)):
+        if not isinstance(stmt, (ast.Import, ast.ImportFrom)) or len(stmt.names) < 2:
+            continue
+        if any(NOQA in line for line in lines[stmt.lineno - 1 : stmt.end_lineno]):
+            found.append(f"{stmt.lineno}: {', '.join(_bound(a) for a in stmt.names)}")
+    return found
+
+
+def test_no_noqa_import_in_src_binds_more_than_one_name():
+    found = {str(path.relative_to(ROOT)): broad_noqa_imports(path.read_text("utf-8"))
+             for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert {path: hits for path, hits in found.items() if hits} == {}
+
+
 def test_no_module_has_an_unused_import():
     modules = [
         path
@@ -154,3 +175,16 @@ def test_the_check_sees_an_unused_import():
         "    return [x]\n"
     )
     assert unused_imports(source) == ["2: os", "4: osp"]
+
+
+def test_the_check_sees_a_broad_noqa_import():
+    source = (
+        "import json  # noqa: F401\n"
+        "from os import (  # noqa: F401\n"
+        "    path,\n"
+        "    sep,\n"
+        ")\n"
+        "from typing import List, Optional\n"
+        "import sys, re  # noqa: F401\n"
+    )
+    assert broad_noqa_imports(source) == ["2: path, sep", "7: sys, re"]

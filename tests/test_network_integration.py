@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from revenant.curation import FORMAT_PASS_FAIL, rule_functionality
-from revenant.gitio import checkout_worktree, tree_reader
+from revenant.gitio import CommitMemo, checkout_worktree, tree_reader
 from revenant.oracle import BuildRecipe, PocSpec
 from revenant.patchcore import stage_patch
 from revenant.porter import FINAL_REVIVED, Porter, derive_reverse_patch
@@ -93,7 +93,8 @@ def test_libpng_dual_port_fails_7_of_32_functionality_tests(tmp_path):
     repo = clone(first["clone_url"], tmp_path / "libpng")
     with checkout_worktree(repo, "v1.6.40", tmp_path / "dual") as wt:
         for case in (first, second):
-            apply_reverse_in_tree(wt, derive_reverse_patch(repo, case["fix_commits"]))
+            with CommitMemo(repo) as memo:
+                apply_reverse_in_tree(wt, derive_reverse_patch(memo, case["fix_commits"]))
         for step in first["build"]["steps"]:
             subprocess.run(
                 step, shell=True, cwd=wt.path, check=True, capture_output=True

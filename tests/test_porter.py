@@ -17,7 +17,14 @@ from revenant.forge import (
     forge_repo,
     overflow_poc_bytes,
 )
-from revenant.gitio import MODE_EXEC, MODE_LINK, RevertConflict, checkout_worktree, revert_onto
+from revenant.gitio import (
+    MODE_EXEC,
+    MODE_LINK,
+    CommitMemo,
+    RevertConflict,
+    checkout_worktree,
+    revert_onto,
+)
 from revenant.oracle import (
     KIND_BUILD_FAILED,
     KIND_HANG,
@@ -150,7 +157,8 @@ class TestBisect:
 class TestDeriveReverse:
     def test_single_fix_inverse_restores_vulnerable_text(self, tmp_path):
         fx = forge_repo(tmp_path, [])
-        reverse = derive_reverse_patch(fx.repo, [fx.fix])
+        with CommitMemo(fx.repo) as memo:
+            reverse = derive_reverse_patch(memo, [fx.fix])
         with checkout_worktree(fx.repo, fx.fix, tmp_path / "wt") as wt:
             fixed = wt.read("pack.c")
             new_text, report = apply_file_patch(fixed, reverse.files[0])
@@ -166,7 +174,8 @@ class TestDeriveReverse:
         rb.commit({"a.txt": v1}, "first fix")
         v2 = v1.replace("line 20", "line 20 hardened")
         rb.commit({"a.txt": v2}, "second fix")
-        reverse = derive_reverse_patch(rb.root, ["t1", "t2"])
+        with CommitMemo(rb.root) as memo:
+            reverse = derive_reverse_patch(memo, ["t1", "t2"])
         new_text, report = apply_file_patch(v2, reverse.files[0])
         assert report.all_applied
         assert new_text == base
@@ -179,7 +188,8 @@ class TestDeriveReverse:
                   "first fix")
         rb.commit({"b.txt": "kept\nhardened\n"}, "second fix", delete=["c.txt"])
         spawned = record_git(monkeypatch)
-        reverse = derive_reverse_patch(rb.root, ["t1", "t2"])
+        with CommitMemo(rb.root) as memo:
+            reverse = derive_reverse_patch(memo, ["t1", "t2"])
         assert sorted(fp.path for fp in reverse.files) == ["a.txt", "b.txt"]
         assert "worktree" not in spawned
         assert spawned.count("cat-file") == 1
@@ -192,12 +202,29 @@ class TestDeriveReverse:
         rb.commit({"a.txt": base.replace("line 5", "line 5 patched")}, "first fix")
         rb.commit({"blob.bin": "\0two\n"}, "second fix")
         with pytest.raises(CompositionConflict, match="HEAD: does not apply cleanly to blob.bin"):
-            derive_reverse_patch(rb.root, ["HEAD~1", "HEAD"])
+            with CommitMemo(rb.root) as memo:
+                derive_reverse_patch(memo, ["HEAD~1", "HEAD"])
+
+    @pytest.mark.parametrize("before,after", [("", "one\n"), ("one\n", "")],
+                             ids=["filled", "emptied"])
+    def test_composition_restores_a_filled_or_emptied_file(self, tmp_path, before, after):
+        # the file exists before and after the fixes, however empty
+        rb = RepoBuilder(tmp_path / "repo")
+        base = "\n".join(f"line {i}" for i in range(30)) + "\n"
+        rb.commit({"a.txt": base, "x.txt": before}, "base")
+        rb.commit({"a.txt": base.replace("line 5", "line 5 patched")}, "first fix")
+        rb.commit({"x.txt": after}, "second fix")
+        rb.commit({"b.txt": "later\n"}, "later")
+        with ReferencePorter(rb.root, *NO_BUILD, tmp_path, build=False) as porter:
+            assert porter.attempt("t3", (), ["t1", "t2"]).verdict.kind == KIND_TRIGGERED
+            assert porter.trees[-1].read("x.txt") == before
 
     def test_reverse_patch_digest_is_stable(self, tmp_path):
         fx = forge_repo(tmp_path, [])
-        r1 = derive_reverse_patch(fx.repo, [fx.fix])
-        r2 = derive_reverse_patch(fx.repo, [fx.fix])
+        with CommitMemo(fx.repo) as memo:
+            r1 = derive_reverse_patch(memo, [fx.fix])
+        with CommitMemo(fx.repo) as memo:
+            r2 = derive_reverse_patch(memo, [fx.fix])
         assert render_unified_diff(r1) == render_unified_diff(r2)
 
 
@@ -454,6 +481,23 @@ class TestGranularity:
         )
 
 
+def test_a_revert_region_is_where_the_revert_applied(tmp_path):
+    rb = RepoBuilder(tmp_path / "repo")
+    base = "".join(f"line {i}\n" for i in range(30))
+    rb.commit({"a.txt": base, "fix.txt": "guard\n"}, "base")
+    rb.commit({"fix.txt": "guard\ncheck\n"}, "fix")
+    broken = base.replace("line 20\n", "line 20 broken\n")
+    rb.commit({"a.txt": broken}, "breaker")
+    rb.commit({"a.txt": "one\ntwo\nthree\n" + broken}, "lines above the breaker's hunk")
+    with ReferencePorter(rb.root, *NO_BUILD, tmp_path, build=False) as porter:
+        att = porter.attempt("t3", ["t2"], ["t1"])
+    assert att.verdict.kind == KIND_TRIGGERED
+    # the breaker's hunk spans lines 18-24 at its commit and applies 3 lines lower
+    assert att.regions == [
+        {"file": "fix.txt", "start": 1, "end": 1},
+        {"file": "a.txt", "start": 21, "end": 27},
+    ]
+
 
 class RecordingOracle(Oracle):
     """Answers Triggered without building, and keeps each tree's paths."""
@@ -533,8 +577,8 @@ class ReferencePorter(Porter):
             kind = None
             try:
                 for breaker in reverts:
-                    revert_onto(wt, breaker, max_fuzz=pol.max_fuzz,
-                                search_window=pol.search_window,
+                    revert_onto(wt, breaker, self.commits.inverse(breaker),
+                                max_fuzz=pol.max_fuzz, search_window=pol.search_window,
                                 normalize_trailing_whitespace=pol.normalize_trailing_whitespace)
             except RevertConflict:
                 kind = KIND_REVERT_CONFLICT
