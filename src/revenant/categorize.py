@@ -258,18 +258,6 @@ def categorize_commit(commits: CommitMemo, commit_id: str) -> CategoryCall:
     return categorize_patch(commits.diff(commit_id))
 
 
-def apply_overrides(
-    calls: Dict[str, CategoryCall], overrides: Dict[str, str]
-) -> Dict[str, CategoryCall]:
-    """Replace per-commit calls with curated labels where provided."""
-    out = dict(calls)
-    for commit, category in overrides.items():
-        if category not in CATEGORIES:
-            raise ValueError(f"unknown category {category!r} for {commit}")
-        out[commit] = CategoryCall(category, "curated override")
-    return out
-
-
 def tally(rows: Iterable[dict]) -> Dict[str, int]:
     """Category counts over ledger rows, one vote per (project, commit).
 

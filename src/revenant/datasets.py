@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import json
 from importlib.resources import files
-from typing import Dict, List, Tuple
+from typing import List
 
 from .categorize import CATEGORIES
-from .porter import FINAL_ABORTED, FINAL_REVIVED, RevivalRecord
 
 TIERS = ("reference", "intermediate", "latest")
 
@@ -37,10 +36,6 @@ def load_breaker_ledger() -> List[dict]:
         if not row.get("project") or not row.get("commit"):
             raise ValueError(f"incomplete ledger row: {row}")
     return rows
-
-
-def breaker_categories() -> Dict[Tuple[str, str], str]:
-    return {(r["project"], r["commit"]): r["category"] for r in load_breaker_ledger()}
 
 
 def load_tier_survey() -> List[dict]:
@@ -66,32 +61,3 @@ def load_revival_survey() -> List[dict]:
             raise ValueError(f"unexplained short stack for {row['cve']}")
     return rows
 
-
-def revival_records(tier: str = "latest") -> List[RevivalRecord]:
-    """Materialize the revival survey as records for curation and reports.
-
-    Rows whose cell for the tier is blank were never attempted there and
-    yield no record.
-    """
-    if tier not in TIERS:
-        raise ValueError(f"unknown tier {tier!r}")
-    out = []
-    for row in load_revival_survey():
-        status = row["tiers"][tier]
-        if not status:
-            continue
-        revived = status == "revived"
-        out.append(
-            RevivalRecord(
-                cve=row["cve"],
-                project=row["project"],
-                fix_commits=[],
-                target=tier,
-                granularity="patch-hunks",
-                final=FINAL_REVIVED if revived else FINAL_ABORTED,
-                abort_reason="" if revived else row["abort_reason"],
-                revert_stack=list(row["revert_stack"]),
-                effort={"commits_reverted": row["commits_reverted"]},
-            )
-        )
-    return out

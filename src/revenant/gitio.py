@@ -419,7 +419,10 @@ class CommitMemo:
         if patch is None:
             if not ref.parents:
                 raise RootCommit(f"{ref.short_id} has no parent to diff against")
-            proc = self._git("diff", "--no-color", "--no-renames", "-U3", ref.parents[0], ref.id)
+            # plumbing reads no diff.* config of the user or the repository
+            proc = self._git(
+                "diff-tree", "-p", "--no-color", "--no-renames", "-U3", ref.parents[0], ref.id
+            )
             patch = self._diffs[ref.id] = parse_unified_diff(proc.stdout)
         return patch
 

@@ -49,10 +49,6 @@ KIND_SANDBOX_FAILURE = "SandboxFailure"
 
 HANG_TRIGGER_CLASS = "memory-exhaustion-by-hang"
 
-# a PoC that dies this fast without a detector hit never consumed its input
-LAUNCH_FAILURE_WINDOW = 0.1  # seconds
-USAGE_EXIT_CODES = (64, 2)
-
 DEFAULT_LOG_TAIL = 4096
 DEFAULT_EXCERPT_LINES = 30
 
@@ -111,12 +107,8 @@ class OracleVerdict:
     evidence: str = ""
     wall_time: float = 0.0
     # decided by a clock or the environment rather than by the inputs (a
-    # timeout, the launch window, a spawn failure): a rerun may differ
+    # timeout or a spawn failure): a rerun may differ
     transient: bool = False
-
-    @property
-    def triggered(self) -> bool:
-        return self.kind == KIND_TRIGGERED
 
     @property
     def storable(self) -> bool:
@@ -362,8 +354,8 @@ def run_poc(
     default `run_env()`) and classify.
 
     Precedence: a detector report always wins; then timeout handling; then
-    the launch-incompatibility heuristics; anything else is NotTriggered.
-    A verdict that a timeout or the launch window decided is transient.
+    usage text, which means PocIncompatible; anything else is NotTriggered.
+    A verdict that a timeout decided is transient.
     """
     if counters is not None:
         counters["poc_runs"] = counters.get("poc_runs", 0) + 1
@@ -416,23 +408,10 @@ def run_poc(
             wall_time=res.wall_time,
             transient=True,
         )
-    usage = looks_like_usage_error(res.output)
-    # without usage text, a usage exit code counts only at launch, so the
-    # clock chooses between PocIncompatible and NotTriggered
-    clocked = not usage and res.returncode in USAGE_EXIT_CODES
-    if usage or (clocked and res.wall_time < LAUNCH_FAILURE_WINDOW):
-        return OracleVerdict(
-            KIND_POC_INCOMPATIBLE,
-            evidence=_tail(res.output, 1024) or f"exit {res.returncode} at launch",
-            wall_time=res.wall_time,
-            transient=clocked,
-        )
-    return OracleVerdict(
-        KIND_NOT_TRIGGERED,
-        evidence=_tail(res.output, 1024),
-        wall_time=res.wall_time,
-        transient=clocked,
-    )
+    # usage text alone decides: an exit code or the time to exit would let
+    # a loaded machine and an idle one disagree
+    kind = KIND_POC_INCOMPATIBLE if looks_like_usage_error(res.output) else KIND_NOT_TRIGGERED
+    return OracleVerdict(kind, evidence=_tail(res.output, 1024), wall_time=res.wall_time)
 
 
 # ---------- content-addressed verdict store ----------
@@ -585,11 +564,6 @@ def verdict_group(identity: Identity, poc: PocSpec) -> str:
 
 def _keyed(group: str, tree: str) -> str:
     return _sha(f"{group} {tree}".encode())
-
-
-def verdict_key(tree: str, recipe: BuildRecipe, poc: PocSpec) -> str:
-    """Store key of a verdict: the tree hash and the `verdict_group`."""
-    return _keyed(verdict_group(build_identity(recipe, run_env(recipe.env)), poc), tree)
 
 
 class VerdictStore:
@@ -905,10 +879,10 @@ class Oracle:
     """Verdict runner with a verdict store, a build slot and call counters.
 
     Verdicts are kept in the store at `store_dir`.  A verdict that is not
-    `storable` (a SandboxFailure, or one a timeout or the launch window
-    decided) is never kept, so a later call retries it.  Oracles that
-    share a store build each key once: the first caller builds while
-    holding the key's lock, later ones wait and read.
+    `storable` (a SandboxFailure, or one a timeout decided) is never
+    kept, so a later call retries it.  Oracles that share a store build
+    each key once: the first caller builds while holding the key's lock,
+    later ones wait and read.
 
     A verdict is asked for a tree: a directory, or a `gitio.CommitTree`
     (a commit plus edits held in memory).  Its key holds `tree_hash`, so

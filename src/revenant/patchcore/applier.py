@@ -76,29 +76,6 @@ class ApplyReport:
     def all_applied(self) -> bool:
         return self.rejected_count == 0
 
-    @property
-    def offsets(self) -> List[int]:
-        return [r.offset for r in self.results if r.applied]
-
-    @property
-    def max_fuzz_used(self) -> int:
-        return max((r.fuzz for r in self.results if r.applied), default=0)
-
-    def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "results": [
-                {
-                    "index": r.index,
-                    "status": r.status,
-                    "offset": r.offset,
-                    "fuzz": r.fuzz,
-                    "reason": r.reason,
-                }
-                for r in self.results
-            ],
-        }
-
 
 def _norm(text: str, normalize_ws: bool) -> str:
     return _TRAILING_WS.sub("", text) if normalize_ws else text

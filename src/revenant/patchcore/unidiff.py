@@ -1,9 +1,9 @@
 """Parser and renderer for the unified diff wire format.
 
 The accepted grammar is what `git diff` and `diff -u` emit: `---`/`+++`
-headers (with optional a/ b/ prefixes and timestamp suffixes), `@@` hunk
-headers, and body lines tagged with space, `-`, `+` or the no-newline
-marker.  Git decoration lines (index, mode, similarity) are skipped, but
+headers (with optional a/ b/ prefixes, C quotes and timestamp suffixes),
+`@@` hunk headers, and body lines tagged with space, `-`, `+` or the
+no-newline marker.  Git decoration lines (index, mode, similarity) are skipped, but
 for a file created or deleted empty git writes only `diff --git`, the
 file mode and `index`: such a section becomes a hunkless FilePatch named
 by its `diff --git` header.  A mode change alone (`old mode`/`new mode`)
@@ -13,6 +13,7 @@ gives back a structurally equal patch.
 
 from __future__ import annotations
 
+import os
 import re
 from typing import List, Optional
 
@@ -61,9 +62,28 @@ _SKIP_PREFIXES = (
 DEV_NULL = "/dev/null"
 
 
+# the escapes git writes in a quoted path, besides three octal digits
+_C_ESCAPES = {b"a": b"\a", b"b": b"\b", b"t": b"\t", b"n": b"\n", b"v": b"\v",
+              b"f": b"\f", b"r": b"\r", b'"': b'"', b"\\": b"\\"}
+RE_C_ESCAPE = re.compile(rb"\\([0-7]{3}|.)", re.DOTALL)
+
+
+def _unquote(quoted: str) -> str:
+    """A path that git wrote in C quotes (it holds a byte above 0x7f, a
+    control character, a quote or a backslash), as the bytes it names
+    decoded the way git's file listings are."""
+    raw = RE_C_ESCAPE.sub(
+        lambda m: bytes([int(m[1], 8)]) if len(m[1]) == 3 else _C_ESCAPES.get(m[1], m[0]),
+        os.fsencode(quoted[1:-1]),
+    )
+    return os.fsdecode(raw)
+
+
 def _clean_path(raw: str) -> str:
-    # strip "a/" or "b/" prefixes and any "\t<timestamp>" suffix
+    # unquote, then strip "a/" or "b/" prefixes and any "\t<timestamp>" suffix
     path = raw.split("\t", 1)[0].strip()
+    if len(path) > 1 and path[0] == path[-1] == '"':
+        path = _unquote(path)
     if path.startswith(("a/", "b/")):
         path = path[2:]
     return path
@@ -92,10 +112,13 @@ def parse_unified_diff(text: str) -> SourcePatch:
         line = lines[i]
 
         if line.startswith("diff --git "):
-            # `a/<path> b/<path>`: with renames off both halves are equal
-            rest = line[len("diff --git a/"):]
-            path = rest[: (len(rest) - 3) // 2]
-            bare = FilePatch(path, path, []) if rest == f"{path} b/{path}" else None
+            # `a/<path> b/<path>`, each half quoted or neither: with renames
+            # off both halves name one path
+            rest = line[len("diff --git "):]
+            half = (len(rest) - 1) // 2
+            path = _clean_path(rest[:half])
+            same = rest[half:half + 1] == " " and _clean_path(rest[half + 1:]) == path
+            bare = FilePatch(path, path, []) if same else None
             i += 1
             continue
 

@@ -2,8 +2,6 @@ import pytest
 
 from revenant.categorize import (
     CATEGORIES,
-    CategoryCall,
-    apply_overrides,
     categorize_commit,
     categorize_patch,
     tally,
@@ -227,15 +225,6 @@ def test_unmatched_change_falls_back_to_c6():
     )
     assert call.category == "C6"
     assert "residual" in call.rationale
-
-
-def test_apply_overrides():
-    calls = {"abc": CategoryCall("C4", "auto")}
-    out = apply_overrides(calls, {"abc": "C5", "def": "C1"})
-    assert out["abc"].category == "C5"
-    assert out["def"].category == "C1"
-    with pytest.raises(ValueError):
-        apply_overrides(calls, {"abc": "C9"})
 
 
 class TestTally:

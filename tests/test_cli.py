@@ -220,7 +220,7 @@ class TestCategorize:
         assert len(summaries(capsys)) == 4
         # the shallow-clone check runs once, and a commit is diffed once
         assert calls.count(("rev-parse", "--is-shallow-repository")) == 1
-        assert [args[0] for args in calls].count("diff") == 3
+        assert [args[0] for args in calls].count("diff-tree") == 3
 
 
 class TestActivity:

@@ -1,12 +1,5 @@
 from revenant.categorize import tally
-from revenant.curation import POLICY_LATEST_FIRST, RULE_COMPLEXITY, emit_manifest
-from revenant.datasets import (
-    breaker_categories,
-    load_breaker_ledger,
-    load_revival_survey,
-    load_tier_survey,
-    revival_records,
-)
+from revenant.datasets import load_breaker_ledger, load_revival_survey, load_tier_survey
 
 EXPECTED_TALLY = {"C1": 1, "C2": 5, "C3": 3, "C4": 18, "C5": 3, "C6": 3}
 
@@ -55,7 +48,7 @@ class TestRevivalSurvey:
         assert sum(counts.values()) == 37
 
     def test_every_stack_entry_categorized(self):
-        categories = breaker_categories()
+        categories = {(r["project"], r["commit"]) for r in load_breaker_ledger()}
         for row in load_revival_survey():
             for commit in row["revert_stack"]:
                 assert (row["project"], commit) in categories, (row["cve"], commit)
@@ -74,17 +67,3 @@ class TestRevivalSurvey:
             "CVE-2019-9959": "TooManyFiles",
         }
 
-
-class TestCurationOverSurvey:
-    def test_complexity_rule_passes_the_nine_revived(self):
-        records = revival_records("latest")
-        assert len(records) == 15
-        manifest = emit_manifest("survey", "latest", records, policy=POLICY_LATEST_FIRST)
-        assert len(manifest.included) == 9
-        assert len(manifest.excluded) == 6
-        assert all(row["rule"] == RULE_COMPLEXITY for row in manifest.excluded)
-
-    def test_reference_tier_skips_unattempted(self):
-        records = revival_records("reference")
-        assert len(records) == 14
-        assert "CVE-2019-19923" not in {r.cve for r in records}

@@ -143,7 +143,7 @@ def test_commit_memo_follows_moving_names_and_remembers_ids(repo, monkeypatch):
     monkeypatch.setattr(gitio, "run_git", lambda *a, **kw: spawned.append(a) or real(*a, **kw))
     assert memo.resolve(first.id) is first
     assert memo.inverse(moved) is memo.inverse(moved)
-    assert [a[1] for a in spawned] == ["diff"]
+    assert [a[1] for a in spawned] == ["diff-tree"]
 
 
 def test_checkout_worktree_prunes_a_crashed_worktree(repo, tmp_path):
@@ -255,6 +255,35 @@ def test_reverting_a_commit_that_adds_or_deletes_an_empty_file(repo):
         deleted = CommitTree(memo, "t2")
         revert_onto(deleted, "t2", memo.inverse("t2"))
         assert deleted.read("e.txt") == ""
+
+
+def test_reverting_a_commit_restores_files_whose_names_git_quotes(repo):
+    names = ["\u00e9.txt", "a\tb.txt", 'q"uote\\d.txt']
+    repo.commit({name: TEN for name in names}, "add")
+    repo.commit({name: TEN.replace("line 5", "line five") for name in names}, "edit")
+    with CommitMemo(repo.root) as memo:
+        assert sorted(fp.path for fp in memo.diff("t2").files) == sorted(memo.touched("t2"))
+        tree = CommitTree(memo, "t2")
+        reports = revert_onto(tree, "t2", memo.inverse("t2"))
+        assert sorted(r.path for r in reports) == sorted(names)
+        assert {name: tree.read(name) for name in names} == dict.fromkeys(names, TEN)
+
+
+def test_a_diff_ignores_the_diff_settings_of_the_repository(repo):
+    thirty = "".join(f"line {i}\n" for i in range(1, 31))
+    repo.commit({"src/main.c": thirty}, "grow")
+    edited = repo.commit(
+        {"src/main.c": thirty.replace("line 5\n", "line V\n").replace("line 14\n", "line XIV\n")},
+        "edit two places",
+    )
+    with CommitMemo(repo.root) as memo:
+        before = memo.diff(edited)
+    assert [len(fp.hunks) for fp in before.files] == [2]
+    for key, value in [("diff.external", "true"), ("diff.interHunkContext", "10"),
+                       ("diff.noprefix", "true"), ("diff.mnemonicPrefix", "true")]:
+        repo.git("config", key, value)
+    with CommitMemo(repo.root) as memo:
+        assert memo.diff(edited) == before
 
 
 def test_revert_dependent_commits_newest_first(repo, tmp_path):
@@ -550,7 +579,7 @@ def test_resolving_starts_exactly_one_reader_and_the_wrappers_leave_no_child(
     with CommitMemo(repo.root) as memo:
         memo.diff(memo.between("t0", "t1")[-1].id)
         assert memo.resolve("main") is memo.resolve("t1")
-        assert started == ["rev-parse", "cat-file", "rev-list", "diff"]
+        assert started == ["rev-parse", "cat-file", "rev-list", "diff-tree"]
         assert not no_child_left()  # the reader
     assert no_child_left()
     closed = []

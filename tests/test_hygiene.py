@@ -1,5 +1,6 @@
-"""Source hygiene: no module keeps a top-level import it never uses, and
-no private top-level name in `src/` goes unread.
+"""Source hygiene: no module keeps a top-level import it never uses, no
+private top-level name in `src/` goes unread, and nothing public in `src/`
+is kept for tests alone.
 
 A package's `__init__.py` re-exports names, `from __future__` imports
 change the compiler, and a line marked `# noqa: F401` keeps a name on
@@ -7,13 +8,20 @@ purpose; none of these is checked for use, so such a mark in `src/` may
 sit only on an import of one name.  A private name (`_name`, not
 a dunder such as `__all__`) defined at the top of a module in `src/` is
 read when some other top-level statement of a module in `src/` or
-`tests/` loads it, as a name or as an attribute.
+`tests/` loads it, as a name or as an attribute.  A public top-level name
+of a module in `src/` must be loaded the same way by a module in `src/` or
+`bench/`, and a public method or property must be read as an attribute
+there outside its own body; a name inside a string counts, so the names
+the benchmark's tracer looks up are read.  `revenant.forge`, the fixture
+library that the tests and the benchmark share, is not checked.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 NOQA = "# noqa: F401"
@@ -23,19 +31,34 @@ def _bound(alias: ast.alias) -> str:
     return alias.asname or alias.name.split(".")[0]
 
 
-def _used(tree: ast.AST) -> set:
-    """Every name `tree` loads, also inside quoted annotations."""
-    used = set()
+def _walk(tree: ast.AST) -> Iterator[ast.AST]:
+    """Every node of `tree`, and of each string in it that parses as an
+    expression (a quoted annotation, or a name that code looks up)."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            used.add(node.id)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        yield node
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
             try:
-                quoted = ast.parse(node.value, mode="eval")
+                yield from ast.walk(ast.parse(node.value, mode="eval"))
             except SyntaxError:
                 continue
-            used |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
-    return used
+
+
+def _used(tree: ast.AST) -> set:
+    """Every name `tree` loads, also inside quoted annotations."""
+    return {node.id for node in _walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def _attributes(tree: ast.AST) -> Counter:
+    """How often `tree` reads each attribute name, also inside strings."""
+    return Counter(node.attr for node in _walk(tree) if isinstance(node, ast.Attribute))
+
+
+def _loads(trees: dict) -> dict:
+    """(path, index) -> the names and attribute names that each top-level
+    statement of `trees` (path -> module) loads."""
+    return {(path, k): _used(stmt) | set(_attributes(stmt))
+            for path, tree in trees.items() for k, stmt in enumerate(tree.body)}
 
 
 def _defined(stmt: ast.stmt) -> list:
@@ -55,11 +78,7 @@ def dead_helpers(sources: dict, readers: dict) -> list:
     `sources` or `readers` loads; a statement whose private names are all
     unread is not live."""
     trees = {path: ast.parse(source) for path, source in {**readers, **sources}.items()}
-    loads = {
-        (path, k): _used(stmt) | {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
-        for path, tree in trees.items()
-        for k, stmt in enumerate(tree.body)
-    }
+    loads = _loads(trees)
     private = {}
     for path in sources:
         for k, stmt in enumerate(trees[path].body):
@@ -77,6 +96,28 @@ def dead_helpers(sources: dict, readers: dict) -> list:
         if not found:
             return sorted(f"{path}: {name}" for (path, _), names in dead.items() for name in names)
         dead.update(found)
+
+
+def unread_public_names(sources: dict, readers: dict) -> list:
+    """`path: name` for each public top-level name of the modules `sources`
+    (path -> source) that no other top-level statement of `sources` or
+    `readers` loads, and `path: Class.name` for each public method or
+    property of their top-level classes that nothing there reads as an
+    attribute outside its own body."""
+    trees = {path: ast.parse(source) for path, source in {**readers, **sources}.items()}
+    loads = _loads(trees)
+    attributes = sum(map(_attributes, trees.values()), Counter())
+    found = []
+    for path in sources:
+        for k, stmt in enumerate(trees[path].body):
+            found += [f"{path}: {name}" for name in _defined(stmt) if not name.startswith("_")
+                      and not any(name in used for at, used in loads.items() if at != (path, k))]
+            methods = stmt.body if isinstance(stmt, ast.ClassDef) else []
+            found += [f"{path}: {stmt.name}.{fn.name}" for fn in methods
+                      if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not fn.name.startswith("_")
+                      and attributes[fn.name] <= _attributes(fn)[fn.name]]
+    return sorted(found)
 
 
 def unused_imports(source: str) -> list:
@@ -139,6 +180,15 @@ def test_every_private_helper_in_src_is_read():
     assert dead_helpers(sources["src"], sources["tests"]) == []
 
 
+def test_every_public_name_in_src_has_a_reader():
+    # forge is the fixture library that the tests and the benchmark share
+    sources = {top: {str(path.relative_to(ROOT)): path.read_text("utf-8")
+                     for path in sorted((ROOT / top).rglob("*.py"))}
+               for top in ("src", "bench")}
+    forge = {"src/revenant/forge.py": sources["src"].pop("src/revenant/forge.py")}
+    assert unread_public_names(sources["src"], {**sources["bench"], **forge}) == []
+
+
 def test_the_check_sees_a_dead_helper():
     sources = {
         "a.py": (
@@ -159,6 +209,38 @@ def test_the_check_sees_a_dead_helper():
     }
     readers = {"test_a.py": "import a\na._peek()\n_LIMIT = 4\n"}
     assert dead_helpers(sources, readers) == ["a.py: _ARGS", "a.py: _LIMIT", "a.py: _log"]
+
+
+def test_the_check_sees_an_unread_public_name():
+    sources = {
+        "a.py": (
+            "LIMIT = 3\n"
+            "WIDTH: int = 4\n"
+            "def walk(n):\n"
+            "    return walk(n - 1) if n else LIMIT\n"
+            "def traced():\n"
+            "    pass\n"
+            "def _helper():\n"
+            "    pass\n"
+            "class Report:\n"
+            "    def __len__(self):\n"
+            "        return 0\n"
+            "    @property\n"
+            "    def count(self):\n"
+            "        return self.count\n"
+            "    def render(self):\n"
+            "        return self.size()\n"
+            "    def size(self):\n"
+            "        return 0\n"
+            "    def remove(self):\n"
+            "        pass\n"
+        ),
+        "__init__.py": "from .a import WIDTH\n",
+    }
+    readers = {"run.py": "import a\nTRACED = ('traced', 'Report.remove')\na.Report().render()\n"}
+    assert unread_public_names(sources, readers) == [
+        "a.py: Report.count", "a.py: WIDTH", "a.py: walk",
+    ]
 
 
 def test_the_check_sees_an_unused_import():

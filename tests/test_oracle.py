@@ -30,13 +30,14 @@ from revenant.oracle import (
     OracleVerdict,
     PocSpec,
     build,
+    build_identity,
     classify_detector_output,
     compiler_version,
     looks_like_usage_error,
     run_env,
     run_poc,
     tree_hash,
-    verdict_key,
+    verdict_group,
 )
 
 from gitutil import RepoBuilder, atimes_recorded, no_child_left, snapshot
@@ -123,14 +124,15 @@ class TestRunPoc:
         v = run_poc([bin_path], poc, cwd=tmp_path)
         assert v.kind == KIND_POC_INCOMPATIBLE
 
-    def test_fast_usage_exit_code_means_incompatible(self, tmp_path):
+    def test_a_silent_usage_exit_code_is_not_triggered(self, tmp_path):
+        # only usage text means incompatible: no exit code or exit time does
         bin_path = _script(tmp_path, "t", "exit 64\n")
         poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path))
         v = run_poc([bin_path], poc, cwd=tmp_path)
-        assert v.kind == KIND_POC_INCOMPATIBLE
+        assert (v.kind, v.storable) == (KIND_NOT_TRIGGERED, True)
 
     def test_slow_exit_2_is_not_incompatible(self, tmp_path):
-        # exit code 2 long after launch means the input was consumed
+        # without usage text an exit code 2 is NotTriggered, early or late
         bin_path = _script(tmp_path, "t", "sleep 0.3\nexit 2\n")
         poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path))
         v = run_poc([bin_path], poc, cwd=tmp_path)
@@ -347,6 +349,11 @@ def _demo_tree(tmp_path: Path) -> Path:
 DEMO_RECIPE = BuildRecipe.make(["cc -O0 -o demo demo.c"], ["demo"])
 
 
+def _demo_group(poc: PocSpec) -> str:
+    """What a verdict key of a `DEMO_RECIPE` build holds but the tree."""
+    return verdict_group(build_identity(DEMO_RECIPE, run_env(DEMO_RECIPE.env)), poc)
+
+
 class TestOracle:
     def test_verdict_and_cache(self, tmp_path):
         tree = _demo_tree(tmp_path)
@@ -450,11 +457,10 @@ class TestVerdictStore:
         assert "cache_hits" not in oracle.counters
 
     def test_missing_input_has_its_own_key(self, tmp_path):
-        tree = tree_hash(_demo_tree(tmp_path))
         poc = self._long_poc(tmp_path)
-        present = verdict_key(tree, DEMO_RECIPE, poc)
+        present = _demo_group(poc)
         Path(poc.input_file).unlink()
-        assert verdict_key(tree, DEMO_RECIPE, poc) != present
+        assert _demo_group(poc) != present
 
     def test_sandbox_failure_is_not_stored(self, tmp_path, monkeypatch):
         tree = _demo_tree(tmp_path)
@@ -515,8 +521,8 @@ class TestVerdictStore:
         assert "cache_hits" not in oracle.counters
 
     @pytest.mark.parametrize("body,kind,stored", [
-        ("exit 2\n", KIND_POC_INCOMPATIBLE, False),
-        ("sleep 0.3; exit 2\n", KIND_NOT_TRIGGERED, False),
+        ("exit 2\n", KIND_NOT_TRIGGERED, True),
+        ("sleep 0.3; exit 2\n", KIND_NOT_TRIGGERED, True),
         ('echo "usage: tool FILE"; exit 2\n', KIND_POC_INCOMPATIBLE, True),
         ("exit 1\n", KIND_NOT_TRIGGERED, True),
     ])
@@ -532,21 +538,18 @@ class TestVerdictStore:
 
     @pytest.mark.parametrize("name", ["PATH", "CC", "CFLAGS", "LD_LIBRARY_PATH"])
     def test_build_environment_is_keyed(self, tmp_path, monkeypatch, name):
-        tree = tree_hash(_demo_tree(tmp_path))
         poc = self._long_poc(tmp_path)
-        before = verdict_key(tree, DEMO_RECIPE, poc)
+        before = _demo_group(poc)
         monkeypatch.setenv(name, os.environ.get(name, "") + ":changed")
-        assert verdict_key(tree, DEMO_RECIPE, poc) != before
+        assert _demo_group(poc) != before
 
     def test_unrelated_environment_is_not_keyed(self, tmp_path, monkeypatch):
-        tree = tree_hash(_demo_tree(tmp_path))
         poc = self._long_poc(tmp_path)
-        before = verdict_key(tree, DEMO_RECIPE, poc)
+        before = _demo_group(poc)
         monkeypatch.setenv("REVENANT_TEST_UNRELATED", "1")
-        assert verdict_key(tree, DEMO_RECIPE, poc) == before
+        assert _demo_group(poc) == before
 
     def test_the_compiler_version_is_keyed(self, tmp_path, monkeypatch):
-        tree = tree_hash(_demo_tree(tmp_path))
         poc = self._long_poc(tmp_path)
         bindir = tmp_path / "bin"
         bindir.mkdir()
@@ -554,17 +557,17 @@ class TestVerdictStore:
         shim = Path(_script(bindir, "cc", f'echo "shim cc 1.0"; echo run >> {runs}\n'))
         monkeypatch.setenv("PATH", f"{bindir}{os.pathsep}{os.environ['PATH']}")
         monkeypatch.delenv("CC", raising=False)
-        before = verdict_key(tree, DEMO_RECIPE, poc)
-        assert verdict_key(tree, DEMO_RECIPE, poc) == before
+        before = _demo_group(poc)
+        assert _demo_group(poc) == before
         assert runs.read_text() == "run\n"  # once per binary
         # an upgrade in place: the same file, rewritten
         inode = shim.stat().st_ino
         shim.write_text(shim.read_text().replace("1.0", "2.10"))
         assert shim.stat().st_ino == inode
-        upgraded = verdict_key(tree, DEMO_RECIPE, poc)
+        upgraded = _demo_group(poc)
         assert upgraded != before
         monkeypatch.setenv("REVENANT_TEST_UNRELATED", "1")
-        assert verdict_key(tree, DEMO_RECIPE, poc) == upgraded
+        assert _demo_group(poc) == upgraded
 
     def test_a_missing_compiler_keys_as_a_marker(self, tmp_path):
         env = {"PATH": str(tmp_path), "CC": "revenant-test-no-such-cc"}

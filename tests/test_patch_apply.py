@@ -45,8 +45,8 @@ def test_exact_apply_reproduces_new():
     result, report = apply_file_patch(OLD, fp)
     assert result == NEW
     assert report.all_applied
-    assert report.offsets == [0]
-    assert report.max_fuzz_used == 0
+    assert [r.offset for r in report.results] == [0]
+    assert max(r.fuzz for r in report.results) == 0
 
 
 def test_forward_then_inverse_is_identity():
@@ -63,7 +63,7 @@ def test_offset_search_finds_shifted_anchor():
     fp = diff_texts(OLD, NEW, "f")
     result, report = apply_file_patch(shifted, fp, search_window=10)
     assert result == "a\nb\nc\n" + NEW
-    assert report.offsets == [3]
+    assert [r.offset for r in report.results] == [3]
 
 
 def test_strict_mode_rejects_shifted_anchor():
