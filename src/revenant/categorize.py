@@ -74,9 +74,6 @@ class CategoryCall:
     category: str
     rationale: str
 
-    def to_dict(self) -> dict:
-        return {"category": self.category, "rationale": self.rationale}
-
 
 @dataclass
 class _Change:

@@ -27,14 +27,13 @@ from .curation import (
     POLICY_MAX_SUBSET,
     SuiteCrashed,
     TooLarge,
-    detect_conflicts,
     emit_manifest,
     parse_allowlist,
     rule_functionality,
 )
 from .datasets import TIERS, load_breaker_ledger, load_revival_survey, load_tier_survey
 from .gitio import CommitMemo, GitGatewayError, activity_histogram
-from .oracle import Oracle, OracleError
+from .oracle import Oracle
 from .patchcore import Granularity
 from .porter import (
     BisectError,
@@ -135,6 +134,10 @@ def _write(path: Path, text: str) -> Path:
     return path
 
 
+def _write_json(path: Path, data) -> Path:
+    return _write(path, json.dumps(data, sort_keys=True, indent=2) + "\n")
+
+
 # ---------- subcommands ----------
 
 
@@ -151,22 +154,14 @@ def cmd_port(args) -> int:
     with _porter(cfg, case_dir) as porter:
         att = porter.attempt(ref, (), cfg.fix_commits)
     status = status_of(att.verdict.kind)
-    out = _write(
-        case_dir / PORT_FILE,
-        json.dumps(
-            {
-                "cve": cfg.cve,
-                "ref": ref,
-                "status": status,
-                "detector_class": att.verdict.detector_class,
-                "files_touched": att.files_touched,
-                "hunks_applied": att.hunks_applied,
-            },
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n",
-    )
+    out = _write_json(case_dir / PORT_FILE, {
+        "cve": cfg.cve,
+        "ref": ref,
+        "status": status,
+        "detector_class": att.verdict.detector_class,
+        "files_touched": att.files_touched,
+        "hunks_applied": att.hunks_applied,
+    })
     print(
         f"port cve={cfg.cve} ref={ref} status={status} "
         f"detector={att.verdict.detector_class or '-'} {_effort(porter, start)} record={out}"
@@ -186,7 +181,7 @@ def cmd_tiers(args) -> int:
         "project": cfg.project,
         "tiers": {name: res.to_dict() for name, res in results.items()},
     }
-    out = _write(case_dir / TIERS_FILE, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    out = _write_json(case_dir / TIERS_FILE, payload)
     cells = " ".join(f"{name}={res.status}" for name, res in results.items())
     print(f"tiers cve={cfg.cve} {cells} {_effort(porter, start)} record={out}")
     return EXIT_OK
@@ -212,7 +207,7 @@ def cmd_bisect(args) -> int:
         "skipped": list(result.skipped),
         "non_monotone": result.non_monotone,
     }
-    out = _write(case_dir / BISECT_FILE, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    out = _write_json(case_dir / BISECT_FILE, payload)
     print(
         f"bisect cve={cfg.cve} breaking={result.commit} calls={result.calls} "
         f"skipped={len(result.skipped)} {_effort(porter, start)} record={out}"
@@ -274,7 +269,7 @@ def cmd_categorize(args) -> int:
             print(f"categorize commit={commit} category={call.category} rationale={call.rationale}")
     if args.config:
         case_dir = _case_dir(args, cfg)
-        _write(case_dir / CATEGORIES_FILE, json.dumps(rows, sort_keys=True, indent=2) + "\n")
+        _write_json(case_dir / CATEGORIES_FILE, rows)
     return EXIT_OK
 
 
@@ -296,7 +291,6 @@ def cmd_manifest(args) -> int:
             return EXIT_PRECONDITION
         records.append(RevivalRecord.from_json(record_path.read_text("utf-8")))
 
-    graph = detect_conflicts(records)
     functionality = None
     if args.suite:
         if not args.suite_cwd:
@@ -314,7 +308,6 @@ def cmd_manifest(args) -> int:
         cfgs[0].project,
         cfgs[0].target,
         records,
-        graph,
         policy=args.policy,
         functionality=functionality,
         limits=cfgs[0].limits,
@@ -533,7 +526,6 @@ _EXIT_CODES = {
     GitGatewayError: EXIT_PRECONDITION,
     TooLarge: EXIT_PRECONDITION,
     ValueError: EXIT_PRECONDITION,
-    OracleError: EXIT_ENVIRONMENT,
     OSError: EXIT_ENVIRONMENT,
 }
 

@@ -1,4 +1,4 @@
-"""Benchmark curation: exclusion rules, conflict graphs, and manifests.
+"""Benchmark curation: exclusion rules, conflicting pairs, and manifests.
 
 Revived CVEs earn a benchmark slot only if the surgery stayed small, the
 revived set can coexist at one base commit, and the host project still
@@ -11,15 +11,13 @@ from __future__ import annotations
 import json
 import re
 import subprocess
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .porter import FINAL_REVIVED, Limits, RevivalRecord
 
 RULE_COMPLEXITY = "complexity"
 RULE_INTERCOMPAT = "intercompatibility"
-
-REASON_OVERLAP = "overlapping-region"
 
 POLICY_LATEST_FIRST = "latest-first"
 POLICY_MAX_SUBSET = "max-subset"
@@ -61,86 +59,16 @@ def cve_sort_key(cve: str) -> Tuple[int, int]:
     return int(m.group(1)), int(m.group(2))
 
 
-@dataclass(frozen=True)
-class RuleDecision:
-    keep: bool
-    rule: str = ""
-    reason: str = ""
-
-
-def rule_complexity(record: RevivalRecord, limits: Optional[Limits] = None) -> RuleDecision:
-    """Exclude records that never revived or needed too deep a revert stack."""
+def rule_complexity(record: RevivalRecord, limits: Optional[Limits] = None) -> Optional[str]:
+    """Why a record that never revived or needed too deep a revert stack
+    is excluded; None for a record the rule keeps."""
     limits = limits or Limits()
     if record.final not in _REVIVED_FINALS:
-        why = record.abort_reason or record.final
-        return RuleDecision(False, RULE_COMPLEXITY, f"aborted: {why}")
+        return f"aborted: {record.abort_reason or record.final}"
     depth = len(record.revert_stack)
     if depth > limits.max_reverted_commits:
-        return RuleDecision(
-            False,
-            RULE_COMPLEXITY,
-            f"{depth} reverted commits exceeds limit {limits.max_reverted_commits}",
-        )
-    return RuleDecision(True)
-
-
-@dataclass
-class ConflictEdge:
-    a: str
-    b: str
-    reason: str
-    evidence: str
-
-
-class ConflictGraph:
-    """Undirected, irreflexive conflict graph over CVE ids."""
-
-    def __init__(self, nodes: Iterable[str] = ()):
-        self.nodes: List[str] = []
-        self.edges: Dict[Tuple[str, str], ConflictEdge] = {}
-        for n in nodes:
-            self.add_node(n)
-
-    def add_node(self, node: str) -> None:
-        if node not in self.nodes:
-            self.nodes.append(node)
-
-    def add_edge(self, a: str, b: str, reason: str, evidence: str = "") -> None:
-        if a == b:
-            raise ValueError("conflict edges are irreflexive")
-        self.add_node(a)
-        self.add_node(b)
-        key: Tuple[str, str] = tuple(sorted((a, b)))  # type: ignore[assignment]
-        if key not in self.edges:
-            self.edges[key] = ConflictEdge(key[0], key[1], reason, evidence)
-
-    def has_edge(self, a: str, b: str) -> bool:
-        return tuple(sorted((a, b))) in self.edges
-
-    def is_independent(self, nodes: Iterable[str]) -> bool:
-        chosen = list(nodes)
-        for i, a in enumerate(chosen):
-            for b in chosen[i + 1:]:
-                if self.has_edge(a, b):
-                    return False
-        return True
-
-    def subgraph(self, keep: Iterable[str]) -> "ConflictGraph":
-        kept = set(keep)
-        sub = ConflictGraph(n for n in self.nodes if n in kept)
-        for (a, b), edge in self.edges.items():
-            if a in kept and b in kept:
-                sub.add_edge(a, b, edge.reason, edge.evidence)
-        return sub
-
-    def to_dict(self) -> dict:
-        return {
-            "nodes": sorted(self.nodes),
-            "edges": [
-                {"a": e.a, "b": e.b, "reason": e.reason, "evidence": e.evidence}
-                for _, e in sorted(self.edges.items())
-            ],
-        }
+        return f"{depth} reverted commits exceeds limit {limits.max_reverted_commits}"
+    return None
 
 
 def _spans_by_file(record: RevivalRecord) -> Dict[str, List[Tuple[int, int]]]:
@@ -169,32 +97,39 @@ def _revert_dependency(ra: RevivalRecord, rb: RevivalRecord) -> Optional[str]:
     return None
 
 
-def detect_conflicts(records: Sequence[RevivalRecord]) -> ConflictGraph:
-    """Build the pairwise conflict graph for records revived at one target.
+def _pair(a: str, b: str) -> Tuple[str, str]:
+    return (a, b) if a <= b else (b, a)
 
-    The check is static and over-approximates: any line-region overlap in
-    the same file counts, as does one record reverting a commit another
-    record's port was derived from.
+
+def detect_conflicts(records: Sequence[RevivalRecord]) -> Dict[Tuple[str, str], str]:
+    """The conflicting pairs among records revived at one target: each
+    sorted pair of CVE ids maps to the evidence of its conflict.
+
+    The check is static and over-approximates: one record reverting a
+    commit another record's port was derived from counts, as does any
+    line-region overlap in the same file.
     """
     recs = list(records)
     targets = {r.target for r in recs}
     if len(targets) > 1:
         raise ValueError(f"records target different commits: {sorted(targets)}")
 
-    graph = ConflictGraph(r.cve for r in recs)
+    conflicts: Dict[Tuple[str, str], str] = {}
     for i, ra in enumerate(recs):
         for rb in recs[i + 1:]:
-            dep = _revert_dependency(ra, rb) or _revert_dependency(rb, ra)
-            if dep:
-                graph.add_edge(ra.cve, rb.cve, REASON_OVERLAP, dep)
-                continue
-            hit = _overlap_evidence(ra, rb)
-            if hit:
-                graph.add_edge(ra.cve, rb.cve, REASON_OVERLAP, hit)
-    return graph
+            evidence = (_revert_dependency(ra, rb) or _revert_dependency(rb, ra)
+                        or _overlap_evidence(ra, rb))
+            if evidence:
+                conflicts.setdefault(_pair(ra.cve, rb.cve), evidence)
+    return conflicts
 
 
-def _max_independent_set(order: List[str], graph: ConflictGraph) -> List[str]:
+def _clashes(cve: str, others: Iterable[str], conflicts: Dict[Tuple[str, str], str]) -> List[str]:
+    """The ids among `others` that conflict with `cve`."""
+    return [other for other in others if _pair(cve, other) in conflicts]
+
+
+def _max_independent_set(order: List[str], conflicts: Dict[Tuple[str, str], str]) -> List[str]:
     # Branch and bound over nodes in recency order, include-branch first,
     # replacing best only on strict improvement. Ties therefore resolve
     # toward keeping the latest CVEs, and the result is deterministic.
@@ -209,7 +144,7 @@ def _max_independent_set(order: List[str], graph: ConflictGraph) -> List[str]:
             best = list(chosen)
             return
         node = order[i]
-        if not any(graph.has_edge(node, c) for c in chosen):
+        if not _clashes(node, chosen, conflicts):
             chosen.append(node)
             walk(i + 1, chosen)
             chosen.pop()
@@ -220,49 +155,40 @@ def _max_independent_set(order: List[str], graph: ConflictGraph) -> List[str]:
 
 
 def select_compatible(
-    graph: ConflictGraph,
     records: Sequence[RevivalRecord],
+    conflicts: Dict[Tuple[str, str], str],
     policy: str = POLICY_LATEST_FIRST,
 ) -> Tuple[List[str], List[Tuple[str, str, str]]]:
-    """Pick a pairwise-compatible subset of the records' CVEs.
+    """Pick a subset of the records' CVEs that holds no pair of `conflicts`.
 
     latest-first greedily keeps the newest CVEs; max-subset finds an exact
-    maximum independent set (TooLarge beyond MAX_GRAPH_NODES nodes).
+    maximum independent set (TooLarge beyond MAX_GRAPH_NODES records).
     Returns (kept ids, excluded (cve, rule, reason) rows), kept newest
     first.
     """
-    recs = {r.cve: r for r in records}
+    recs = {r.cve for r in records}
     if len(recs) != len(records):
         raise ValueError("duplicate cve ids in records")
-    unknown = [node for node in graph.nodes if node not in recs]
-    if unknown:
-        raise ValueError(f"graph nodes without records: {sorted(unknown)}")
 
     order = sorted(recs, key=cve_sort_key, reverse=True)
     if policy == POLICY_LATEST_FIRST:
         kept: List[str] = []
         for cve in order:
-            if not any(graph.has_edge(cve, k) for k in kept):
+            if not _clashes(cve, kept, conflicts):
                 kept.append(cve)
     elif policy == POLICY_MAX_SUBSET:
         if len(order) > MAX_GRAPH_NODES:
             raise TooLarge(f"{len(order)} nodes exceeds cap {MAX_GRAPH_NODES}")
-        kept = _max_independent_set(order, graph)
+        kept = _max_independent_set(order, conflicts)
     else:
         raise ValueError(f"unknown selection policy: {policy!r}")
 
-    kept_set = set(kept)
-    excluded = []
-    for cve in order:
-        if cve in kept_set:
-            continue
-        clash = sorted(
-            (k for k in kept if graph.has_edge(cve, k)),
-            key=cve_sort_key,
-            reverse=True,
-        )
-        excluded.append((cve, RULE_INTERCOMPAT, "conflicts with kept " + ", ".join(clash)))
-    assert graph.is_independent(kept)
+    excluded = [
+        (cve, RULE_INTERCOMPAT, "conflicts with kept " + ", ".join(_clashes(cve, kept, conflicts)))
+        for cve in order
+        if cve not in kept
+    ]
+    assert not any(_clashes(k, kept[:i], conflicts) for i, k in enumerate(kept))
     return kept, excluded
 
 
@@ -300,15 +226,6 @@ class FunctionalityVerdict:
     allowlisted: List[str]
     disallowed: List[str]
     verdict: str
-
-    def to_dict(self) -> dict:
-        return {
-            "total_tests": self.total_tests,
-            "failed": list(self.failed),
-            "allowlisted": list(self.allowlisted),
-            "disallowed": list(self.disallowed),
-            "verdict": self.verdict,
-        }
 
 
 def parse_allowlist(text: str) -> Dict[str, str]:
@@ -385,16 +302,7 @@ class BenchmarkManifest:
     created_at: str
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "benchmark-manifest/1",
-            "project": self.project,
-            "base_ref": self.base_ref,
-            "included": [dict(row) for row in self.included],
-            "excluded": [dict(row) for row in self.excluded],
-            "selection_policy": self.selection_policy,
-            "functionality": self.functionality.to_dict() if self.functionality else None,
-            "created_at": self.created_at,
-        }
+        return {"schema": "benchmark-manifest/1", **asdict(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -404,7 +312,6 @@ def emit_manifest(
     project: str,
     base_ref: str,
     records: Sequence[RevivalRecord],
-    graph: Optional[ConflictGraph] = None,
     policy: str = POLICY_LATEST_FIRST,
     functionality: Optional[FunctionalityVerdict] = None,
     limits: Optional[Limits] = None,
@@ -415,21 +322,17 @@ def emit_manifest(
     created_at is caller-supplied (e.g. the base commit's committer date)
     so identical inputs serialize byte-identically.
     """
-    recs = list(records)
+    conflicts = detect_conflicts(records)
     excluded: List[Tuple[str, str, str]] = []
     survivors: List[RevivalRecord] = []
-    for rec in recs:
-        decision = rule_complexity(rec, limits)
-        if decision.keep:
+    for rec in records:
+        why = rule_complexity(rec, limits)
+        if why is None:
             survivors.append(rec)
         else:
-            excluded.append((rec.cve, decision.rule, decision.reason))
+            excluded.append((rec.cve, RULE_COMPLEXITY, why))
 
-    survivor_ids = {r.cve for r in survivors}
-    sub = (graph or ConflictGraph(survivor_ids)).subgraph(survivor_ids)
-    for cve in survivor_ids:
-        sub.add_node(cve)
-    kept, dropped = select_compatible(sub, survivors, policy)
+    kept, dropped = select_compatible(survivors, conflicts, policy)
     excluded.extend(dropped)
 
     by_cve = {r.cve: r for r in survivors}

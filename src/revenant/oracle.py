@@ -53,10 +53,6 @@ DEFAULT_LOG_TAIL = 4096
 DEFAULT_EXCERPT_LINES = 30
 
 
-class OracleError(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class BuildRecipe:
     steps: Tuple[str, ...]

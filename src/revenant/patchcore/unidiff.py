@@ -66,6 +66,7 @@ DEV_NULL = "/dev/null"
 _C_ESCAPES = {b"a": b"\a", b"b": b"\b", b"t": b"\t", b"n": b"\n", b"v": b"\v",
               b"f": b"\f", b"r": b"\r", b'"': b'"', b"\\": b"\\"}
 RE_C_ESCAPE = re.compile(rb"\\([0-7]{3}|.)", re.DOTALL)
+_C_QUOTES = {value[0]: b"\\" + letter for letter, value in _C_ESCAPES.items()}
 
 
 def _unquote(quoted: str) -> str:
@@ -77,6 +78,16 @@ def _unquote(quoted: str) -> str:
         os.fsencode(quoted[1:-1]),
     )
     return os.fsdecode(raw)
+
+
+def _quote(path: str) -> str:
+    """`path` as git writes it: in C quotes if it holds a control
+    character, a quote, a backslash or a byte above 0x7e."""
+    raw = os.fsencode(path)
+    quoted = b"".join(
+        _C_QUOTES.get(b) or (bytes([b]) if 0x20 <= b < 0x7f else b"\\%03o" % b) for b in raw
+    )
+    return path if quoted == raw else '"' + quoted.decode("ascii") + '"'
 
 
 def _clean_path(raw: str) -> str:
@@ -248,16 +259,15 @@ def _fmt_range(start: int, length: int) -> str:
 
 
 def render_unified_diff(patch: SourcePatch) -> str:
-    """Serialize back to the wire format (no git decoration lines)."""
+    """Serialize back to the wire format (no git decoration lines), with
+    paths quoted as git quotes them."""
     out: List[str] = []
     for fp in patch.files:
+        old = DEV_NULL if fp.mode_change == MODE_CREATED else _quote(f"a/{fp.old_path}")
+        new = DEV_NULL if fp.mode_change == MODE_DELETED else _quote(f"b/{fp.new_path}")
         if fp.is_binary:
-            old = DEV_NULL if fp.mode_change == MODE_CREATED else f"a/{fp.old_path}"
-            new = DEV_NULL if fp.mode_change == MODE_DELETED else f"b/{fp.new_path}"
             out.append(f"Binary files {old} and {new} differ")
             continue
-        old = DEV_NULL if fp.mode_change == MODE_CREATED else f"a/{fp.old_path}"
-        new = DEV_NULL if fp.mode_change == MODE_DELETED else f"b/{fp.new_path}"
         out.append(f"--- {old}")
         out.append(f"+++ {new}")
         for h in fp.hunks:

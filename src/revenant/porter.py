@@ -13,7 +13,7 @@ import hashlib
 import json
 import shutil
 import tempfile
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -272,12 +272,7 @@ class TierResult:
     detector_class: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "tier": self.tier,
-            "ref": self.ref,
-            "status": self.status,
-            "detector_class": self.detector_class,
-        }
+        return asdict(self)
 
 
 def status_of(kind: str) -> str:
@@ -312,10 +307,7 @@ class RevivalRecord:
     port_digest: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "schema": RECORD_SCHEMA,
-            **{f.name: copy.deepcopy(getattr(self, f.name)) for f in fields(self)},
-        }
+        return {"schema": RECORD_SCHEMA, **asdict(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -493,12 +485,11 @@ class Porter:
             )
 
         stack: List[str] = []  # discovery order, oldest breaker first
-        rounds: List[dict] = []
+        rounds = 0
         non_monotone = False
         final = ""
         abort_reason = ""
         aborted_on = ""
-        last: AttemptResult = AttemptResult(OracleVerdict("Unknown"))
 
         def applicable(commit_id: str) -> List[str]:
             pos = index[commit_id]
@@ -532,9 +523,7 @@ class Porter:
                 )
                 break
             non_monotone = non_monotone or res.non_monotone
-            rounds.append(
-                {"breaker": res.commit, "calls": res.calls, "skipped": res.skipped}
-            )
+            rounds += 1
             bdiff = self.commits.diff(res.commit)
             if len(bdiff.files) > self.limits.max_files_per_commit:
                 final = FINAL_ABORTED
@@ -564,7 +553,7 @@ class Porter:
                 "commits_reverted": len(stack),
                 "files_touched": last.files_touched,
                 "hunks_applied": last.hunks_applied,
-                "bisect_rounds": len(rounds),
+                "bisect_rounds": rounds,
             },
             flags={"origin_verified": True, "non_monotone": non_monotone},
             touched_regions=last.regions if final == FINAL_REVIVED else [],

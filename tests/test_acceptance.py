@@ -19,12 +19,7 @@ from genpatch import gen_pair
 
 from revenant.categorize import categorize_commit, tally
 from revenant.cli import main
-from revenant.curation import (
-    POLICY_MAX_SUBSET,
-    REASON_OVERLAP,
-    ConflictGraph,
-    select_compatible,
-)
+from revenant.curation import POLICY_MAX_SUBSET, select_compatible
 from revenant.datasets import load_breaker_ledger
 from revenant.forge import ARCHETYPES, forge_flip_history, forge_repo
 from revenant.gitio import CommitMemo, activity_histogram
@@ -313,10 +308,14 @@ def _record(cve):
     )
 
 
-def _brute_force_mis_size(nodes, graph):
+def _independent(cves, conflicts):
+    return not any(tuple(sorted(pair)) in conflicts for pair in itertools.combinations(cves, 2))
+
+
+def _brute_force_mis_size(nodes, conflicts):
     for r in range(len(nodes), -1, -1):
         for combo in itertools.combinations(nodes, r):
-            if graph.is_independent(combo):
+            if _independent(combo, conflicts):
                 return r
     return 0
 
@@ -327,14 +326,14 @@ def test_criterion_07_max_subset_equals_brute_force():
     for trial in range(100):
         n = rng.randint(1, 10)
         recs = [_record(f"CVE-2020-{i + 1}") for i in range(n)]
-        graph = ConflictGraph([r.cve for r in recs])
+        conflicts = {}
         for i in range(n):
             for j in range(i + 1, n):
                 if rng.random() < 0.4:
-                    graph.add_edge(recs[i].cve, recs[j].cve, REASON_OVERLAP)
-        kept, _ = select_compatible(graph, recs, POLICY_MAX_SUBSET)
-        assert graph.is_independent(kept), f"trial {trial}"
-        want = _brute_force_mis_size([r.cve for r in recs], graph)
+                    conflicts[tuple(sorted((recs[i].cve, recs[j].cve)))] = "overlap"
+        kept, _ = select_compatible(recs, conflicts, POLICY_MAX_SUBSET)
+        assert _independent(kept, conflicts), f"trial {trial}"
+        want = _brute_force_mis_size([r.cve for r in recs], conflicts)
         assert len(kept) == want, f"trial {trial}: {len(kept)} != {want}"
     elapsed = time.monotonic() - t0
     assert elapsed < 30, f"max-subset sweep took {elapsed:.1f}s"

@@ -138,6 +138,25 @@ class TestReviveAndManifest:
         assert manifest["included"][0]["revert_stack"] == [fixture.breakers[0]["id"]]
         assert manifest["schema"] == "benchmark-manifest/1"
 
+    def test_manifest_keeps_the_newer_of_two_overlapping_cases(self, tmp_path, fixture, capsys):
+        # two CVEs revived on one fixture touch the same lines
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps({**json.loads(write_case(tmp_path, fixture).read_text()),
+                                     "cve": "CVE-2020-1111"}))
+        newer = write_case(tmp_path, fixture)
+        configs = ["--config", str(older), "--config", str(newer)]
+        assert main(["revive", *configs]) == 0
+        assert main(["manifest", *configs]) == 0
+        fields = summary(capsys)
+        assert (fields["included"], fields["excluded"]) == ("1", "1")
+        manifest = json.loads((tmp_path / "ws" / "manifest.json").read_text())
+        assert [row["cve"] for row in manifest["included"]] == [CVE]
+        assert manifest["excluded"] == [{
+            "cve": "CVE-2020-1111",
+            "rule": "intercompatibility",
+            "reason": f"conflicts with kept {CVE}",
+        }]
+
     def test_manifest_without_record_is_precondition(self, tmp_path, fixture, capsys):
         case = write_case(tmp_path, fixture)
         rc = main(["manifest", "--config", str(case)])

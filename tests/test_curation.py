@@ -11,10 +11,8 @@ from revenant.curation import (
     FORMAT_TAP,
     POLICY_LATEST_FIRST,
     POLICY_MAX_SUBSET,
-    REASON_OVERLAP,
     RULE_COMPLEXITY,
     RULE_INTERCOMPAT,
-    ConflictGraph,
     SuiteCrashed,
     TooLarge,
     cve_sort_key,
@@ -54,86 +52,94 @@ def span(path, start, end):
 class TestComplexityRule:
     def test_revived_within_limit_kept(self):
         rec = record("CVE-2020-1000", stack=["a", "b", "c", "d"])
-        assert rule_complexity(rec, Limits()).keep
+        assert rule_complexity(rec, Limits()) is None
 
     def test_deep_stack_excluded(self):
         rec = record("CVE-2020-1000", stack=["a", "b", "c", "d", "e"])
-        decision = rule_complexity(rec, Limits())
-        assert not decision.keep
-        assert decision.rule == RULE_COMPLEXITY
-        assert "exceeds limit 4" in decision.reason
+        assert "exceeds limit 4" in rule_complexity(rec, Limits())
+        (row,) = emit_manifest("proj", "base", [rec], limits=Limits()).excluded
+        assert row["rule"] == RULE_COMPLEXITY and "exceeds limit 4" in row["reason"]
 
     def test_aborted_excluded(self):
-        decision = rule_complexity(record("CVE-2020-1000", final="Aborted"))
-        assert not decision.keep and "Complexity" in decision.reason
+        assert "Complexity" in rule_complexity(record("CVE-2020-1000", final="Aborted"))
 
     def test_trivially_revived_kept(self):
-        assert rule_complexity(record("CVE-2020-1000", final="TriviallyRevived")).keep
+        assert rule_complexity(record("CVE-2020-1000", final="TriviallyRevived")) is None
+
+
+def independent(cves, conflicts):
+    return not any(tuple(sorted(pair)) in conflicts for pair in itertools.combinations(cves, 2))
 
 
 class TestConflictGraph:
+    """The conflict graph is the map of conflicting pairs: its keys are
+    the edges, each a sorted pair of CVE ids."""
+
     def test_self_edge_rejected(self):
-        g = ConflictGraph()
-        with pytest.raises(ValueError):
-            g.add_edge("a", "a", REASON_OVERLAP)
+        # a record's own regions overlap, and it reverts its own fix
+        rec = record("CVE-2020-1", stack=["fix0"], regions=[span("a.c", 1, 9), span("a.c", 5, 12)])
+        assert detect_conflicts([rec]) == {}
 
     def test_edges_deduplicate(self):
-        g = ConflictGraph()
-        g.add_edge("a", "b", REASON_OVERLAP, "first")
-        g.add_edge("b", "a", "another-reason", "second")
-        assert len(g.edges) == 1
-        assert g.has_edge("a", "b") and g.has_edge("b", "a")
+        # both a revert dependency and an overlap, listed in either order:
+        # one sorted pair, with the first evidence found
+        ra = record("CVE-2020-1", stack=["deadbeef"], regions=[span("a.c", 1, 9)], fixes=["f1"])
+        rb = record("CVE-2020-2", regions=[span("a.c", 5, 12)], fixes=["deadbeef"])
+        for recs in ([ra, rb], [rb, ra]):
+            conflicts = detect_conflicts(recs)
+            assert list(conflicts) == [("CVE-2020-1", "CVE-2020-2")]
+            assert "reverts deadbeef" in conflicts[("CVE-2020-1", "CVE-2020-2")]
 
     def test_independence(self):
-        g = ConflictGraph(["a", "b", "c"])
-        g.add_edge("a", "b", REASON_OVERLAP)
-        assert g.is_independent(["a", "c"])
-        assert not g.is_independent(["a", "b"])
+        conflicts = {("a", "b"): "overlap"}
+        assert independent(["a", "c"], conflicts)
+        assert not independent(["b", "a"], conflicts)
+        recs = [record(c) for c in ["CVE-2020-1", "CVE-2020-2", "CVE-2020-3"]]
+        conflicts = {("CVE-2020-1", "CVE-2020-2"): "overlap"}
+        for policy in (POLICY_LATEST_FIRST, POLICY_MAX_SUBSET):
+            kept, excluded = select_compatible(recs, conflicts, policy)
+            assert kept == ["CVE-2020-3", "CVE-2020-2"] and independent(kept, conflicts)
+            assert [row[0] for row in excluded] == ["CVE-2020-1"]
 
 
 class TestDetectConflicts:
     def test_overlapping_regions_conflict(self):
         ra = record("CVE-2020-1", regions=[span("src/a.c", 10, 20)])
         rb = record("CVE-2020-2", regions=[span("src/a.c", 18, 25)])
-        g = detect_conflicts([ra, rb])
-        assert g.has_edge("CVE-2020-1", "CVE-2020-2")
-        assert g.edges[("CVE-2020-1", "CVE-2020-2")].reason == REASON_OVERLAP
+        assert detect_conflicts([ra, rb]) == {
+            ("CVE-2020-1", "CVE-2020-2"): "src/a.c: lines 10-20 overlap 18-25",
+        }
 
     def test_disjoint_files_no_conflict(self):
         ra = record("CVE-2020-1", regions=[span("src/a.c", 10, 20)])
         rb = record("CVE-2020-2", regions=[span("src/b.c", 10, 20)])
-        assert not detect_conflicts([ra, rb]).edges
+        assert not detect_conflicts([ra, rb])
 
     def test_same_file_disjoint_lines_no_conflict(self):
         ra = record("CVE-2020-1", regions=[span("src/a.c", 10, 20)])
         rb = record("CVE-2020-2", regions=[span("src/a.c", 21, 30)])
-        assert not detect_conflicts([ra, rb]).edges
+        assert not detect_conflicts([ra, rb])
 
     def test_reverting_anothers_fix_conflicts(self):
         ra = record("CVE-2020-1", stack=["deadbeef"], fixes=["f1"])
         rb = record("CVE-2020-2", fixes=["deadbeef"])
-        g = detect_conflicts([ra, rb])
-        assert g.has_edge("CVE-2020-1", "CVE-2020-2")
-        assert "deadbeef" in g.edges[("CVE-2020-1", "CVE-2020-2")].evidence
+        conflicts = detect_conflicts([ra, rb])
+        assert "deadbeef" in conflicts[("CVE-2020-1", "CVE-2020-2")]
 
     def test_mixed_targets_rejected(self):
         with pytest.raises(ValueError):
             detect_conflicts([record("CVE-2020-1"), record("CVE-2020-2", target="other")])
 
 
-def star_graph(center, leaves):
-    g = ConflictGraph([center, *leaves])
-    for leaf in leaves:
-        g.add_edge(center, leaf, REASON_OVERLAP)
-    return g
+def star_conflicts(center, leaves):
+    return {tuple(sorted((center, leaf))): "overlap" for leaf in leaves}
 
 
 class TestSelectCompatible:
     def test_latest_first_prefers_newest(self):
         recs = [record("CVE-2019-10"), record("CVE-2021-10")]
-        g = ConflictGraph([r.cve for r in recs])
-        g.add_edge("CVE-2019-10", "CVE-2021-10", REASON_OVERLAP)
-        kept, excluded = select_compatible(g, recs, POLICY_LATEST_FIRST)
+        conflicts = {("CVE-2019-10", "CVE-2021-10"): "overlap"}
+        kept, excluded = select_compatible(recs, conflicts, POLICY_LATEST_FIRST)
         assert kept == ["CVE-2021-10"]
         assert excluded == [
             ("CVE-2019-10", RULE_INTERCOMPAT, "conflicts with kept CVE-2021-10"),
@@ -144,50 +150,51 @@ class TestSelectCompatible:
         # the exact policy keeps all three leaves
         leaves = ["CVE-2018-1", "CVE-2018-2", "CVE-2018-3"]
         recs = [record(c) for c in ["CVE-2021-9", *leaves]]
-        g = star_graph("CVE-2021-9", leaves)
+        conflicts = star_conflicts("CVE-2021-9", leaves)
 
-        kept_greedy, _ = select_compatible(g, recs, POLICY_LATEST_FIRST)
+        kept_greedy, _ = select_compatible(recs, conflicts, POLICY_LATEST_FIRST)
         assert kept_greedy == ["CVE-2021-9"]
 
-        kept_exact, excluded = select_compatible(g, recs, POLICY_MAX_SUBSET)
+        kept_exact, excluded = select_compatible(recs, conflicts, POLICY_MAX_SUBSET)
         assert sorted(kept_exact) == leaves
-        assert [row[0] for row in excluded] == ["CVE-2021-9"]
+        assert excluded == [
+            ("CVE-2021-9", RULE_INTERCOMPAT,
+             "conflicts with kept CVE-2018-3, CVE-2018-2, CVE-2018-1"),
+        ]
 
     def test_max_subset_tie_prefers_latest(self):
         # two disjoint maximum sets of equal size; the kept one must
         # contain the newest CVE
         recs = [record(c) for c in ["CVE-2022-1", "CVE-2020-1", "CVE-2020-2", "CVE-2019-9"]]
-        g = ConflictGraph([r.cve for r in recs])
-        g.add_edge("CVE-2022-1", "CVE-2020-1", REASON_OVERLAP)
-        g.add_edge("CVE-2022-1", "CVE-2020-2", REASON_OVERLAP)
-        g.add_edge("CVE-2019-9", "CVE-2020-1", REASON_OVERLAP)
-        g.add_edge("CVE-2019-9", "CVE-2020-2", REASON_OVERLAP)
-        kept, _ = select_compatible(g, recs, POLICY_MAX_SUBSET)
+        conflicts = {
+            **star_conflicts("CVE-2022-1", ["CVE-2020-1", "CVE-2020-2"]),
+            **star_conflicts("CVE-2019-9", ["CVE-2020-1", "CVE-2020-2"]),
+        }
+        kept, _ = select_compatible(recs, conflicts, POLICY_MAX_SUBSET)
         assert "CVE-2022-1" in kept and len(kept) == 2
 
     def test_edgeless_keeps_everything(self):
         recs = [record(f"CVE-2020-{i}") for i in range(1, 6)]
         for policy in (POLICY_LATEST_FIRST, POLICY_MAX_SUBSET):
-            kept, excluded = select_compatible(ConflictGraph(), recs, policy)
+            kept, excluded = select_compatible(recs, {}, policy)
             assert len(kept) == 5 and not excluded
 
     def test_too_large_rejected(self):
         recs = [record(f"CVE-2020-{i}") for i in range(1, 66)]
         with pytest.raises(TooLarge):
-            select_compatible(ConflictGraph(), recs, POLICY_MAX_SUBSET)
+            select_compatible(recs, {}, POLICY_MAX_SUBSET)
 
-    def test_graph_node_without_record_rejected(self):
+    def test_duplicate_cves_rejected(self):
         with pytest.raises(ValueError):
-            select_compatible(ConflictGraph(["CVE-2020-99"]), [record("CVE-2020-1")], POLICY_MAX_SUBSET)
+            select_compatible([record("CVE-2020-1"), record("CVE-2020-1")], {})
 
 
-def brute_force_mis_size(nodes, graph):
-    best = 0
+def brute_force_mis_size(nodes, conflicts):
     for r in range(len(nodes), -1, -1):
         for combo in itertools.combinations(nodes, r):
-            if graph.is_independent(combo):
+            if independent(combo, conflicts):
                 return r
-    return best
+    return 0
 
 
 class TestMaxSubsetOracle:
@@ -196,14 +203,14 @@ class TestMaxSubsetOracle:
         for trial in range(100):
             n = rng.randint(1, 10)
             recs = [record(f"CVE-2020-{i + 1}") for i in range(n)]
-            g = ConflictGraph([r.cve for r in recs])
+            conflicts = {}
             for i in range(n):
                 for j in range(i + 1, n):
                     if rng.random() < 0.35:
-                        g.add_edge(recs[i].cve, recs[j].cve, REASON_OVERLAP)
-            kept, _ = select_compatible(g, recs, POLICY_MAX_SUBSET)
-            assert g.is_independent(kept)
-            assert len(kept) == brute_force_mis_size([r.cve for r in recs], g), f"trial {trial}"
+                        conflicts[tuple(sorted((recs[i].cve, recs[j].cve)))] = "overlap"
+            kept, _ = select_compatible(recs, conflicts, POLICY_MAX_SUBSET)
+            assert independent(kept, conflicts)
+            assert len(kept) == brute_force_mis_size([r.cve for r in recs], conflicts), f"trial {trial}"
 
 
 def write_script(path, body):
@@ -288,13 +295,38 @@ class TestEmitManifest:
             record("CVE-2020-2", regions=[span("a.c", 5, 12)]),
             record("CVE-2019-1", final="Aborted"),
         ]
-        graph = detect_conflicts([r for r in recs if r.final == "Revived"])
-        manifest = emit_manifest("proj", "base", recs, graph, POLICY_LATEST_FIRST)
+        manifest = emit_manifest("proj", "base", recs, POLICY_LATEST_FIRST)
 
         assert [row["cve"] for row in manifest.included] == ["CVE-2021-3"]
         assert manifest.included[0]["port_digest"] == "digest-CVE-2021-3"
         rules = {row["cve"]: row["rule"] for row in manifest.excluded}
         assert rules == {"CVE-2019-1": RULE_COMPLEXITY, "CVE-2020-2": RULE_INTERCOMPAT}
+
+    def test_overlapping_records_conflict_without_a_caller_graph(self):
+        recs = [
+            record("CVE-2020-2", regions=[span("a.c", 1, 9)]),
+            record("CVE-2021-3", regions=[span("a.c", 1, 9)]),
+        ]
+        for policy in (POLICY_LATEST_FIRST, POLICY_MAX_SUBSET):
+            manifest = emit_manifest("proj", "base", recs, policy=policy)
+            assert [row["cve"] for row in manifest.included] == ["CVE-2021-3"]
+            assert manifest.excluded == [{
+                "cve": "CVE-2020-2",
+                "rule": RULE_INTERCOMPAT,
+                "reason": "conflicts with kept CVE-2021-3",
+            }]
+
+    def test_a_revert_dependency_excludes_the_older_record(self):
+        # the newer CVE's revert stack holds the older CVE's fix commit
+        recs = [
+            record("CVE-2021-3", stack=["deadbeef"], fixes=["f1"]),
+            record("CVE-2020-2", fixes=["deadbeef"]),
+        ]
+        manifest = emit_manifest("proj", "base", recs)
+        assert [row["cve"] for row in manifest.included] == ["CVE-2021-3"]
+        assert [(row["cve"], row["rule"]) for row in manifest.excluded] == [
+            ("CVE-2020-2", RULE_INTERCOMPAT),
+        ]
 
     def test_complexity_exclusion_not_relabeled(self):
         # the aborted record also overlaps the kept one; its exclusion
@@ -303,12 +335,16 @@ class TestEmitManifest:
             record("CVE-2021-3", regions=[span("a.c", 1, 9)]),
             record("CVE-2019-1", final="Aborted", regions=[span("a.c", 2, 3)]),
         ]
-        graph = ConflictGraph([r.cve for r in recs])
-        graph.add_edge("CVE-2021-3", "CVE-2019-1", REASON_OVERLAP)
-        manifest = emit_manifest("proj", "base", recs, graph)
+        assert detect_conflicts(recs)
+        manifest = emit_manifest("proj", "base", recs)
+        assert [row["cve"] for row in manifest.included] == ["CVE-2021-3"]
         assert manifest.excluded == [
             {"cve": "CVE-2019-1", "rule": RULE_COMPLEXITY, "reason": "aborted: Complexity"},
         ]
+
+    def test_mixed_targets_rejected(self):
+        with pytest.raises(ValueError):
+            emit_manifest("proj", "base", [record("CVE-2020-1"), record("CVE-2020-2", target="other")])
 
     def test_zero_records(self):
         manifest = emit_manifest("proj", "base", [])

@@ -205,6 +205,25 @@ def test_generated_patches_round_trip_through_text(seed):
     assert invert(invert(p)).files == p.files
 
 
+@pytest.mark.parametrize("name", ["x\ty.txt", "back\\slash.c", "\u00e9.txt", '"q"'])
+def test_names_git_quotes_round_trip_through_text(name):
+    p = SourcePatch([diff_texts("a\n", "b\n", name)])
+    text = render_unified_diff(p)
+    assert parse_unified_diff(text) == p
+    assert text.startswith('--- "a/')
+
+
+def test_render_quotes_names_as_git_does():
+    fp = diff_texts("a\n", "b\n", "x\ty \u00e9\\.txt")
+    text = render_unified_diff(SourcePatch([fp]))
+    assert text.splitlines()[:2] == [
+        '--- "a/x\\ty \\303\\251\\\\.txt"',
+        '+++ "b/x\\ty \\303\\251\\\\.txt"',
+    ]
+    plain = render_unified_diff(SourcePatch([diff_texts("a\n", "b\n", "dir/plain.c")]))
+    assert plain.startswith("--- a/dir/plain.c\n+++ b/dir/plain.c\n")
+
+
 def test_render_omits_len_one_counts():
     fp = FilePatch(
         "f",
