@@ -10,7 +10,9 @@ each built verdict, a trace of the tree files the build and the PoC
 read, so a tree that agrees with it on those files and on its listing is
 answered without a build.  Each build step and PoC run is one child
 process, started cheaply (`run_limited`): `/bin/sh` sets its limits and
-execs it in its own process group, under a wall-clock budget.
+execs it in its own process group, under a wall-clock budget.  The PoC
+input is keyed by its bytes and its basename, not by where it sits, and
+the PoC runs on a copy of exactly those bytes.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import threading
 import time
 import weakref
 from contextlib import closing, contextmanager
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -51,6 +53,9 @@ HANG_TRIGGER_CLASS = "memory-exhaustion-by-hang"
 
 DEFAULT_LOG_TAIL = 4096
 DEFAULT_EXCERPT_LINES = 30
+# what evidence names a build slot's home: a stored verdict may come from
+# any slot, so it must not say which
+SLOT_TOKEN = "<slot>"
 
 
 @dataclass(frozen=True)
@@ -282,9 +287,11 @@ def build(
     recipe: BuildRecipe,
     counters: Optional[Dict[str, int]] = None,
     env: Optional[Dict[str, str]] = None,
+    slot_home: str = "",
 ) -> BuildOutcome:
     """Run the recipe's steps in order inside `workdir`, under `env` (by
-    default the recipe's `run_env`).
+    default the recipe's `run_env`).  The log names `slot_home`, when
+    given, `SLOT_TOKEN`.
 
     Ok iff every step exits zero within the shared budget and every
     declared artifact exists afterwards.
@@ -303,9 +310,9 @@ def build(
         res = run_limited(
             ["sh", "-c", step], cwd=workdir, env=env, timeout=budget, counters=counters
         )
-        log_parts.append(f"$ {step}\n{res.output}")
+        log_parts.append(f"$ {step}\n{_unslotted(res.output, slot_home)}")
         if res.spawn_error:
-            log_parts.append(f"SPAWN FAILURE: {res.spawn_error}")
+            log_parts.append(f"SPAWN FAILURE: {_unslotted(res.spawn_error, slot_home)}")
             return BuildOutcome(False, [], _tail("\n".join(log_parts)), transient=True)
         if res.timed_out:
             log_parts.append(f"BUILD TIMEOUT after {res.wall_time:.1f}s in: {step}")
@@ -327,6 +334,12 @@ def _tail(text: str, limit: int = DEFAULT_LOG_TAIL) -> str:
     return text[-limit:] if len(text) > limit else text
 
 
+def _unslotted(text: str, slot_home: str) -> str:
+    """`text` with `slot_home` named `SLOT_TOKEN`; done before any cut,
+    so the evidence of slots with paths of other lengths cuts alike."""
+    return text.replace(slot_home, SLOT_TOKEN) if slot_home else text
+
+
 _USAGE_PATTERNS = (
     re.compile(r"(?im)^\s*usage:"),
     re.compile(r"(?i)\b(invalid|unknown|unrecognized|illegal) option\b"),
@@ -345,9 +358,11 @@ def run_poc(
     env: Optional[Dict[str, str]] = None,
     sanitizer: str = SANITIZER_NONE,
     counters: Optional[Dict[str, int]] = None,
+    slot_home: str = "",
 ) -> OracleVerdict:
     """Execute the PoC command against the built artifacts under `env` (by
-    default `run_env()`) and classify.
+    default `run_env()`) and classify.  The evidence names `slot_home`,
+    when given, `SLOT_TOKEN`.
 
     Precedence: a detector report always wins; then timeout handling; then
     usage text, which means PocIncompatible; anything else is NotTriggered.
@@ -359,7 +374,7 @@ def run_poc(
     if not binary or not Path(binary).exists():
         return OracleVerdict(
             KIND_POC_INCOMPATIBLE,
-            evidence=f"missing binary: {binary or '(no artifact)'}",
+            evidence=_unslotted(f"missing binary: {binary or '(no artifact)'}", slot_home),
         )
     command = poc.command.format(binary=binary, input=poc.input_file)
     argv = shlex.split(command)
@@ -370,9 +385,10 @@ def run_poc(
         counters=counters,
     )
     if res.spawn_error:
-        return OracleVerdict(KIND_SANDBOX_FAILURE, evidence=res.spawn_error)
+        return OracleVerdict(KIND_SANDBOX_FAILURE, evidence=_unslotted(res.spawn_error, slot_home))
 
-    hit = classify_detector_output(res.output)
+    output = _unslotted(res.output, slot_home)
+    hit = classify_detector_output(output)
     if hit is not None:
         if poc.expected_detector and hit.weakness_class != poc.expected_detector:
             return OracleVerdict(
@@ -406,8 +422,8 @@ def run_poc(
         )
     # usage text alone decides: an exit code or the time to exit would let
     # a loaded machine and an idle one disagree
-    kind = KIND_POC_INCOMPATIBLE if looks_like_usage_error(res.output) else KIND_NOT_TRIGGERED
-    return OracleVerdict(kind, evidence=_tail(res.output, 1024), wall_time=res.wall_time)
+    kind = KIND_POC_INCOMPATIBLE if looks_like_usage_error(output) else KIND_NOT_TRIGGERED
+    return OracleVerdict(kind, evidence=_tail(output, 1024), wall_time=res.wall_time)
 
 
 # ---------- content-addressed verdict store ----------
@@ -415,7 +431,7 @@ def run_poc(
 # Part of every store key.  Bump it when classification, the tree hash or
 # the trace format changes, so that entries written by older code are
 # never read.
-STORE_SCHEMA = "verdict-store/4"
+STORE_SCHEMA = "verdict-store/5"
 MISSING_INPUT = "missing"
 NO_COMPILER = "no compiler"
 TRACES_KEPT = 16  # traces a store keeps per build identity and PoC, newest first
@@ -546,15 +562,24 @@ def build_identity(recipe: BuildRecipe, env: Dict[str, str]) -> Identity:
     return recipe.stable_hash(), sorted(env.items()), compiler_version(env)
 
 
-def verdict_group(identity: Identity, poc: PocSpec) -> str:
-    """Everything a verdict key holds but the tree: the schema, the build
-    identity, the PoC spec and the bytes of the PoC input (or a fixed
-    marker when it cannot be read).  The store keeps traces per group."""
+def read_input(poc: PocSpec) -> Optional[bytes]:
+    """The bytes of the PoC input, or None when it cannot be read."""
     try:
-        input_digest = _sha(Path(poc.input_file).read_bytes())
+        return Path(poc.input_file).read_bytes()
     except OSError:
-        input_digest = MISSING_INPUT
-    parts = [STORE_SCHEMA, identity, poc.stable_hash(), input_digest]
+        return None
+
+
+def verdict_group(identity: Identity, poc: PocSpec, data: Optional[bytes]) -> str:
+    """Everything a verdict key holds but the tree: the schema, the build
+    identity, the PoC spec with its input cut to its basename (some tools
+    choose a format by the file's extension) and the digest of the input's
+    bytes `data` (a fixed marker when there are none).  Where the input
+    sits is not part of it, so cases whose PoCs hold the same bytes share
+    verdicts and traces.  The store keeps traces per group."""
+    spec = replace(poc, input_file=os.path.basename(poc.input_file))
+    parts = [STORE_SCHEMA, identity, spec.stable_hash(),
+             MISSING_INPUT if data is None else _sha(data)]
     return _sha(json.dumps(parts).encode())
 
 
@@ -730,6 +755,10 @@ class BuildSlot:
     retargeted one may look older than the objects built from it), and on
     request.
 
+    The PoC input is written afresh before each PoC run to
+    `<home>/poc/<basename>` (`place_input`), beside `root`, so neither the
+    listing nor the read set sees it.
+
     The slot also records which tracked files were read, when the file
     system keeps atimes (`traces`, checked on a canary file when the slot
     is made).  `sync` leaves every tracked file with atime 0, keeping its
@@ -741,10 +770,12 @@ class BuildSlot:
 
     def __init__(self, scratch_dir: Optional[Path] = None):
         # absolute, so artifact paths still resolve from a build step's or
-        # a PoC run's working directory
-        home = os.path.abspath(
+        # a PoC run's working directory; without symlinks, so it is also
+        # the path a step's `pwd` prints, and evidence names it one way
+        home = os.path.realpath(
             tempfile.mkdtemp(prefix="oracle-", dir=str(scratch_dir) if scratch_dir else None))
-        self.root = Path(home) / "tree"
+        self.home = Path(home)
+        self.root = self.home / "tree"
         # removes the slot's directory when called, or else when the slot is
         # garbage-collected or the interpreter exits
         self.close = weakref.finalize(self, shutil.rmtree, home, True)
@@ -813,6 +844,19 @@ class BuildSlot:
                 continue
             if self._real_parents(rel, dirs):
                 _remove(self.root / rel)
+
+    def place_input(self, input_file: str, data: Optional[bytes]) -> Path:
+        """`<home>/poc/<basename of input_file>`, holding `data` in an
+        otherwise empty directory; absent when `data` is None, so a PoC
+        still meets a missing input.  Written on every run, because a PoC
+        may edit its input or leave files beside it."""
+        poc_dir = self.home / "poc"
+        _remove(poc_dir)
+        poc_dir.mkdir()
+        path = poc_dir / os.path.basename(input_file)
+        if data is not None:
+            path.write_bytes(data)
+        return path
 
     def note_reads(self) -> None:
         """Add the tracked files read since the sync to the read set."""
@@ -894,8 +938,11 @@ class Oracle:
     files are written.  Each build there redoes only what the tree's
     changes affect; a build that fails in a slot that built before is
     retried once from a wiped slot, so a stale product never decides a
-    `BuildFailed`.  A storable verdict is kept under its key and, when the
-    slot records reads, as a trace.
+    `BuildFailed`.  The PoC input is read once per verdict: its bytes go
+    into the key and are what the PoC runs on, from a copy in the slot, so
+    a build that rewrites the input cannot change them.  Evidence names
+    the slot's home `SLOT_TOKEN`.  A storable verdict is kept under its
+    key and, when the slot records reads, as a trace.
 
     `counters` holds `builds`, `cache_hits` (verdicts the store answered)
     and, of those, `trace_hits` (answered by a trace), besides the
@@ -933,7 +980,8 @@ class Oracle:
         tree = _as_tree(tree)
         env = run_env(recipe.env)
         identity = build_identity(recipe, env)
-        group = verdict_group(identity, poc)
+        data = read_input(poc)
+        group = verdict_group(identity, poc, data)
         key = _keyed(group, tree_hash(tree))
         with self.store.locked(key):
             stored = self.store.get(key)
@@ -946,7 +994,7 @@ class Oracle:
                 self._count("cache_hits", "trace_hits")
                 return stored
             with self._lock:
-                verdict = self._build_and_run(tree, recipe, poc, env, identity)
+                verdict = self._build_and_run(tree, recipe, poc, data, env, identity)
                 reads = self._slot.reads(tree) if verdict.storable else None
             if verdict.storable:
                 self.store.put(key, verdict)
@@ -954,21 +1002,23 @@ class Oracle:
                     self.store.put_trace(group, tree.entries(), reads, verdict)
         return verdict
 
-    def _build_and_run(self, tree, recipe: BuildRecipe, poc: PocSpec,
+    def _build_and_run(self, tree, recipe: BuildRecipe, poc: PocSpec, data: Optional[bytes],
                        env: Dict[str, str], identity: Identity) -> OracleVerdict:
         self.counters["verdicts"] = self.counters.get("verdicts", 0) + 1
         if self._slot is None:
             self._slot = BuildSlot(self.scratch_dir)
         slot = self._slot
+        home = str(slot.home)
         try:
             slot.sync(tree, recipe, identity)
-            outcome = build(slot.root, recipe, counters=self.counters, env=env)
+            outcome = build(slot.root, recipe, counters=self.counters, env=env, slot_home=home)
             if not outcome.ok and not outcome.transient and not slot.fresh:
                 # a product of an earlier build may be to blame: only a
                 # clean build may decide BuildFailed
                 slot.wipe()
                 slot.sync(tree, recipe, identity)
-                outcome = build(slot.root, recipe, counters=self.counters, env=env)
+                outcome = build(slot.root, recipe, counters=self.counters, env=env,
+                                slot_home=home)
             slot.fresh = False
             if not outcome.ok:
                 slot.note_reads()
@@ -977,13 +1027,15 @@ class Oracle:
                 return OracleVerdict(
                     KIND_BUILD_FAILED, evidence=outcome.log_excerpt, transient=outcome.transient
                 )
+            copy = slot.place_input(poc.input_file, data)
             verdict = run_poc(
                 outcome.artifacts,
-                poc,
+                replace(poc, input_file=str(copy)),
                 cwd=slot.root,
                 env=env,
                 sanitizer=recipe.sanitizer,
                 counters=self.counters,
+                slot_home=home,
             )
             slot.note_reads()
             return verdict

@@ -91,8 +91,10 @@ def _quote(path: str) -> str:
 
 
 def _clean_path(raw: str) -> str:
-    # unquote, then strip "a/" or "b/" prefixes and any "\t<timestamp>" suffix
-    path = raw.split("\t", 1)[0].strip()
+    # drop a "\t<timestamp>" suffix, or the bare tab git writes after a
+    # name holding a space (the name keeps its own spaces, also trailing
+    # ones), then unquote and strip an "a/" or "b/" prefix
+    path = raw.split("\t", 1)[0]
     if len(path) > 1 and path[0] == path[-1] == '"':
         path = _unquote(path)
     if path.startswith(("a/", "b/")):
@@ -258,18 +260,24 @@ def _fmt_range(start: int, length: int) -> str:
     return f"{start}" if length == 1 else f"{start},{length}"
 
 
+def _header_name(path: str) -> str:
+    """A `---`/`+++` name as git writes it: quoted, and followed by a tab
+    when the name holds a space, so that a trailing space survives."""
+    return _quote(path) + ("\t" if " " in path else "")
+
+
 def render_unified_diff(patch: SourcePatch) -> str:
     """Serialize back to the wire format (no git decoration lines), with
     paths quoted as git quotes them."""
     out: List[str] = []
     for fp in patch.files:
-        old = DEV_NULL if fp.mode_change == MODE_CREATED else _quote(f"a/{fp.old_path}")
-        new = DEV_NULL if fp.mode_change == MODE_DELETED else _quote(f"b/{fp.new_path}")
+        old = DEV_NULL if fp.mode_change == MODE_CREATED else f"a/{fp.old_path}"
+        new = DEV_NULL if fp.mode_change == MODE_DELETED else f"b/{fp.new_path}"
         if fp.is_binary:
-            out.append(f"Binary files {old} and {new} differ")
+            out.append(f"Binary files {_quote(old)} and {_quote(new)} differ")
             continue
-        out.append(f"--- {old}")
-        out.append(f"+++ {new}")
+        out.append(f"--- {_header_name(old)}")
+        out.append(f"+++ {_header_name(new)}")
         for h in fp.hunks:
             out.append(
                 f"@@ -{_fmt_range(h.old_start, h.old_len)} "

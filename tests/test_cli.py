@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 
 import pytest
@@ -457,6 +458,62 @@ class TestVerdictStore:
         assert main(["revive", "--config", str(case)]) == 0
         assert int(summary(capsys)["builds"]) >= 1
         assert (tmp_path / "empty" / CVE / "revival_record.json").read_bytes() == traced
+
+    def test_cases_in_other_repositories_share_builds_through_their_poc_bytes(
+            self, tmp_path, capsys):
+        # two repositories with the same sources and different noise, each
+        # case with its own copy of the same PoC bytes
+        cases = []
+        for name in ("a", "b"):
+            fx = forge_repo(tmp_path / name, ["C1"])
+            target = commit_file(fx.repo, fx.target, "CHANGES", f"noise of {name}\n")
+            cases.append((f"CVE-2021-000{len(cases) + 1}", fx, target))
+        alone = []
+        for cve, fx, target in cases:
+            d = tmp_path / "alone" / cve
+            case = case_in(d, fx, cve=cve, target=target, workspace=str(d / "ws"))
+            assert main(["revive", "--config", str(case)]) == 0
+            alone.append((int(summary(capsys)["builds"]),
+                          (d / "ws" / cve / "revival_record.json").read_bytes()))
+        shared = []
+        for cve, fx, target in cases:
+            d = tmp_path / "shared" / cve
+            case = case_in(d, fx, cve=cve, target=target, workspace=str(tmp_path / "ws"))
+            assert main(["revive", "--config", str(case)]) == 0
+            shared.append((int(summary(capsys)["builds"]),
+                           (tmp_path / "ws" / cve / "revival_record.json").read_bytes()))
+        assert shared[0] == alone[0]
+        assert shared[1][0] < alone[1][0]
+        assert shared[1][1] == alone[1][1]
+
+    def test_a_moved_case_is_answered_from_the_store(self, tmp_path, fixture, capsys):
+        ws = str(tmp_path / "ws")
+        record = tmp_path / "ws" / CVE / "revival_record.json"
+        assert main(["revive", "--config", str(case_in(tmp_path / "old", fixture,
+                                                       workspace=ws))]) == 0
+        assert int(summary(capsys)["builds"]) >= 1
+        first = record.read_bytes()
+        shutil.rmtree(tmp_path / "old")
+        assert main(["revive", "--config", str(case_in(tmp_path / "new", fixture,
+                                                       workspace=ws))]) == 0
+        assert summary(capsys)["builds"] == "0"
+        assert record.read_bytes() == first
+        # the same bytes under another name are another input
+        renamed = case_in(tmp_path / "renamed", fixture, name="poc.dat", workspace=ws)
+        assert main(["revive", "--config", str(renamed)]) == 0
+        assert int(summary(capsys)["builds"]) >= 1
+
+
+def case_in(d, fx, name="poc.bin", **overrides):
+    """A case config in `d` whose PoC input is a copy of `fx`'s, named
+    `name`, beside it."""
+    d.mkdir(parents=True)
+    (d / name).write_bytes(fx.poc_file.read_bytes())
+    case = write_case(d, fx, **overrides)
+    data = json.loads(case.read_text())
+    data["poc"]["input"] = str(d / name)
+    case.write_text(json.dumps(data))
+    return case
 
 
 def commit_file(repo, parent, path, text):

@@ -269,6 +269,19 @@ def test_reverting_a_commit_restores_files_whose_names_git_quotes(repo):
         assert {name: tree.read(name) for name in names} == dict.fromkeys(names, TEN)
 
 
+def test_reverting_a_commit_restores_a_file_whose_name_ends_in_a_space(repo):
+    names = ["tail.c ", "mid dle.c"]
+    repo.commit({name: TEN for name in names}, "add")
+    repo.commit({name: TEN.replace("line 5", "line five") for name in names}, "edit")
+    with CommitMemo(repo.root) as memo:
+        assert sorted(fp.path for fp in memo.diff("t2").files) == sorted(names)
+        tree = CommitTree(memo, "t2")
+        reports = revert_onto(tree, "t2", memo.inverse("t2"))
+        assert sorted(r.path for r in reports) == sorted(names)
+        assert {name: tree.read(name) for name in names} == dict.fromkeys(names, TEN)
+        assert "tail.c" not in {path for path, _, _ in tree.entries()}
+
+
 def test_a_diff_ignores_the_diff_settings_of_the_repository(repo):
     thirty = "".join(f"line {i}\n" for i in range(1, 31))
     repo.commit({"src/main.c": thirty}, "grow")

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import shutil
 import signal
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import textwrap
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,7 @@ from revenant.oracle import (
     classify_detector_output,
     compiler_version,
     looks_like_usage_error,
+    read_input,
     run_env,
     run_poc,
     tree_hash,
@@ -351,7 +354,8 @@ DEMO_RECIPE = BuildRecipe.make(["cc -O0 -o demo demo.c"], ["demo"])
 
 def _demo_group(poc: PocSpec) -> str:
     """What a verdict key of a `DEMO_RECIPE` build holds but the tree."""
-    return verdict_group(build_identity(DEMO_RECIPE, run_env(DEMO_RECIPE.env)), poc)
+    return verdict_group(build_identity(DEMO_RECIPE, run_env(DEMO_RECIPE.env)), poc,
+                         read_input(poc))
 
 
 class TestOracle:
@@ -632,6 +636,71 @@ class TestVerdictStore:
         assert kinds == [KIND_TRIGGERED] * 4
         assert sum(o.counters.get("builds", 0) for o in oracles) == 1
         assert sum(o.counters.get("cache_hits", 0) for o in oracles) == 3
+
+    def test_an_input_is_keyed_by_its_bytes_and_basename_not_its_dir(self, tmp_path):
+        tree = _demo_tree(tmp_path)
+        poc = self._long_poc(tmp_path)
+        oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
+        built = oracle.verdict(tree, DEMO_RECIPE, poc)
+        (tmp_path / "moved").mkdir()
+        moved = tmp_path / "moved" / "input.bin"
+        moved.write_bytes(Path(poc.input_file).read_bytes())
+        assert oracle.verdict(tree, DEMO_RECIPE, replace(poc, input_file=str(moved))).to_dict() \
+            == built.to_dict()
+        assert oracle.counters["builds"] == 1
+        # some tools choose a format by the extension: another name is
+        # another key
+        renamed = moved.rename(moved.with_suffix(".dat"))
+        assert oracle.verdict(tree, DEMO_RECIPE, replace(poc, input_file=str(renamed))).kind \
+            == KIND_TRIGGERED
+        assert oracle.counters["builds"] == 2
+
+    def test_a_build_that_rewrites_the_input_cannot_change_its_verdict(self, tmp_path):
+        tree = _demo_tree(tmp_path)
+        poc = self._long_poc(tmp_path)  # long enough to trigger
+        rewrite = BuildRecipe.make(
+            [*DEMO_RECIPE.steps, f"printf xy > {shlex.quote(poc.input_file)}"],
+            DEMO_RECIPE.artifact_paths,
+        )
+        oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
+        built = oracle.verdict(tree, rewrite, poc)
+        assert Path(poc.input_file).read_bytes() == b"xy"
+        (tmp_path / "fresh").mkdir()
+        original = tmp_path / "fresh" / "input.bin"
+        original.write_bytes(b"x" * 8)
+        fresh = Oracle(tmp_path / "fresh-store", scratch_dir=tmp_path / "fresh-scratch").verdict(
+            tree, DEMO_RECIPE, replace(poc, input_file=str(original)))
+        assert fresh.kind == KIND_TRIGGERED
+        assert built.to_dict() == fresh.to_dict()
+        # and the store keeps it under the original bytes
+        Path(poc.input_file).write_bytes(b"x" * 8)
+        assert oracle.verdict(tree, rewrite, poc).to_dict() == fresh.to_dict()
+        assert (oracle.counters["builds"], oracle.counters["cache_hits"]) == (1, 1)
+
+    def test_evidence_names_no_slot(self, tmp_path):
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        _script(tree, "tool.sh", 'echo "$0 $1"\ncat "$1"\n')
+        runs = BuildRecipe.make(["cp tool.sh tool"], ["tool"])
+        fails = BuildRecipe.make(["pwd; exit 1"], ["tool"])
+        seen = []
+        # scratch dirs of other lengths, and inputs in other dirs
+        for side in ("a", "longer-b"):
+            (tmp_path / side / "in").mkdir(parents=True)
+            poc_input = tmp_path / side / "in" / "poc.bin"
+            poc_input.write_bytes(b"payload\n")
+            poc = PocSpec(command="{binary} {input}", input_file=str(poc_input))
+            oracle = Oracle(tmp_path / side / "store", scratch_dir=tmp_path / side / "scratch")
+            verdicts = [oracle.verdict(tree, runs, poc), oracle.verdict(tree, fails, poc)]
+            poc_input.unlink()
+            verdicts.append(oracle.verdict(tree, runs, poc))
+            seen.append([v.to_dict() for v in verdicts])
+        assert seen[0] == seen[1]
+        ran, failed, missing = (d["evidence"] for d in seen[0])
+        assert ran == "<slot>/tree/tool <slot>/poc/poc.bin\npayload\n"
+        assert "\n<slot>/tree\n" in failed
+        assert missing.startswith("<slot>/tree/tool <slot>/poc/poc.bin\ncat: <slot>/poc/poc.bin")
+        assert not any(str(tmp_path) in e for e in (ran, failed, missing))
 
 
 needs_make = pytest.mark.skipif(

@@ -216,12 +216,27 @@ def test_names_git_quotes_round_trip_through_text(name):
 def test_render_quotes_names_as_git_does():
     fp = diff_texts("a\n", "b\n", "x\ty \u00e9\\.txt")
     text = render_unified_diff(SourcePatch([fp]))
+    # git 2.39 writes a tab after a name holding a space, quoted or not
     assert text.splitlines()[:2] == [
-        '--- "a/x\\ty \\303\\251\\\\.txt"',
-        '+++ "b/x\\ty \\303\\251\\\\.txt"',
+        '--- "a/x\\ty \\303\\251\\\\.txt"\t',
+        '+++ "b/x\\ty \\303\\251\\\\.txt"\t',
     ]
     plain = render_unified_diff(SourcePatch([diff_texts("a\n", "b\n", "dir/plain.c")]))
     assert plain.startswith("--- a/dir/plain.c\n+++ b/dir/plain.c\n")
+
+
+@pytest.mark.parametrize("name", ["tail.c ", "mid dle.c", " lead.c"])
+def test_names_with_spaces_round_trip_through_text(name):
+    p = SourcePatch([diff_texts("a\n", "b\n", name)])
+    text = render_unified_diff(p)
+    assert text.startswith(f"--- a/{name}\t\n+++ b/{name}\t\n")
+    assert parse_unified_diff(text) == p
+
+
+def test_a_trailing_space_in_a_git_header_is_kept():
+    # as git 2.39 writes a file whose name ends in a space
+    text = "diff --git a/tail.c  b/tail.c \n--- a/tail.c \t\n+++ b/tail.c \t\n@@ -1 +1 @@\n-a\n+b\n"
+    assert [fp.path for fp in parse_unified_diff(text).files] == ["tail.c "]
 
 
 def test_render_omits_len_one_counts():
