@@ -10,7 +10,6 @@ Exit codes: 0 success (or Revived), 3 Aborted, 4 precondition failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -73,18 +72,14 @@ VERDICT_CACHE = "verdict-cache"
 
 
 def _load_cfg(path: str, args) -> CaseConfig:
-    cfg = load_case(path, defaults_path=getattr(args, "defaults", None))
-    policy = cfg.policy
-    if getattr(args, "granularity", None):
-        policy = dataclasses.replace(policy, granularity=Granularity(args.granularity))
-    if getattr(args, "max_fuzz", None) is not None:
-        policy = dataclasses.replace(policy, max_fuzz=args.max_fuzz)
-    cfg.policy = policy
-    if getattr(args, "limit_commits", None) is not None:
-        cfg.limits = dataclasses.replace(
-            cfg.limits, max_reverted_commits=args.limit_commits
-        )
-    return cfg
+    """The case, with the policy and limit flags given layered over it, so
+    the config checks them as it checks the file."""
+    flags = {"policy": {"granularity": "granularity", "max_fuzz": "max_fuzz"},
+             "limits": {"max_reverted_commits": "limit_commits"}}
+    overrides = {section: {key: getattr(args, flag) for key, flag in keys.items()
+                           if getattr(args, flag, None) is not None}
+                 for section, keys in flags.items()}
+    return load_case(path, getattr(args, "defaults", None), overrides)
 
 
 def _workspace(args, cfg: Optional[CaseConfig] = None) -> Path:

@@ -21,7 +21,7 @@ from .oracle import (
     BuildRecipe,
     PocSpec,
 )
-from .patchcore import Granularity
+from .patchcore import MAX_FUZZ, Granularity
 from .porter import Limits, PortPolicy
 
 WORKSPACE_ENV = "REVENANT_WORKSPACE"
@@ -198,6 +198,7 @@ def parse_case(data: dict, base_dir: Path, source: str = "<memory>") -> CaseConf
 
     limits = _section(data, "limits", Limits, where)
     policy = _section(data, "policy", PortPolicy, where)
+    _expect(policy.max_fuzz <= MAX_FUZZ, f"{where}: policy.max_fuzz must be 0 to {MAX_FUZZ}")
 
     workspace = data.get("workspace")
     cache_dir = data.get("cache_dir")
@@ -222,8 +223,9 @@ def parse_case(data: dict, base_dir: Path, source: str = "<memory>") -> CaseConf
     )
 
 
-def load_case(path, defaults_path=None) -> CaseConfig:
-    """Load a case file, layered over an optional project defaults file."""
+def load_case(path, defaults_path=None, overrides=None) -> CaseConfig:
+    """Load a case file, layered over an optional project defaults file,
+    with `overrides` (section name -> key -> value) layered over both."""
     case_path = Path(path)
     try:
         data = json.loads(case_path.read_text("utf-8"))
@@ -243,6 +245,9 @@ def load_case(path, defaults_path=None) -> CaseConfig:
             raise ConfigError(f"{defaults_file}: not valid JSON: {exc}") from exc
         _expect(isinstance(defaults, dict), f"{defaults_file}: top level must be an object")
         data = merge_defaults(data, defaults)
+    for name, values in (overrides or {}).items():
+        _expect(isinstance(data.get(name, {}), dict), f"{case_path}: {name}: expected an object")
+        data = {**data, name: {**data.get(name, {}), **values}}
 
     return parse_case(data, case_path.parent.resolve(), source=str(case_path))
 

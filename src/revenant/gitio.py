@@ -94,9 +94,9 @@ class RevertConflict(GitGatewayError):
 
 
 def decode_text(data: bytes) -> str:
-    """File bytes as text: UTF-8 with surrogateescape, and universal
-    newlines, as `open` reads a file in text mode."""
-    return data.decode(ENCODING, ERRORS).replace("\r\n", "\n").replace("\r", "\n")
+    """File bytes as text: UTF-8 with surrogateescape, line endings kept,
+    so `encode_text` gives the bytes back."""
+    return data.decode(ENCODING, ERRORS)
 
 
 def encode_text(text: str) -> bytes:
@@ -333,9 +333,9 @@ class CommitMemo:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _git(self, *args: str) -> subprocess.CompletedProcess:
+    def _git(self, *args: str, text: bool = True) -> subprocess.CompletedProcess:
         self.spawns += 1
-        return run_git(self.repo, *args)
+        return run_git(self.repo, *args, text=text)
 
     def _peeled(self, name: str) -> Tuple[str, bytes]:
         """The full id and the raw object of the commit `name` points at."""
@@ -419,11 +419,14 @@ class CommitMemo:
         if patch is None:
             if not ref.parents:
                 raise RootCommit(f"{ref.short_id} has no parent to diff against")
-            # plumbing reads no diff.* config of the user or the repository
+            # plumbing reads no diff.* config of the user or the repository;
+            # bytes, as a text-mode read would turn a carriage return into a
+            # line break
             proc = self._git(
-                "diff-tree", "-p", "--no-color", "--no-renames", "-U3", ref.parents[0], ref.id
+                "diff-tree", "-p", "--no-color", "--no-renames", "-U3", ref.parents[0], ref.id,
+                text=False,
             )
-            patch = self._diffs[ref.id] = parse_unified_diff(proc.stdout)
+            patch = self._diffs[ref.id] = parse_unified_diff(decode_text(proc.stdout))
         return patch
 
     def inverse(self, commit: str) -> SourcePatch:

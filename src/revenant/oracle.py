@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .gitio import MODE_EXEC, MODE_FILE, MODE_LINK, Entry, blob_id
+from .gitio import MODE_EXEC, MODE_LINK, Entry
 
 SANITIZER_ASAN = "AddressSanitizer"
 SANITIZER_VALGRIND = "Valgrind"
@@ -376,8 +376,8 @@ def run_poc(
             KIND_POC_INCOMPATIBLE,
             evidence=_unslotted(f"missing binary: {binary or '(no artifact)'}", slot_home),
         )
-    command = poc.command.format(binary=binary, input=poc.input_file)
-    argv = shlex.split(command)
+    # split first: a path holding a space or a quote stays one word
+    argv = [word.format(binary=binary, input=poc.input_file) for word in shlex.split(poc.command)]
     if sanitizer == SANITIZER_VALGRIND:
         argv = ["valgrind", "-q", "--error-exitcode=96"] + argv
     res = run_limited(
@@ -438,64 +438,9 @@ TRACES_KEPT = 16  # traces a store keeps per build identity and PoC, newest firs
 LOCK_PREFIX = 2  # hex digits of a key that choose its lock file: 256 lock files
 
 
-class DiskTree:
-    """A directory seen as a tree: every regular file and symlink under
-    `root`, skipping .git, as (path, mode, object id) entries.
-
-    Modes and ids are the ones git would record for them: 100755 for a
-    file whose owner may execute it, 100644 for any other file, 120000
-    for a symlink, whose content is its unresolved target; ids are SHA-1
-    blob ids.  The entries are read once and kept, so hashing the tree
-    and syncing a build slot from it read each file once between them.
-    """
-
-    def __init__(self, root: Path):
-        self.root = Path(root)
-        self._entries: Optional[List[Entry]] = None
-
-    def entries(self) -> List[Entry]:
-        """(path, mode, object id) of every file, sorted by path."""
-        if self._entries is None:
-            self._entries = sorted(self._walk(os.fspath(self.root), ""))
-        return self._entries
-
-    def _walk(self, path: str, prefix: str) -> Iterator[Entry]:
-        with os.scandir(path) as it:
-            for entry in it:
-                if entry.name == ".git":
-                    continue
-                rel = prefix + entry.name
-                mode = entry.stat(follow_symlinks=False).st_mode
-                if stat.S_ISDIR(mode):
-                    yield from self._walk(entry.path, rel + "/")
-                elif stat.S_ISLNK(mode) or stat.S_ISREG(mode):
-                    yield rel, _git_mode(mode), blob_id(self._read(rel, stat.S_ISLNK(mode)))
-
-    def _read(self, rel: str, is_link: bool) -> bytes:
-        path = self.root / rel
-        return os.fsencode(os.readlink(path)) if is_link else path.read_bytes()
-
-    def blobs(self, entries: Iterable[Entry]) -> Iterator[Tuple[Entry, bytes]]:
-        """Each of `entries` with its content, read one at a time."""
-        for entry in entries:
-            yield entry, self._read(entry[0], entry[1] == MODE_LINK)
-
-
-def _git_mode(st_mode: int) -> str:
-    if stat.S_ISLNK(st_mode):
-        return MODE_LINK
-    return MODE_EXEC if st_mode & stat.S_IXUSR else MODE_FILE
-
-
-def _as_tree(tree):
-    """A directory path as a `DiskTree`; a tree view (`DiskTree`,
-    `gitio.CommitTree`) as it is."""
-    return DiskTree(tree) if isinstance(tree, (str, os.PathLike)) else tree
-
-
 def tree_hash(tree) -> str:
-    """Content hash of a tree: a directory (.git skipped), a `DiskTree`
-    or a `gitio.CommitTree`.
+    """Content hash of a tree view's `entries()`, as a `gitio.CommitTree`
+    gives them.
 
     Each entry contributes its path, its mode (file, executable file or
     symlink) and its git object id, which stands for its bytes or its
@@ -504,7 +449,7 @@ def tree_hash(tree) -> str:
     of it with the same edits made on disk.
     """
     h = hashlib.sha256()
-    for rel, mode, oid in _as_tree(tree).entries():
+    for rel, mode, oid in tree.entries():
         h.update(b"%s %s %s\x00" % (mode.encode(), oid.encode(), os.fsencode(rel)))
     return h.hexdigest()
 
@@ -796,12 +741,9 @@ class BuildSlot:
         self._identity = None
         self.fresh = True
 
-    def sync(self, tree, recipe: BuildRecipe, identity: Optional[Identity] = None) -> None:
-        """Make the slot hold `tree`'s files (a directory, a `DiskTree` or
-        a `gitio.CommitTree`), ready for `recipe`, whose `build_identity`
-        is `identity` (worked out from its `run_env` when not given)."""
-        tree = _as_tree(tree)
-        identity = identity or build_identity(recipe, run_env(recipe.env))
+    def sync(self, tree, recipe: BuildRecipe, identity: Identity) -> None:
+        """Make the slot hold the files of `tree` (a `gitio.CommitTree`),
+        ready for `recipe`, whose `build_identity` is `identity`."""
         if identity != self._identity:
             self.wipe()
             self._identity = identity
@@ -874,7 +816,7 @@ class BuildSlot:
         reads."""
         if not self.traces:
             return None
-        return [e for e in _as_tree(tree).entries() if e[1] == MODE_LINK or e[0] in self._read]
+        return [e for e in tree.entries() if e[1] == MODE_LINK or e[0] in self._read]
 
     def _real_parents(self, rel: str, dirs: Set[str], make: bool = False) -> bool:
         """Whether every parent of `rel` is a real directory in the slot, so
@@ -924,13 +866,12 @@ class Oracle:
     each key once: the first caller builds while holding the key's lock,
     later ones wait and read.
 
-    A verdict is asked for a tree: a directory, or a `gitio.CommitTree`
-    (a commit plus edits held in memory).  Its key holds `tree_hash`, so
-    a commit tree and a checkout of it with the same edits share their
-    verdicts, and a stored verdict costs no file write and no git blob
-    read.  A tree whose key is not stored is answered by a stored trace
-    when it agrees with the trace's tree on its listing and on every file
-    that tree's build and PoC run read (`VerdictStore.match`).  A verdict
+    A verdict is asked for a `gitio.CommitTree` (a commit plus edits held
+    in memory).  Its key holds `tree_hash`, so a stored verdict costs no
+    file write and no git blob read.  A tree whose key is not stored is
+    answered by a stored trace when it agrees with the trace's tree on its
+    listing and on every file that tree's build and PoC run read
+    (`VerdictStore.match`).  A verdict
     never mutates the tree it is given: the build and the PoC run happen
     in the oracle's `BuildSlot`, `oracle-<suffix>/tree` under
     `scratch_dir` (by default the system temp directory), made on the
@@ -975,9 +916,6 @@ class Oracle:
                 self.counters[name] = self.counters.get(name, 0) + 1
 
     def verdict(self, tree, recipe: BuildRecipe, poc: PocSpec) -> OracleVerdict:
-        # one view for the key, the trace lookup and the sync, so a
-        # directory is read once
-        tree = _as_tree(tree)
         env = run_env(recipe.env)
         identity = build_identity(recipe, env)
         data = read_input(poc)

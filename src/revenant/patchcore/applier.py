@@ -34,6 +34,8 @@ from .model import (
     split_lines,
 )
 
+MAX_FUZZ = 2  # the most context lines a hunk may drop from each end
+
 REJECT_NO_ANCHOR = "no-anchor"
 REJECT_AMBIGUOUS = "ambiguous-anchor"
 
@@ -156,8 +158,8 @@ def apply_file_patch(
     """
     if fp.is_binary:
         raise HunkRejected(f"{fp.path}: binary files cannot be patched textually")
-    if not 0 <= max_fuzz <= 2:
-        raise ValueError("max_fuzz must be 0, 1 or 2")
+    if not 0 <= max_fuzz <= MAX_FUZZ:
+        raise ValueError(f"max_fuzz must be 0 to {MAX_FUZZ}")
     if search_window < 0:
         raise ValueError("search_window must be >= 0")
 

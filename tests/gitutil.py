@@ -8,9 +8,9 @@ import stat
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Iterator, Optional
 
-from revenant.gitio import MODE_EXEC, MODE_FILE, MODE_LINK
+from revenant.gitio import MODE_EXEC, MODE_FILE, MODE_LINK, blob_id
 from revenant.oracle import _records_reads
 
 BASE_EPOCH = 1_500_000_000  # 2017-07-14, arbitrary but fixed
@@ -148,6 +148,30 @@ def snapshot(root: Path) -> dict:
         elif stat.S_ISREG(st.st_mode):
             out[str(rel)] = (bool(st.st_mode & stat.S_IXUSR), path.read_bytes())
     return out
+
+
+class DiskTree:
+    """A directory as a tree view for the oracle: the files and symlinks
+    of `snapshot`, with the modes and SHA-1 blob ids git would give them,
+    read afresh on every call."""
+
+    def __init__(self, root: Path):
+        self.root = Path(root)
+
+    def _files(self) -> Iterator[tuple]:
+        for rel, (kind, content) in snapshot(self.root).items():
+            if kind == "link":
+                yield rel, MODE_LINK, os.fsencode(content)
+            else:
+                yield rel, MODE_EXEC if kind else MODE_FILE, content
+
+    def entries(self) -> list:
+        return sorted((rel, mode, blob_id(data)) for rel, mode, data in self._files())
+
+    def blobs(self, entries: Iterable[tuple]) -> Iterator[tuple]:
+        contents = {rel: data for rel, _, data in self._files()}
+        for entry in entries:
+            yield entry, contents[entry[0]]
 
 
 def atimes_recorded() -> bool:

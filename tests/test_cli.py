@@ -77,6 +77,14 @@ class TestPort:
         assert "nightly" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["tiers", "revive"])
+def test_an_out_of_range_max_fuzz_flag_is_a_config_error(tmp_path, fixture, capsys, command):
+    case = write_case(tmp_path, fixture)
+    assert main([command, "--config", str(case), "--max-fuzz", "3"]) == 5
+    assert "max_fuzz" in capsys.readouterr().err
+    assert not (tmp_path / "ws" / CVE).exists()
+
+
 class TestTiers:
     def test_tiers_writes_matrix_cells(self, tmp_path, fixture, capsys):
         case = write_case(tmp_path, fixture)
@@ -384,6 +392,17 @@ def test_no_command_leaves_a_child_and_summaries_count_git_and_wall(tmp_path, fi
             assert int(fields["git"]) >= 3
             assert float(fields["wall"]) > 0
         assert no_child_left(), argv[0]
+
+
+def test_a_space_in_the_workspace_path_changes_no_record(tmp_path, capsys):
+    fx = forge_repo(tmp_path / "fx", ["C1", "C4"])
+    records = []
+    for workspace in ("ws", "w s"):
+        case = write_case(tmp_path, fx, workspace=str(tmp_path / workspace))
+        assert main(["revive", "--config", str(case)]) == 0
+        assert summary(capsys)["final"] == "Revived"
+        records.append((tmp_path / workspace / CVE / "revival_record.json").read_bytes())
+    assert records[0] == records[1]
 
 
 class TestVerdictStore:

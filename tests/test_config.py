@@ -128,6 +128,12 @@ class TestParse:
         with pytest.raises(ConfigError, match="granularity"):
             load_case(write(tmp_path, "case.json", case))
 
+    def test_a_fuzz_above_2_is_rejected_at_load(self, tmp_path):
+        case = full_case()
+        case["policy"]["max_fuzz"] = 3
+        with pytest.raises(ConfigError, match="max_fuzz"):
+            load_case(write(tmp_path, "case.json", case))
+
     def test_negative_limit_rejected(self, tmp_path):
         case = full_case()
         case["limits"]["max_reverted_commits"] = -1

@@ -18,6 +18,8 @@ from revenant.forge import (
 from revenant.gitio import checkout_worktree, commit_diff, commits_between
 from revenant.oracle import KIND_NOT_TRIGGERED, KIND_TRIGGERED, Oracle
 
+from gitutil import DiskTree
+
 
 def git_show(repo: Path, spec: str) -> str:
     return subprocess.run(
@@ -68,7 +70,7 @@ def test_breaker_transforms_apply_and_build(tmp_path, arch):
     fx = forge_repo(tmp_path, [arch])
     oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
     with checkout_worktree(fx.repo, fx.target, tmp_path / "wt") as wt:
-        v = oracle.verdict(wt.path, fx.recipe, fx.poc)
+        v = oracle.verdict(DiskTree(wt.path), fx.recipe, fx.poc)
     # unfixed targets never trigger on their own: either the code is safe
     # (fix still present) or the PoC cannot run
     assert v.kind != KIND_TRIGGERED
@@ -79,7 +81,7 @@ def test_vulnerable_base_triggers(tmp_path):
     fx = forge_repo(tmp_path, [])
     oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
     with checkout_worktree(fx.repo, fx.base, tmp_path / "wt") as wt:
-        v = oracle.verdict(wt.path, fx.recipe, fx.poc)
+        v = oracle.verdict(DiskTree(wt.path), fx.recipe, fx.poc)
     assert v.kind == KIND_TRIGGERED
     assert v.detector_class == "heap-buffer-overflow"
 
@@ -88,7 +90,7 @@ def test_fixed_state_is_clean(tmp_path):
     fx = forge_repo(tmp_path, [])
     oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
     with checkout_worktree(fx.repo, fx.fix, tmp_path / "wt") as wt:
-        v = oracle.verdict(wt.path, fx.recipe, fx.poc)
+        v = oracle.verdict(DiskTree(wt.path), fx.recipe, fx.poc)
     assert v.kind == KIND_NOT_TRIGGERED
 
 
@@ -97,7 +99,7 @@ def test_hang_poc_spins_vulnerable_base(tmp_path):
     assert fx.poc.hang_is_trigger
     oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
     with checkout_worktree(fx.repo, fx.base, tmp_path / "wt") as wt:
-        v = oracle.verdict(wt.path, fx.recipe, fx.poc)
+        v = oracle.verdict(DiskTree(wt.path), fx.recipe, fx.poc)
     assert v.kind == KIND_TRIGGERED
     assert v.detector_class == "memory-exhaustion-by-hang"
 

@@ -33,7 +33,10 @@ from revenant.gitio import (
     commits_between,
     resolve_ref,
     revert_onto,
+    tree_reader,
 )
+from revenant.patchcore import stage_patch
+from revenant.porter import derive_reverse_patch
 from gitutil import BASE_EPOCH, RepoBuilder, ls_tree_listing, no_child_left, record_git, worktrees
 from test_porter import forge_make_project
 
@@ -280,6 +283,24 @@ def test_reverting_a_commit_restores_a_file_whose_name_ends_in_a_space(repo):
         assert sorted(r.path for r in reports) == sorted(names)
         assert {name: tree.read(name) for name in names} == dict.fromkeys(names, TEN)
         assert "tail.c" not in {path for path, _, _ in tree.entries()}
+
+
+def test_a_revert_and_a_port_keep_the_line_endings_of_a_file(repo):
+    crlf = "one\r\ntwo\r\nthree\rfour\r\nfive\r\n" + TEN
+    repo.commit({"f.txt": crlf}, "add")
+    repo.commit({"f.txt": crlf.replace("two", "TWO")}, "edit line 2")
+    repo.commit({"f.txt": crlf.replace("two", "TWO").replace("five", "FIVE")}, "edit line 5")
+    with CommitMemo(repo.root) as memo:
+        assert "two\r" in [line.text for line in memo.diff("t2").files[0].hunks[0].lines]
+        tree = CommitTree(memo, "t2")
+        revert_onto(tree, "t2", memo.inverse("t2"))
+        assert tree.read("f.txt") == crlf
+        assert tree.entries() == CommitTree(memo, "t1").entries()
+        # the reverse port of the two edits, composed
+        ported = CommitTree(memo, "t3")
+        stage_patch(tree_reader(ported), derive_reverse_patch(memo, ["t2", "t3"]).files
+                    ).write_to(ported)
+        assert ported.entries() == CommitTree(memo, "t1").entries()
 
 
 def test_a_diff_ignores_the_diff_settings_of_the_repository(repo):

@@ -43,7 +43,7 @@ from revenant.oracle import (
     verdict_group,
 )
 
-from gitutil import RepoBuilder, atimes_recorded, no_child_left, snapshot
+from gitutil import DiskTree, RepoBuilder, atimes_recorded, no_child_left, snapshot
 
 CORPUS = Path(__file__).parent / "data" / "detector_corpus"
 
@@ -253,7 +253,7 @@ class TestLaunches:
         poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path))
         oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
         for builds in (1, 2):
-            v = oracle.verdict(tree, recipe, poc)
+            v = oracle.verdict(DiskTree(tree), recipe, poc)
             assert (v.kind, v.storable) == (KIND_SANDBOX_FAILURE, False)
             assert v.evidence.startswith(f"{oracle_mod.LAUNCHER}:") and "valgrind" in v.evidence
             assert oracle.counters["builds"] == builds
@@ -267,7 +267,7 @@ class TestLaunches:
         poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path))
         oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
         for builds in (1, 2):
-            v = oracle.verdict(tree, recipe, poc)
+            v = oracle.verdict(DiskTree(tree), recipe, poc)
             assert (v.kind, v.storable) == (KIND_BUILD_FAILED, False)
             assert "SPAWN FAILURE" in v.evidence
             assert oracle.counters["builds"] == builds
@@ -304,7 +304,7 @@ class TestLaunches:
         oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
         t0 = time.monotonic()
         try:
-            v = oracle.verdict(tree, recipe, poc)
+            v = oracle.verdict(DiskTree(tree), recipe, poc)
             elapsed = time.monotonic() - t0
         finally:
             while not pid_file.exists() and time.monotonic() - t0 < 30:
@@ -365,11 +365,11 @@ class TestOracle:
         long_input.write_bytes(b"x" * 8)
         poc = PocSpec(command="{binary} {input}", input_file=str(long_input))
         oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
-        v1 = oracle.verdict(tree, DEMO_RECIPE, poc)
+        v1 = oracle.verdict(DiskTree(tree), DEMO_RECIPE, poc)
         assert v1.kind == KIND_TRIGGERED
         assert v1.detector_class == "heap-buffer-overflow"
         assert oracle.counters["builds"] == 1
-        v2 = oracle.verdict(tree, DEMO_RECIPE, poc)
+        v2 = oracle.verdict(DiskTree(tree), DEMO_RECIPE, poc)
         assert v2.kind == KIND_TRIGGERED
         assert oracle.counters["cache_hits"] == 1
         assert oracle.counters["builds"] == 1  # no rebuild
@@ -380,17 +380,17 @@ class TestOracle:
         short_input.write_bytes(b"xy")
         poc = PocSpec(command="{binary} {input}", input_file=str(short_input))
         oracle = Oracle(tmp_path / "store")
-        v = oracle.verdict(tree, DEMO_RECIPE, poc)
+        v = oracle.verdict(DiskTree(tree), DEMO_RECIPE, poc)
         assert v.kind == KIND_NOT_TRIGGERED
 
     def test_worktree_is_never_mutated(self, tmp_path):
         tree = _demo_tree(tmp_path)
-        before = tree_hash(tree)
+        before = tree_hash(DiskTree(tree))
         long_input = tmp_path / "long.bin"
         long_input.write_bytes(b"x" * 8)
         poc = PocSpec(command="{binary} {input}", input_file=str(long_input))
-        Oracle(tmp_path / "store").verdict(tree, DEMO_RECIPE, poc)
-        assert tree_hash(tree) == before
+        Oracle(tmp_path / "store").verdict(DiskTree(tree), DEMO_RECIPE, poc)
+        assert tree_hash(DiskTree(tree)) == before
         assert not (tree / "demo").exists()
 
     def test_build_failure_verdict(self, tmp_path):
@@ -398,7 +398,7 @@ class TestOracle:
         tree.mkdir()
         (tree / "demo.c").write_text("int main(void){return\n")
         poc = PocSpec(command="{binary} {input}", input_file=str(tmp_path / "x"))
-        v = Oracle(tmp_path / "store").verdict(tree, DEMO_RECIPE, poc)
+        v = Oracle(tmp_path / "store").verdict(DiskTree(tree), DEMO_RECIPE, poc)
         assert v.kind == KIND_BUILD_FAILED
 
     def test_verdict_serialization_excludes_wall_time(self):
@@ -412,18 +412,18 @@ class TestTreeHash:
     def test_exec_bit_changes_the_hash(self, tmp_path):
         tree = _demo_tree(tmp_path)
         (tree / "build.sh").write_text("cc -o demo demo.c\n")
-        before = tree_hash(tree)
+        before = tree_hash(DiskTree(tree))
         (tree / "build.sh").chmod(0o755)
-        assert tree_hash(tree) != before
+        assert tree_hash(DiskTree(tree)) != before
 
     def test_symlink_target_changes_the_hash(self, tmp_path):
         tree = _demo_tree(tmp_path)
         (tree / "other.c").write_text(DEMO_C)
         (tree / "main.c").symlink_to("demo.c")
-        before = tree_hash(tree)
+        before = tree_hash(DiskTree(tree))
         (tree / "main.c").unlink()
         (tree / "main.c").symlink_to("other.c")
-        assert tree_hash(tree) != before
+        assert tree_hash(DiskTree(tree)) != before
 
     def test_file_and_symlink_with_one_content_differ(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -431,7 +431,7 @@ class TestTreeHash:
         b.mkdir()
         (a / "x").write_text("y")
         (b / "x").symlink_to("y")
-        assert tree_hash(a) != tree_hash(b)
+        assert tree_hash(DiskTree(a)) != tree_hash(DiskTree(b))
 
 
 class TestVerdictStore:
@@ -444,19 +444,19 @@ class TestVerdictStore:
         tree = _demo_tree(tmp_path)
         poc = self._long_poc(tmp_path)
         built = Oracle(tmp_path / "store", scratch_dir=tmp_path / "s1").verdict(
-            tree, DEMO_RECIPE, poc)
+            DiskTree(tree), DEMO_RECIPE, poc)
         assert built.kind == KIND_TRIGGERED
         second = Oracle(tmp_path / "store", scratch_dir=tmp_path / "s2")
-        assert second.verdict(tree, DEMO_RECIPE, poc).to_dict() == built.to_dict()
+        assert second.verdict(DiskTree(tree), DEMO_RECIPE, poc).to_dict() == built.to_dict()
         assert second.counters == {"cache_hits": 1}
 
     def test_same_input_path_with_other_bytes_is_another_verdict(self, tmp_path):
         tree = _demo_tree(tmp_path)
         poc = self._long_poc(tmp_path)
         oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
-        assert oracle.verdict(tree, DEMO_RECIPE, poc).kind == KIND_TRIGGERED
+        assert oracle.verdict(DiskTree(tree), DEMO_RECIPE, poc).kind == KIND_TRIGGERED
         Path(poc.input_file).write_bytes(b"xy")
-        assert oracle.verdict(tree, DEMO_RECIPE, poc).kind == KIND_NOT_TRIGGERED
+        assert oracle.verdict(DiskTree(tree), DEMO_RECIPE, poc).kind == KIND_NOT_TRIGGERED
         assert oracle.counters["builds"] == 2
         assert "cache_hits" not in oracle.counters
 
@@ -474,13 +474,13 @@ class TestVerdictStore:
         poc = PocSpec(command="revenant-test-runner {binary} {input}",
                       input_file=self._long_poc(tmp_path).input_file)
         oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
-        assert oracle.verdict(tree, DEMO_RECIPE, poc).kind == KIND_SANDBOX_FAILURE
+        assert oracle.verdict(DiskTree(tree), DEMO_RECIPE, poc).kind == KIND_SANDBOX_FAILURE
         # the cause goes away: the runner appears in a directory on PATH, so
         # the key is the same
         _script(runner_dir, "revenant-test-runner", 'exec "$@"\n')
-        assert oracle.verdict(tree, DEMO_RECIPE, poc).kind == KIND_TRIGGERED
+        assert oracle.verdict(DiskTree(tree), DEMO_RECIPE, poc).kind == KIND_TRIGGERED
         assert oracle.counters["builds"] == 2
-        assert oracle.verdict(tree, DEMO_RECIPE, poc).kind == KIND_TRIGGERED
+        assert oracle.verdict(DiskTree(tree), DEMO_RECIPE, poc).kind == KIND_TRIGGERED
         assert (oracle.counters["builds"], oracle.counters["cache_hits"]) == (2, 1)
 
     def test_build_timeout_is_not_stored(self, tmp_path):
@@ -489,7 +489,7 @@ class TestVerdictStore:
         recipe = BuildRecipe.make(["sleep 2"], ["demo"], timeout=1)
         oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
         for builds in (1, 2):
-            v = oracle.verdict(tree, recipe, poc)
+            v = oracle.verdict(DiskTree(tree), recipe, poc)
             assert v.kind == KIND_BUILD_FAILED
             assert "BUILD TIMEOUT" in v.evidence
             assert oracle.counters["builds"] == builds
@@ -505,10 +505,10 @@ class TestVerdictStore:
             oracle_mod, "run_limited",
             lambda *a, **kw: oracle_mod.RunResult(-1, "", 0.0, False, spawn_error="EAGAIN"),
         )
-        v = oracle.verdict(tree, DEMO_RECIPE, poc)
+        v = oracle.verdict(DiskTree(tree), DEMO_RECIPE, poc)
         assert (v.kind, v.storable) == (KIND_BUILD_FAILED, False)
         monkeypatch.setattr(oracle_mod, "run_limited", real_run)
-        assert oracle.verdict(tree, DEMO_RECIPE, poc).kind == KIND_TRIGGERED
+        assert oracle.verdict(DiskTree(tree), DEMO_RECIPE, poc).kind == KIND_TRIGGERED
         assert "cache_hits" not in oracle.counters
 
     @pytest.mark.parametrize("hang_is_trigger,kind", [(False, KIND_HANG), (True, KIND_TRIGGERED)])
@@ -520,7 +520,7 @@ class TestVerdictStore:
         poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path),
                       run_timeout=0.3, hang_is_trigger=hang_is_trigger)
         oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
-        assert [oracle.verdict(tree, recipe, poc).kind for _ in range(2)] == [kind] * 2
+        assert [oracle.verdict(DiskTree(tree), recipe, poc).kind for _ in range(2)] == [kind] * 2
         assert oracle.counters["builds"] == 2
         assert "cache_hits" not in oracle.counters
 
@@ -537,7 +537,7 @@ class TestVerdictStore:
         recipe = BuildRecipe.make(["cp tool.sh tool"], ["tool"])
         poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path))
         oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
-        assert [oracle.verdict(tree, recipe, poc).kind for _ in range(2)] == [kind] * 2
+        assert [oracle.verdict(DiskTree(tree), recipe, poc).kind for _ in range(2)] == [kind] * 2
         assert oracle.counters["builds"] == (1 if stored else 2)
 
     @pytest.mark.parametrize("name", ["PATH", "CC", "CFLAGS", "LD_LIBRARY_PATH"])
@@ -583,7 +583,7 @@ class TestVerdictStore:
         poc = self._long_poc(tmp_path)
         store = tmp_path / "store"
         oracle = Oracle(store, scratch_dir=tmp_path / "scratch")
-        oracle.verdict(tree, DEMO_RECIPE, poc)
+        oracle.verdict(DiskTree(tree), DEMO_RECIPE, poc)
         [entry] = store.glob("*.json")
         whole = entry.read_text()
         # the tree's trace, kept where the slot records reads, would answer
@@ -591,14 +591,14 @@ class TestVerdictStore:
         traces = {path: path.read_text() for path in store.glob("traces/*/*.json")}
         for path, text in [(entry, whole), *traces.items()]:
             path.write_text(text[: len(text) // 2])
-        assert oracle.verdict(tree, DEMO_RECIPE, poc).kind == KIND_TRIGGERED
+        assert oracle.verdict(DiskTree(tree), DEMO_RECIPE, poc).kind == KIND_TRIGGERED
         assert oracle.counters["builds"] == 2
         assert entry.read_text() == whole  # the broken entry was overwritten
         assert {path: path.read_text() for path in traces} == traces
         # a crash between writing the temp files and renaming them
         for path in [entry, *traces]:
             path.rename(path.with_suffix(".tmp"))
-        assert oracle.verdict(tree, DEMO_RECIPE, poc).kind == KIND_TRIGGERED
+        assert oracle.verdict(DiskTree(tree), DEMO_RECIPE, poc).kind == KIND_TRIGGERED
         assert oracle.counters["builds"] == 3
         assert entry.read_text() == whole
         assert "cache_hits" not in oracle.counters
@@ -620,7 +620,7 @@ class TestVerdictStore:
 
         def ask(oracle):
             start.wait()
-            kinds.append(oracle.verdict(tree, recipe, poc).kind)
+            kinds.append(oracle.verdict(DiskTree(tree), recipe, poc).kind)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -641,18 +641,18 @@ class TestVerdictStore:
         tree = _demo_tree(tmp_path)
         poc = self._long_poc(tmp_path)
         oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
-        built = oracle.verdict(tree, DEMO_RECIPE, poc)
+        built = oracle.verdict(DiskTree(tree), DEMO_RECIPE, poc)
         (tmp_path / "moved").mkdir()
         moved = tmp_path / "moved" / "input.bin"
         moved.write_bytes(Path(poc.input_file).read_bytes())
-        assert oracle.verdict(tree, DEMO_RECIPE, replace(poc, input_file=str(moved))).to_dict() \
-            == built.to_dict()
+        assert oracle.verdict(DiskTree(tree), DEMO_RECIPE,
+                              replace(poc, input_file=str(moved))).to_dict() == built.to_dict()
         assert oracle.counters["builds"] == 1
         # some tools choose a format by the extension: another name is
         # another key
         renamed = moved.rename(moved.with_suffix(".dat"))
-        assert oracle.verdict(tree, DEMO_RECIPE, replace(poc, input_file=str(renamed))).kind \
-            == KIND_TRIGGERED
+        assert oracle.verdict(DiskTree(tree), DEMO_RECIPE,
+                              replace(poc, input_file=str(renamed))).kind == KIND_TRIGGERED
         assert oracle.counters["builds"] == 2
 
     def test_a_build_that_rewrites_the_input_cannot_change_its_verdict(self, tmp_path):
@@ -663,18 +663,18 @@ class TestVerdictStore:
             DEMO_RECIPE.artifact_paths,
         )
         oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
-        built = oracle.verdict(tree, rewrite, poc)
+        built = oracle.verdict(DiskTree(tree), rewrite, poc)
         assert Path(poc.input_file).read_bytes() == b"xy"
         (tmp_path / "fresh").mkdir()
         original = tmp_path / "fresh" / "input.bin"
         original.write_bytes(b"x" * 8)
         fresh = Oracle(tmp_path / "fresh-store", scratch_dir=tmp_path / "fresh-scratch").verdict(
-            tree, DEMO_RECIPE, replace(poc, input_file=str(original)))
+            DiskTree(tree), DEMO_RECIPE, replace(poc, input_file=str(original)))
         assert fresh.kind == KIND_TRIGGERED
         assert built.to_dict() == fresh.to_dict()
         # and the store keeps it under the original bytes
         Path(poc.input_file).write_bytes(b"x" * 8)
-        assert oracle.verdict(tree, rewrite, poc).to_dict() == fresh.to_dict()
+        assert oracle.verdict(DiskTree(tree), rewrite, poc).to_dict() == fresh.to_dict()
         assert (oracle.counters["builds"], oracle.counters["cache_hits"]) == (1, 1)
 
     def test_evidence_names_no_slot(self, tmp_path):
@@ -691,9 +691,10 @@ class TestVerdictStore:
             poc_input.write_bytes(b"payload\n")
             poc = PocSpec(command="{binary} {input}", input_file=str(poc_input))
             oracle = Oracle(tmp_path / side / "store", scratch_dir=tmp_path / side / "scratch")
-            verdicts = [oracle.verdict(tree, runs, poc), oracle.verdict(tree, fails, poc)]
+            view = DiskTree(tree)
+            verdicts = [oracle.verdict(view, runs, poc), oracle.verdict(view, fails, poc)]
             poc_input.unlink()
-            verdicts.append(oracle.verdict(tree, runs, poc))
+            verdicts.append(oracle.verdict(view, runs, poc))
             seen.append([v.to_dict() for v in verdicts])
         assert seen[0] == seen[1]
         ran, failed, missing = (d["evidence"] for d in seen[0])
@@ -701,6 +702,18 @@ class TestVerdictStore:
         assert "\n<slot>/tree\n" in failed
         assert missing.startswith("<slot>/tree/tool <slot>/poc/poc.bin\ncat: <slot>/poc/poc.bin")
         assert not any(str(tmp_path) in e for e in (ran, failed, missing))
+
+
+    def test_an_input_name_holding_a_space_stays_one_word(self, tmp_path):
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        _script(tree, "tool.sh", 'echo "$# words"\ncat "$1"\n')
+        poc_input = tmp_path / "po c.bin"
+        poc_input.write_bytes(b"payload\n")
+        poc = PocSpec(command="{binary} {input}", input_file=str(poc_input))
+        v = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch").verdict(
+            DiskTree(tree), BuildRecipe.make(["cp tool.sh tool"], ["tool"]), poc)
+        assert (v.kind, v.evidence) == (KIND_NOT_TRIGGERED, "1 words\npayload\n")
 
 
 needs_make = pytest.mark.skipif(
@@ -763,16 +776,16 @@ class TestBuildSlot:
         first = _shell_tree(tmp_path / "a", build_sh)
         second = _shell_tree(tmp_path / "b", build_sh, README="another tree\n")
         oracle, poc = self._oracle(tmp_path), self._poc(tmp_path)
-        assert oracle.verdict(first, SHELL_RECIPE, poc).kind == KIND_TRIGGERED
-        assert oracle.verdict(second, SHELL_RECIPE, poc).kind == KIND_TRIGGERED
+        assert oracle.verdict(DiskTree(first), SHELL_RECIPE, poc).kind == KIND_TRIGGERED
+        assert oracle.verdict(DiskTree(second), SHELL_RECIPE, poc).kind == KIND_TRIGGERED
         assert oracle.counters["builds"] == 2
 
     def test_a_stale_artifact_is_removed(self, tmp_path):
         makes_it = _shell_tree(tmp_path / "a", "cp crash.sh tool\n")
         stops = _shell_tree(tmp_path / "b", "true\n")
         oracle, poc = self._oracle(tmp_path), self._poc(tmp_path)
-        assert oracle.verdict(makes_it, SHELL_RECIPE, poc).kind == KIND_TRIGGERED
-        v = oracle.verdict(stops, SHELL_RECIPE, poc)
+        assert oracle.verdict(DiskTree(makes_it), SHELL_RECIPE, poc).kind == KIND_TRIGGERED
+        v = oracle.verdict(DiskTree(stops), SHELL_RECIPE, poc)
         assert v.kind == KIND_BUILD_FAILED
         assert "MISSING ARTIFACT: tool" in v.evidence
 
@@ -782,13 +795,13 @@ class TestBuildSlot:
         oracle = self._oracle(tmp_path)
         poc = PocSpec(command="{binary}", input_file=_poc_file(tmp_path))
         monkeypatch.delenv("CFLAGS", raising=False)
-        assert oracle.verdict(tree, MAKE_RECIPE, poc).kind == KIND_NOT_TRIGGERED
+        assert oracle.verdict(DiskTree(tree), MAKE_RECIPE, poc).kind == KIND_NOT_TRIGGERED
         # make does not track CFLAGS: main.o would look up to date
         monkeypatch.setenv("CFLAGS", "-DCRASH")
-        assert oracle.verdict(tree, MAKE_RECIPE, poc).kind == KIND_TRIGGERED
+        assert oracle.verdict(DiskTree(tree), MAKE_RECIPE, poc).kind == KIND_TRIGGERED
         monkeypatch.delenv("CFLAGS")
         other_recipe = BuildRecipe.make(["make -s"], ["tool"], timeout=600)
-        assert oracle.verdict(tree, other_recipe, poc).kind == KIND_NOT_TRIGGERED
+        assert oracle.verdict(DiskTree(tree), other_recipe, poc).kind == KIND_NOT_TRIGGERED
         assert oracle.counters["builds"] == 3
 
     @needs_make
@@ -801,7 +814,7 @@ class TestBuildSlot:
         a2 = _tree_of(tmp_path / "a2", {"Makefile": MAKEFILE, "main.c": crash, "README": "a\n"})
         oracle = self._oracle(tmp_path)
         poc = PocSpec(command="{binary}", input_file=_poc_file(tmp_path))
-        kinds = [oracle.verdict(t, MAKE_RECIPE, poc).kind for t in (a, b, a2)]
+        kinds = [oracle.verdict(DiskTree(t), MAKE_RECIPE, poc).kind for t in (a, b, a2)]
         assert kinds == [KIND_TRIGGERED, KIND_NOT_TRIGGERED, KIND_TRIGGERED]
 
     def test_a_file_removed_from_the_tree_leaves_the_slot(self, tmp_path):
@@ -809,8 +822,8 @@ class TestBuildSlot:
         with_plugin = _shell_tree(tmp_path / "a", build_sh, **{"plugin.c": "int x;\n"})
         without = _shell_tree(tmp_path / "b", build_sh)
         oracle, poc = self._oracle(tmp_path), self._poc(tmp_path)
-        assert oracle.verdict(with_plugin, SHELL_RECIPE, poc).kind == KIND_TRIGGERED
-        assert oracle.verdict(without, SHELL_RECIPE, poc).kind == KIND_NOT_TRIGGERED
+        assert oracle.verdict(DiskTree(with_plugin), SHELL_RECIPE, poc).kind == KIND_TRIGGERED
+        assert oracle.verdict(DiskTree(without), SHELL_RECIPE, poc).kind == KIND_NOT_TRIGGERED
 
     def test_a_path_changes_between_file_symlink_and_directory(self, tmp_path):
         build_sh = textwrap.dedent("""\
@@ -830,9 +843,9 @@ class TestBuildSlot:
         for i, files in enumerate(kinds):
             tree = _shell_tree(tmp_path / f"t{i}", build_sh, **{**extra, **files})
             clean = Oracle(tmp_path / f"clean{i}", scratch_dir=tmp_path / "scratch")
-            expected = clean.verdict(tree, SHELL_RECIPE, poc).to_dict()
+            expected = clean.verdict(DiskTree(tree), SHELL_RECIPE, poc).to_dict()
             clean.close()
-            assert oracle.verdict(tree, SHELL_RECIPE, poc).to_dict() == expected, files
+            assert oracle.verdict(DiskTree(tree), SHELL_RECIPE, poc).to_dict() == expected, files
         assert oracle.counters["builds"] == len(kinds)
 
     @needs_make
@@ -846,7 +859,7 @@ class TestBuildSlot:
         ]
         oracle = self._oracle(tmp_path)
         poc = PocSpec(command="{binary}", input_file=_poc_file(tmp_path))
-        kinds = [oracle.verdict(t, MAKE_RECIPE, poc).kind for t in trees]
+        kinds = [oracle.verdict(DiskTree(t), MAKE_RECIPE, poc).kind for t in trees]
         assert kinds == [KIND_TRIGGERED, KIND_NOT_TRIGGERED, KIND_TRIGGERED]
 
     def test_an_incremental_build_failure_is_retried_clean(self, tmp_path):
@@ -863,30 +876,30 @@ class TestBuildSlot:
             echo "genuinely broken"; exit 1
             """))
         oracle, poc = self._oracle(tmp_path), self._poc(tmp_path)
-        assert oracle.verdict(first, SHELL_RECIPE, poc).kind == KIND_TRIGGERED
-        assert oracle.verdict(stale, SHELL_RECIPE, poc).kind == KIND_TRIGGERED
+        assert oracle.verdict(DiskTree(first), SHELL_RECIPE, poc).kind == KIND_TRIGGERED
+        assert oracle.verdict(DiskTree(stale), SHELL_RECIPE, poc).kind == KIND_TRIGGERED
         assert oracle.counters["builds"] == 3  # the failed try, then the clean one
-        v = oracle.verdict(broken, SHELL_RECIPE, poc)
+        v = oracle.verdict(DiskTree(broken), SHELL_RECIPE, poc)
         assert v.kind == KIND_BUILD_FAILED
         assert "genuinely broken" in v.evidence and "incremental" not in v.evidence
         assert oracle.counters["builds"] == 5
         # the store holds what the clean builds decided
         reader = Oracle(tmp_path / "store", scratch_dir=tmp_path / "reader")
-        assert reader.verdict(stale, SHELL_RECIPE, poc).kind == KIND_TRIGGERED
-        assert reader.verdict(broken, SHELL_RECIPE, poc).to_dict() == v.to_dict()
+        assert reader.verdict(DiskTree(stale), SHELL_RECIPE, poc).kind == KIND_TRIGGERED
+        assert reader.verdict(DiskTree(broken), SHELL_RECIPE, poc).to_dict() == v.to_dict()
         assert reader.counters == {"cache_hits": 2}
 
     def test_close_removes_the_slot(self, tmp_path):
         tree = _shell_tree(tmp_path / "a", "cp crash.sh tool\n")
         oracle, poc = self._oracle(tmp_path), self._poc(tmp_path)
         assert not list((tmp_path / "scratch").iterdir())  # made on the first build
-        oracle.verdict(tree, SHELL_RECIPE, poc)
+        oracle.verdict(DiskTree(tree), SHELL_RECIPE, poc)
         assert [p.name[:7] for p in (tmp_path / "scratch").iterdir()] == ["oracle-"]
         oracle.close()
         assert not list((tmp_path / "scratch").iterdir())
         # a closed oracle still answers, from a new slot
         other = _shell_tree(tmp_path / "b", "cp clean.sh tool\n")
-        assert oracle.verdict(other, SHELL_RECIPE, poc).kind == KIND_NOT_TRIGGERED
+        assert oracle.verdict(DiskTree(other), SHELL_RECIPE, poc).kind == KIND_NOT_TRIGGERED
         oracle.close()
         assert not list((tmp_path / "scratch").iterdir())
 
@@ -910,7 +923,7 @@ class TestBuildSlot:
         def ask(kind):
             for tree in work[kind]:
                 start.wait()
-                answers[kind].append(oracle.verdict(tree, SHELL_RECIPE, poc).kind)
+                answers[kind].append(oracle.verdict(DiskTree(tree), SHELL_RECIPE, poc).kind)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -948,9 +961,9 @@ class TestTraces:
         poc = self._poc(tmp_path)
         for i, tree in enumerate(trees):
             clean = Oracle(tmp_path / f"clean{i}", scratch_dir=tmp_path / "scratch")
-            want = clean.verdict(tree, recipe, poc).to_dict()
+            want = clean.verdict(DiskTree(tree), recipe, poc).to_dict()
             clean.close()
-            assert oracle.verdict(tree, recipe, poc).to_dict() == want, tree.name
+            assert oracle.verdict(DiskTree(tree), recipe, poc).to_dict() == want, tree.name
         return oracle
 
     @needs_atime
@@ -970,13 +983,13 @@ class TestTraces:
                          for i in range(2)]
         poc = self._poc(tmp_path)
         first = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
-        want = first.verdict(built, SHELL_RECIPE, poc).to_dict()
+        want = first.verdict(DiskTree(built), SHELL_RECIPE, poc).to_dict()
         first.close()
         # the store holds no entry for `probed`, only the trace that matches it
         oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
         hits = []
         for _ in range(2):
-            assert oracle.verdict(probed, SHELL_RECIPE, poc).to_dict() == want
+            assert oracle.verdict(DiskTree(probed), SHELL_RECIPE, poc).to_dict() == want
             hits.append((oracle.counters.get("cache_hits", 0),
                          oracle.counters.get("trace_hits", 0)))
         assert hits == [(1, 1), (2, 1)]
@@ -1073,15 +1086,16 @@ class TestCommitTree:
         (tmp_path / "slots").mkdir()
         with checkout_worktree(rb.root, "t1", tmp_path / "wt") as wt:
             self._edit(wt)
-            assert tree_hash(view) == tree_hash(wt.path)
+            assert tree_hash(view) == tree_hash(DiskTree(wt.path))
             want = snapshot(wt.path)
-            for source in (view, wt.path):
+            identity = build_identity(SHELL_RECIPE, run_env())
+            for source in (view, DiskTree(wt.path)):
                 slot = BuildSlot(tmp_path / "slots")
-                slot.sync(source, SHELL_RECIPE)
+                slot.sync(source, SHELL_RECIPE, identity)
                 assert snapshot(slot.root) == want
                 # a build step overwrites a file no edit touched
                 (slot.root / "src" / "demo.c").write_text("overwritten\n")
-                slot.sync(source, SHELL_RECIPE)
+                slot.sync(source, SHELL_RECIPE, identity)
                 assert snapshot(slot.root) == want
                 slot.close()
 
@@ -1201,9 +1215,10 @@ class TestPocEnvironment:
         poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path))
         steps = ["cp tool.sh tool"]
         oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
-        assert oracle.verdict(tree, BuildRecipe.make(steps, ["tool"]), poc).kind == KIND_NOT_TRIGGERED
+        view = DiskTree(tree)
+        assert oracle.verdict(view, BuildRecipe.make(steps, ["tool"]), poc).kind == KIND_NOT_TRIGGERED
         crash = BuildRecipe.make(steps, ["tool"], env={"POC_MODE": "crash"})
-        v = oracle.verdict(tree, crash, poc)
+        v = oracle.verdict(view, crash, poc)
         assert v.kind == KIND_TRIGGERED
         assert v.detector_class == "heap-buffer-overflow"
 
@@ -1218,7 +1233,8 @@ class TestPocEnvironment:
             sanitizer=SANITIZER_ASAN,
         )
         poc = PocSpec(command="{binary}", input_file="")
-        v = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch").verdict(tree, recipe, poc)
+        v = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch").verdict(
+            DiskTree(tree), recipe, poc)
         assert v.kind == KIND_TRIGGERED
         assert not list(tmp_path.glob("asan*"))
 
@@ -1238,13 +1254,13 @@ class TestPocEnvironment:
         # make -n prints the commands without running them: no tool is built
         monkeypatch.setenv("MAKEFLAGS", "-n")
         first = Oracle(store, scratch_dir=tmp_path / "first")
-        assert first.verdict(tree, MAKE_RECIPE, poc).kind == KIND_NOT_TRIGGERED
+        assert first.verdict(DiskTree(tree), MAKE_RECIPE, poc).kind == KIND_NOT_TRIGGERED
         monkeypatch.delenv("MAKEFLAGS")
         shared = Oracle(store, scratch_dir=tmp_path / "shared")
-        assert shared.verdict(tree, MAKE_RECIPE, poc).kind == KIND_NOT_TRIGGERED
+        assert shared.verdict(DiskTree(tree), MAKE_RECIPE, poc).kind == KIND_NOT_TRIGGERED
         assert shared.counters == {"cache_hits": 1}
         fresh = Oracle(tmp_path / "fresh-store", scratch_dir=tmp_path / "fresh")
-        assert fresh.verdict(tree, MAKE_RECIPE, poc).kind == KIND_NOT_TRIGGERED
+        assert fresh.verdict(DiskTree(tree), MAKE_RECIPE, poc).kind == KIND_NOT_TRIGGERED
 
     def test_an_unrelated_ambient_variable_is_invisible_to_a_build_step(
         self, tmp_path, monkeypatch

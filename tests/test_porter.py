@@ -37,6 +37,8 @@ from revenant.oracle import (
     Oracle,
     OracleVerdict,
     PocSpec,
+    build_identity,
+    run_env,
     tree_hash,
 )
 from revenant.patchcore import Granularity, apply_file_patch, render_unified_diff
@@ -63,7 +65,9 @@ from revenant.porter import (
     probe_answer,
 )
 
-from gitutil import RepoBuilder, atimes_recorded, no_child_left, record_git, snapshot, worktrees
+from gitutil import (
+    DiskTree, RepoBuilder, atimes_recorded, no_child_left, record_git, snapshot, worktrees,
+)
 
 
 @pytest.mark.parametrize("kind,answer", [
@@ -597,11 +601,12 @@ class ReferencePorter(Porter):
     def _check(self, tree, recipe):
         with self._replay(tree.commit, *self._pending) as (kind, wt):
             assert kind is None
-            assert tree_hash(tree) == tree_hash(wt.path)
+            assert tree_hash(tree) == tree_hash(DiskTree(wt.path))
             want = snapshot(wt.path)
-            for slot, source in zip(self.slots, (tree, wt.path)):
+            identity = build_identity(recipe, run_env(recipe.env))
+            for slot, source in zip(self.slots, (tree, DiskTree(wt.path))):
                 tamper(slot.root)
-                slot.sync(source, recipe)
+                slot.sync(source, recipe, identity)
                 assert snapshot(slot.root) == want
         self.trees.append(tree)
 
@@ -682,7 +687,7 @@ class TestWorktreeSlot:
             for tree, reverts in zip(trees, (["t3", "t2"], [])):
                 with porter._replay(tree.commit, reverts, ["t1"]) as (kind, wt):
                     assert kind is None
-                    assert tree_hash(tree) == tree_hash(wt.path)
+                    assert tree_hash(tree) == tree_hash(DiskTree(wt.path))
         assert [[path for path, _, _ in tree.entries()] for tree in trees] == [
             ["a.txt", "legacy.txt", "old.txt"],
             ["README", "a.txt", "legacy.txt", "new.txt"],
