@@ -128,7 +128,6 @@ class CaseConfig:
     policy: PortPolicy
     workspace: Optional[Path]
     cache_dir: Optional[Path]  # verdict store; None means <workspace>/verdict-cache
-    source: str
 
 
 def merge_defaults(case: dict, defaults: dict) -> dict:
@@ -142,7 +141,7 @@ def merge_defaults(case: dict, defaults: dict) -> dict:
     return merged
 
 
-def parse_case(data: dict, base_dir: Path, source: str = "<memory>") -> CaseConfig:
+def parse_case(data: dict, base_dir: Path, source: str) -> CaseConfig:
     where = source
     _check_keys(data, _TOP_KEYS, where)
 
@@ -219,7 +218,6 @@ def parse_case(data: dict, base_dir: Path, source: str = "<memory>") -> CaseConf
         policy=policy,
         workspace=(base_dir / workspace).resolve() if workspace else None,
         cache_dir=(base_dir / cache_dir).resolve() if cache_dir else None,
-        source=source,
     )
 
 

@@ -88,9 +88,7 @@ class RootCommit(GitGatewayError):
 
 
 class RevertConflict(GitGatewayError):
-    def __init__(self, message: str, reports: Optional[List[ApplyReport]] = None):
-        super().__init__(message)
-        self.reports = reports or []
+    pass
 
 
 def decode_text(data: bytes) -> str:
@@ -709,16 +707,13 @@ def revert_onto(tree, commit: str, inverse: SourcePatch, **options) -> List[Appl
     staged = stage_patch(
         tree_reader(tree), [fp for fp, keep in zip(inverse.files, kept) if keep], **options
     )
-    applied = iter(staged.reports)
-    reports = [
-        next(applied) if keep else ApplyReport(path=fp.path)
-        for fp, keep in zip(inverse.files, kept)
-    ]
     if staged.conflicts:
         paths = ", ".join(staged.conflicts)
-        raise RevertConflict(f"revert of {commit} conflicts in: {paths}", reports)
+        raise RevertConflict(f"revert of {commit} conflicts in: {paths}")
     staged.write_to(tree)
-    return reports
+    applied = iter(staged.reports)
+    return [next(applied) if keep else ApplyReport(path=fp.path)
+            for fp, keep in zip(inverse.files, kept)]
 
 
 @dataclass

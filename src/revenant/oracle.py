@@ -53,9 +53,13 @@ HANG_TRIGGER_CLASS = "memory-exhaustion-by-hang"
 
 DEFAULT_LOG_TAIL = 4096
 DEFAULT_EXCERPT_LINES = 30
-# what evidence names a build slot's home: a stored verdict may come from
-# any slot, so it must not say which
+# what evidence writes for what differs between runs of one verdict: the
+# build slot's home (a stored verdict may come from any slot), a process id
+# in a sanitizer's `==<pid>==` prefix, and an address of 6 or more hex
+# digits (ASLR moves code, stack and heap)
 SLOT_TOKEN = "<slot>"
+PID_TOKEN = "==<pid>=="
+ADDRESS_TOKEN = "0x<addr>"
 
 
 @dataclass(frozen=True)
@@ -146,11 +150,15 @@ def _sha(data: bytes) -> str:
 
 # ---------- detector grammars ----------
 
+RE_PID = re.compile(r"==\d+==")
+RE_ADDRESS = re.compile(r"0x[0-9a-fA-F]{6,}")
+# a report's PID, as the tool wrote it or as evidence writes it
+_PID = rf"(?:{RE_PID.pattern}|{re.escape(PID_TOKEN)})"
 RE_ASAN = re.compile(r"ERROR: AddressSanitizer:?\s+([A-Za-z0-9_-]+)")
-RE_ASAN_END = re.compile(r"==\d+==ABORTING|SUMMARY: AddressSanitizer")
-RE_VALGRIND_INVALID = re.compile(r"==\d+==\s+Invalid (read|write) of size \d+")
+RE_ASAN_END = re.compile(_PID + r"ABORTING|SUMMARY: AddressSanitizer")
+RE_VALGRIND_INVALID = re.compile(_PID + r"\s+Invalid (read|write) of size \d+")
 RE_VALGRIND_SIGNAL = re.compile(
-    r"==\d+==\s+Process terminating with default action of signal \d+ \(SIG([A-Z]+)\)"
+    _PID + r"\s+Process terminating with default action of signal \d+ \(SIG([A-Z]+)\)"
 )
 
 
@@ -219,15 +227,14 @@ def run_limited(
     cwd: Path,
     env: Dict[str, str],
     timeout: float,
-    counters: Optional[Dict[str, int]] = None,
+    counters: Dict[str, int],
 ) -> RunResult:
     """Run a command under the limits of `LIMITED`, with a wall-clock
     budget, in its own process group, and return its merged stdout and
     stderr.  A command that cannot be started, or whose limits cannot be
     set, gives `spawn_error`.  On a timeout the group is killed and what
     the pipe yields within `DRAIN_DEADLINE` is returned."""
-    if counters is not None:
-        counters["subprocess_launches"] = counters.get("subprocess_launches", 0) + 1
+    counters["subprocess_launches"] = counters.get("subprocess_launches", 0) + 1
     t0 = time.monotonic()
     try:
         proc = subprocess.Popen(
@@ -268,7 +275,7 @@ def run_limited(
 PASSED_ENV = ("PATH", "CC", "CXX", "CFLAGS", "CPPFLAGS", "LDFLAGS", "LD_LIBRARY_PATH")
 
 
-def run_env(recipe_env: Iterable[Tuple[str, str]] = ()) -> Dict[str, str]:
+def run_env(recipe_env: Iterable[Tuple[str, str]]) -> Dict[str, str]:
     """The whole environment a recipe's build and its PoC run under, which
     its verdict key holds whole: the ambient values of `PASSED_ENV`, a
     fixed locale and time zone, sanitizer reports pinned to stdout/stderr
@@ -285,23 +292,20 @@ def run_env(recipe_env: Iterable[Tuple[str, str]] = ()) -> Dict[str, str]:
 def build(
     workdir: Path,
     recipe: BuildRecipe,
-    counters: Optional[Dict[str, int]] = None,
-    env: Optional[Dict[str, str]] = None,
-    slot_home: str = "",
+    counters: Dict[str, int],
+    env: Dict[str, str],
+    slot_home: str,
 ) -> BuildOutcome:
-    """Run the recipe's steps in order inside `workdir`, under `env` (by
-    default the recipe's `run_env`).  The log names `slot_home`, when
-    given, `SLOT_TOKEN`.
+    """Run the recipe's steps in order inside `workdir`, under `env` (the
+    recipe's `run_env`).  The log is `_canonical` for `slot_home`.
 
     Ok iff every step exits zero within the shared budget and every
     declared artifact exists afterwards.
     """
     workdir = Path(workdir)
-    env = run_env(recipe.env) if env is None else env
     deadline = time.monotonic() + recipe.timeout
     log_parts: List[str] = []
-    if counters is not None:
-        counters["builds"] = counters.get("builds", 0) + 1
+    counters["builds"] = counters.get("builds", 0) + 1
     for step in recipe.steps:
         budget = deadline - time.monotonic()
         if budget <= 0:
@@ -310,9 +314,9 @@ def build(
         res = run_limited(
             ["sh", "-c", step], cwd=workdir, env=env, timeout=budget, counters=counters
         )
-        log_parts.append(f"$ {step}\n{_unslotted(res.output, slot_home)}")
+        log_parts.append(f"$ {step}\n{_canonical(res.output, slot_home)}")
         if res.spawn_error:
-            log_parts.append(f"SPAWN FAILURE: {_unslotted(res.spawn_error, slot_home)}")
+            log_parts.append(f"SPAWN FAILURE: {_canonical(res.spawn_error, slot_home)}")
             return BuildOutcome(False, [], _tail("\n".join(log_parts)), transient=True)
         if res.timed_out:
             log_parts.append(f"BUILD TIMEOUT after {res.wall_time:.1f}s in: {step}")
@@ -334,10 +338,16 @@ def _tail(text: str, limit: int = DEFAULT_LOG_TAIL) -> str:
     return text[-limit:] if len(text) > limit else text
 
 
-def _unslotted(text: str, slot_home: str) -> str:
-    """`text` with `slot_home` named `SLOT_TOKEN`; done before any cut,
-    so the evidence of slots with paths of other lengths cuts alike."""
-    return text.replace(slot_home, SLOT_TOKEN) if slot_home else text
+def _canonical(text: str, slot_home: str) -> str:
+    """`text` as evidence: `slot_home` as `SLOT_TOKEN`, also where GNU
+    tools quote a path under it that holds a space (`'<slot>/x y'` reads
+    `<slot>/x y`, as it does from a slot whose path holds none), each PID
+    as `PID_TOKEN` and each address as `ADDRESS_TOKEN`.  Every child's
+    output passes through it before any cut, so the evidence of slots with
+    paths of other lengths, and of other runs, cuts alike."""
+    text = re.sub(f"'{re.escape(slot_home)}([^'\\n]*)'", lambda m: SLOT_TOKEN + m[1], text)
+    text = text.replace(slot_home, SLOT_TOKEN)
+    return RE_ADDRESS.sub(ADDRESS_TOKEN, RE_PID.sub(PID_TOKEN, text))
 
 
 _USAGE_PATTERNS = (
@@ -355,39 +365,33 @@ def run_poc(
     artifacts: List[str],
     poc: PocSpec,
     cwd: Path,
-    env: Optional[Dict[str, str]] = None,
-    sanitizer: str = SANITIZER_NONE,
-    counters: Optional[Dict[str, int]] = None,
-    slot_home: str = "",
+    env: Dict[str, str],
+    sanitizer: str,
+    counters: Dict[str, int],
+    slot_home: str,
 ) -> OracleVerdict:
-    """Execute the PoC command against the built artifacts under `env` (by
-    default `run_env()`) and classify.  The evidence names `slot_home`,
-    when given, `SLOT_TOKEN`.
+    """Execute the PoC command against the built artifacts under `env` and
+    classify.  The evidence is `_canonical` for `slot_home`.
 
     Precedence: a detector report always wins; then timeout handling; then
     usage text, which means PocIncompatible; anything else is NotTriggered.
     A verdict that a timeout decided is transient.
     """
-    if counters is not None:
-        counters["poc_runs"] = counters.get("poc_runs", 0) + 1
     binary = artifacts[0] if artifacts else ""
     if not binary or not Path(binary).exists():
         return OracleVerdict(
             KIND_POC_INCOMPATIBLE,
-            evidence=_unslotted(f"missing binary: {binary or '(no artifact)'}", slot_home),
+            evidence=_canonical(f"missing binary: {binary or '(no artifact)'}", slot_home),
         )
     # split first: a path holding a space or a quote stays one word
     argv = [word.format(binary=binary, input=poc.input_file) for word in shlex.split(poc.command)]
     if sanitizer == SANITIZER_VALGRIND:
         argv = ["valgrind", "-q", "--error-exitcode=96"] + argv
-    res = run_limited(
-        argv, cwd=cwd, env=run_env() if env is None else env, timeout=poc.run_timeout,
-        counters=counters,
-    )
+    res = run_limited(argv, cwd=cwd, env=env, timeout=poc.run_timeout, counters=counters)
     if res.spawn_error:
-        return OracleVerdict(KIND_SANDBOX_FAILURE, evidence=_unslotted(res.spawn_error, slot_home))
+        return OracleVerdict(KIND_SANDBOX_FAILURE, evidence=_canonical(res.spawn_error, slot_home))
 
-    output = _unslotted(res.output, slot_home)
+    output = _canonical(res.output, slot_home)
     hit = classify_detector_output(output)
     if hit is not None:
         if poc.expected_detector and hit.weakness_class != poc.expected_detector:
@@ -431,7 +435,7 @@ def run_poc(
 # Part of every store key.  Bump it when classification, the tree hash or
 # the trace format changes, so that entries written by older code are
 # never read.
-STORE_SCHEMA = "verdict-store/5"
+STORE_SCHEMA = "verdict-store/6"
 MISSING_INPUT = "missing"
 NO_COMPILER = "no compiler"
 TRACES_KEPT = 16  # traces a store keeps per build identity and PoC, newest first
@@ -687,9 +691,10 @@ class BuildSlot:
     the contents from the tree one file at a time (a `gitio.CommitTree`
     streams them from git), deletes each path that left the tree, and
     leaves every other file, and every untracked build product, as it
-    was.  Written files get an mtime later than the end of the slot's last
-    build, so the build's own dependency tracking (make's timestamp
-    checks) redoes what they affect.
+    was.  The files one sync writes all get one mtime, later than the end
+    of the slot's last build, so the build's own dependency tracking
+    (make's timestamp checks) redoes what they affect, and no `-nt`
+    between two of them rests on write order or on the clock.
 
     The slot stays as trustworthy as a fresh copy.  Each written file's
     `lstat` is recorded, and a file that a build or PoC step changed no
@@ -713,12 +718,11 @@ class BuildSlot:
     redoes, yet its products depend on what earlier builds read.
     """
 
-    def __init__(self, scratch_dir: Optional[Path] = None):
+    def __init__(self, scratch_dir: Path):
         # absolute, so artifact paths still resolve from a build step's or
         # a PoC run's working directory; without symlinks, so it is also
         # the path a step's `pwd` prints, and evidence names it one way
-        home = os.path.realpath(
-            tempfile.mkdtemp(prefix="oracle-", dir=str(scratch_dir) if scratch_dir else None))
+        home = os.path.realpath(tempfile.mkdtemp(prefix="oracle-", dir=str(scratch_dir)))
         self.home = Path(home)
         self.root = self.home / "tree"
         # removes the slot's directory when called, or else when the slot is
@@ -769,9 +773,14 @@ class BuildSlot:
             if self._real_parents(rel, dirs):
                 _remove(self.root / rel)
             del self._files[rel]
+        mtime = 0  # the sync's one mtime: its first write's, or later
         with closing(tree.blobs(changed)) as contents:
-            for entry, data in contents:
-                self._write(entry, data, dirs)
+            for (rel, mode, oid), data in contents:
+                dst = self._write(rel, mode, data, dirs)
+                mtime = mtime or max(os.lstat(dst).st_mtime_ns, self.built_ns + 1)
+                # atime 0: not read yet
+                os.utime(dst, ns=(0, mtime), follow_symlinks=False)
+                self._files[rel] = (mode, oid, _stat_key(_lstat(dst)))
         if self.traces:
             for rel in read:
                 path = self.root / rel
@@ -841,8 +850,7 @@ class BuildSlot:
             dirs.add(sub)
         return True
 
-    def _write(self, entry: Entry, data: bytes, dirs: Set[str]) -> None:
-        rel, mode, oid = entry
+    def _write(self, rel: str, mode: str, data: bytes, dirs: Set[str]) -> Path:
         self._real_parents(rel, dirs, make=True)
         dst = self.root / rel
         _remove(dst)
@@ -851,10 +859,7 @@ class BuildSlot:
         else:
             dst.write_bytes(data)
             os.chmod(dst, 0o755 if mode == MODE_EXEC else 0o644)
-        # atime 0: not read yet
-        mtime = max(os.lstat(dst).st_mtime_ns, self.built_ns + 1)
-        os.utime(dst, ns=(0, mtime), follow_symlinks=False)
-        self._files[rel] = (mode, oid, _stat_key(_lstat(dst)))
+        return dst
 
 
 class Oracle:
@@ -871,19 +876,18 @@ class Oracle:
     file write and no git blob read.  A tree whose key is not stored is
     answered by a stored trace when it agrees with the trace's tree on its
     listing and on every file that tree's build and PoC run read
-    (`VerdictStore.match`).  A verdict
-    never mutates the tree it is given: the build and the PoC run happen
-    in the oracle's `BuildSlot`, `oracle-<suffix>/tree` under
-    `scratch_dir` (by default the system temp directory), made on the
-    first build and removed by `close()`; it is the only place the tree's
-    files are written.  Each build there redoes only what the tree's
-    changes affect; a build that fails in a slot that built before is
-    retried once from a wiped slot, so a stale product never decides a
-    `BuildFailed`.  The PoC input is read once per verdict: its bytes go
-    into the key and are what the PoC runs on, from a copy in the slot, so
-    a build that rewrites the input cannot change them.  Evidence names
-    the slot's home `SLOT_TOKEN`.  A storable verdict is kept under its
-    key and, when the slot records reads, as a trace.
+    (`VerdictStore.match`).  A verdict never mutates the tree it is given:
+    the build and the PoC run happen in the oracle's `BuildSlot`,
+    `oracle-<suffix>/tree` under `scratch_dir`, made on the first build
+    and removed by `close()`; it is the only place the tree's files are
+    written.  Each build there redoes only what the tree's changes affect;
+    a build that fails in a slot that built before is retried once from a
+    wiped slot, so a stale product never decides a `BuildFailed`.  The PoC
+    input is read once per verdict: its bytes go into the key and are what
+    the PoC runs on, from a copy in the slot, so a build that rewrites the
+    input cannot change them.  Evidence is `_canonical`: it names the
+    slot's home `SLOT_TOKEN`, and no PID or address.  A storable verdict
+    is kept under its key and, when the slot records reads, as a trace.
 
     `counters` holds `builds`, `cache_hits` (verdicts the store answered)
     and, of those, `trace_hits` (answered by a trace), besides the
@@ -894,12 +898,11 @@ class Oracle:
     serializes the slot's sync, build and PoC run and the counters.
     """
 
-    def __init__(self, store_dir: Path, scratch_dir: Optional[Path] = None):
+    def __init__(self, store_dir: Path, scratch_dir: Path):
         self.counters: Dict[str, int] = {}
         self.store = VerdictStore(store_dir)
-        self.scratch_dir = Path(scratch_dir) if scratch_dir else None
-        if self.scratch_dir:
-            self.scratch_dir.mkdir(parents=True, exist_ok=True)
+        self.scratch_dir = Path(scratch_dir)
+        self.scratch_dir.mkdir(parents=True, exist_ok=True)
         self._slot: Optional[BuildSlot] = None
         self._lock = threading.Lock()
 

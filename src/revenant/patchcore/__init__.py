@@ -1,77 +1,45 @@
-"""Patch algebra: parse, render, invert, apply with fuzz, split."""
+"""Patch algebra: parse, render, invert, apply with fuzz, split.
+
+The package exports what the rest of revenant loads through it; every
+other name is imported from its submodule."""
 
 from .model import (
-    ADD,
     CONTEXT,
     REMOVE,
     FilePatch,
-    FunctionBoundaryUnavailable,
     Granularity,
-    Hunk,
-    HunkCountMismatch,
-    HunkLine,
-    HunkRejected,
-    MalformedHeader,
     MODE_CREATED,
-    MODE_DELETED,
-    PatchApplyError,
     PatchError,
     SourcePatch,
-    TruncatedHunk,
     invert,
 )
 from .applier import (
     ApplyReport,
-    CONFLICT_BINARY,
     CONFLICT_EXISTS,
     CONFLICT_MISSING,
-    CONFLICT_REJECTED,
     MAX_FUZZ,
-    REJECT_AMBIGUOUS,
-    REJECT_NO_ANCHOR,
-    StagedPatch,
-    apply_file_patch,
     stage_patch,
 )
-from .diffgen import diff_texts, diff_trees, whole_file_patch
-from .split import locate_functions, split_by_granularity
+from .diffgen import diff_trees
+from .split import split_by_granularity
 from .unidiff import parse_unified_diff, render_unified_diff
 
 __all__ = [
-    "ADD",
     "CONTEXT",
     "REMOVE",
     "ApplyReport",
-    "CONFLICT_BINARY",
     "CONFLICT_EXISTS",
     "CONFLICT_MISSING",
-    "CONFLICT_REJECTED",
     "FilePatch",
-    "FunctionBoundaryUnavailable",
     "Granularity",
-    "Hunk",
-    "HunkCountMismatch",
-    "HunkLine",
-    "HunkRejected",
     "MAX_FUZZ",
-    "MalformedHeader",
     "MODE_CREATED",
-    "MODE_DELETED",
-    "PatchApplyError",
     "PatchError",
-    "REJECT_AMBIGUOUS",
-    "REJECT_NO_ANCHOR",
     "SourcePatch",
-    "StagedPatch",
-    "TruncatedHunk",
-    "apply_file_patch",
-    "diff_texts",
     "diff_trees",
     "invert",
-    "locate_functions",
     "parse_unified_diff",
     "render_unified_diff",
     "split_by_granularity",
     "stage_patch",
-    "whole_file_patch",
 ]

@@ -108,7 +108,7 @@ def _part(fp: FilePatch, hunks: List[Hunk]) -> FilePatch:
 def split_by_granularity(
     patch: SourcePatch,
     granularity: Granularity,
-    read: Optional[Callable[[str], Optional[str]]] = None,
+    read: Callable[[str], Optional[str]],
 ) -> List[FilePatch]:
     """The file patches of `patch`, one per unit at `granularity`, in
     the order they apply.
@@ -132,8 +132,6 @@ def split_by_granularity(
 
     if granularity not in (Granularity.WholeFiles, Granularity.FunctionScope):
         raise ValueError(f"unknown granularity: {granularity!r}")
-    if read is None:
-        raise ValueError(f"{granularity.value} splitting needs the tree's contents")
     out = []
     for fp in patch.files:
         created = fp.mode_change == MODE_CREATED

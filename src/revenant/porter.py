@@ -180,7 +180,7 @@ class BisectResult:
 def find_breaking_commit(
     ids: Sequence[str],
     probe: Callable[[str], str],
-    skip_budget: int = PortPolicy.skip_budget,
+    skip_budget: int,
 ) -> BisectResult:
     """Earliest candidate where `probe` says "bad", by binary search.
 

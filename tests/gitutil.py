@@ -11,7 +11,17 @@ from pathlib import Path
 from typing import Dict, Iterable, Iterator, Optional
 
 from revenant.gitio import MODE_EXEC, MODE_FILE, MODE_LINK, blob_id
-from revenant.oracle import _records_reads
+from revenant.oracle import (
+    SANITIZER_NONE,
+    BuildOutcome,
+    BuildRecipe,
+    OracleVerdict,
+    PocSpec,
+    _records_reads,
+    build,
+    run_env,
+    run_poc,
+)
 
 BASE_EPOCH = 1_500_000_000  # 2017-07-14, arbitrary but fixed
 
@@ -179,3 +189,16 @@ def atimes_recorded() -> bool:
     the oracle's traces need."""
     with tempfile.TemporaryDirectory() as d:
         return _records_reads(Path(d))
+
+
+def build_in_place(workdir: Path, recipe: BuildRecipe) -> BuildOutcome:
+    """`build` of `recipe` in `workdir`, as the oracle builds in a slot
+    whose home is `workdir`."""
+    return build(workdir, recipe, {}, run_env(recipe.env), str(workdir))
+
+
+def run_poc_in_place(artifacts, poc: PocSpec, cwd: Path,
+                     sanitizer: str = SANITIZER_NONE) -> OracleVerdict:
+    """`run_poc` in `cwd`, as the oracle runs a PoC of a recipe without
+    env in a slot whose home is `cwd`."""
+    return run_poc(artifacts, poc, cwd, run_env(()), sanitizer, {}, str(cwd))

@@ -16,6 +16,7 @@ import time
 from pathlib import Path
 
 from genpatch import gen_pair
+from gitutil import run_poc_in_place
 
 from revenant.categorize import categorize_commit, tally
 from revenant.cli import main
@@ -30,14 +31,10 @@ from revenant.oracle import (
     KIND_POC_INCOMPATIBLE,
     KIND_TRIGGERED,
     PocSpec,
-    run_poc,
 )
-from revenant.patchcore import (
-    apply_file_patch,
-    diff_texts,
-    parse_unified_diff,
-    render_unified_diff,
-)
+from revenant.patchcore import parse_unified_diff, render_unified_diff
+from revenant.patchcore.applier import apply_file_patch
+from revenant.patchcore.diffgen import diff_texts
 from revenant.patchcore.model import SourcePatch, invert_file_patch
 from revenant.porter import (
     ABORT_COMPLEXITY,
@@ -131,7 +128,7 @@ def test_criterion_02_bisection_matches_linear_scan(tmp_path):
             calls += 1
             return probe(cid)
 
-        res = find_breaking_commit(fx.commit_ids, counted)
+        res = find_breaking_commit(fx.commit_ids, counted, skip_budget=3)
         oracle = next(cid for cid in fx.commit_ids if probe(cid) == "bad")
         assert res.commit == oracle == fx.flip_id, f"trial {trial} (n={n})"
         bound = math.ceil(math.log2(n)) + 3 + 1
@@ -192,7 +189,7 @@ def test_criterion_04_detector_corpus_classified_exactly(tmp_path):
             f"cat {CORPUS / name}\nexit {exit_code}\n",
         )
         poc = PocSpec(command="{binary} {input}", input_file=str(poc_input))
-        verdict = run_poc([script], poc, cwd=tmp_path)
+        verdict = run_poc_in_place([script], poc, cwd=tmp_path)
         if label is not None:
             assert verdict.kind == KIND_TRIGGERED, name
             assert verdict.detector_class == label, name
@@ -203,7 +200,7 @@ def test_criterion_04_detector_corpus_classified_exactly(tmp_path):
     hang_poc = PocSpec(
         command="{binary} {input}", input_file=str(poc_input), run_timeout=0.5
     )
-    assert run_poc([sleeper], hang_poc, cwd=tmp_path).kind == KIND_HANG
+    assert run_poc_in_place([sleeper], hang_poc, cwd=tmp_path).kind == KIND_HANG
 
     hang_poc = PocSpec(
         command="{binary} {input}",
@@ -211,7 +208,7 @@ def test_criterion_04_detector_corpus_classified_exactly(tmp_path):
         run_timeout=0.5,
         hang_is_trigger=True,
     )
-    verdict = run_poc([sleeper], hang_poc, cwd=tmp_path)
+    verdict = run_poc_in_place([sleeper], hang_poc, cwd=tmp_path)
     assert verdict.kind == KIND_TRIGGERED
     assert verdict.detector_class == HANG_TRIGGER_CLASS
 

@@ -405,6 +405,56 @@ def test_a_space_in_the_workspace_path_changes_no_record(tmp_path, capsys):
     assert records[0] == records[1]
 
 
+OVERFLOW_C = """\
+#include <stdlib.h>
+int main(void) {
+    char *p = malloc(4);
+    p[4] = 1;
+    free(p);
+    return 0;
+}
+"""
+
+
+def _asan_links(tmp_path) -> bool:
+    """Whether `cc -fsanitize=address` compiles and links a program."""
+    if shutil.which("cc") is None:
+        return False
+    (tmp_path / "probe.c").write_text("int main(void) { return 0; }\n")
+    argv = ["cc", "-fsanitize=address", "-o", "probe", "probe.c"]
+    return subprocess.run(argv, cwd=tmp_path, capture_output=True).returncode == 0
+
+
+def test_a_real_sanitizer_report_gives_one_record_in_two_workspaces(tmp_path, capsys):
+    if not _asan_links(tmp_path):
+        pytest.skip("cc -fsanitize=address cannot link")
+    rb = RepoBuilder(tmp_path / "repo")
+    rb.commit({"overflow.c": OVERFLOW_C}, "base")
+    rb.commit({"overflow.c": OVERFLOW_C.replace("p[4]", "p[3]")}, "fix the overflow")
+    rb.commit({"README": "docs\n"}, "docs")
+    (tmp_path / "poc.bin").write_bytes(b"x")
+    records = []
+    for workspace in ("ws1", "ws2"):
+        case = {
+            "cve": CVE, "project": "asan", "repo": str(rb.root),
+            "fix_commits": ["t1"], "target": "t2",
+            "build": {"steps": ["cc -fsanitize=address -g -O0 -o boom overflow.c"],
+                      "artifacts": ["boom"], "sanitizer": "address"},
+            "poc": {"command": "{binary} {input}", "input": "poc.bin",
+                    "expected_detector": "heap-buffer-overflow"},
+            "workspace": str(tmp_path / workspace),
+        }
+        path = tmp_path / f"{workspace}.json"
+        path.write_text(json.dumps(case))
+        assert main(["revive", "--config", str(path)]) == 0
+        assert summary(capsys)["final"] == "Revived"
+        records.append((tmp_path / workspace / CVE / "revival_record.json").read_bytes())
+    assert records[0] == records[1]
+    evidence = json.loads(records[0])["verdict"]["evidence"]
+    assert evidence.startswith("==<pid>==ERROR: AddressSanitizer: heap-buffer-overflow")
+    assert "<slot>/tree/overflow.c:4" in evidence
+
+
 class TestVerdictStore:
     def test_identical_rerun_builds_nothing(self, tmp_path, fixture, capsys):
         case = write_case(tmp_path, fixture)

@@ -2,10 +2,14 @@
 private top-level name in `src/` goes unread, and nothing public in `src/`
 is kept for tests alone.
 
-A package's `__init__.py` re-exports names, `from __future__` imports
-change the compiler, and a line marked `# noqa: F401` keeps a name on
-purpose; none of these is checked for use, so such a mark in `src/` may
-sit only on an import of one name.  A private name (`_name`, not
+A name that a package's `__init__.py` in `src/` re-exports must be loaded
+through the package by a module in `src/` or `bench/` outside it: by
+`from revenant.<pkg> import name`, `from .<pkg> import name` or as
+`<pkg>.name`; a name in a string, such as a span label, is no load.
+Tests import every other name from its submodule.  `from __future__`
+imports change the compiler, and a line marked `# noqa: F401` keeps a
+name on purpose; neither is checked for use, so such a mark in `src/`
+may sit only on an import of one name.  A private name (`_name`, not
 a dunder such as `__all__`) defined at the top of a module in `src/` is
 read when some other top-level statement of a module in `src/` or
 `tests/` loads it, as a name or as an attribute.  A public top-level name
@@ -120,6 +124,46 @@ def unread_public_names(sources: dict, readers: dict) -> list:
     return sorted(found)
 
 
+def _dotted(node: ast.AST) -> str:
+    """`a.b.c` for a chain of names and attributes, else ''."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return f"{base}.{node.attr}" if base else ""
+    return ""
+
+
+def unread_reexports(sources: dict) -> list:
+    """`path: name` for each name that a package's `__init__.py` among
+    `sources` (path under its import root -> source) imports, and that no
+    module of `sources` outside the package loads through the package:
+    from an import of the package, or as an attribute of its name."""
+    through = set()  # (reader path, module, name)
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    for path, tree in trees.items():
+        package = path.split("/")[:-1]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                base = package[:len(package) - node.level + 1] if node.level else []
+                module = ".".join(base + ([node.module] if node.module else []))
+                through |= {(path, module, alias.name) for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                through.add((path, _dotted(node.value), node.attr))
+    found = []
+    for path, tree in trees.items():
+        if not path.endswith("/__init__.py"):
+            continue
+        inside = path[: -len("__init__.py")]
+        names = {inside[:-1].replace("/", "."), inside[:-1].rsplit("/", 1)[-1]}
+        exported = [_bound(alias) for stmt in tree.body if isinstance(stmt, ast.ImportFrom)
+                    and stmt.module != "__future__" for alias in stmt.names]
+        found += [f"{path}: {name}" for name in exported
+                  if not any(module in names and read == name and not by.startswith(inside)
+                             for by, module, read in through)]
+    return sorted(found)
+
+
 def unused_imports(source: str) -> list:
     """`line: name` for each top-level import of `source` that it never
     uses."""
@@ -189,6 +233,15 @@ def test_every_public_name_in_src_has_a_reader():
     assert unread_public_names(sources["src"], {**sources["bench"], **forge}) == []
 
 
+def test_every_reexport_in_src_is_loaded_through_its_package():
+    sources = {str(path.relative_to(ROOT / "src")): path.read_text("utf-8")
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert "revenant/patchcore/__init__.py" in sources
+    sources.update({str(path.relative_to(ROOT)): path.read_text("utf-8")
+                    for path in sorted((ROOT / "bench").rglob("*.py"))})
+    assert unread_reexports(sources) == []
+
+
 def test_the_check_sees_a_dead_helper():
     sources = {
         "a.py": (
@@ -241,6 +294,17 @@ def test_the_check_sees_an_unread_public_name():
     assert unread_public_names(sources, readers) == [
         "a.py: Report.count", "a.py: WIDTH", "a.py: walk",
     ]
+
+
+def test_the_check_sees_an_unread_reexport():
+    sources = {
+        "pkg/__init__.py": "from .a import A, B, C, D\nfrom .b import E as F\n",
+        "pkg/a.py": "A = B = C = D = 1\n",
+        "pkg/b.py": "from . import F\nfrom pkg import D\nE = F\n",
+        "app.py": "from pkg import A\nimport pkg\nprint(pkg.B)\n",
+        "lib/mod.py": "from ..pkg import C\nfrom pkg.a import D\nLABEL = 'pkg.D'\n",
+    }
+    assert unread_reexports(sources) == ["pkg/__init__.py: D", "pkg/__init__.py: F"]
 
 
 def test_the_check_sees_an_unused_import():

@@ -31,19 +31,25 @@ from revenant.oracle import (
     Oracle,
     OracleVerdict,
     PocSpec,
-    build,
     build_identity,
     classify_detector_output,
     compiler_version,
     looks_like_usage_error,
     read_input,
     run_env,
-    run_poc,
     tree_hash,
     verdict_group,
 )
 
-from gitutil import DiskTree, RepoBuilder, atimes_recorded, no_child_left, snapshot
+from gitutil import (
+    DiskTree,
+    RepoBuilder,
+    atimes_recorded,
+    build_in_place,
+    no_child_left,
+    run_poc_in_place,
+    snapshot,
+)
 
 CORPUS = Path(__file__).parent / "data" / "detector_corpus"
 
@@ -57,12 +63,36 @@ def corpus_cases():
 def test_corpus_classification(name, label):
     text = (CORPUS / name).read_text()
     hit = classify_detector_output(text)
+    # the oracle classifies canonical evidence: it must read alike
+    canonical = classify_detector_output(oracle_mod._canonical(text, "/nowhere"))
     if label is None:
-        assert hit is None
+        assert hit is None and canonical is None
     else:
         assert hit is not None
         assert hit.weakness_class == label
         assert hit.excerpt
+        assert (canonical.weakness_class, canonical.excerpt) == (
+            label, oracle_mod._canonical(hit.excerpt, "/nowhere"))
+
+
+def test_evidence_holds_no_pid_address_or_slot():
+    home = "/tmp/a b/oracle-1x"
+    raw = (
+        "==6331==ERROR: AddressSanitizer: heap-buffer-overflow on address 0x602000000014"
+        " at pc 0x55d1861461d8 bp 0x7ffcaca82350 sp 0x7ffcaca82348\n"
+        f"    #0 0x55d1861461d7 in main {home}/tree/o.c:5\n"
+        "    #1 0x7ff280245249  (/lib/x86_64-linux-gnu/libc.so.6+0x27249)\n"
+        f"cat: '{home}/poc/po c.bin': No such file or directory\n"
+        f"'{home}' and '{home}/x'\n"
+    )
+    assert oracle_mod._canonical(raw, home) == (
+        "==<pid>==ERROR: AddressSanitizer: heap-buffer-overflow on address 0x<addr>"
+        " at pc 0x<addr> bp 0x<addr> sp 0x<addr>\n"
+        "    #0 0x<addr> in main <slot>/tree/o.c:5\n"
+        "    #1 0x<addr>  (/lib/x86_64-linux-gnu/libc.so.6+0x27249)\n"
+        "cat: <slot>/poc/po c.bin: No such file or directory\n"
+        "<slot> and <slot>/x\n"
+    )
 
 
 def test_asan_excerpt_is_bounded():
@@ -98,7 +128,7 @@ class TestRunPoc:
         report = (CORPUS / "asan_heap_buffer_overflow.txt").read_text()
         bin_path = _script(tmp_path, "t", f"cat <<'EOF'\n{report}EOF\nexit 1\n")
         poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path))
-        v = run_poc([bin_path], poc, cwd=tmp_path)
+        v = run_poc_in_place([bin_path], poc, cwd=tmp_path)
         assert v.kind == KIND_TRIGGERED
         assert v.detector_class == "heap-buffer-overflow"
         assert "ERROR: AddressSanitizer" in v.evidence
@@ -111,34 +141,34 @@ class TestRunPoc:
             input_file=_poc_file(tmp_path),
             expected_detector="heap-buffer-overflow",
         )
-        v = run_poc([bin_path], poc, cwd=tmp_path)
+        v = run_poc_in_place([bin_path], poc, cwd=tmp_path)
         assert v.kind == KIND_NOT_TRIGGERED
         assert v.detector_class == "SEGV"  # recorded even though it did not count
 
     def test_clean_exit(self, tmp_path):
         bin_path = _script(tmp_path, "t", "echo done\nexit 0\n")
         poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path))
-        v = run_poc([bin_path], poc, cwd=tmp_path)
+        v = run_poc_in_place([bin_path], poc, cwd=tmp_path)
         assert v.kind == KIND_NOT_TRIGGERED
 
     def test_usage_text_means_incompatible(self, tmp_path):
         bin_path = _script(tmp_path, "t", "echo 'usage: t FILE' >&2\nexit 1\n")
         poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path))
-        v = run_poc([bin_path], poc, cwd=tmp_path)
+        v = run_poc_in_place([bin_path], poc, cwd=tmp_path)
         assert v.kind == KIND_POC_INCOMPATIBLE
 
     def test_a_silent_usage_exit_code_is_not_triggered(self, tmp_path):
         # only usage text means incompatible: no exit code or exit time does
         bin_path = _script(tmp_path, "t", "exit 64\n")
         poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path))
-        v = run_poc([bin_path], poc, cwd=tmp_path)
+        v = run_poc_in_place([bin_path], poc, cwd=tmp_path)
         assert (v.kind, v.storable) == (KIND_NOT_TRIGGERED, True)
 
     def test_slow_exit_2_is_not_incompatible(self, tmp_path):
         # without usage text an exit code 2 is NotTriggered, early or late
         bin_path = _script(tmp_path, "t", "sleep 0.3\nexit 2\n")
         poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path))
-        v = run_poc([bin_path], poc, cwd=tmp_path)
+        v = run_poc_in_place([bin_path], poc, cwd=tmp_path)
         assert v.kind == KIND_NOT_TRIGGERED
 
     def test_hang(self, tmp_path):
@@ -146,7 +176,7 @@ class TestRunPoc:
         poc = PocSpec(
             command="{binary} {input}", input_file=_poc_file(tmp_path), run_timeout=0.5
         )
-        v = run_poc([bin_path], poc, cwd=tmp_path)
+        v = run_poc_in_place([bin_path], poc, cwd=tmp_path)
         assert v.kind == KIND_HANG
 
     def test_hang_as_trigger(self, tmp_path):
@@ -157,20 +187,20 @@ class TestRunPoc:
             run_timeout=0.5,
             hang_is_trigger=True,
         )
-        v = run_poc([bin_path], poc, cwd=tmp_path)
+        v = run_poc_in_place([bin_path], poc, cwd=tmp_path)
         assert v.kind == KIND_TRIGGERED
         assert v.detector_class == HANG_TRIGGER_CLASS
 
     def test_missing_binary(self, tmp_path):
         poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path))
-        v = run_poc([str(tmp_path / "nope")], poc, cwd=tmp_path)
+        v = run_poc_in_place([str(tmp_path / "nope")], poc, cwd=tmp_path)
         assert v.kind == KIND_POC_INCOMPATIBLE
 
     def test_spawn_failure(self, tmp_path):
         p = tmp_path / "noexec"
         p.write_text("not a program")  # exists but lacks the exec bit
         poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path))
-        v = run_poc([str(p)], poc, cwd=tmp_path)
+        v = run_poc_in_place([str(p)], poc, cwd=tmp_path)
         assert v.kind == KIND_SANDBOX_FAILURE
 
 
@@ -180,26 +210,26 @@ class TestBuild:
             '#include <stdio.h>\nint main(void){puts("hi");return 0;}\n'
         )
         recipe = BuildRecipe.make(["cc -O0 -o hello hello.c"], ["hello"])
-        out = build(tmp_path, recipe)
+        out = build_in_place(tmp_path, recipe)
         assert out.ok
         assert out.artifacts == [str(tmp_path / "hello")]
 
     def test_failing_step(self, tmp_path):
         (tmp_path / "bad.c").write_text("int main(void){return\n")
         recipe = BuildRecipe.make(["cc -O0 -o bad bad.c"], ["bad"])
-        out = build(tmp_path, recipe)
+        out = build_in_place(tmp_path, recipe)
         assert not out.ok
         assert "exit" in out.log_excerpt
 
     def test_missing_artifact(self, tmp_path):
         recipe = BuildRecipe.make(["true"], ["made_up_binary"])
-        out = build(tmp_path, recipe)
+        out = build_in_place(tmp_path, recipe)
         assert not out.ok
         assert "MISSING ARTIFACT" in out.log_excerpt
 
     def test_budget_enforced(self, tmp_path):
         recipe = BuildRecipe.make(["sleep 30"], [], timeout=1)
-        out = build(tmp_path, recipe)
+        out = build_in_place(tmp_path, recipe)
         assert not out.ok
         assert "TIMEOUT" in out.log_excerpt
 
@@ -227,11 +257,11 @@ class TestLaunches:
     @needs_proc
     def test_a_build_step_and_a_poc_run_under_the_limits(self, tmp_path):
         recipe = BuildRecipe.make(["cat /proc/self/limits > limits.txt"], ["limits.txt"])
-        assert build(tmp_path, recipe).ok
+        assert build_in_place(tmp_path, recipe).ok
         assert _limits((tmp_path / "limits.txt").read_text()) == LIMITS
         tool = _script(tmp_path, "t", "grep -E '^Max (core )?file size' /proc/self/limits\n")
         poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path))
-        v = run_poc([tool], poc, cwd=tmp_path)
+        v = run_poc_in_place([tool], poc, cwd=tmp_path)
         assert v.kind == KIND_NOT_TRIGGERED
         assert _limits(v.evidence) == LIMITS
 
@@ -277,7 +307,7 @@ class TestLaunches:
     def test_a_program_that_exits_126_or_127_keeps_its_verdict(self, tmp_path, code):
         tool = _script(tmp_path, "t", f"echo consumed the input\nexit {code}\n")
         poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path))
-        v = run_poc([tool], poc, cwd=tmp_path)
+        v = run_poc_in_place([tool], poc, cwd=tmp_path)
         assert (v.kind, v.storable) == (KIND_NOT_TRIGGERED, True)
         assert v.evidence == "consumed the input\n"
 
@@ -286,7 +316,7 @@ class TestLaunches:
         tool.write_text("echo no shebang\n")
         tool.chmod(0o755)
         poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path))
-        v = run_poc([str(tool)], poc, cwd=tmp_path)
+        v = run_poc_in_place([str(tool)], poc, cwd=tmp_path)
         assert (v.kind, v.evidence) == (KIND_NOT_TRIGGERED, "no shebang\n")
 
     @pytest.mark.skipif(shutil.which("setsid") is None, reason="setsid not installed")
@@ -379,7 +409,7 @@ class TestOracle:
         short_input = tmp_path / "short.bin"
         short_input.write_bytes(b"xy")
         poc = PocSpec(command="{binary} {input}", input_file=str(short_input))
-        oracle = Oracle(tmp_path / "store")
+        oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
         v = oracle.verdict(DiskTree(tree), DEMO_RECIPE, poc)
         assert v.kind == KIND_NOT_TRIGGERED
 
@@ -389,7 +419,7 @@ class TestOracle:
         long_input = tmp_path / "long.bin"
         long_input.write_bytes(b"x" * 8)
         poc = PocSpec(command="{binary} {input}", input_file=str(long_input))
-        Oracle(tmp_path / "store").verdict(DiskTree(tree), DEMO_RECIPE, poc)
+        Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch").verdict(DiskTree(tree), DEMO_RECIPE, poc)
         assert tree_hash(DiskTree(tree)) == before
         assert not (tree / "demo").exists()
 
@@ -398,7 +428,7 @@ class TestOracle:
         tree.mkdir()
         (tree / "demo.c").write_text("int main(void){return\n")
         poc = PocSpec(command="{binary} {input}", input_file=str(tmp_path / "x"))
-        v = Oracle(tmp_path / "store").verdict(DiskTree(tree), DEMO_RECIPE, poc)
+        v = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch").verdict(DiskTree(tree), DEMO_RECIPE, poc)
         assert v.kind == KIND_BUILD_FAILED
 
     def test_verdict_serialization_excludes_wall_time(self):
@@ -558,7 +588,7 @@ class TestVerdictStore:
         bindir = tmp_path / "bin"
         bindir.mkdir()
         runs = tmp_path / "runs"
-        shim = Path(_script(bindir, "cc", f'echo "shim cc 1.0"; echo run >> {runs}\n'))
+        shim = Path(_script(bindir, "cc", f'echo "shim cc 1.0"; echo run >> {shlex.quote(str(runs))}\n'))
         monkeypatch.setenv("PATH", f"{bindir}{os.pathsep}{os.environ['PATH']}")
         monkeypatch.delenv("CC", raising=False)
         before = _demo_group(poc)
@@ -684,8 +714,9 @@ class TestVerdictStore:
         runs = BuildRecipe.make(["cp tool.sh tool"], ["tool"])
         fails = BuildRecipe.make(["pwd; exit 1"], ["tool"])
         seen = []
-        # scratch dirs of other lengths, and inputs in other dirs
-        for side in ("a", "longer-b"):
+        # scratch dirs of other lengths, and inputs in other dirs; GNU cat
+        # quotes a missing path that holds a space
+        for side in ("a", "longer-b", "with space"):
             (tmp_path / side / "in").mkdir(parents=True)
             poc_input = tmp_path / side / "in" / "poc.bin"
             poc_input.write_bytes(b"payload\n")
@@ -696,7 +727,7 @@ class TestVerdictStore:
             poc_input.unlink()
             verdicts.append(oracle.verdict(view, runs, poc))
             seen.append([v.to_dict() for v in verdicts])
-        assert seen[0] == seen[1]
+        assert seen[0] == seen[1] == seen[2]
         ran, failed, missing = (d["evidence"] for d in seen[0])
         assert ran == "<slot>/tree/tool <slot>/poc/poc.bin\npayload\n"
         assert "\n<slot>/tree\n" in failed
@@ -759,6 +790,16 @@ def _shell_tree(root: Path, build_sh: str, **extra) -> Path:
     files = {"build.sh": build_sh, "crash.sh": CRASH_SH, "clean.sh": CLEAN_SH}
     files.update(extra)
     return _tree_of(root, files)
+
+
+class SlowTree(DiskTree):
+    """A directory view whose `blobs` pauses before each file, as a slow
+    disk or git may: the files of one sync straddle clock ticks."""
+
+    def blobs(self, entries):
+        for item in super().blobs(entries):
+            time.sleep(0.02)
+            yield item
 
 
 class TestBuildSlot:
@@ -902,6 +943,25 @@ class TestBuildSlot:
         assert oracle.verdict(DiskTree(other), SHELL_RECIPE, poc).kind == KIND_NOT_TRIGGERED
         oracle.close()
         assert not list((tmp_path / "scratch").iterdir())
+
+    def test_a_fresh_slot_gives_every_tracked_file_one_mtime(self, tmp_path):
+        tree = SlowTree(_shell_tree(tmp_path / "tree", "cp crash.sh tool\n",
+                                    **{"src/x.c": "int x;\n", "link": ("link", "clean.sh")}))
+        (tmp_path / "scratch").mkdir()
+        slot = BuildSlot(tmp_path / "scratch")
+        slot.sync(tree, SHELL_RECIPE, build_identity(SHELL_RECIPE, run_env(SHELL_RECIPE.env)))
+        stats = [os.lstat(slot.root / rel) for rel, _, _ in tree.entries()]
+        assert len(stats) == 5
+        assert len({st.st_mtime_ns for st in stats}) == 1
+        assert {st.st_atime_ns for st in stats} == {0}
+        slot.close()
+
+    def test_a_step_that_orders_two_tracked_files_by_mtime_builds(self, tmp_path):
+        # stands in for a `gen.c: gen.y` make rule whose generator is missing
+        build_sh = "[ gen.y -nt gen.c ] && exit 1\ncp crash.sh tool\n"
+        tree = _shell_tree(tmp_path / "tree", build_sh, **{"gen.c": "int x;\n", "gen.y": "%%\n"})
+        v = self._oracle(tmp_path).verdict(SlowTree(tree), SHELL_RECIPE, self._poc(tmp_path))
+        assert v.kind == KIND_TRIGGERED
 
     def test_two_threads_share_one_oracle(self, tmp_path):
         # a slow build, so that the callers overlap
@@ -1088,7 +1148,7 @@ class TestCommitTree:
             self._edit(wt)
             assert tree_hash(view) == tree_hash(DiskTree(wt.path))
             want = snapshot(wt.path)
-            identity = build_identity(SHELL_RECIPE, run_env())
+            identity = build_identity(SHELL_RECIPE, run_env(SHELL_RECIPE.env))
             for source in (view, DiskTree(wt.path)):
                 slot = BuildSlot(tmp_path / "slots")
                 slot.sync(source, SHELL_RECIPE, identity)
@@ -1193,10 +1253,10 @@ def test_real_address_sanitizer(tmp_path):
         ["boom"],
         sanitizer=SANITIZER_ASAN,
     )
-    out = build(tmp_path, recipe)
+    out = build_in_place(tmp_path, recipe)
     assert out.ok
     poc = PocSpec(command="{binary}", input_file="")
-    v = run_poc(out.artifacts, poc, cwd=tmp_path, sanitizer=SANITIZER_ASAN)
+    v = run_poc_in_place(out.artifacts, poc, cwd=tmp_path, sanitizer=SANITIZER_ASAN)
     assert v.kind == KIND_TRIGGERED
     assert v.detector_class == "heap-buffer-overflow"
 
@@ -1240,7 +1300,7 @@ class TestPocEnvironment:
 
     def test_recipe_asan_options_win_over_the_pin(self, monkeypatch):
         monkeypatch.setenv("ASAN_OPTIONS", "log_path=/dev/null")
-        assert run_env()["ASAN_OPTIONS"] == "log_path=stderr:abort_on_error=0"
+        assert run_env(())["ASAN_OPTIONS"] == "log_path=stderr:abort_on_error=0"
         mine = (("ASAN_OPTIONS", "detect_leaks=0"),)
         assert run_env(mine)["ASAN_OPTIONS"] == "detect_leaks=0"
 
@@ -1268,7 +1328,7 @@ class TestPocEnvironment:
         monkeypatch.setenv("REVENANT_TEST_UNRELATED", "1")
         monkeypatch.setenv("TZ", "Europe/Paris")
         recipe = BuildRecipe.make(["env > seen.txt"], ["seen.txt"], env={"MINE": "2"})
-        assert build(tmp_path, recipe).ok
+        assert build_in_place(tmp_path, recipe).ok
         seen = (tmp_path / "seen.txt").read_text().splitlines()
         assert not [line for line in seen if line.startswith("REVENANT_TEST_UNRELATED=")]
         assert {"LC_ALL=C", "TZ=UTC", "MINE=2"} <= set(seen)
@@ -1282,9 +1342,9 @@ def test_real_valgrind(tmp_path):
     recipe = BuildRecipe.make(
         ["cc -g -O0 -o boom overflow.c"], ["boom"], sanitizer=SANITIZER_VALGRIND
     )
-    out = build(tmp_path, recipe)
+    out = build_in_place(tmp_path, recipe)
     assert out.ok
     poc = PocSpec(command="{binary}", input_file="", run_timeout=120)
-    v = run_poc(out.artifacts, poc, cwd=tmp_path, sanitizer=SANITIZER_VALGRIND)
+    v = run_poc_in_place(out.artifacts, poc, cwd=tmp_path, sanitizer=SANITIZER_VALGRIND)
     assert v.kind == KIND_TRIGGERED
     assert v.detector_class == "invalid-write"

@@ -11,25 +11,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from revenant.patchcore import (
-    CONFLICT_BINARY,
     CONFLICT_EXISTS,
     CONFLICT_MISSING,
-    CONFLICT_REJECTED,
     MODE_CREATED,
-    MODE_DELETED,
-    REJECT_AMBIGUOUS,
-    REJECT_NO_ANCHOR,
-    HunkRejected,
-    PatchApplyError,
     SourcePatch,
-    apply_file_patch,
-    diff_texts,
     invert,
     parse_unified_diff,
     render_unified_diff,
     stage_patch,
-    whole_file_patch,
 )
+from revenant.patchcore.applier import (
+    CONFLICT_BINARY,
+    CONFLICT_REJECTED,
+    REJECT_AMBIGUOUS,
+    REJECT_NO_ANCHOR,
+    apply_file_patch,
+)
+from revenant.patchcore.diffgen import diff_texts, whole_file_patch
+from revenant.patchcore.model import MODE_DELETED, HunkRejected, PatchApplyError
 from genpatch import gen_pair
 
 OLD = "one\ntwo\nthree\nfour\nfive\nsix\nseven\neight\nnine\nten\n"

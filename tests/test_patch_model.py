@@ -8,19 +8,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from revenant.patchcore import (
-    ADD,
     REMOVE,
     FilePatch,
+    SourcePatch,
+    invert,
+    parse_unified_diff,
+    render_unified_diff,
+)
+from revenant.patchcore.diffgen import diff_texts
+from revenant.patchcore.model import (
+    ADD,
     Hunk,
     HunkCountMismatch,
     HunkLine,
     MalformedHeader,
-    SourcePatch,
     TruncatedHunk,
-    diff_texts,
-    invert,
-    parse_unified_diff,
-    render_unified_diff,
 )
 from genpatch import gen_pair
 

@@ -9,13 +9,14 @@ import pytest
 from revenant.patchcore import (
     Granularity,
     SourcePatch,
-    apply_file_patch,
-    diff_texts,
-    locate_functions,
     parse_unified_diff,
     split_by_granularity,
     stage_patch,
 )
+from revenant.patchcore.applier import apply_file_patch
+from revenant.patchcore.diffgen import diff_texts
+from revenant.patchcore.model import FunctionBoundaryUnavailable
+from revenant.patchcore.split import locate_functions
 
 C_FILE = """\
 #include <stdio.h>
@@ -47,9 +48,6 @@ def test_locate_functions_finds_both():
 
 
 def test_locator_raises_on_flat_text():
-    import pytest
-    from revenant.patchcore import FunctionBoundaryUnavailable
-
     with pytest.raises(FunctionBoundaryUnavailable):
         locate_functions("just\nsome\nlines\n")
 
@@ -70,7 +68,7 @@ def _edit_c_file():
 def test_chunk_scope_parts_apply_sequentially():
     new = _edit_c_file()
     patch = SourcePatch([diff_texts(C_FILE, new, "m.c")])
-    parts = split_by_granularity(patch, Granularity.ChunkScope)
+    parts = split_by_granularity(patch, Granularity.ChunkScope, read=lambda p: None)
     assert len(parts) == 2
     for part in parts:
         assert len(part.hunks) == 1
@@ -83,7 +81,7 @@ def test_patch_hunks_partitions_by_file(tmp_path):
     patch = SourcePatch(
         [diff_texts(old_a, new_a, "a.txt"), diff_texts(old_b, new_b, "b.txt")]
     )
-    parts = split_by_granularity(patch, Granularity.PatchHunks)
+    parts = split_by_granularity(patch, Granularity.PatchHunks, read=lambda p: None)
     assert [p.path for p in parts] == ["a.txt", "b.txt"]
     got_a, _ = apply_file_patch(old_a, parts[0])
     got_b, _ = apply_file_patch(old_b, parts[1])
@@ -169,5 +167,5 @@ def test_split_concatenation_equivalence_randomized():
         if not fp.hunks:
             continue
         patch = SourcePatch([fp])
-        parts = split_by_granularity(patch, Granularity.ChunkScope)
+        parts = split_by_granularity(patch, Granularity.ChunkScope, read=lambda p: None)
         assert _apply_parts(old, parts) == new

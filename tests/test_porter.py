@@ -41,7 +41,8 @@ from revenant.oracle import (
     run_env,
     tree_hash,
 )
-from revenant.patchcore import Granularity, apply_file_patch, render_unified_diff
+from revenant.patchcore import Granularity, render_unified_diff
+from revenant.patchcore.applier import apply_file_patch
 from revenant.porter import (
     ABORT_COMPLEXITY,
     ABORT_TOO_MANY_CHUNKS,
@@ -102,7 +103,7 @@ class TestBisect:
     def test_exact_flip_all_positions(self, n):
         ids = [str(i) for i in range(n)]
         for flip in range(n):
-            res = find_breaking_commit(ids, self.probe_fn(flip))
+            res = find_breaking_commit(ids, self.probe_fn(flip), skip_budget=3)
             assert res.commit == str(flip)
             assert res.calls <= call_bound(n)
 
@@ -113,22 +114,22 @@ class TestBisect:
             calls.append(cid)
             return PROBE_BAD
 
-        res = find_breaking_commit(["7"], probe)
+        res = find_breaking_commit(["7"], probe, skip_budget=3)
         assert res.commit == "7"
         assert len(calls) == 1
 
     def test_no_flip_raises(self):
         ids = [str(i) for i in range(9)]
         with pytest.raises(PreconditionViolated):
-            find_breaking_commit(ids, lambda c: PROBE_GOOD)
+            find_breaking_commit(ids, lambda c: PROBE_GOOD, skip_budget=3)
 
     def test_empty_range_raises(self):
         with pytest.raises(PreconditionViolated):
-            find_breaking_commit([], lambda c: PROBE_BAD)
+            find_breaking_commit([], lambda c: PROBE_BAD, skip_budget=3)
 
     def test_skipped_flip_returns_next_probeable(self):
         ids = [str(i) for i in range(16)]
-        res = find_breaking_commit(ids, self.probe_fn(flip=6, skip={6, 7}))
+        res = find_breaking_commit(ids, self.probe_fn(flip=6, skip={6, 7}), skip_budget=3)
         assert res.commit == "8"
         assert set(res.skipped) <= {"6", "7"}
 
@@ -151,9 +152,9 @@ class TestBisect:
             probe = self.probe_fn(flip, skip)
             if expect is None:
                 with pytest.raises(PreconditionViolated):
-                    find_breaking_commit(ids, probe)
+                    find_breaking_commit(ids, probe, skip_budget=3)
                 continue
-            res = find_breaking_commit(ids, probe)
+            res = find_breaking_commit(ids, probe, skip_budget=3)
             assert res.commit == str(expect)
             assert res.calls <= call_bound(n)
 
@@ -507,7 +508,7 @@ class RecordingOracle(Oracle):
     """Answers Triggered without building, and keeps each tree's paths."""
 
     def __init__(self, store_dir):
-        super().__init__(store_dir)
+        super().__init__(store_dir, scratch_dir=store_dir.parent / "oracle")
         self.trees = []
 
     def verdict(self, tree, recipe, poc):
