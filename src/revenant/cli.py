@@ -22,6 +22,9 @@ from . import __version__
 from .categorize import categorize_commit, tally
 from .config import CaseConfig, ConfigError, default_workspace, load_case
 from .curation import (
+    FORMAT_EXIT_CODE,
+    FORMAT_PASS_FAIL,
+    FORMAT_TAP,
     POLICY_LATEST_FIRST,
     POLICY_MAX_SUBSET,
     SuiteCrashed,
@@ -82,10 +85,10 @@ def _load_cfg(path: str, args) -> CaseConfig:
     return load_case(path, getattr(args, "defaults", None), overrides)
 
 
-def _workspace(args, cfg: Optional[CaseConfig] = None) -> Path:
+def _workspace(args, cfg: CaseConfig) -> Path:
     """`--workspace`, else the config's, else the default; absolute, so a
     build slot under it stays reachable from a build's working directory."""
-    workspace = getattr(args, "workspace", None) or (cfg and cfg.workspace)
+    workspace = getattr(args, "workspace", None) or cfg.workspace
     return Path(workspace or default_workspace()).resolve()
 
 
@@ -227,13 +230,15 @@ def _revive_one(path: str, args) -> Tuple[str, int]:
 
 
 def cmd_revive(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     paths = args.config
     if len(paths) == 1:
         line, code = _revive_one(paths[0], args)
         print(line)
         return code
     codes = []
-    with ThreadPoolExecutor(max_workers=max(args.jobs, 1)) as pool:
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         for line, code in pool.map(lambda p: _run_guarded(_revive_one, p, args), paths):
             print(line)
             codes.append(code)
@@ -489,8 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--suite", metavar="CMD", help="project test suite command")
     sub.add_argument("--suite-cwd", metavar="DIR", help="directory to run the suite in")
     sub.add_argument(
-        "--suite-format", choices=["exit-code", "tap", "pass-fail"],
-        default="exit-code", help="how to parse suite results",
+        "--suite-format", choices=[FORMAT_EXIT_CODE, FORMAT_TAP, FORMAT_PASS_FAIL],
+        default=FORMAT_EXIT_CODE, help="how to parse suite results",
     )
     sub.add_argument("--allowlist", metavar="FILE", help="allowlisted failing tests with justifications")
     sub.set_defaults(func=cmd_manifest)

@@ -93,16 +93,14 @@ def _bool(section: dict, key: str, where: str, default: bool) -> bool:
 def _section(data: dict, name: str, cls, where: str):
     """The `cls` dataclass (`Limits` or `PortPolicy`) read from the object
     at `name`, whose keys are its field names.  An omitted key keeps the
-    field's default; a given one is checked by the default's type: bool,
+    field's default; a given one is checked by the default's type:
     `Granularity` (by value) or a non-negative int."""
     raw = data.get(name, {})
     where = f"{where}: {name}"
     _check_keys(raw, {f.name for f in fields(cls)}, where)
     values = {}
     for key, default in ((f.name, f.default) for f in fields(cls)):
-        if isinstance(default, bool):
-            values[key] = _bool(raw, key, where, default)
-        elif isinstance(default, Granularity):
+        if isinstance(default, Granularity):
             try:
                 values[key] = Granularity(raw.get(key, default.value))
             except ValueError:
@@ -221,29 +219,27 @@ def parse_case(data: dict, base_dir: Path, source: str) -> CaseConfig:
     )
 
 
-def load_case(path, defaults_path=None, overrides=None) -> CaseConfig:
-    """Load a case file, layered over an optional project defaults file,
-    with `overrides` (section name -> key -> value) layered over both."""
-    case_path = Path(path)
+def _read_object(path: Path) -> dict:
+    """The JSON object in the file at `path`."""
     try:
-        data = json.loads(case_path.read_text("utf-8"))
+        data = json.loads(path.read_text("utf-8"))
     except OSError as exc:
-        raise ConfigError(f"cannot read {case_path}: {exc}") from exc
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{case_path}: not valid JSON: {exc}") from exc
-    _expect(isinstance(data, dict), f"{case_path}: top level must be an object")
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    _expect(isinstance(data, dict), f"{path}: top level must be an object")
+    return data
 
+
+def load_case(path, defaults_path, overrides) -> CaseConfig:
+    """Load a case file, layered over the project defaults file at
+    `defaults_path` unless that is None, with `overrides` (section name ->
+    key -> value) layered over both."""
+    case_path = Path(path)
+    data = _read_object(case_path)
     if defaults_path is not None:
-        defaults_file = Path(defaults_path)
-        try:
-            defaults = json.loads(defaults_file.read_text("utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read {defaults_file}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{defaults_file}: not valid JSON: {exc}") from exc
-        _expect(isinstance(defaults, dict), f"{defaults_file}: top level must be an object")
-        data = merge_defaults(data, defaults)
-    for name, values in (overrides or {}).items():
+        data = merge_defaults(data, _read_object(Path(defaults_path)))
+    for name, values in overrides.items():
         _expect(isinstance(data.get(name, {}), dict), f"{case_path}: {name}: expected an object")
         data = {**data, name: {**data.get(name, {}), **values}}
 

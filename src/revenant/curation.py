@@ -29,12 +29,9 @@ FORMAT_EXIT_CODE = "exit-code"
 FORMAT_TAP = "tap"
 FORMAT_PASS_FAIL = "pass-fail"
 
-# Records transcribed from external campaigns may carry this final instead
-# of the porter's own FINAL_REVIVED; both qualify for inclusion.
-FINAL_TRIVIALLY_REVIVED = "TriviallyRevived"
-_REVIVED_FINALS = frozenset({FINAL_REVIVED, FINAL_TRIVIALLY_REVIVED})
-
 MAX_GRAPH_NODES = 64
+
+SUITE_TIMEOUT = 1200.0  # seconds a project's test suite may run
 
 
 class CurationError(Exception):
@@ -59,11 +56,10 @@ def cve_sort_key(cve: str) -> Tuple[int, int]:
     return int(m.group(1)), int(m.group(2))
 
 
-def rule_complexity(record: RevivalRecord, limits: Optional[Limits] = None) -> Optional[str]:
+def rule_complexity(record: RevivalRecord, limits: Limits) -> Optional[str]:
     """Why a record that never revived or needed too deep a revert stack
     is excluded; None for a record the rule keeps."""
-    limits = limits or Limits()
-    if record.final not in _REVIVED_FINALS:
+    if record.final != FINAL_REVIVED:
         return f"aborted: {record.abort_reason or record.final}"
     depth = len(record.revert_stack)
     if depth > limits.max_reverted_commits:
@@ -157,7 +153,7 @@ def _max_independent_set(order: List[str], conflicts: Dict[Tuple[str, str], str]
 def select_compatible(
     records: Sequence[RevivalRecord],
     conflicts: Dict[Tuple[str, str], str],
-    policy: str = POLICY_LATEST_FIRST,
+    policy: str,
 ) -> Tuple[List[str], List[Tuple[str, str, str]]]:
     """Pick a subset of the records' CVEs that holds no pair of `conflicts`.
 
@@ -243,26 +239,28 @@ def parse_allowlist(text: str) -> Dict[str, str]:
 
 
 def rule_functionality(
-    suite_cmd,
+    suite_cmd: str,
     cwd,
-    result_format: str = FORMAT_EXIT_CODE,
-    allowlist: Iterable[str] = (),
-    timeout: float = 1200.0,
+    result_format: str,
+    allowlist: Iterable[str],
 ) -> FunctionalityVerdict:
-    """Run the project's own test suite and judge the ported tree by it."""
-    shell = isinstance(suite_cmd, str)
+    """Run the project's own test suite, a shell command, in `cwd` and
+    judge the ported tree by it.  A suite that does not finish within
+    SUITE_TIMEOUT, or that the shell cannot find or run, is SuiteCrashed."""
     try:
         proc = subprocess.run(
             suite_cmd,
             cwd=str(cwd),
-            shell=shell,
+            shell=True,
             capture_output=True,
             text=True,
             errors="replace",
-            timeout=timeout,
+            timeout=SUITE_TIMEOUT,
         )
     except (subprocess.TimeoutExpired, OSError) as exc:
         raise SuiteCrashed(f"suite did not run: {exc}") from exc
+    if proc.returncode in (126, 127):  # the shell could not run the command, or found none
+        raise SuiteCrashed(f"suite did not run: {proc.stderr.strip()}")
 
     output = proc.stdout + "\n" + proc.stderr
     if result_format == FORMAT_EXIT_CODE:
@@ -312,10 +310,10 @@ def emit_manifest(
     project: str,
     base_ref: str,
     records: Sequence[RevivalRecord],
-    policy: str = POLICY_LATEST_FIRST,
-    functionality: Optional[FunctionalityVerdict] = None,
-    limits: Optional[Limits] = None,
-    created_at: str = "",
+    policy: str,
+    functionality: Optional[FunctionalityVerdict],
+    limits: Limits,
+    created_at: str,
 ) -> BenchmarkManifest:
     """Apply complexity then compatibility rules; emit the curated manifest.
 

@@ -110,7 +110,7 @@ def write_file(path: Path, text: str) -> None:
     path.write_bytes(encode_text(text))
 
 
-def blob_id(data: bytes, algorithm: str = "sha1") -> str:
+def blob_id(data: bytes, algorithm: str) -> str:
     """The object id git gives a blob holding `data`."""
     return hashlib.new(algorithm, b"blob %d\0%s" % (len(data), data)).hexdigest()
 
@@ -688,7 +688,7 @@ def tree_reader(tree) -> Callable[[str], Optional[str]]:
     return lambda relpath: tree.read(relpath) if tree.exists(relpath) else None
 
 
-def revert_onto(tree, commit: str, inverse: SourcePatch, **options) -> List[ApplyReport]:
+def revert_onto(tree, commit: str, inverse: SourcePatch, max_fuzz: int) -> List[ApplyReport]:
     """Apply `inverse`, the inverse of `commit`'s diff (see
     `CommitMemo.inverse`), to `tree`, atomically.
 
@@ -697,15 +697,15 @@ def revert_onto(tree, commit: str, inverse: SourcePatch, **options) -> List[Appl
     raised and nothing changes.  Returns one report per file of
     `inverse`.  A text file the commit touched that is absent from the
     tree, and that the revert does not create, is skipped with an empty
-    report (filtered checkouts are legitimate).  `options` are
-    `apply_file_patch`'s keyword arguments.
+    report (filtered checkouts are legitimate).  Hunks match with up to
+    `max_fuzz` context lines dropped.
     """
     kept = [
         fp.is_binary or fp.mode_change == MODE_CREATED or tree.exists(fp.path)
         for fp in inverse.files
     ]
     staged = stage_patch(
-        tree_reader(tree), [fp for fp, keep in zip(inverse.files, kept) if keep], **options
+        tree_reader(tree), [fp for fp, keep in zip(inverse.files, kept) if keep], max_fuzz
     )
     if staged.conflicts:
         paths = ", ".join(staged.conflicts)

@@ -17,6 +17,7 @@ the PoC runs on a copy of exactly those bytes.
 
 from __future__ import annotations
 
+import codecs
 import fcntl
 import hashlib
 import json
@@ -338,14 +339,35 @@ def _tail(text: str, limit: int = DEFAULT_LOG_TAIL) -> str:
     return text[-limit:] if len(text) > limit else text
 
 
+# One part of a file name as GNU tools quote it for the shell: '...' and
+# "..." hold text as it is, $'...' C escapes (such as \303 for a byte that
+# the C locale cannot print), and \' is a quote.
+_SHELL_PART = re.compile(r"""'([^'\n]*)'|"([^"\n]*)"|\$'((?:\\.|[^'\\\n])*)'|\\(')""")
+
+
 def _canonical(text: str, slot_home: str) -> str:
     """`text` as evidence: `slot_home` as `SLOT_TOKEN`, also where GNU
-    tools quote a path under it that holds a space (`'<slot>/x y'` reads
-    `<slot>/x y`, as it does from a slot whose path holds none), each PID
-    as `PID_TOKEN` and each address as `ADDRESS_TOKEN`.  Every child's
-    output passes through it before any cut, so the evidence of slots with
-    paths of other lengths, and of other runs, cuts alike."""
-    text = re.sub(f"'{re.escape(slot_home)}([^'\\n]*)'", lambda m: SLOT_TOKEN + m[1], text)
+    tools quote a path under it (for a space in the path, or a quote or a
+    byte that the C locale escapes in the slot home: `'<slot>/x y'` reads
+    `<slot>/x y`, as from a slot whose path needs no quoting), each PID as
+    `PID_TOKEN` and each address as `ADDRESS_TOKEN`.  Every child's output
+    passes through it before any cut, so the evidence of slots with paths
+    of other lengths, and of other runs, cuts alike."""
+
+    def unquoted(word: re.Match) -> str:
+        path = b"".join(
+            (single + double + quote).encode() + codecs.escape_decode(escaped.encode())[0]
+            for single, double, escaped, quote in _SHELL_PART.findall(word[0])
+        ).decode("utf-8", "replace")
+        return path if path.startswith(slot_home) else word[0]
+
+    # a quoted path under the slot home opens with a quote, after any empty
+    # '' that GNU puts first, and the home up to its first character that
+    # quoting can change; a text holding none is not scanned
+    head = re.match(r"[ -&(-~]*", slot_home)[0]
+    if f"'{head}" in text or f'"{head}' in text:
+        quoted = f"""(?:'')*(?=['"]{re.escape(head)})(?:{_SHELL_PART.pattern})+"""
+        text = re.sub(quoted, unquoted, text)
     text = text.replace(slot_home, SLOT_TOKEN)
     return RE_ADDRESS.sub(ADDRESS_TOKEN, RE_PID.sub(PID_TOKEN, text))
 
@@ -435,7 +457,7 @@ def run_poc(
 # Part of every store key.  Bump it when classification, the tree hash or
 # the trace format changes, so that entries written by older code are
 # never read.
-STORE_SCHEMA = "verdict-store/6"
+STORE_SCHEMA = "verdict-store/7"
 MISSING_INPUT = "missing"
 NO_COMPILER = "no compiler"
 TRACES_KEPT = 16  # traces a store keeps per build identity and PoC, newest first

@@ -16,7 +16,6 @@ file conflicted.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -44,8 +43,6 @@ CONFLICT_EXISTS = "exists"  # created where a file already is
 CONFLICT_MISSING = "missing"  # changed or deleted where no file is
 CONFLICT_BINARY = "binary"  # a binary patch, which cannot apply textually
 CONFLICT_REJECTED = "rejected"  # a hunk found no anchor
-
-_TRAILING_WS = re.compile(r"[ \t\r]+$")
 
 
 @dataclass(frozen=True)
@@ -79,10 +76,6 @@ class ApplyReport:
         return self.rejected_count == 0
 
 
-def _norm(text: str, normalize_ws: bool) -> str:
-    return _TRAILING_WS.sub("", text) if normalize_ws else text
-
-
 def _trim_for_fuzz(lines: List[HunkLine], fuzz: int) -> Tuple[List[HunkLine], int]:
     """Drop up to `fuzz` context lines from each end of the hunk body.
 
@@ -112,13 +105,12 @@ def _matches_at(
     buf_final_nl: bool,
     pos: int,
     pattern: List[HunkLine],
-    normalize_ws: bool,
 ) -> bool:
     if pos < 0 or pos + len(pattern) > len(buf):
         return False
     last_idx = len(buf) - 1
     for k, want in enumerate(pattern):
-        if _norm(buf[pos + k], normalize_ws) != _norm(want.text, normalize_ws):
+        if buf[pos + k] != want.text:
             return False
         # the no-newline property must agree: a pattern line flagged as
         # unterminated matches only the file's unterminated last line
@@ -148,7 +140,6 @@ def apply_file_patch(
     fp: FilePatch,
     max_fuzz: int = 0,
     search_window: int = 200,
-    normalize_trailing_whitespace: bool = False,
 ) -> Tuple[str, ApplyReport]:
     """Apply one FilePatch to file content, hunk by hunk.
 
@@ -160,8 +151,6 @@ def apply_file_patch(
         raise HunkRejected(f"{fp.path}: binary files cannot be patched textually")
     if not 0 <= max_fuzz <= MAX_FUZZ:
         raise ValueError(f"max_fuzz must be 0 to {MAX_FUZZ}")
-    if search_window < 0:
-        raise ValueError("search_window must be >= 0")
 
     buf, final_nl = split_lines(content)
     report = ApplyReport(path=fp.path)
@@ -188,7 +177,7 @@ def apply_file_patch(
             ceil = len(buf) - len(old_pat)
             hits: List[Tuple[int, int]] = []
             for pos, off in _candidate_positions(expected + shift, search_window, floor, ceil):
-                if _matches_at(buf, final_nl, pos, old_pat, normalize_trailing_whitespace):
+                if _matches_at(buf, final_nl, pos, old_pat):
                     if hits:
                         if abs(hits[0][1]) == abs(off):
                             hits.append((pos, off))
@@ -257,7 +246,7 @@ class StagedPatch:
 
 
 def stage_patch(
-    read: Callable[[str], Optional[str]], files: Sequence[FilePatch], **options
+    read: Callable[[str], Optional[str]], files: Sequence[FilePatch], max_fuzz: int = 0
 ) -> StagedPatch:
     """Apply every FilePatch in `files` to the texts `read(path)` returns
     (None when the file is absent), and stage the results.
@@ -265,8 +254,8 @@ def stage_patch(
     A file created where one exists, a missing file, a binary patch and
     a rejected hunk each make a conflict.  A later FilePatch on a path
     sees the text staged for it so far.  Every file is applied even after
-    a conflict, so the result names every conflicting path.  `options`
-    are `apply_file_patch`'s keyword arguments.  Nothing is written.
+    a conflict, so the result names every conflicting path.  Hunks match
+    with up to `max_fuzz` context lines dropped.  Nothing is written.
     """
     staged = StagedPatch()
     for fp in files:
@@ -280,7 +269,7 @@ def stage_patch(
         elif fp.is_binary:
             conflict = CONFLICT_BINARY
         else:
-            new_text, report = apply_file_patch(text or "", fp, **options)
+            new_text, report = apply_file_patch(text or "", fp, max_fuzz=max_fuzz)
             conflict = None if report.all_applied else CONFLICT_REJECTED
         staged.reports.append(report)
         if conflict is not None:

@@ -139,7 +139,7 @@ def split_by_granularity(
         if old is None:
             out.append(fp)
         elif granularity is Granularity.WholeFiles:
-            new, report = apply_file_patch(old, fp, max_fuzz=0, search_window=0)
+            new, report = apply_file_patch(old, fp, search_window=0)
             if not report.all_applied:
                 raise HunkRejected(f"{fp.path}: patch does not apply strictly to the tree's copy")
             out.append(whole_file_patch(old, new, fp.path, fp.mode_change))

@@ -104,18 +104,7 @@ class Limits:
 class PortPolicy:
     granularity: Granularity = Granularity.PatchHunks
     max_fuzz: int = 2
-    search_window: int = 200
-    normalize_trailing_whitespace: bool = False
     skip_budget: int = 3
-
-    @property
-    def apply_options(self) -> dict:
-        """The keyword arguments `apply_file_patch` takes from the policy."""
-        return {
-            "max_fuzz": self.max_fuzz,
-            "search_window": self.search_window,
-            "normalize_trailing_whitespace": self.normalize_trailing_whitespace,
-        }
 
 
 # ---------- reverse patch derivation ----------
@@ -404,7 +393,7 @@ class Porter:
             files = split_by_granularity(reverse, self.policy.granularity, read)
         except PatchError:  # whole-files: a file does not apply strictly
             return False, 0, 0, []
-        staged = stage_patch(read, files, **self.policy.apply_options)
+        staged = stage_patch(read, files, max_fuzz=self.policy.max_fuzz)
         if staged.conflicts:
             return False, 0, 0, []
         staged.write_to(tree)
@@ -424,7 +413,7 @@ class Porter:
         for breaker in reverts_newest_first:
             inverse = self.commits.inverse(breaker)
             try:
-                reports = revert_onto(tree, breaker, inverse, **self.policy.apply_options)
+                reports = revert_onto(tree, breaker, inverse, max_fuzz=self.policy.max_fuzz)
             except RevertConflict as exc:
                 return AttemptResult(
                     OracleVerdict(KIND_REVERT_CONFLICT, evidence=str(exc))

@@ -35,7 +35,7 @@ _GLYPHS = {
 _PASS_STATUSES = ("triggered", "revived")
 
 
-def glyph(status: str, paper_style: bool = False) -> str:
+def glyph(status: str, paper_style: bool) -> str:
     if paper_style:
         if status == "":
             return MISSING
@@ -75,7 +75,7 @@ class StatusMatrix:
                 footnotes[row["cve"]] = row["note"]
         return StatusMatrix(tuple(tiers), matrix_rows, footnotes)
 
-    def render(self, paper_style: bool = False) -> str:
+    def render(self, paper_style: bool) -> str:
         header = ["project", "cve", *self.tiers]
         body = [
             [row["project"], row["cve"]]
@@ -91,7 +91,7 @@ class StatusMatrix:
 
 def render_revival_matrix(
     survey_rows: Iterable[dict],
-    paper_style: bool = False,
+    paper_style: bool,
     tiers: Sequence[str] = TIERS,
 ) -> str:
     """Revival outcomes per tier plus how many commits each CVE reversed."""
@@ -123,7 +123,7 @@ def render_tally(counts: Dict[str, int]) -> str:
     return _render_table(["category", "description", "commits"], body)
 
 
-def render_records_table(records, paper_style: bool = False) -> str:
+def render_records_table(records, paper_style: bool) -> str:
     """One row per revival record; records may target different commits."""
     header = ["project", "cve", "target", "outcome", "reversed"]
     if not paper_style:
@@ -166,8 +166,8 @@ _MARGIN = 42
 
 def emit_activity_plot(
     histogram,
-    lifelines: Sequence[dict] = (),
-    markers: Sequence[dict] = (),
+    lifelines: Sequence[dict],
+    markers: Sequence[dict],
 ) -> str:
     """Self-contained SVG: activity bars, one lane per CVE, triangles at
     breaking commits.

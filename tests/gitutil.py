@@ -176,7 +176,7 @@ class DiskTree:
                 yield rel, MODE_EXEC if kind else MODE_FILE, content
 
     def entries(self) -> list:
-        return sorted((rel, mode, blob_id(data)) for rel, mode, data in self._files())
+        return sorted((rel, mode, blob_id(data, "sha1")) for rel, mode, data in self._files())
 
     def blobs(self, entries: Iterable[tuple]) -> Iterator[tuple]:
         contents = {rel: data for rel, _, data in self._files()}

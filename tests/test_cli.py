@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 
@@ -147,6 +148,12 @@ class TestReviveAndManifest:
         assert manifest["included"][0]["revert_stack"] == [fixture.breakers[0]["id"]]
         assert manifest["schema"] == "benchmark-manifest/1"
 
+        # a suite command that the shell cannot find did not run
+        rc = main(["manifest", "--config", str(case), "--suite", "./absent.sh",
+                   "--suite-cwd", str(tmp_path)])
+        assert rc == 6
+        assert "suite did not run" in capsys.readouterr().err
+
     def test_manifest_keeps_the_newer_of_two_overlapping_cases(self, tmp_path, fixture, capsys):
         # two CVEs revived on one fixture touch the same lines
         older = tmp_path / "older.json"
@@ -190,6 +197,21 @@ class TestReviveAndManifest:
         rc = main(["revive", "--config", str(case)])
         assert rc == 4
         assert "does not trigger at the fix commit" in capsys.readouterr().err
+
+    def test_jobs_below_1_is_a_config_error(self, tmp_path, fixture, capsys):
+        case = write_case(tmp_path, fixture)
+        other = tmp_path / "other.json"
+        other.write_text(case.read_text().replace(CVE, "CVE-2021-9998"))
+        assert main(["revive", "--jobs", "0", "--config", str(case), "--config", str(other)]) == 5
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "ws").exists()
+
+    @pytest.mark.parametrize("key, value", [("search_window", 200),
+                                            ("normalize_trailing_whitespace", False)])
+    def test_a_removed_policy_key_is_a_config_error(self, tmp_path, fixture, capsys, key, value):
+        case = write_case(tmp_path, fixture, policy={key: value})
+        assert main(["revive", "--config", str(case)]) == 5
+        assert "unknown keys" in capsys.readouterr().err
 
     def test_binary_file_in_a_fix_composition_exits_4(self, tmp_path, capsys):
         rb = RepoBuilder(tmp_path / "repo")
@@ -394,15 +416,48 @@ def test_no_command_leaves_a_child_and_summaries_count_git_and_wall(tmp_path, fi
         assert no_child_left(), argv[0]
 
 
-def test_a_space_in_the_workspace_path_changes_no_record(tmp_path, capsys):
-    fx = forge_repo(tmp_path / "fx", ["C1", "C4"])
-    records = []
-    for workspace in ("ws", "w s"):
-        case = write_case(tmp_path, fx, workspace=str(tmp_path / workspace))
+@pytest.fixture(scope="module")
+def revived_c1_c4(tmp_path_factory):
+    """A forged C1+C4 case, and the revival record of a plain run of it."""
+    root = tmp_path_factory.mktemp("c1c4")
+    fx = forge_repo(root / "fx", ["C1", "C4"])
+    assert main(["revive", "--config", str(write_case(root, fx))]) == 0
+    return fx, (root / "ws" / CVE / "revival_record.json").read_bytes()
+
+
+# Where and how revenant runs, after reprotest's variations: the workspace
+# path (a space, non-ASCII, a quote, a symlink), the umask, the time zone,
+# the locale and HOME.  Each row revives into a workspace of its own, so
+# its verdicts come from fresh builds.
+@pytest.mark.parametrize("workspace, env, umask", [
+    ("w s", {}, None),
+    ("wé", {}, None),
+    ("w'q", {}, None),
+    ("link/ws", {}, None),
+    ("ws", {}, 0o077),
+    ("ws", {"TZ": "Pacific/Kiritimati"}, None),
+    ("ws", {"LC_ALL": "C.UTF-8"}, None),
+    ("ws", {"HOME": None}, None),
+], ids=["space", "non-ascii", "quote", "symlink", "umask-077", "tz", "locale", "no-home"])
+def test_no_perturbation_of_the_run_changes_a_record(tmp_path, capsys, monkeypatch, revived_c1_c4,
+                                                      workspace, env, umask):
+    fx, baseline = revived_c1_c4
+    (tmp_path / "real").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "real")
+    for name, value in env.items():
+        if value is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, value)
+    case = write_case(tmp_path, fx, workspace=str(tmp_path / workspace))
+    saved = os.umask(umask) if umask is not None else None
+    try:
         assert main(["revive", "--config", str(case)]) == 0
-        assert summary(capsys)["final"] == "Revived"
-        records.append((tmp_path / workspace / CVE / "revival_record.json").read_bytes())
-    assert records[0] == records[1]
+    finally:
+        if saved is not None:
+            os.umask(saved)
+    assert summary(capsys)["final"] == "Revived"
+    assert (tmp_path / workspace / CVE / "revival_record.json").read_bytes() == baseline
 
 
 OVERFLOW_C = """\

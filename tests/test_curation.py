@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import shlex
 import stat
 
 import pytest
@@ -34,7 +35,7 @@ def record(cve, final="Revived", stack=(), regions=(), fixes=("fix0",), target="
         target=target,
         granularity="patch-hunks",
         final=final,
-        abort_reason="" if final in ("Revived", "TriviallyRevived") else "Complexity",
+        abort_reason="" if final == "Revived" else "Complexity",
         aborted_on="",
         revert_stack=list(stack),
         verdict={"kind": "Triggered" if final != "Aborted" else "PortConflict"},
@@ -57,14 +58,17 @@ class TestComplexityRule:
     def test_deep_stack_excluded(self):
         rec = record("CVE-2020-1000", stack=["a", "b", "c", "d", "e"])
         assert "exceeds limit 4" in rule_complexity(rec, Limits())
-        (row,) = emit_manifest("proj", "base", [rec], limits=Limits()).excluded
+        (row,) = emit_manifest("proj", "base", [rec], POLICY_LATEST_FIRST, None, Limits(), "").excluded
         assert row["rule"] == RULE_COMPLEXITY and "exceeds limit 4" in row["reason"]
 
     def test_aborted_excluded(self):
-        assert "Complexity" in rule_complexity(record("CVE-2020-1000", final="Aborted"))
+        assert "Complexity" in rule_complexity(record("CVE-2020-1000", final="Aborted"), Limits())
 
-    def test_trivially_revived_kept(self):
-        assert rule_complexity(record("CVE-2020-1000", final="TriviallyRevived")) is None
+    def test_trivially_revived_excluded(self):
+        # the porter records a revival with an empty stack as Revived; no
+        # other final qualifies
+        rec = record("CVE-2020-1000", final="TriviallyRevived")
+        assert rule_complexity(rec, Limits()) == "aborted: Complexity"
 
 
 def independent(cves, conflicts):
@@ -186,7 +190,7 @@ class TestSelectCompatible:
 
     def test_duplicate_cves_rejected(self):
         with pytest.raises(ValueError):
-            select_compatible([record("CVE-2020-1"), record("CVE-2020-1")], {})
+            select_compatible([record("CVE-2020-1"), record("CVE-2020-1")], {}, POLICY_LATEST_FIRST)
 
 
 def brute_force_mis_size(nodes, conflicts):
@@ -221,12 +225,12 @@ def write_script(path, body):
 
 class TestFunctionalityRule:
     def test_exit_code_pass(self, tmp_path):
-        verdict = rule_functionality("true", tmp_path, FORMAT_EXIT_CODE)
+        verdict = rule_functionality("true", tmp_path, FORMAT_EXIT_CODE, ())
         assert verdict.verdict == "Functional"
         assert verdict.total_tests == 1 and not verdict.failed
 
     def test_exit_code_fail(self, tmp_path):
-        verdict = rule_functionality("false", tmp_path, FORMAT_EXIT_CODE)
+        verdict = rule_functionality("false", tmp_path, FORMAT_EXIT_CODE, ())
         assert verdict.verdict == "Degraded"
         assert verdict.failed == ["suite"]
 
@@ -235,7 +239,7 @@ class TestFunctionalityRule:
             tmp_path / "suite.sh",
             "echo 'ok 1 - parse'\necho 'not ok 2 - encode'\necho 'ok 3 - io'\n",
         )
-        verdict = rule_functionality([str(script)], tmp_path, FORMAT_TAP)
+        verdict = rule_functionality(shlex.quote(str(script)), tmp_path, FORMAT_TAP, ())
         assert verdict.total_tests == 3
         assert verdict.failed == ["2"]
         assert verdict.verdict == "Degraded"
@@ -248,30 +252,30 @@ class TestFunctionalityRule:
             "echo 'FAIL: t_gamma'\n"
             "echo 'SKIP: t_delta'\n",
         )
-        verdict = rule_functionality([str(script)], tmp_path, FORMAT_PASS_FAIL)
+        verdict = rule_functionality(shlex.quote(str(script)), tmp_path, FORMAT_PASS_FAIL, ())
         assert verdict.total_tests == 3
         assert verdict.failed == ["t_beta", "t_gamma"]
         assert verdict.disallowed == ["t_beta", "t_gamma"]
 
         verdict = rule_functionality(
-            [str(script)], tmp_path, FORMAT_PASS_FAIL, allowlist={"t_beta"},
+            shlex.quote(str(script)), tmp_path, FORMAT_PASS_FAIL, allowlist={"t_beta"},
         )
         assert verdict.allowlisted == ["t_beta"]
         assert verdict.disallowed == ["t_gamma"]
         assert verdict.verdict == "Degraded"
 
         verdict = rule_functionality(
-            [str(script)], tmp_path, FORMAT_PASS_FAIL, allowlist={"t_beta", "t_gamma"},
+            shlex.quote(str(script)), tmp_path, FORMAT_PASS_FAIL, allowlist={"t_beta", "t_gamma"},
         )
         assert verdict.verdict == "Functional"
 
     def test_unparseable_suite_output_crashes(self, tmp_path):
         with pytest.raises(SuiteCrashed):
-            rule_functionality("echo nothing to see", tmp_path, FORMAT_TAP)
+            rule_functionality("echo nothing to see", tmp_path, FORMAT_TAP, ())
 
     def test_missing_suite_crashes(self, tmp_path):
         with pytest.raises(SuiteCrashed):
-            rule_functionality([str(tmp_path / "absent.sh")], tmp_path)
+            rule_functionality(shlex.quote(str(tmp_path / "absent.sh")), tmp_path, FORMAT_EXIT_CODE, ())
 
     def test_parse_allowlist(self):
         entries = parse_allowlist(
@@ -295,7 +299,7 @@ class TestEmitManifest:
             record("CVE-2020-2", regions=[span("a.c", 5, 12)]),
             record("CVE-2019-1", final="Aborted"),
         ]
-        manifest = emit_manifest("proj", "base", recs, POLICY_LATEST_FIRST)
+        manifest = emit_manifest("proj", "base", recs, POLICY_LATEST_FIRST, None, Limits(), "")
 
         assert [row["cve"] for row in manifest.included] == ["CVE-2021-3"]
         assert manifest.included[0]["port_digest"] == "digest-CVE-2021-3"
@@ -308,7 +312,7 @@ class TestEmitManifest:
             record("CVE-2021-3", regions=[span("a.c", 1, 9)]),
         ]
         for policy in (POLICY_LATEST_FIRST, POLICY_MAX_SUBSET):
-            manifest = emit_manifest("proj", "base", recs, policy=policy)
+            manifest = emit_manifest("proj", "base", recs, policy, None, Limits(), "")
             assert [row["cve"] for row in manifest.included] == ["CVE-2021-3"]
             assert manifest.excluded == [{
                 "cve": "CVE-2020-2",
@@ -322,7 +326,7 @@ class TestEmitManifest:
             record("CVE-2021-3", stack=["deadbeef"], fixes=["f1"]),
             record("CVE-2020-2", fixes=["deadbeef"]),
         ]
-        manifest = emit_manifest("proj", "base", recs)
+        manifest = emit_manifest("proj", "base", recs, POLICY_LATEST_FIRST, None, Limits(), "")
         assert [row["cve"] for row in manifest.included] == ["CVE-2021-3"]
         assert [(row["cve"], row["rule"]) for row in manifest.excluded] == [
             ("CVE-2020-2", RULE_INTERCOMPAT),
@@ -336,7 +340,7 @@ class TestEmitManifest:
             record("CVE-2019-1", final="Aborted", regions=[span("a.c", 2, 3)]),
         ]
         assert detect_conflicts(recs)
-        manifest = emit_manifest("proj", "base", recs)
+        manifest = emit_manifest("proj", "base", recs, POLICY_LATEST_FIRST, None, Limits(), "")
         assert [row["cve"] for row in manifest.included] == ["CVE-2021-3"]
         assert manifest.excluded == [
             {"cve": "CVE-2019-1", "rule": RULE_COMPLEXITY, "reason": "aborted: Complexity"},
@@ -344,16 +348,19 @@ class TestEmitManifest:
 
     def test_mixed_targets_rejected(self):
         with pytest.raises(ValueError):
-            emit_manifest("proj", "base", [record("CVE-2020-1"), record("CVE-2020-2", target="other")])
+            emit_manifest("proj", "base", [record("CVE-2020-1"), record("CVE-2020-2", target="other")],
+                          POLICY_LATEST_FIRST, None, Limits(), "")
 
     def test_zero_records(self):
-        manifest = emit_manifest("proj", "base", [])
+        manifest = emit_manifest("proj", "base", [], POLICY_LATEST_FIRST, None, Limits(), "")
         assert manifest.included == [] and manifest.excluded == []
 
     def test_serialization_deterministic(self):
         recs = [record("CVE-2021-3"), record("CVE-2020-2")]
-        a = emit_manifest("proj", "base", recs, created_at="2021-01-01T00:00:00Z").to_json()
-        b = emit_manifest("proj", "base", recs, created_at="2021-01-01T00:00:00Z").to_json()
+        a = emit_manifest("proj", "base", recs, POLICY_LATEST_FIRST, None, Limits(),
+                          "2021-01-01T00:00:00Z").to_json()
+        b = emit_manifest("proj", "base", recs, POLICY_LATEST_FIRST, None, Limits(),
+                          "2021-01-01T00:00:00Z").to_json()
         assert a == b
         parsed = json.loads(a)
         assert parsed["schema"] == "benchmark-manifest/1"

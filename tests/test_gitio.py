@@ -206,7 +206,7 @@ def inverse_of(repo, commit):
 def test_revert_onto_restores_previous_content(repo, tmp_path):
     repo.commit({"src/main.c": TEN.replace("line 5\n", "line 5 fixed\n")}, "fix")
     with checkout_worktree(repo.root, "t1", tmp_path / "wt") as wt:
-        reports = revert_onto(wt, "t1", inverse_of(repo, "t1"))
+        reports = revert_onto(wt, "t1", inverse_of(repo, "t1"), max_fuzz=0)
         assert all(r.all_applied for r in reports)
         assert wt.read("src/main.c") == TEN
 
@@ -214,7 +214,7 @@ def test_revert_onto_restores_previous_content(repo, tmp_path):
 def test_revert_onto_handles_created_and_deleted_files(repo, tmp_path):
     repo.commit({"new.txt": "fresh\n"}, "add file", delete=["README"])
     with checkout_worktree(repo.root, "t1", tmp_path / "wt") as wt:
-        revert_onto(wt, "t1", inverse_of(repo, "t1"))
+        revert_onto(wt, "t1", inverse_of(repo, "t1"), max_fuzz=0)
         assert not wt.exists("new.txt")
         assert wt.read("README") == "hello\n"
 
@@ -229,7 +229,7 @@ def test_revert_onto_is_atomic_on_conflict(repo, tmp_path):
         wt.write("src/main.c", "completely different\n")
         before_readme = wt.read("README")
         with pytest.raises(RevertConflict) as exc:
-            revert_onto(wt, "t1", inverse_of(repo, "t1"))
+            revert_onto(wt, "t1", inverse_of(repo, "t1"), max_fuzz=0)
         assert wt.read("README") == before_readme
         assert wt.read("src/main.c") == "completely different\n"
         assert "src/main.c" in str(exc.value)
@@ -239,7 +239,7 @@ def test_revert_onto_skips_files_missing_from_worktree(repo, tmp_path):
     repo.commit({"src/main.c": TEN + "tail\n", "README": "v2\n"}, "touch two")
     with checkout_worktree(repo.root, "t1", tmp_path / "wt") as wt:
         (wt.path / "README").unlink()  # filtered subset
-        reports = revert_onto(wt, "t1", inverse_of(repo, "t1"))
+        reports = revert_onto(wt, "t1", inverse_of(repo, "t1"), max_fuzz=0)
         assert wt.read("src/main.c") == TEN
         skipped = [r for r in reports if r.path == "README"]
         assert len(skipped) == 1
@@ -253,10 +253,10 @@ def test_reverting_a_commit_that_adds_or_deletes_an_empty_file(repo):
     with CommitMemo(repo.root) as memo:
         assert [fp.path for fp in memo.diff("t1").files] == list(memo.touched("t1"))
         added = CommitTree(memo, "t1")
-        revert_onto(added, "t1", memo.inverse("t1"))
+        revert_onto(added, "t1", memo.inverse("t1"), max_fuzz=0)
         assert not added.exists("e.txt")
         deleted = CommitTree(memo, "t2")
-        revert_onto(deleted, "t2", memo.inverse("t2"))
+        revert_onto(deleted, "t2", memo.inverse("t2"), max_fuzz=0)
         assert deleted.read("e.txt") == ""
 
 
@@ -267,7 +267,7 @@ def test_reverting_a_commit_restores_files_whose_names_git_quotes(repo):
     with CommitMemo(repo.root) as memo:
         assert sorted(fp.path for fp in memo.diff("t2").files) == sorted(memo.touched("t2"))
         tree = CommitTree(memo, "t2")
-        reports = revert_onto(tree, "t2", memo.inverse("t2"))
+        reports = revert_onto(tree, "t2", memo.inverse("t2"), max_fuzz=0)
         assert sorted(r.path for r in reports) == sorted(names)
         assert {name: tree.read(name) for name in names} == dict.fromkeys(names, TEN)
 
@@ -279,7 +279,7 @@ def test_reverting_a_commit_restores_a_file_whose_name_ends_in_a_space(repo):
     with CommitMemo(repo.root) as memo:
         assert sorted(fp.path for fp in memo.diff("t2").files) == sorted(names)
         tree = CommitTree(memo, "t2")
-        reports = revert_onto(tree, "t2", memo.inverse("t2"))
+        reports = revert_onto(tree, "t2", memo.inverse("t2"), max_fuzz=0)
         assert sorted(r.path for r in reports) == sorted(names)
         assert {name: tree.read(name) for name in names} == dict.fromkeys(names, TEN)
         assert "tail.c" not in {path for path, _, _ in tree.entries()}
@@ -293,7 +293,7 @@ def test_a_revert_and_a_port_keep_the_line_endings_of_a_file(repo):
     with CommitMemo(repo.root) as memo:
         assert "two\r" in [line.text for line in memo.diff("t2").files[0].hunks[0].lines]
         tree = CommitTree(memo, "t2")
-        revert_onto(tree, "t2", memo.inverse("t2"))
+        revert_onto(tree, "t2", memo.inverse("t2"), max_fuzz=0)
         assert tree.read("f.txt") == crlf
         assert tree.entries() == CommitTree(memo, "t1").entries()
         # the reverse port of the two edits, composed
@@ -328,10 +328,10 @@ def test_revert_dependent_commits_newest_first(repo, tmp_path):
     )
     with checkout_worktree(repo.root, "t2", tmp_path / "wt1") as wt:
         with pytest.raises(RevertConflict):
-            revert_onto(wt, "t1", inverse_of(repo, "t1"))  # A alone cannot come off
+            revert_onto(wt, "t1", inverse_of(repo, "t1"), max_fuzz=0)  # A alone cannot come off
     with checkout_worktree(repo.root, "t2", tmp_path / "wt2") as wt:
-        revert_onto(wt, "t2", inverse_of(repo, "t2"))  # newest first
-        revert_onto(wt, "t1", inverse_of(repo, "t1"))
+        revert_onto(wt, "t2", inverse_of(repo, "t2"), max_fuzz=0)  # newest first
+        revert_onto(wt, "t1", inverse_of(repo, "t1"), max_fuzz=0)
         assert wt.read("src/main.c") == TEN
 
 

@@ -16,8 +16,11 @@ read when some other top-level statement of a module in `src/` or
 of a module in `src/` must be loaded the same way by a module in `src/` or
 `bench/`, and a public method or property must be read as an attribute
 there outside its own body; a name inside a string counts, so the names
-the benchmark's tracer looks up are read.  `revenant.forge`, the fixture
-library that the tests and the benchmark share, is not checked.
+the benchmark's tracer looks up are read.  No parameter default of a
+function in `src/` is passed by every call in `src/` or `bench/` that
+reaches the function's name, so a default says what most callers get.
+`revenant.forge`, the fixture library that the tests and the benchmark
+share, is not checked.
 """
 
 from __future__ import annotations
@@ -197,6 +200,73 @@ def broad_noqa_imports(source: str) -> list:
     return found
 
 
+def _call_name(call: ast.Call) -> str:
+    """The name a call reaches: `f` for `f(...)` and for `x.f(...)`."""
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return ""
+
+
+def _defaults(fn: ast.FunctionDef, method: bool) -> list:
+    """(name, position or None) of each parameter of `fn` that has a
+    default; the position counts the arguments a call passes, so a
+    method's `self` or `cls` takes none."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    skip = 1 if method and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list
+    ) else 0
+    found = [(a.arg, i - skip)
+             for i, a in enumerate(positional) if i >= len(positional) - len(args.defaults)]
+    found += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return found
+
+
+def _passes(call: ast.Call, name: str, position) -> bool:
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords):
+        return False
+    return any(k.arg == name for k in call.keywords) or (
+        position is not None and position < len(call.args))
+
+
+def overridden_defaults(sources: dict, callers: dict) -> list:
+    """`path: function(parameter)` for each parameter default of a function
+    or method of `sources` (path -> source) that at least one call in
+    `sources` or `callers` reaches by name, and that every such call
+    passes, by position or by keyword; a call with `*args` or `**kwargs`
+    passes nothing.  `__init__` methods are not checked."""
+    trees = {path: ast.parse(source) for path, source in {**callers, **sources}.items()}
+    calls: dict = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_call_name(node), []).append(node)
+    found = []
+    for path in sources:
+        owner = {id(fn): f"{node.name}." for node in ast.walk(trees[path])
+                 if isinstance(node, ast.ClassDef) for fn in node.body}
+        for fn in ast.walk(trees[path]):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name == "__init__":
+                continue
+            reaching = calls.get(fn.name, [])
+            found += [f"{path}: {owner.get(id(fn), '')}{fn.name}({name})"
+                      for name, position in _defaults(fn, id(fn) in owner)
+                      if reaching and all(_passes(call, name, position) for call in reaching)]
+    return sorted(found)
+
+
+def test_no_default_in_src_is_overridden_by_every_caller():
+    # forge is the fixture library that the tests and the benchmark share
+    sources = {top: {str(path.relative_to(ROOT)): path.read_text("utf-8")
+                     for path in sorted((ROOT / top).rglob("*.py"))}
+               for top in ("src", "bench")}
+    forge = {"src/revenant/forge.py": sources["src"].pop("src/revenant/forge.py")}
+    assert overridden_defaults(sources["src"], {**sources["bench"], **forge}) == []
+
+
 def test_no_noqa_import_in_src_binds_more_than_one_name():
     found = {str(path.relative_to(ROOT)): broad_noqa_imports(path.read_text("utf-8"))
              for path in sorted((ROOT / "src").rglob("*.py"))}
@@ -294,6 +364,42 @@ def test_the_check_sees_an_unread_public_name():
     assert unread_public_names(sources, readers) == [
         "a.py: Report.count", "a.py: WIDTH", "a.py: walk",
     ]
+
+
+def test_the_check_sees_an_overridden_default():
+    sources = {
+        "a.py": (
+            "def f(x, y=1, *, z=2):\n"
+            "    return x\n"
+            "def g(a=0):\n"
+            "    pass\n"
+            "def h(b=0):\n"
+            "    pass\n"
+            "def unused(c=0):\n"
+            "    pass\n"
+            "class C:\n"
+            "    def __init__(self, n=0):\n"
+            "        pass\n"
+            "    def m(self, k=1):\n"
+            "        pass\n"
+            "    @staticmethod\n"
+            "    def s(j, k=1):\n"
+            "        pass\n"
+        ),
+    }
+    callers = {
+        "run.py": (
+            "import a\n"
+            "a.f(1, 2, z=3)\n"
+            "a.f(1, y=5, z=4)\n"
+            "a.g(*[1])\n"
+            "a.g(a=1)\n"
+            "a.h(**{'b': 1})\n"
+            "a.C(n=1).m(2)\n"
+            "a.C.s(1)\n"
+        ),
+    }
+    assert overridden_defaults(sources, callers) == ["a.py: C.m(k)", "a.py: f(y)", "a.py: f(z)"]
 
 
 def test_the_check_sees_an_unread_reexport():

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+import revenant.curation as curation
 from revenant.curation import FORMAT_PASS_FAIL, rule_functionality
 from revenant.gitio import CommitMemo, checkout_worktree, tree_reader
 from revenant.oracle import BuildRecipe, PocSpec
@@ -64,7 +65,7 @@ def make_porter(case, repo, scratch):
 
 
 def apply_reverse_in_tree(wt, reverse):
-    staged = stage_patch(tree_reader(wt), reverse.files, max_fuzz=2, search_window=200)
+    staged = stage_patch(tree_reader(wt), reverse.files, max_fuzz=2)
     assert not staged.conflicts, f"reverse patch conflicts in {list(staged.conflicts)}"
     staged.write_to(wt)
 
@@ -87,7 +88,7 @@ def test_libpng_cve_2018_13785_trivially_revives_at_v1_6_40(tmp_path):
     assert rec.effort["commits_reverted"] == 0
 
 
-def test_libpng_dual_port_fails_7_of_32_functionality_tests(tmp_path):
+def test_libpng_dual_port_fails_7_of_32_functionality_tests(tmp_path, monkeypatch):
     first = net_case("libpng-cve-2018-13785")
     second = net_case("libpng-cve-2019-7317")
     repo = clone(first["clone_url"], tmp_path / "libpng")
@@ -99,8 +100,7 @@ def test_libpng_dual_port_fails_7_of_32_functionality_tests(tmp_path):
             subprocess.run(
                 step, shell=True, cwd=wt.path, check=True, capture_output=True
             )
-        verdict = rule_functionality(
-            "make test", wt.path, FORMAT_PASS_FAIL, timeout=3600
-        )
+        monkeypatch.setattr(curation, "SUITE_TIMEOUT", 3600)
+        verdict = rule_functionality("make test", wt.path, FORMAT_PASS_FAIL, ())
     assert verdict.total_tests == 32
     assert len(verdict.failed) == 7

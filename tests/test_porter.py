@@ -577,14 +577,12 @@ class ReferencePorter(Porter):
         conflict kind they met, if any."""
         self.replayed += 1
         dest = self.tmp / f"replay-{self.replayed}"
-        pol = self.policy
         with checkout_worktree(self.repo, ref, dest) as wt:
             kind = None
             try:
                 for breaker in reverts:
                     revert_onto(wt, breaker, self.commits.inverse(breaker),
-                                max_fuzz=pol.max_fuzz, search_window=pol.search_window,
-                                normalize_trailing_whitespace=pol.normalize_trailing_whitespace)
+                                max_fuzz=self.policy.max_fuzz)
             except RevertConflict:
                 kind = KIND_REVERT_CONFLICT
             if kind is None and not self._apply_reverse(wt, self.reverse_patch(fix_commits))[0]:

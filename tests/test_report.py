@@ -21,14 +21,14 @@ DAY = 86400
 
 class TestGlyphs:
     def test_full_detail(self):
-        assert glyph("triggered") == "✓"
-        assert glyph("not-triggered") == "✗"
-        assert glyph("build-failed") == "build-fail"
-        assert glyph("poc-incompatible") == "poc-incompat"
-        assert glyph("hang") == "hang"
-        assert glyph("") == "-"
+        assert glyph("triggered", paper_style=False) == "✓"
+        assert glyph("not-triggered", paper_style=False) == "✗"
+        assert glyph("build-failed", paper_style=False) == "build-fail"
+        assert glyph("poc-incompatible", paper_style=False) == "poc-incompat"
+        assert glyph("hang", paper_style=False) == "hang"
+        assert glyph("", paper_style=False) == "-"
         # unmapped statuses pass through unchanged
-        assert glyph("port-conflict") == "port-conflict"
+        assert glyph("port-conflict", paper_style=False) == "port-conflict"
 
     def test_paper_style_collapses(self):
         assert glyph("triggered", paper_style=True) == "✓"
@@ -49,7 +49,7 @@ SURVEY_ROWS = [
 class TestStatusMatrix:
     def test_render(self):
         matrix = StatusMatrix.from_rows(SURVEY_ROWS, tiers=("reference", "latest"))
-        text = matrix.render()
+        text = matrix.render(paper_style=False)
         lines = text.splitlines()
         assert lines[0].split() == ["project", "cve", "reference", "latest"]
         assert lines[1].split() == ["alpha", "CVE-2020-1", "✓", "build-fail"]
@@ -65,7 +65,7 @@ class TestStatusMatrix:
 
     def test_deterministic(self):
         matrix = StatusMatrix.from_rows(SURVEY_ROWS, tiers=("reference", "latest"))
-        assert matrix.render() == matrix.render()
+        assert matrix.render(paper_style=False) == matrix.render(paper_style=False)
 
 
 class TestRevivalMatrix:
@@ -79,7 +79,7 @@ class TestRevivalMatrix:
     ]
 
     def test_full_detail_has_abort_column(self):
-        text = render_revival_matrix(self.ROWS, tiers=("reference", "latest"))
+        text = render_revival_matrix(self.ROWS, paper_style=False, tiers=("reference", "latest"))
         assert "TooManyFiles" in text
         assert "reversed" in text.splitlines()[0]
         assert "only latest attempted" in text
@@ -115,7 +115,7 @@ def test_render_records_table():
             touched_regions=[], port_digest="",
         ),
     ]
-    text = render_records_table(records)
+    text = render_records_table(records, paper_style=False)
     lines = text.splitlines()
     assert lines[1].split() == ["alpha", "CVE-2020-1", "v2", "✓", "2", "-"]
     assert lines[2].split() == ["alpha", "CVE-2020-2", "v2", "✗", "1", "Complexity"]
@@ -181,11 +181,11 @@ class TestActivityPlot:
         assert svg.count("CVE-2020-1") == 1
 
     def test_empty_lifelines_ok(self):
-        svg = emit_activity_plot(hist([(0, 2, 1)]))
+        svg = emit_activity_plot(hist([(0, 2, 1)]), (), ())
         assert "<line" not in svg
         assert "<rect" in svg
 
     def test_deterministic(self):
         h = hist([(0, 5, 1), (14 * DAY, 3, 2)])
         lifelines = [{"cve": "CVE-2020-1", "start": 0, "end": 20 * DAY}]
-        assert emit_activity_plot(h, lifelines) == emit_activity_plot(h, lifelines)
+        assert emit_activity_plot(h, lifelines, ()) == emit_activity_plot(h, lifelines, ())
