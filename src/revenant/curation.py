@@ -9,11 +9,12 @@ revival records and emits a deterministic manifest.
 from __future__ import annotations
 
 import json
+import os
 import re
-import subprocess
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .oracle import run_limited
 from .porter import FINAL_REVIVED, Limits, RevivalRecord
 
 RULE_COMPLEXITY = "complexity"
@@ -244,34 +245,29 @@ def rule_functionality(
     result_format: str,
     allowlist: Iterable[str],
 ) -> FunctionalityVerdict:
-    """Run the project's own test suite, a shell command, in `cwd` and
-    judge the ported tree by it.  A suite that does not finish within
-    SUITE_TIMEOUT, or that the shell cannot find or run, is SuiteCrashed."""
-    try:
-        proc = subprocess.run(
-            suite_cmd,
-            cwd=str(cwd),
-            shell=True,
-            capture_output=True,
-            text=True,
-            errors="replace",
-            timeout=SUITE_TIMEOUT,
-        )
-    except (subprocess.TimeoutExpired, OSError) as exc:
-        raise SuiteCrashed(f"suite did not run: {exc}") from exc
-    if proc.returncode in (126, 127):  # the shell could not run the command, or found none
-        raise SuiteCrashed(f"suite did not run: {proc.stderr.strip()}")
+    """Run the project's own test suite, a shell command, in `cwd` under
+    the ambient environment and judge the ported tree by its stdout and
+    stderr, read as one stream.  It runs as a build step does
+    (`oracle.run_limited`): a suite that does not finish within
+    SUITE_TIMEOUT has its whole process group killed.  Such a suite, one
+    that cannot be started, and one that the shell cannot find or run are
+    SuiteCrashed."""
+    res = run_limited(["sh", "-c", suite_cmd], cwd, dict(os.environ), SUITE_TIMEOUT)
+    if res.spawn_error or res.timed_out:
+        why = res.spawn_error or f"no exit within {SUITE_TIMEOUT:.0f}s"
+        raise SuiteCrashed(f"suite did not run: {why}")
+    if res.returncode in (126, 127):  # the shell could not run the command, or found none
+        raise SuiteCrashed(f"suite did not run: {res.output.strip()}")
 
-    output = proc.stdout + "\n" + proc.stderr
     if result_format == FORMAT_EXIT_CODE:
-        total, failed = 1, ([] if proc.returncode == 0 else ["suite"])
+        total, failed = 1, ([] if res.returncode == 0 else ["suite"])
     elif result_format == FORMAT_TAP:
-        parsed = _parse_tap(output)
+        parsed = _parse_tap(res.output)
         if parsed is None:
             raise SuiteCrashed("no TAP result lines in suite output")
         total, failed = parsed
     elif result_format == FORMAT_PASS_FAIL:
-        parsed = _parse_pass_fail(output)
+        parsed = _parse_pass_fail(res.output)
         if parsed is None:
             raise SuiteCrashed("no PASS:/FAIL: result lines in suite output")
         total, failed = parsed

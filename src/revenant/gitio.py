@@ -716,10 +716,12 @@ def revert_onto(tree, commit: str, inverse: SourcePatch, max_fuzz: int) -> List[
             for fp, keep in zip(inverse.files, kept)]
 
 
+BUCKET_WIDTH_DAYS = 14  # the width of an activity histogram's buckets
+
+
 @dataclass
 class ActivityHistogram:
     bucket_width_days: int
-    start: int  # epoch seconds of the first bucket's left edge
     buckets: List[Tuple[int, int, int]] = field(default_factory=list)
     # each bucket: (bucket_start_epoch, total_commits, cve_related_commits)
 
@@ -736,10 +738,9 @@ def activity_histogram(
     ordered: Sequence[CommitRef],
     tracked_files: Iterable[str],
     touched: Callable[[str], Iterable[str]],
-    bucket_width_days: int = 14,
 ) -> ActivityHistogram:
-    """Bucketed commit counts over a range, oldest first (see
-    `CommitMemo.between`), by committer timestamp.
+    """Commit counts in buckets of `BUCKET_WIDTH_DAYS` over a range, oldest
+    first (see `CommitMemo.between`), by committer timestamp.
 
     A commit is related when `touched` (see `CommitMemo.touched`), asked
     only while some file is tracked, names a tracked file.  Buckets are
@@ -748,9 +749,9 @@ def activity_histogram(
     into the edge buckets so every commit is counted exactly once.
     """
     tracked = set(tracked_files)
-    width = bucket_width_days * 86400
+    width = BUCKET_WIDTH_DAYS * 86400
     if not ordered:
-        return ActivityHistogram(bucket_width_days=bucket_width_days, start=0, buckets=[])
+        return ActivityHistogram(bucket_width_days=BUCKET_WIDTH_DAYS, buckets=[])
     start = ordered[0].timestamp
     span_end = max(c.timestamp for c in ordered)
     n_buckets = max((span_end - start) // width + 1, 1)
@@ -765,6 +766,4 @@ def activity_histogram(
     buckets = [
         (start + i * width, totals[i], related[i]) for i in range(n_buckets)
     ]
-    return ActivityHistogram(
-        bucket_width_days=bucket_width_days, start=start, buckets=buckets
-    )
+    return ActivityHistogram(bucket_width_days=BUCKET_WIDTH_DAYS, buckets=buckets)

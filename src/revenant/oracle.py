@@ -8,9 +8,10 @@ on-disk store keyed by content hash, so a tree probed again, by any
 oracle sharing the store, is never rebuilt.  The store also keeps, for
 each built verdict, a trace of the tree files the build and the PoC
 read, so a tree that agrees with it on those files and on its listing is
-answered without a build.  Each build step and PoC run is one child
-process, started cheaply (`run_limited`): `/bin/sh` sets its limits and
-execs it in its own process group, under a wall-clock budget.  The PoC
+answered without a build.  Each build step and PoC run, like the
+project's own test suite that curation runs, is one child process,
+started cheaply (`run_limited`): `/bin/sh` sets its limits and execs it
+in its own process group, under a wall-clock budget.  The PoC
 input is keyed by its bytes and its basename, not by where it sits, and
 the PoC runs on a copy of exactly those bytes.
 """
@@ -33,7 +34,7 @@ import threading
 import time
 import weakref
 from contextlib import closing, contextmanager
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -99,19 +100,10 @@ class PocSpec:
 
 
 @dataclass
-class BuildOutcome:
-    ok: bool
-    artifacts: List[str] = field(default_factory=list)
-    log_excerpt: str = ""
-    transient: bool = False  # failed on its budget or a spawn, not on its steps
-
-
-@dataclass
 class OracleVerdict:
     kind: str
     detector_class: str = ""
     evidence: str = ""
-    wall_time: float = 0.0
     # decided by a clock or the environment rather than by the inputs (a
     # timeout or a spawn failure): a rerun may differ
     transient: bool = False
@@ -122,7 +114,7 @@ class OracleVerdict:
         return not self.transient and self.kind != KIND_SANDBOX_FAILURE
 
     def to_dict(self) -> dict:
-        # wall_time and transient are deliberately absent: serialized
+        # transient is deliberately absent: serialized
         # verdicts must be byte-identical across reruns of the same inputs
         return {
             "kind": self.kind,
@@ -197,7 +189,8 @@ def classify_detector_output(text: str) -> Optional[DetectorHit]:
 # ---------- process running ----------
 
 
-# Every build step and PoC run starts as `sh -c LIMITED LAUNCHER argv...`:
+# Every build step, PoC run and project suite starts as
+# `sh -c LIMITED LAUNCHER argv...`:
 # the shell sets the limits and then execs argv in its place.  No Python
 # code runs between fork and exec, so `subprocess` can vfork instead of
 # copying the interpreter.  The limits: no core dumps, and output files of
@@ -228,14 +221,12 @@ def run_limited(
     cwd: Path,
     env: Dict[str, str],
     timeout: float,
-    counters: Dict[str, int],
 ) -> RunResult:
     """Run a command under the limits of `LIMITED`, with a wall-clock
     budget, in its own process group, and return its merged stdout and
     stderr.  A command that cannot be started, or whose limits cannot be
     set, gives `spawn_error`.  On a timeout the group is killed and what
     the pipe yields within `DRAIN_DEADLINE` is returned."""
-    counters["subprocess_launches"] = counters.get("subprocess_launches", 0) + 1
     t0 = time.monotonic()
     try:
         proc = subprocess.Popen(
@@ -296,43 +287,43 @@ def build(
     counters: Dict[str, int],
     env: Dict[str, str],
     slot_home: str,
-) -> BuildOutcome:
+) -> Optional[OracleVerdict]:
     """Run the recipe's steps in order inside `workdir`, under `env` (the
-    recipe's `run_env`).  The log is `_canonical` for `slot_home`.
+    recipe's `run_env`).
 
-    Ok iff every step exits zero within the shared budget and every
-    declared artifact exists afterwards.
+    None when every step exits zero within the shared budget and every
+    declared artifact exists afterwards.  Otherwise the BuildFailed
+    verdict, whose evidence is the log's tail, `_canonical` for
+    `slot_home`; it is transient when the budget, a spawn failure or a
+    timeout decided it.
     """
     workdir = Path(workdir)
     deadline = time.monotonic() + recipe.timeout
     log_parts: List[str] = []
     counters["builds"] = counters.get("builds", 0) + 1
+
+    def failed(why: str, transient: bool) -> OracleVerdict:
+        log_parts.append(why)
+        return OracleVerdict(KIND_BUILD_FAILED, evidence=_tail("\n".join(log_parts)),
+                             transient=transient)
+
     for step in recipe.steps:
         budget = deadline - time.monotonic()
         if budget <= 0:
-            log_parts.append("BUILD TIMEOUT: budget exhausted before step ran")
-            return BuildOutcome(False, [], _tail("\n".join(log_parts)), transient=True)
-        res = run_limited(
-            ["sh", "-c", step], cwd=workdir, env=env, timeout=budget, counters=counters
-        )
+            return failed("BUILD TIMEOUT: budget exhausted before step ran", True)
+        counters["subprocess_launches"] = counters.get("subprocess_launches", 0) + 1
+        res = run_limited(["sh", "-c", step], cwd=workdir, env=env, timeout=budget)
         log_parts.append(f"$ {step}\n{_canonical(res.output, slot_home)}")
         if res.spawn_error:
-            log_parts.append(f"SPAWN FAILURE: {_canonical(res.spawn_error, slot_home)}")
-            return BuildOutcome(False, [], _tail("\n".join(log_parts)), transient=True)
+            return failed(f"SPAWN FAILURE: {_canonical(res.spawn_error, slot_home)}", True)
         if res.timed_out:
-            log_parts.append(f"BUILD TIMEOUT after {res.wall_time:.1f}s in: {step}")
-            return BuildOutcome(False, [], _tail("\n".join(log_parts)), transient=True)
+            return failed(f"BUILD TIMEOUT after {res.wall_time:.1f}s in: {step}", True)
         if res.returncode != 0:
-            log_parts.append(f"step failed with exit {res.returncode}")
-            return BuildOutcome(False, [], _tail("\n".join(log_parts)))
-    artifacts = []
+            return failed(f"step failed with exit {res.returncode}", False)
     for rel in recipe.artifact_paths:
-        p = workdir / rel
-        if not p.exists():
-            log_parts.append(f"MISSING ARTIFACT: {rel}")
-            return BuildOutcome(False, [], _tail("\n".join(log_parts)))
-        artifacts.append(str(p))
-    return BuildOutcome(True, artifacts, _tail("\n".join(log_parts)))
+        if not (workdir / rel).exists():
+            return failed(f"MISSING ARTIFACT: {rel}", False)
+    return None
 
 
 def _tail(text: str, limit: int = DEFAULT_LOG_TAIL) -> str:
@@ -395,9 +386,11 @@ def run_poc(
     """Execute the PoC command against the built artifacts under `env` and
     classify.  The evidence is `_canonical` for `slot_home`.
 
-    Precedence: a detector report always wins; then timeout handling; then
-    usage text, which means PocIncompatible; anything else is NotTriggered.
-    A verdict that a timeout decided is transient.
+    Precedence: a detector report always wins (NotTriggered when
+    `expected_detector` names another class); then a timeout, which is
+    Hang, or Triggered by `HANG_TRIGGER_CLASS` under `hang_is_trigger`;
+    then usage text, which means PocIncompatible; anything else is
+    NotTriggered.  A verdict that a timeout decided is transient.
     """
     binary = artifacts[0] if artifacts else ""
     if not binary or not Path(binary).exists():
@@ -409,47 +402,24 @@ def run_poc(
     argv = [word.format(binary=binary, input=poc.input_file) for word in shlex.split(poc.command)]
     if sanitizer == SANITIZER_VALGRIND:
         argv = ["valgrind", "-q", "--error-exitcode=96"] + argv
-    res = run_limited(argv, cwd=cwd, env=env, timeout=poc.run_timeout, counters=counters)
+    counters["subprocess_launches"] = counters.get("subprocess_launches", 0) + 1
+    res = run_limited(argv, cwd=cwd, env=env, timeout=poc.run_timeout)
     if res.spawn_error:
         return OracleVerdict(KIND_SANDBOX_FAILURE, evidence=_canonical(res.spawn_error, slot_home))
 
     output = _canonical(res.output, slot_home)
     hit = classify_detector_output(output)
     if hit is not None:
-        if poc.expected_detector and hit.weakness_class != poc.expected_detector:
-            return OracleVerdict(
-                KIND_NOT_TRIGGERED,
-                detector_class=hit.weakness_class,
-                evidence=hit.excerpt,
-                wall_time=res.wall_time,
-                transient=res.timed_out,
-            )
-        return OracleVerdict(
-            KIND_TRIGGERED,
-            detector_class=hit.weakness_class,
-            evidence=hit.excerpt,
-            wall_time=res.wall_time,
-            transient=res.timed_out,
-        )
+        missed = poc.expected_detector and hit.weakness_class != poc.expected_detector
+        return OracleVerdict(KIND_NOT_TRIGGERED if missed else KIND_TRIGGERED,
+                             hit.weakness_class, hit.excerpt, transient=res.timed_out)
     if res.timed_out:
-        if poc.hang_is_trigger:
-            return OracleVerdict(
-                KIND_TRIGGERED,
-                detector_class=HANG_TRIGGER_CLASS,
-                evidence=f"no exit within {poc.run_timeout:.0f}s",
-                wall_time=res.wall_time,
-                transient=True,
-            )
-        return OracleVerdict(
-            KIND_HANG,
-            evidence=f"no exit within {poc.run_timeout:.0f}s",
-            wall_time=res.wall_time,
-            transient=True,
-        )
+        hang = (KIND_TRIGGERED, HANG_TRIGGER_CLASS) if poc.hang_is_trigger else (KIND_HANG, "")
+        return OracleVerdict(*hang, f"no exit within {poc.run_timeout:.0f}s", transient=True)
     # usage text alone decides: an exit code or the time to exit would let
     # a loaded machine and an idle one disagree
     kind = KIND_POC_INCOMPATIBLE if looks_like_usage_error(output) else KIND_NOT_TRIGGERED
-    return OracleVerdict(kind, evidence=_tail(output, 1024), wall_time=res.wall_time)
+    return OracleVerdict(kind, evidence=_tail(output, 1024))
 
 
 # ---------- content-addressed verdict store ----------
@@ -974,25 +944,22 @@ class Oracle:
         home = str(slot.home)
         try:
             slot.sync(tree, recipe, identity)
-            outcome = build(slot.root, recipe, counters=self.counters, env=env, slot_home=home)
-            if not outcome.ok and not outcome.transient and not slot.fresh:
+            failed = build(slot.root, recipe, self.counters, env, home)
+            if failed is not None and not failed.transient and not slot.fresh:
                 # a product of an earlier build may be to blame: only a
                 # clean build may decide BuildFailed
                 slot.wipe()
                 slot.sync(tree, recipe, identity)
-                outcome = build(slot.root, recipe, counters=self.counters, env=env,
-                                slot_home=home)
+                failed = build(slot.root, recipe, self.counters, env, home)
             slot.fresh = False
-            if not outcome.ok:
+            if failed is not None:
                 slot.note_reads()
-                if outcome.transient:
+                if failed.transient:
                     slot.wipe()  # a killed build may leave half-written products
-                return OracleVerdict(
-                    KIND_BUILD_FAILED, evidence=outcome.log_excerpt, transient=outcome.transient
-                )
+                return failed
             copy = slot.place_input(poc.input_file, data)
             verdict = run_poc(
-                outcome.artifacts,
+                [str(slot.root / rel) for rel in recipe.artifact_paths],
                 replace(poc, input_file=str(copy)),
                 cwd=slot.root,
                 env=env,

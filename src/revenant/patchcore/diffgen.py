@@ -32,16 +32,19 @@ def _tagged_lines(text: str) -> List[Tuple[str, bool]]:
     return out
 
 
-def diff_texts(old: str, new: str, path: str, context: int = 3) -> FilePatch:
-    """Unified diff of two texts as a FilePatch (empty hunks list if equal)
-    that neither creates nor deletes the file: an empty text may be a file
-    that stays."""
+CONTEXT_LINES = 3  # unchanged lines kept on each side of a change
+
+
+def diff_texts(old: str, new: str, path: str) -> FilePatch:
+    """Unified diff of two texts as a FilePatch (empty hunks list if equal),
+    with `CONTEXT_LINES` of context, that neither creates nor deletes the
+    file: an empty text may be a file that stays."""
     a = _tagged_lines(old)
     b = _tagged_lines(new)
     fp = FilePatch(path, path, [])
 
     matcher = difflib.SequenceMatcher(a=a, b=b, autojunk=False)
-    for group in matcher.get_grouped_opcodes(context):
+    for group in matcher.get_grouped_opcodes(CONTEXT_LINES):
         i1, j1 = group[0][1], group[0][3]
         i2, j2 = group[-1][2], group[-1][4]
         hunk = Hunk(

@@ -89,19 +89,16 @@ class StatusMatrix:
         return out
 
 
-def render_revival_matrix(
-    survey_rows: Iterable[dict],
-    paper_style: bool,
-    tiers: Sequence[str] = TIERS,
-) -> str:
-    """Revival outcomes per tier plus how many commits each CVE reversed."""
-    header = ["project", "cve", *tiers, "reversed"]
+def render_revival_matrix(survey_rows: Iterable[dict], paper_style: bool) -> str:
+    """Revival outcomes per tier of `TIERS` plus how many commits each CVE
+    reversed."""
+    header = ["project", "cve", *TIERS, "reversed"]
     if not paper_style:
         header.append("abort")
     body = []
     notes = {}
     for row in survey_rows:
-        cells = [glyph(row["tiers"].get(tier, ""), paper_style) for tier in tiers]
+        cells = [glyph(row["tiers"].get(tier, ""), paper_style) for tier in TIERS]
         line = [row["project"], row["cve"], *cells, str(row["commits_reverted"])]
         if not paper_style:
             line.append(row.get("abort_reason", "") or MISSING)

@@ -13,7 +13,6 @@ from typing import Dict, Iterable, Iterator, Optional
 from revenant.gitio import MODE_EXEC, MODE_FILE, MODE_LINK, blob_id
 from revenant.oracle import (
     SANITIZER_NONE,
-    BuildOutcome,
     BuildRecipe,
     OracleVerdict,
     PocSpec,
@@ -191,9 +190,9 @@ def atimes_recorded() -> bool:
         return _records_reads(Path(d))
 
 
-def build_in_place(workdir: Path, recipe: BuildRecipe) -> BuildOutcome:
+def build_in_place(workdir: Path, recipe: BuildRecipe) -> Optional[OracleVerdict]:
     """`build` of `recipe` in `workdir`, as the oracle builds in a slot
-    whose home is `workdir`."""
+    whose home is `workdir`: None, or the BuildFailed verdict."""
     return build(workdir, recipe, {}, run_env(recipe.env), str(workdir))
 
 

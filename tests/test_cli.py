@@ -6,7 +6,7 @@ import subprocess
 import pytest
 
 from revenant import gitio
-from revenant.cli import main
+from revenant.cli import BISECT_FILE, RECORD_FILE, TIERS_FILE, main
 from revenant.config import DEFAULT_WORKSPACE
 from revenant.forge import forge_repo
 from revenant.oracle import LOCK_PREFIX
@@ -416,48 +416,80 @@ def test_no_command_leaves_a_child_and_summaries_count_git_and_wall(tmp_path, fi
         assert no_child_left(), argv[0]
 
 
+# the commands a perturbation row may run, and the artifact each writes
+PERTURBED = {"revive": RECORD_FILE, "tiers": TIERS_FILE, "bisect": BISECT_FILE}
+
+
+def _run(command, case, fx, *flags):
+    ends = [fx.fix, fx.target] if command == "bisect" else []
+    return main([command, "--config", str(case), *ends, *flags])
+
+
 @pytest.fixture(scope="module")
 def revived_c1_c4(tmp_path_factory):
-    """A forged C1+C4 case, and the revival record of a plain run of it."""
+    """A forged C1+C4 case, and the artifacts of a plain run of it: the
+    revival record, the tiers and the bisection, by command."""
     root = tmp_path_factory.mktemp("c1c4")
     fx = forge_repo(root / "fx", ["C1", "C4"])
-    assert main(["revive", "--config", str(write_case(root, fx))]) == 0
-    return fx, (root / "ws" / CVE / "revival_record.json").read_bytes()
+    case = write_case(root, fx)
+    for command in PERTURBED:
+        assert _run(command, case, fx) == 0
+    return fx, {command: (root / "ws" / CVE / name).read_bytes()
+                for command, name in PERTURBED.items()}
 
 
 # Where and how revenant runs, after reprotest's variations: the workspace
-# path (a space, non-ASCII, a quote, a symlink), the umask, the time zone,
-# the locale and HOME.  Each row revives into a workspace of its own, so
-# its verdicts come from fresh builds.
-@pytest.mark.parametrize("workspace, env, umask", [
-    ("w s", {}, None),
-    ("wé", {}, None),
-    ("w'q", {}, None),
-    ("link/ws", {}, None),
-    ("ws", {}, 0o077),
-    ("ws", {"TZ": "Pacific/Kiritimati"}, None),
-    ("ws", {"LC_ALL": "C.UTF-8"}, None),
-    ("ws", {"HOME": None}, None),
-], ids=["space", "non-ascii", "quote", "symlink", "umask-077", "tz", "locale", "no-home"])
+# path (a space, non-ASCII, a quote, a symlink, one relative to the working
+# directory), the umask, the time zone, the locale, HOME and the PoC
+# input's basename.  Each row runs its commands into a workspace of its
+# own, so its verdicts come from fresh builds.
+@pytest.mark.parametrize("row", [
+    {"workspace": "w s"},
+    {"workspace": "wé"},
+    {"workspace": "w'q"},
+    {"workspace": "link/ws"},
+    {"umask": 0o077},
+    {"env": {"TZ": "Pacific/Kiritimati"}},
+    {"env": {"LC_ALL": "C.UTF-8"}},
+    {"env": {"HOME": None}},
+    {"relative": True},
+    {"poc": "po c.bin"},
+    {"workspace": "w s", "commands": ("tiers", "bisect")},
+], ids=["space", "non-ascii", "quote", "symlink", "umask-077", "tz", "locale", "no-home",
+        "relative", "poc-space", "space-tiers-bisect"])
 def test_no_perturbation_of_the_run_changes_a_record(tmp_path, capsys, monkeypatch, revived_c1_c4,
-                                                      workspace, env, umask):
+                                                      row):
     fx, baseline = revived_c1_c4
+    workspace = row.get("workspace", "ws")
     (tmp_path / "real").mkdir()
     (tmp_path / "link").symlink_to(tmp_path / "real")
-    for name, value in env.items():
+    for name, value in row.get("env", {}).items():
         if value is None:
             monkeypatch.delenv(name, raising=False)
         else:
             monkeypatch.setenv(name, value)
     case = write_case(tmp_path, fx, workspace=str(tmp_path / workspace))
+    if "poc" in row:
+        data = json.loads(case.read_text())
+        data["poc"]["input"] = str(tmp_path / row["poc"])
+        (tmp_path / row["poc"]).write_bytes(fx.poc_file.read_bytes())
+        case.write_text(json.dumps(data))
+    flags = []
+    if row.get("relative"):
+        monkeypatch.chdir(tmp_path)
+        flags = ["--workspace", workspace]
+    umask = row.get("umask")
     saved = os.umask(umask) if umask is not None else None
     try:
-        assert main(["revive", "--config", str(case)]) == 0
+        for command in row.get("commands", ("revive",)):
+            assert _run(command, case, fx, *flags) == 0
+            assert (tmp_path / workspace / CVE / PERTURBED[command]).read_bytes() == \
+                baseline[command], command
     finally:
         if saved is not None:
             os.umask(saved)
-    assert summary(capsys)["final"] == "Revived"
-    assert (tmp_path / workspace / CVE / "revival_record.json").read_bytes() == baseline
+    if "commands" not in row:
+        assert summary(capsys)["final"] == "Revived"
 
 
 OVERFLOW_C = """\

@@ -3,9 +3,12 @@ import json
 import random
 import shlex
 import stat
+import time
+from pathlib import Path
 
 import pytest
 
+from revenant import curation
 from revenant.curation import (
     FORMAT_EXIT_CODE,
     FORMAT_PASS_FAIL,
@@ -24,6 +27,7 @@ from revenant.curation import (
     rule_functionality,
     select_compatible,
 )
+from revenant.oracle import DRAIN_DEADLINE
 from revenant.porter import Limits, RevivalRecord
 
 
@@ -223,6 +227,16 @@ def write_script(path, body):
     return path
 
 
+def running(pid):
+    """Whether process `pid` exists and is more than a zombie waiting for
+    its reaper."""
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state != "Z"
+
+
 class TestFunctionalityRule:
     def test_exit_code_pass(self, tmp_path):
         verdict = rule_functionality("true", tmp_path, FORMAT_EXIT_CODE, ())
@@ -272,6 +286,31 @@ class TestFunctionalityRule:
     def test_unparseable_suite_output_crashes(self, tmp_path):
         with pytest.raises(SuiteCrashed):
             rule_functionality("echo nothing to see", tmp_path, FORMAT_TAP, ())
+
+    def test_tap_lines_on_stdout_are_counted_among_stderr_noise(self, tmp_path):
+        script = write_script(
+            tmp_path / "suite.sh",
+            "echo 'ok 1 - parse'\n"
+            "echo 'noise: ok 9' >&2\n"
+            "echo 'not ok 2 - encode'\n"
+            "echo 'warning: slow disk' >&2\n"
+            "echo 'ok 3 - io'\n",
+        )
+        verdict = rule_functionality(shlex.quote(str(script)), tmp_path, FORMAT_TAP, ())
+        assert verdict.total_tests == 3
+        assert verdict.failed == ["2"]
+
+    def test_a_suite_that_times_out_leaves_no_process(self, tmp_path, monkeypatch):
+        # the shell's background child holds the output pipe: killing only
+        # the shell would leave it running
+        monkeypatch.setattr(curation, "SUITE_TIMEOUT", 1.0)
+        with pytest.raises(SuiteCrashed):
+            rule_functionality("sleep 20 & echo $! > pid; wait", tmp_path, FORMAT_EXIT_CODE, ())
+        pid = int((tmp_path / "pid").read_text())
+        deadline = time.monotonic() + DRAIN_DEADLINE + 3
+        while running(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not running(pid)
 
     def test_missing_suite_crashes(self, tmp_path):
         with pytest.raises(SuiteCrashed):

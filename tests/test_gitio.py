@@ -346,9 +346,9 @@ def test_activity_histogram_conserves_and_buckets(repo):
         assert hist.related_total == 5
         assert len(hist.buckets) == 1
 
-        hourly = activity_histogram(rng, ["nothing.c"], memo.touched, bucket_width_days=1)
-    assert hourly.total == 5
-    assert hourly.related_total == 0
+        untracked = activity_histogram(rng, ["nothing.c"], memo.touched)
+    assert untracked.total == 5
+    assert untracked.related_total == 0
 
 
 def test_activity_histogram_bucket_boundaries(tmp_path):
@@ -359,7 +359,7 @@ def test_activity_histogram_bucket_boundaries(tmp_path):
         rb.commit({"f": f"{i + 1}\n"}, f"c{i + 1}")
     with CommitMemo(rb.root) as memo:
         rng = memo.between("t0", "t4")
-        hist = activity_histogram(rng, ["f"], memo.touched, bucket_width_days=14)
+        hist = activity_histogram(rng, ["f"], memo.touched)
     # commits at +10d, +20d, +30d, +40d from the first in-range commit
     assert hist.total == 4
     assert [b[1] for b in hist.buckets] == [2, 1, 1]

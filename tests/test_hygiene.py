@@ -18,8 +18,9 @@ of a module in `src/` must be loaded the same way by a module in `src/` or
 there outside its own body; a name inside a string counts, so the names
 the benchmark's tracer looks up are read.  No parameter default of a
 function in `src/` is passed by every call in `src/` or `bench/` that
-reaches the function's name, so a default says what most callers get.
-`revenant.forge`, the fixture library that the tests and the benchmark
+reaches the function's name, so a default says what most callers get,
+and some call there passes each, so a default that no caller changes is
+a constant instead.  `revenant.forge`, the fixture library that the tests and the benchmark
 share, is not checked.
 """
 
@@ -224,47 +225,72 @@ def _defaults(fn: ast.FunctionDef, method: bool) -> list:
     return found
 
 
-def _passes(call: ast.Call, name: str, position) -> bool:
+def _passes(call: ast.Call, name: str, position, starred: bool) -> bool:
+    """Whether `call` passes the parameter `name`, by keyword or at
+    `position`; a call with `*args` or `**kwargs` counts as `starred`."""
     if any(isinstance(a, ast.Starred) for a in call.args) or any(
             k.arg is None for k in call.keywords):
-        return False
+        return starred
     return any(k.arg == name for k in call.keywords) or (
         position is not None and position < len(call.args))
 
 
-def overridden_defaults(sources: dict, callers: dict) -> list:
-    """`path: function(parameter)` for each parameter default of a function
-    or method of `sources` (path -> source) that at least one call in
-    `sources` or `callers` reaches by name, and that every such call
-    passes, by position or by keyword; a call with `*args` or `**kwargs`
-    passes nothing.  `__init__` methods are not checked."""
+def _defaults_and_calls(sources: dict, callers: dict) -> Iterator[tuple]:
+    """(`path: function(parameter)`, parameter, position, calls) for each
+    parameter default of a function or method of `sources` (path ->
+    source), with every call in `sources` or `callers` that reaches the
+    function by name.  `__init__` methods are not checked."""
     trees = {path: ast.parse(source) for path, source in {**callers, **sources}.items()}
     calls: dict = {}
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 calls.setdefault(_call_name(node), []).append(node)
-    found = []
     for path in sources:
         owner = {id(fn): f"{node.name}." for node in ast.walk(trees[path])
                  if isinstance(node, ast.ClassDef) for fn in node.body}
         for fn in ast.walk(trees[path]):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name == "__init__":
                 continue
-            reaching = calls.get(fn.name, [])
-            found += [f"{path}: {owner.get(id(fn), '')}{fn.name}({name})"
-                      for name, position in _defaults(fn, id(fn) in owner)
-                      if reaching and all(_passes(call, name, position) for call in reaching)]
-    return sorted(found)
+            for name, position in _defaults(fn, id(fn) in owner):
+                label = f"{path}: {owner.get(id(fn), '')}{fn.name}({name})"
+                yield label, name, position, calls.get(fn.name, [])
 
 
-def test_no_default_in_src_is_overridden_by_every_caller():
-    # forge is the fixture library that the tests and the benchmark share
+def overridden_defaults(sources: dict, callers: dict) -> list:
+    """`path: function(parameter)` for each parameter default of `sources`
+    that at least one call in `sources` or `callers` reaches by name, and
+    that every such call passes; a call with `*args` or `**kwargs` passes
+    nothing."""
+    return sorted(label for label, name, position, reaching in _defaults_and_calls(sources, callers)
+                  if reaching and all(_passes(call, name, position, False) for call in reaching))
+
+
+def unoverridden_defaults(sources: dict, callers: dict) -> list:
+    """`path: function(parameter)` for each parameter default of `sources`
+    that no call in `sources` or `callers` passes; a call with `*args` or
+    `**kwargs` counts as passing it."""
+    return sorted(label for label, name, position, reaching in _defaults_and_calls(sources, callers)
+                  if not any(_passes(call, name, position, True) for call in reaching))
+
+
+def _src_and_callers() -> tuple:
+    """The modules of `src/` but forge, and the modules that call them:
+    `bench/` and forge, the fixture library that the tests and the
+    benchmark share (path -> source)."""
     sources = {top: {str(path.relative_to(ROOT)): path.read_text("utf-8")
                      for path in sorted((ROOT / top).rglob("*.py"))}
                for top in ("src", "bench")}
     forge = {"src/revenant/forge.py": sources["src"].pop("src/revenant/forge.py")}
-    assert overridden_defaults(sources["src"], {**sources["bench"], **forge}) == []
+    return sources["src"], {**sources["bench"], **forge}
+
+
+def test_no_default_in_src_is_overridden_by_every_caller():
+    assert overridden_defaults(*_src_and_callers()) == []
+
+
+def test_every_default_in_src_has_a_caller_that_overrides_it():
+    assert unoverridden_defaults(*_src_and_callers()) == []
 
 
 def test_no_noqa_import_in_src_binds_more_than_one_name():
@@ -295,12 +321,7 @@ def test_every_private_helper_in_src_is_read():
 
 
 def test_every_public_name_in_src_has_a_reader():
-    # forge is the fixture library that the tests and the benchmark share
-    sources = {top: {str(path.relative_to(ROOT)): path.read_text("utf-8")
-                     for path in sorted((ROOT / top).rglob("*.py"))}
-               for top in ("src", "bench")}
-    forge = {"src/revenant/forge.py": sources["src"].pop("src/revenant/forge.py")}
-    assert unread_public_names(sources["src"], {**sources["bench"], **forge}) == []
+    assert unread_public_names(*_src_and_callers()) == []
 
 
 def test_every_reexport_in_src_is_loaded_through_its_package():
@@ -400,6 +421,38 @@ def test_the_check_sees_an_overridden_default():
         ),
     }
     assert overridden_defaults(sources, callers) == ["a.py: C.m(k)", "a.py: f(y)", "a.py: f(z)"]
+
+
+def test_the_check_sees_a_default_no_caller_overrides():
+    sources = {
+        "a.py": (
+            "def f(x, y=1, *, z=2):\n"
+            "    return g(x)\n"
+            "def g(a=0, b=0):\n"
+            "    pass\n"
+            "def h(c=0):\n"
+            "    pass\n"
+            "def unused(d=0):\n"
+            "    pass\n"
+            "class C:\n"
+            "    def __init__(self, n=0):\n"
+            "        pass\n"
+            "    def m(self, k=1):\n"
+            "        pass\n"
+        ),
+    }
+    callers = {
+        "run.py": (
+            "import a\n"
+            "a.f(1, 2)\n"
+            "a.g(*[1])\n"
+            "a.h(**{'c': 1})\n"
+            "a.C().m()\n"
+        ),
+    }
+    assert unoverridden_defaults(sources, callers) == [
+        "a.py: C.m(k)", "a.py: f(z)", "a.py: unused(d)",
+    ]
 
 
 def test_the_check_sees_an_unread_reexport():

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import revenant.oracle as oracle_mod
+from revenant.curation import FORMAT_EXIT_CODE, rule_functionality
 from revenant.gitio import MODE_EXEC, CommitMemo, CommitTree, checkout_worktree
 from revenant.oracle import (
     KIND_BUILD_FAILED,
@@ -210,28 +211,27 @@ class TestBuild:
             '#include <stdio.h>\nint main(void){puts("hi");return 0;}\n'
         )
         recipe = BuildRecipe.make(["cc -O0 -o hello hello.c"], ["hello"])
-        out = build_in_place(tmp_path, recipe)
-        assert out.ok
-        assert out.artifacts == [str(tmp_path / "hello")]
+        assert build_in_place(tmp_path, recipe) is None
+        assert (tmp_path / "hello").is_file()
 
     def test_failing_step(self, tmp_path):
         (tmp_path / "bad.c").write_text("int main(void){return\n")
         recipe = BuildRecipe.make(["cc -O0 -o bad bad.c"], ["bad"])
-        out = build_in_place(tmp_path, recipe)
-        assert not out.ok
-        assert "exit" in out.log_excerpt
+        failed = build_in_place(tmp_path, recipe)
+        assert (failed.kind, failed.transient) == (KIND_BUILD_FAILED, False)
+        assert "exit" in failed.evidence
 
     def test_missing_artifact(self, tmp_path):
         recipe = BuildRecipe.make(["true"], ["made_up_binary"])
-        out = build_in_place(tmp_path, recipe)
-        assert not out.ok
-        assert "MISSING ARTIFACT" in out.log_excerpt
+        failed = build_in_place(tmp_path, recipe)
+        assert (failed.kind, failed.transient) == (KIND_BUILD_FAILED, False)
+        assert "MISSING ARTIFACT" in failed.evidence
 
     def test_budget_enforced(self, tmp_path):
         recipe = BuildRecipe.make(["sleep 30"], [], timeout=1)
-        out = build_in_place(tmp_path, recipe)
-        assert not out.ok
-        assert "TIMEOUT" in out.log_excerpt
+        failed = build_in_place(tmp_path, recipe)
+        assert (failed.kind, failed.transient) == (KIND_BUILD_FAILED, True)
+        assert "TIMEOUT" in failed.evidence
 
 
 def _limits(text: str) -> dict:
@@ -250,20 +250,26 @@ needs_proc = pytest.mark.skipif(not Path("/proc/self/limits").exists(),
 
 
 class TestLaunches:
-    """Each build step and PoC run is exec'd by `/bin/sh` under its limits;
-    what the shell reports is a spawn failure, what the program does is
-    not."""
+    """Each build step, PoC run and project suite is exec'd by `/bin/sh`
+    under its limits; what the shell reports is a spawn failure, what the
+    program does is not."""
 
     @needs_proc
     def test_a_build_step_and_a_poc_run_under_the_limits(self, tmp_path):
         recipe = BuildRecipe.make(["cat /proc/self/limits > limits.txt"], ["limits.txt"])
-        assert build_in_place(tmp_path, recipe).ok
+        assert build_in_place(tmp_path, recipe) is None
         assert _limits((tmp_path / "limits.txt").read_text()) == LIMITS
         tool = _script(tmp_path, "t", "grep -E '^Max (core )?file size' /proc/self/limits\n")
         poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path))
         v = run_poc_in_place([tool], poc, cwd=tmp_path)
         assert v.kind == KIND_NOT_TRIGGERED
         assert _limits(v.evidence) == LIMITS
+
+    @needs_proc
+    def test_a_project_suite_under_the_limits(self, tmp_path):
+        suite = "cat /proc/self/limits > limits.txt"
+        assert rule_functionality(suite, tmp_path, FORMAT_EXIT_CODE, ()).verdict == "Functional"
+        assert _limits((tmp_path / "limits.txt").read_text()) == LIMITS
 
     @staticmethod
     def _path_with(tmp_path, *tools) -> str:
@@ -431,10 +437,10 @@ class TestOracle:
         v = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch").verdict(DiskTree(tree), DEMO_RECIPE, poc)
         assert v.kind == KIND_BUILD_FAILED
 
-    def test_verdict_serialization_excludes_wall_time(self):
-        v = OracleVerdict(KIND_TRIGGERED, "SEGV", "trace", wall_time=1.23)
+    def test_verdict_serialization_excludes_transient(self):
+        v = OracleVerdict(KIND_TRIGGERED, "SEGV", "trace", transient=True)
         d = v.to_dict()
-        assert "wall_time" not in d
+        assert "transient" not in d
         assert OracleVerdict.from_dict(d).detector_class == "SEGV"
 
 
@@ -802,6 +808,41 @@ class SlowTree(DiskTree):
         for item in super().blobs(entries):
             time.sleep(0.02)
             yield item
+
+
+class TestCounters:
+    """An oracle counts one build per try and one launch per build step and
+    PoC run that it starts."""
+
+    def _verdict(self, tmp_path, oracle, tree, recipe):
+        poc = PocSpec(command="sh {binary} {input}", input_file=_poc_file(tmp_path))
+        return oracle.verdict(DiskTree(tree), recipe, poc).kind
+
+    def _counted(self, oracle):
+        return oracle.counters.get("builds"), oracle.counters.get("subprocess_launches")
+
+    def test_a_two_step_build_and_its_poc_run(self, tmp_path):
+        tree = _shell_tree(tmp_path / "a", "cp crash.sh tool\n")
+        recipe = BuildRecipe.make(["sh build.sh", "test -e tool"], ["tool"])
+        oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
+        assert self._verdict(tmp_path, oracle, tree, recipe) == KIND_TRIGGERED
+        assert self._counted(oracle) == (1, 3)
+
+    def test_a_failing_first_step_starts_no_other(self, tmp_path):
+        tree = _shell_tree(tmp_path / "a", "cp crash.sh tool\n")
+        recipe = BuildRecipe.make(["false", "sh build.sh"], ["tool"])
+        oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
+        assert self._verdict(tmp_path, oracle, tree, recipe) == KIND_BUILD_FAILED
+        assert self._counted(oracle) == (1, 1)
+
+    def test_a_failure_in_a_used_slot_is_built_again_from_a_wiped_one(self, tmp_path):
+        built = _shell_tree(tmp_path / "a", "cp crash.sh tool\n")
+        broken = _shell_tree(tmp_path / "b", "exit 1\n")
+        oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
+        assert self._verdict(tmp_path, oracle, built, SHELL_RECIPE) == KIND_TRIGGERED
+        assert self._counted(oracle) == (1, 2)
+        assert self._verdict(tmp_path, oracle, broken, SHELL_RECIPE) == KIND_BUILD_FAILED
+        assert self._counted(oracle) == (3, 4)
 
 
 class TestBuildSlot:
@@ -1255,10 +1296,9 @@ def test_real_address_sanitizer(tmp_path):
         ["boom"],
         sanitizer=SANITIZER_ASAN,
     )
-    out = build_in_place(tmp_path, recipe)
-    assert out.ok
+    assert build_in_place(tmp_path, recipe) is None
     poc = PocSpec(command="{binary}", input_file="")
-    v = run_poc_in_place(out.artifacts, poc, cwd=tmp_path, sanitizer=SANITIZER_ASAN)
+    v = run_poc_in_place([str(tmp_path / "boom")], poc, cwd=tmp_path, sanitizer=SANITIZER_ASAN)
     assert v.kind == KIND_TRIGGERED
     assert v.detector_class == "heap-buffer-overflow"
 
@@ -1330,7 +1370,7 @@ class TestPocEnvironment:
         monkeypatch.setenv("REVENANT_TEST_UNRELATED", "1")
         monkeypatch.setenv("TZ", "Europe/Paris")
         recipe = BuildRecipe.make(["env > seen.txt"], ["seen.txt"], env={"MINE": "2"})
-        assert build_in_place(tmp_path, recipe).ok
+        assert build_in_place(tmp_path, recipe) is None
         seen = (tmp_path / "seen.txt").read_text().splitlines()
         assert not [line for line in seen if line.startswith("REVENANT_TEST_UNRELATED=")]
         assert {"LC_ALL=C", "TZ=UTC", "MINE=2"} <= set(seen)
@@ -1344,9 +1384,8 @@ def test_real_valgrind(tmp_path):
     recipe = BuildRecipe.make(
         ["cc -g -O0 -o boom overflow.c"], ["boom"], sanitizer=SANITIZER_VALGRIND
     )
-    out = build_in_place(tmp_path, recipe)
-    assert out.ok
+    assert build_in_place(tmp_path, recipe) is None
     poc = PocSpec(command="{binary}", input_file="", run_timeout=120)
-    v = run_poc_in_place(out.artifacts, poc, cwd=tmp_path, sanitizer=SANITIZER_VALGRIND)
+    v = run_poc_in_place([str(tmp_path / "boom")], poc, cwd=tmp_path, sanitizer=SANITIZER_VALGRIND)
     assert v.kind == KIND_TRIGGERED
     assert v.detector_class == "invalid-write"

@@ -154,8 +154,12 @@ def test_nearer_anchor_wins_over_farther():
 
 def test_rejected_hunk_does_not_block_others():
     old = OLD
-    new = OLD.replace("two\n", "TWO\n").replace("nine\n", "NINE\n")
-    fp = diff_texts(old, new, "f", context=1)
+    # one line of context, so the two changes stay two hunks
+    fp = parse_unified_diff(
+        "--- a/f\n+++ b/f\n"
+        "@@ -1,3 +1,3 @@\n one\n-two\n+TWO\n three\n"
+        "@@ -8,3 +8,3 @@\n eight\n-nine\n+NINE\n ten\n"
+    ).files[0]
     damaged = old.replace("two\n", "gone\n")
     result, report = apply_file_patch(damaged, fp)
     assert report.applied_count == 1

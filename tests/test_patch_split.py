@@ -136,7 +136,12 @@ def test_function_scope_groups_by_function(tmp_path):
 
 def test_function_scope_keeps_a_functions_hunks_together():
     new = C_FILE.replace("int v = argc;", "int v = argc + 1;").replace("return 0;", "return v;")
-    patch = SourcePatch([diff_texts(C_FILE, new, "m.c", context=0)])
+    # two contextless hunks, which a diff with context would join
+    patch = parse_unified_diff(
+        "--- a/m.c\n+++ b/m.c\n"
+        "@@ -13 +13 @@\n-    int v = argc;\n+    int v = argc + 1;\n"
+        "@@ -16 +16 @@\n-    return 0;\n+    return v;\n"
+    )
     assert len(patch.files[0].hunks) == 2
     parts = split_by_granularity(patch, Granularity.FunctionScope, read=lambda p: C_FILE)
     assert [len(p.hunks) for p in parts] == [2]
@@ -147,7 +152,11 @@ def test_function_scope_falls_back_to_chunks(tmp_path):
     old = "alpha\nbeta\ngamma\ndelta\n"
     new = "alpha\nBETA\ngamma\nDELTA\n"
     (tmp_path / "notes.txt").write_text(old)
-    patch = SourcePatch([diff_texts(old, new, "notes.txt", context=0)])
+    patch = parse_unified_diff(
+        "--- a/notes.txt\n+++ b/notes.txt\n"
+        "@@ -2 +2 @@\n-beta\n+BETA\n"
+        "@@ -4 +4 @@\n-delta\n+DELTA\n"
+    )
     parts = split_by_granularity(
         patch, Granularity.FunctionScope, read=lambda p: (tmp_path / p).read_text()
     )

@@ -79,17 +79,22 @@ class TestRevivalMatrix:
     ]
 
     def test_full_detail_has_abort_column(self):
-        text = render_revival_matrix(self.ROWS, paper_style=False, tiers=("reference", "latest"))
+        text = render_revival_matrix(self.ROWS, paper_style=False)
         assert "TooManyFiles" in text
-        assert "reversed" in text.splitlines()[0]
+        assert text.splitlines()[0].split() == [
+            "project", "cve", "reference", "intermediate", "latest", "reversed", "abort",
+        ]
         assert "only latest attempted" in text
 
     def test_paper_style(self):
-        text = render_revival_matrix(self.ROWS, paper_style=True, tiers=("reference", "latest"))
+        text = render_revival_matrix(self.ROWS, paper_style=True)
         assert "TooManyFiles" not in text
         lines = text.splitlines()
-        assert lines[1].split() == ["alpha", "CVE-2020-1", "✓", "✗", "3"]
-        assert lines[2].split() == ["alpha", "CVE-2020-2", "-", "✓", "1"]
+        assert lines[0].split() == [
+            "project", "cve", "reference", "intermediate", "latest", "reversed",
+        ]
+        assert lines[1].split() == ["alpha", "CVE-2020-1", "✓", "-", "✗", "3"]
+        assert lines[2].split() == ["alpha", "CVE-2020-2", "-", "-", "✓", "1"]
 
 
 def test_render_tally():
@@ -123,11 +128,7 @@ def test_render_records_table():
 
 
 def hist(buckets, width_days=14):
-    return ActivityHistogram(
-        bucket_width_days=width_days,
-        start=buckets[0][0] if buckets else 0,
-        buckets=buckets,
-    )
+    return ActivityHistogram(bucket_width_days=width_days, buckets=buckets)
 
 
 class TestActivityCsv:
