@@ -35,7 +35,7 @@ from .curation import (
 )
 from .datasets import TIERS, load_breaker_ledger, load_revival_survey, load_tier_survey
 from .gitio import CommitMemo, GitGatewayError, activity_histogram
-from .oracle import Oracle
+from .oracle import Oracle, write_atomic
 from .patchcore import Granularity
 from .porter import (
     BisectError,
@@ -49,12 +49,13 @@ from .porter import (
     status_of,
 )
 from .report import (
-    StatusMatrix,
     emit_activity_csv,
     emit_activity_plot,
     render_records_table,
     render_revival_matrix,
+    render_status_matrix,
     render_tally,
+    tier_columns,
 )
 
 EXIT_OK = 0
@@ -127,13 +128,8 @@ def _effort(porter: Porter, start: float) -> str:
     return f"{counts} git={porter.commits.spawns} wall={time.perf_counter() - start:.2f}"
 
 
-def _write(path: Path, text: str) -> Path:
-    path.write_text(text, encoding="utf-8")
-    return path
-
-
 def _write_json(path: Path, data) -> Path:
-    return _write(path, json.dumps(data, sort_keys=True, indent=2) + "\n")
+    return write_atomic(path, json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
 # ---------- subcommands ----------
@@ -219,7 +215,7 @@ def _revive_one(path: str, args) -> Tuple[str, int]:
     case_dir = _case_dir(args, cfg)
     with _porter(cfg, case_dir) as porter:
         record = porter.revive(cfg.cve, cfg.project, cfg.fix_commits, cfg.target)
-    out = _write(case_dir / RECORD_FILE, record.to_json())
+    out = write_atomic(case_dir / RECORD_FILE, record.to_json())
     line = (
         f"revive cve={cfg.cve} final={record.final}"
         + (f" abort={record.abort_reason}" if record.abort_reason else "")
@@ -313,7 +309,7 @@ def cmd_manifest(args) -> int:
         limits=cfgs[0].limits,
         created_at=created_at,
     )
-    out = _write(ws / MANIFEST_FILE, manifest.to_json())
+    out = write_atomic(ws / MANIFEST_FILE, manifest.to_json())
     print(
         f"manifest project={manifest.project} policy={args.policy} "
         f"included={len(manifest.included)} excluded={len(manifest.excluded)} record={out}"
@@ -351,8 +347,8 @@ def cmd_activity(args) -> int:
             ]
         hist = activity_histogram(ordered, tracked, commits.touched)
 
-    csv_path = _write(case_dir / ACTIVITY_CSV, emit_activity_csv(hist))
-    svg_path = _write(case_dir / ACTIVITY_SVG, emit_activity_plot(hist, lifelines, markers))
+    csv_path = write_atomic(case_dir / ACTIVITY_CSV, emit_activity_csv(hist))
+    svg_path = write_atomic(case_dir / ACTIVITY_SVG, emit_activity_plot(hist, lifelines, markers))
     print(
         f"activity cve={cfg.cve} buckets={len(hist.buckets)} commits={hist.total} "
         f"related={hist.related_total} csv={csv_path} svg={svg_path}"
@@ -386,8 +382,8 @@ def _sniff_report_rows(paths: Sequence[str]) -> Tuple[List[dict], List[RevivalRe
 def cmd_report(args) -> int:
     chunks = []
     if args.bundled:
-        matrix = StatusMatrix.from_rows(load_tier_survey())
-        chunks.append("PoC outcomes by tier\n" + matrix.render(args.paper_style))
+        chunks.append("PoC outcomes by tier\n"
+                      + render_status_matrix(load_tier_survey(), TIERS, args.paper_style))
         chunks.append(
             "revival outcomes\n"
             + render_revival_matrix(load_revival_survey(), args.paper_style)
@@ -398,15 +394,8 @@ def cmd_report(args) -> int:
     if args.records:
         matrix_rows, records = _sniff_report_rows(args.records)
         if matrix_rows:
-            tier_names = []
-            for row in matrix_rows:
-                for name in row["tiers"]:
-                    if name not in tier_names:
-                        tier_names.append(name)
-            # artifacts store tiers alphabetically; render canonical order first
-            tier_names.sort(key=lambda n: (TIERS.index(n) if n in TIERS else len(TIERS), n))
-            matrix = StatusMatrix.from_rows(matrix_rows, tiers=tier_names)
-            chunks.append("PoC outcomes by tier\n" + matrix.render(args.paper_style))
+            chunks.append("PoC outcomes by tier\n" + render_status_matrix(
+                matrix_rows, tier_columns(matrix_rows), args.paper_style))
         if records:
             chunks.append(
                 "revival records\n" + render_records_table(records, args.paper_style)
@@ -415,7 +404,7 @@ def cmd_report(args) -> int:
         raise ConfigError("report needs record files or --bundled")
     text = "\n".join(chunks)
     if args.out:
-        _write(Path(args.out), text)
+        write_atomic(Path(args.out), text)
         print(f"report sections={len(chunks)} record={args.out}")
     else:
         print(text, end="")

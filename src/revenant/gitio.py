@@ -721,7 +721,6 @@ BUCKET_WIDTH_DAYS = 14  # the width of an activity histogram's buckets
 
 @dataclass
 class ActivityHistogram:
-    bucket_width_days: int
     buckets: List[Tuple[int, int, int]] = field(default_factory=list)
     # each bucket: (bucket_start_epoch, total_commits, cve_related_commits)
 
@@ -751,7 +750,7 @@ def activity_histogram(
     tracked = set(tracked_files)
     width = BUCKET_WIDTH_DAYS * 86400
     if not ordered:
-        return ActivityHistogram(bucket_width_days=BUCKET_WIDTH_DAYS, buckets=[])
+        return ActivityHistogram(buckets=[])
     start = ordered[0].timestamp
     span_end = max(c.timestamp for c in ordered)
     n_buckets = max((span_end - start) // width + 1, 1)
@@ -766,4 +765,4 @@ def activity_histogram(
     buckets = [
         (start + i * width, totals[i], related[i]) for i in range(n_buckets)
     ]
-    return ActivityHistogram(bucket_width_days=BUCKET_WIDTH_DAYS, buckets=buckets)
+    return ActivityHistogram(buckets=buckets)

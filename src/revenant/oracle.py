@@ -570,7 +570,7 @@ class VerdictStore:
 
     def put(self, key: str, verdict: OracleVerdict) -> None:
         """Write the key's entry.  The caller holds the key's lock."""
-        self._write(self.root / f"{key}.json", verdict.to_dict())
+        write_atomic(self.root / f"{key}.json", json.dumps(verdict.to_dict(), sort_keys=True))
 
     def match(self, group: str, entries: List[Entry]) -> Optional[OracleVerdict]:
         """The verdict of the newest trace in `group` that the tree with
@@ -601,8 +601,10 @@ class VerdictStore:
             "reads": [list(entry) for entry in reads],
             "verdict": verdict.to_dict(),
         }
-        name = _sha(json.dumps(trace, sort_keys=True).encode())
-        self._write(self.root / "traces" / group / f"{name}.json", trace)
+        text = json.dumps(trace, sort_keys=True)
+        path = self.root / "traces" / group / f"{_sha(text.encode())}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_atomic(path, text)
         for old in self._traces(group)[TRACES_KEPT:]:
             try:
                 old.unlink()
@@ -619,15 +621,20 @@ class VerdictStore:
                 continue
         return [path for _, _, path in sorted(found, reverse=True)]
 
-    @staticmethod
-    def _write(path: Path, data: dict) -> None:
-        """Write `data` as JSON to `path` through a temp file named for the
-        writing process and thread, so that a reader sees the whole file
-        or none."""
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
-        tmp.write_text(json.dumps(data, sort_keys=True), encoding="utf-8")
+
+def write_atomic(path: Path, text: str) -> Path:
+    """Write `text` as UTF-8 to `path` through a temp file beside it, named
+    for the writing process and thread, so that a reader sees the whole
+    old file or the whole new one; return `path`.  A write that fails
+    removes the temp file.  Makes no directory."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
 
 
 def _remove(path: Path) -> None:
@@ -675,6 +682,29 @@ def _records_reads(directory: Path) -> bool:
         canary.unlink(missing_ok=True)
 
 
+def _reclaim(scratch_dir: str) -> None:
+    """Remove each slot home in `scratch_dir` whose lock no live slot
+    holds: one that a killed run left.  flock is per open file, so a live
+    slot in this process is skipped as one in another is."""
+    for home in Path(scratch_dir).glob("oracle-*"):
+        try:
+            fd = os.open(home, os.O_RDONLY | os.O_DIRECTORY)
+        except OSError:
+            continue  # reclaimed by another oracle, or not a slot
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            shutil.rmtree(home, ignore_errors=True)
+        except BlockingIOError:
+            pass  # a live slot
+        finally:
+            os.close(fd)
+
+
+def _release(home: str, fd: int) -> None:
+    shutil.rmtree(home, ignore_errors=True)
+    os.close(fd)  # drops the lock
+
+
 class BuildSlot:
     """One staging tree that successive builds reuse.
 
@@ -708,18 +738,30 @@ class BuildSlot:
     whose atime rose to the slot's read set.  The set holds every read
     since the last wipe, because an incremental build reads only what it
     redoes, yet its products depend on what earlier builds read.
+
+    A slot holds an exclusive `flock` on its home until it is closed.
+    Making a slot removes every sibling `oracle-*` home whose lock is free,
+    so a run that was killed leaves its slot only until the next one.
     """
 
     def __init__(self, scratch_dir: Path):
         # absolute, so artifact paths still resolve from a build step's or
         # a PoC run's working directory; without symlinks, so it is also
         # the path a step's `pwd` prints, and evidence names it one way
-        home = os.path.realpath(tempfile.mkdtemp(prefix="oracle-", dir=str(scratch_dir)))
+        scratch = os.path.realpath(scratch_dir)
+        _reclaim(scratch)
+        # made and locked under a name the reclaim skips, then renamed: the
+        # lock survives the rename, so no home is ever unlocked
+        staged = tempfile.mkdtemp(prefix=".oracle-", dir=scratch)
+        fd = os.open(staged, os.O_RDONLY | os.O_DIRECTORY)
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        home = os.path.join(scratch, os.path.basename(staged)[1:])
+        os.rename(staged, home)
         self.home = Path(home)
         self.root = self.home / "tree"
-        # removes the slot's directory when called, or else when the slot is
-        # garbage-collected or the interpreter exits
-        self.close = weakref.finalize(self, shutil.rmtree, home, True)
+        # removes the slot's directory and then drops its lock when called,
+        # or else when the slot is garbage-collected or the interpreter exits
+        self.close = weakref.finalize(self, _release, home, fd)
         self.root.mkdir()
         self.traces = _records_reads(self.root)
         self.fresh = True  # nothing built since the last wipe
@@ -871,13 +913,14 @@ class Oracle:
     (`VerdictStore.match`).  A verdict never mutates the tree it is given:
     the build and the PoC run happen in the oracle's `BuildSlot`,
     `oracle-<suffix>/tree` under `scratch_dir`, made on the first build
-    and removed by `close()`; it is the only place the tree's files are
-    written.  Each build there redoes only what the tree's changes affect;
-    a build that fails in a slot that built before is retried once from a
-    wiped slot, so a stale product never decides a `BuildFailed`.  The PoC
-    input is read once per verdict: its bytes go into the key and are what
-    the PoC runs on, from a copy in the slot, so a build that rewrites the
-    input cannot change them.  Evidence is `_canonical`: it names the
+    and removed by `close()`, or, after a killed run, by the next slot
+    made there; it is the only place the tree's files are written.  Each
+    build there redoes only what the tree's changes affect; a build that
+    fails in a slot that built before is retried once from a wiped slot,
+    so a stale product never decides a `BuildFailed`.  The PoC input is
+    read once per verdict: its bytes go into the key and are what the PoC
+    runs on, from a copy in the slot, so a build that rewrites the input
+    cannot change them.  Evidence is `_canonical`: it names the
     slot's home `SLOT_TOKEN`, and no PID or address.  A storable verdict
     is kept under its key and, when the slot records reads, as a trace.
 

@@ -7,13 +7,13 @@ byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from . import __version__
 from .categorize import CATEGORIES, DESCRIPTIONS
 from .datasets import TIERS
+from .gitio import BUCKET_WIDTH_DAYS
 from .porter import FINAL_REVIVED
 
 CSV_HEADER = "bucket_start,total_commits,cve_related_commits"
@@ -43,72 +43,60 @@ def glyph(status: str, paper_style: bool) -> str:
     return _GLYPHS.get(status, status)
 
 
-def _render_table(header: Sequence[str], body: Sequence[Sequence[str]]) -> str:
+def _render_table(header: Sequence[str], body: Sequence[Sequence[str]],
+                  notes: Dict[str, str], paper_style: bool) -> str:
+    """Columns padded to their widest cell; then, unless `paper_style`, a
+    blank line and one `cve: note` line per CVE in `notes`, by CVE."""
     rows = [list(header)] + [list(r) for r in body]
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
     lines = []
     for row in rows:
         cells = [cell.ljust(width) for cell, width in zip(row, widths)]
         lines.append("  ".join(cells).rstrip())
-    return "\n".join(lines) + "\n"
-
-
-@dataclass
-class StatusMatrix:
-    """CVE rows against tier columns, each cell a PoC verdict status."""
-
-    tiers: Tuple[str, ...]
-    rows: List[dict]  # {cve, project, cells: {tier: status}}
-    footnotes: Dict[str, str]
-
-    @staticmethod
-    def from_rows(
-        rows: Iterable[dict],
-        tiers: Sequence[str] = TIERS,
-    ) -> "StatusMatrix":
-        matrix_rows = []
-        footnotes: Dict[str, str] = {}
-        for row in rows:
-            cells = {tier: row["tiers"].get(tier, "") for tier in tiers}
-            matrix_rows.append({"cve": row["cve"], "project": row["project"], "cells": cells})
-            if row.get("note"):
-                footnotes[row["cve"]] = row["note"]
-        return StatusMatrix(tuple(tiers), matrix_rows, footnotes)
-
-    def render(self, paper_style: bool) -> str:
-        header = ["project", "cve", *self.tiers]
-        body = [
-            [row["project"], row["cve"]]
-            + [glyph(row["cells"][tier], paper_style) for tier in self.tiers]
-            for row in self.rows
-        ]
-        out = _render_table(header, body)
-        if self.footnotes and not paper_style:
-            notes = "".join(f"{cve}: {note}\n" for cve, note in sorted(self.footnotes.items()))
-            out += "\n" + notes
-        return out
-
-
-def render_revival_matrix(survey_rows: Iterable[dict], paper_style: bool) -> str:
-    """Revival outcomes per tier of `TIERS` plus how many commits each CVE
-    reversed."""
-    header = ["project", "cve", *TIERS, "reversed"]
-    if not paper_style:
-        header.append("abort")
-    body = []
-    notes = {}
-    for row in survey_rows:
-        cells = [glyph(row["tiers"].get(tier, ""), paper_style) for tier in TIERS]
-        line = [row["project"], row["cve"], *cells, str(row["commits_reverted"])]
-        if not paper_style:
-            line.append(row.get("abort_reason", "") or MISSING)
-        body.append(line)
-        if row.get("note"):
-            notes[row["cve"]] = row["note"]
-    out = _render_table(header, body)
+    out = "\n".join(lines) + "\n"
     if notes and not paper_style:
         out += "\n" + "".join(f"{cve}: {note}\n" for cve, note in sorted(notes.items()))
     return out
+
+
+def _abort(text: Optional[str], paper_style: bool) -> List[str]:
+    """The abort column's cell (or its header): none in paper style."""
+    return [] if paper_style else [text or MISSING]
+
+
+def _notes(rows: Iterable[dict]) -> Dict[str, str]:
+    return {row["cve"]: row["note"] for row in rows if row.get("note")}
+
+
+def _status_cells(row: dict, tiers: Sequence[str], paper_style: bool) -> List[str]:
+    return [row["project"], row["cve"],
+            *(glyph(row["tiers"].get(tier, ""), paper_style) for tier in tiers)]
+
+
+def tier_columns(rows: Iterable[dict]) -> List[str]:
+    """Every tier the rows name: those of `TIERS` first, in its order, then
+    the others by name."""
+    names = {name for row in rows for name in row["tiers"]}
+    return sorted(names, key=lambda n: (TIERS.index(n) if n in TIERS else len(TIERS), n))
+
+
+def render_status_matrix(rows: Sequence[dict], tiers: Sequence[str], paper_style: bool) -> str:
+    """CVE rows against `tiers` columns, each cell a PoC verdict status.
+    Rows are {cve, project, tiers: {tier: status}, note (optional)}."""
+    body = [_status_cells(row, tiers, paper_style) for row in rows]
+    return _render_table(["project", "cve", *tiers], body, _notes(rows), paper_style)
+
+
+def render_revival_matrix(survey_rows: Sequence[dict], paper_style: bool) -> str:
+    """Revival outcomes per tier of `TIERS` plus how many commits each CVE
+    reversed."""
+    header = ["project", "cve", *TIERS, "reversed", *_abort("abort", paper_style)]
+    body = [
+        _status_cells(row, TIERS, paper_style)
+        + [str(row["commits_reverted"]), *_abort(row.get("abort_reason"), paper_style)]
+        for row in survey_rows
+    ]
+    return _render_table(header, body, _notes(survey_rows), paper_style)
 
 
 def render_tally(counts: Dict[str, int]) -> str:
@@ -117,28 +105,24 @@ def render_tally(counts: Dict[str, int]) -> str:
         for cat in CATEGORIES
     ]
     body.append(["total", "", str(sum(counts.get(c, 0) for c in CATEGORIES))])
-    return _render_table(["category", "description", "commits"], body)
+    return _render_table(["category", "description", "commits"], body, {}, False)
 
 
 def render_records_table(records, paper_style: bool) -> str:
     """One row per revival record; records may target different commits."""
-    header = ["project", "cve", "target", "outcome", "reversed"]
-    if not paper_style:
-        header.append("abort")
+    header = ["project", "cve", "target", "outcome", "reversed", *_abort("abort", paper_style)]
     body = []
     for record in records:
         status = "revived" if record.final == FINAL_REVIVED else "aborted"
-        row = [
+        body.append([
             record.project,
             record.cve,
             record.target,
             glyph(status, paper_style),
             str(record.effort.get("commits_reverted", len(record.revert_stack))),
-        ]
-        if not paper_style:
-            row.append(record.abort_reason or MISSING)
-        body.append(row)
-    return _render_table(header, body)
+            *_abort(record.abort_reason, paper_style),
+        ])
+    return _render_table(header, body, {}, paper_style)
 
 
 def _utc_date(epoch: int) -> str:
@@ -182,7 +166,7 @@ def emit_activity_plot(
 
     if buckets:
         t0 = buckets[0][0]
-        t1 = buckets[-1][0] + histogram.bucket_width_days * 86400
+        t1 = buckets[-1][0] + BUCKET_WIDTH_DAYS * 86400
     else:
         t0, t1 = 0, 1
     for row in lanes:
@@ -206,7 +190,7 @@ def emit_activity_plot(
 
     for epoch, total, related in buckets:
         bx = x(epoch)
-        bw = max(x(epoch + histogram.bucket_width_days * 86400) - bx - 1, 1)
+        bw = max(x(epoch + BUCKET_WIDTH_DAYS * 86400) - bx - 1, 1)
         th = total / peak * _BAR_BAND_H
         rh = related / peak * _BAR_BAND_H
         parts.append(

@@ -1,7 +1,9 @@
+import errno
 import json
 import os
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +155,26 @@ class TestReviveAndManifest:
                    "--suite-cwd", str(tmp_path)])
         assert rc == 6
         assert "suite did not run" in capsys.readouterr().err
+
+    def test_a_torn_record_write_keeps_the_previous_record(self, tmp_path, fixture, capsys,
+                                                           monkeypatch):
+        case = write_case(tmp_path, fixture)
+        assert main(["revive", "--config", str(case)]) == 0
+        record = tmp_path / "ws" / CVE / RECORD_FILE
+        before = record.read_bytes()
+        real = Path.write_text
+
+        def torn(path, text, *args, **kwargs):
+            """Half the text of the record or its temp file, then a full disk."""
+            if not path.name.startswith(RECORD_FILE):
+                return real(path, text, *args, **kwargs)
+            real(path, text[:len(text) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", torn)
+        assert main(["revive", "--config", str(case)]) == 6
+        assert record.read_bytes() == before
+        assert not list(record.parent.glob("*.tmp"))
 
     def test_manifest_keeps_the_newer_of_two_overlapping_cases(self, tmp_path, fixture, capsys):
         # two CVEs revived on one fixture touch the same lines

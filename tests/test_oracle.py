@@ -987,6 +987,62 @@ class TestBuildSlot:
         oracle.close()
         assert not list((tmp_path / "scratch").iterdir())
 
+    def test_a_killed_runs_slot_is_reclaimed_by_the_next_slot(self, tmp_path):
+        pid_file = tmp_path / "step.pid"
+        hung = _shell_tree(tmp_path / "hung", f'echo $$ > "{pid_file}"\nexec sleep 60\n')
+        paths = [str(Path(oracle_mod.__file__).parents[1]), str(Path(__file__).parent)]
+        script = textwrap.dedent(f"""\
+            import sys
+            sys.path[:0] = {paths!r}
+            from gitutil import DiskTree
+            from revenant.oracle import Oracle, PocSpec
+            from test_oracle import SHELL_RECIPE
+            Oracle({str(tmp_path / "store")!r}, {str(tmp_path / "scratch")!r}).verdict(
+                DiskTree({str(hung)!r}), SHELL_RECIPE,
+                PocSpec(command="sh {{binary}} {{input}}", input_file={_poc_file(tmp_path)!r}))
+            """)
+        child = subprocess.Popen([sys.executable, "-c", script])
+        step = None
+        try:
+            t0 = time.monotonic()
+            while not (pid_file.exists() and pid_file.read_text().endswith("\n")):
+                assert child.poll() is None and time.monotonic() - t0 < 30, "no build step ran"
+                time.sleep(0.05)
+            step = int(pid_file.read_text())
+            child.kill()
+            child.wait()
+            assert [p.name[:7] for p in (tmp_path / "scratch").iterdir()] == ["oracle-"]
+            oracle = self._oracle(tmp_path)
+            tree = _shell_tree(tmp_path / "a", "cp crash.sh tool\n")
+            assert oracle.verdict(DiskTree(tree), SHELL_RECIPE, self._poc(tmp_path)).kind == \
+                KIND_TRIGGERED
+            oracle.close()
+            assert not list((tmp_path / "scratch").iterdir())
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+            if step is not None:
+                # a killed run's build step keeps running: kill its group
+                try:
+                    os.killpg(os.getpgid(step), signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+
+    def test_a_second_live_oracle_leaves_the_first_ones_slot(self, tmp_path):
+        first, second = self._oracle(tmp_path), self._oracle(tmp_path)
+        poc = self._poc(tmp_path)
+        trees = [_shell_tree(tmp_path / f"t{k}", f"cp clean.sh tool\n# {k}\n") for k in range(3)]
+        assert first.verdict(DiskTree(trees[0]), SHELL_RECIPE, poc).kind == KIND_NOT_TRIGGERED
+        home = first._slot.home
+        assert second.verdict(DiskTree(trees[1]), SHELL_RECIPE, poc).kind == KIND_NOT_TRIGGERED
+        assert first.verdict(DiskTree(trees[2]), SHELL_RECIPE, poc).kind == KIND_NOT_TRIGGERED
+        assert (first._slot.home, first.counters["builds"]) == (home, 2)
+        assert len(list((tmp_path / "scratch").iterdir())) == 2
+        first.close()
+        second.close()
+        assert not list((tmp_path / "scratch").iterdir())
+
     def test_a_fresh_slot_gives_every_tracked_file_one_mtime(self, tmp_path):
         tree = SlowTree(_shell_tree(tmp_path / "tree", "cp crash.sh tool\n",
                                     **{"src/x.c": "int x;\n", "link": ("link", "clean.sh")}))

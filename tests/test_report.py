@@ -1,18 +1,21 @@
+import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from revenant import __version__
+from revenant.cli import main
 from revenant.gitio import ActivityHistogram
 from revenant.porter import RevivalRecord
 from revenant.report import (
     CSV_HEADER,
-    StatusMatrix,
     emit_activity_csv,
     emit_activity_plot,
     glyph,
     render_records_table,
     render_revival_matrix,
+    render_status_matrix,
     render_tally,
 )
 
@@ -48,8 +51,7 @@ SURVEY_ROWS = [
 
 class TestStatusMatrix:
     def test_render(self):
-        matrix = StatusMatrix.from_rows(SURVEY_ROWS, tiers=("reference", "latest"))
-        text = matrix.render(paper_style=False)
+        text = render_status_matrix(SURVEY_ROWS, ("reference", "latest"), paper_style=False)
         lines = text.splitlines()
         assert lines[0].split() == ["project", "cve", "reference", "latest"]
         assert lines[1].split() == ["alpha", "CVE-2020-1", "✓", "build-fail"]
@@ -57,15 +59,15 @@ class TestStatusMatrix:
         assert "reference build predates" in text
 
     def test_paper_style_collapses_and_drops_notes(self):
-        matrix = StatusMatrix.from_rows(SURVEY_ROWS, tiers=("reference", "latest"))
-        text = matrix.render(paper_style=True)
+        text = render_status_matrix(SURVEY_ROWS, ("reference", "latest"), paper_style=True)
         assert "build-fail" not in text
         assert "✗" in text
         assert "predates" not in text
 
     def test_deterministic(self):
-        matrix = StatusMatrix.from_rows(SURVEY_ROWS, tiers=("reference", "latest"))
-        assert matrix.render(paper_style=False) == matrix.render(paper_style=False)
+        tiers = ("reference", "latest")
+        assert render_status_matrix(SURVEY_ROWS, tiers, paper_style=False) == \
+            render_status_matrix(SURVEY_ROWS, tiers, paper_style=False)
 
 
 class TestRevivalMatrix:
@@ -127,8 +129,8 @@ def test_render_records_table():
     assert "Complexity" not in render_records_table(records, paper_style=True)
 
 
-def hist(buckets, width_days=14):
-    return ActivityHistogram(bucket_width_days=width_days, buckets=buckets)
+def hist(buckets):
+    return ActivityHistogram(buckets=buckets)
 
 
 class TestActivityCsv:
@@ -190,3 +192,49 @@ class TestActivityPlot:
         h = hist([(0, 5, 1), (14 * DAY, 3, 2)])
         lifelines = [{"cve": "CVE-2020-1", "start": 0, "end": 20 * DAY}]
         assert emit_activity_plot(h, lifelines, ()) == emit_activity_plot(h, lifelines, ())
+
+
+# Whole report output, pinned byte for byte in tests/data/report/.
+GOLDEN = Path(__file__).parent / "data" / "report"
+
+TIERS_FILES = [
+    {"cve": "CVE-2020-2", "project": "alpha",
+     "tiers": {"breaker": {"status": "hang"}, "latest": {"status": "port-conflict"},
+               "nightly": {"status": "triggered"}, "reference": {"status": "triggered"}}},
+    {"cve": "CVE-2020-1", "project": "beta",
+     "tiers": {"intermediate": "poc-incompatible", "latest": "build-failed", "alpha": ""}},
+]
+
+GOLDEN_RECORDS = [
+    RevivalRecord(
+        cve="CVE-2020-1", project="alpha", fix_commits=["f1"], target="v2",
+        granularity="patch-hunks", final="Revived", revert_stack=["b1", "b2"],
+        effort={"commits_reverted": 2},
+    ),
+    RevivalRecord(
+        cve="CVE-2020-22", project="alpha", fix_commits=["f2"], target="v2-rc1",
+        granularity="whole-commit", final="Aborted", abort_reason="TooManyFiles",
+        revert_stack=["b3"],
+    ),
+]
+
+
+def _report_inputs(tmp_path):
+    paths = []
+    for k, payload in enumerate(TIERS_FILES):
+        paths.append(tmp_path / f"tiers{k}.json")
+        paths[-1].write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    for k, record in enumerate(GOLDEN_RECORDS):
+        paths.append(tmp_path / f"record{k}.json")
+        paths[-1].write_text(record.to_json())
+    return [str(path) for path in paths]
+
+
+@pytest.mark.parametrize("name", ["bundled", "bundled-paper", "records", "records-paper"])
+def test_report_output_matches_its_golden_file(tmp_path, capsys, name):
+    argv = ["report", "--bundled"] if name.startswith("bundled") else \
+        ["report", *_report_inputs(tmp_path)]
+    if name.endswith("-paper"):
+        argv.append("--paper-style")
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
