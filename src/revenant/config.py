@@ -72,8 +72,8 @@ def _str_list(section: dict, key: str, where: str) -> List[str]:
 
 def _num(section: dict, key: str, where: str, default):
     value = section.get(key, default)
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool) and value >= 0,
-            f"{where}: {key} must be a non-negative number")
+    _expect(isinstance(value, (int, float)) and not isinstance(value, bool) and value > 0,
+            f"{where}: {key} must be a positive number")
     return value
 
 
@@ -192,6 +192,13 @@ def parse_case(data: dict, base_dir: Path, source: str) -> CaseConfig:
     )
     _expect(isinstance(poc.expected_detector, str),
             f"{where}: poc.expected_detector must be a string")
+    try:  # fail before any build on a command that `run_poc` cannot fill in
+        poc.argv("")
+    except (ValueError, LookupError, AttributeError) as exc:
+        raise ConfigError(
+            f"{where}: poc.command {command!r} cannot be filled in: {exc!r}; the placeholders "
+            f"are {{binary}} and {{input}}, and a literal brace is written {{{{ or }}}}"
+        ) from None
 
     limits = _section(data, "limits", Limits, where)
     policy = _section(data, "policy", PortPolicy, where)

@@ -696,8 +696,8 @@ def revert_onto(tree, commit: str, inverse: SourcePatch, max_fuzz: int) -> List[
     touched file applies and the files are written, or RevertConflict is
     raised and nothing changes.  Returns one report per file of
     `inverse`.  A text file the commit touched that is absent from the
-    tree, and that the revert does not create, is skipped with an empty
-    report (filtered checkouts are legitimate).  Hunks match with up to
+    tree, and that the revert does not create, is skipped with a report
+    of no offsets (filtered checkouts are legitimate).  Hunks match with up to
     `max_fuzz` context lines dropped.
     """
     kept = [
@@ -712,7 +712,7 @@ def revert_onto(tree, commit: str, inverse: SourcePatch, max_fuzz: int) -> List[
         raise RevertConflict(f"revert of {commit} conflicts in: {paths}")
     staged.write_to(tree)
     applied = iter(staged.reports)
-    return [next(applied) if keep else ApplyReport(path=fp.path)
+    return [next(applied) if keep else ApplyReport(fp.path, [])
             for fp, keep in zip(inverse.files, kept)]
 
 

@@ -98,6 +98,11 @@ class PocSpec:
     def stable_hash(self) -> str:
         return _sha(json.dumps(asdict(self), sort_keys=True).encode())
 
+    def argv(self, binary: str) -> List[str]:
+        """The command's words with `binary` and the input put in; split
+        first, so a path holding a space or a quote stays one word."""
+        return [w.format(binary=binary, input=self.input_file) for w in shlex.split(self.command)]
+
 
 @dataclass
 class OracleVerdict:
@@ -398,8 +403,7 @@ def run_poc(
             KIND_POC_INCOMPATIBLE,
             evidence=_canonical(f"missing binary: {binary or '(no artifact)'}", slot_home),
         )
-    # split first: a path holding a space or a quote stays one word
-    argv = [word.format(binary=binary, input=poc.input_file) for word in shlex.split(poc.command)]
+    argv = poc.argv(binary)
     if sanitizer == SANITIZER_VALGRIND:
         argv = ["valgrind", "-q", "--error-exitcode=96"] + argv
     counters["subprocess_launches"] = counters.get("subprocess_launches", 0) + 1

@@ -4,7 +4,8 @@ Anchor search order, per hunk: exact match at the declared position, then an
 offset scan alternating +1, -1, +2, -2, ... inside the search window, then
 the same again with 1 and finally 2 outer context lines dropped (fuzz).
 Two equally distant anchors at the same fuzz level are ambiguous and the
-hunk is rejected rather than guessed.
+hunk is rejected rather than guessed.  The first hunk that finds no anchor,
+or an ambiguous one, rejects the whole file: nothing of it is applied.
 
 With max_fuzz=0 and search_window=0 the behavior is strict application:
 every hunk must match byte-exactly at its declared position.
@@ -35,45 +36,17 @@ from .model import (
 
 MAX_FUZZ = 2  # the most context lines a hunk may drop from each end
 
-REJECT_NO_ANCHOR = "no-anchor"
-REJECT_AMBIGUOUS = "ambiguous-anchor"
-
 # why `stage_patch` could not patch a file
 CONFLICT_EXISTS = "exists"  # created where a file already is
 CONFLICT_MISSING = "missing"  # changed or deleted where no file is
 CONFLICT_BINARY = "binary"  # a binary patch, which cannot apply textually
-CONFLICT_REJECTED = "rejected"  # a hunk found no anchor
-
-
-@dataclass(frozen=True)
-class HunkResult:
-    index: int  # position of the hunk within its FilePatch
-    status: str  # "applied" or "rejected"
-    offset: int = 0  # signed displacement from the expected position
-    fuzz: int = 0  # context lines dropped from each end to anchor
-    reason: str = ""  # reject reason, empty when applied
-
-    @property
-    def applied(self) -> bool:
-        return self.status == "applied"
+CONFLICT_REJECTED = "rejected"  # a hunk found no anchor, or an ambiguous one
 
 
 @dataclass
 class ApplyReport:
     path: str
-    results: List[HunkResult] = field(default_factory=list)
-
-    @property
-    def applied_count(self) -> int:
-        return sum(1 for r in self.results if r.applied)
-
-    @property
-    def rejected_count(self) -> int:
-        return sum(1 for r in self.results if not r.applied)
-
-    @property
-    def all_applied(self) -> bool:
-        return self.rejected_count == 0
+    offsets: List[int]  # each applied hunk's displacement from its declared line
 
 
 def _trim_for_fuzz(lines: List[HunkLine], fuzz: int) -> Tuple[List[HunkLine], int]:
@@ -143,8 +116,8 @@ def apply_file_patch(
 ) -> Tuple[str, ApplyReport]:
     """Apply one FilePatch to file content, hunk by hunk.
 
-    A hunk that cannot be anchored is recorded as rejected in the report
-    and skipped; the remaining hunks still apply.  Binary patches are
+    Every hunk applies, or HunkRejected names the first one (counted from
+    1) that found no anchor or an ambiguous one.  Binary patches are
     refused outright.
     """
     if fp.is_binary:
@@ -153,18 +126,17 @@ def apply_file_patch(
         raise ValueError(f"max_fuzz must be 0 to {MAX_FUZZ}")
 
     buf, final_nl = split_lines(content)
-    report = ApplyReport(path=fp.path)
+    report = ApplyReport(fp.path, [])
     delta = 0  # net line drift caused by already-applied hunks
     floor = 0  # first buffer index not owned by a previous hunk
 
-    for idx, hunk in enumerate(fp.hunks):
+    for number, hunk in enumerate(fp.hunks, 1):
         # expected 0-based index of the first old-side line; a pure
         # insertion anchors after line old_start, matching patch(1)
         base = hunk.old_start - 1 if hunk.old_len else hunk.old_start
         expected = base + delta
 
-        placed: Optional[Tuple[int, int, int, List[HunkLine]]] = None
-        ambiguous = False
+        placed: Optional[Tuple[int, int, List[HunkLine]]] = None
         for fuzz in range(0, max_fuzz + 1):
             body, shift = _trim_for_fuzz(hunk.lines, fuzz)
             old_pat = _pattern(body, (CONTEXT, REMOVE))
@@ -172,7 +144,7 @@ def apply_file_patch(
                 # nothing to anchor on: a contextless insertion goes exactly
                 # where the header says, clamped into the legal region
                 pos = min(max(expected + shift, floor), len(buf))
-                placed = (pos, 0, fuzz, body)
+                placed = (pos, 0, body)
                 break
             ceil = len(buf) - len(old_pat)
             hits: List[Tuple[int, int]] = []
@@ -189,21 +161,14 @@ def apply_file_patch(
                         # so no equal-distance tie can follow
                         break
             if len(hits) > 1:
-                ambiguous = True
-                break
+                raise HunkRejected(f"{fp.path}: hunk {number}: ambiguous anchor")
             if hits:
-                pos, off = hits[0]
-                placed = (pos, off, fuzz, body)
+                placed = (*hits[0], body)
                 break
-
-        if ambiguous:
-            report.results.append(HunkResult(idx, "rejected", reason=REJECT_AMBIGUOUS))
-            continue
         if placed is None:
-            report.results.append(HunkResult(idx, "rejected", reason=REJECT_NO_ANCHOR))
-            continue
+            raise HunkRejected(f"{fp.path}: hunk {number}: no anchor")
 
-        pos, off, fuzz, body = placed
+        pos, off, body = placed
         old_pat = _pattern(body, (CONTEXT, REMOVE))
         new_pat = _pattern(body, (CONTEXT, ADD))
         tail_replaced = pos + len(old_pat) >= len(buf)
@@ -214,7 +179,7 @@ def apply_file_patch(
             final_nl = new_pat[-1].newline
         delta += len(new_pat) - len(old_pat)
         floor = pos + len(new_pat)
-        report.results.append(HunkResult(idx, "applied", offset=off, fuzz=fuzz))
+        report.offsets.append(off)
 
     return join_lines(buf, final_nl), report
 
@@ -224,9 +189,9 @@ class StagedPatch:
     """A patch applied in memory, before anything is written.
 
     `writes` maps each patched path to its new text, or None for a delete;
-    `reports` holds one ApplyReport per FilePatch, in order (empty for a
-    file that conflicted before any hunk was tried); `conflicts` maps each
-    path that could not be patched to its CONFLICT_* reason, in order.
+    `reports` holds one ApplyReport per FilePatch, in order (with no
+    offsets for a file that conflicted); `conflicts` maps each path that
+    could not be patched to its CONFLICT_* reason, in order.
     """
 
     writes: Dict[str, Optional[str]] = field(default_factory=dict)
@@ -252,16 +217,18 @@ def stage_patch(
     (None when the file is absent), and stage the results.
 
     A file created where one exists, a missing file, a binary patch and
-    a rejected hunk each make a conflict.  A later FilePatch on a path
-    sees the text staged for it so far.  Every file is applied even after
-    a conflict, so the result names every conflicting path.  Hunks match
-    with up to `max_fuzz` context lines dropped.  Nothing is written.
+    a rejected hunk each make the file a conflict.  A later FilePatch on
+    a path sees the text staged for it so far.  Every file is applied
+    even after a conflict, so the result names every conflicting path.
+    Hunks match with up to `max_fuzz` context lines dropped.  Nothing is
+    written.
     """
     staged = StagedPatch()
     for fp in files:
         text = staged.writes[fp.path] if fp.path in staged.writes else read(fp.path)
         created = fp.mode_change == MODE_CREATED
-        report = ApplyReport(path=fp.path)
+        report = ApplyReport(fp.path, [])
+        conflict = None
         if created and text is not None:
             conflict = CONFLICT_EXISTS
         elif not created and text is None:
@@ -269,8 +236,10 @@ def stage_patch(
         elif fp.is_binary:
             conflict = CONFLICT_BINARY
         else:
-            new_text, report = apply_file_patch(text or "", fp, max_fuzz=max_fuzz)
-            conflict = None if report.all_applied else CONFLICT_REJECTED
+            try:
+                new_text, report = apply_file_patch(text or "", fp, max_fuzz=max_fuzz)
+            except HunkRejected:
+                conflict = CONFLICT_REJECTED
         staged.reports.append(report)
         if conflict is not None:
             staged.conflicts.setdefault(fp.path, conflict)

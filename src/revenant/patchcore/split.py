@@ -20,7 +20,6 @@ from .model import (
     FunctionBoundaryUnavailable,
     Granularity,
     Hunk,
-    HunkRejected,
     SourcePatch,
     split_lines,
 )
@@ -139,9 +138,7 @@ def split_by_granularity(
         if old is None:
             out.append(fp)
         elif granularity is Granularity.WholeFiles:
-            new, report = apply_file_patch(old, fp, search_window=0)
-            if not report.all_applied:
-                raise HunkRejected(f"{fp.path}: patch does not apply strictly to the tree's copy")
+            new, _ = apply_file_patch(old, fp, search_window=0)
             out.append(whole_file_patch(old, new, fp.path, fp.mode_change))
         elif created:
             out.append(fp)

@@ -233,12 +233,12 @@ def find_breaking_commit(
 
 def _regions(files: Sequence[FilePatch], reports: Sequence[ApplyReport]) -> List[dict]:
     """The lines each applied hunk of `files` covers in the patched text,
-    where its report says it applied; a file with an empty report (one a
-    revert skipped) has none."""
+    where its report's offset says it applied; a file whose report has no
+    offsets (one a revert skipped) has none."""
     regions = []
     for fp, report in zip(files, reports):
-        for hunk, res in zip(fp.hunks, report.results):
-            start = max(1, hunk.new_start + res.offset)
+        for hunk, offset in zip(fp.hunks, report.offsets):
+            start = max(1, hunk.new_start + offset)
             regions.append(
                 {"file": fp.path, "start": start, "end": start + max(hunk.new_len, 1) - 1}
             )
@@ -247,7 +247,7 @@ def _regions(files: Sequence[FilePatch], reports: Sequence[ApplyReport]) -> List
 
 @dataclass
 class AttemptResult:
-    verdict: OracleVerdict
+    verdict: Optional[OracleVerdict]  # None: edits made, no verdict asked yet
     files_touched: int = 0
     hunks_applied: int = 0
     regions: List[dict] = field(default_factory=list)
@@ -324,12 +324,13 @@ class Porter:
     Every attempt is a `CommitTree`: the ref's commit plus the edits its
     reverts and the reverse fix make, held in memory, so no attempt
     checks anything out; the oracle's build slot is the only place its
-    files are written.  Facts about commits are remembered in `commits`
-    for the porter's life.  A porter built without an oracle makes one
-    whose verdict store lives in the porter's scratch directory.  Close
-    the porter (or use it as a context manager) to remove its oracle's
-    build slot and any scratch directory it made, and to stop the `git
-    cat-file` process its memo reads objects over.
+    files are written.  `edit` is the one place those edits are made,
+    on a `CommitTree` or on a checkout.  Facts about commits are
+    remembered in `commits` for the porter's life.  A porter built
+    without an oracle makes one whose verdict store lives in the porter's
+    scratch directory.  Close the porter (or use it as a context manager)
+    to remove its oracle's build slot and any scratch directory it made,
+    and to stop the `git cat-file` process its memo reads objects over.
     """
 
     def __init__(
@@ -381,54 +382,52 @@ class Porter:
             self._reverse_cache[key] = derive_reverse_patch(self.commits, fix_commits)
         return self._reverse_cache[key]
 
-    def _apply_reverse(self, tree, reverse: SourcePatch) -> Tuple[bool, int, int, List[dict]]:
-        """Apply the reverse patch to `tree` (a `CommitTree` or a
-        `Worktree`) at the configured granularity.
-
-        All units of all files must apply; on any conflict nothing is
-        written.  Returns (ok, files, hunks, regions).
-        """
-        read = tree_reader(tree)
-        try:
-            files = split_by_granularity(reverse, self.policy.granularity, read)
-        except PatchError:  # whole-files: a file does not apply strictly
-            return False, 0, 0, []
-        staged = stage_patch(read, files, max_fuzz=self.policy.max_fuzz)
-        if staged.conflicts:
-            return False, 0, 0, []
-        staged.write_to(tree)
-        hunks = sum(report.applied_count for report in staged.reports)
-        return True, len(staged.writes), hunks, _regions(files, staged.reports)
-
-    def attempt(
-        self, ref: str, reverts_newest_first: Sequence[str], fix_commits: Sequence[str]
+    def edit(
+        self, tree, reverts_newest_first: Sequence[str], fix_commits: Sequence[str]
     ) -> AttemptResult:
-        """Take `ref`'s commit, revert the given commits, reverse-port the
-        fix, and get a verdict.  Failures at the patching stage come back
-        as synthetic verdict kinds."""
-        self.attempt_count += 1
+        """Make an attempt's edits on `tree`, a `CommitTree` or a
+        `Worktree`: revert the given commits, newest first, then apply the
+        reverse fix at the configured granularity.
+
+        Returns the files, hunks and regions edited, with verdict None;
+        or, at the first revert or reverse fix that does not apply, a
+        RevertConflict or PortConflict verdict, with that edit unmade.
+        """
         reverse = self.reverse_patch(fix_commits)
-        tree = CommitTree(self.commits, ref)
         reverted = []
         for breaker in reverts_newest_first:
             inverse = self.commits.inverse(breaker)
             try:
                 reports = revert_onto(tree, breaker, inverse, max_fuzz=self.policy.max_fuzz)
             except RevertConflict as exc:
-                return AttemptResult(
-                    OracleVerdict(KIND_REVERT_CONFLICT, evidence=str(exc))
-                )
+                return AttemptResult(OracleVerdict(KIND_REVERT_CONFLICT, evidence=str(exc)))
             reverted += _regions(inverse.files, reports)
-        ok, files, hunks, regions = self._apply_reverse(tree, reverse)
-        if not ok:
-            return AttemptResult(
-                OracleVerdict(
-                    KIND_PORT_CONFLICT,
-                    evidence=f"reverse patch does not apply at {ref}",
-                )
-            )
-        verdict = self.oracle.verdict(tree, self.recipe, self.poc)
-        return AttemptResult(verdict, files, hunks, regions + reverted)
+        read = tree_reader(tree)
+        try:
+            files = split_by_granularity(reverse, self.policy.granularity, read)
+            staged = stage_patch(read, files, max_fuzz=self.policy.max_fuzz)
+            staged.write_to(tree)
+        except PatchError:
+            return AttemptResult(OracleVerdict(
+                KIND_PORT_CONFLICT, evidence=f"reverse patch does not apply at {tree.commit}"
+            ))
+        hunks = sum(len(report.offsets) for report in staged.reports)
+        return AttemptResult(
+            None, len(staged.writes), hunks, _regions(files, staged.reports) + reverted
+        )
+
+    def attempt(
+        self, ref: str, reverts_newest_first: Sequence[str], fix_commits: Sequence[str]
+    ) -> AttemptResult:
+        """Take `ref`'s commit, make the attempt's edits (see `edit`) in
+        memory, and get a verdict for the edited tree unless an edit
+        conflicted."""
+        self.attempt_count += 1
+        tree = CommitTree(self.commits, ref)
+        result = self.edit(tree, reverts_newest_first, fix_commits)
+        if result.verdict is None:
+            result.verdict = self.oracle.verdict(tree, self.recipe, self.poc)
+        return result
 
     # -- tier evaluation --
 

@@ -88,6 +88,44 @@ def test_an_out_of_range_max_fuzz_flag_is_a_config_error(tmp_path, fixture, caps
     assert not (tmp_path / "ws" / CVE).exists()
 
 
+UNRUNNABLE = {
+    "unknown-placeholder": ("poc", "command", "{binary} -i {inptu}"),
+    "unescaped-brace": ("poc", "command", "{binary} -e '{print}' {input}"),
+    "unclosed-quote": ("poc", "command", "{binary} '-i {input}"),
+    "zero-build-timeout": ("build", "timeout", 0),
+    "zero-run-timeout": ("poc", "run_timeout", 0),
+}
+
+
+def unrunnable_case(tmp_path, fixture, name):
+    """`<name>.json`: the case `write_case` writes, with its build or PoC
+    set as UNRUNNABLE[name] says."""
+    data = json.loads(write_case(tmp_path, fixture).read_text())
+    section, key, value = UNRUNNABLE[name]
+    data[section][key] = value
+    case = tmp_path / f"{name}.json"
+    case.write_text(json.dumps(data))
+    return case
+
+
+@pytest.mark.parametrize("name", sorted(UNRUNNABLE))
+def test_a_case_that_cannot_run_is_a_config_error_before_any_build(tmp_path, fixture, capsys,
+                                                                   name):
+    case = unrunnable_case(tmp_path, fixture, name)
+    assert main(["port", "--config", str(case), "--ref", fixture.fix]) == 5
+    assert UNRUNNABLE[name][1] in capsys.readouterr().err
+    assert not (tmp_path / "ws").exists()
+
+
+def test_an_unrunnable_case_among_jobs_leaves_its_siblings_running(tmp_path, fixture, capsys):
+    bad = unrunnable_case(tmp_path, fixture, "unknown-placeholder")
+    good = tmp_path / "case.json"
+    assert main(["revive", "--jobs", "2", "--config", str(bad), "--config", str(good)]) == 5
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"error case={bad} ")
+    assert "final=Revived" in lines[1]
+
+
 class TestTiers:
     def test_tiers_writes_matrix_cells(self, tmp_path, fixture, capsys):
         case = write_case(tmp_path, fixture)

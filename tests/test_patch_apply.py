@@ -23,8 +23,6 @@ from revenant.patchcore import (
 from revenant.patchcore.applier import (
     CONFLICT_BINARY,
     CONFLICT_REJECTED,
-    REJECT_AMBIGUOUS,
-    REJECT_NO_ANCHOR,
     apply_file_patch,
 )
 from revenant.patchcore.diffgen import diff_texts, whole_file_patch
@@ -43,16 +41,13 @@ def test_exact_apply_reproduces_new():
     fp = diff_texts(OLD, NEW, "f")
     result, report = apply_file_patch(OLD, fp)
     assert result == NEW
-    assert report.all_applied
-    assert [r.offset for r in report.results] == [0]
-    assert max(r.fuzz for r in report.results) == 0
+    assert report.offsets == [0]
 
 
 def test_forward_then_inverse_is_identity():
     fp = diff_texts(OLD, NEW, "f")
     forward, _ = apply_file_patch(OLD, fp)
-    back, report = apply_file_patch(forward, invert(SourcePatch([fp])).files[0])
-    assert report.all_applied
+    back, _ = apply_file_patch(forward, invert(SourcePatch([fp])).files[0])
     assert back == OLD
 
 
@@ -62,55 +57,49 @@ def test_offset_search_finds_shifted_anchor():
     fp = diff_texts(OLD, NEW, "f")
     result, report = apply_file_patch(shifted, fp, search_window=10)
     assert result == "a\nb\nc\n" + NEW
-    assert [r.offset for r in report.results] == [3]
+    assert report.offsets == [3]
 
 
 def test_strict_mode_rejects_shifted_anchor():
     shifted = "a\nb\nc\n" + OLD
     fp = diff_texts(OLD, NEW, "f")
-    result, report = apply_file_patch(shifted, fp, max_fuzz=0, search_window=0)
-    assert result == shifted
-    assert report.results[0].reason == REJECT_NO_ANCHOR
+    with pytest.raises(HunkRejected, match="^f: hunk 1: no anchor$"):
+        apply_file_patch(shifted, fp, max_fuzz=0, search_window=0)
 
 
 def test_window_bounds_the_search():
     shifted = ("x\n" * 30) + OLD
     fp = diff_texts(OLD, NEW, "f")
-    _, report = apply_file_patch(shifted, fp, search_window=5)
-    assert not report.all_applied
+    with pytest.raises(HunkRejected, match="no anchor"):
+        apply_file_patch(shifted, fp, search_window=5)
     _, report = apply_file_patch(shifted, fp, search_window=30)
-    assert report.all_applied
+    assert report.offsets == [30]
 
 
 def test_fuzz_drops_outer_context():
     # damage the outermost context line above the change
     damaged = OLD.replace("two\n", "TWO?\n")
     fp = diff_texts(OLD, NEW, "f")
-    result, report = apply_file_patch(damaged, fp, max_fuzz=0)
-    assert not report.all_applied
-    result, report = apply_file_patch(damaged, fp, max_fuzz=1)
-    assert report.all_applied
-    assert report.results[0].fuzz == 1
-    assert "FIVE" in result and "TWO?" in result
+    with pytest.raises(HunkRejected, match="no anchor"):
+        apply_file_patch(damaged, fp, max_fuzz=0)
+    result, _ = apply_file_patch(damaged, fp, max_fuzz=1)
+    assert result == NEW.replace("two\n", "TWO?\n")
 
 
 def test_fuzz_two_drops_two_context_lines():
     damaged = OLD.replace("two\n", "TWO?\n").replace("three\n", "THREE?\n")
     fp = diff_texts(OLD, NEW, "f")
-    _, report = apply_file_patch(damaged, fp, max_fuzz=1)
-    assert not report.all_applied
-    result, report = apply_file_patch(damaged, fp, max_fuzz=2)
-    assert report.all_applied
-    assert report.results[0].fuzz == 2
-    assert "FIVE" in result
+    with pytest.raises(HunkRejected, match="no anchor"):
+        apply_file_patch(damaged, fp, max_fuzz=1)
+    result, _ = apply_file_patch(damaged, fp, max_fuzz=2)
+    assert result == NEW.replace("two\n", "TWO?\n").replace("three\n", "THREE?\n")
 
 
 def test_fuzz_never_drops_change_lines():
     damaged = OLD.replace("five\n", "FIVE-already\n")
     fp = diff_texts(OLD, NEW, "f")
-    _, report = apply_file_patch(damaged, fp, max_fuzz=2)
-    assert not report.all_applied
-    assert report.results[0].reason == REJECT_NO_ANCHOR
+    with pytest.raises(HunkRejected, match="^f: hunk 1: no anchor$"):
+        apply_file_patch(damaged, fp, max_fuzz=2)
 
 
 def test_equidistant_anchors_are_ambiguous():
@@ -130,12 +119,12 @@ def test_equidistant_anchors_are_ambiguous():
     # both two lines away
     fp = parse_unified_diff(patch_text).files[0]
     content2 = "pad\n" + stanza + "pad\n" + stanza  # matches at lines 2 and 6, declared 4
-    _, report = apply_file_patch(content2, fp, search_window=10)
-    assert report.results[0].reason == REJECT_AMBIGUOUS
+    with pytest.raises(HunkRejected, match="^f: hunk 1: ambiguous anchor$"):
+        apply_file_patch(content2, fp, search_window=10)
     # with one stanza damaged the survivor wins
     content3 = "pad\n" + stanza + "pad\n" + stanza.replace("s2", "zz")
     result, report = apply_file_patch(content3, fp, search_window=10)
-    assert report.all_applied
+    assert report.offsets == [-2]
     assert "S2" in result
 
 
@@ -147,24 +136,28 @@ def test_nearer_anchor_wins_over_farther():
     )
     fp = parse_unified_diff(patch_text).files[0]
     result, report = apply_file_patch(content, fp, search_window=10)
-    assert report.all_applied
-    assert report.results[0].offset == -1
+    assert report.offsets == [-1]
     assert result.startswith("s1\nS2\ns3\n")
 
 
-def test_rejected_hunk_does_not_block_others():
-    old = OLD
+def test_a_rejected_hunk_rejects_its_file():
     # one line of context, so the two changes stay two hunks
     fp = parse_unified_diff(
         "--- a/f\n+++ b/f\n"
         "@@ -1,3 +1,3 @@\n one\n-two\n+TWO\n three\n"
         "@@ -8,3 +8,3 @@\n eight\n-nine\n+NINE\n ten\n"
     ).files[0]
-    damaged = old.replace("two\n", "gone\n")
-    result, report = apply_file_patch(damaged, fp)
-    assert report.applied_count == 1
-    assert report.rejected_count == 1
-    assert "NINE" in result
+    # the first hunk rejects the file before the second is tried, and a
+    # later hunk that cannot be placed rejects it too
+    for damaged, number in ((OLD.replace("two\n", "gone\n"), 1),
+                            (OLD.replace("nine\n", "gone\n"), 2)):
+        with pytest.raises(HunkRejected, match=f"^f: hunk {number}: no anchor$"):
+            apply_file_patch(damaged, fp)
+        tree = DictTree({"f": damaged})
+        staged = stage_patch(tree.read, [fp])
+        assert staged.conflicts == {"f": CONFLICT_REJECTED}
+        assert staged.writes == {}
+        assert [r.offsets for r in staged.reports] == [[]]
 
 
 def test_binary_patch_refused():
@@ -176,8 +169,8 @@ def test_binary_patch_refused():
 def test_whitespace_is_significant_by_default():
     old = "a\nkeep  \nb\n"
     fp = parse_unified_diff("--- a/f\n+++ b/f\n@@ -2 +2 @@\n-keep\n+kept\n").files[0]
-    _, report = apply_file_patch(old, fp)
-    assert not report.all_applied
+    with pytest.raises(HunkRejected, match="no anchor"):
+        apply_file_patch(old, fp)
 
 
 def test_no_trailing_newline_round_trip():
@@ -186,8 +179,7 @@ def test_no_trailing_newline_round_trip():
     fp = diff_texts(old, new, "f")
     text = render_unified_diff(SourcePatch([fp]))
     assert text.count("\\ No newline at end of file") == 2
-    got, report = apply_file_patch(old, parse_unified_diff(text).files[0])
-    assert report.all_applied
+    got, _ = apply_file_patch(old, parse_unified_diff(text).files[0])
     assert got == new
     back, _ = apply_file_patch(got, invert(parse_unified_diff(text)).files[0])
     assert back == old
@@ -197,11 +189,9 @@ def test_adding_trailing_newline_round_trip():
     old = "a\nlast"
     new = "a\nlast\nmore\n"
     fp = diff_texts(old, new, "f")
-    got, report = apply_file_patch(old, fp)
-    assert report.all_applied
+    got, _ = apply_file_patch(old, fp)
     assert got == new
-    back, report = apply_file_patch(got, invert(SourcePatch([fp])).files[0])
-    assert report.all_applied
+    back, _ = apply_file_patch(got, invert(SourcePatch([fp])).files[0])
     assert back == old
 
 
@@ -212,8 +202,8 @@ def test_unterminated_pattern_must_match_position():
     new = "a\ntail!"
     fp = diff_texts(old, new, "f")
     other = "a\ntail\nz\n"
-    _, report = apply_file_patch(other, fp, search_window=5)
-    assert not report.all_applied
+    with pytest.raises(HunkRejected, match="no anchor"):
+        apply_file_patch(other, fp, search_window=5)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -223,10 +213,9 @@ def test_random_round_trips(seed):
     old, new = gen_pair(rng)
     fp = diff_texts(old, new, "f")
     forward, report = apply_file_patch(old, fp)
-    assert report.all_applied
     assert forward == new
-    back, report = apply_file_patch(forward, invert(SourcePatch([fp])).files[0])
-    assert report.all_applied
+    assert report.offsets == [0] * len(fp.hunks)
+    back, _ = apply_file_patch(forward, invert(SourcePatch([fp])).files[0])
     assert back == old
 
 
@@ -246,8 +235,7 @@ def test_external_diff_output_applies_byte_exact(tmp_path):
         if proc.returncode == 0:
             continue
         patch = parse_unified_diff(proc.stdout)
-        got, report = apply_file_patch(old, patch.files[0])
-        assert report.all_applied
+        got, _ = apply_file_patch(old, patch.files[0])
         assert got == new
 
 
@@ -264,8 +252,7 @@ def test_patch_tool_agrees_with_our_applier(tmp_path):
         proc = _run(["patch", "-p1", "--fuzz=0", "-s"], cwd=work, input=rendered)
         assert proc.returncode == 0, proc.stderr
         theirs = (work / "target").read_text()
-        ours, report = apply_file_patch(old, fp, max_fuzz=0, search_window=0)
-        assert report.all_applied
+        ours, _ = apply_file_patch(old, fp, max_fuzz=0, search_window=0)
         assert ours == theirs == new
 
 
@@ -297,7 +284,7 @@ def test_stage_created_over_existing_conflicts():
     staged = stage_patch(DictTree({"f": "old\n"}).read, [fp])
     assert staged.conflicts == {"f": CONFLICT_EXISTS}
     assert staged.writes == {}
-    assert [r.results for r in staged.reports] == [[]]
+    assert [r.offsets for r in staged.reports] == [[]]
 
 
 def test_stage_created_where_absent_writes_the_file():
@@ -379,6 +366,5 @@ def test_stage_reports_every_file_and_lists_every_conflict():
         ("exists", CONFLICT_EXISTS),
     ]
     # files after a conflict are still applied and reported
-    assert [r.applied_count for r in staged.reports] == [1, 0, 0, 0, 1]
-    assert staged.reports[1].rejected_count == 1
+    assert [r.offsets for r in staged.reports] == [[0], [], [], [], [0]]
     assert staged.writes == {"ok1": NEW, "ok2": NEW}

@@ -21,9 +21,7 @@ from revenant.gitio import (
     MODE_EXEC,
     MODE_LINK,
     CommitMemo,
-    RevertConflict,
     checkout_worktree,
-    revert_onto,
 )
 from revenant.oracle import (
     KIND_BUILD_FAILED,
@@ -166,8 +164,7 @@ class TestDeriveReverse:
             reverse = derive_reverse_patch(memo, [fx.fix])
         with checkout_worktree(fx.repo, fx.fix, tmp_path / "wt") as wt:
             fixed = wt.read("pack.c")
-            new_text, report = apply_file_patch(fixed, reverse.files[0])
-            assert report.all_applied
+            new_text, _ = apply_file_patch(fixed, reverse.files[0])
             assert "0xFFFFu" in new_text
             assert "record too long" not in new_text
 
@@ -181,8 +178,7 @@ class TestDeriveReverse:
         rb.commit({"a.txt": v2}, "second fix")
         with CommitMemo(rb.root) as memo:
             reverse = derive_reverse_patch(memo, ["t1", "t2"])
-        new_text, report = apply_file_patch(v2, reverse.files[0])
-        assert report.all_applied
+        new_text, _ = apply_file_patch(v2, reverse.files[0])
         assert new_text == base
 
     def test_composition_checks_nothing_out(self, tmp_path, monkeypatch):
@@ -504,6 +500,29 @@ def test_a_revert_region_is_where_the_revert_applied(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("max_reverted,target,kind,evidence", [
+    (0, "t2", KIND_PORT_CONFLICT, "reverse patch does not apply at {t2}"),
+    (1, "t3", KIND_REVERT_CONFLICT, "revert of {t2} conflicts in: a.txt"),
+], ids=["port-conflict", "revert-conflict"])
+def test_an_aborted_record_keeps_its_conflict_verdict(tmp_path, max_reverted, target, kind,
+                                                      evidence):
+    # t2 rewrites the line the fix added, so the reverse fix does not
+    # apply past it; t3 rewrites it again, so t2 does not revert past t3
+    rb = RepoBuilder(tmp_path / "repo")
+    rb.commit({"a.txt": "guard\n"}, "base")
+    rb.commit({"a.txt": "guard\ncheck\n"}, "fix")
+    t2 = rb.commit({"a.txt": "guard\ncheck twice\n"}, "breaker")
+    rb.commit({"a.txt": "guard\ncheck thrice\n"}, "rewrites the breaker's line")
+    with Porter(rb.root, *NO_BUILD, oracle=RecordingOracle(tmp_path / "verdicts"),
+                limits=Limits(max_reverted_commits=max_reverted),
+                scratch_dir=tmp_path / "scratch") as porter:
+        rec = porter.revive("CVE-0000-0016", "demo", ["t1"], target)
+    assert (rec.final, rec.abort_reason) == (FINAL_ABORTED, ABORT_COMPLEXITY)
+    assert rec.revert_stack == [t2] * max_reverted
+    assert rec.verdict == {"kind": kind, "detector_class": "", "evidence": evidence.format(t2=t2)}
+    assert rec.touched_regions == []
+
+
 class RecordingOracle(Oracle):
     """Answers Triggered without building, and keeps each tree's paths."""
 
@@ -550,11 +569,13 @@ class ReferenceOracle(Oracle):
 
 class ReferencePorter(Porter):
     """Replays every attempt on a real checkout: the attempt's ref, with
-    `revert_onto` and the reverse patch applied on disk.  A conflict must
-    be the same conflict.  A tree that reaches the oracle must hash as the
-    checkout does, and a build slot synced from it must hold the same
-    bytes, modes and link targets as one synced from the checkout, and as
-    the checkout itself, also after a build step overwrote a file."""
+    `edit` making the attempt's edits on disk.  The disk edit must meet
+    the same conflict, or touch as many files and hunks in the same
+    regions, as the attempt did in memory.  A tree that reaches the oracle
+    must hash as the checkout does, and a build slot synced from it must
+    hold the same bytes, modes and link targets as one synced from the
+    checkout, and as the checkout itself, also after a build step
+    overwrote a file."""
 
     def __init__(self, repo, recipe, poc, tmp_path, build=True, **kw):
         self.tmp = tmp_path
@@ -573,33 +594,28 @@ class ReferencePorter(Porter):
 
     @contextmanager
     def _replay(self, ref, reverts, fix_commits):
-        """A checkout of `ref` with the attempt's edits made on disk, and the
-        conflict kind they met, if any."""
+        """A checkout of `ref` with the attempt's edits made on disk, and
+        what `edit` returned there."""
         self.replayed += 1
         dest = self.tmp / f"replay-{self.replayed}"
         with checkout_worktree(self.repo, ref, dest) as wt:
-            kind = None
-            try:
-                for breaker in reverts:
-                    revert_onto(wt, breaker, self.commits.inverse(breaker),
-                                max_fuzz=self.policy.max_fuzz)
-            except RevertConflict:
-                kind = KIND_REVERT_CONFLICT
-            if kind is None and not self._apply_reverse(wt, self.reverse_patch(fix_commits))[0]:
-                kind = KIND_PORT_CONFLICT
-            yield kind, wt
+            yield self.edit(wt, reverts, fix_commits), wt
 
     def attempt(self, ref, reverts_newest_first, fix_commits):
         self._pending = (list(reverts_newest_first), list(fix_commits))
+        self._on_disk = None  # the disk edit, made by `_check` when the oracle is asked
         result = super().attempt(ref, reverts_newest_first, fix_commits)
-        if result.verdict.kind in (KIND_REVERT_CONFLICT, KIND_PORT_CONFLICT):
-            with self._replay(ref, *self._pending) as (kind, _):
-                assert kind == result.verdict.kind
+        if self._on_disk is None:
+            with self._replay(ref, *self._pending) as (self._on_disk, _):
+                assert self._on_disk.verdict == result.verdict
+        on_disk = self._on_disk
+        assert (on_disk.files_touched, on_disk.hunks_applied, on_disk.regions) == (
+            result.files_touched, result.hunks_applied, result.regions)
         return result
 
     def _check(self, tree, recipe):
-        with self._replay(tree.commit, *self._pending) as (kind, wt):
-            assert kind is None
+        with self._replay(tree.commit, *self._pending) as (self._on_disk, wt):
+            assert self._on_disk.verdict is None
             assert tree_hash(tree) == tree_hash(DiskTree(wt.path))
             want = snapshot(wt.path)
             identity = build_identity(recipe, run_env(recipe.env))
@@ -684,8 +700,8 @@ class TestWorktreeSlot:
             assert porter.attempt("t4", [], ["t1"]).verdict.kind == KIND_TRIGGERED
             trees = porter.trees
             for tree, reverts in zip(trees, (["t3", "t2"], [])):
-                with porter._replay(tree.commit, reverts, ["t1"]) as (kind, wt):
-                    assert kind is None
+                with porter._replay(tree.commit, reverts, ["t1"]) as (edited, wt):
+                    assert edited.verdict is None
                     assert tree_hash(tree) == tree_hash(DiskTree(wt.path))
         assert [[path for path, _, _ in tree.entries()] for tree in trees] == [
             ["a.txt", "legacy.txt", "old.txt"],
