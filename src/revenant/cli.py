@@ -233,20 +233,23 @@ def cmd_revive(args) -> int:
         line, code = _revive_one(paths[0], args)
         print(line)
         return code
+    # one failing case does not stop its siblings: every case prints its
+    # line, and then the first error that no exit code maps is raised
     codes = []
+    unmapped = []
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        for line, code in pool.map(lambda p: _run_guarded(_revive_one, p, args), paths):
+        for path, case in [(path, pool.submit(_revive_one, path, args)) for path in paths]:
+            try:
+                line, code = case.result()
+            except Exception as exc:  # noqa: BLE001 - mapped to exit codes, or raised below
+                line, code = f"error case={path} {exc}", _code_for(exc)
+                if code is None:
+                    unmapped.append(exc)
             print(line)
             codes.append(code)
+    if unmapped:
+        raise unmapped[0]
     return max(codes)
-
-
-def _run_guarded(fn, path, args) -> Tuple[str, int]:
-    # keep one failing case from killing its siblings in the pool
-    try:
-        return fn(path, args)
-    except Exception as exc:  # noqa: BLE001 - mapped to exit codes below
-        return f"error case={path} {exc}", _code_for(exc)
 
 
 def cmd_categorize(args) -> int:
@@ -519,12 +522,9 @@ _EXIT_CODES = {
 }
 
 
-def _code_for(exc: BaseException) -> int:
-    """The exit code of `exc`; an error with none is raised again."""
-    for kind, code in _EXIT_CODES.items():
-        if isinstance(exc, kind):
-            return code
-    raise exc
+def _code_for(exc: BaseException) -> Optional[int]:
+    """The exit code of `exc`; None for an error `_EXIT_CODES` does not map."""
+    return next((code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind)), None)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

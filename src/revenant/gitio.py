@@ -5,9 +5,10 @@ commit id names, which never changes, for as long as its owner keeps it,
 and reads every object it needs over one `git cat-file --batch` process
 that it starts on the first such read: the commit objects that names
 and ranges resolve to, tree objects for commit listings and touched
-files, and blobs for patching and for the build slot.  Close the memo to
-stop it.  Besides that reader, a memo runs git only to check once that
-the clone is not shallow, to diff a commit and to list a range's commit
+files, and blobs for patching and for the build slot.  It diffs commits
+over one `git diff-tree --stdin` process, started on the first diff.
+Close the memo to stop both.  Besides these two, a memo runs git only to
+check once that the clone is not shallow and to list a range's commit
 ids.  The module-level functions start from an empty memo on every call
 and close it.  A `CommitTree` is a commit's files plus edits held in
 memory, so patching one writes nothing to disk.  File contents travel as
@@ -61,6 +62,14 @@ TEXT_MEMO = 64  # blob texts a CommitMemo keeps, most recently used
 # contents back: 256 ids of at most 65 bytes fit in a pipe's buffer, so
 # the write never waits on git while git waits on us
 CAT_FILE_BATCH = 256
+# The memo's diff process.  For each `<commit> <parent>` line it reads, it
+# prints the commit's id (`--always`: also when the diff is empty) and the
+# diff against that parent; it copies a line that is not an object id to
+# stdout and flushes, so `DIFF_END` after each request marks the end of
+# its reply.  No line of a diff reads like it.  Plumbing reads no diff.*
+# config of the user or the repository.
+DIFF_TREE = ("diff-tree", "--stdin", "--always", "-p", "--no-color", "--no-renames", "-U3")
+DIFF_END = b"revenant: end of diff\n"
 
 
 class GitGatewayError(Exception):
@@ -115,21 +124,18 @@ def blob_id(data: bytes, algorithm: str) -> str:
     return hashlib.new(algorithm, b"blob %d\0%s" % (len(data), data)).hexdigest()
 
 
-def run_git(
-    repo: Path, *args: str, check: bool = True, text: bool = True
-) -> subprocess.CompletedProcess:
-    """Run git in `repo`; its output is str, or bytes without `text`."""
+def run_git(repo: Path, *args: str, check: bool = True) -> subprocess.CompletedProcess:
+    """Run git in `repo`; its output is str."""
     proc = subprocess.run(
         ["git", "-C", str(repo), *args],
         capture_output=True,
-        text=text,
-        encoding=ENCODING if text else None,
-        errors=ERRORS if text else None,
+        text=True,
+        encoding=ENCODING,
+        errors=ERRORS,
     )
     if check and proc.returncode != 0:
-        stderr = proc.stderr if text else proc.stderr.decode(ENCODING, ERRORS)
         raise GitGatewayError(
-            f"git {' '.join(args)} failed ({proc.returncode}): {stderr.strip()}"
+            f"git {' '.join(args)} failed ({proc.returncode}): {proc.stderr.strip()}"
         )
     return proc
 
@@ -282,6 +288,31 @@ def _stop(proc: subprocess.Popen) -> None:
     proc.stdout.close()
 
 
+class _Child:
+    """A long-lived git process that answers requests on its stdin: none
+    runs until `start()`, and `stop()` (or the child becoming garbage)
+    stops it.  `lock` is held for one exchange with it."""
+
+    def __init__(self, repo: Path, *args: str):
+        self.argv = ["git", "-C", str(repo), *args]
+        self.lock = threading.Lock()
+        self.proc: Optional[subprocess.Popen] = None
+        self._finalizer: Optional[weakref.finalize] = None
+
+    def start(self) -> subprocess.Popen:
+        self.proc = subprocess.Popen(
+            self.argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+        )
+        self._finalizer = weakref.finalize(self, _stop, self.proc)
+        return self.proc
+
+    def stop(self) -> None:
+        if self._finalizer is not None:
+            self._finalizer()
+        self.proc = self._finalizer = None
+
+
 class CommitMemo:
     """Facts about one repository's commits, remembered by full id.
 
@@ -300,9 +331,11 @@ class CommitMemo:
     read starts a new one.  Names are resolved over the reader too: it
     peels `<name>^{commit}` and returns the commit object, whose headers
     give the CommitRef's tree, parents and timestamp.  A range's commit
-    ids come from `git rev-list` and their objects from the reader.  Only
-    `diff` and `between` start a git process of their own.  `spawns`
-    counts the git processes the memo started, reader starts included.
+    ids come from `git rev-list` and their objects from the reader.
+    Commits are diffed over one `DIFF_TREE` process, the *differ*, that
+    lives the same way, under a lock of its own.  Only the shallow check
+    and `between` run a one-shot git process.  `spawns` counts the git
+    processes the memo started, reader and differ starts included.
     """
 
     def __init__(self, repo: Path):
@@ -314,16 +347,14 @@ class CommitMemo:
         self._trees: "OrderedDict[str, List[Entry]]" = OrderedDict()
         self._texts: "OrderedDict[str, str]" = OrderedDict()
         self._full_history = False
-        self._reader: Optional[subprocess.Popen] = None
-        self._stop_reader: Optional[weakref.finalize] = None
-        self._lock = threading.Lock()  # held for one exchange with the reader
-        self._streaming: Optional[int] = None  # the thread in an exchange
+        self._reader = _Child(self.repo, "cat-file", "--batch")
+        self._streaming: Optional[int] = None  # the thread in an exchange with the reader
+        self._differ = _Child(self.repo, *DIFF_TREE)
 
     def close(self) -> None:
-        """Stop the reader, if one runs."""
-        if self._stop_reader is not None:
-            self._stop_reader()
-        self._reader = self._stop_reader = None
+        """Stop the reader and the differ, where they run."""
+        self._reader.stop()
+        self._differ.stop()
 
     def __enter__(self) -> "CommitMemo":
         return self
@@ -331,9 +362,15 @@ class CommitMemo:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _git(self, *args: str, text: bool = True) -> subprocess.CompletedProcess:
+    def _git(self, *args: str) -> subprocess.CompletedProcess:
         self.spawns += 1
-        return run_git(self.repo, *args, text=text)
+        return run_git(self.repo, *args)
+
+    def _started(self, child: _Child) -> subprocess.Popen:
+        if child.proc is None:
+            child.start()
+            self.spawns += 1
+        return child.proc
 
     def _peeled(self, name: str) -> Tuple[str, bytes]:
         """The full id and the raw object of the commit `name` points at."""
@@ -417,15 +454,36 @@ class CommitMemo:
         if patch is None:
             if not ref.parents:
                 raise RootCommit(f"{ref.short_id} has no parent to diff against")
-            # plumbing reads no diff.* config of the user or the repository;
-            # bytes, as a text-mode read would turn a carriage return into a
-            # line break
-            proc = self._git(
-                "diff-tree", "-p", "--no-color", "--no-renames", "-U3", ref.parents[0], ref.id,
-                text=False,
-            )
-            patch = self._diffs[ref.id] = parse_unified_diff(decode_text(proc.stdout))
+            patch = self._diffs[ref.id] = parse_unified_diff(decode_text(self._diffed(ref)))
         return patch
+
+    def _diffed(self, ref: CommitRef) -> bytes:
+        """The differ's diff of `ref` against its first parent, without
+        the id line it starts with.  A reply that ends early (git dies on
+        a missing object) or starts with another line stops the differ
+        and raises GitGatewayError; the next diff starts a new one."""
+        with self._differ.lock:
+            differ = self._started(self._differ)
+            lines = []
+            done = False
+            try:
+                differ.stdin.write(b"%s %s\n%s" % (ref.id.encode(), ref.parents[0].encode(),
+                                                   DIFF_END))
+                differ.stdin.flush()
+                if differ.stdout.readline() == b"%s\n" % ref.id.encode():
+                    for line in iter(differ.stdout.readline, b""):
+                        if line == DIFF_END:
+                            done = True
+                            break
+                        lines.append(line)
+            except BrokenPipeError:
+                pass  # git died before it read the request
+            finally:
+                if not done:  # what is left of the reply would answer the next request
+                    self._differ.stop()
+        if not done:
+            raise GitGatewayError(f"git diff-tree gave no diff of {ref.id} in {self.repo}")
+        return b"".join(lines)
 
     def inverse(self, commit: str) -> SourcePatch:
         """The inverse of the commit's diff: what reverting it applies."""
@@ -503,7 +561,7 @@ class CommitMemo:
         me = threading.get_ident()
         if self._streaming == me:
             raise GitGatewayError(f"a read of {self.repo} while its object stream is open")
-        with self._lock:
+        with self._reader.lock:
             self._streaming = me
             pending = len(requests)
             try:
@@ -511,7 +569,7 @@ class CommitMemo:
                     batch = requests[start : start + CAT_FILE_BATCH]
                     if peel:
                         batch = [f"{name}^{{{kind.decode()}}}" for name in batch]
-                    reader = self._started()
+                    reader = self._started(self._reader)
                     reader.stdin.write("".join(f"{line}\n" for line in batch).encode())
                     reader.stdin.flush()
                     for line in batch:
@@ -525,19 +583,7 @@ class CommitMemo:
             finally:
                 self._streaming = None
                 if pending:
-                    self.close()
-
-    def _started(self) -> subprocess.Popen:
-        if self._reader is None:
-            self._reader = subprocess.Popen(
-                ["git", "-C", str(self.repo), "cat-file", "--batch"],
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
-            )
-            self.spawns += 1
-            self._stop_reader = weakref.finalize(self, _stop, self._reader)
-        return self._reader
+                    self._reader.stop()
 
     def _reply(
         self, reader: subprocess.Popen, line: str, kind: bytes, peel: bool

@@ -537,26 +537,32 @@ class VerdictStore:
 
     Every oracle that opens the same directory shares it, across threads
     and processes.  An entry holds `OracleVerdict.to_dict()` for one whole
-    tree.  A trace, under `traces/<group>/`, holds the verdict a build of
-    some tree gave, the tree's `listing_digest` and the (path, mode, object
-    id) of every file the build and the PoC read and of every symlink; it
-    answers any tree in the group with the same listing and the same read
-    entries.  A group keeps its newest `TRACES_KEPT` traces.  Entries and
-    traces are written to a temp file, then renamed into place; one that
-    cannot be read or parsed counts as absent.  Deleting the directory
-    clears the store.
+    tree.  A trace, under `traces/<group>/<digest of its text>.json`,
+    holds the verdict a build of some tree gave, the tree's
+    `listing_digest` and the (path, mode, object id) of every file the
+    build and the PoC read and of every symlink; it answers any tree in
+    the group with the same listing and the same read entries.  A group
+    keeps its newest `TRACES_KEPT` traces, and a trace that answers a
+    tree is made the newest, so the traces dropped are those that stopped
+    answering.  Entries and traces are written to a temp file, then
+    renamed into place, so reading one takes no lock; one that cannot be
+    read or parsed, or whose text is not its name's digest, counts as
+    absent.  Each store object parses a trace once.  Deleting the
+    directory clears the store.
     """
 
     def __init__(self, root: Path):
         self.root = Path(root)
         (self.root / "locks").mkdir(parents=True, exist_ok=True)
+        # trace file name -> (listing digest, read entries, verdict)
+        self._parsed: Dict[str, Tuple[str, List[Entry], OracleVerdict]] = {}
 
     @contextmanager
     def locked(self, key: str) -> Iterator[None]:
-        """Hold the key's lock, so that one holder at a time reads or
-        writes its entry.  Keys share a fixed set of lock files, chosen by
-        their first `LOCK_PREFIX` digits; two keys on one just take turns.
-        Locks do not nest."""
+        """Hold the key's lock, so that one holder at a time builds it.
+        Keys share a fixed set of lock files, chosen by their first
+        `LOCK_PREFIX` digits; two keys on one just take turns.  Locks do
+        not nest."""
         lock = self.root / "locks" / f"{key[:LOCK_PREFIX]}.lock"
         fd = os.open(lock, os.O_RDWR | os.O_CREAT, 0o644)
         try:
@@ -573,27 +579,47 @@ class VerdictStore:
             return None
 
     def put(self, key: str, verdict: OracleVerdict) -> None:
-        """Write the key's entry.  The caller holds the key's lock."""
+        """Write the key's entry.  An oracle writes it only after building
+        the key under the key's lock."""
         write_atomic(self.root / f"{key}.json", json.dumps(verdict.to_dict(), sort_keys=True))
 
     def match(self, group: str, entries: List[Entry]) -> Optional[OracleVerdict]:
         """The verdict of the newest trace in `group` that the tree with
-        these entries agrees with, or None."""
+        these entries agrees with, or None.  That trace's mtime is set to
+        now, which makes it the group's newest."""
         paths = self._traces(group)
         if not paths:
             return None
         listing = listing_digest(entries)
         files = {rel: (mode, oid) for rel, mode, oid in entries}
         for path in paths:
-            try:
-                trace = json.loads(path.read_text("utf-8"))
-                if trace["listing"] == listing and all(
-                    files.get(rel) == (mode, oid) for rel, mode, oid in trace["reads"]
-                ):
-                    return OracleVerdict.from_dict(trace["verdict"])
-            except (OSError, ValueError, KeyError, TypeError):
-                continue
+            trace = self._trace(path)
+            if trace is not None and trace[0] == listing and all(
+                files.get(rel) == (mode, oid) for rel, mode, oid in trace[1]
+            ):
+                try:
+                    os.utime(path)
+                except OSError:
+                    pass  # dropped since it was listed, or a store we may not write
+                return replace(trace[2])
         return None
+
+    def _trace(self, path: Path) -> Optional[Tuple[str, List[Entry], OracleVerdict]]:
+        """The trace at `path`, parsed on its first read; None when it
+        cannot be read or parsed, or its text is not its name's digest."""
+        trace = self._parsed.get(path.name)
+        if trace is None:
+            try:
+                text = path.read_bytes()
+                if f"{_sha(text)}.json" != path.name:
+                    return None
+                data = json.loads(text)
+                trace = (data["listing"], [(rel, mode, oid) for rel, mode, oid in data["reads"]],
+                         OracleVerdict.from_dict(data["verdict"]))
+            except (OSError, ValueError, KeyError, TypeError):
+                return None
+            self._parsed[path.name] = trace
+        return trace
 
     def put_trace(self, group: str, entries: List[Entry], reads: List[Entry],
                   verdict: OracleVerdict) -> None:
@@ -616,14 +642,19 @@ class VerdictStore:
                 pass  # another oracle dropped it first
 
     def _traces(self, group: str) -> List[Path]:
-        """The group's trace files, newest first."""
+        """The group's trace files, newest first, listed by one scan."""
         found = []
-        for path in (self.root / "traces" / group).glob("*.json"):
-            try:
-                found.append((path.stat().st_mtime_ns, path.name, path))
-            except FileNotFoundError:
-                continue
-        return [path for _, _, path in sorted(found, reverse=True)]
+        try:
+            with os.scandir(self.root / "traces" / group) as scan:
+                for entry in scan:
+                    if entry.name.endswith(".json"):
+                        try:
+                            found.append((entry.stat().st_mtime_ns, entry.name, entry.path))
+                        except FileNotFoundError:
+                            continue
+        except FileNotFoundError:
+            return []
+        return [Path(path) for _, _, path in sorted(found, reverse=True)]
 
 
 def write_atomic(path: Path, text: str) -> Path:
@@ -906,15 +937,17 @@ class Oracle:
     Verdicts are kept in the store at `store_dir`.  A verdict that is not
     `storable` (a SandboxFailure, or one a timeout decided) is never
     kept, so a later call retries it.  Oracles that share a store build
-    each key once: the first caller builds while holding the key's lock,
-    later ones wait and read.
+    each key once: a miss takes the key's lock and asks the store again
+    under it, so the first caller builds while holding the lock, and later
+    ones wait and read.
 
     A verdict is asked for a `gitio.CommitTree` (a commit plus edits held
     in memory).  Its key holds `tree_hash`, so a stored verdict costs no
-    file write and no git blob read.  A tree whose key is not stored is
-    answered by a stored trace when it agrees with the trace's tree on its
-    listing and on every file that tree's build and PoC run read
-    (`VerdictStore.match`).  A verdict never mutates the tree it is given:
+    git blob read.  A tree whose key is not stored is answered by a stored
+    trace when it agrees with the trace's tree on its listing and on every
+    file that tree's build and PoC run read (`VerdictStore.match`).  The
+    store is asked without a lock, and a hit, exact or traced, takes no
+    lock and creates no file.  A verdict never mutates the tree it is given:
     the build and the PoC run happen in the oracle's `BuildSlot`,
     `oracle-<suffix>/tree` under `scratch_dir`, made on the first build
     and removed by `close()`, or, after a killed run, by the next slot
@@ -963,15 +996,12 @@ class Oracle:
         data = read_input(poc)
         group = verdict_group(identity, poc, data)
         key = _keyed(group, tree_hash(tree))
+        stored = self._stored(key, group, tree)
+        if stored is not None:
+            return stored
         with self.store.locked(key):
-            stored = self.store.get(key)
+            stored = self._stored(key, group, tree)  # built while this one waited
             if stored is not None:
-                self._count("cache_hits")
-                return stored
-            stored = self.store.match(group, tree.entries())
-            if stored is not None:
-                self.store.put(key, stored)  # the next probe of this tree is exact
-                self._count("cache_hits", "trace_hits")
                 return stored
             with self._lock:
                 verdict = self._build_and_run(tree, recipe, poc, data, env, identity)
@@ -981,6 +1011,18 @@ class Oracle:
                 if reads is not None:
                     self.store.put_trace(group, tree.entries(), reads, verdict)
         return verdict
+
+    def _stored(self, key: str, group: str, tree) -> Optional[OracleVerdict]:
+        """The store's verdict on the tree, from its entry or a trace,
+        counted as a hit; None when it has none."""
+        stored = self.store.get(key)
+        if stored is not None:
+            self._count("cache_hits")
+            return stored
+        stored = self.store.match(group, tree.entries())
+        if stored is not None:
+            self._count("cache_hits", "trace_hits")
+        return stored
 
     def _build_and_run(self, tree, recipe: BuildRecipe, poc: PocSpec, data: Optional[bytes],
                        env: Dict[str, str], identity: Identity) -> OracleVerdict:

@@ -10,7 +10,7 @@ import tempfile
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, Optional
 
-from revenant.gitio import MODE_EXEC, MODE_FILE, MODE_LINK, blob_id
+from revenant.gitio import MODE_EXEC, MODE_FILE, MODE_LINK, CommitMemo, blob_id
 from revenant.oracle import (
     SANITIZER_NONE,
     BuildRecipe,
@@ -134,6 +134,15 @@ def record_git(monkeypatch) -> list:
 
     monkeypatch.setattr(subprocess, "Popen", Recording)
     return spawned
+
+
+def record_diffs(monkeypatch) -> list:
+    """The id of every commit a memo asks its diff process for."""
+    asked = []
+    real = CommitMemo._diffed
+    monkeypatch.setattr(CommitMemo, "_diffed",
+                        lambda memo, ref: asked.append(ref.id) or real(memo, ref))
+    return asked
 
 
 def worktrees(repo: Path) -> list:

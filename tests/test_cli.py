@@ -7,13 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from revenant import gitio
+from revenant import cli, gitio
 from revenant.cli import BISECT_FILE, RECORD_FILE, TIERS_FILE, main
 from revenant.config import DEFAULT_WORKSPACE
 from revenant.forge import forge_repo
 from revenant.oracle import LOCK_PREFIX
 
-from gitutil import RepoBuilder, atimes_recorded, no_child_left
+from gitutil import RepoBuilder, atimes_recorded, no_child_left, record_diffs, record_git
 
 CVE = "CVE-2021-9999"
 
@@ -123,6 +123,26 @@ def test_an_unrunnable_case_among_jobs_leaves_its_siblings_running(tmp_path, fix
     assert main(["revive", "--jobs", "2", "--config", str(bad), "--config", str(good)]) == 5
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith(f"error case={bad} ")
+    assert "final=Revived" in lines[1]
+
+
+def test_an_unexpected_error_among_jobs_is_raised_after_its_siblings_lines(
+    tmp_path, fixture, capsys, monkeypatch
+):
+    good = write_case(tmp_path, fixture)
+    bad = tmp_path / "bad.json"
+    real = cli._revive_one
+
+    def revive_one(path, args):
+        if path == str(bad):
+            raise RuntimeError("no exit code maps this")
+        return real(path, args)
+
+    monkeypatch.setattr(cli, "_revive_one", revive_one)
+    with pytest.raises(RuntimeError, match="no exit code maps this"):
+        main(["revive", "--jobs", "2", "--config", str(bad), "--config", str(good)])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"error case={bad} no exit code maps this"
     assert "final=Revived" in lines[1]
 
 
@@ -326,11 +346,15 @@ class TestCategorize:
         real = gitio.run_git
         monkeypatch.setattr(gitio, "run_git",
                             lambda repo, *args, **kw: calls.append(args) or real(repo, *args, **kw))
+        started = record_git(monkeypatch)
+        diffed = record_diffs(monkeypatch)
         assert main(["categorize", "--repo", str(fixture.repo), *commits]) == 0
         assert len(summaries(capsys)) == 4
-        # the shallow-clone check runs once, and a commit is diffed once
+        # the shallow-clone check runs once, one diff process serves every
+        # commit, and a commit is diffed once
         assert calls.count(("rev-parse", "--is-shallow-repository")) == 1
-        assert [args[0] for args in calls].count("diff-tree") == 3
+        assert started.count("diff-tree") == 1
+        assert len(diffed) == len(set(diffed)) == 3
 
 
 class TestActivity:

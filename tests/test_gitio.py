@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -37,7 +38,15 @@ from revenant.gitio import (
 )
 from revenant.patchcore import stage_patch
 from revenant.porter import derive_reverse_patch
-from gitutil import BASE_EPOCH, RepoBuilder, ls_tree_listing, no_child_left, record_git, worktrees
+from gitutil import (
+    BASE_EPOCH,
+    RepoBuilder,
+    ls_tree_listing,
+    no_child_left,
+    record_diffs,
+    record_git,
+    worktrees,
+)
 from test_porter import forge_make_project
 
 TEN = "".join(f"line {i}\n" for i in range(1, 11))
@@ -141,12 +150,13 @@ def test_commit_memo_follows_moving_names_and_remembers_ids(repo, monkeypatch):
     first = memo.resolve("main")
     moved = repo.commit({"README": "moved\n"}, "move main")
     assert memo.resolve("main").id == moved
-    spawned = []
-    real = gitio.run_git
-    monkeypatch.setattr(gitio, "run_git", lambda *a, **kw: spawned.append(a) or real(*a, **kw))
+    started = record_git(monkeypatch)
+    diffed = record_diffs(monkeypatch)
     assert memo.resolve(first.id) is first
     assert memo.inverse(moved) is memo.inverse(moved)
-    assert [a[1] for a in spawned] == ["diff-tree"]
+    assert diffed == [moved]
+    assert started == ["diff-tree"]
+    memo.close()
 
 
 def test_checkout_worktree_prunes_a_crashed_worktree(repo, tmp_path):
@@ -179,6 +189,70 @@ def test_commit_diff_shape(repo):
     added = [ln.text for ln in fp.hunks[0].lines if ln.kind == "add"]
     assert removed == ["line 5"]
     assert added == ["line 5 fixed"]
+
+
+def one_shot_diff(repo, ref):
+    """`git diff-tree -p` of the commit against its first parent, in one
+    process of its own."""
+    return subprocess.run(
+        ["git", "-C", str(repo), "diff-tree", "-p", "--no-color", "--no-renames", "-U3",
+         ref.parents[0], ref.id],
+        capture_output=True, check=True,
+    ).stdout
+
+
+def test_the_diff_process_gives_what_a_one_shot_diff_tree_gives(repo, monkeypatch):
+    made = {}
+    (repo.root / "crlf.txt").write_bytes(b"one\r\ntwo\r\n")
+    made["crlf added"] = repo.commit({}, "crlf")
+    (repo.root / "crlf.txt").write_bytes(b"one\r\nTWO\r\n")
+    made["crlf edited"] = repo.commit({}, "crlf edit")
+    (repo.root / "blob.bin").write_bytes(bytes(range(256)))
+    made["binary"] = repo.commit({}, "binary")
+    (repo.root / "src" / "main.c").chmod(0o755)
+    made["mode change"] = repo.commit({}, "mode")
+    made["quoted names"] = repo.commit(
+        {"tab\tname.txt": "t\n", 'quo"te.txt': "q\n", "back\\slash.txt": "b\n",
+         "sp ace.txt": "s\n", "ünï côdé.txt": "u\n"}, "names")
+    made["empty"] = repo.commit({}, "empty")
+    repo.git("checkout", "-q", "-b", "side", "t0")
+    repo.commit({"side.txt": "s\n"}, "side work", tag=False)
+    repo.git("checkout", "-q", "main")
+    repo.git("merge", "-q", "--no-ff", "--no-edit", "side")
+    made["merge"] = repo.head()
+    refs = {name: resolve_ref(repo.root, commit) for name, commit in made.items()}
+    want = {name: one_shot_diff(repo.root, ref) for name, ref in refs.items()}
+    assert want["empty"] == b"" and b"\r\n" in want["crlf edited"]
+    started = record_git(monkeypatch)
+    with CommitMemo(repo.root) as memo:
+        for name, ref in refs.items():
+            assert memo._diffed(ref) == want[name], name
+        assert [fp.path for fp in memo.diff(made["merge"]).files] == ["side.txt"]
+    assert started == ["diff-tree", "rev-parse", "cat-file"]
+    assert no_child_left()
+
+
+def test_a_missing_object_stops_the_diff_process_and_the_next_diff_starts_one(repo, monkeypatch):
+    parent = repo.head()
+    child = repo.commit({"README": "bye\n"}, "child")
+    grandchild = repo.commit({"README": "again\n"}, "grandchild")
+    last = repo.commit({"src/main.c": "last\n"}, "last")
+    started = record_git(monkeypatch)
+    with CommitMemo(repo.root) as memo:
+        refs = [memo.resolve(commit) for commit in (child, grandchild, last)]
+        # git dies on the missing parent, and the stream ends early
+        (repo.root / ".git" / "objects" / parent[:2] / parent[2:]).unlink()
+        with pytest.raises(GitGatewayError):
+            memo.diff(child)
+        assert started.count("diff-tree") == 1
+        assert [fp.path for fp in memo.diff(grandchild).files] == ["README"]
+        # a commit git does not have: the reply does not start with its id
+        missing = replace(refs[0], id="0" * 40, parents=(grandchild,))
+        with pytest.raises(GitGatewayError):
+            memo._diffed(missing)
+        assert [fp.path for fp in memo.diff(last).files] == ["src/main.c"]
+    assert started.count("diff-tree") == 3
+    assert no_child_left()
 
 
 def test_commit_diff_root_commit_refused(repo):
@@ -579,9 +653,9 @@ def test_unknown_ambiguous_and_spaced_names_leave_the_reader_in_sync(repo, monke
 def test_a_short_reply_stops_the_reader_and_the_next_resolve_works(repo):
     with CommitMemo(repo.root) as memo:
         memo.resolve("t0")
-        pipe = memo._reader.stdout
+        pipe = memo._reader.proc.stdout
         # the reply to the next name breaks off after its header
-        memo._reader.stdout = io.BytesIO(b"%s commit 200\ntree " % repo.head().encode())
+        memo._reader.proc.stdout = io.BytesIO(b"%s commit 200\ntree " % repo.head().encode())
         with pytest.raises(GitGatewayError):
             memo.resolve("main")
         pipe.close()

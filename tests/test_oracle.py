@@ -1137,22 +1137,52 @@ class TestTraces:
         assert reads == ["build.sh", "crash.sh"]
 
     @needs_atime
-    def test_a_trace_hit_writes_the_trees_exact_entry(self, tmp_path):
-        built, probed = [_shell_tree(tmp_path / f"t{i}", "cp crash.sh tool\n", README=f"{i}\n")
-                         for i in range(2)]
+    def test_a_trace_hit_writes_nothing_and_makes_its_trace_the_newest(self, tmp_path):
+        built, other, probed = [
+            _shell_tree(tmp_path / f"t{i}", build_sh, README=f"{i}\n")
+            for i, build_sh in enumerate(["cp crash.sh tool\n", "cp crash.sh tool\n# other\n",
+                                          "cp crash.sh tool\n"])
+        ]
         poc = self._poc(tmp_path)
-        first = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
+        store = tmp_path / "store"
+        first = Oracle(store, scratch_dir=tmp_path / "scratch")
         want = first.verdict(DiskTree(built), SHELL_RECIPE, poc).to_dict()
+        [answering] = store.glob("traces/*/*.json")
+        first.verdict(DiskTree(other), SHELL_RECIPE, poc)
         first.close()
+        [newer] = set(store.glob("traces/*/*.json")) - {answering}
+        os.utime(answering, ns=(0, 10**9))
+        os.utime(newer, ns=(0, 2 * 10**9))
+        files = sorted(store.rglob("*"))
         # the store holds no entry for `probed`, only the trace that matches it
-        oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
+        oracle = Oracle(store, scratch_dir=tmp_path / "scratch")
         hits = []
         for _ in range(2):
             assert oracle.verdict(DiskTree(probed), SHELL_RECIPE, poc).to_dict() == want
             hits.append((oracle.counters.get("cache_hits", 0),
                          oracle.counters.get("trace_hits", 0)))
-        assert hits == [(1, 1), (2, 1)]
+        assert hits == [(1, 1), (2, 2)]
         assert "builds" not in oracle.counters
+        assert sorted(store.rglob("*")) == files
+        assert answering.stat().st_mtime_ns > newer.stat().st_mtime_ns
+        oracle.close()
+
+    @needs_atime
+    def test_a_store_hit_creates_no_file_under_the_store(self, tmp_path):
+        built, probed = [_shell_tree(tmp_path / f"t{i}", "cp crash.sh tool\n", README=f"{i}\n")
+                         for i in range(2)]
+        poc = self._poc(tmp_path)
+        store = tmp_path / "store"
+        first = Oracle(store, scratch_dir=tmp_path / "scratch")
+        first.verdict(DiskTree(built), SHELL_RECIPE, poc)
+        first.close()
+        files = sorted(store.rglob("*"))
+        assert any((store / "locks").iterdir())  # the build took its key's lock
+        oracle = Oracle(store, scratch_dir=tmp_path / "scratch")
+        oracle.verdict(DiskTree(built), SHELL_RECIPE, poc)  # its entry answers
+        oracle.verdict(DiskTree(probed), SHELL_RECIPE, poc)  # the trace answers
+        assert oracle.counters == {"cache_hits": 2, "trace_hits": 1}
+        assert sorted(store.rglob("*")) == files
         oracle.close()
 
     def test_a_read_in_an_earlier_incremental_build_counts(self, tmp_path):
