@@ -34,10 +34,11 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from .patchcore import (
     ApplyReport,
     MODE_CREATED,
+    PatchConflict,
     SourcePatch,
+    apply_patch,
     invert,
     parse_unified_diff,
-    stage_patch,
 )
 
 ENCODING = "utf-8"
@@ -728,36 +729,31 @@ def checkout_worktree(repo: Path, commit: str, dest: Path) -> Worktree:
     return Worktree(repo=repo, commit=commit_id, path=dest)
 
 
-def tree_reader(tree) -> Callable[[str], Optional[str]]:
-    """Read `tree` (anything with `exists` and `read`) as `stage_patch`
-    does: a file's text, or None when it is absent."""
-    return lambda relpath: tree.read(relpath) if tree.exists(relpath) else None
-
-
 def revert_onto(tree, commit: str, inverse: SourcePatch, max_fuzz: int) -> List[ApplyReport]:
     """Apply `inverse`, the inverse of `commit`'s diff (see
-    `CommitMemo.inverse`), to `tree`, atomically.
+    `CommitMemo.inverse`), to `tree` with `patchcore.apply_patch`.
 
     `tree` is a `Worktree` or a `CommitTree`.  Either every hunk of every
-    touched file applies and the files are written, or RevertConflict is
-    raised and nothing changes.  Returns one report per file of
-    `inverse`.  A text file the commit touched that is absent from the
-    tree, and that the revert does not create, is skipped with a report
-    of no offsets (filtered checkouts are legitimate).  Hunks match with up to
-    `max_fuzz` context lines dropped.
+    touched file applies and the files are written, or RevertConflict,
+    naming every conflicting path, is raised and nothing changes.
+    Returns one report per file of `inverse`.  A text file the commit
+    touched that is absent from the tree, and that the revert does not
+    create, is skipped with a report of no offsets (filtered checkouts
+    are legitimate).  Hunks match with up to `max_fuzz` context lines
+    dropped.
     """
     kept = [
         fp.is_binary or fp.mode_change == MODE_CREATED or tree.exists(fp.path)
         for fp in inverse.files
     ]
-    staged = stage_patch(
-        tree_reader(tree), [fp for fp, keep in zip(inverse.files, kept) if keep], max_fuzz
-    )
-    if staged.conflicts:
-        paths = ", ".join(staged.conflicts)
-        raise RevertConflict(f"revert of {commit} conflicts in: {paths}")
-    staged.write_to(tree)
-    applied = iter(staged.reports)
+    try:
+        reports = apply_patch(
+            tree, [fp for fp, keep in zip(inverse.files, kept) if keep], max_fuzz
+        )
+    except PatchConflict as exc:
+        paths = ", ".join(exc.reasons)
+        raise RevertConflict(f"revert of {commit} conflicts in: {paths}") from None
+    applied = iter(reports)
     return [next(applied) if keep else ApplyReport(fp.path, [])
             for fp, keep in zip(inverse.files, kept)]
 

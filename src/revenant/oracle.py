@@ -36,7 +36,7 @@ import weakref
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, asdict, replace
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .gitio import MODE_EXEC, MODE_LINK, Entry
 
@@ -289,12 +289,12 @@ def run_env(recipe_env: Iterable[Tuple[str, str]]) -> Dict[str, str]:
 def build(
     workdir: Path,
     recipe: BuildRecipe,
-    counters: Dict[str, int],
+    count: Callable[[str], None],
     env: Dict[str, str],
     slot_home: str,
 ) -> Optional[OracleVerdict]:
     """Run the recipe's steps in order inside `workdir`, under `env` (the
-    recipe's `run_env`).
+    recipe's `run_env`), and `count` the build and each step started.
 
     None when every step exits zero within the shared budget and every
     declared artifact exists afterwards.  Otherwise the BuildFailed
@@ -305,7 +305,7 @@ def build(
     workdir = Path(workdir)
     deadline = time.monotonic() + recipe.timeout
     log_parts: List[str] = []
-    counters["builds"] = counters.get("builds", 0) + 1
+    count("builds")
 
     def failed(why: str, transient: bool) -> OracleVerdict:
         log_parts.append(why)
@@ -316,7 +316,7 @@ def build(
         budget = deadline - time.monotonic()
         if budget <= 0:
             return failed("BUILD TIMEOUT: budget exhausted before step ran", True)
-        counters["subprocess_launches"] = counters.get("subprocess_launches", 0) + 1
+        count("subprocess_launches")
         res = run_limited(["sh", "-c", step], cwd=workdir, env=env, timeout=budget)
         log_parts.append(f"$ {step}\n{_canonical(res.output, slot_home)}")
         if res.spawn_error:
@@ -385,11 +385,12 @@ def run_poc(
     cwd: Path,
     env: Dict[str, str],
     sanitizer: str,
-    counters: Dict[str, int],
+    count: Callable[[str], None],
     slot_home: str,
 ) -> OracleVerdict:
     """Execute the PoC command against the built artifacts under `env` and
-    classify.  The evidence is `_canonical` for `slot_home`.
+    classify, and `count` the launch.  The evidence is `_canonical` for
+    `slot_home`.
 
     Precedence: a detector report always wins (NotTriggered when
     `expected_detector` names another class); then a timeout, which is
@@ -406,7 +407,7 @@ def run_poc(
     argv = poc.argv(binary)
     if sanitizer == SANITIZER_VALGRIND:
         argv = ["valgrind", "-q", "--error-exitcode=96"] + argv
-    counters["subprocess_launches"] = counters.get("subprocess_launches", 0) + 1
+    count("subprocess_launches")
     res = run_limited(argv, cwd=cwd, env=env, timeout=poc.run_timeout)
     if res.spawn_error:
         return OracleVerdict(KIND_SANDBOX_FAILURE, evidence=_canonical(res.spawn_error, slot_home))
@@ -967,7 +968,8 @@ class Oracle:
 
     An oracle is meant for one caller at a time.  Concurrent callers are
     safe but take turns: a lock, taken only while the key's lock is held,
-    serializes the slot's sync, build and PoC run and the counters.
+    serializes the slot's sync, build and PoC run; a store hit takes only
+    the counters' own lock.
     """
 
     def __init__(self, store_dir: Path, scratch_dir: Path):
@@ -977,6 +979,7 @@ class Oracle:
         self.scratch_dir.mkdir(parents=True, exist_ok=True)
         self._slot: Optional[BuildSlot] = None
         self._lock = threading.Lock()
+        self._count_lock = threading.Lock()
 
     def close(self) -> None:
         """Remove the build slot; a later verdict makes a new one."""
@@ -986,7 +989,7 @@ class Oracle:
                 self._slot = None
 
     def _count(self, *names: str) -> None:
-        with self._lock:
+        with self._count_lock:
             for name in names:
                 self.counters[name] = self.counters.get(name, 0) + 1
 
@@ -1026,20 +1029,20 @@ class Oracle:
 
     def _build_and_run(self, tree, recipe: BuildRecipe, poc: PocSpec, data: Optional[bytes],
                        env: Dict[str, str], identity: Identity) -> OracleVerdict:
-        self.counters["verdicts"] = self.counters.get("verdicts", 0) + 1
+        self._count("verdicts")
         if self._slot is None:
             self._slot = BuildSlot(self.scratch_dir)
         slot = self._slot
         home = str(slot.home)
         try:
             slot.sync(tree, recipe, identity)
-            failed = build(slot.root, recipe, self.counters, env, home)
+            failed = build(slot.root, recipe, self._count, env, home)
             if failed is not None and not failed.transient and not slot.fresh:
                 # a product of an earlier build may be to blame: only a
                 # clean build may decide BuildFailed
                 slot.wipe()
                 slot.sync(tree, recipe, identity)
-                failed = build(slot.root, recipe, self.counters, env, home)
+                failed = build(slot.root, recipe, self._count, env, home)
             slot.fresh = False
             if failed is not None:
                 slot.note_reads()
@@ -1053,7 +1056,7 @@ class Oracle:
                 cwd=slot.root,
                 env=env,
                 sanitizer=recipe.sanitizer,
-                counters=self.counters,
+                count=self._count,
                 slot_home=home,
             )
             slot.note_reads()

@@ -18,7 +18,9 @@ from .applier import (
     CONFLICT_EXISTS,
     CONFLICT_MISSING,
     MAX_FUZZ,
-    stage_patch,
+    PatchConflict,
+    apply_patch,
+    tree_reader,
 )
 from .diffgen import diff_trees
 from .split import split_by_granularity
@@ -34,12 +36,14 @@ __all__ = [
     "Granularity",
     "MAX_FUZZ",
     "MODE_CREATED",
+    "PatchConflict",
     "PatchError",
     "SourcePatch",
+    "apply_patch",
     "diff_trees",
     "invert",
     "parse_unified_diff",
     "render_unified_diff",
     "split_by_granularity",
-    "stage_patch",
+    "tree_reader",
 ]

@@ -10,14 +10,13 @@ or an ambiguous one, rejects the whole file: nothing of it is applied.
 With max_fuzz=0 and search_window=0 the behavior is strict application:
 every hunk must match byte-exactly at its declared position.
 
-`stage_patch` is the one way a whole patch is applied to a tree: it stages
-every file's result in memory, and the caller writes them only when no
-file conflicted.
+`apply_patch` is the one way a whole patch is applied to a tree: it
+writes every file's result when no file conflicted, else nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .model import (
@@ -36,7 +35,7 @@ from .model import (
 
 MAX_FUZZ = 2  # the most context lines a hunk may drop from each end
 
-# why `stage_patch` could not patch a file
+# why `apply_patch` could not patch a file
 CONFLICT_EXISTS = "exists"  # created where a file already is
 CONFLICT_MISSING = "missing"  # changed or deleted where no file is
 CONFLICT_BINARY = "binary"  # a binary patch, which cannot apply textually
@@ -47,6 +46,15 @@ CONFLICT_REJECTED = "rejected"  # a hunk found no anchor, or an ambiguous one
 class ApplyReport:
     path: str
     offsets: List[int]  # each applied hunk's displacement from its declared line
+
+
+class PatchConflict(PatchApplyError):
+    """A patch that `apply_patch` did not apply.  `reasons` maps each
+    conflicting path to its CONFLICT_* reason, in patch order."""
+
+    def __init__(self, reasons: Dict[str, str]):
+        super().__init__(", ".join(f"{path} ({reason})" for path, reason in reasons.items()))
+        self.reasons = reasons
 
 
 def _trim_for_fuzz(lines: List[HunkLine], fuzz: int) -> Tuple[List[HunkLine], int]:
@@ -184,50 +192,32 @@ def apply_file_patch(
     return join_lines(buf, final_nl), report
 
 
-@dataclass
-class StagedPatch:
-    """A patch applied in memory, before anything is written.
+def tree_reader(tree) -> Callable[[str], Optional[str]]:
+    """Read `tree` (anything with `exists` and `read`) as `apply_patch`
+    does: a file's text, or None when it is absent."""
+    return lambda relpath: tree.read(relpath) if tree.exists(relpath) else None
 
-    `writes` maps each patched path to its new text, or None for a delete;
-    `reports` holds one ApplyReport per FilePatch, in order (with no
-    offsets for a file that conflicted); `conflicts` maps each path that
-    could not be patched to its CONFLICT_* reason, in order.
+
+def apply_patch(tree, files: Sequence[FilePatch], max_fuzz: int) -> List[ApplyReport]:
+    """Apply every FilePatch in `files` to `tree` (anything with `exists`,
+    `read`, `write` and `delete`), atomically, and return one report per
+    FilePatch, in order.
+
+    Every file's result is staged in memory first; a later FilePatch on
+    a path sees the text staged for it so far.  A file created where one
+    exists, a missing file, a binary patch and a rejected hunk each make
+    the file a conflict, and every file is still tried after one.  With
+    no conflict every staged result is written to `tree`; otherwise
+    nothing is, and PatchConflict names every conflicting path.  Hunks
+    match with up to `max_fuzz` context lines dropped.
     """
-
-    writes: Dict[str, Optional[str]] = field(default_factory=dict)
-    reports: List[ApplyReport] = field(default_factory=list)
-    conflicts: Dict[str, str] = field(default_factory=dict)
-
-    def write_to(self, tree) -> None:
-        """Make the staged writes on `tree` (anything with `write` and
-        `delete`); a patch with conflicts writes nothing and raises."""
-        if self.conflicts:
-            raise PatchApplyError(f"conflicts in: {', '.join(self.conflicts)}")
-        for path, text in self.writes.items():
-            if text is None:
-                tree.delete(path)
-            else:
-                tree.write(path, text)
-
-
-def stage_patch(
-    read: Callable[[str], Optional[str]], files: Sequence[FilePatch], max_fuzz: int = 0
-) -> StagedPatch:
-    """Apply every FilePatch in `files` to the texts `read(path)` returns
-    (None when the file is absent), and stage the results.
-
-    A file created where one exists, a missing file, a binary patch and
-    a rejected hunk each make the file a conflict.  A later FilePatch on
-    a path sees the text staged for it so far.  Every file is applied
-    even after a conflict, so the result names every conflicting path.
-    Hunks match with up to `max_fuzz` context lines dropped.  Nothing is
-    written.
-    """
-    staged = StagedPatch()
+    read = tree_reader(tree)
+    staged: Dict[str, Optional[str]] = {}  # None: deleted
+    reports: List[ApplyReport] = []
+    conflicts: Dict[str, str] = {}
     for fp in files:
-        text = staged.writes[fp.path] if fp.path in staged.writes else read(fp.path)
+        text = staged[fp.path] if fp.path in staged else read(fp.path)
         created = fp.mode_change == MODE_CREATED
-        report = ApplyReport(fp.path, [])
         conflict = None
         if created and text is not None:
             conflict = CONFLICT_EXISTS
@@ -240,9 +230,16 @@ def stage_patch(
                 new_text, report = apply_file_patch(text or "", fp, max_fuzz=max_fuzz)
             except HunkRejected:
                 conflict = CONFLICT_REJECTED
-        staged.reports.append(report)
         if conflict is not None:
-            staged.conflicts.setdefault(fp.path, conflict)
+            conflicts.setdefault(fp.path, conflict)
         else:
-            staged.writes[fp.path] = None if fp.mode_change == MODE_DELETED else new_text
-    return staged
+            reports.append(report)
+            staged[fp.path] = None if fp.mode_change == MODE_DELETED else new_text
+    if conflicts:
+        raise PatchConflict(conflicts)
+    for path, text in staged.items():
+        if text is None:
+            tree.delete(path)
+        else:
+            tree.write(path, text)
+    return reports

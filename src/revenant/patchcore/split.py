@@ -113,7 +113,7 @@ def split_by_granularity(
     the order they apply.
 
     WholeFiles and FunctionScope need the pre-patch texts, which
-    `read(path)` returns as `stage_patch` reads them: None when the file
+    `read(path)` returns as `apply_patch` reads them: None when the file
     is absent.  An absent or binary file is left whole, for the applier
     to report.  WholeFiles applies each file strictly and replaces it in
     one hunk; a file that does not apply strictly raises HunkRejected.

@@ -23,15 +23,17 @@ from .patchcore import (
     ApplyReport,
     FilePatch,
     Granularity,
+    PatchConflict,
     PatchError,
     SourcePatch,
+    apply_patch,
     diff_trees,
     invert,
     render_unified_diff,
     split_by_granularity,
-    stage_patch,
+    tree_reader,
 )
-from .gitio import CommitMemo, CommitTree, RevertConflict, revert_onto, tree_reader
+from .gitio import CommitMemo, CommitTree, RevertConflict, revert_onto
 from .gitio import checkout_worktree  # noqa: F401 - see below
 from .oracle import (
     KIND_POC_INCOMPATIBLE,
@@ -115,9 +117,9 @@ def derive_reverse_patch(commits: CommitMemo, fix_commits: Sequence[str]) -> Sou
     caller's memo of the repository.
 
     A single fix is simply its commit diff inverted.  Several fixes are
-    composed by strictly replaying each one onto the files of the first
-    fix's parent, read from its commit; any replay conflict means the
-    fixes are not a clean sequence and raises CompositionConflict.
+    composed by strictly replaying each one onto a `CommitTree` of the
+    first fix's parent; any replay conflict means the fixes are not a
+    clean sequence and raises CompositionConflict.
     """
     if not fix_commits:
         raise PortError("at least one fix commit is required")
@@ -127,22 +129,18 @@ def derive_reverse_patch(commits: CommitMemo, fix_commits: Sequence[str]) -> Sou
     first = commits.resolve(fix_commits[0])
     if not first.parents:
         raise PortError(f"fix {first.short_id} has no parent")
-    read = tree_reader(CommitTree(commits, first.parents[0]))
-    before = {path: read(path) for path in sorted({fp.path for d in diffs for fp in d.files})}
-    state = dict(before)
-
+    tree = CommitTree(commits, first.parents[0])
+    paths = sorted({fp.path for d in diffs for fp in d.files})
+    before = {p: tree.read(p) for p in paths if tree.exists(p)}
     for commit, diff in zip(fix_commits, diffs):
-        staged = stage_patch(state.get, diff.files)
-        if staged.conflicts:
-            path, reason = next(iter(staged.conflicts.items()))
+        try:
+            apply_patch(tree, diff.files, max_fuzz=0)
+        except PatchConflict as exc:
+            path, reason = next(iter(exc.reasons.items()))
             message = _COMPOSITION_CONFLICT.get(reason, "{commit}: does not apply cleanly to {path}")
-            raise CompositionConflict(message.format(commit=commit, path=path))
-        state.update(staged.writes)
+            raise CompositionConflict(message.format(commit=commit, path=path)) from None
 
-    return invert(diff_trees(
-        {p: t for p, t in before.items() if t is not None},
-        {p: t for p, t in state.items() if t is not None},
-    ))
+    return invert(diff_trees(before, {p: tree.read(p) for p in paths if tree.exists(p)}))
 
 
 _COMPOSITION_CONFLICT = {
@@ -391,7 +389,8 @@ class Porter:
 
         Returns the files, hunks and regions edited, with verdict None;
         or, at the first revert or reverse fix that does not apply, a
-        RevertConflict or PortConflict verdict, with that edit unmade.
+        RevertConflict or PortConflict verdict, with that edit unmade,
+        whose evidence names each file that did not apply.
         """
         reverse = self.reverse_patch(fix_commits)
         reverted = []
@@ -402,18 +401,16 @@ class Porter:
             except RevertConflict as exc:
                 return AttemptResult(OracleVerdict(KIND_REVERT_CONFLICT, evidence=str(exc)))
             reverted += _regions(inverse.files, reports)
-        read = tree_reader(tree)
         try:
-            files = split_by_granularity(reverse, self.policy.granularity, read)
-            staged = stage_patch(read, files, max_fuzz=self.policy.max_fuzz)
-            staged.write_to(tree)
-        except PatchError:
+            files = split_by_granularity(reverse, self.policy.granularity, tree_reader(tree))
+            reports = apply_patch(tree, files, max_fuzz=self.policy.max_fuzz)
+        except PatchError as exc:
             return AttemptResult(OracleVerdict(
-                KIND_PORT_CONFLICT, evidence=f"reverse patch does not apply at {tree.commit}"
+                KIND_PORT_CONFLICT, evidence=f"reverse patch does not apply at {tree.commit}: {exc}"
             ))
-        hunks = sum(len(report.offsets) for report in staged.reports)
+        hunks = sum(len(report.offsets) for report in reports)
         return AttemptResult(
-            None, len(staged.writes), hunks, _regions(files, staged.reports) + reverted
+            None, len({fp.path for fp in files}), hunks, _regions(files, reports) + reverted
         )
 
     def attempt(

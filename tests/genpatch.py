@@ -1,4 +1,5 @@
-"""Randomized (file, edit) pair generator shared by the patch tests.
+"""Helpers shared by the patch tests: a randomized (file, edit) pair
+generator, and `DictTree`, a tree of files held in a dict.
 
 Edits are built independently of the patch code under test: we mutate a
 line list directly and only then ask diff_texts for a patch, so round-trip
@@ -76,3 +77,25 @@ def gen_pair(rng: random.Random, unique: bool = False) -> Tuple[str, str]:
     old = gen_file(rng, unique=unique)
     new = gen_edit(rng, old)
     return old, new
+
+
+class DictTree:
+    """Files held in a dict, with the calls `apply_patch` makes and a
+    list of the paths it read."""
+
+    def __init__(self, files):
+        self.files = dict(files)
+        self.reads = []
+
+    def exists(self, path):
+        return path in self.files
+
+    def read(self, path):
+        self.reads.append(path)
+        return self.files[path]
+
+    def write(self, path, text):
+        self.files[path] = text
+
+    def delete(self, path):
+        del self.files[path]

@@ -202,11 +202,11 @@ def atimes_recorded() -> bool:
 def build_in_place(workdir: Path, recipe: BuildRecipe) -> Optional[OracleVerdict]:
     """`build` of `recipe` in `workdir`, as the oracle builds in a slot
     whose home is `workdir`: None, or the BuildFailed verdict."""
-    return build(workdir, recipe, {}, run_env(recipe.env), str(workdir))
+    return build(workdir, recipe, lambda name: None, run_env(recipe.env), str(workdir))
 
 
 def run_poc_in_place(artifacts, poc: PocSpec, cwd: Path,
                      sanitizer: str = SANITIZER_NONE) -> OracleVerdict:
     """`run_poc` in `cwd`, as the oracle runs a PoC of a recipe without
     env in a slot whose home is `cwd`."""
-    return run_poc(artifacts, poc, cwd, run_env(()), sanitizer, {}, str(cwd))
+    return run_poc(artifacts, poc, cwd, run_env(()), sanitizer, lambda name: None, str(cwd))

@@ -34,9 +34,10 @@ from revenant.gitio import (
     commits_between,
     resolve_ref,
     revert_onto,
-    tree_reader,
 )
-from revenant.patchcore import stage_patch
+from revenant.patchcore import CONFLICT_MISSING, PatchConflict, apply_patch
+from revenant.patchcore.applier import CONFLICT_REJECTED
+from revenant.patchcore.diffgen import diff_texts
 from revenant.porter import derive_reverse_patch
 from gitutil import (
     BASE_EPOCH,
@@ -309,6 +310,27 @@ def test_revert_onto_is_atomic_on_conflict(repo, tmp_path):
         assert "src/main.c" in str(exc.value)
 
 
+def test_a_patch_that_conflicts_leaves_a_commit_tree_unchanged(repo):
+    with CommitMemo(repo.root) as memo:
+        tree = CommitTree(memo, "t0")
+        before = tree.entries()
+        # the first file applies, the second does not
+        files = [diff_texts("hello\n", "v2\n", "README"), diff_texts(TEN + "x\n", TEN, "src/main.c")]
+        with pytest.raises(PatchConflict) as exc:
+            apply_patch(tree, files, max_fuzz=0)
+        assert exc.value.reasons == {"src/main.c": CONFLICT_REJECTED}
+        assert tree.entries() == before
+        # every conflicting path is named, in patch order
+        files = [diff_texts(TEN, "gone\n", "src/gone.c"), files[1]]
+        with pytest.raises(PatchConflict) as exc:
+            apply_patch(tree, files, max_fuzz=0)
+        assert list(exc.value.reasons.items()) == [
+            ("src/gone.c", CONFLICT_MISSING), ("src/main.c", CONFLICT_REJECTED),
+        ]
+        assert str(exc.value) == "src/gone.c (missing), src/main.c (rejected)"
+        assert tree.entries() == before
+
+
 def test_revert_onto_skips_files_missing_from_worktree(repo, tmp_path):
     repo.commit({"src/main.c": TEN + "tail\n", "README": "v2\n"}, "touch two")
     with checkout_worktree(repo.root, "t1", tmp_path / "wt") as wt:
@@ -372,8 +394,7 @@ def test_a_revert_and_a_port_keep_the_line_endings_of_a_file(repo):
         assert tree.entries() == CommitTree(memo, "t1").entries()
         # the reverse port of the two edits, composed
         ported = CommitTree(memo, "t3")
-        stage_patch(tree_reader(ported), derive_reverse_patch(memo, ["t2", "t3"]).files
-                    ).write_to(ported)
+        apply_patch(ported, derive_reverse_patch(memo, ["t2", "t3"]).files, max_fuzz=0)
         assert ported.entries() == CommitTree(memo, "t1").entries()
 
 

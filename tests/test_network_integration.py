@@ -27,9 +27,9 @@ import pytest
 
 import revenant.curation as curation
 from revenant.curation import FORMAT_PASS_FAIL, rule_functionality
-from revenant.gitio import CommitMemo, checkout_worktree, tree_reader
+from revenant.gitio import CommitMemo, checkout_worktree
 from revenant.oracle import BuildRecipe, PocSpec
-from revenant.patchcore import stage_patch
+from revenant.patchcore import apply_patch
 from revenant.porter import FINAL_REVIVED, Porter, derive_reverse_patch
 
 pytestmark = [pytest.mark.network, pytest.mark.slow]
@@ -64,12 +64,6 @@ def make_porter(case, repo, scratch):
     return Porter(repo, recipe, poc, scratch_dir=scratch)
 
 
-def apply_reverse_in_tree(wt, reverse):
-    staged = stage_patch(tree_reader(wt), reverse.files, max_fuzz=2)
-    assert not staged.conflicts, f"reverse patch conflicts in {list(staged.conflicts)}"
-    staged.write_to(wt)
-
-
 def test_libxml2_cve_2016_1840_revival_reverts_fb56f80e(tmp_path):
     case = net_case("libxml2-cve-2016-1840")
     repo = clone(case["clone_url"], tmp_path / "libxml2")
@@ -95,7 +89,7 @@ def test_libpng_dual_port_fails_7_of_32_functionality_tests(tmp_path, monkeypatc
     with checkout_worktree(repo, "v1.6.40", tmp_path / "dual") as wt:
         for case in (first, second):
             with CommitMemo(repo) as memo:
-                apply_reverse_in_tree(wt, derive_reverse_patch(memo, case["fix_commits"]))
+                apply_patch(wt, derive_reverse_patch(memo, case["fix_commits"]).files, max_fuzz=2)
         for step in first["build"]["steps"]:
             subprocess.run(
                 step, shell=True, cwd=wt.path, check=True, capture_output=True

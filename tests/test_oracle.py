@@ -844,6 +844,30 @@ class TestCounters:
         assert self._verdict(tmp_path, oracle, broken, SHELL_RECIPE) == KIND_BUILD_FAILED
         assert self._counted(oracle) == (3, 4)
 
+    def test_a_store_hit_does_not_wait_for_another_callers_build(self, tmp_path):
+        stored = _shell_tree(tmp_path / "a", "cp crash.sh tool\n")
+        slow = _shell_tree(tmp_path / "b", "cp clean.sh tool\n")
+        started = tmp_path / "started"
+        recipe = BuildRecipe.make([f"touch {shlex.quote(str(started))}", "sleep 2", "sh build.sh"],
+                                  ["tool"])
+        oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
+        assert self._verdict(tmp_path, oracle, stored, SHELL_RECIPE) == KIND_TRIGGERED
+        builder = threading.Thread(target=self._verdict, args=(tmp_path, oracle, slow, recipe))
+        builder.start()
+        try:
+            deadline = time.monotonic() + 30
+            while not started.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert started.exists()
+            began = time.monotonic()
+            assert self._verdict(tmp_path, oracle, stored, SHELL_RECIPE) == KIND_TRIGGERED
+            waited = time.monotonic() - began
+        finally:
+            builder.join(60)
+        assert not builder.is_alive()
+        assert waited < 1.0  # the build still had most of its 2 s sleep to go
+        assert (oracle.counters["builds"], oracle.counters["cache_hits"]) == (2, 1)
+
 
 class TestBuildSlot:
     """Each test fails on a slot that copies changed files and keeps

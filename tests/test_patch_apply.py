@@ -14,12 +14,14 @@ from revenant.patchcore import (
     CONFLICT_EXISTS,
     CONFLICT_MISSING,
     MODE_CREATED,
+    PatchConflict,
     SourcePatch,
+    apply_patch,
     invert,
     parse_unified_diff,
     render_unified_diff,
-    stage_patch,
 )
+from revenant.patchcore import applier
 from revenant.patchcore.applier import (
     CONFLICT_BINARY,
     CONFLICT_REJECTED,
@@ -27,7 +29,7 @@ from revenant.patchcore.applier import (
 )
 from revenant.patchcore.diffgen import diff_texts, whole_file_patch
 from revenant.patchcore.model import MODE_DELETED, HunkRejected, PatchApplyError
-from genpatch import gen_pair
+from genpatch import DictTree, gen_pair
 
 OLD = "one\ntwo\nthree\nfour\nfive\nsix\nseven\neight\nnine\nten\n"
 NEW = OLD.replace("five\n", "FIVE\n")
@@ -154,10 +156,10 @@ def test_a_rejected_hunk_rejects_its_file():
         with pytest.raises(HunkRejected, match=f"^f: hunk {number}: no anchor$"):
             apply_file_patch(damaged, fp)
         tree = DictTree({"f": damaged})
-        staged = stage_patch(tree.read, [fp])
-        assert staged.conflicts == {"f": CONFLICT_REJECTED}
-        assert staged.writes == {}
-        assert [r.offsets for r in staged.reports] == [[]]
+        with pytest.raises(PatchConflict) as exc:
+            apply_patch(tree, [fp], max_fuzz=0)
+        assert exc.value.reasons == {"f": CONFLICT_REJECTED}
+        assert tree.files == {"f": damaged}
 
 
 def test_binary_patch_refused():
@@ -256,65 +258,46 @@ def test_patch_tool_agrees_with_our_applier(tmp_path):
         assert ours == theirs == new
 
 
-# ---------- stage_patch: a whole patch over a tree ----------
+# ---------- apply_patch: a whole patch staged in memory, then written ----------
 
 
-class DictTree:
-    """Files held in a dict, with the calls `StagedPatch.write_to` makes
-    and a count of the reads `stage_patch` makes."""
-
-    def __init__(self, files):
-        self.files = dict(files)
-        self.reads = []
-
-    def read(self, path):
-        self.reads.append(path)
-        return self.files.get(path)
-
-    def write(self, path, text):
-        self.files[path] = text
-
-    def delete(self, path):
-        del self.files[path]
+def _conflicts(tree, files):
+    """The reasons of the PatchConflict that applying `files` to `tree`
+    raises, with the tree checked to be untouched."""
+    before = dict(tree.files)
+    with pytest.raises(PatchConflict) as exc:
+        apply_patch(tree, files, max_fuzz=0)
+    assert tree.files == before
+    return exc.value.reasons
 
 
 def test_stage_created_over_existing_conflicts():
     fp = whole_file_patch("", "new\n", "f", MODE_CREATED)
     assert fp.mode_change == MODE_CREATED
-    staged = stage_patch(DictTree({"f": "old\n"}).read, [fp])
-    assert staged.conflicts == {"f": CONFLICT_EXISTS}
-    assert staged.writes == {}
-    assert [r.offsets for r in staged.reports] == [[]]
+    assert _conflicts(DictTree({"f": "old\n"}), [fp]) == {"f": CONFLICT_EXISTS}
 
 
 def test_stage_created_where_absent_writes_the_file():
     tree = DictTree({})
-    staged = stage_patch(tree.read, [whole_file_patch("", "new\n", "f", MODE_CREATED)])
-    assert staged.conflicts == {}
-    staged.write_to(tree)
+    reports = apply_patch(tree, [whole_file_patch("", "new\n", "f", MODE_CREATED)], max_fuzz=0)
+    assert [r.path for r in reports] == ["f"]
     assert tree.files == {"f": "new\n"}
 
 
 def test_stage_missing_file_conflicts():
-    staged = stage_patch(DictTree({}).read, [diff_texts(OLD, NEW, "f")])
-    assert staged.conflicts == {"f": CONFLICT_MISSING}
-    assert staged.writes == {}
+    assert _conflicts(DictTree({}), [diff_texts(OLD, NEW, "f")]) == {"f": CONFLICT_MISSING}
 
 
 def test_stage_binary_file_conflicts():
     fp = parse_unified_diff("Binary files a/x and b/x differ\n").files[0]
-    staged = stage_patch(DictTree({"x": "anything"}).read, [fp])
-    assert staged.conflicts == {"x": CONFLICT_BINARY}
-    assert staged.writes == {}
+    assert _conflicts(DictTree({"x": "anything"}), [fp]) == {"x": CONFLICT_BINARY}
 
 
 def test_stage_delete_stages_none_and_removes_the_file():
     fp = whole_file_patch(OLD, "", "f", MODE_DELETED)
     assert fp.mode_change == MODE_DELETED
     tree = DictTree({"f": OLD, "g": "kept\n"})
-    staged = stage_patch(tree.read, [fp])
-    assert staged.writes == {"f": None}
-    staged.write_to(tree)
+    apply_patch(tree, [fp], max_fuzz=0)
     assert tree.files == {"g": "kept\n"}
 
 
@@ -323,33 +306,29 @@ def test_stage_later_patch_on_a_path_sees_the_staged_text():
     end = mid.replace("nine\n", "NINE\n")
     tree = DictTree({"f": OLD})
     # the second patch anchors only on the first one's output
-    staged = stage_patch(tree.read, [diff_texts(OLD, mid, "f"), diff_texts(mid, end, "f")])
-    assert staged.conflicts == {}
-    assert staged.writes == {"f": end}
+    apply_patch(tree, [diff_texts(OLD, mid, "f"), diff_texts(mid, end, "f")], max_fuzz=0)
+    assert tree.files == {"f": end}
     assert tree.reads == ["f"]
     # a file created by one patch is there for the next
-    staged = stage_patch(DictTree({}).read, [whole_file_patch("", OLD, "g", MODE_CREATED),
-                                             diff_texts(OLD, NEW, "g")])
-    assert staged.writes == {"g": NEW}
+    tree = DictTree({})
+    apply_patch(tree, [whole_file_patch("", OLD, "g", MODE_CREATED), diff_texts(OLD, NEW, "g")],
+                max_fuzz=0)
+    assert tree.files == {"g": NEW}
     # and a file deleted by one patch is missing for the next
-    staged = stage_patch(DictTree({"f": OLD}).read, [whole_file_patch(OLD, "", "f", MODE_DELETED),
-                                                     diff_texts(OLD, NEW, "f")])
-    assert staged.conflicts == {"f": CONFLICT_MISSING}
+    assert _conflicts(DictTree({"f": OLD}), [whole_file_patch(OLD, "", "f", MODE_DELETED),
+                                             diff_texts(OLD, NEW, "f")]) == {"f": CONFLICT_MISSING}
 
 
 def test_stage_writes_nothing_on_a_conflict():
     tree = DictTree({"a": OLD, "b": "unrelated\n"})
-    before = dict(tree.files)
-    staged = stage_patch(tree.read, [diff_texts(OLD, NEW, "a"), diff_texts(OLD, NEW, "b")])
-    assert staged.writes == {"a": NEW}
-    assert staged.conflicts == {"b": CONFLICT_REJECTED}
-    assert tree.files == before
-    with pytest.raises(PatchApplyError):
-        staged.write_to(tree)
-    assert tree.files == before
+    # a PatchConflict is the PatchApplyError that callers catch
+    with pytest.raises(PatchApplyError) as exc:
+        apply_patch(tree, [diff_texts(OLD, NEW, "a"), diff_texts(OLD, NEW, "b")], max_fuzz=0)
+    assert exc.value.reasons == {"b": CONFLICT_REJECTED}
+    assert tree.files == {"a": OLD, "b": "unrelated\n"}
 
 
-def test_stage_reports_every_file_and_lists_every_conflict():
+def test_stage_reports_every_file_and_lists_every_conflict(monkeypatch):
     files = [
         diff_texts(OLD, NEW, "ok1"),
         diff_texts(OLD, NEW, "rejected"),
@@ -358,13 +337,25 @@ def test_stage_reports_every_file_and_lists_every_conflict():
         diff_texts(OLD, NEW, "ok2"),
     ]
     tree = DictTree({"ok1": OLD, "rejected": "other\n", "exists": "y\n", "ok2": OLD})
-    staged = stage_patch(tree.read, files)
-    assert [r.path for r in staged.reports] == [fp.path for fp in files]
-    assert list(staged.conflicts.items()) == [
+    applied = []
+
+    def recording(content, fp, max_fuzz):
+        new, report = apply_file_patch(content, fp, max_fuzz=max_fuzz)
+        applied.append((fp.path, new))
+        return new, report
+
+    monkeypatch.setattr(applier, "apply_file_patch", recording)
+    assert list(_conflicts(tree, files).items()) == [
         ("rejected", CONFLICT_REJECTED),
         ("missing", CONFLICT_MISSING),
         ("exists", CONFLICT_EXISTS),
     ]
-    # files after a conflict are still applied and reported
-    assert [r.offsets for r in staged.reports] == [[0], [], [], [], [0]]
-    assert staged.writes == {"ok1": NEW, "ok2": NEW}
+    # files after a conflict are still applied
+    assert tree.reads == ["ok1", "rejected", "exists", "ok2"]
+    assert applied == [("ok1", NEW), ("ok2", NEW)]
+    # with the conflicting files gone, every file applies and is reported
+    del files[1:4]
+    reports = apply_patch(tree, files, max_fuzz=0)
+    assert [r.path for r in reports] == ["ok1", "ok2"]
+    assert [r.offsets for r in reports] == [[0], [0]]
+    assert {p: tree.files[p] for p in ("ok1", "ok2")} == {"ok1": NEW, "ok2": NEW}

@@ -9,14 +9,16 @@ import pytest
 from revenant.patchcore import (
     Granularity,
     SourcePatch,
+    apply_patch,
     parse_unified_diff,
     split_by_granularity,
-    stage_patch,
+    tree_reader,
 )
 from revenant.patchcore.applier import apply_file_patch
 from revenant.patchcore.diffgen import diff_texts
 from revenant.patchcore.model import FunctionBoundaryUnavailable
 from revenant.patchcore.split import locate_functions
+from genpatch import DictTree
 
 C_FILE = """\
 #include <stdio.h>
@@ -111,11 +113,10 @@ FILLED = "--- a/x.txt\n+++ b/x.txt\n@@ -0,0 +1 @@\n+one\n"
 @pytest.mark.parametrize("diff, before, after", [(EMPTIED, "one\ntwo\n", ""),
                                                  (FILLED, "", "one\n")], ids=["emptied", "filled"])
 def test_every_granularity_keeps_an_empty_file(granularity, diff, before, after):
-    read = {"x.txt": before}.get
-    parts = split_by_granularity(parse_unified_diff(diff), granularity, read)
-    staged = stage_patch(read, parts)
-    assert staged.conflicts == {}
-    assert staged.writes == {"x.txt": after}
+    tree = DictTree({"x.txt": before})
+    parts = split_by_granularity(parse_unified_diff(diff), granularity, tree_reader(tree))
+    apply_patch(tree, parts, max_fuzz=0)
+    assert tree.files == {"x.txt": after}
 
 
 def test_function_scope_groups_by_function(tmp_path):

@@ -206,6 +206,25 @@ class TestDeriveReverse:
             with CommitMemo(rb.root) as memo:
                 derive_reverse_patch(memo, ["HEAD~1", "HEAD"])
 
+    # a commit between the two fixes adds a file the second fix edits, or
+    # deletes one the second fix creates again
+    @pytest.mark.parametrize("between,deleted,later,message", [
+        ({"new.txt": "one\n"}, [], {"new.txt": "one\ntwo\n"}, "t3: new.txt is missing"),
+        ({}, ["b.txt"], {"b.txt": "again\n"}, "t3: creates b.txt which already exists"),
+    ], ids=["missing", "exists"])
+    def test_a_composition_conflict_names_its_file(self, tmp_path, between, deleted, later,
+                                                   message):
+        rb = RepoBuilder(tmp_path / "repo")
+        base = "\n".join(f"line {i}" for i in range(30)) + "\n"
+        rb.commit({"a.txt": base, "b.txt": "kept\n"}, "base")
+        rb.commit({"a.txt": base.replace("line 5", "line 5 patched")}, "first fix")
+        rb.commit(between, "not a fix", delete=deleted)
+        rb.commit(later, "second fix")
+        with CommitMemo(rb.root) as memo:
+            with pytest.raises(CompositionConflict) as exc:
+                derive_reverse_patch(memo, ["t1", "t3"])
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("before,after", [("", "one\n"), ("one\n", "")],
                              ids=["filled", "emptied"])
     def test_composition_restores_a_filled_or_emptied_file(self, tmp_path, before, after):
@@ -500,12 +519,15 @@ def test_a_revert_region_is_where_the_revert_applied(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("max_reverted,target,kind,evidence", [
-    (0, "t2", KIND_PORT_CONFLICT, "reverse patch does not apply at {t2}"),
-    (1, "t3", KIND_REVERT_CONFLICT, "revert of {t2} conflicts in: a.txt"),
-], ids=["port-conflict", "revert-conflict"])
-def test_an_aborted_record_keeps_its_conflict_verdict(tmp_path, max_reverted, target, kind,
-                                                      evidence):
+@pytest.mark.parametrize("granularity,max_reverted,target,kind,evidence", [
+    (Granularity.PatchHunks, 0, "t2", KIND_PORT_CONFLICT,
+     "reverse patch does not apply at {t2}: a.txt (rejected)"),
+    (Granularity.WholeFiles, 0, "t2", KIND_PORT_CONFLICT,
+     "reverse patch does not apply at {t2}: a.txt: hunk 1: no anchor"),
+    (Granularity.PatchHunks, 1, "t3", KIND_REVERT_CONFLICT, "revert of {t2} conflicts in: a.txt"),
+], ids=["port-conflict", "whole-files", "revert-conflict"])
+def test_an_aborted_record_keeps_its_conflict_verdict(tmp_path, granularity, max_reverted,
+                                                      target, kind, evidence):
     # t2 rewrites the line the fix added, so the reverse fix does not
     # apply past it; t3 rewrites it again, so t2 does not revert past t3
     rb = RepoBuilder(tmp_path / "repo")
@@ -515,6 +537,7 @@ def test_an_aborted_record_keeps_its_conflict_verdict(tmp_path, max_reverted, ta
     rb.commit({"a.txt": "guard\ncheck thrice\n"}, "rewrites the breaker's line")
     with Porter(rb.root, *NO_BUILD, oracle=RecordingOracle(tmp_path / "verdicts"),
                 limits=Limits(max_reverted_commits=max_reverted),
+                policy=PortPolicy(granularity=granularity),
                 scratch_dir=tmp_path / "scratch") as porter:
         rec = porter.revive("CVE-0000-0016", "demo", ["t1"], target)
     assert (rec.final, rec.abort_reason) == (FINAL_ABORTED, ABORT_COMPLEXITY)
