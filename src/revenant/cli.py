@@ -427,15 +427,22 @@ def _add_case_flags(sub, multi: bool = False) -> None:
         sub.add_argument("--config", required=True, metavar="FILE", help="case config file")
     sub.add_argument("--defaults", metavar="FILE", help="project defaults file merged under the case")
     sub.add_argument("--workspace", metavar="DIR", help="artifact directory (default: $REVENANT_WORKSPACE)")
+
+
+def _add_limit_flag(sub) -> None:
+    sub.add_argument(
+        "--limit-commits", type=int, metavar="N",
+        help="override the revert stack depth limit",
+    )
+
+
+def _add_port_flags(sub) -> None:
     sub.add_argument(
         "--granularity", choices=[g.value for g in Granularity],
         help="override the port unit size",
     )
     sub.add_argument("--max-fuzz", type=int, metavar="N", help="override hunk match fuzz")
-    sub.add_argument(
-        "--limit-commits", type=int, metavar="N",
-        help="override the revert stack depth limit",
-    )
+    _add_limit_flag(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -449,6 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("port", help="reverse-apply the fix at one ref and run the PoC")
     _add_case_flags(sub)
+    _add_port_flags(sub)
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--ref", help="ref to port onto (default: the case target)")
     group.add_argument("--tier", help="named tier from the case config")
@@ -456,16 +464,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("tiers", help="port onto every named tier and classify")
     _add_case_flags(sub)
+    _add_port_flags(sub)
     sub.set_defaults(func=cmd_tiers)
 
     sub = subs.add_parser("bisect", help="find the first commit that breaks the port")
     _add_case_flags(sub)
+    _add_port_flags(sub)
     sub.add_argument("good", help="ref where the ported PoC still triggers")
     sub.add_argument("bad", help="ref where it no longer triggers")
     sub.set_defaults(func=cmd_bisect)
 
     sub = subs.add_parser("revive", help="full loop: port, bisect, revert, repeat")
     _add_case_flags(sub, multi=True)
+    _add_port_flags(sub)
     sub.add_argument("--jobs", type=int, default=1, metavar="N", help="cases to run in parallel")
     sub.set_defaults(func=cmd_revive)
 
@@ -475,10 +486,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--workspace", metavar="DIR")
     sub.add_argument("--repo", metavar="DIR", help="bare repo path when no case config applies")
     sub.add_argument("commits", nargs="+", metavar="COMMIT")
-    sub.set_defaults(func=cmd_categorize, granularity=None, max_fuzz=None, limit_commits=None)
+    sub.set_defaults(func=cmd_categorize)
 
     sub = subs.add_parser("manifest", help="curate revived cases into a benchmark manifest")
     _add_case_flags(sub, multi=True)
+    _add_limit_flag(sub)
     sub.add_argument(
         "--policy", choices=[POLICY_LATEST_FIRST, POLICY_MAX_SUBSET],
         default=POLICY_LATEST_FIRST, help="compatible subset selection policy",

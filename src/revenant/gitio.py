@@ -7,13 +7,11 @@ that it starts on the first such read: the commit objects that names
 and ranges resolve to, tree objects for commit listings and touched
 files, and blobs for patching and for the build slot.  It diffs commits
 over one `git diff-tree --stdin` process, started on the first diff.
-Close the memo to stop both.  Besides these two, a memo runs git only to
-check once that the clone is not shallow and to list a range's commit
-ids.  The module-level functions start from an empty memo on every call
-and close it.  A `CommitTree` is a commit's files plus edits held in
-memory, so patching one writes nothing to disk.  File contents travel as
-str with surrogateescape so arbitrary bytes survive the Python layer
-unchanged.
+Close the memo to stop both; a memo starts no other git process.  The
+module-level functions start from an empty memo on every call and close
+it.  A `CommitTree` is a commit's files plus edits held in memory, so
+patching one writes nothing to disk.  File contents travel as str with
+surrogateescape so arbitrary bytes survive the Python layer unchanged.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from .patchcore import (
     ApplyReport,
-    MODE_CREATED,
     PatchConflict,
     SourcePatch,
     apply_patch,
@@ -323,20 +320,22 @@ class CommitMemo:
     `TEXT_MEMO` blobs read: an object id always names the same bytes, so a
     commit's listing reads only the trees that no earlier listing read.
     A name (branch, tag, abbreviated id) can move, so it is resolved again
-    on every call.  The shallow-clone check runs once.  Patches are shared
-    between callers, who must not modify them.
+    on every call.  Patches are shared between callers, who must not
+    modify them.
 
     Objects are read over one `git cat-file --batch` process, the
     memo's *reader*, started by the first read and stopped by `close()`
     (or on leaving a `with` block, or when the memo is garbage); a later
     read starts a new one.  Names are resolved over the reader too: it
     peels `<name>^{commit}` and returns the commit object, whose headers
-    give the CommitRef's tree, parents and timestamp.  A range's commit
-    ids come from `git rev-list` and their objects from the reader.
-    Commits are diffed over one `DIFF_TREE` process, the *differ*, that
-    lives the same way, under a lock of its own.  Only the shallow check
-    and `between` run a one-shot git process.  `spawns` counts the git
-    processes the memo started, reader and differ starts included.
+    give the CommitRef's tree, parents and timestamp.  A range is walked
+    from its tip through first parents over the reader.  Commits are
+    diffed over one `DIFF_TREE` process, the *differ*, that lives the same
+    way, under a lock of its own.  `spawns` counts the reader and differ
+    starts.
+
+    A shallow clone serves every commit it holds; a walk that needs a
+    parent the clone lacks raises ShallowHistory.
     """
 
     def __init__(self, repo: Path):
@@ -347,7 +346,6 @@ class CommitMemo:
         self._inverses: Dict[str, SourcePatch] = {}
         self._trees: "OrderedDict[str, List[Entry]]" = OrderedDict()
         self._texts: "OrderedDict[str, str]" = OrderedDict()
-        self._full_history = False
         self._reader = _Child(self.repo, "cat-file", "--batch")
         self._streaming: Optional[int] = None  # the thread in an exchange with the reader
         self._differ = _Child(self.repo, *DIFF_TREE)
@@ -363,41 +361,23 @@ class CommitMemo:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _git(self, *args: str) -> subprocess.CompletedProcess:
-        self.spawns += 1
-        return run_git(self.repo, *args)
-
     def _started(self, child: _Child) -> subprocess.Popen:
         if child.proc is None:
             child.start()
             self.spawns += 1
         return child.proc
 
-    def _peeled(self, name: str) -> Tuple[str, bytes]:
-        """The full id and the raw object of the commit `name` points at."""
-        # the reader takes one name per line, and no ref name holds a space
-        # or a control character
-        if not name or " " in name or not name.isprintable():
-            raise UnknownRef(f"{name!r} does not name a commit in {self.repo}")
-        if not self._full_history:
-            shallow = self._git("rev-parse", "--is-shallow-repository")
-            if shallow.stdout.strip() == "true":
-                raise ShallowHistory(
-                    f"{self.repo} is a shallow clone; fetch full history first"
-                )
-            self._full_history = True
-        ((oid, data),) = self._objects([name], b"commit", peel=True)
-        return oid, data
-
     def resolve(self, name: str) -> CommitRef:
         """Resolve a branch, tag or abbreviated id to a CommitRef.
 
-        Tags are peeled to the commit they point at.  Shallow clones are
-        refused because every range operation here assumes full history.
-        """
+        Tags are peeled to the commit they point at."""
         ref = self._refs.get(name)
         if ref is None:
-            oid, data = self._peeled(name)
+            # the reader takes one name per line, and no ref name holds a
+            # space or a control character
+            if not name or " " in name or not name.isprintable():
+                raise UnknownRef(f"{name!r} does not name a commit in {self.repo}")
+            ((oid, data),) = self._objects([name], b"commit", peel=True)
             ref = self._refs.setdefault(oid, _parse_commit(oid, data))
         return ref
 
@@ -407,7 +387,7 @@ class CommitMemo:
         a root commit), sorted as `git log --name-only` lists them: by
         their bytes."""
         ref = self.resolve(commit)
-        before = self.resolve(ref.parents[0]).tree if ref.parents else None
+        before = self._parent(ref).tree if ref.parents else None
         touched = set()
         level: List[Tuple[str, Optional[str], Optional[str]]] = [("", before, ref.tree)]
         while level:  # one exchange per level of changed trees
@@ -429,24 +409,30 @@ class CommitMemo:
             level = deeper
         return tuple(sorted(touched, key=os.fsencode))
 
+    def _parent(self, ref: CommitRef) -> CommitRef:
+        """The first parent of `ref`.  Raises ShallowHistory when the
+        clone holds `ref` but not its parent."""
+        try:
+            return self.resolve(ref.parents[0])
+        except UnknownRef:
+            raise ShallowHistory(
+                f"{self.repo} is a shallow clone that lacks {ref.parents[0]}, the parent "
+                f"of {ref.id}; fetch more history"
+            ) from None
+
     def between(self, base: str, tip: str) -> List[CommitRef]:
         """The tip's first-parent line down to the base, (base, tip],
         oldest first, so the tip is last.  Raises NotAncestor when that
-        line does not reach the base."""
-        base_ref, tip_ref = self.resolve(base), self.resolve(tip)
-        ids = self._git(
-            "rev-list", "--first-parent", "--reverse", f"{base_ref.id}..{tip_ref.id}"
-        ).stdout.split()
-        for oid, data in self._objects([i for i in ids if i not in self._refs], b"commit"):
-            self._refs.setdefault(oid, _parse_commit(oid, data))
-        ordered = [self._refs[oid] for oid in ids]
-        if ordered:
-            reached = ordered[0].parents[:1] == (base_ref.id,)
-        else:
-            reached = base_ref.id == tip_ref.id
-        if not reached:
-            raise NotAncestor(f"{base} is not a first-parent ancestor of {tip}")
-        return ordered
+        line ends before it reaches the base."""
+        stop = self.resolve(base).id
+        ref = self.resolve(tip)
+        line = []
+        while ref.id != stop:
+            if not ref.parents:
+                raise NotAncestor(f"{base} is not a first-parent ancestor of {tip}")
+            line.append(ref)
+            ref = self._parent(ref)
+        return line[::-1]
 
     def diff(self, commit: str) -> SourcePatch:
         """The commit's diff against its first parent, as a SourcePatch."""
@@ -736,26 +722,14 @@ def revert_onto(tree, commit: str, inverse: SourcePatch, max_fuzz: int) -> List[
     `tree` is a `Worktree` or a `CommitTree`.  Either every hunk of every
     touched file applies and the files are written, or RevertConflict,
     naming every conflicting path, is raised and nothing changes.
-    Returns one report per file of `inverse`.  A text file the commit
-    touched that is absent from the tree, and that the revert does not
-    create, is skipped with a report of no offsets (filtered checkouts
-    are legitimate).  Hunks match with up to `max_fuzz` context lines
-    dropped.
+    Returns one report per file of `inverse`.  Hunks match with up to
+    `max_fuzz` context lines dropped.
     """
-    kept = [
-        fp.is_binary or fp.mode_change == MODE_CREATED or tree.exists(fp.path)
-        for fp in inverse.files
-    ]
     try:
-        reports = apply_patch(
-            tree, [fp for fp, keep in zip(inverse.files, kept) if keep], max_fuzz
-        )
+        return apply_patch(tree, inverse.files, max_fuzz)
     except PatchConflict as exc:
         paths = ", ".join(exc.reasons)
         raise RevertConflict(f"revert of {commit} conflicts in: {paths}") from None
-    applied = iter(reports)
-    return [next(applied) if keep else ApplyReport(fp.path, [])
-            for fp, keep in zip(inverse.files, kept)]
 
 
 BUCKET_WIDTH_DAYS = 14  # the width of an activity histogram's buckets

@@ -8,7 +8,6 @@ from .model import (
     REMOVE,
     FilePatch,
     Granularity,
-    MODE_CREATED,
     PatchError,
     SourcePatch,
     invert,
@@ -35,7 +34,6 @@ __all__ = [
     "FilePatch",
     "Granularity",
     "MAX_FUZZ",
-    "MODE_CREATED",
     "PatchConflict",
     "PatchError",
     "SourcePatch",

@@ -88,6 +88,21 @@ def test_an_out_of_range_max_fuzz_flag_is_a_config_error(tmp_path, fixture, caps
     assert not (tmp_path / "ws" / CVE).exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["activity", "--granularity", "chunk"],
+    ["activity", "--max-fuzz", "1"],
+    ["activity", "--limit-commits", "2"],
+    ["manifest", "--granularity", "chunk"],
+    ["manifest", "--max-fuzz", "1"],
+])
+def test_a_command_refuses_a_flag_it_would_not_read(tmp_path, fixture, capsys, argv):
+    case = write_case(tmp_path, fixture)
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--config", str(case), *argv[1:]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 UNRUNNABLE = {
     "unknown-placeholder": ("poc", "command", "{binary} -i {inptu}"),
     "unescaped-brace": ("poc", "command", "{binary} -e '{print}' {input}"),
@@ -173,9 +188,7 @@ class TestTiers:
         assert (fields["reference"], fields["latest"]) == ("triggered", "port-conflict")
         payload = json.loads((tmp_path / "ws" / CVE / "tiers.json").read_text())
         assert sorted(payload["tiers"]) == sorted(tiers)
-        assert calls and not [args for args in calls if args[:2] == ("rev-parse", "--verify")]
-        assert not [args for args in calls if args[0] == "log" and "-1" in args]
-        assert calls.count(("rev-parse", "--is-shallow-repository")) == 1
+        assert calls == []  # no one-shot git process: every name goes over the reader
 
 class TestBisect:
     def test_finds_planted_breaker(self, tmp_path, fixture, capsys):
@@ -350,9 +363,9 @@ class TestCategorize:
         diffed = record_diffs(monkeypatch)
         assert main(["categorize", "--repo", str(fixture.repo), *commits]) == 0
         assert len(summaries(capsys)) == 4
-        # the shallow-clone check runs once, one diff process serves every
+        # no one-shot git process runs, one diff process serves every
         # commit, and a commit is diffed once
-        assert calls.count(("rev-parse", "--is-shallow-repository")) == 1
+        assert calls == []
         assert started.count("diff-tree") == 1
         assert len(diffed) == len(set(diffed)) == 3
 
@@ -494,8 +507,8 @@ def test_no_command_leaves_a_child_and_summaries_count_git_and_wall(tmp_path, fi
         assert main(argv) == 0
         fields = summary(capsys)
         if argv[0] in ("port", "tiers", "bisect", "revive"):
-            # a resolve, a diff and the reader at least
-            assert int(fields["git"]) >= 3
+            # the reader and the differ
+            assert int(fields["git"]) >= 2
             assert float(fields["wall"]) > 0
         assert no_child_left(), argv[0]
 

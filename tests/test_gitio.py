@@ -27,6 +27,7 @@ from revenant.gitio import (
     NotAncestor,
     RevertConflict,
     RootCommit,
+    ShallowHistory,
     UnknownRef,
     activity_histogram,
     checkout_worktree,
@@ -127,11 +128,10 @@ def test_between_refuses_a_base_merged_in_from_a_side_branch(repo, monkeypatch):
         memo.resolve("t0")
         started = record_git(monkeypatch)
         assert memo.between("t0", "main")[-1].id == tip
-        assert started == ["rev-list"]
         # the side commit is an ancestor of main, but not on its first-parent line
         with pytest.raises(NotAncestor):
             memo.between(side_sha, "main")
-        assert started == ["rev-list"] * 2
+        assert started == []  # the walk reads over the running reader
 
 
 def test_checkout_worktree_materializes_and_coexists(repo, tmp_path):
@@ -229,7 +229,7 @@ def test_the_diff_process_gives_what_a_one_shot_diff_tree_gives(repo, monkeypatc
         for name, ref in refs.items():
             assert memo._diffed(ref) == want[name], name
         assert [fp.path for fp in memo.diff(made["merge"]).files] == ["side.txt"]
-    assert started == ["diff-tree", "rev-parse", "cat-file"]
+    assert started == ["diff-tree", "cat-file"]
     assert no_child_left()
 
 
@@ -253,6 +253,46 @@ def test_a_missing_object_stops_the_diff_process_and_the_next_diff_starts_one(re
             memo._diffed(missing)
         assert [fp.path for fp in memo.diff(last).files] == ["src/main.c"]
     assert started.count("diff-tree") == 3
+    assert no_child_left()
+
+
+@pytest.fixture()
+def shallow(repo, tmp_path):
+    """A clone of `repo`'s six commits t0..t5 that holds t3..t5 and t0,
+    and the ids of those six commits."""
+    ids = [repo.head()] + [repo.commit({"README": f"v{i}\n"}, f"c{i}") for i in range(1, 6)]
+    clone = tmp_path / "shallow"
+    repo.git("clone", "-q", "--depth", "3", f"file://{repo.root}", str(clone))
+    repo.git("-C", str(clone), "fetch", "-q", "--depth", "1", "origin", "tag", "t0")
+    return clone, ids
+
+
+def test_a_shallow_clone_serves_the_commits_it_holds(repo, shallow):
+    clone, ids = shallow
+    with CommitMemo(repo.root) as full, CommitMemo(clone) as memo:
+        assert memo.between(ids[3], "main") == full.between(ids[3], ids[5])
+        assert memo.touched(ids[4]) == ("README",)
+        assert memo.diff(ids[5]) == full.diff(ids[5])
+
+
+def test_a_walk_that_leaves_a_shallow_clone_names_the_missing_parent(shallow):
+    clone, ids = shallow
+    with CommitMemo(clone) as memo:
+        with pytest.raises(ShallowHistory) as exc:
+            memo.between("t0", "main")
+        assert f"lacks {ids[2]}, the parent of {ids[3]}" in str(exc.value)
+        with pytest.raises(ShallowHistory):
+            memo.touched(ids[3])
+
+
+def test_a_diff_at_a_shallow_boundary_stops_only_the_differ(shallow, monkeypatch):
+    clone, ids = shallow
+    started = record_git(monkeypatch)
+    with CommitMemo(clone) as memo:
+        with pytest.raises(GitGatewayError):
+            memo.diff(ids[3])  # git lacks the parent it diffs against
+        assert [fp.path for fp in memo.diff(ids[4]).files] == ["README"]
+    assert started == ["cat-file", "diff-tree", "diff-tree"]
     assert no_child_left()
 
 
@@ -331,15 +371,16 @@ def test_a_patch_that_conflicts_leaves_a_commit_tree_unchanged(repo):
         assert tree.entries() == before
 
 
-def test_revert_onto_skips_files_missing_from_worktree(repo, tmp_path):
+def test_reverting_a_commit_whose_file_a_later_commit_deleted_conflicts(repo):
     repo.commit({"src/main.c": TEN + "tail\n", "README": "v2\n"}, "touch two")
-    with checkout_worktree(repo.root, "t1", tmp_path / "wt") as wt:
-        (wt.path / "README").unlink()  # filtered subset
-        reports = revert_onto(wt, "t1", inverse_of(repo, "t1"), max_fuzz=0)
-        assert wt.read("src/main.c") == TEN
-        skipped = [r for r in reports if r.path == "README"]
-        assert len(skipped) == 1
-        assert skipped[0].offsets == []
+    repo.commit({}, "drop the readme", delete=["README"])
+    with CommitMemo(repo.root) as memo:
+        tree = CommitTree(memo, "t2")
+        before = tree.entries()
+        with pytest.raises(RevertConflict) as exc:
+            revert_onto(tree, "t1", memo.inverse("t1"), max_fuzz=0)
+        assert str(exc.value).endswith("conflicts in: README")
+        assert tree.entries() == before
 
 
 def test_reverting_a_commit_that_adds_or_deletes_an_empty_file(repo):
@@ -708,7 +749,7 @@ def test_resolving_starts_exactly_one_reader_and_the_wrappers_leave_no_child(
     with CommitMemo(repo.root) as memo:
         memo.diff(memo.between("t0", "t1")[-1].id)
         assert memo.resolve("main") is memo.resolve("t1")
-        assert started == ["rev-parse", "cat-file", "rev-list", "diff-tree"]
+        assert started == ["cat-file", "diff-tree"]
         assert not no_child_left()  # the reader
     assert no_child_left()
     closed = []

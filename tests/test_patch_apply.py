@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from revenant.patchcore import (
     CONFLICT_EXISTS,
     CONFLICT_MISSING,
-    MODE_CREATED,
     PatchConflict,
     SourcePatch,
     apply_patch,
@@ -28,7 +27,7 @@ from revenant.patchcore.applier import (
     apply_file_patch,
 )
 from revenant.patchcore.diffgen import diff_texts, whole_file_patch
-from revenant.patchcore.model import MODE_DELETED, HunkRejected, PatchApplyError
+from revenant.patchcore.model import MODE_CREATED, MODE_DELETED, HunkRejected, PatchApplyError
 from genpatch import DictTree, gen_pair
 
 OLD = "one\ntwo\nthree\nfour\nfive\nsix\nseven\neight\nnine\nten\n"
