@@ -44,8 +44,6 @@ from .porter import (
     Porter,
     RECORD_SCHEMA,
     RevivalRecord,
-    find_breaking_commit,
-    probe_answer,
     status_of,
 )
 from .report import (
@@ -186,20 +184,16 @@ def cmd_bisect(args) -> int:
     cfg = _load_cfg(args.config, args)
     case_dir = _case_dir(args, cfg)
     with _porter(cfg, case_dir) as porter:
-        candidates = [c.id for c in porter.commits.between(args.good, args.bad)]
-
-        def probe(commit_id: str) -> str:
-            return probe_answer(porter.attempt(commit_id, (), cfg.fix_commits).verdict.kind)
-
-        result = find_breaking_commit(candidates, probe, skip_budget=cfg.policy.skip_budget)
+        ids = [c.id for c in porter.commits.between(args.good, args.bad)]
+        result = porter.bisect(ids, cfg.fix_commits, ())
     payload = {
         "cve": cfg.cve,
         "good": args.good,
         "bad": args.bad,
         "breaking_commit": result.commit,
         "oracle_calls": result.calls,
-        "skipped": list(result.skipped),
-        "non_monotone": result.non_monotone,
+        "skipped": result.skipped,
+        "non_monotone": False,  # see the note above `porter.find_breaking_commit`
     }
     out = _write_json(case_dir / BISECT_FILE, payload)
     print(

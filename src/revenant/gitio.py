@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .patchcore import (
+    CONTEXT_LINES,
     ApplyReport,
     PatchConflict,
     SourcePatch,
@@ -65,8 +66,11 @@ CAT_FILE_BATCH = 256
 # diff against that parent; it copies a line that is not an object id to
 # stdout and flushes, so `DIFF_END` after each request marks the end of
 # its reply.  No line of a diff reads like it.  Plumbing reads no diff.*
-# config of the user or the repository.
-DIFF_TREE = ("diff-tree", "--stdin", "--always", "-p", "--no-color", "--no-renames", "-U3")
+# config of the user or the repository.  Its context width is the one a
+# composed reverse patch is made with.
+DIFF_TREE = (
+    "diff-tree", "--stdin", "--always", "-p", "--no-color", "--no-renames", f"-U{CONTEXT_LINES}"
+)
 DIFF_END = b"revenant: end of diff\n"
 
 

@@ -21,7 +21,7 @@ from .applier import (
     apply_patch,
     tree_reader,
 )
-from .diffgen import diff_trees
+from .diffgen import CONTEXT_LINES, diff_trees
 from .split import split_by_granularity
 from .unidiff import parse_unified_diff, render_unified_diff
 
@@ -31,6 +31,7 @@ __all__ = [
     "ApplyReport",
     "CONFLICT_EXISTS",
     "CONFLICT_MISSING",
+    "CONTEXT_LINES",
     "FilePatch",
     "Granularity",
     "MAX_FUZZ",

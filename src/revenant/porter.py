@@ -11,8 +11,6 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import shutil
-import tempfile
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -161,7 +159,13 @@ class BisectResult:
     commit: str
     calls: int
     skipped: List[str]
-    non_monotone: bool
+
+
+# A binary search probes only between the last position it read good and
+# the last it read bad, so it never sees a good commit above a bad one: a
+# window that is not monotone cannot show in its answers.  Records and
+# `bisect.json` keep `non_monotone` as a literal false; a drop-one pass,
+# re-attempting the target without each breaker found, is what could set it.
 
 
 def find_breaking_commit(
@@ -180,50 +184,32 @@ def find_breaking_commit(
     """
     if not ids:
         raise PreconditionViolated("empty candidate range")
-    active = list(range(len(ids)))
+    active = list(ids)  # the candidates not skipped
     calls = 0
-    budget = skip_budget
     skipped: List[str] = []
-    max_good = -1
-    min_bad: Optional[int] = None
-
+    bad: Optional[str] = None  # the last candidate probed bad
     lo, hi = 0, len(active) - 1
-    first_bad_pos: Optional[int] = None
     while lo <= hi:
         mid = (lo + hi) // 2
-        idx = active[mid]
         calls += 1
-        res = probe(ids[idx])
+        res = probe(active[mid])
         if res == PROBE_SKIP:
-            skipped.append(ids[idx])
-            budget -= 1
-            if budget < 0:
+            skipped.append(active.pop(mid))
+            if len(skipped) > skip_budget:
                 raise SkipBudgetExhausted(
                     f"more than {skip_budget} unprobeable commits in range"
                 )
-            del active[mid]
             hi -= 1
-            if first_bad_pos is not None and first_bad_pos > mid:
-                first_bad_pos -= 1
-            continue
-        if res == PROBE_BAD:
-            min_bad = idx if min_bad is None else min(min_bad, idx)
-            first_bad_pos = mid
+        elif res == PROBE_BAD:
+            bad = active[mid]
             hi = mid - 1
         elif res == PROBE_GOOD:
-            max_good = max(max_good, idx)
             lo = mid + 1
         else:
             raise BisectError(f"probe returned {res!r}")
-    if first_bad_pos is None:
+    if bad is None:
         raise PreconditionViolated("no failing commit in range")
-    flip = active[first_bad_pos]
-    return BisectResult(
-        commit=ids[flip],
-        calls=calls,
-        skipped=skipped,
-        non_monotone=(min_bad is not None and max_good > min_bad),
-    )
+    return BisectResult(commit=bad, calls=calls, skipped=skipped)
 
 
 # ---------- attempts ----------
@@ -325,10 +311,10 @@ class Porter:
     files are written.  `edit` is the one place those edits are made,
     on a `CommitTree` or on a checkout.  Facts about commits are
     remembered in `commits` for the porter's life.  A porter built
-    without an oracle makes one whose verdict store lives in the porter's
-    scratch directory.  Close the porter (or use it as a context manager)
-    to remove its oracle's build slot and any scratch directory it made,
-    and to stop the `git cat-file` process its memo reads objects over.
+    without an oracle makes one whose verdict store and build slot live
+    under `scratch_dir`.  Close the porter (or use it as a context
+    manager) to remove its oracle's build slot and to stop the processes
+    its memo reads objects and diffs over.
     """
 
     def __init__(
@@ -338,33 +324,26 @@ class Porter:
         poc: PocSpec,
         oracle: Optional[Oracle] = None,
         policy: PortPolicy = PortPolicy(),
-        limits: Limits = Limits(),
-        scratch_dir: Optional[Path] = None,
+        *,
+        limits: Limits,
+        scratch_dir: Path,
     ):
         self.repo = Path(repo)
         self.recipe = recipe
         self.poc = poc
         self.policy = policy
         self.limits = limits
-        self._own_scratch = scratch_dir is None
-        self._scratch = Path(scratch_dir) if scratch_dir else Path(
-            tempfile.mkdtemp(prefix="porter-")
-        )
-        self._scratch.mkdir(parents=True, exist_ok=True)
-        self.oracle = oracle or Oracle(
-            self._scratch / "verdicts", scratch_dir=self._scratch / "oracle"
-        )
+        scratch = Path(scratch_dir)
+        self.oracle = oracle or Oracle(scratch / "verdicts", scratch_dir=scratch / "oracle")
         self.commits = CommitMemo(self.repo)
         self.attempt_count = 0
         self._reverse_cache: Dict[Tuple[str, ...], SourcePatch] = {}
 
     def close(self) -> None:
-        """Remove the oracle's build slot, stop the commit memo's reader,
-        and remove the scratch directory if the porter made it."""
+        """Remove the oracle's build slot and stop the commit memo's
+        processes."""
         self.oracle.close()
         self.commits.close()
-        if self._own_scratch:
-            shutil.rmtree(self._scratch, ignore_errors=True)
 
     def __enter__(self) -> "Porter":
         return self
@@ -445,6 +424,20 @@ class Porter:
             )
         return out
 
+    # -- bisection --
+
+    def bisect(
+        self, ids: Sequence[str], fix_commits: Sequence[str], reverts: Sequence[str]
+    ) -> BisectResult:
+        """The first of `ids` where the reverse fix, with `reverts` reverted
+        newest first, no longer triggers the PoC (see `find_breaking_commit`),
+        within the policy's skip budget."""
+        return find_breaking_commit(
+            ids,
+            lambda c: probe_answer(self.attempt(c, reverts, fix_commits).verdict.kind),
+            self.policy.skip_budget,
+        )
+
     # -- revival --
 
     def revive(
@@ -455,10 +448,11 @@ class Porter:
         target: str,
     ) -> RevivalRecord:
         """Revive the vulnerability at `target`, reverting breaking
-        commits as needed within the configured limits."""
+        commits as needed within the configured limits.  Each round
+        bisects the commits after the last breaker found, with every
+        breaker found so far reverted."""
         reverse = self.reverse_patch(fix_commits)
-        cands = [c.id for c in self.commits.between(fix_commits[-1], target)]
-        index = {c: i for i, c in enumerate(cands)}
+        window = [c.id for c in self.commits.between(fix_commits[-1], target)]
         target_id = self.commits.resolve(target).id
         attempts_before = self.attempt_count
 
@@ -469,59 +463,36 @@ class Porter:
                 f"(got {origin.verdict.kind}); nothing to revive"
             )
 
-        stack: List[str] = []  # discovery order, oldest breaker first
+        stack: List[str] = []  # newest breaker first
         rounds = 0
-        non_monotone = False
-        final = ""
         abort_reason = ""
         aborted_on = ""
-
-        def applicable(commit_id: str) -> List[str]:
-            pos = index[commit_id]
-            usable = [b for b in stack if index[b] <= pos]
-            return list(reversed(usable))
-
-        def probe(commit_id: str) -> str:
-            att = self.attempt(commit_id, applicable(commit_id), fix_commits)
-            return probe_answer(att.verdict.kind)
-
         while True:
-            last = self.attempt(target_id, list(reversed(stack)), fix_commits)
+            last = self.attempt(target_id, stack, fix_commits)
             if last.verdict.kind == KIND_TRIGGERED:
-                final = FINAL_REVIVED
                 break
             res = None  # no breaker found: out of budget, or none in the window
             if len(stack) < self.limits.max_reverted_commits:
-                lo = index[stack[-1]] + 1 if stack else 0
                 try:
-                    res = find_breaking_commit(
-                        cands[lo:], probe, skip_budget=self.policy.skip_budget
-                    )
+                    res = self.bisect(window, fix_commits, stack)
                 except PreconditionViolated:
                     pass
             if res is None:
-                final = FINAL_ABORTED
                 abort_reason = (
                     ABORT_FUNCTIONALITY_REMOVED
                     if last.verdict.kind == KIND_POC_INCOMPATIBLE
                     else ABORT_COMPLEXITY
                 )
                 break
-            non_monotone = non_monotone or res.non_monotone
             rounds += 1
-            bdiff = self.commits.diff(res.commit)
-            if len(bdiff.files) > self.limits.max_files_per_commit:
-                final = FINAL_ABORTED
-                abort_reason = ABORT_TOO_MANY_FILES
+            abort_reason = self._oversized(res.commit)
+            if abort_reason:
                 aborted_on = res.commit
                 break
-            if any(len(fp.hunks) > self.limits.max_chunks_per_file for fp in bdiff.files):
-                final = FINAL_ABORTED
-                abort_reason = ABORT_TOO_MANY_CHUNKS
-                aborted_on = res.commit
-                break
-            stack.append(res.commit)
+            stack = [res.commit, *stack]
+            window = window[window.index(res.commit) + 1:]
 
+        final = FINAL_ABORTED if abort_reason else FINAL_REVIVED
         return RevivalRecord(
             cve=cve,
             project=project,
@@ -531,7 +502,7 @@ class Porter:
             final=final,
             abort_reason=abort_reason,
             aborted_on=aborted_on,
-            revert_stack=list(reversed(stack)),
+            revert_stack=stack,
             verdict=last.verdict.to_dict(),
             effort={
                 "oracle_calls": self.attempt_count - attempts_before,
@@ -540,7 +511,17 @@ class Porter:
                 "hunks_applied": last.hunks_applied,
                 "bisect_rounds": rounds,
             },
-            flags={"origin_verified": True, "non_monotone": non_monotone},
+            # always false: see the note above `find_breaking_commit`
+            flags={"origin_verified": True, "non_monotone": False},
             touched_regions=last.regions if final == FINAL_REVIVED else [],
             port_digest=patch_digest(reverse),
         )
+
+    def _oversized(self, commit: str) -> str:
+        """The abort reason if `commit` is too large to revert, else ""."""
+        files = self.commits.diff(commit).files
+        if len(files) > self.limits.max_files_per_commit:
+            return ABORT_TOO_MANY_FILES
+        if any(len(fp.hunks) > self.limits.max_chunks_per_file for fp in files):
+            return ABORT_TOO_MANY_CHUNKS
+        return ""

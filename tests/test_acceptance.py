@@ -40,6 +40,7 @@ from revenant.porter import (
     ABORT_COMPLEXITY,
     FINAL_ABORTED,
     FINAL_REVIVED,
+    Limits,
     Porter,
     RevivalRecord,
     find_breaking_commit,
@@ -147,7 +148,7 @@ def test_criterion_03_revive_loop_matches_planted_truth(tmp_path):
     for k, archetypes in sorted(plans.items()):
         fx = forge_repo(tmp_path / f"k{k}", archetypes)
         porter = Porter(
-            fx.repo, fx.recipe, fx.poc, scratch_dir=tmp_path / f"k{k}" / "scratch"
+            fx.repo, fx.recipe, fx.poc, limits=Limits(), scratch_dir=tmp_path / f"k{k}" / "scratch"
         )
         rec = porter.revive(f"CVE-0000-000{k}", "pack", [fx.fix], fx.target)
         assert rec.final == FINAL_REVIVED, f"k={k}: {rec.abort_reason}"
@@ -155,7 +156,8 @@ def test_criterion_03_revive_loop_matches_planted_truth(tmp_path):
         assert rec.effort["commits_reverted"] == k
 
     fx = forge_repo(tmp_path / "k5", ["C1", "C4", "C5", "C3", "C2"])
-    porter = Porter(fx.repo, fx.recipe, fx.poc, scratch_dir=tmp_path / "k5" / "scratch")
+    porter = Porter(fx.repo, fx.recipe, fx.poc, limits=Limits(),
+                    scratch_dir=tmp_path / "k5" / "scratch")
     rec = porter.revive("CVE-0000-0005", "pack", [fx.fix], fx.target)
     assert rec.final == FINAL_ABORTED
     assert rec.abort_reason == ABORT_COMPLEXITY

@@ -239,7 +239,7 @@ def _defaults_and_calls(sources: dict, callers: dict) -> Iterator[tuple]:
     """(`path: function(parameter)`, parameter, position, calls) for each
     parameter default of a function or method of `sources` (path ->
     source), with every call in `sources` or `callers` that reaches the
-    function by name.  `__init__` methods are not checked."""
+    function by name; a call that names a class reaches its `__init__`."""
     trees = {path: ast.parse(source) for path, source in {**callers, **sources}.items()}
     calls: dict = {}
     for tree in trees.values():
@@ -247,14 +247,16 @@ def _defaults_and_calls(sources: dict, callers: dict) -> Iterator[tuple]:
             if isinstance(node, ast.Call):
                 calls.setdefault(_call_name(node), []).append(node)
     for path in sources:
-        owner = {id(fn): f"{node.name}." for node in ast.walk(trees[path])
+        owner = {id(fn): node.name for node in ast.walk(trees[path])
                  if isinstance(node, ast.ClassDef) for fn in node.body}
         for fn in ast.walk(trees[path]):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name == "__init__":
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            for name, position in _defaults(fn, id(fn) in owner):
-                label = f"{path}: {owner.get(id(fn), '')}{fn.name}({name})"
-                yield label, name, position, calls.get(fn.name, [])
+            cls = owner.get(id(fn))
+            reached_as = cls if cls and fn.name == "__init__" else fn.name
+            for name, position in _defaults(fn, cls is not None):
+                label = f"{path}: {cls + '.' if cls else ''}{fn.name}({name})"
+                yield label, name, position, calls.get(reached_as, [])
 
 
 def overridden_defaults(sources: dict, callers: dict) -> list:
@@ -420,7 +422,9 @@ def test_the_check_sees_an_overridden_default():
             "a.C.s(1)\n"
         ),
     }
-    assert overridden_defaults(sources, callers) == ["a.py: C.m(k)", "a.py: f(y)", "a.py: f(z)"]
+    assert overridden_defaults(sources, callers) == [
+        "a.py: C.__init__(n)", "a.py: C.m(k)", "a.py: f(y)", "a.py: f(z)",
+    ]
 
 
 def test_the_check_sees_a_default_no_caller_overrides():
@@ -451,7 +455,7 @@ def test_the_check_sees_a_default_no_caller_overrides():
         ),
     }
     assert unoverridden_defaults(sources, callers) == [
-        "a.py: C.m(k)", "a.py: f(z)", "a.py: unused(d)",
+        "a.py: C.__init__(n)", "a.py: C.m(k)", "a.py: f(z)", "a.py: unused(d)",
     ]
 
 

@@ -30,7 +30,7 @@ from revenant.curation import FORMAT_PASS_FAIL, rule_functionality
 from revenant.gitio import CommitMemo, checkout_worktree
 from revenant.oracle import BuildRecipe, PocSpec
 from revenant.patchcore import apply_patch
-from revenant.porter import FINAL_REVIVED, Porter, derive_reverse_patch
+from revenant.porter import FINAL_REVIVED, Limits, Porter, derive_reverse_patch
 
 pytestmark = [pytest.mark.network, pytest.mark.slow]
 
@@ -61,7 +61,7 @@ def make_porter(case, repo, scratch):
         expected_detector=p.get("expected_detector", ""),
         run_timeout=p.get("run_timeout", 30.0),
     )
-    return Porter(repo, recipe, poc, scratch_dir=scratch)
+    return Porter(repo, recipe, poc, limits=Limits(), scratch_dir=scratch)
 
 
 def test_libxml2_cve_2016_1840_revival_reverts_fb56f80e(tmp_path):

@@ -1,9 +1,9 @@
 import math
 import random
 import shutil
-import tempfile
 import threading
 from contextlib import contextmanager
+from itertools import groupby
 
 import pytest
 
@@ -156,6 +156,44 @@ class TestBisect:
             assert res.commit == str(expect)
             assert res.calls <= call_bound(n)
 
+    def test_probe_order_over_a_window_with_skips_that_is_not_monotone(self):
+        answers = dict(zip(range(16), "g b s s b g g b s b b g b b s b".split()))
+        word = {"g": PROBE_GOOD, "b": PROBE_BAD, "s": PROBE_SKIP}
+        probed = []
+
+        def probe(cid):
+            probed.append(cid)
+            return word[answers[int(cid)]]
+
+        res = find_breaking_commit([str(i) for i in range(16)], probe, skip_budget=3)
+        assert probed == ["7", "3", "2", "4", "0", "1"]
+        assert (res.commit, res.calls, res.skipped) == ("1", 6, ["3", "2"])
+
+    def test_every_probe_lies_between_the_last_good_and_the_last_bad(self):
+        # so a good answer above a bad one is never seen, and a window
+        # that is not monotone cannot show in a bisection's answers
+        rng = random.Random(20261020)
+        for _ in range(2000):
+            n = rng.randint(1, 40)
+            answers = [rng.choice([PROBE_GOOD, PROBE_BAD, PROBE_SKIP]) for _ in range(n)]
+            bounds = [-1, n]  # last good position, last bad position
+            seen = []
+
+            def probe(cid):
+                pos = int(cid)
+                seen.append(bounds[0] < pos < bounds[1])
+                if answers[pos] == PROBE_GOOD:
+                    bounds[0] = pos
+                elif answers[pos] == PROBE_BAD:
+                    bounds[1] = pos
+                return answers[pos]
+
+            try:
+                find_breaking_commit([str(i) for i in range(n)], probe, rng.randint(0, 4))
+            except (PreconditionViolated, SkipBudgetExhausted):
+                pass
+            assert seen and all(seen)
+
 
 class TestDeriveReverse:
     def test_single_fix_inverse_restores_vulnerable_text(self, tmp_path):
@@ -257,9 +295,9 @@ SCENARIOS = {
 }
 
 
-def make_porter(fx, tmp_path, **kw):
+def make_porter(fx, tmp_path, limits=Limits(), **kw):
     return Porter(
-        fx.repo, fx.recipe, fx.poc, scratch_dir=tmp_path / "scratch", **kw
+        fx.repo, fx.recipe, fx.poc, limits=limits, scratch_dir=tmp_path / "scratch", **kw
     )
 
 
@@ -323,7 +361,7 @@ class TestRevive:
         for name in ("a", "b"):
             fx = forge_repo(tmp_path / name, ["C1"])
             porter = Porter(
-                fx.repo, fx.recipe, fx.poc, scratch_dir=tmp_path / f"s{name}"
+                fx.repo, fx.recipe, fx.poc, limits=Limits(), scratch_dir=tmp_path / f"s{name}"
             )
             # the PoC path differs per run; pin it out of the comparison
             rec = porter.revive("CVE-0000-0007", "packdemo", [fx.fix], fx.target)
@@ -362,6 +400,31 @@ class TestRevive:
         assert all(r["file"] == "pack.c" for r in rec.touched_regions)
         assert all(1 <= r["start"] <= r["end"] for r in rec.touched_regions)
 
+    @pytest.mark.parametrize("archetypes,final", [
+        (SCENARIOS[4], FINAL_REVIVED),
+        (SCENARIOS[4] + ["C2"], FINAL_ABORTED),
+    ])
+    def test_every_attempt_reverts_every_breaker_found_so_far(
+            self, tmp_path, monkeypatch, archetypes, final):
+        fx = forge_repo(tmp_path, archetypes)
+        reverts = []
+        attempt = Porter.attempt
+
+        def spy(porter, ref, reverts_newest_first, fix_commits):
+            reverts.append(list(reverts_newest_first))
+            return attempt(porter, ref, reverts_newest_first, fix_commits)
+
+        monkeypatch.setattr(Porter, "attempt", spy)
+        with make_porter(fx, tmp_path, limits=Limits(max_reverted_commits=4)) as porter:
+            rec = porter.revive("CVE-0000-0017", "packdemo", [fx.fix], fx.target)
+        assert (rec.final, rec.revert_stack) == (final, fx.expected_stack)
+        # the origin reverts nothing; each round's attempts then revert
+        # the stack as it stands, newest first, and rounds grow it by one
+        stack = rec.revert_stack
+        assert len(stack) == 4
+        assert reverts[0] == []
+        assert [r for r, _ in groupby(reverts[1:])] == [stack[k:] for k in range(len(stack), -1, -1)]
+
 
 class TestTiers:
     def test_tier_statuses_by_archetype(self, tmp_path):
@@ -373,7 +436,7 @@ class TestTiers:
         for arch, want in expectations.items():
             fx = forge_repo(tmp_path / arch, [arch])
             porter = Porter(
-                fx.repo, fx.recipe, fx.poc, scratch_dir=tmp_path / f"s{arch}"
+                fx.repo, fx.recipe, fx.poc, limits=Limits(), scratch_dir=tmp_path / f"s{arch}"
             )
             res = porter.evaluate_tiers(
                 [fx.fix], {"reference": fx.fix, "latest": fx.target}
@@ -490,7 +553,7 @@ class TestGranularity:
         rb.commit({"lib.c": LIB_C_FIXED, "limits.h": "#define MAX_LEN 32\n"}, "fix")
         rb.commit({"lib.c": "/* lib.c */\n/* demo */\n\n" + LIB_C_FIXED}, "banner")
         with Porter(rb.root, *NO_BUILD, oracle=RecordingOracle(tmp_path / "verdicts"),
-                    policy=PortPolicy(granularity=granularity),
+                    policy=PortPolicy(granularity=granularity), limits=Limits(),
                     scratch_dir=tmp_path / "scratch") as porter:
             rec = porter.revive("CVE-0000-0012", "demo", ["t1"], "t2")
         assert rec.final == FINAL_REVIVED
@@ -600,10 +663,11 @@ class ReferencePorter(Porter):
     checkout, and as the checkout itself, also after a build step
     overwrote a file."""
 
-    def __init__(self, repo, recipe, poc, tmp_path, build=True, **kw):
+    def __init__(self, repo, recipe, poc, tmp_path, build=True, limits=Limits(), **kw):
         self.tmp = tmp_path
         oracle = ReferenceOracle(tmp_path, build)
-        super().__init__(repo, recipe, poc, oracle=oracle, scratch_dir=tmp_path / "scratch", **kw)
+        super().__init__(repo, recipe, poc, oracle=oracle, limits=limits,
+                         scratch_dir=tmp_path / "scratch", **kw)
         oracle.check = self._check
         (tmp_path / "slots").mkdir()
         self.slots = [BuildSlot(tmp_path / "slots") for _ in range(2)]
@@ -740,7 +804,7 @@ class TestWorktreeSlot:
         def work(name):
             try:
                 with Porter(fx.repo, fx.recipe, fx.poc,
-                            oracle=RecordingOracle(tmp_path / name / "store"),
+                            oracle=RecordingOracle(tmp_path / name / "store"), limits=Limits(),
                             scratch_dir=tmp_path / name / "scratch") as porter:
                     for _ in range(40):
                         for ref in (fx.fix, fx.target):
@@ -781,21 +845,19 @@ class TestWorktreeSlot:
         porter.close()
         assert no_child_left()
 
-    def test_close_removes_a_scratch_dir_it_made(self, tmp_path, monkeypatch):
+    def test_close_removes_the_build_slot_of_the_oracle_it_made(self, tmp_path):
         fx = forge_repo(tmp_path / "fx", [])
-        tmp = tmp_path / "tmp"
-        tmp.mkdir()
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
-        with Porter(fx.repo, fx.recipe, fx.poc) as porter:
+        slots = tmp_path / "scratch" / "oracle"
+        with make_porter(fx, tmp_path) as porter:
             assert porter.attempt(fx.fix, (), [fx.fix]).verdict.kind == KIND_TRIGGERED
-            assert list(tmp.iterdir())
-        assert list(tmp.iterdir()) == []
+            assert [p.name[:7] for p in slots.iterdir()] == ["oracle-"]
+        assert list(slots.iterdir()) == []
         assert len(worktrees(fx.repo)) == 1
 
     def test_close_removes_the_build_slot_of_a_passed_oracle(self, tmp_path):
         fx = forge_repo(tmp_path / "fx", [])
         oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "oracle")
-        with Porter(fx.repo, fx.recipe, fx.poc, oracle=oracle,
+        with Porter(fx.repo, fx.recipe, fx.poc, oracle=oracle, limits=Limits(),
                     scratch_dir=tmp_path / "scratch") as porter:
             assert porter.attempt(fx.fix, (), [fx.fix]).verdict.kind == KIND_TRIGGERED
             assert [p.name[:7] for p in (tmp_path / "oracle").iterdir()] == ["oracle-"]
@@ -892,7 +954,7 @@ def test_incremental_builds_match_clean_builds(tmp_path, archetypes):
     runs = {}
     for clean in (False, True):
         oracle = VerdictLog(tmp_path / f"store-{clean}", tmp_path / f"oracle-{clean}", clean)
-        with Porter(repo, recipe, poc, oracle=oracle,
+        with Porter(repo, recipe, poc, oracle=oracle, limits=Limits(),
                     scratch_dir=tmp_path / f"scratch-{clean}") as porter:
             record = porter.revive("CVE-0000-0013", "packdemo", [fix], target)
         runs[clean] = (record.to_json(), oracle.log)
@@ -918,7 +980,8 @@ def test_every_verdict_of_a_revive_matches_a_fresh_oracle(tmp_path, project):
         fx = forge_repo(tmp_path / "fx", SCENARIOS[4])
         repo, fix, target, recipe, poc = fx.repo, fx.fix, fx.target, fx.recipe, fx.poc
     oracle = VerdictLog(tmp_path / "store", tmp_path / "oracle")
-    with Porter(repo, recipe, poc, oracle=oracle, scratch_dir=tmp_path / "scratch") as porter:
+    with Porter(repo, recipe, poc, oracle=oracle, limits=Limits(),
+                scratch_dir=tmp_path / "scratch") as porter:
         assert porter.revive("CVE-0000-0016", "packdemo", [fix], target).final == FINAL_REVIVED
     if atimes_recorded():
         assert oracle.counters["trace_hits"] >= 1
