@@ -123,7 +123,7 @@ def _effort(porter: Porter, start: float) -> str:
     counters = porter.oracle.counters
     counts = " ".join(f"{field}={counters.get(name, 0)}" for field, name in (
         ("builds", "builds"), ("hits", "cache_hits"), ("traced", "trace_hits")))
-    return f"{counts} git={porter.commits.spawns} wall={time.perf_counter() - start:.2f}"
+    return f"{counts} git={porter.commits.spawns} wall={time.perf_counter() - start:.3f}"
 
 
 def _write_json(path: Path, data) -> Path:
@@ -303,7 +303,7 @@ def cmd_manifest(args) -> int:
         records,
         policy=args.policy,
         functionality=functionality,
-        limits=cfgs[0].limits,
+        limits={cfg.cve: cfg.limits for cfg in cfgs},
         created_at=created_at,
     )
     out = write_atomic(ws / MANIFEST_FILE, manifest.to_json())
@@ -436,7 +436,6 @@ def _add_port_flags(sub) -> None:
         help="override the port unit size",
     )
     sub.add_argument("--max-fuzz", type=int, metavar="N", help="override hunk match fuzz")
-    _add_limit_flag(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -471,6 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("revive", help="full loop: port, bisect, revert, repeat")
     _add_case_flags(sub, multi=True)
     _add_port_flags(sub)
+    _add_limit_flag(sub)
     sub.add_argument("--jobs", type=int, default=1, metavar="N", help="cases to run in parallel")
     sub.set_defaults(func=cmd_revive)
 

@@ -12,7 +12,7 @@ import json
 import os
 import re
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .oracle import run_limited
 from .porter import FINAL_REVIVED, Limits, RevivalRecord
@@ -308,10 +308,13 @@ def emit_manifest(
     records: Sequence[RevivalRecord],
     policy: str,
     functionality: Optional[FunctionalityVerdict],
-    limits: Limits,
+    limits: Mapping[str, Limits],
     created_at: str,
 ) -> BenchmarkManifest:
     """Apply complexity then compatibility rules; emit the curated manifest.
+
+    `limits` maps each record's CVE to the limits its complexity is
+    judged by.
 
     created_at is caller-supplied (e.g. the base commit's committer date)
     so identical inputs serialize byte-identically.
@@ -320,7 +323,7 @@ def emit_manifest(
     excluded: List[Tuple[str, str, str]] = []
     survivors: List[RevivalRecord] = []
     for rec in records:
-        why = rule_complexity(rec, limits)
+        why = rule_complexity(rec, limits[rec.cve])
         if why is None:
             survivors.append(rec)
         else:

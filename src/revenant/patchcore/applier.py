@@ -20,16 +20,17 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .model import (
-    ADD,
     CONTEXT,
     MODE_CREATED,
     MODE_DELETED,
-    REMOVE,
+    NEW_SIDE,
+    OLD_SIDE,
     FilePatch,
     HunkLine,
     HunkRejected,
     PatchApplyError,
     join_lines,
+    side,
     split_lines,
 )
 
@@ -75,10 +76,6 @@ def _trim_for_fuzz(lines: List[HunkLine], fuzz: int) -> Tuple[List[HunkLine], in
         hi -= 1
         dropped_back += 1
     return lines[lo:hi], lo
-
-
-def _pattern(lines: List[HunkLine], kinds: Tuple[str, str]) -> List[HunkLine]:
-    return [ln for ln in lines if ln.kind in kinds]
 
 
 def _matches_at(
@@ -147,7 +144,7 @@ def apply_file_patch(
         placed: Optional[Tuple[int, int, List[HunkLine]]] = None
         for fuzz in range(0, max_fuzz + 1):
             body, shift = _trim_for_fuzz(hunk.lines, fuzz)
-            old_pat = _pattern(body, (CONTEXT, REMOVE))
+            old_pat = side(body, OLD_SIDE)
             if not old_pat:
                 # nothing to anchor on: a contextless insertion goes exactly
                 # where the header says, clamped into the legal region
@@ -177,8 +174,8 @@ def apply_file_patch(
             raise HunkRejected(f"{fp.path}: hunk {number}: no anchor")
 
         pos, off, body = placed
-        old_pat = _pattern(body, (CONTEXT, REMOVE))
-        new_pat = _pattern(body, (CONTEXT, ADD))
+        old_pat = side(body, OLD_SIDE)
+        new_pat = side(body, NEW_SIDE)
         tail_replaced = pos + len(old_pat) >= len(buf)
         buf[pos : pos + len(old_pat)] = [ln.text for ln in new_pat]
         if tail_replaced and new_pat:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List
+from typing import List, Tuple
 
 CONTEXT = "context"
 REMOVE = "remove"
@@ -17,6 +17,10 @@ ADD = "add"
 
 _KIND_TO_SIGIL = {CONTEXT: " ", REMOVE: "-", ADD: "+"}
 _SIGIL_TO_KIND = {" ": CONTEXT, "-": REMOVE, "+": ADD}
+
+# the kinds of line on each side of a hunk
+OLD_SIDE = (CONTEXT, REMOVE)
+NEW_SIDE = (CONTEXT, ADD)
 
 
 class Granularity(Enum):
@@ -72,6 +76,11 @@ class HunkLine:
         return _KIND_TO_SIGIL[self.kind]
 
 
+def side(lines: List[HunkLine], kinds: Tuple[str, str]) -> List[HunkLine]:
+    """The lines of a hunk body on one side: OLD_SIDE or NEW_SIDE."""
+    return [ln for ln in lines if ln.kind in kinds]
+
+
 @dataclass
 class Hunk:
     old_start: int
@@ -80,15 +89,9 @@ class Hunk:
     new_len: int
     lines: List[HunkLine] = field(default_factory=list)
 
-    def old_lines(self) -> List[HunkLine]:
-        return [ln for ln in self.lines if ln.kind in (CONTEXT, REMOVE)]
-
-    def new_lines(self) -> List[HunkLine]:
-        return [ln for ln in self.lines if ln.kind in (CONTEXT, ADD)]
-
     def validate(self) -> None:
-        old_n = len(self.old_lines())
-        new_n = len(self.new_lines())
+        old_n = len(side(self.lines, OLD_SIDE))
+        new_n = len(side(self.lines, NEW_SIDE))
         if old_n != self.old_len:
             raise HunkCountMismatch(
                 f"hunk declares {self.old_len} old lines, body has {old_n}"

@@ -3,7 +3,9 @@
 The accepted grammar is what `git diff` and `diff -u` emit: `---`/`+++`
 headers (with optional a/ b/ prefixes, C quotes and timestamp suffixes),
 `@@` hunk headers, and body lines tagged with space, `-`, `+` or the
-no-newline marker.  Git decoration lines (index, mode, similarity) are skipped, but
+no-newline marker; an empty line is a blank context line, which git
+writes without its space when `diff.suppressBlankEmpty` is set.  Git
+decoration lines (index, mode, similarity) are skipped, but
 for a file created or deleted empty git writes only `diff --git`, the
 file mode and `index`: such a section becomes a hunkless FilePatch named
 by its `diff --git` header.  A mode change alone (`old mode`/`new mode`)
@@ -18,9 +20,8 @@ import re
 from typing import List, Optional
 
 from .model import (
-    ADD,
-    CONTEXT,
-    REMOVE,
+    NEW_SIDE,
+    OLD_SIDE,
     FilePatch,
     Hunk,
     HunkCountMismatch,
@@ -28,7 +29,6 @@ from .model import (
     MalformedHeader,
     MODE_CREATED,
     MODE_DELETED,
-    MODE_NONE,
     SourcePatch,
     TruncatedHunk,
     _SIGIL_TO_KIND,
@@ -40,24 +40,6 @@ RE_HUNK = re.compile(
 )
 RE_BINARY = re.compile(r"^Binary files (?P<old>.+) and (?P<new>.+) differ$")
 NO_NEWLINE_MARKER = "\\ No newline at end of file"
-
-# git decoration that carries no hunk content
-_SKIP_PREFIXES = (
-    "diff -u ",
-    "diff --unified",
-    "index ",
-    "new file mode",
-    "deleted file mode",
-    "old mode",
-    "new mode",
-    "similarity index",
-    "dissimilarity index",
-    "rename from",
-    "rename to",
-    "copy from",
-    "copy to",
-    "GIT binary patch",
-)
 
 DEV_NULL = "/dev/null"
 
@@ -102,6 +84,19 @@ def _clean_path(raw: str) -> str:
     return path
 
 
+def _file_patch(old: str, new: str, is_binary: bool) -> FilePatch:
+    """The FilePatch a file header names: a /dev/null side means the file
+    is created or deleted, and takes the name of the other side."""
+    if old == DEV_NULL and new == DEV_NULL:
+        raise MalformedHeader("both sides are /dev/null")
+    fp = FilePatch(old, new, [], is_binary=is_binary)
+    if old == DEV_NULL:
+        fp.old_path, fp.mode_change = new, MODE_CREATED
+    elif new == DEV_NULL:
+        fp.new_path, fp.mode_change = old, MODE_DELETED
+    return fp
+
+
 def parse_unified_diff(text: str) -> SourcePatch:
     """Parse one or many file diffs out of `text`.
 
@@ -123,6 +118,10 @@ def parse_unified_diff(text: str) -> SourcePatch:
     n = len(lines)
     while i < n:
         line = lines[i]
+        i += 1  # `line` is line i, counted from 1
+        binary = RE_BINARY.match(line)
+        if files and files[-1] is bare and (binary is not None or line.startswith("+++ ")):
+            files.pop()
 
         if line.startswith("diff --git "):
             # `a/<path> b/<path>`, each half quoted or neither: with renames
@@ -132,103 +131,65 @@ def parse_unified_diff(text: str) -> SourcePatch:
             path = _clean_path(rest[:half])
             same = rest[half:half + 1] == " " and _clean_path(rest[half + 1:]) == path
             bare = FilePatch(path, path, []) if same else None
-            i += 1
-            continue
-
-        if bare is not None and line.startswith(("new file mode", "deleted file mode")):
+        elif bare is not None and line.startswith(("new file mode", "deleted file mode")):
             bare.mode_change = MODE_CREATED if line.startswith("new") else MODE_DELETED
             files.append(bare)
-            i += 1
-            continue
-
-        m = RE_BINARY.match(line)
-        if files and files[-1] is bare and (m is not None or line.startswith("+++ ")):
-            files.pop()
-        if m is not None:
-            old = _clean_path(m.group("old"))
-            new = _clean_path(m.group("new"))
-            mode = MODE_NONE
-            if old == DEV_NULL:
-                mode, old = MODE_CREATED, new
-            elif new == DEV_NULL:
-                mode, new = MODE_DELETED, old
-            files.append(FilePatch(old, new, [], mode_change=mode, is_binary=True))
-            current = None
-            pending_old = None
-            i += 1
-            continue
-
-        if line.startswith("--- "):
+        elif binary is not None:
+            old, new = _clean_path(binary.group("old")), _clean_path(binary.group("new"))
+            files.append(_file_patch(old, new, is_binary=True))
+            current = pending_old = None
+        elif line.startswith("--- "):
             pending_old = _clean_path(line[4:])
             current = None
-            i += 1
-            continue
-
-        if line.startswith("+++ "):
+        elif line.startswith("+++ "):
             if pending_old is None:
-                raise MalformedHeader(f"'+++' without preceding '---' at line {i + 1}")
-            new = _clean_path(line[4:])
-            old = pending_old
-            mode = MODE_NONE
-            if old == DEV_NULL and new == DEV_NULL:
-                raise MalformedHeader("both sides are /dev/null")
-            if old == DEV_NULL:
-                mode, old = MODE_CREATED, new
-            elif new == DEV_NULL:
-                mode, new = MODE_DELETED, old
-            current = FilePatch(old, new, [], mode_change=mode)
+                raise MalformedHeader(f"'+++' without preceding '---' at line {i}")
+            current = _file_patch(pending_old, _clean_path(line[4:]), is_binary=False)
             files.append(current)
             pending_old = None
-            i += 1
-            continue
-
-        if line.startswith("@@"):
+        elif line.startswith("@@"):
             m = RE_HUNK.match(line)
             if m is None:
-                raise MalformedHeader(f"bad hunk header at line {i + 1}: {line!r}")
+                raise MalformedHeader(f"bad hunk header at line {i}: {line!r}")
             if current is None:
-                raise MalformedHeader(f"hunk without file header at line {i + 1}")
+                raise MalformedHeader(f"hunk without file header at line {i}")
             hunk = Hunk(
                 old_start=int(m.group("o_start")),
                 old_len=int(m.group("o_len")) if m.group("o_len") is not None else 1,
                 new_start=int(m.group("n_start")),
                 new_len=int(m.group("n_len")) if m.group("n_len") is not None else 1,
             )
-            i += 1
-            need_old, need_new = hunk.old_len, hunk.new_len
             got_old = got_new = 0
-            while got_old < need_old or got_new < need_new:
+            # the body runs to the declared counts, and on over a
+            # no-newline marker, which belongs to the line before it
+            while (marker := i < n and lines[i] == NO_NEWLINE_MARKER) or (
+                got_old < hunk.old_len or got_new < hunk.new_len
+            ):
                 if i >= n:
                     raise TruncatedHunk(
                         f"input ends inside hunk starting at old line {hunk.old_start}"
                     )
                 body = lines[i]
-                if body == NO_NEWLINE_MARKER:
+                i += 1
+                if marker:
                     if not hunk.lines:
                         raise MalformedHeader("no-newline marker before any hunk line")
                     last = hunk.lines[-1]
                     hunk.lines[-1] = HunkLine(last.kind, last.text, newline=False)
-                    i += 1
                     continue
-                # tolerate context lines whose single leading space was
-                # stripped in transit
+                # git writes a blank context line as an empty line, without
+                # its space, when diff.suppressBlankEmpty is set
                 sigil, text = (body[0], body[1:]) if body else (" ", "")
                 kind = _SIGIL_TO_KIND.get(sigil)
                 if kind is None:
                     raise TruncatedHunk(
-                        f"unexpected line inside hunk at line {i + 1}: {body!r}"
+                        f"unexpected line inside hunk at line {i}: {body!r}"
                     )
                 hunk.lines.append(HunkLine(kind, text))
-                if kind in (CONTEXT, REMOVE):
+                if kind in OLD_SIDE:
                     got_old += 1
-                if kind in (CONTEXT, ADD):
+                if kind in NEW_SIDE:
                     got_new += 1
-                i += 1
-            # a trailing no-newline marker belongs to the last hunk line
-            if i < n and lines[i] == NO_NEWLINE_MARKER:
-                last = hunk.lines[-1]
-                hunk.lines[-1] = HunkLine(last.kind, last.text, newline=False)
-                i += 1
             # body lines past the declared counts mean the header lied
             if i < n:
                 extra = lines[i]
@@ -241,15 +202,10 @@ def parse_unified_diff(text: str) -> SourcePatch:
                     )
             hunk.validate()
             current.hunks.append(hunk)
-            continue
-
-        if line == "" or line.startswith(_SKIP_PREFIXES) or line.startswith("\\"):
-            i += 1
-            continue
-        # unrecognized prose between file sections is tolerated (mail
-        # headers, commit messages); anything else inside a file section
-        # would have been consumed by the hunk loop above
-        i += 1
+        # any other line is git decoration (index, mode, rename, similarity)
+        # or prose between file sections (mail headers, commit messages):
+        # neither carries hunk content, and inside a file section the hunk
+        # loop above has consumed every body line
 
     patch = SourcePatch(files=files)
     patch.validate()

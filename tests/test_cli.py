@@ -94,6 +94,9 @@ def test_an_out_of_range_max_fuzz_flag_is_a_config_error(tmp_path, fixture, caps
     ["activity", "--limit-commits", "2"],
     ["manifest", "--granularity", "chunk"],
     ["manifest", "--max-fuzz", "1"],
+    ["port", "--limit-commits", "2"],
+    ["tiers", "--limit-commits", "2"],
+    ["bisect", "--limit-commits", "2", "good", "bad"],
 ])
 def test_a_command_refuses_a_flag_it_would_not_read(tmp_path, fixture, capsys, argv):
     case = write_case(tmp_path, fixture)
@@ -264,6 +267,26 @@ class TestReviveAndManifest:
             "cve": "CVE-2020-1111",
             "rule": "intercompatibility",
             "reason": f"conflicts with kept {CVE}",
+        }]
+
+    def test_manifest_judges_each_record_by_the_limits_of_its_own_config(
+            self, tmp_path, fixture, capsys):
+        # one revert revives `revived` under the default budget; `aborted`
+        # has a budget of 0, which would exclude `revived` too
+        revived = write_case(tmp_path, fixture)
+        aborted = tmp_path / "aborted.json"
+        aborted.write_text(json.dumps({**json.loads(revived.read_text()), "cve": "CVE-2021-9998",
+                                       "limits": {"max_reverted_commits": 0}}))
+        assert main(["revive", "--config", str(revived), "--config", str(aborted)]) == 3
+        manifests = []
+        for first, second in [(revived, aborted), (aborted, revived)]:
+            assert main(["manifest", "--config", str(first), "--config", str(second)]) == 0
+            manifests.append((tmp_path / "ws" / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        manifest = json.loads(manifests[0])
+        assert [row["cve"] for row in manifest["included"]] == [CVE]
+        assert manifest["excluded"] == [{
+            "cve": "CVE-2021-9998", "rule": "complexity", "reason": "aborted: Complexity",
         }]
 
     def test_manifest_without_record_is_precondition(self, tmp_path, fixture, capsys):

@@ -31,6 +31,11 @@ from revenant.oracle import DRAIN_DEADLINE
 from revenant.porter import Limits, RevivalRecord
 
 
+def default_limits(records):
+    """Each record's CVE mapped to the default limits."""
+    return {rec.cve: Limits() for rec in records}
+
+
 def record(cve, final="Revived", stack=(), regions=(), fixes=("fix0",), target="base"):
     return RevivalRecord(
         cve=cve,
@@ -62,7 +67,8 @@ class TestComplexityRule:
     def test_deep_stack_excluded(self):
         rec = record("CVE-2020-1000", stack=["a", "b", "c", "d", "e"])
         assert "exceeds limit 4" in rule_complexity(rec, Limits())
-        (row,) = emit_manifest("proj", "base", [rec], POLICY_LATEST_FIRST, None, Limits(), "").excluded
+        (row,) = emit_manifest("proj", "base", [rec], POLICY_LATEST_FIRST, None,
+                               default_limits([rec]), "").excluded
         assert row["rule"] == RULE_COMPLEXITY and "exceeds limit 4" in row["reason"]
 
     def test_aborted_excluded(self):
@@ -338,7 +344,7 @@ class TestEmitManifest:
             record("CVE-2020-2", regions=[span("a.c", 5, 12)]),
             record("CVE-2019-1", final="Aborted"),
         ]
-        manifest = emit_manifest("proj", "base", recs, POLICY_LATEST_FIRST, None, Limits(), "")
+        manifest = emit_manifest("proj", "base", recs, POLICY_LATEST_FIRST, None, default_limits(recs), "")
 
         assert [row["cve"] for row in manifest.included] == ["CVE-2021-3"]
         assert manifest.included[0]["port_digest"] == "digest-CVE-2021-3"
@@ -351,7 +357,7 @@ class TestEmitManifest:
             record("CVE-2021-3", regions=[span("a.c", 1, 9)]),
         ]
         for policy in (POLICY_LATEST_FIRST, POLICY_MAX_SUBSET):
-            manifest = emit_manifest("proj", "base", recs, policy, None, Limits(), "")
+            manifest = emit_manifest("proj", "base", recs, policy, None, default_limits(recs), "")
             assert [row["cve"] for row in manifest.included] == ["CVE-2021-3"]
             assert manifest.excluded == [{
                 "cve": "CVE-2020-2",
@@ -365,7 +371,7 @@ class TestEmitManifest:
             record("CVE-2021-3", stack=["deadbeef"], fixes=["f1"]),
             record("CVE-2020-2", fixes=["deadbeef"]),
         ]
-        manifest = emit_manifest("proj", "base", recs, POLICY_LATEST_FIRST, None, Limits(), "")
+        manifest = emit_manifest("proj", "base", recs, POLICY_LATEST_FIRST, None, default_limits(recs), "")
         assert [row["cve"] for row in manifest.included] == ["CVE-2021-3"]
         assert [(row["cve"], row["rule"]) for row in manifest.excluded] == [
             ("CVE-2020-2", RULE_INTERCOMPAT),
@@ -379,26 +385,26 @@ class TestEmitManifest:
             record("CVE-2019-1", final="Aborted", regions=[span("a.c", 2, 3)]),
         ]
         assert detect_conflicts(recs)
-        manifest = emit_manifest("proj", "base", recs, POLICY_LATEST_FIRST, None, Limits(), "")
+        manifest = emit_manifest("proj", "base", recs, POLICY_LATEST_FIRST, None, default_limits(recs), "")
         assert [row["cve"] for row in manifest.included] == ["CVE-2021-3"]
         assert manifest.excluded == [
             {"cve": "CVE-2019-1", "rule": RULE_COMPLEXITY, "reason": "aborted: Complexity"},
         ]
 
     def test_mixed_targets_rejected(self):
+        recs = [record("CVE-2020-1"), record("CVE-2020-2", target="other")]
         with pytest.raises(ValueError):
-            emit_manifest("proj", "base", [record("CVE-2020-1"), record("CVE-2020-2", target="other")],
-                          POLICY_LATEST_FIRST, None, Limits(), "")
+            emit_manifest("proj", "base", recs, POLICY_LATEST_FIRST, None, default_limits(recs), "")
 
     def test_zero_records(self):
-        manifest = emit_manifest("proj", "base", [], POLICY_LATEST_FIRST, None, Limits(), "")
+        manifest = emit_manifest("proj", "base", [], POLICY_LATEST_FIRST, None, {}, "")
         assert manifest.included == [] and manifest.excluded == []
 
     def test_serialization_deterministic(self):
         recs = [record("CVE-2021-3"), record("CVE-2020-2")]
-        a = emit_manifest("proj", "base", recs, POLICY_LATEST_FIRST, None, Limits(),
+        a = emit_manifest("proj", "base", recs, POLICY_LATEST_FIRST, None, default_limits(recs),
                           "2021-01-01T00:00:00Z").to_json()
-        b = emit_manifest("proj", "base", recs, POLICY_LATEST_FIRST, None, Limits(),
+        b = emit_manifest("proj", "base", recs, POLICY_LATEST_FIRST, None, default_limits(recs),
                           "2021-01-01T00:00:00Z").to_json()
         assert a == b
         parsed = json.loads(a)

@@ -456,6 +456,26 @@ def test_a_diff_ignores_the_diff_settings_of_the_repository(repo):
         assert memo.diff(edited) == before
 
 
+def test_a_blank_context_line_parses_alike_when_git_writes_it_empty(repo, monkeypatch):
+    # under diff.suppressBlankEmpty git writes a blank context line as an
+    # empty line, without its leading space
+    blank = TEN.replace("line 4\n", "\n")
+    repo.commit({"src/main.c": blank}, "blank line 4")
+    edited = repo.commit({"src/main.c": blank.replace("line 5\n", "five\n")}, "edit line 5")
+    monkeypatch.delenv("GIT_CONFIG_COUNT", raising=False)
+    with CommitMemo(repo.root) as memo:
+        written = memo._diffed(memo.resolve(edited))
+        plain = memo.diff(edited)
+    monkeypatch.setenv("GIT_CONFIG_COUNT", "1")
+    monkeypatch.setenv("GIT_CONFIG_KEY_0", "diff.suppressBlankEmpty")
+    monkeypatch.setenv("GIT_CONFIG_VALUE_0", "true")
+    with CommitMemo(repo.root) as memo:
+        suppressed = memo._diffed(memo.resolve(edited))
+        assert suppressed != written and suppressed == written.replace(b"\n \n", b"\n\n")
+        assert memo.diff(edited) == plain
+    assert ("context", "") in [(ln.kind, ln.text) for ln in plain.files[0].hunks[0].lines]
+
+
 def test_revert_dependent_commits_newest_first(repo, tmp_path):
     # A rewrites line 5; B then rewrites A's line
     repo.commit({"src/main.c": TEN.replace("line 5\n", "line 5 A\n")}, "A")

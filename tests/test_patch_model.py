@@ -135,6 +135,16 @@ def test_parse_rejects_bad_header():
         parse_unified_diff("--- a/f\n+++ b/f\n@@ -x +1 @@\n junk\n")
 
 
+@pytest.mark.parametrize("text", [
+    "--- /dev/null\n+++ /dev/null\n",
+    "Binary files /dev/null and /dev/null differ\n",
+    "--- a/f\n+++ b/f\n@@ -1,0 +1,0 @@\n\\ No newline at end of file\n",
+], ids=["text-both-dev-null", "binary-both-dev-null", "marker-in-empty-hunk"])
+def test_parse_rejects_a_header_or_marker_that_names_no_line(text):
+    with pytest.raises(MalformedHeader):
+        parse_unified_diff(text)
+
+
 def test_parse_rejects_count_mismatch():
     text = "--- a/f\n+++ b/f\n@@ -1,2 +1,2 @@\n keep\n-gone\n+here\n+extra\n"
     with pytest.raises(HunkCountMismatch):
