@@ -36,7 +36,6 @@ from .curation import (
 from .datasets import TIERS, load_breaker_ledger, load_revival_survey, load_tier_survey
 from .gitio import CommitMemo, GitGatewayError, activity_histogram
 from .oracle import Oracle, write_atomic
-from .patchcore import Granularity
 from .porter import (
     BisectError,
     FINAL_REVIVED,
@@ -71,17 +70,6 @@ MANIFEST_FILE = "manifest.json"
 ACTIVITY_CSV = "activity.csv"
 ACTIVITY_SVG = "activity.svg"
 VERDICT_CACHE = "verdict-cache"
-
-
-def _load_cfg(path: str, args) -> CaseConfig:
-    """The case, with the policy and limit flags given layered over it, so
-    the config checks them as it checks the file."""
-    flags = {"policy": {"granularity": "granularity", "max_fuzz": "max_fuzz"},
-             "limits": {"max_reverted_commits": "limit_commits"}}
-    overrides = {section: {key: getattr(args, flag) for key, flag in keys.items()
-                           if getattr(args, flag, None) is not None}
-                 for section, keys in flags.items()}
-    return load_case(path, getattr(args, "defaults", None), overrides)
 
 
 def _workspace(args, cfg: CaseConfig) -> Path:
@@ -135,7 +123,7 @@ def _write_json(path: Path, data) -> Path:
 
 def cmd_port(args) -> int:
     start = time.perf_counter()
-    cfg = _load_cfg(args.config, args)
+    cfg = load_case(args.config, args.defaults)
     if args.tier:
         if args.tier not in cfg.tiers:
             raise ConfigError(f"tier {args.tier!r} not in {sorted(cfg.tiers)}")
@@ -163,7 +151,7 @@ def cmd_port(args) -> int:
 
 def cmd_tiers(args) -> int:
     start = time.perf_counter()
-    cfg = _load_cfg(args.config, args)
+    cfg = load_case(args.config, args.defaults)
     tiers = cfg.tiers or {"target": cfg.target}
     case_dir = _case_dir(args, cfg)
     with _porter(cfg, case_dir) as porter:
@@ -181,7 +169,7 @@ def cmd_tiers(args) -> int:
 
 def cmd_bisect(args) -> int:
     start = time.perf_counter()
-    cfg = _load_cfg(args.config, args)
+    cfg = load_case(args.config, args.defaults)
     case_dir = _case_dir(args, cfg)
     with _porter(cfg, case_dir) as porter:
         ids = [c.id for c in porter.commits.between(args.good, args.bad)]
@@ -205,7 +193,7 @@ def cmd_bisect(args) -> int:
 
 def _revive_one(path: str, args) -> Tuple[str, int]:
     start = time.perf_counter()
-    cfg = _load_cfg(path, args)
+    cfg = load_case(path, args.defaults)
     case_dir = _case_dir(args, cfg)
     with _porter(cfg, case_dir) as porter:
         record = porter.revive(cfg.cve, cfg.project, cfg.fix_commits, cfg.target)
@@ -248,7 +236,7 @@ def cmd_revive(args) -> int:
 
 def cmd_categorize(args) -> int:
     if args.config:
-        cfg = _load_cfg(args.config, args)
+        cfg = load_case(args.config, args.defaults)
         repo = cfg.repo
     elif args.repo:
         repo = Path(args.repo)
@@ -267,7 +255,7 @@ def cmd_categorize(args) -> int:
 
 
 def cmd_manifest(args) -> int:
-    cfgs = [_load_cfg(path, args) for path in args.config]
+    cfgs = [load_case(path, args.defaults) for path in args.config]
     projects = {cfg.project for cfg in cfgs}
     targets = {cfg.target for cfg in cfgs}
     if len(projects) > 1 or len(targets) > 1:
@@ -275,10 +263,9 @@ def cmd_manifest(args) -> int:
             f"manifest cases must share one project and target, got "
             f"{sorted(projects)} at {sorted(targets)}"
         )
-    ws = _workspace(args, cfgs[0])
     records = []
     for cfg in cfgs:
-        record_path = ws / cfg.cve / RECORD_FILE
+        record_path = _workspace(args, cfg) / cfg.cve / RECORD_FILE
         if not record_path.exists():
             print(f"error: no revival record for {cfg.cve}; run revive first", file=sys.stderr)
             return EXIT_PRECONDITION
@@ -306,7 +293,7 @@ def cmd_manifest(args) -> int:
         limits={cfg.cve: cfg.limits for cfg in cfgs},
         created_at=created_at,
     )
-    out = write_atomic(ws / MANIFEST_FILE, manifest.to_json())
+    out = write_atomic(_workspace(args, cfgs[0]) / MANIFEST_FILE, manifest.to_json())
     print(
         f"manifest project={manifest.project} policy={args.policy} "
         f"included={len(manifest.included)} excluded={len(manifest.excluded)} record={out}"
@@ -315,7 +302,7 @@ def cmd_manifest(args) -> int:
 
 
 def cmd_activity(args) -> int:
-    cfg = _load_cfg(args.config, args)
+    cfg = load_case(args.config, args.defaults)
     case_dir = _case_dir(args, cfg)
     base = args.since or cfg.fix_commits[0]
     tip = args.until or cfg.target
@@ -423,21 +410,6 @@ def _add_case_flags(sub, multi: bool = False) -> None:
     sub.add_argument("--workspace", metavar="DIR", help="artifact directory (default: $REVENANT_WORKSPACE)")
 
 
-def _add_limit_flag(sub) -> None:
-    sub.add_argument(
-        "--limit-commits", type=int, metavar="N",
-        help="override the revert stack depth limit",
-    )
-
-
-def _add_port_flags(sub) -> None:
-    sub.add_argument(
-        "--granularity", choices=[g.value for g in Granularity],
-        help="override the port unit size",
-    )
-    sub.add_argument("--max-fuzz", type=int, metavar="N", help="override hunk match fuzz")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="revenant",
@@ -449,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("port", help="reverse-apply the fix at one ref and run the PoC")
     _add_case_flags(sub)
-    _add_port_flags(sub)
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--ref", help="ref to port onto (default: the case target)")
     group.add_argument("--tier", help="named tier from the case config")
@@ -457,20 +428,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("tiers", help="port onto every named tier and classify")
     _add_case_flags(sub)
-    _add_port_flags(sub)
     sub.set_defaults(func=cmd_tiers)
 
     sub = subs.add_parser("bisect", help="find the first commit that breaks the port")
     _add_case_flags(sub)
-    _add_port_flags(sub)
     sub.add_argument("good", help="ref where the ported PoC still triggers")
     sub.add_argument("bad", help="ref where it no longer triggers")
     sub.set_defaults(func=cmd_bisect)
 
     sub = subs.add_parser("revive", help="full loop: port, bisect, revert, repeat")
     _add_case_flags(sub, multi=True)
-    _add_port_flags(sub)
-    _add_limit_flag(sub)
     sub.add_argument("--jobs", type=int, default=1, metavar="N", help="cases to run in parallel")
     sub.set_defaults(func=cmd_revive)
 
@@ -484,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("manifest", help="curate revived cases into a benchmark manifest")
     _add_case_flags(sub, multi=True)
-    _add_limit_flag(sub)
     sub.add_argument(
         "--policy", choices=[POLICY_LATEST_FIRST, POLICY_MAX_SUBSET],
         default=POLICY_LATEST_FIRST, help="compatible subset selection policy",

@@ -238,18 +238,13 @@ def _read_object(path: Path) -> dict:
     return data
 
 
-def load_case(path, defaults_path, overrides) -> CaseConfig:
+def load_case(path, defaults_path) -> CaseConfig:
     """Load a case file, layered over the project defaults file at
-    `defaults_path` unless that is None, with `overrides` (section name ->
-    key -> value) layered over both."""
+    `defaults_path` unless that is None."""
     case_path = Path(path)
     data = _read_object(case_path)
     if defaults_path is not None:
         data = merge_defaults(data, _read_object(Path(defaults_path)))
-    for name, values in overrides.items():
-        _expect(isinstance(data.get(name, {}), dict), f"{case_path}: {name}: expected an object")
-        data = {**data, name: {**data.get(name, {}), **values}}
-
     return parse_case(data, case_path.parent.resolve(), source=str(case_path))
 
 

@@ -229,6 +229,22 @@ def _regions(files: Sequence[FilePatch], reports: Sequence[ApplyReport]) -> List
     return regions
 
 
+def _shift(regions: List[dict], files: Sequence[FilePatch], reports: Sequence[ApplyReport]) -> None:
+    """Move each of `regions`, lines of the text `files` then applied to,
+    by the net line count of every hunk of `files` that applied wholly above
+    it in its file; a region that a hunk overlaps stays where it is."""
+    for fp, report in zip(files, reports):
+        # each hunk's last old line where it applied (for an insertion, the
+        # line it follows), and the lines it added net
+        moves = [(hunk.old_start + offset + hunk.old_len - (hunk.old_len > 0),
+                  hunk.new_len - hunk.old_len) for hunk, offset in zip(fp.hunks, report.offsets)]
+        for region in regions:
+            if region["file"] == fp.path:
+                delta = sum(lines for last, lines in moves if last < region["start"])
+                region["start"] += delta
+                region["end"] += delta
+
+
 @dataclass
 class AttemptResult:
     verdict: Optional[OracleVerdict]  # None: edits made, no verdict asked yet
@@ -366,7 +382,8 @@ class Porter:
         `Worktree`: revert the given commits, newest first, then apply the
         reverse fix at the configured granularity.
 
-        Returns the files, hunks and regions edited, with verdict None;
+        Returns the files, hunks and regions edited, the regions as lines
+        of the edited tree, with verdict None;
         or, at the first revert or reverse fix that does not apply, a
         RevertConflict or PortConflict verdict, with that edit unmade,
         whose evidence names each file that did not apply.
@@ -379,6 +396,7 @@ class Porter:
                 reports = revert_onto(tree, breaker, inverse, max_fuzz=self.policy.max_fuzz)
             except RevertConflict as exc:
                 return AttemptResult(OracleVerdict(KIND_REVERT_CONFLICT, evidence=str(exc)))
+            _shift(reverted, inverse.files, reports)
             reverted += _regions(inverse.files, reports)
         try:
             files = split_by_granularity(reverse, self.policy.granularity, tree_reader(tree))
@@ -387,6 +405,7 @@ class Porter:
             return AttemptResult(OracleVerdict(
                 KIND_PORT_CONFLICT, evidence=f"reverse patch does not apply at {tree.commit}: {exc}"
             ))
+        _shift(reverted, files, reports)
         hunks = sum(len(report.offsets) for report in reports)
         return AttemptResult(
             None, len({fp.path for fp in files}), hunks, _regions(files, reports) + reverted

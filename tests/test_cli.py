@@ -81,27 +81,35 @@ class TestPort:
 
 
 @pytest.mark.parametrize("command", ["tiers", "revive"])
-def test_an_out_of_range_max_fuzz_flag_is_a_config_error(tmp_path, fixture, capsys, command):
-    case = write_case(tmp_path, fixture)
-    assert main([command, "--config", str(case), "--max-fuzz", "3"]) == 5
+def test_an_out_of_range_max_fuzz_is_a_config_error(tmp_path, fixture, capsys, command):
+    case = write_case(tmp_path, fixture, policy={"max_fuzz": 3})
+    assert main([command, "--config", str(case)]) == 5
     assert "max_fuzz" in capsys.readouterr().err
     assert not (tmp_path / "ws" / CVE).exists()
 
 
+# what each subcommand needs besides a flag to parse; parsing fails before
+# the case file is read
+COMMAND_LINES = {
+    "port": ["--config", "case.json"],
+    "tiers": ["--config", "case.json"],
+    "bisect": ["--config", "case.json", "good", "bad"],
+    "revive": ["--config", "case.json"],
+    "categorize": ["--config", "case.json", "abc123"],
+    "manifest": ["--config", "case.json"],
+    "activity": ["--config", "case.json"],
+    "report": ["--bundled"],
+}
+
+
+# policy and limits come from the case file alone
 @pytest.mark.parametrize("argv", [
-    ["activity", "--granularity", "chunk"],
-    ["activity", "--max-fuzz", "1"],
-    ["activity", "--limit-commits", "2"],
-    ["manifest", "--granularity", "chunk"],
-    ["manifest", "--max-fuzz", "1"],
-    ["port", "--limit-commits", "2"],
-    ["tiers", "--limit-commits", "2"],
-    ["bisect", "--limit-commits", "2", "good", "bad"],
+    [command, flag, value] for command in COMMAND_LINES
+    for flag, value in [("--granularity", "chunk"), ("--max-fuzz", "1"), ("--limit-commits", "2")]
 ])
-def test_a_command_refuses_a_flag_it_would_not_read(tmp_path, fixture, capsys, argv):
-    case = write_case(tmp_path, fixture)
+def test_a_command_refuses_a_flag_it_would_not_read(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main([argv[0], "--config", str(case), *argv[1:]])
+        main([*argv, *COMMAND_LINES[argv[0]]])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -269,6 +277,23 @@ class TestReviveAndManifest:
             "reason": f"conflicts with kept {CVE}",
         }]
 
+    def test_manifest_reads_each_record_from_its_own_configs_workspace(
+            self, tmp_path, fixture, capsys):
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps({**json.loads(write_case(tmp_path, fixture).read_text()),
+                                     "cve": "CVE-2020-1111", "workspace": str(tmp_path / "ws-a")}))
+        newer = write_case(tmp_path, fixture, workspace=str(tmp_path / "ws-b"))
+        configs = ["--config", str(older), "--config", str(newer)]
+        assert main(["revive", *configs]) == 0
+        assert (tmp_path / "ws-a" / "CVE-2020-1111" / RECORD_FILE).exists()
+        assert (tmp_path / "ws-b" / CVE / RECORD_FILE).exists()
+        assert main(["manifest", *configs]) == 0
+        fields = summary(capsys)
+        assert (fields["included"], fields["excluded"]) == ("1", "1")
+        # manifest.json goes to the first config's workspace
+        assert fields["record"] == str(tmp_path / "ws-a" / "manifest.json")
+        assert not (tmp_path / "ws-b" / "manifest.json").exists()
+
     def test_manifest_judges_each_record_by_the_limits_of_its_own_config(
             self, tmp_path, fixture, capsys):
         # one revert revives `revived` under the default budget; `aborted`
@@ -296,8 +321,8 @@ class TestReviveAndManifest:
         assert "run revive first" in capsys.readouterr().err
 
     def test_aborted_revive_exits_3(self, tmp_path, fixture, capsys):
-        case = write_case(tmp_path, fixture)
-        rc = main(["revive", "--config", str(case), "--limit-commits", "0"])
+        case = write_case(tmp_path, fixture, limits={"max_reverted_commits": 0})
+        rc = main(["revive", "--config", str(case)])
         fields = summary(capsys)
         assert rc == 3
         assert fields["final"] == "Aborted"

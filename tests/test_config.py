@@ -52,7 +52,7 @@ def write(tmp_path, name, data):
 
 class TestParse:
     def test_full_case(self, tmp_path):
-        cfg = load_case(write(tmp_path, "case.json", full_case()), None, {})
+        cfg = load_case(write(tmp_path, "case.json", full_case()), None)
         assert cfg.cve == "CVE-2020-1234"
         assert cfg.repo == (tmp_path / "repo").resolve()
         assert cfg.build.sanitizer == SANITIZER_ASAN
@@ -71,7 +71,7 @@ class TestParse:
         for key in ("tiers", "limits", "policy", "workspace"):
             del case[key]
         del case["build"]["sanitizer"]
-        cfg = load_case(write(tmp_path, "case.json", case), None, {})
+        cfg = load_case(write(tmp_path, "case.json", case), None)
         assert cfg.build.sanitizer == SANITIZER_NONE
         assert cfg.policy.granularity is Granularity.PatchHunks
         assert cfg.limits.max_reverted_commits == 4
@@ -81,7 +81,7 @@ class TestParse:
         case = full_case()
         case["build"] = {"steps": ["make"], "artifacts": ["tool"]}
         case["poc"] = {"command": "{binary} {input}", "input": "poc.bin"}
-        cfg = load_case(write(tmp_path, "case.json", case), None, {})
+        cfg = load_case(write(tmp_path, "case.json", case), None)
         assert cfg.build == BuildRecipe(steps=("make",), artifact_paths=("tool",))
         assert cfg.build == BuildRecipe.make(["make"], ["tool"])
         assert cfg.poc == PocSpec(command="{binary} {input}", input_file=cfg.poc.input_file)
@@ -102,54 +102,54 @@ class TestParse:
         case = full_case()
         mutate(case)
         with pytest.raises(ConfigError, match="unknown keys"):
-            load_case(write(tmp_path, "case.json", case), None, {})
+            load_case(write(tmp_path, "case.json", case), None)
 
     @pytest.mark.parametrize("key", ["cve", "project", "repo", "fix_commits", "target", "build", "poc"])
     def test_required_keys(self, tmp_path, key):
         case = full_case()
         del case[key]
         with pytest.raises(ConfigError):
-            load_case(write(tmp_path, "case.json", case), None, {})
+            load_case(write(tmp_path, "case.json", case), None)
 
     def test_command_needs_binary_placeholder(self, tmp_path):
         case = full_case()
         case["poc"]["command"] = "./tool {input}"
         with pytest.raises(ConfigError, match="binary"):
-            load_case(write(tmp_path, "case.json", case), None, {})
+            load_case(write(tmp_path, "case.json", case), None)
 
     def test_bad_sanitizer(self, tmp_path):
         case = full_case()
         case["build"]["sanitizer"] = "asan"
         with pytest.raises(ConfigError, match="sanitizer"):
-            load_case(write(tmp_path, "case.json", case), None, {})
+            load_case(write(tmp_path, "case.json", case), None)
 
     def test_bad_granularity(self, tmp_path):
         case = full_case()
         case["policy"]["granularity"] = "file"
         with pytest.raises(ConfigError, match="granularity"):
-            load_case(write(tmp_path, "case.json", case), None, {})
+            load_case(write(tmp_path, "case.json", case), None)
 
     def test_a_fuzz_above_2_is_rejected_at_load(self, tmp_path):
         case = full_case()
         case["policy"]["max_fuzz"] = 3
         with pytest.raises(ConfigError, match="max_fuzz"):
-            load_case(write(tmp_path, "case.json", case), None, {})
+            load_case(write(tmp_path, "case.json", case), None)
 
     def test_negative_limit_rejected(self, tmp_path):
         case = full_case()
         case["limits"]["max_reverted_commits"] = -1
         with pytest.raises(ConfigError):
-            load_case(write(tmp_path, "case.json", case), None, {})
+            load_case(write(tmp_path, "case.json", case), None)
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "case.json"
         path.write_text("{nope")
         with pytest.raises(ConfigError, match="JSON"):
-            load_case(path, None, {})
+            load_case(path, None)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
-            load_case(tmp_path / "absent.json", None, {})
+            load_case(tmp_path / "absent.json", None)
 
 
 class TestDefaultsMerge:
@@ -182,7 +182,6 @@ class TestDefaultsMerge:
         cfg = load_case(
             write(tmp_path, "case.json", case),
             defaults_path=write(tmp_path, "defaults.json", defaults),
-            overrides={},
         )
         assert cfg.cve == "CVE-2020-2"
         assert cfg.project == "pack"
@@ -194,8 +193,7 @@ class TestDefaultsMerge:
             load_case(
                 write(tmp_path, "case.json", case),
                 defaults_path=write(tmp_path, "defaults.json", defaults),
-                overrides={},
-            )
+                )
 
 
 class TestWorkspaceEnv:

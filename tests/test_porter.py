@@ -21,6 +21,7 @@ from revenant.gitio import (
     MODE_EXEC,
     MODE_LINK,
     CommitMemo,
+    CommitTree,
     checkout_worktree,
 )
 from revenant.oracle import (
@@ -579,6 +580,29 @@ def test_a_revert_region_is_where_the_revert_applied(tmp_path):
     assert att.regions == [
         {"file": "fix.txt", "start": 1, "end": 1},
         {"file": "a.txt", "start": 21, "end": 27},
+    ]
+
+
+def test_a_revert_region_moves_with_the_lines_a_later_edit_adds_above_it(tmp_path):
+    rb = RepoBuilder(tmp_path / "repo")
+    base = "".join(f"line {i}\n" for i in range(1, 31))
+    rb.commit({"a.txt": base}, "base")
+    fixed = base.replace("line 1\n", "", 1)
+    rb.commit({"a.txt": fixed}, "fix drops line 1")
+    rb.commit({"a.txt": fixed.replace("line 20\n", "line 20 broken\n")}, "breaker")
+    with Porter(rb.root, *NO_BUILD, oracle=RecordingOracle(tmp_path / "verdicts"),
+                policy=PortPolicy(), limits=Limits(),
+                scratch_dir=tmp_path / "scratch") as porter:
+        tree = CommitTree(porter.commits, "t2")
+        att = porter.edit(tree, ["t2"], ["t1"])
+        text = tree.read("a.txt")
+    # the revert applies at lines 16-22 of the breaker's tree; the reverse
+    # fix then restores line 1 above them, so in the edited tree, which is
+    # the base, the revert's lines `line 17`..`line 23` are lines 17-23
+    assert text == base
+    assert att.regions == [
+        {"file": "a.txt", "start": 1, "end": 4},
+        {"file": "a.txt", "start": 17, "end": 23},
     ]
 
 
