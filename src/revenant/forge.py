@@ -507,13 +507,18 @@ def expected_outcome(
     """Ground truth for a forged scenario.
 
     Breakers are discovered oldest first, so the revert stack lists them
-    newest first.  One more breaker than the revert budget means the run
-    aborts for complexity with the budget's worth of commits reverted.
+    newest first.  More breakers than the revert budget means the run
+    aborts with the budget's worth of commits reverted: as
+    FunctionalityRemoved when the breakers left include C3, whose build
+    drops the PoC's flag, and none of C1, C2 or C6, on whose code the
+    reverse fix conflicts before anything is built; else for complexity.
     """
-    k = len(archetypes)
-    if k <= max_reverted:
+    if len(archetypes) <= max_reverted:
         return "Revived", "", list(reversed(breaker_ids))
-    return "Aborted", "Complexity", list(reversed(breaker_ids[:max_reverted]))
+    left = set(archetypes[max_reverted:])
+    removed = "C3" in left and not left & {"C1", "C2", "C6"}
+    reason = "FunctionalityRemoved" if removed else "Complexity"
+    return "Aborted", reason, list(reversed(breaker_ids[:max_reverted]))
 
 
 def forge_repo(

@@ -90,10 +90,6 @@ class NotAncestor(GitGatewayError):
     pass
 
 
-class DirtyDestination(GitGatewayError):
-    pass
-
-
 class RootCommit(GitGatewayError):
     pass
 
@@ -110,15 +106,6 @@ def decode_text(data: bytes) -> str:
 
 def encode_text(text: str) -> bytes:
     return text.encode(ENCODING, ERRORS)
-
-
-def read_file(path: Path) -> str:
-    return decode_text(path.read_bytes())
-
-
-def write_file(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(encode_text(text))
 
 
 def blob_id(data: bytes, algorithm: str) -> str:
@@ -150,9 +137,6 @@ class CommitRef:
     parents: Tuple[str, ...]
     tree: str  # id of the root tree
 
-    def __str__(self) -> str:
-        return self.short_id
-
 
 @contextmanager
 def _worktree_list_lock(repo: Path) -> Iterator[None]:
@@ -175,21 +159,7 @@ class Worktree:
     commit: str
     path: Path
 
-    def read(self, relpath: str) -> str:
-        return read_file(self.path / relpath)
-
-    def write(self, relpath: str, text: str) -> None:
-        write_file(self.path / relpath, text)
-
-    def exists(self, relpath: str) -> bool:
-        return (self.path / relpath).is_file()
-
-    def delete(self, relpath: str) -> None:
-        (self.path / relpath).unlink(missing_ok=True)
-
     def remove(self) -> None:
-        # entries whose directory is gone are pruned by the next
-        # `checkout_worktree`, under the same lock
         with _worktree_list_lock(self.repo):
             run_git(self.repo, "worktree", "remove", "--force", str(self.path), check=False)
 
@@ -520,7 +490,7 @@ class CommitMemo:
         return trees
 
     def text(self, oid: str) -> str:
-        """The blob `oid` as text, as `read_file` reads a file."""
+        """The blob `oid` as text (see `decode_text`)."""
         text = _recall(self._texts, oid)
         if text is not None:
             return text
@@ -598,8 +568,8 @@ class CommitTree:
 
     Unedited files are the commit's blobs, as `CommitMemo.listing` gives
     them; `write` and `delete` record edits and touch no disk.  Files read
-    and write as text the way a `Worktree`'s do, and a file written where
-    none was gets mode 100644.  A symlink reads and writes as its target,
+    and write as text (see `decode_text`), and a file written where none
+    was gets mode 100644.  A symlink reads and writes as its target,
     as `git apply` treats it.  The committed bytes are used as they are:
     checkout filters (eol conversion, smudge, ident) are not applied.
 
@@ -697,37 +667,30 @@ def commit_diff(repo: Path, commit: str) -> SourcePatch:
 
 
 def checkout_worktree(repo: Path, commit: str, dest: Path) -> Worktree:
-    """Materialize `commit` in a detached worktree at `dest`.
-
-    Multiple worktrees of the same repository may coexist.
+    """Materialize `commit` in a detached worktree at `dest`, which must
+    not exist or be empty: git refuses any other, and that raises
+    GitGatewayError.  No command makes one: an attempt edits a
+    `CommitTree`.  Multiple worktrees of the same repository may coexist.
     """
     repo = Path(repo)
-    dest = Path(dest)
-    if dest.exists() and any(dest.iterdir()):
-        raise DirtyDestination(f"{dest} exists and is not empty")
     proc = run_git(repo, "rev-parse", "--verify", "--quiet", f"{commit}^{{commit}}", check=False)
     if proc.returncode != 0:
         raise UnknownRef(f"{commit!r} does not name a commit in {repo}")
     commit_id = proc.stdout.strip()
-    if dest.exists():
-        dest.rmdir()  # `git worktree add` wants to create it
     with _worktree_list_lock(repo):
-        # drop the entries of worktrees whose directory is gone, as a
-        # crashed run leaves them; under the lock no entry is half-made
-        run_git(repo, "worktree", "prune")
         run_git(repo, "worktree", "add", "--detach", str(dest), commit_id)
-    return Worktree(repo=repo, commit=commit_id, path=dest)
+    return Worktree(repo=repo, commit=commit_id, path=Path(dest))
 
 
 def revert_onto(tree, commit: str, inverse: SourcePatch, max_fuzz: int) -> List[ApplyReport]:
     """Apply `inverse`, the inverse of `commit`'s diff (see
     `CommitMemo.inverse`), to `tree` with `patchcore.apply_patch`.
 
-    `tree` is a `Worktree` or a `CommitTree`.  Either every hunk of every
-    touched file applies and the files are written, or RevertConflict,
-    naming every conflicting path, is raised and nothing changes.
-    Returns one report per file of `inverse`.  Hunks match with up to
-    `max_fuzz` context lines dropped.
+    `tree` is a `CommitTree`.  Either every hunk of every touched file
+    applies and the files are written, or RevertConflict, naming every
+    conflicting path, is raised and nothing changes.  Returns one report
+    per file of `inverse`.  Hunks match with up to `max_fuzz` context
+    lines dropped.
     """
     try:
         return apply_patch(tree, inverse.files, max_fuzz)

@@ -113,11 +113,6 @@ class OracleVerdict:
     # timeout or a spawn failure): a rerun may differ
     transient: bool = False
 
-    @property
-    def storable(self) -> bool:
-        """Whether the inputs alone decided the verdict, so it may be kept."""
-        return not self.transient and self.kind != KIND_SANDBOX_FAILURE
-
     def to_dict(self) -> dict:
         # transient is deliberately absent: serialized
         # verdicts must be byte-identical across reruns of the same inputs
@@ -396,7 +391,8 @@ def run_poc(
     `expected_detector` names another class); then a timeout, which is
     Hang, or Triggered by `HANG_TRIGGER_CLASS` under `hang_is_trigger`;
     then usage text, which means PocIncompatible; anything else is
-    NotTriggered.  A verdict that a timeout decided is transient.
+    NotTriggered.  A verdict that a timeout decided is transient, and so
+    is the SandboxFailure of a PoC that could not start.
     """
     binary = artifacts[0] if artifacts else ""
     if not binary or not Path(binary).exists():
@@ -410,7 +406,8 @@ def run_poc(
     count("subprocess_launches")
     res = run_limited(argv, cwd=cwd, env=env, timeout=poc.run_timeout)
     if res.spawn_error:
-        return OracleVerdict(KIND_SANDBOX_FAILURE, evidence=_canonical(res.spawn_error, slot_home))
+        return OracleVerdict(KIND_SANDBOX_FAILURE, evidence=_canonical(res.spawn_error, slot_home),
+                             transient=True)
 
     output = _canonical(res.output, slot_home)
     hit = classify_detector_output(output)
@@ -935,12 +932,12 @@ class BuildSlot:
 class Oracle:
     """Verdict runner with a verdict store, a build slot and call counters.
 
-    Verdicts are kept in the store at `store_dir`.  A verdict that is not
-    `storable` (a SandboxFailure, or one a timeout decided) is never
-    kept, so a later call retries it.  Oracles that share a store build
-    each key once: a miss takes the key's lock and asks the store again
-    under it, so the first caller builds while holding the lock, and later
-    ones wait and read.
+    Verdicts are kept in the store at `store_dir`.  A `transient` verdict
+    (a SandboxFailure, or one a timeout decided) is never kept, so a later
+    call retries it.  Oracles that share a store build each key once: a
+    miss takes the key's lock and asks the store again under it, so the
+    first caller builds while holding the lock, and later ones wait and
+    read.
 
     A verdict is asked for a `gitio.CommitTree` (a commit plus edits held
     in memory).  Its key holds `tree_hash`, so a stored verdict costs no
@@ -958,9 +955,10 @@ class Oracle:
     so a stale product never decides a `BuildFailed`.  The PoC input is
     read once per verdict: its bytes go into the key and are what the PoC
     runs on, from a copy in the slot, so a build that rewrites the input
-    cannot change them.  Evidence is `_canonical`: it names the
-    slot's home `SLOT_TOKEN`, and no PID or address.  A storable verdict
-    is kept under its key and, when the slot records reads, as a trace.
+    cannot change them.  Evidence is `_canonical`: it names the slot's
+    home `SLOT_TOKEN`, and no PID or address.  A verdict that is not
+    transient is kept under its key and, when the slot records reads, as
+    a trace.
 
     `counters` holds `builds`, `cache_hits` (verdicts the store answered)
     and, of those, `trace_hits` (answered by a trace), besides the
@@ -1008,8 +1006,8 @@ class Oracle:
                 return stored
             with self._lock:
                 verdict = self._build_and_run(tree, recipe, poc, data, env, identity)
-                reads = self._slot.reads(tree) if verdict.storable else None
-            if verdict.storable:
+                reads = None if verdict.transient else self._slot.reads(tree)
+            if not verdict.transient:
                 self.store.put(key, verdict)
                 if reads is not None:
                     self.store.put_trace(group, tree.entries(), reads, verdict)

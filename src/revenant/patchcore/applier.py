@@ -196,9 +196,9 @@ def tree_reader(tree) -> Callable[[str], Optional[str]]:
 
 
 def apply_patch(tree, files: Sequence[FilePatch], max_fuzz: int) -> List[ApplyReport]:
-    """Apply every FilePatch in `files` to `tree` (anything with `exists`,
-    `read`, `write` and `delete`), atomically, and return one report per
-    FilePatch, in order.
+    """Apply every FilePatch in `files` to `tree` (a `gitio.CommitTree`,
+    or anything with its `exists`, `read`, `write` and `delete`),
+    atomically, and return one report per FilePatch, in order.
 
     Every file's result is staged in memory first; a later FilePatch on
     a path sees the text staged for it so far.  A file created where one

@@ -324,13 +324,12 @@ class Porter:
     Every attempt is a `CommitTree`: the ref's commit plus the edits its
     reverts and the reverse fix make, held in memory, so no attempt
     checks anything out; the oracle's build slot is the only place its
-    files are written.  `edit` is the one place those edits are made,
-    on a `CommitTree` or on a checkout.  Facts about commits are
-    remembered in `commits` for the porter's life.  A porter built
-    without an oracle makes one whose verdict store and build slot live
-    under `scratch_dir`.  Close the porter (or use it as a context
-    manager) to remove its oracle's build slot and to stop the processes
-    its memo reads objects and diffs over.
+    files are written.  `edit` is the one place those edits are made.
+    Facts about commits are remembered in `commits` for the porter's
+    life.  A porter built without an oracle makes one whose verdict store
+    and build slot live under `scratch_dir`.  Close the porter (or use it
+    as a context manager) to remove its oracle's build slot and to stop
+    the processes its memo reads objects and diffs over.
     """
 
     def __init__(
@@ -378,9 +377,9 @@ class Porter:
     def edit(
         self, tree, reverts_newest_first: Sequence[str], fix_commits: Sequence[str]
     ) -> AttemptResult:
-        """Make an attempt's edits on `tree`, a `CommitTree` or a
-        `Worktree`: revert the given commits, newest first, then apply the
-        reverse fix at the configured granularity.
+        """Make an attempt's edits on `tree`, a `CommitTree`: revert the
+        given commits, newest first, then apply the reverse fix at the
+        configured granularity.
 
         Returns the files, hunks and regions edited, the regions as lines
         of the edited tree, with verdict None;

@@ -10,7 +10,9 @@ import tempfile
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, Optional
 
-from revenant.gitio import MODE_EXEC, MODE_FILE, MODE_LINK, CommitMemo, blob_id
+from revenant.gitio import (
+    MODE_EXEC, MODE_FILE, MODE_LINK, CommitMemo, blob_id, decode_text, encode_text,
+)
 from revenant.oracle import (
     SANITIZER_NONE,
     BuildRecipe,
@@ -171,10 +173,28 @@ def snapshot(root: Path) -> dict:
 class DiskTree:
     """A directory as a tree view for the oracle: the files and symlinks
     of `snapshot`, with the modes and SHA-1 blob ids git would give them,
-    read afresh on every call."""
+    read afresh on every call.  Files read and write as text the way a
+    `CommitTree`'s do, so a checkout of `commit` can take the edits an
+    attempt makes in memory (`Porter.edit`, `revert_onto`,
+    `apply_patch`)."""
 
-    def __init__(self, root: Path):
+    def __init__(self, root: Path, commit: str = ""):
         self.root = Path(root)
+        self.commit = commit
+
+    def read(self, relpath: str) -> str:
+        return decode_text((self.root / relpath).read_bytes())
+
+    def write(self, relpath: str, text: str) -> None:
+        path = self.root / relpath
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(encode_text(text))
+
+    def exists(self, relpath: str) -> bool:
+        return (self.root / relpath).is_file()
+
+    def delete(self, relpath: str) -> None:
+        (self.root / relpath).unlink(missing_ok=True)
 
     def _files(self) -> Iterator[tuple]:
         for rel, (kind, content) in snapshot(self.root).items():

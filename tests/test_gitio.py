@@ -6,7 +6,6 @@ import hashlib
 import io
 import os
 import random
-import shutil
 import subprocess
 import sys
 import threading
@@ -22,7 +21,6 @@ from revenant.gitio import (
     CommitMemo,
     CommitRef,
     CommitTree,
-    DirtyDestination,
     GitGatewayError,
     NotAncestor,
     RevertConflict,
@@ -42,6 +40,7 @@ from revenant.patchcore.diffgen import diff_texts
 from revenant.porter import derive_reverse_patch
 from gitutil import (
     BASE_EPOCH,
+    DiskTree,
     RepoBuilder,
     ls_tree_listing,
     no_child_left,
@@ -137,10 +136,11 @@ def test_between_refuses_a_base_merged_in_from_a_side_branch(repo, monkeypatch):
 def test_checkout_worktree_materializes_and_coexists(repo, tmp_path):
     first = repo.head()
     repo.commit({"src/main.c": TEN.replace("line 5", "line five")}, "edit")
+    (tmp_path / "wt1").mkdir()  # git takes an empty destination
     wt_old = checkout_worktree(repo.root, "t0", tmp_path / "wt0")
     wt_new = checkout_worktree(repo.root, "t1", tmp_path / "wt1")
-    assert wt_old.read("src/main.c") == TEN
-    assert "line five" in wt_new.read("src/main.c")
+    assert DiskTree(wt_old.path).read("src/main.c") == TEN
+    assert "line five" in DiskTree(wt_new.path).read("src/main.c")
     assert wt_old.commit == first
     wt_old.remove()
     wt_new.remove()
@@ -160,23 +160,15 @@ def test_commit_memo_follows_moving_names_and_remembers_ids(repo, monkeypatch):
     memo.close()
 
 
-def test_checkout_worktree_prunes_a_crashed_worktree(repo, tmp_path):
-    crashed = checkout_worktree(repo.root, "t0", tmp_path / "crashed")
-    # the run dies: its directory goes, its worktree entry stays
-    shutil.rmtree(crashed.path)
-    assert len(worktrees(repo.root)) == 2
-    with checkout_worktree(repo.root, "t0", tmp_path / "next") as wt:
-        assert wt.read("README") == "hello\n"
-        assert worktrees(repo.root) == [f"worktree {repo.root}", f"worktree {wt.path}"]
-    assert worktrees(repo.root) == [f"worktree {repo.root}"]
-
-
 def test_checkout_worktree_rejects_nonempty_dest(repo, tmp_path):
     dest = tmp_path / "busy"
     dest.mkdir()
     (dest / "junk").write_text("x")
-    with pytest.raises(DirtyDestination):
+    with pytest.raises(GitGatewayError, match="already exists"):
         checkout_worktree(repo.root, "t0", dest)
+    assert [p.name for p in dest.iterdir()] == ["junk"]
+    assert (dest / "junk").read_text() == "x"
+    assert worktrees(repo.root) == [f"worktree {repo.root}"]
 
 
 def test_commit_diff_shape(repo):
@@ -321,17 +313,19 @@ def inverse_of(repo, commit):
 def test_revert_onto_restores_previous_content(repo, tmp_path):
     repo.commit({"src/main.c": TEN.replace("line 5\n", "line 5 fixed\n")}, "fix")
     with checkout_worktree(repo.root, "t1", tmp_path / "wt") as wt:
-        reports = revert_onto(wt, "t1", inverse_of(repo, "t1"), max_fuzz=0)
+        disk = DiskTree(wt.path)
+        reports = revert_onto(disk, "t1", inverse_of(repo, "t1"), max_fuzz=0)
         assert [r.offsets for r in reports] == [[0]]
-        assert wt.read("src/main.c") == TEN
+        assert disk.read("src/main.c") == TEN
 
 
 def test_revert_onto_handles_created_and_deleted_files(repo, tmp_path):
     repo.commit({"new.txt": "fresh\n"}, "add file", delete=["README"])
     with checkout_worktree(repo.root, "t1", tmp_path / "wt") as wt:
-        revert_onto(wt, "t1", inverse_of(repo, "t1"), max_fuzz=0)
-        assert not wt.exists("new.txt")
-        assert wt.read("README") == "hello\n"
+        disk = DiskTree(wt.path)
+        revert_onto(disk, "t1", inverse_of(repo, "t1"), max_fuzz=0)
+        assert not disk.exists("new.txt")
+        assert disk.read("README") == "hello\n"
 
 
 def test_revert_onto_is_atomic_on_conflict(repo, tmp_path):
@@ -340,13 +334,14 @@ def test_revert_onto_is_atomic_on_conflict(repo, tmp_path):
         "fix two files",
     )
     with checkout_worktree(repo.root, "t1", tmp_path / "wt") as wt:
+        disk = DiskTree(wt.path)
         # damage one target so its hunk cannot anchor
-        wt.write("src/main.c", "completely different\n")
-        before_readme = wt.read("README")
+        disk.write("src/main.c", "completely different\n")
+        before_readme = disk.read("README")
         with pytest.raises(RevertConflict) as exc:
-            revert_onto(wt, "t1", inverse_of(repo, "t1"), max_fuzz=0)
-        assert wt.read("README") == before_readme
-        assert wt.read("src/main.c") == "completely different\n"
+            revert_onto(disk, "t1", inverse_of(repo, "t1"), max_fuzz=0)
+        assert disk.read("README") == before_readme
+        assert disk.read("src/main.c") == "completely different\n"
         assert "src/main.c" in str(exc.value)
 
 
@@ -483,12 +478,13 @@ def test_revert_dependent_commits_newest_first(repo, tmp_path):
         {"src/main.c": TEN.replace("line 5\n", "line 5 AB\n")}, "B"
     )
     with checkout_worktree(repo.root, "t2", tmp_path / "wt1") as wt:
-        with pytest.raises(RevertConflict):
-            revert_onto(wt, "t1", inverse_of(repo, "t1"), max_fuzz=0)  # A alone cannot come off
+        with pytest.raises(RevertConflict):  # A alone cannot come off
+            revert_onto(DiskTree(wt.path), "t1", inverse_of(repo, "t1"), max_fuzz=0)
     with checkout_worktree(repo.root, "t2", tmp_path / "wt2") as wt:
-        revert_onto(wt, "t2", inverse_of(repo, "t2"), max_fuzz=0)  # newest first
-        revert_onto(wt, "t1", inverse_of(repo, "t1"), max_fuzz=0)
-        assert wt.read("src/main.c") == TEN
+        disk = DiskTree(wt.path)
+        revert_onto(disk, "t2", inverse_of(repo, "t2"), max_fuzz=0)  # newest first
+        revert_onto(disk, "t1", inverse_of(repo, "t1"), max_fuzz=0)
+        assert disk.read("src/main.c") == TEN
 
 
 def test_activity_histogram_conserves_and_buckets(repo):

@@ -21,7 +21,8 @@ function in `src/` is passed by every call in `src/` or `bench/` that
 reaches the function's name, so a default says what most callers get,
 and some call there passes each, so a default that no caller changes is
 a constant instead.  `revenant.forge`, the fixture library that the tests and the benchmark
-share, is not checked.
+share, is not checked.  No module of `src/` but `gitio` reaches the
+checkout machinery that only the benchmark still looks up.
 """
 
 from __future__ import annotations
@@ -33,6 +34,13 @@ from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 NOQA = "# noqa: F401"
+
+# what `gitio` keeps of real checkouts and one-shot git calls, which no
+# command uses (see `test_only_gitio_reaches_the_checkout_machinery`)
+CHECKOUT_MACHINERY = frozenset({
+    "Worktree", "checkout_worktree", "run_git", "resolve_ref", "commits_between", "commit_diff",
+    "_worktree_list_lock",
+})
 
 
 def _bound(alias: ast.alias) -> str:
@@ -276,6 +284,32 @@ def unoverridden_defaults(sources: dict, callers: dict) -> list:
                   if not any(_passes(call, name, position, True) for call in reaching))
 
 
+def checkout_references(sources: dict) -> list:
+    """`path: name` for each reference that a module of `sources` (path
+    under the repository -> source) but `gitio` makes to a name of
+    `CHECKOUT_MACHINERY`: as a name, an attribute or an imported name,
+    also inside a string.  Porter's import of `checkout_worktree` alone
+    from `.gitio` is no reference."""
+    found = []
+    for path, source in sources.items():
+        if path == "src/revenant/gitio.py":
+            continue
+        for node in _walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                pinned = path == "src/revenant/porter.py" and node.module == "gitio" and [
+                    (alias.name, alias.asname) for alias in node.names
+                ] == [("checkout_worktree", None)]
+                names = [] if pinned else [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path}: {name}" for name in names if name in CHECKOUT_MACHINERY]
+    return sorted(found)
+
+
 def _src_and_callers() -> tuple:
     """The modules of `src/` but forge, and the modules that call them:
     `bench/` and forge, the fixture library that the tests and the
@@ -333,6 +367,43 @@ def test_every_reexport_in_src_is_loaded_through_its_package():
     sources.update({str(path.relative_to(ROOT)): path.read_text("utf-8")
                     for path in sorted((ROOT / "bench").rglob("*.py"))})
     assert unread_reexports(sources) == []
+
+
+def test_only_gitio_reaches_the_checkout_machinery():
+    """No command checks a tree out or runs a one-shot git call, so no
+    module of `src/` but `gitio` may reach what `gitio` keeps of them.
+    They stay in `src/` only because the benchmark looks them up:
+    `bench/tracer.py`'s `TRACED` wraps `gitio.run_git`, `resolve_ref`,
+    `commit_diff`, `commits_between`, `checkout_worktree` and
+    `Worktree.remove` (which holds `_worktree_list_lock`), and
+    `bench/test_bench.py` checks that tracing patches
+    `porter.checkout_worktree`, which porter's one pinned import keeps.
+    Once the benchmark stops looking them up, what this test fences is
+    deleted, and the test with it."""
+    sources = {str(path.relative_to(ROOT)): path.read_text("utf-8")
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert "src/revenant/porter.py" in sources
+    assert checkout_references(sources) == []
+
+
+def test_the_fence_sees_a_reference_to_the_checkout_machinery():
+    sources = {
+        "src/revenant/gitio.py": "def run_git(repo):\n    return _worktree_list_lock(repo)\n",
+        "src/revenant/porter.py": (
+            "from .gitio import checkout_worktree  # noqa: F401\n"
+            "from . import gitio\n"
+            "from .gitio import CommitMemo, Worktree\n"
+            "def f(repo):\n"
+            "    gitio.run_git(repo, 'status')\n"
+            "    return getattr(gitio, 'resolve_ref')\n"
+        ),
+        "src/revenant/cli.py": "from .gitio import checkout_worktree\ncheckout_worktree(1, 2, 3)\n",
+    }
+    assert checkout_references(sources) == [
+        "src/revenant/cli.py: checkout_worktree", "src/revenant/cli.py: checkout_worktree",
+        "src/revenant/porter.py: Worktree", "src/revenant/porter.py: resolve_ref",
+        "src/revenant/porter.py: run_git",
+    ]
 
 
 def test_the_check_sees_a_dead_helper():

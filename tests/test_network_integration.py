@@ -32,6 +32,8 @@ from revenant.oracle import BuildRecipe, PocSpec
 from revenant.patchcore import apply_patch
 from revenant.porter import FINAL_REVIVED, Limits, Porter, derive_reverse_patch
 
+from gitutil import DiskTree
+
 pytestmark = [pytest.mark.network, pytest.mark.slow]
 
 CASE_DIR = Path(os.environ.get("REVENANT_NET_CASES", Path(__file__).parent / "net_cases"))
@@ -89,7 +91,8 @@ def test_libpng_dual_port_fails_7_of_32_functionality_tests(tmp_path, monkeypatc
     with checkout_worktree(repo, "v1.6.40", tmp_path / "dual") as wt:
         for case in (first, second):
             with CommitMemo(repo) as memo:
-                apply_patch(wt, derive_reverse_patch(memo, case["fix_commits"]).files, max_fuzz=2)
+                apply_patch(DiskTree(wt.path), derive_reverse_patch(memo, case["fix_commits"]).files,
+                            max_fuzz=2)
         for step in first["build"]["steps"]:
             subprocess.run(
                 step, shell=True, cwd=wt.path, check=True, capture_output=True

@@ -163,7 +163,7 @@ class TestRunPoc:
         bin_path = _script(tmp_path, "t", "exit 64\n")
         poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path))
         v = run_poc_in_place([bin_path], poc, cwd=tmp_path)
-        assert (v.kind, v.storable) == (KIND_NOT_TRIGGERED, True)
+        assert (v.kind, v.transient) == (KIND_NOT_TRIGGERED, False)
 
     def test_slow_exit_2_is_not_incompatible(self, tmp_path):
         # without usage text an exit code 2 is NotTriggered, early or late
@@ -290,7 +290,7 @@ class TestLaunches:
         oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
         for builds in (1, 2):
             v = oracle.verdict(DiskTree(tree), recipe, poc)
-            assert (v.kind, v.storable) == (KIND_SANDBOX_FAILURE, False)
+            assert (v.kind, v.transient) == (KIND_SANDBOX_FAILURE, True)
             assert v.evidence.startswith(f"{oracle_mod.LAUNCHER}:") and "valgrind" in v.evidence
             assert oracle.counters["builds"] == builds
         assert not list((tmp_path / "store").glob("*.json"))
@@ -304,7 +304,7 @@ class TestLaunches:
         oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
         for builds in (1, 2):
             v = oracle.verdict(DiskTree(tree), recipe, poc)
-            assert (v.kind, v.storable) == (KIND_BUILD_FAILED, False)
+            assert (v.kind, v.transient) == (KIND_BUILD_FAILED, True)
             assert "SPAWN FAILURE" in v.evidence
             assert oracle.counters["builds"] == builds
         assert not list((tmp_path / "store").glob("*.json"))
@@ -314,7 +314,7 @@ class TestLaunches:
         tool = _script(tmp_path, "t", f"echo consumed the input\nexit {code}\n")
         poc = PocSpec(command="{binary} {input}", input_file=_poc_file(tmp_path))
         v = run_poc_in_place([tool], poc, cwd=tmp_path)
-        assert (v.kind, v.storable) == (KIND_NOT_TRIGGERED, True)
+        assert (v.kind, v.transient) == (KIND_NOT_TRIGGERED, False)
         assert v.evidence == "consumed the input\n"
 
     def test_a_script_without_a_shebang_runs_under_sh(self, tmp_path):
@@ -347,7 +347,7 @@ class TestLaunches:
                 time.sleep(0.05)
             os.kill(int(pid_file.read_text()), signal.SIGKILL)
         assert elapsed < poc.run_timeout + oracle_mod.DRAIN_DEADLINE + 1
-        assert (v.kind, v.storable) == (KIND_HANG, False)
+        assert (v.kind, v.transient) == (KIND_HANG, True)
         assert not list((tmp_path / "store").glob("*.json"))
 
 
@@ -542,7 +542,7 @@ class TestVerdictStore:
             lambda *a, **kw: oracle_mod.RunResult(-1, "", 0.0, False, spawn_error="EAGAIN"),
         )
         v = oracle.verdict(DiskTree(tree), DEMO_RECIPE, poc)
-        assert (v.kind, v.storable) == (KIND_BUILD_FAILED, False)
+        assert (v.kind, v.transient) == (KIND_BUILD_FAILED, True)
         monkeypatch.setattr(oracle_mod, "run_limited", real_run)
         assert oracle.verdict(DiskTree(tree), DEMO_RECIPE, poc).kind == KIND_TRIGGERED
         assert "cache_hits" not in oracle.counters
@@ -1298,11 +1298,12 @@ class TestCommitTree:
         assert {path: mode for path, mode, _ in view.entries()}["run.sh"] == MODE_EXEC
         (tmp_path / "slots").mkdir()
         with checkout_worktree(rb.root, "t1", tmp_path / "wt") as wt:
-            self._edit(wt)
-            assert tree_hash(view) == tree_hash(DiskTree(wt.path))
+            disk = DiskTree(wt.path)
+            self._edit(disk)
+            assert tree_hash(view) == tree_hash(disk)
             want = snapshot(wt.path)
             identity = build_identity(SHELL_RECIPE, run_env(SHELL_RECIPE.env))
-            for source in (view, DiskTree(wt.path)):
+            for source in (view, disk):
                 slot = BuildSlot(tmp_path / "slots")
                 slot.sync(source, SHELL_RECIPE, identity)
                 assert snapshot(slot.root) == want

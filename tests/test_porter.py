@@ -14,6 +14,7 @@ from revenant.forge import (
     README,
     TOOL_C,
     apply_fix,
+    expected_outcome,
     forge_repo,
     overflow_poc_bytes,
 )
@@ -44,6 +45,7 @@ from revenant.patchcore import Granularity, render_unified_diff
 from revenant.patchcore.applier import apply_file_patch
 from revenant.porter import (
     ABORT_COMPLEXITY,
+    ABORT_FUNCTIONALITY_REMOVED,
     ABORT_TOO_MANY_CHUNKS,
     ABORT_TOO_MANY_FILES,
     CompositionConflict,
@@ -202,7 +204,7 @@ class TestDeriveReverse:
         with CommitMemo(fx.repo) as memo:
             reverse = derive_reverse_patch(memo, [fx.fix])
         with checkout_worktree(fx.repo, fx.fix, tmp_path / "wt") as wt:
-            fixed = wt.read("pack.c")
+            fixed = DiskTree(wt.path).read("pack.c")
             new_text, _ = apply_file_patch(fixed, reverse.files[0])
             assert "0xFFFFu" in new_text
             assert "record too long" not in new_text
@@ -278,6 +280,19 @@ class TestDeriveReverse:
             assert porter.attempt("t3", (), ["t1", "t2"]).verdict.kind == KIND_TRIGGERED
             assert porter.trees[-1].read("x.txt") == before
 
+    def test_composition_undoes_a_created_and_a_deleted_file(self, tmp_path):
+        rb = RepoBuilder(tmp_path / "repo")
+        rb.commit({"a.txt": "kept\n", "gone.c": "int gone;\n"}, "base")
+        rb.commit({"new.c": "int added;\n"}, "first fix creates new.c")
+        rb.commit({}, "second fix deletes gone.c", delete=["gone.c"])
+        rb.commit({"b.txt": "later\n"}, "later")
+        with ReferencePorter(rb.root, *NO_BUILD, tmp_path, build=False) as porter:
+            assert porter.attempt("t3", (), ["t1", "t2"]).verdict.kind == KIND_TRIGGERED
+            tree = porter.trees[-1]
+            assert not tree.exists("new.c")
+            assert tree.read("gone.c") == "int gone;\n"
+            assert [path for path, _, _ in tree.entries()] == ["a.txt", "b.txt", "gone.c"]
+
     def test_reverse_patch_digest_is_stable(self, tmp_path):
         fx = forge_repo(tmp_path, [])
         with CommitMemo(fx.repo) as memo:
@@ -326,6 +341,22 @@ class TestRevive:
         assert rec.revert_stack == fx.expected_stack
         assert len(rec.revert_stack) == 4
         assert rec.touched_regions == []
+
+    # an unreverted C3 leaves the PoC's flag unknown to the tool, unless a
+    # breaker whose code the reverse fix conflicts on ends the attempt first
+    @pytest.mark.parametrize("archetypes,budget,reason", [
+        (["C4", "C3"], 1, ABORT_FUNCTIONALITY_REMOVED),
+        (["C3", "C4"], 0, ABORT_FUNCTIONALITY_REMOVED),
+        (["C3", "C1"], 0, ABORT_COMPLEXITY),
+    ], ids=["C4-C3-budget1", "C3-C4-budget0", "C3-C1-budget0"])
+    def test_past_the_budget_the_ledger_names_the_abort_reason(
+            self, tmp_path, archetypes, budget, reason):
+        fx = forge_repo(tmp_path, archetypes)
+        want = expected_outcome(archetypes, [b["id"] for b in fx.breakers], budget)
+        assert want[:2] == (FINAL_ABORTED, reason)
+        with make_porter(fx, tmp_path, limits=Limits(max_reverted_commits=budget)) as porter:
+            rec = porter.revive("CVE-0000-0005", "packdemo", [fx.fix], fx.target)
+        assert (rec.final, rec.abort_reason, rec.revert_stack) == want
 
     def test_hang_revival(self, tmp_path):
         fx = forge_repo(tmp_path, [], poc_kind="hang")
@@ -705,12 +736,13 @@ class ReferencePorter(Porter):
 
     @contextmanager
     def _replay(self, ref, reverts, fix_commits):
-        """A checkout of `ref` with the attempt's edits made on disk, and
-        what `edit` returned there."""
+        """What `edit` returned on a checkout of `ref`, and the checkout
+        with the attempt's edits made on disk, as a `DiskTree`."""
         self.replayed += 1
         dest = self.tmp / f"replay-{self.replayed}"
         with checkout_worktree(self.repo, ref, dest) as wt:
-            yield self.edit(wt, reverts, fix_commits), wt
+            disk = DiskTree(wt.path, wt.commit)
+            yield self.edit(disk, reverts, fix_commits), disk
 
     def attempt(self, ref, reverts_newest_first, fix_commits):
         self._pending = (list(reverts_newest_first), list(fix_commits))
@@ -725,12 +757,12 @@ class ReferencePorter(Porter):
         return result
 
     def _check(self, tree, recipe):
-        with self._replay(tree.commit, *self._pending) as (self._on_disk, wt):
+        with self._replay(tree.commit, *self._pending) as (self._on_disk, disk):
             assert self._on_disk.verdict is None
-            assert tree_hash(tree) == tree_hash(DiskTree(wt.path))
-            want = snapshot(wt.path)
+            assert tree_hash(tree) == tree_hash(disk)
+            want = snapshot(disk.root)
             identity = build_identity(recipe, run_env(recipe.env))
-            for slot, source in zip(self.slots, (tree, DiskTree(wt.path))):
+            for slot, source in zip(self.slots, (tree, disk)):
                 tamper(slot.root)
                 slot.sync(source, recipe, identity)
                 assert snapshot(slot.root) == want
@@ -811,9 +843,9 @@ class TestWorktreeSlot:
             assert porter.attempt("t4", [], ["t1"]).verdict.kind == KIND_TRIGGERED
             trees = porter.trees
             for tree, reverts in zip(trees, (["t3", "t2"], [])):
-                with porter._replay(tree.commit, reverts, ["t1"]) as (edited, wt):
+                with porter._replay(tree.commit, reverts, ["t1"]) as (edited, disk):
                     assert edited.verdict is None
-                    assert tree_hash(tree) == tree_hash(DiskTree(wt.path))
+                    assert tree_hash(tree) == tree_hash(disk)
         assert [[path for path, _, _ in tree.entries()] for tree in trees] == [
             ["a.txt", "legacy.txt", "old.txt"],
             ["README", "a.txt", "legacy.txt", "new.txt"],
