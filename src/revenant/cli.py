@@ -98,7 +98,7 @@ def _porter(cfg: CaseConfig, case_dir: Path) -> Porter:
         cfg.build,
         cfg.poc,
         oracle=oracle,
-        policy=cfg.policy,
+        granularity=cfg.granularity,
         limits=cfg.limits,
         scratch_dir=scratch,
     )

@@ -21,8 +21,8 @@ from .oracle import (
     BuildRecipe,
     PocSpec,
 )
-from .patchcore import MAX_FUZZ, Granularity
-from .porter import Limits, PortPolicy
+from .patchcore import Granularity
+from .porter import Limits
 
 WORKSPACE_ENV = "REVENANT_WORKSPACE"
 DEFAULT_WORKSPACE = "revenant-workspace"
@@ -90,28 +90,6 @@ def _bool(section: dict, key: str, where: str, default: bool) -> bool:
     return value
 
 
-def _section(data: dict, name: str, cls, where: str):
-    """The `cls` dataclass (`Limits` or `PortPolicy`) read from the object
-    at `name`, whose keys are its field names.  An omitted key keeps the
-    field's default; a given one is checked by the default's type:
-    `Granularity` (by value) or a non-negative int."""
-    raw = data.get(name, {})
-    where = f"{where}: {name}"
-    _check_keys(raw, {f.name for f in fields(cls)}, where)
-    values = {}
-    for key, default in ((f.name, f.default) for f in fields(cls)):
-        if isinstance(default, Granularity):
-            try:
-                values[key] = Granularity(raw.get(key, default.value))
-            except ValueError:
-                raise ConfigError(
-                    f"{where}.{key} must be one of {[g.value for g in Granularity]}"
-                ) from None
-        else:
-            values[key] = _int(raw, key, where, default)
-    return cls(**values)
-
-
 @dataclass
 class CaseConfig:
     cve: str
@@ -123,7 +101,7 @@ class CaseConfig:
     build: BuildRecipe
     poc: PocSpec
     limits: Limits
-    policy: PortPolicy
+    granularity: Granularity
     workspace: Optional[Path]
     cache_dir: Optional[Path]  # verdict store; None means <workspace>/verdict-cache
 
@@ -200,9 +178,18 @@ def parse_case(data: dict, base_dir: Path, source: str) -> CaseConfig:
             f"are {{binary}} and {{input}}, and a literal brace is written {{{{ or }}}}"
         ) from None
 
-    limits = _section(data, "limits", Limits, where)
-    policy = _section(data, "policy", PortPolicy, where)
-    _expect(policy.max_fuzz <= MAX_FUZZ, f"{where}: policy.max_fuzz must be 0 to {MAX_FUZZ}")
+    # each key a `Limits` field, a non-negative int; an omitted one keeps its default
+    limits_raw = data.get("limits", {})
+    _check_keys(limits_raw, {f.name for f in fields(Limits)}, f"{where}: limits")
+    limits = Limits(**{f.name: _int(limits_raw, f.name, f"{where}: limits", f.default)
+                       for f in fields(Limits)})
+
+    policy_raw = data.get("policy", {})
+    _check_keys(policy_raw, {"granularity"}, f"{where}: policy")
+    granularity = policy_raw.get("granularity", Granularity.PatchHunks.value)
+    granularities = [g.value for g in Granularity]
+    _expect(granularity in granularities,
+            f"{where}: policy.granularity must be one of {granularities}")
 
     workspace = data.get("workspace")
     cache_dir = data.get("cache_dir")
@@ -220,7 +207,7 @@ def parse_case(data: dict, base_dir: Path, source: str) -> CaseConfig:
         build=build,
         poc=poc,
         limits=limits,
-        policy=policy,
+        granularity=Granularity(granularity),
         workspace=(base_dir / workspace).resolve() if workspace else None,
         cache_dir=(base_dir / cache_dir).resolve() if cache_dir else None,
     )

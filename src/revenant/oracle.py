@@ -682,7 +682,7 @@ def _remove(path: Path) -> None:
         os.unlink(path)
 
 
-def _lstat(path: Path) -> Optional[os.stat_result]:
+def _lstat(path: str | Path) -> Optional[os.stat_result]:
     try:
         return os.lstat(path)
     except OSError:
@@ -695,7 +695,7 @@ def _stat_key(st: Optional[os.stat_result]) -> Optional[Tuple[int, ...]]:
     return (st.st_mode, st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino)
 
 
-def _atime_ns(path: Path) -> int:
+def _atime_ns(path: str | Path) -> int:
     """The file's atime; -1, which counts as read, when it is gone."""
     st = _lstat(path)
     return -1 if st is None else st.st_atime_ns
@@ -823,8 +823,10 @@ class BuildSlot:
         read = []  # unchanged files whose atime a read moved
         for rel, mode, oid in tree.entries():
             seen.add(rel)
-            st = _lstat(self.root / rel)
-            if self._files.get(rel) != (mode, oid, _stat_key(st)):
+            known = self._files.get(rel)
+            # a path with no record is written, whatever the slot holds there
+            st = None if known is None else _lstat(self.root / rel)
+            if known != (mode, oid, _stat_key(st)):
                 changed.append((rel, mode, oid))
             elif st.st_atime_ns and mode != MODE_LINK:
                 read.append(rel)
@@ -879,10 +881,11 @@ class BuildSlot:
     def note_reads(self) -> None:
         """Add the tracked files read since the sync to the read set."""
         if self.traces:
+            root = str(self.root)  # a string join costs less than a Path's
             self._read.update(
                 rel for rel, (mode, _, _) in self._files.items()
                 if rel not in self._read and mode != MODE_LINK
-                and _atime_ns(self.root / rel) != 0
+                and _atime_ns(f"{root}/{rel}") != 0
             )
 
     def reads(self, tree) -> Optional[List[Entry]]:

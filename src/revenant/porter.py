@@ -18,6 +18,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .patchcore import (
     CONFLICT_EXISTS,
     CONFLICT_MISSING,
+    MAX_FUZZ,
     ApplyReport,
     FilePatch,
     Granularity,
@@ -56,6 +57,9 @@ ABORT_COMPLEXITY = "Complexity"
 ABORT_TOO_MANY_FILES = "TooManyFiles"
 ABORT_TOO_MANY_CHUNKS = "TooManyChunks"
 ABORT_FUNCTIONALITY_REMOVED = "FunctionalityRemoved"
+
+# the most probes one bisection may answer "skip" before it gives up
+SKIP_BUDGET = 3
 
 PROBE_GOOD = "good"
 PROBE_BAD = "bad"
@@ -98,13 +102,6 @@ class Limits:
     max_reverted_commits: int = 4
     max_files_per_commit: int = 14
     max_chunks_per_file: int = 30
-
-
-@dataclass(frozen=True)
-class PortPolicy:
-    granularity: Granularity = Granularity.PatchHunks
-    max_fuzz: int = 2
-    skip_budget: int = 3
 
 
 # ---------- reverse patch derivation ----------
@@ -338,7 +335,7 @@ class Porter:
         recipe: BuildRecipe,
         poc: PocSpec,
         oracle: Optional[Oracle] = None,
-        policy: PortPolicy = PortPolicy(),
+        granularity: Granularity = Granularity.PatchHunks,
         *,
         limits: Limits,
         scratch_dir: Path,
@@ -346,7 +343,7 @@ class Porter:
         self.repo = Path(repo)
         self.recipe = recipe
         self.poc = poc
-        self.policy = policy
+        self.granularity = granularity
         self.limits = limits
         scratch = Path(scratch_dir)
         self.oracle = oracle or Oracle(scratch / "verdicts", scratch_dir=scratch / "oracle")
@@ -379,7 +376,7 @@ class Porter:
     ) -> AttemptResult:
         """Make an attempt's edits on `tree`, a `CommitTree`: revert the
         given commits, newest first, then apply the reverse fix at the
-        configured granularity.
+        porter's granularity, each with up to `MAX_FUZZ` lines of fuzz.
 
         Returns the files, hunks and regions edited, the regions as lines
         of the edited tree, with verdict None;
@@ -392,14 +389,14 @@ class Porter:
         for breaker in reverts_newest_first:
             inverse = self.commits.inverse(breaker)
             try:
-                reports = revert_onto(tree, breaker, inverse, max_fuzz=self.policy.max_fuzz)
+                reports = revert_onto(tree, breaker, inverse, max_fuzz=MAX_FUZZ)
             except RevertConflict as exc:
                 return AttemptResult(OracleVerdict(KIND_REVERT_CONFLICT, evidence=str(exc)))
             _shift(reverted, inverse.files, reports)
             reverted += _regions(inverse.files, reports)
         try:
-            files = split_by_granularity(reverse, self.policy.granularity, tree_reader(tree))
-            reports = apply_patch(tree, files, max_fuzz=self.policy.max_fuzz)
+            files = split_by_granularity(reverse, self.granularity, tree_reader(tree))
+            reports = apply_patch(tree, files, max_fuzz=MAX_FUZZ)
         except PatchError as exc:
             return AttemptResult(OracleVerdict(
                 KIND_PORT_CONFLICT, evidence=f"reverse patch does not apply at {tree.commit}: {exc}"
@@ -449,11 +446,11 @@ class Porter:
     ) -> BisectResult:
         """The first of `ids` where the reverse fix, with `reverts` reverted
         newest first, no longer triggers the PoC (see `find_breaking_commit`),
-        within the policy's skip budget."""
+        within `SKIP_BUDGET` skipped probes."""
         return find_breaking_commit(
             ids,
             lambda c: probe_answer(self.attempt(c, reverts, fix_commits).verdict.kind),
-            self.policy.skip_budget,
+            SKIP_BUDGET,
         )
 
     # -- revival --
@@ -516,7 +513,7 @@ class Porter:
             project=project,
             fix_commits=[self.commits.resolve(c).id for c in fix_commits],
             target=target_id,
-            granularity=self.policy.granularity.value,
+            granularity=self.granularity.value,
             final=final,
             abort_reason=abort_reason,
             aborted_on=aborted_on,

@@ -80,14 +80,6 @@ class TestPort:
         assert "nightly" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["tiers", "revive"])
-def test_an_out_of_range_max_fuzz_is_a_config_error(tmp_path, fixture, capsys, command):
-    case = write_case(tmp_path, fixture, policy={"max_fuzz": 3})
-    assert main([command, "--config", str(case)]) == 5
-    assert "max_fuzz" in capsys.readouterr().err
-    assert not (tmp_path / "ws" / CVE).exists()
-
-
 # what each subcommand needs besides a flag to parse; parsing fails before
 # the case file is read
 COMMAND_LINES = {
@@ -314,6 +306,40 @@ class TestReviveAndManifest:
             "cve": "CVE-2021-9998", "rule": "complexity", "reason": "aborted: Complexity",
         }]
 
+    @pytest.mark.parametrize("key", ["project", "target"])
+    def test_manifest_over_two_projects_or_targets_is_a_config_error(self, tmp_path, fixture,
+                                                                      capsys, key):
+        case = write_case(tmp_path, fixture)
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({**json.loads(case.read_text()), "cve": "CVE-2021-9998",
+                                     key: fixture.fix}))
+        assert main(["manifest", "--config", str(case), "--config", str(other)]) == 5
+        assert "must share one project and target" in capsys.readouterr().err
+        assert not (tmp_path / "ws" / "manifest.json").exists()
+
+    def test_manifest_suite_without_suite_cwd_is_a_config_error(self, tmp_path, fixture, capsys):
+        case = write_case(tmp_path, fixture)
+        assert main(["revive", "--config", str(case)]) == 0
+        assert main(["manifest", "--config", str(case), "--suite", "true"]) == 5
+        assert "--suite needs --suite-cwd" in capsys.readouterr().err
+        assert not (tmp_path / "ws" / "manifest.json").exists()
+
+    def test_an_allowlisted_failure_leaves_the_port_functional(self, tmp_path, fixture, capsys):
+        case = write_case(tmp_path, fixture)
+        assert main(["revive", "--config", str(case)]) == 0
+        allowlist = tmp_path / "allow.txt"
+        allowlist.write_text("# flaky upstream\nt_net needs a network\n")
+        suite = ["--suite", "printf 'PASS: t_pack\\nFAIL: t_net\\nSKIP: t_gui\\n'",
+                 "--suite-cwd", str(tmp_path), "--suite-format", "pass-fail"]
+        verdicts = []
+        for allow in ([], ["--allowlist", str(allowlist)]):
+            assert main(["manifest", "--config", str(case), *suite, *allow]) == 0
+            manifest = json.loads((tmp_path / "ws" / "manifest.json").read_text())
+            verdicts.append(manifest["functionality"])
+        assert [v["verdict"] for v in verdicts] == ["Degraded", "Functional"]
+        assert verdicts[1] == {"total_tests": 2, "failed": ["t_net"], "allowlisted": ["t_net"],
+                               "disallowed": [], "verdict": "Functional"}
+
     def test_manifest_without_record_is_precondition(self, tmp_path, fixture, capsys):
         case = write_case(tmp_path, fixture)
         rc = main(["manifest", "--config", str(case)])
@@ -348,11 +374,13 @@ class TestReviveAndManifest:
         assert not (tmp_path / "ws").exists()
 
     @pytest.mark.parametrize("key, value", [("search_window", 200),
-                                            ("normalize_trailing_whitespace", False)])
+                                            ("normalize_trailing_whitespace", False),
+                                            ("max_fuzz", 2), ("skip_budget", 3)])
     def test_a_removed_policy_key_is_a_config_error(self, tmp_path, fixture, capsys, key, value):
         case = write_case(tmp_path, fixture, policy={key: value})
         assert main(["revive", "--config", str(case)]) == 5
         assert "unknown keys" in capsys.readouterr().err
+        assert not (tmp_path / "ws" / CVE).exists()
 
     def test_binary_file_in_a_fix_composition_exits_4(self, tmp_path, capsys):
         rb = RepoBuilder(tmp_path / "repo")
@@ -440,6 +468,16 @@ class TestActivity:
         assert svg_text.count("<polygon") == 1
 
 
+    def test_files_names_the_only_related_paths(self, tmp_path, fixture, capsys):
+        # after the fix, pack.c (the fix's file) changes once and CHANGES twice
+        case = write_case(tmp_path, fixture)
+        related = []
+        for files in ([], ["--files", "CHANGES, ,README"]):
+            assert main(["activity", "--config", str(case), *files]) == 0
+            related.append(summary(capsys)["related"])
+        assert related == ["1", "2"]
+
+
 class TestReport:
     def test_bundled_report_renders_all_sections(self, capsys):
         rc = main(["report", "--bundled"])
@@ -465,6 +503,14 @@ class TestReport:
         assert "revival records" in out
         header = next(ln for ln in out.splitlines() if ln.startswith("project"))
         assert header.split() == ["project", "cve", "reference", "latest"]
+
+    @pytest.mark.parametrize("data", [{"schema": "benchmark-manifest/1"}, ["tiers"]])
+    def test_report_on_json_that_is_neither_tiers_nor_a_record_is_a_config_error(
+            self, tmp_path, capsys, data):
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(data))
+        assert main(["report", str(other)]) == 5
+        assert "not a tiers file or revival record" in capsys.readouterr().err
 
     def test_report_needs_input(self, capsys):
         assert main(["report"]) == 5

@@ -37,7 +37,7 @@ def full_case(**overrides):
             "hang_is_trigger": False,
         },
         "limits": {"max_reverted_commits": 3},
-        "policy": {"granularity": "whole-files", "max_fuzz": 1},
+        "policy": {"granularity": "whole-files"},
         "workspace": "ws",
     }
     case.update(overrides)
@@ -62,8 +62,7 @@ class TestParse:
         assert cfg.poc.run_timeout == 5.0
         assert cfg.limits.max_reverted_commits == 3
         assert cfg.limits.max_files_per_commit == 14  # untouched default
-        assert cfg.policy.granularity is Granularity.WholeFiles
-        assert cfg.policy.max_fuzz == 1
+        assert cfg.granularity is Granularity.WholeFiles
         assert cfg.workspace == (tmp_path / "ws").resolve()
 
     def test_minimal_case_gets_defaults(self, tmp_path):
@@ -73,7 +72,7 @@ class TestParse:
         del case["build"]["sanitizer"]
         cfg = load_case(write(tmp_path, "case.json", case), None)
         assert cfg.build.sanitizer == SANITIZER_NONE
-        assert cfg.policy.granularity is Granularity.PatchHunks
+        assert cfg.granularity is Granularity.PatchHunks
         assert cfg.limits.max_reverted_commits == 4
         assert cfg.workspace is None
 
@@ -96,6 +95,9 @@ class TestParse:
             lambda c: c["policy"].update({"fuzz": 1}),
             lambda c: c["policy"].update({"search_window": 200}),
             lambda c: c["policy"].update({"normalize_trailing_whitespace": False}),
+            # constants, so that a record holds all that decides its final tree
+            lambda c: c["policy"].update({"max_fuzz": 2}),
+            lambda c: c["policy"].update({"skip_budget": 3}),
         ],
     )
     def test_unknown_keys_rejected(self, tmp_path, mutate):
@@ -129,12 +131,6 @@ class TestParse:
         with pytest.raises(ConfigError, match="granularity"):
             load_case(write(tmp_path, "case.json", case), None)
 
-    def test_a_fuzz_above_2_is_rejected_at_load(self, tmp_path):
-        case = full_case()
-        case["policy"]["max_fuzz"] = 3
-        with pytest.raises(ConfigError, match="max_fuzz"):
-            load_case(write(tmp_path, "case.json", case), None)
-
     def test_negative_limit_rejected(self, tmp_path):
         case = full_case()
         case["limits"]["max_reverted_commits"] = -1
@@ -159,7 +155,7 @@ class TestDefaultsMerge:
             "repo": "repo",
             "build": {"steps": ["sh build.sh"], "artifacts": ["pack_tool"], "timeout": 600},
             "poc": {"command": "{binary} {input}", "input": "shared.bin"},
-            "policy": {"max_fuzz": 0},
+            "policy": {"granularity": "chunk"},
         }
         case = {
             "cve": "CVE-2020-1",
@@ -172,7 +168,7 @@ class TestDefaultsMerge:
         assert cfg.build.timeout == 600
         assert cfg.poc.command == "{binary} {input}"
         assert cfg.poc.input_file.endswith("case.bin")
-        assert cfg.policy.max_fuzz == 0
+        assert cfg.granularity is Granularity.ChunkScope
 
     def test_load_case_with_defaults_file(self, tmp_path):
         defaults = {"project": "pack", "repo": "repo",

@@ -58,12 +58,12 @@ from revenant.porter import (
     PROBE_SKIP,
     Limits,
     Porter,
-    PortPolicy,
     PreconditionViolated,
     RevivalRecord,
     SkipBudgetExhausted,
     derive_reverse_patch,
     find_breaking_commit,
+    patch_digest,
     probe_answer,
 )
 
@@ -549,7 +549,7 @@ class TestGranularity:
         porter = make_porter(
             fx,
             tmp_path,
-            policy=PortPolicy(granularity=Granularity.WholeFiles),
+            granularity=Granularity.WholeFiles,
         )
         rec = porter.revive("CVE-0000-0010", "packdemo", [fx.fix], fx.target)
         assert rec.final == FINAL_REVIVED
@@ -560,7 +560,7 @@ class TestGranularity:
         porter = make_porter(
             fx,
             tmp_path,
-            policy=PortPolicy(granularity=Granularity.FunctionScope),
+            granularity=Granularity.FunctionScope,
         )
         rec = porter.revive("CVE-0000-0011", "packdemo", [fx.fix], fx.target)
         assert rec.final == FINAL_REVIVED
@@ -572,7 +572,7 @@ class TestGranularity:
         rb.commit({"a.txt": "a fixed\n", "b.txt": "b fixed\n"}, "fix")
         rb.commit({}, "drop b.txt", delete=["b.txt"])
         with ReferencePorter(rb.root, *NO_BUILD, tmp_path, build=False,
-                             policy=PortPolicy(granularity=granularity)) as porter:
+                             granularity=granularity) as porter:
             assert porter.attempt("t2", (), ["t1"]).verdict.kind == KIND_PORT_CONFLICT
             assert porter.attempt("t1", (), ["t1"]).verdict.kind == KIND_TRIGGERED
 
@@ -585,7 +585,7 @@ class TestGranularity:
         rb.commit({"lib.c": LIB_C_FIXED, "limits.h": "#define MAX_LEN 32\n"}, "fix")
         rb.commit({"lib.c": "/* lib.c */\n/* demo */\n\n" + LIB_C_FIXED}, "banner")
         with Porter(rb.root, *NO_BUILD, oracle=RecordingOracle(tmp_path / "verdicts"),
-                    policy=PortPolicy(granularity=granularity), limits=Limits(),
+                    granularity=granularity, limits=Limits(),
                     scratch_dir=tmp_path / "scratch") as porter:
             rec = porter.revive("CVE-0000-0012", "demo", ["t1"], "t2")
         assert rec.final == FINAL_REVIVED
@@ -594,6 +594,17 @@ class TestGranularity:
         assert rec.port_digest == (
             "95d9882ebd1b9aed0731d4275ddd9137de24f78ae2e3103cc4d66aa5324d20bd"
         )
+        # the record alone decides its final tree: a fresh porter at the
+        # record's granularity makes the same edits from its fields
+        with Porter(rb.root, *NO_BUILD, oracle=RecordingOracle(tmp_path / "replay"),
+                    granularity=Granularity(rec.granularity), limits=Limits(),
+                    scratch_dir=tmp_path / "replay-scratch") as fresh:
+            replay = fresh.edit(CommitTree(fresh.commits, rec.target),
+                                rec.revert_stack, rec.fix_commits)
+            assert patch_digest(fresh.reverse_patch(rec.fix_commits)) == rec.port_digest
+        assert replay.verdict is None
+        assert (replay.hunks_applied, replay.files_touched, replay.regions) == (
+            rec.effort["hunks_applied"], rec.effort["files_touched"], rec.touched_regions)
 
 
 def test_a_revert_region_is_where_the_revert_applied(tmp_path):
@@ -622,7 +633,7 @@ def test_a_revert_region_moves_with_the_lines_a_later_edit_adds_above_it(tmp_pat
     rb.commit({"a.txt": fixed}, "fix drops line 1")
     rb.commit({"a.txt": fixed.replace("line 20\n", "line 20 broken\n")}, "breaker")
     with Porter(rb.root, *NO_BUILD, oracle=RecordingOracle(tmp_path / "verdicts"),
-                policy=PortPolicy(), limits=Limits(),
+                limits=Limits(),
                 scratch_dir=tmp_path / "scratch") as porter:
         tree = CommitTree(porter.commits, "t2")
         att = porter.edit(tree, ["t2"], ["t1"])
@@ -655,7 +666,7 @@ def test_an_aborted_record_keeps_its_conflict_verdict(tmp_path, granularity, max
     rb.commit({"a.txt": "guard\ncheck thrice\n"}, "rewrites the breaker's line")
     with Porter(rb.root, *NO_BUILD, oracle=RecordingOracle(tmp_path / "verdicts"),
                 limits=Limits(max_reverted_commits=max_reverted),
-                policy=PortPolicy(granularity=granularity),
+                granularity=granularity,
                 scratch_dir=tmp_path / "scratch") as porter:
         rec = porter.revive("CVE-0000-0016", "demo", ["t1"], target)
     assert (rec.final, rec.abort_reason) == (FINAL_ABORTED, ABORT_COMPLEXITY)
