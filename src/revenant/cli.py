@@ -269,7 +269,13 @@ def cmd_manifest(args) -> int:
         if not record_path.exists():
             print(f"error: no revival record for {cfg.cve}; run revive first", file=sys.stderr)
             return EXIT_PRECONDITION
-        records.append(RevivalRecord.from_json(record_path.read_text("utf-8")))
+        record = RevivalRecord.from_json(record_path.read_text("utf-8"))
+        if record.cve != cfg.cve:
+            # a case renamed after revive, or a copied case directory
+            print(f"error: the revival record {record_path} is for {record.cve}, "
+                  f"its config names {cfg.cve}; run revive again", file=sys.stderr)
+            return EXIT_PRECONDITION
+        records.append(record)
 
     functionality = None
     if args.suite:

@@ -766,11 +766,12 @@ class BuildSlot:
 
     The slot also records which tracked files were read, when the file
     system keeps atimes (`traces`, checked on a canary file when the slot
-    is made).  `sync` leaves every tracked file with atime 0, keeping its
+    is made).  `sync` gives each file it writes atime 0, keeping its
     mtime; after the build and the PoC run, `note_reads` adds each file
-    whose atime rose to the slot's read set.  The set holds every read
-    since the last wipe, because an incremental build reads only what it
-    redoes, yet its products depend on what earlier builds read.
+    whose atime rose from 0 to the slot's read set.  The set holds every
+    read since the last wipe, because an incremental build reads only what
+    it redoes, yet its products depend on what earlier builds read; so a
+    file read once stays in it, and its atime is not reset.
 
     A slot holds an exclusive `flock` on its home until it is closed.
     Making a slot removes every sibling `oracle-*` home whose lock is free,
@@ -820,7 +821,6 @@ class BuildSlot:
             self._identity = identity
         seen = set()
         changed = []
-        read = []  # unchanged files whose atime a read moved
         for rel, mode, oid in tree.entries():
             seen.add(rel)
             known = self._files.get(rel)
@@ -828,8 +828,6 @@ class BuildSlot:
             st = None if known is None else _lstat(self.root / rel)
             if known != (mode, oid, _stat_key(st)):
                 changed.append((rel, mode, oid))
-            elif st.st_atime_ns and mode != MODE_LINK:
-                read.append(rel)
         gone = [rel for rel in self._files if rel not in seen]
         modes = [self._files[rel][0] for rel in gone]
         for rel, mode, _ in changed:
@@ -850,12 +848,6 @@ class BuildSlot:
                 # atime 0: not read yet
                 os.utime(dst, ns=(0, mtime), follow_symlinks=False)
                 self._files[rel] = (mode, oid, _stat_key(_lstat(dst)))
-        if self.traces:
-            for rel in read:
-                path = self.root / rel
-                os.utime(path, ns=(0, os.lstat(path).st_mtime_ns))
-                # utime moved the ctime the stat check compares
-                self._files[rel] = self._files[rel][:2] + (_stat_key(_lstat(path)),)
         for art in recipe.artifact_paths:
             rel = os.path.normpath(art)
             if rel in (".", "..") or os.path.isabs(rel) or rel.startswith("../"):

@@ -41,7 +41,7 @@ def diff_texts(old: str, new: str, path: str) -> FilePatch:
     file: an empty text may be a file that stays."""
     a = _tagged_lines(old)
     b = _tagged_lines(new)
-    fp = FilePatch(path, path, [])
+    fp = FilePatch(path)
 
     matcher = difflib.SequenceMatcher(a=a, b=b, autojunk=False)
     for group in matcher.get_grouped_opcodes(CONTEXT_LINES):
@@ -83,7 +83,7 @@ def whole_file_patch(old: str, new: str, path: str, mode_change: str) -> FilePat
         new_len=len(b),
         lines=lines,
     )
-    fp = FilePatch(path, path, [], mode_change=mode_change)
+    fp = FilePatch(path, mode_change=mode_change)
     if a or b:
         fp.hunks.append(hunk)
     return fp

@@ -1,13 +1,14 @@
 """Data model for unified-diff patches.
 
 A patch is kept as plain data: a SourcePatch holds FilePatches, a FilePatch
-holds Hunks, a Hunk holds tagged lines.  Nothing here touches the filesystem;
-parsing, rendering and application live in sibling modules.
+names one file and holds Hunks, a Hunk holds tagged lines.  Nothing here
+checks a patch or touches the filesystem: the parser checks what it reads,
+and rendering and application live in sibling modules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import List, Tuple
 
@@ -89,18 +90,6 @@ class Hunk:
     new_len: int
     lines: List[HunkLine] = field(default_factory=list)
 
-    def validate(self) -> None:
-        old_n = len(side(self.lines, OLD_SIDE))
-        new_n = len(side(self.lines, NEW_SIDE))
-        if old_n != self.old_len:
-            raise HunkCountMismatch(
-                f"hunk declares {self.old_len} old lines, body has {old_n}"
-            )
-        if new_n != self.new_len:
-            raise HunkCountMismatch(
-                f"hunk declares {self.new_len} new lines, body has {new_n}"
-            )
-
 
 # mode_change values for FilePatch
 MODE_NONE = "none"
@@ -110,42 +99,15 @@ MODE_DELETED = "deleted"
 
 @dataclass
 class FilePatch:
-    old_path: str
-    new_path: str
+    path: str  # the one file the patch edits, creates or deletes
     hunks: List[Hunk] = field(default_factory=list)
     mode_change: str = MODE_NONE
     is_binary: bool = False
-
-    @property
-    def path(self) -> str:
-        # the path the patch is addressed to on the side that exists
-        return self.old_path if self.mode_change != MODE_CREATED else self.new_path
-
-    def validate(self) -> None:
-        if self.is_binary:
-            if self.hunks:
-                raise MalformedHeader("binary file patch cannot carry hunks")
-            return
-        prev_end = 0
-        for h in self.hunks:
-            h.validate()
-            # insertion hunks (old_len == 0) sit between lines; treat their
-            # occupied old span as empty at position old_start
-            begin = h.old_start if h.old_len else h.old_start + 1
-            if begin < prev_end:
-                raise MalformedHeader(
-                    f"hunks overlap or are out of order near line {h.old_start}"
-                )
-            prev_end = h.old_start + h.old_len
 
 
 @dataclass
 class SourcePatch:
     files: List[FilePatch] = field(default_factory=list)
-
-    def validate(self) -> None:
-        for fp in self.files:
-            fp.validate()
 
 
 def _invert_run(removes: List[HunkLine], adds: List[HunkLine]) -> List[HunkLine]:
@@ -185,12 +147,8 @@ _MODE_INVERSE = {MODE_NONE: MODE_NONE, MODE_CREATED: MODE_DELETED, MODE_DELETED:
 
 
 def invert_file_patch(fp: FilePatch) -> FilePatch:
-    return FilePatch(
-        old_path=fp.new_path,
-        new_path=fp.old_path,
-        hunks=[invert_hunk(h) for h in fp.hunks],
-        mode_change=_MODE_INVERSE[fp.mode_change],
-        is_binary=fp.is_binary,
+    return replace(
+        fp, hunks=[invert_hunk(h) for h in fp.hunks], mode_change=_MODE_INVERSE[fp.mode_change]
     )
 
 

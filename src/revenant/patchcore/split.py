@@ -10,6 +10,7 @@ introduce.
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .applier import apply_file_patch
@@ -95,13 +96,7 @@ def _renumber(hunks: List[Hunk]) -> List[Hunk]:
 
 
 def _part(fp: FilePatch, hunks: List[Hunk]) -> FilePatch:
-    return FilePatch(
-        old_path=fp.old_path,
-        new_path=fp.new_path,
-        hunks=_renumber(hunks),
-        mode_change=fp.mode_change,
-        is_binary=fp.is_binary,
-    )
+    return replace(fp, hunks=_renumber(hunks))
 
 
 def split_by_granularity(

@@ -9,8 +9,10 @@ decoration lines (index, mode, similarity) are skipped, but
 for a file created or deleted empty git writes only `diff --git`, the
 file mode and `index`: such a section becomes a hunkless FilePatch named
 by its `diff --git` header.  A mode change alone (`old mode`/`new mode`)
-is not kept.  Rendering is the inverse minus decoration: parse(render(p))
-gives back a structurally equal patch.
+is not kept.  The parser is the one place a patch is checked: its
+headers, its hunks' counts, and the order of each file's hunks.
+Rendering is the inverse minus decoration: parse(render(p)) gives back a
+structurally equal patch.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .model import (
     MalformedHeader,
     MODE_CREATED,
     MODE_DELETED,
+    MODE_NONE,
     SourcePatch,
     TruncatedHunk,
     _SIGIL_TO_KIND,
@@ -86,15 +89,14 @@ def _clean_path(raw: str) -> str:
 
 def _file_patch(old: str, new: str, is_binary: bool) -> FilePatch:
     """The FilePatch a file header names: a /dev/null side means the file
-    is created or deleted, and takes the name of the other side."""
+    is created or deleted, and takes the name of the other side; any
+    other file takes its `---` name."""
     if old == DEV_NULL and new == DEV_NULL:
         raise MalformedHeader("both sides are /dev/null")
-    fp = FilePatch(old, new, [], is_binary=is_binary)
     if old == DEV_NULL:
-        fp.old_path, fp.mode_change = new, MODE_CREATED
-    elif new == DEV_NULL:
-        fp.new_path, fp.mode_change = old, MODE_DELETED
-    return fp
+        return FilePatch(new, mode_change=MODE_CREATED, is_binary=is_binary)
+    mode = MODE_DELETED if new == DEV_NULL else MODE_NONE
+    return FilePatch(old, mode_change=mode, is_binary=is_binary)
 
 
 def parse_unified_diff(text: str) -> SourcePatch:
@@ -130,7 +132,7 @@ def parse_unified_diff(text: str) -> SourcePatch:
             half = (len(rest) - 1) // 2
             path = _clean_path(rest[:half])
             same = rest[half:half + 1] == " " and _clean_path(rest[half + 1:]) == path
-            bare = FilePatch(path, path, []) if same else None
+            bare = FilePatch(path) if same else None
         elif bare is not None and line.startswith(("new file mode", "deleted file mode")):
             bare.mode_change = MODE_CREATED if line.startswith("new") else MODE_DELETED
             files.append(bare)
@@ -200,16 +202,34 @@ def parse_unified_diff(text: str) -> SourcePatch:
                     raise HunkCountMismatch(
                         f"hunk body continues past declared counts at line {i + 1}"
                     )
-            hunk.validate()
+            # the body ends once both sides reach their counts, so a side
+            # can only run long, by a line the other side still needed
+            if got_old != hunk.old_len:
+                raise HunkCountMismatch(
+                    f"hunk declares {hunk.old_len} old lines, body has {got_old}"
+                )
+            if got_new != hunk.new_len:
+                raise HunkCountMismatch(
+                    f"hunk declares {hunk.new_len} new lines, body has {got_new}"
+                )
             current.hunks.append(hunk)
         # any other line is git decoration (index, mode, rename, similarity)
         # or prose between file sections (mail headers, commit messages):
         # neither carries hunk content, and inside a file section the hunk
         # loop above has consumed every body line
 
-    patch = SourcePatch(files=files)
-    patch.validate()
-    return patch
+    for fp in files:
+        prev_end = 0
+        for h in fp.hunks:
+            # insertion hunks (old_len == 0) sit between lines; treat their
+            # occupied old span as empty at position old_start
+            begin = h.old_start if h.old_len else h.old_start + 1
+            if begin < prev_end:
+                raise MalformedHeader(
+                    f"hunks overlap or are out of order near line {h.old_start}"
+                )
+            prev_end = h.old_start + h.old_len
+    return SourcePatch(files=files)
 
 
 def _fmt_range(start: int, length: int) -> str:
@@ -227,8 +247,8 @@ def render_unified_diff(patch: SourcePatch) -> str:
     paths quoted as git quotes them."""
     out: List[str] = []
     for fp in patch.files:
-        old = DEV_NULL if fp.mode_change == MODE_CREATED else f"a/{fp.old_path}"
-        new = DEV_NULL if fp.mode_change == MODE_DELETED else f"b/{fp.new_path}"
+        old = DEV_NULL if fp.mode_change == MODE_CREATED else f"a/{fp.path}"
+        new = DEV_NULL if fp.mode_change == MODE_DELETED else f"b/{fp.path}"
         if fp.is_binary:
             out.append(f"Binary files {_quote(old)} and {_quote(new)} differ")
             continue

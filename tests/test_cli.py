@@ -346,6 +346,21 @@ class TestReviveAndManifest:
         assert rc == 4
         assert "run revive first" in capsys.readouterr().err
 
+    def test_manifest_refuses_a_record_of_another_cve(self, tmp_path, fixture, capsys):
+        # the case was renamed after revive: its directory holds the old record
+        case = write_case(tmp_path, fixture)
+        assert main(["revive", "--config", str(case)]) == 0
+        renamed = tmp_path / "renamed.json"
+        renamed.write_text(json.dumps({**json.loads(case.read_text()), "cve": "CVE-2021-9998"}))
+        record = tmp_path / "ws" / "CVE-2021-9998" / RECORD_FILE
+        record.parent.mkdir()
+        shutil.copy(tmp_path / "ws" / CVE / RECORD_FILE, record)
+        capsys.readouterr()
+        assert main(["manifest", "--config", str(renamed)]) == 4
+        err = capsys.readouterr().err
+        assert str(record) in err and CVE in err and "CVE-2021-9998" in err
+        assert not (tmp_path / "ws" / "manifest.json").exists()
+
     def test_aborted_revive_exits_3(self, tmp_path, fixture, capsys):
         case = write_case(tmp_path, fixture, limits={"max_reverted_commits": 0})
         rc = main(["revive", "--config", str(case)])

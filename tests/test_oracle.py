@@ -1209,6 +1209,32 @@ class TestTraces:
         assert sorted(store.rglob("*")) == files
         oracle.close()
 
+    @needs_atime
+    def test_a_read_stays_recorded_until_the_slot_is_wiped(self, tmp_path, monkeypatch):
+        # the second tree differs in build.sh alone: its sync writes that
+        # file and leaves crash.sh, which the first build read, as it is
+        trees = [_shell_tree(tmp_path / f"t{i}", f"cp crash.sh tool\n# {i}\n") for i in range(2)]
+        oracle = Oracle(tmp_path / "store", scratch_dir=tmp_path / "scratch")
+        poc = self._poc(tmp_path)
+        assert oracle.verdict(DiskTree(trees[0]), SHELL_RECIPE, poc).kind == KIND_TRIGGERED
+        root, utime, touched = str(oracle._slot.root), os.utime, []
+
+        def spy(path, *args, **kwargs):
+            rel = os.path.relpath(path, root)
+            if not rel.startswith(".."):
+                touched.append(rel)
+            return utime(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "utime", spy)
+        assert oracle.verdict(DiskTree(trees[1]), SHELL_RECIPE, poc).kind == KIND_TRIGGERED
+        monkeypatch.undo()
+        assert touched == ["build.sh"]
+        assert oracle.counters["builds"] == 2
+        reads = [[rel for rel, _, _ in json.loads(trace.read_text())["reads"]]
+                 for trace in (tmp_path / "store").glob("traces/*/*.json")]
+        assert reads == [["build.sh", "crash.sh"]] * 2
+        oracle.close()
+
     def test_a_read_in_an_earlier_incremental_build_counts(self, tmp_path):
         # (a) the read set is the union since the last wipe: the second
         # build reuses obj without reading main.src, which it depends on

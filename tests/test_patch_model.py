@@ -49,8 +49,7 @@ def test_parse_basic_structure():
     p = parse_unified_diff(SAMPLE)
     assert len(p.files) == 1
     fp = p.files[0]
-    assert fp.old_path == "tif_next.c"
-    assert fp.new_path == "tif_next.c"
+    assert fp.path == "tif_next.c"
     assert len(fp.hunks) == 2
     h1, h2 = fp.hunks
     assert (h1.old_start, h1.old_len, h1.new_start, h1.new_len) == (37, 6, 37, 7)
@@ -171,8 +170,52 @@ def test_parse_rejects_overlapping_hunks():
         "+B2\n"
         " c\n"
     )
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(MalformedHeader, match="^hunks overlap or are out of order near line 2$"):
         parse_unified_diff(text)
+
+
+_F = "--- a/f\n+++ b/f\n"
+_OUT_OF_ORDER = _F + "@@ -5 +5 @@\n-a\n+b\n@@ -1 +1 @@\n-c\n+d\n"
+
+
+@pytest.mark.parametrize("text, error, message", [
+    (_F + "@@ -1,1 +1,2 @@\n a\n b\n", HunkCountMismatch,
+     "hunk declares 1 old lines, body has 2"),
+    (_F + "@@ -1,2 +1,1 @@\n a\n b\n", HunkCountMismatch,
+     "hunk declares 1 new lines, body has 2"),
+    (_F + "@@ -1,2 +1,1 @@\n-a\n+b\n", TruncatedHunk,
+     "input ends inside hunk starting at old line 1"),
+    (_F + "@@ -1,1 +1,2 @@\n-a\n+b\n", TruncatedHunk,
+     "input ends inside hunk starting at old line 1"),
+    (_F + "@@ -1,2 +1,1 @@\n-a\n+b\n@@ -5 +4 @@\n-c\n+d\n", TruncatedHunk,
+     "unexpected line inside hunk at line 6: '@@ -5 +4 @@'"),
+    (_OUT_OF_ORDER, MalformedHeader, "hunks overlap or are out of order near line 1"),
+    # a file's hunk order is checked once the whole text is read
+    (_OUT_OF_ORDER + "--- a/g\n+++ b/g\n@@ -1,3 +1,3 @@\n keep\n", TruncatedHunk,
+     "input ends inside hunk starting at old line 1"),
+], ids=["old-side-long", "new-side-long", "old-side-short", "new-side-short",
+        "short-side-meets-next-hunk", "out-of-order",
+        "out-of-order-then-truncated"])
+def test_parse_rejects_a_hunk_that_breaks_its_counts_or_order(text, error, message):
+    with pytest.raises(error) as raised:
+        parse_unified_diff(text)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("text, files", [
+    ("--- a/old.c\n+++ b/new.c\n@@ -1 +1 @@\n-a\n+b\n", [("old.c", "none", False)]),
+    ("Binary files /dev/null and b/n.bin differ\nBinary files a/g.bin and /dev/null differ\n"
+     "Binary files a/x.bin and b/y.bin differ\n",
+     [("n.bin", "created", True), ("g.bin", "deleted", True), ("x.bin", "none", True)]),
+    ("diff --git a/e b/e\nnew file mode 100644\nindex 0000000..e69de29\n"
+     "diff --git a/d b/d\ndeleted file mode 100644\n",
+     [("e", "created", False), ("d", "deleted", False)]),
+], ids=["two-names", "binary", "empty-git-sections"])
+def test_a_file_patch_takes_the_name_of_the_side_that_exists(text, files):
+    # a file on both sides takes its `---` name
+    parsed = parse_unified_diff(text).files
+    assert [(fp.path, fp.mode_change, fp.is_binary) for fp in parsed] == files
 
 
 def test_invert_swaps_adds_and_removes():
@@ -252,10 +295,6 @@ def test_a_trailing_space_in_a_git_header_is_kept():
 
 
 def test_render_omits_len_one_counts():
-    fp = FilePatch(
-        "f",
-        "f",
-        [Hunk(3, 1, 3, 1, [HunkLine(REMOVE, "x"), HunkLine(ADD, "y")])],
-    )
+    fp = FilePatch("f", [Hunk(3, 1, 3, 1, [HunkLine(REMOVE, "x"), HunkLine(ADD, "y")])])
     text = render_unified_diff(SourcePatch([fp]))
     assert "@@ -3 +3 @@" in text
