@@ -388,6 +388,7 @@ def _emit_fast_import(repo: Path, commits: List[_Commit]) -> List[str]:
     }
     subprocess.run(
         ["git", "init", "-q", "-b", "main", str(repo)],
+        stdin=subprocess.DEVNULL,
         check=True,
         env=env,
         capture_output=True,
@@ -443,6 +444,7 @@ def _emit_fast_import(repo: Path, commits: List[_Commit]) -> List[str]:
     )
     out = subprocess.run(
         ["git", "-C", str(repo), "log", "--reverse", "--first-parent", "--format=%H"],
+        stdin=subprocess.DEVNULL,
         check=True,
         env=env,
         capture_output=True,

@@ -31,7 +31,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from .patchcore import (
     CONTEXT_LINES,
-    ApplyReport,
+    MAX_FUZZ,
     PatchConflict,
     SourcePatch,
     apply_patch,
@@ -117,6 +117,7 @@ def run_git(repo: Path, *args: str, check: bool = True) -> subprocess.CompletedP
     """Run git in `repo`; its output is str."""
     proc = subprocess.run(
         ["git", "-C", str(repo), *args],
+        stdin=subprocess.DEVNULL,
         capture_output=True,
         text=True,
         encoding=ENCODING,
@@ -567,9 +568,10 @@ class CommitTree:
     """A commit's files plus edits held in memory: what an attempt builds.
 
     Unedited files are the commit's blobs, as `CommitMemo.listing` gives
-    them; `write` and `delete` record edits and touch no disk.  Files read
-    and write as text (see `decode_text`), and a file written where none
-    was gets mode 100644.  A symlink reads and writes as its target,
+    them; `write` and `delete` record edits and touch no disk, and `read`
+    answers None for a file that is not there.  Files read and write as
+    text (see `decode_text`), and a file written where none was gets mode
+    100644.  A symlink reads and writes as its target,
     as `git apply` treats it.  The committed bytes are used as they are:
     checkout filters (eol conversion, smudge, ident) are not applied.
 
@@ -594,18 +596,13 @@ class CommitTree:
         listed = self._listing.get(relpath)
         return None if listed is None else listed[0]
 
-    def exists(self, relpath: str) -> bool:
-        return self._mode(relpath) is not None
-
-    def read(self, relpath: str) -> str:
+    def read(self, relpath: str) -> Optional[str]:
+        """The file's text, or None when it is absent or deleted."""
         if relpath in self._edits:
             edit = self._edits[relpath]
-            if edit is None:
-                raise FileNotFoundError(relpath)
-            return decode_text(edit[1])
-        if relpath not in self._listing:
-            raise FileNotFoundError(relpath)
-        return self.commits.text(self._listing[relpath][1])
+            return None if edit is None else decode_text(edit[1])
+        listed = self._listing.get(relpath)
+        return None if listed is None else self.commits.text(listed[1])
 
     def write(self, relpath: str, text: str) -> None:
         self._edits[relpath] = (self._mode(relpath) or MODE_FILE, encode_text(text))
@@ -682,18 +679,18 @@ def checkout_worktree(repo: Path, commit: str, dest: Path) -> Worktree:
     return Worktree(repo=repo, commit=commit_id, path=Path(dest))
 
 
-def revert_onto(tree, commit: str, inverse: SourcePatch, max_fuzz: int) -> List[ApplyReport]:
+def revert_onto(tree, commit: str, inverse: SourcePatch) -> List[List[int]]:
     """Apply `inverse`, the inverse of `commit`'s diff (see
     `CommitMemo.inverse`), to `tree` with `patchcore.apply_patch`.
 
     `tree` is a `CommitTree`.  Either every hunk of every touched file
     applies and the files are written, or RevertConflict, naming every
-    conflicting path, is raised and nothing changes.  Returns one report
-    per file of `inverse`.  Hunks match with up to `max_fuzz` context
-    lines dropped.
+    conflicting path, is raised and nothing changes.  Returns the hunk
+    offsets of each file of `inverse`.  Hunks match with up to
+    `patchcore.MAX_FUZZ` context lines dropped.
     """
     try:
-        return apply_patch(tree, inverse.files, max_fuzz)
+        return apply_patch(tree, inverse.files, MAX_FUZZ)
     except PatchConflict as exc:
         paths = ", ".join(exc.reasons)
         raise RevertConflict(f"revert of {commit} conflicts in: {paths}") from None

@@ -33,7 +33,7 @@ import tempfile
 import threading
 import time
 import weakref
-from contextlib import closing, contextmanager
+from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
@@ -216,6 +216,11 @@ class RunResult:
     spawn_error: str = ""
 
 
+def _kill_group(proc: subprocess.Popen) -> None:
+    with suppress(ProcessLookupError):
+        os.killpg(proc.pid, signal.SIGKILL)
+
+
 def run_limited(
     argv: List[str],
     cwd: Path,
@@ -223,38 +228,46 @@ def run_limited(
     timeout: float,
 ) -> RunResult:
     """Run a command under the limits of `LIMITED`, with a wall-clock
-    budget, in its own process group, and return its merged stdout and
-    stderr.  A command that cannot be started, or whose limits cannot be
-    set, gives `spawn_error`.  On a timeout the group is killed and what
-    the pipe yields within `DRAIN_DEADLINE` is returned."""
+    budget, in its own process group, reading /dev/null, and return its
+    merged stdout and stderr.  A command that cannot be started, or whose
+    limits cannot be set, gives `spawn_error`.  On a timeout the group is
+    killed and what the pipe yields within `DRAIN_DEADLINE` is returned.
+    A wait that anything else interrupts, such as KeyboardInterrupt,
+    kills the group too, and the interruption propagates."""
     t0 = time.monotonic()
     try:
         proc = subprocess.Popen(
             ["/bin/sh", "-c", LIMITED, LAUNCHER, *argv],
             cwd=str(cwd),
             env=env,
+            stdin=subprocess.DEVNULL,
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             start_new_session=True,
         )
     except OSError as exc:
         return RunResult(-1, "", time.monotonic() - t0, False, spawn_error=str(exc))
-    timed_out = False
     try:
-        out, _ = proc.communicate(timeout=timeout)
-    except subprocess.TimeoutExpired:
-        timed_out = True
+        timed_out = False
         try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        try:
-            out, _ = proc.communicate(timeout=DRAIN_DEADLINE)
-        except subprocess.TimeoutExpired as exc:
-            out = exc.output  # all the pipe gave, over both waits
-            proc.kill()  # in case it left its group, so the wait ends
-            proc.stdout.close()
-            proc.wait()
+            out, _ = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            timed_out = True
+            _kill_group(proc)
+            try:
+                out, _ = proc.communicate(timeout=DRAIN_DEADLINE)
+            except subprocess.TimeoutExpired as exc:
+                out = exc.output  # all the pipe gave, over both waits
+                proc.kill()  # in case it left its group, so the wait ends
+                proc.stdout.close()
+                proc.wait()
+    except BaseException:
+        # the group is in its own session, so a terminal's SIGINT never
+        # reached it: nothing would stop it after we are gone
+        _kill_group(proc)
+        proc.wait()
+        proc.stdout.close()
+        raise
     wall = time.monotonic() - t0
     text = out.decode("utf-8", errors="replace") if out else ""
     if proc.returncode != 0 and text.startswith(f"{LAUNCHER}:"):

@@ -13,13 +13,11 @@ from .model import (
     invert,
 )
 from .applier import (
-    ApplyReport,
     CONFLICT_EXISTS,
     CONFLICT_MISSING,
     MAX_FUZZ,
     PatchConflict,
     apply_patch,
-    tree_reader,
 )
 from .diffgen import CONTEXT_LINES, diff_trees
 from .split import split_by_granularity
@@ -28,7 +26,6 @@ from .unidiff import parse_unified_diff, render_unified_diff
 __all__ = [
     "CONTEXT",
     "REMOVE",
-    "ApplyReport",
     "CONFLICT_EXISTS",
     "CONFLICT_MISSING",
     "CONTEXT_LINES",
@@ -44,5 +41,4 @@ __all__ = [
     "parse_unified_diff",
     "render_unified_diff",
     "split_by_granularity",
-    "tree_reader",
 ]

@@ -8,16 +8,18 @@ hunk is rejected rather than guessed.  The first hunk that finds no anchor,
 or an ambiguous one, rejects the whole file: nothing of it is applied.
 
 With max_fuzz=0 and search_window=0 the behavior is strict application:
-every hunk must match byte-exactly at its declared position.
+every hunk must match byte-exactly at its declared position.  Applying
+reports, per hunk, its offset: how far from its declared line it applied.
 
-`apply_patch` is the one way a whole patch is applied to a tree: it
-writes every file's result when no file conflicted, else nothing.
+`apply_patch` is the one way a whole patch is applied to a tree, and the
+one judge of a patch: it refuses a file created where one exists, a
+missing file, a binary patch and a rejected hunk, and writes every file's
+result when no file conflicted, else nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .model import (
     CONTEXT,
@@ -28,7 +30,7 @@ from .model import (
     FilePatch,
     HunkLine,
     HunkRejected,
-    PatchApplyError,
+    PatchError,
     join_lines,
     side,
     split_lines,
@@ -43,13 +45,7 @@ CONFLICT_BINARY = "binary"  # a binary patch, which cannot apply textually
 CONFLICT_REJECTED = "rejected"  # a hunk found no anchor, or an ambiguous one
 
 
-@dataclass
-class ApplyReport:
-    path: str
-    offsets: List[int]  # each applied hunk's displacement from its declared line
-
-
-class PatchConflict(PatchApplyError):
+class PatchConflict(PatchError):
     """A patch that `apply_patch` did not apply.  `reasons` maps each
     conflicting path to its CONFLICT_* reason, in patch order."""
 
@@ -118,20 +114,16 @@ def apply_file_patch(
     fp: FilePatch,
     max_fuzz: int = 0,
     search_window: int = 200,
-) -> Tuple[str, ApplyReport]:
-    """Apply one FilePatch to file content, hunk by hunk.
+) -> Tuple[str, List[int]]:
+    """Apply one FilePatch's hunks to file content, with up to `max_fuzz`
+    (0 to MAX_FUZZ) context lines dropped; return the new content and each
+    hunk's offset, in order.
 
     Every hunk applies, or HunkRejected names the first one (counted from
-    1) that found no anchor or an ambiguous one.  Binary patches are
-    refused outright.
+    1) that found no anchor or an ambiguous one.
     """
-    if fp.is_binary:
-        raise HunkRejected(f"{fp.path}: binary files cannot be patched textually")
-    if not 0 <= max_fuzz <= MAX_FUZZ:
-        raise ValueError(f"max_fuzz must be 0 to {MAX_FUZZ}")
-
     buf, final_nl = split_lines(content)
-    report = ApplyReport(fp.path, [])
+    offsets: List[int] = []
     delta = 0  # net line drift caused by already-applied hunks
     floor = 0  # first buffer index not owned by a previous hunk
 
@@ -184,21 +176,16 @@ def apply_file_patch(
             final_nl = new_pat[-1].newline
         delta += len(new_pat) - len(old_pat)
         floor = pos + len(new_pat)
-        report.offsets.append(off)
+        offsets.append(off)
 
-    return join_lines(buf, final_nl), report
-
-
-def tree_reader(tree) -> Callable[[str], Optional[str]]:
-    """Read `tree` (anything with `exists` and `read`) as `apply_patch`
-    does: a file's text, or None when it is absent."""
-    return lambda relpath: tree.read(relpath) if tree.exists(relpath) else None
+    return join_lines(buf, final_nl), offsets
 
 
-def apply_patch(tree, files: Sequence[FilePatch], max_fuzz: int) -> List[ApplyReport]:
+def apply_patch(tree, files: Sequence[FilePatch], max_fuzz: int) -> List[List[int]]:
     """Apply every FilePatch in `files` to `tree` (a `gitio.CommitTree`,
-    or anything with its `exists`, `read`, `write` and `delete`),
-    atomically, and return one report per FilePatch, in order.
+    or anything with its `read`, `write` and `delete`; `read` gives None
+    for an absent file), atomically, and return each FilePatch's hunk
+    offsets, in order.
 
     Every file's result is staged in memory first; a later FilePatch on
     a path sees the text staged for it so far.  A file created where one
@@ -208,12 +195,11 @@ def apply_patch(tree, files: Sequence[FilePatch], max_fuzz: int) -> List[ApplyRe
     nothing is, and PatchConflict names every conflicting path.  Hunks
     match with up to `max_fuzz` context lines dropped.
     """
-    read = tree_reader(tree)
     staged: Dict[str, Optional[str]] = {}  # None: deleted
-    reports: List[ApplyReport] = []
+    applied: List[List[int]] = []
     conflicts: Dict[str, str] = {}
     for fp in files:
-        text = staged[fp.path] if fp.path in staged else read(fp.path)
+        text = staged[fp.path] if fp.path in staged else tree.read(fp.path)
         created = fp.mode_change == MODE_CREATED
         conflict = None
         if created and text is not None:
@@ -224,13 +210,13 @@ def apply_patch(tree, files: Sequence[FilePatch], max_fuzz: int) -> List[ApplyRe
             conflict = CONFLICT_BINARY
         else:
             try:
-                new_text, report = apply_file_patch(text or "", fp, max_fuzz=max_fuzz)
+                new_text, offsets = apply_file_patch(text or "", fp, max_fuzz=max_fuzz)
             except HunkRejected:
                 conflict = CONFLICT_REJECTED
         if conflict is not None:
             conflicts.setdefault(fp.path, conflict)
         else:
-            reports.append(report)
+            applied.append(offsets)
             staged[fp.path] = None if fp.mode_change == MODE_DELETED else new_text
     if conflicts:
         raise PatchConflict(conflicts)
@@ -239,4 +225,4 @@ def apply_patch(tree, files: Sequence[FilePatch], max_fuzz: int) -> List[ApplyRe
             tree.delete(path)
         else:
             tree.write(path, text)
-    return reports
+    return applied

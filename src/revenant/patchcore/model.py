@@ -3,7 +3,9 @@
 A patch is kept as plain data: a SourcePatch holds FilePatches, a FilePatch
 names one file and holds Hunks, a Hunk holds tagged lines.  Nothing here
 checks a patch or touches the filesystem: the parser checks what it reads,
-and rendering and application live in sibling modules.
+and rendering and application live in sibling modules.  Every error of the
+patch layer is a PatchError: the parser's three kinds, HunkRejected from
+applying one file, and the applier's PatchConflict.
 """
 
 from __future__ import annotations
@@ -37,31 +39,19 @@ class PatchError(Exception):
     """Base class for everything raised by the patch layer."""
 
 
-class PatchParseError(PatchError):
+class MalformedHeader(PatchError):
     pass
 
 
-class MalformedHeader(PatchParseError):
+class HunkCountMismatch(PatchError):
     pass
 
 
-class HunkCountMismatch(PatchParseError):
+class TruncatedHunk(PatchError):
     pass
 
 
-class TruncatedHunk(PatchParseError):
-    pass
-
-
-class PatchApplyError(PatchError):
-    pass
-
-
-class HunkRejected(PatchApplyError):
-    pass
-
-
-class FunctionBoundaryUnavailable(PatchError):
+class HunkRejected(PatchError):
     pass
 
 

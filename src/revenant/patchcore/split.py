@@ -4,7 +4,8 @@ four granularities.
 Applied in order, the parts are equivalent to the input.  New-side start
 lines are renumbered so each part stands alone; applying the parts in order
 relies on the applier's offset search to absorb the drift the earlier parts
-introduce.
+introduce.  Splitting judges no patch: a binary patch, or one on an absent
+file, is left whole for `apply_patch` to refuse.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .diffgen import whole_file_patch
 from .model import (
     MODE_CREATED,
     FilePatch,
-    FunctionBoundaryUnavailable,
     Granularity,
     Hunk,
     SourcePatch,
@@ -36,8 +36,7 @@ def locate_functions(text: str) -> List[Tuple[str, int, int]]:
     """Best-effort (name, first_line, last_line) spans, 1-based inclusive.
 
     Brace-balance scanning from lines that look like function definitions.
-    Raises FunctionBoundaryUnavailable when nothing parseable is found or a
-    body never closes.
+    Returns [] when no line looks like one, or when a body never closes.
     """
     lines, _ = split_lines(text)
     spans: List[Tuple[str, int, int]] = []
@@ -66,17 +65,13 @@ def locate_functions(text: str) -> List[Tuple[str, int, int]]:
             if not opened and j > i + 2:
                 break  # not a definition after all (no body in sight)
             j += 1
-        if not opened or depth > 0:
-            if opened:
-                raise FunctionBoundaryUnavailable(
-                    f"unbalanced braces in function starting at line {start + 1}"
-                )
+        if opened and depth > 0:
+            return []
+        if not opened:
             i += 1
             continue
         spans.append((name, start + 1, j + 1))
         i = j + 1
-    if not spans:
-        raise FunctionBoundaryUnavailable("no function definitions recognized")
     return spans
 
 
@@ -138,10 +133,7 @@ def split_by_granularity(
         elif created:
             out.append(fp)
         else:
-            try:
-                spans = locate_functions(old)
-            except FunctionBoundaryUnavailable:
-                spans = []
+            spans = locate_functions(old)
             groups: Dict[object, List[Hunk]] = {}
             for k, h in enumerate(fp.hunks):
                 end = h.old_start + max(h.old_len - 1, 0)

@@ -19,7 +19,6 @@ from .patchcore import (
     CONFLICT_EXISTS,
     CONFLICT_MISSING,
     MAX_FUZZ,
-    ApplyReport,
     FilePatch,
     Granularity,
     PatchConflict,
@@ -30,7 +29,6 @@ from .patchcore import (
     invert,
     render_unified_diff,
     split_by_granularity,
-    tree_reader,
 )
 from .gitio import CommitMemo, CommitTree, RevertConflict, revert_onto
 from .gitio import checkout_worktree  # noqa: F401 - see below
@@ -126,7 +124,7 @@ def derive_reverse_patch(commits: CommitMemo, fix_commits: Sequence[str]) -> Sou
         raise PortError(f"fix {first.short_id} has no parent")
     tree = CommitTree(commits, first.parents[0])
     paths = sorted({fp.path for d in diffs for fp in d.files})
-    before = {p: tree.read(p) for p in paths if tree.exists(p)}
+    before = {p: text for p in paths if (text := tree.read(p)) is not None}
     for commit, diff in zip(fix_commits, diffs):
         try:
             apply_patch(tree, diff.files, max_fuzz=0)
@@ -135,7 +133,8 @@ def derive_reverse_patch(commits: CommitMemo, fix_commits: Sequence[str]) -> Sou
             message = _COMPOSITION_CONFLICT.get(reason, "{commit}: does not apply cleanly to {path}")
             raise CompositionConflict(message.format(commit=commit, path=path)) from None
 
-    return invert(diff_trees(before, {p: tree.read(p) for p in paths if tree.exists(p)}))
+    after = {p: text for p in paths if (text := tree.read(p)) is not None}
+    return invert(diff_trees(before, after))
 
 
 _COMPOSITION_CONFLICT = {
@@ -212,13 +211,12 @@ def find_breaking_commit(
 # ---------- attempts ----------
 
 
-def _regions(files: Sequence[FilePatch], reports: Sequence[ApplyReport]) -> List[dict]:
+def _regions(files: Sequence[FilePatch], offsets: Sequence[List[int]]) -> List[dict]:
     """The lines each applied hunk of `files` covers in the patched text,
-    where its report's offset says it applied; a file whose report has no
-    offsets (one a revert skipped) has none."""
+    where its offset (see `apply_patch`) says it applied."""
     regions = []
-    for fp, report in zip(files, reports):
-        for hunk, offset in zip(fp.hunks, report.offsets):
+    for fp, file_offsets in zip(files, offsets):
+        for hunk, offset in zip(fp.hunks, file_offsets):
             start = max(1, hunk.new_start + offset)
             regions.append(
                 {"file": fp.path, "start": start, "end": start + max(hunk.new_len, 1) - 1}
@@ -226,15 +224,15 @@ def _regions(files: Sequence[FilePatch], reports: Sequence[ApplyReport]) -> List
     return regions
 
 
-def _shift(regions: List[dict], files: Sequence[FilePatch], reports: Sequence[ApplyReport]) -> None:
+def _shift(regions: List[dict], files: Sequence[FilePatch], offsets: Sequence[List[int]]) -> None:
     """Move each of `regions`, lines of the text `files` then applied to,
     by the net line count of every hunk of `files` that applied wholly above
     it in its file; a region that a hunk overlaps stays where it is."""
-    for fp, report in zip(files, reports):
+    for fp, file_offsets in zip(files, offsets):
         # each hunk's last old line where it applied (for an insertion, the
         # line it follows), and the lines it added net
         moves = [(hunk.old_start + offset + hunk.old_len - (hunk.old_len > 0),
-                  hunk.new_len - hunk.old_len) for hunk, offset in zip(fp.hunks, report.offsets)]
+                  hunk.new_len - hunk.old_len) for hunk, offset in zip(fp.hunks, file_offsets)]
         for region in regions:
             if region["file"] == fp.path:
                 delta = sum(lines for last, lines in moves if last < region["start"])
@@ -389,22 +387,22 @@ class Porter:
         for breaker in reverts_newest_first:
             inverse = self.commits.inverse(breaker)
             try:
-                reports = revert_onto(tree, breaker, inverse, max_fuzz=MAX_FUZZ)
+                offsets = revert_onto(tree, breaker, inverse)
             except RevertConflict as exc:
                 return AttemptResult(OracleVerdict(KIND_REVERT_CONFLICT, evidence=str(exc)))
-            _shift(reverted, inverse.files, reports)
-            reverted += _regions(inverse.files, reports)
+            _shift(reverted, inverse.files, offsets)
+            reverted += _regions(inverse.files, offsets)
         try:
-            files = split_by_granularity(reverse, self.granularity, tree_reader(tree))
-            reports = apply_patch(tree, files, max_fuzz=MAX_FUZZ)
+            files = split_by_granularity(reverse, self.granularity, tree.read)
+            offsets = apply_patch(tree, files, max_fuzz=MAX_FUZZ)
         except PatchError as exc:
             return AttemptResult(OracleVerdict(
                 KIND_PORT_CONFLICT, evidence=f"reverse patch does not apply at {tree.commit}: {exc}"
             ))
-        _shift(reverted, files, reports)
-        hunks = sum(len(report.offsets) for report in reports)
+        _shift(reverted, files, offsets)
+        hunks = sum(map(len, offsets))
         return AttemptResult(
-            None, len({fp.path for fp in files}), hunks, _regions(files, reports) + reverted
+            None, len({fp.path for fp in files}), hunks, _regions(files, offsets) + reverted
         )
 
     def attempt(

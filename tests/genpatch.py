@@ -81,18 +81,15 @@ def gen_pair(rng: random.Random, unique: bool = False) -> Tuple[str, str]:
 
 class DictTree:
     """Files held in a dict, with the calls `apply_patch` makes and a
-    list of the paths it read."""
+    list of the paths it read; an absent file reads as None."""
 
     def __init__(self, files):
         self.files = dict(files)
         self.reads = []
 
-    def exists(self, path):
-        return path in self.files
-
     def read(self, path):
         self.reads.append(path)
-        return self.files[path]
+        return self.files.get(path)
 
     def write(self, path, text):
         self.files[path] = text

@@ -182,16 +182,14 @@ class DiskTree:
         self.root = Path(root)
         self.commit = commit
 
-    def read(self, relpath: str) -> str:
-        return decode_text((self.root / relpath).read_bytes())
+    def read(self, relpath: str) -> Optional[str]:
+        path = self.root / relpath
+        return decode_text(path.read_bytes()) if path.is_file() else None
 
     def write(self, relpath: str, text: str) -> None:
         path = self.root / relpath
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(encode_text(text))
-
-    def exists(self, relpath: str) -> bool:
-        return (self.root / relpath).is_file()
 
     def delete(self, relpath: str) -> None:
         (self.root / relpath).unlink(missing_ok=True)

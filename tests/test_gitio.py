@@ -314,8 +314,7 @@ def test_revert_onto_restores_previous_content(repo, tmp_path):
     repo.commit({"src/main.c": TEN.replace("line 5\n", "line 5 fixed\n")}, "fix")
     with checkout_worktree(repo.root, "t1", tmp_path / "wt") as wt:
         disk = DiskTree(wt.path)
-        reports = revert_onto(disk, "t1", inverse_of(repo, "t1"), max_fuzz=0)
-        assert [r.offsets for r in reports] == [[0]]
+        assert revert_onto(disk, "t1", inverse_of(repo, "t1")) == [[0]]
         assert disk.read("src/main.c") == TEN
 
 
@@ -323,8 +322,8 @@ def test_revert_onto_handles_created_and_deleted_files(repo, tmp_path):
     repo.commit({"new.txt": "fresh\n"}, "add file", delete=["README"])
     with checkout_worktree(repo.root, "t1", tmp_path / "wt") as wt:
         disk = DiskTree(wt.path)
-        revert_onto(disk, "t1", inverse_of(repo, "t1"), max_fuzz=0)
-        assert not disk.exists("new.txt")
+        revert_onto(disk, "t1", inverse_of(repo, "t1"))
+        assert disk.read("new.txt") is None
         assert disk.read("README") == "hello\n"
 
 
@@ -339,7 +338,7 @@ def test_revert_onto_is_atomic_on_conflict(repo, tmp_path):
         disk.write("src/main.c", "completely different\n")
         before_readme = disk.read("README")
         with pytest.raises(RevertConflict) as exc:
-            revert_onto(disk, "t1", inverse_of(repo, "t1"), max_fuzz=0)
+            revert_onto(disk, "t1", inverse_of(repo, "t1"))
         assert disk.read("README") == before_readme
         assert disk.read("src/main.c") == "completely different\n"
         assert "src/main.c" in str(exc.value)
@@ -373,7 +372,7 @@ def test_reverting_a_commit_whose_file_a_later_commit_deleted_conflicts(repo):
         tree = CommitTree(memo, "t2")
         before = tree.entries()
         with pytest.raises(RevertConflict) as exc:
-            revert_onto(tree, "t1", memo.inverse("t1"), max_fuzz=0)
+            revert_onto(tree, "t1", memo.inverse("t1"))
         assert str(exc.value).endswith("conflicts in: README")
         assert tree.entries() == before
 
@@ -385,10 +384,10 @@ def test_reverting_a_commit_that_adds_or_deletes_an_empty_file(repo):
     with CommitMemo(repo.root) as memo:
         assert [fp.path for fp in memo.diff("t1").files] == list(memo.touched("t1"))
         added = CommitTree(memo, "t1")
-        revert_onto(added, "t1", memo.inverse("t1"), max_fuzz=0)
-        assert not added.exists("e.txt")
+        revert_onto(added, "t1", memo.inverse("t1"))
+        assert added.read("e.txt") is None
         deleted = CommitTree(memo, "t2")
-        revert_onto(deleted, "t2", memo.inverse("t2"), max_fuzz=0)
+        revert_onto(deleted, "t2", memo.inverse("t2"))
         assert deleted.read("e.txt") == ""
 
 
@@ -399,8 +398,9 @@ def test_reverting_a_commit_restores_files_whose_names_git_quotes(repo):
     with CommitMemo(repo.root) as memo:
         assert sorted(fp.path for fp in memo.diff("t2").files) == sorted(memo.touched("t2"))
         tree = CommitTree(memo, "t2")
-        reports = revert_onto(tree, "t2", memo.inverse("t2"), max_fuzz=0)
-        assert sorted(r.path for r in reports) == sorted(names)
+        inverse = memo.inverse("t2")
+        assert sorted(fp.path for fp in inverse.files) == sorted(names)
+        assert revert_onto(tree, "t2", inverse) == [[0]] * len(names)
         assert {name: tree.read(name) for name in names} == dict.fromkeys(names, TEN)
 
 
@@ -411,8 +411,9 @@ def test_reverting_a_commit_restores_a_file_whose_name_ends_in_a_space(repo):
     with CommitMemo(repo.root) as memo:
         assert sorted(fp.path for fp in memo.diff("t2").files) == sorted(names)
         tree = CommitTree(memo, "t2")
-        reports = revert_onto(tree, "t2", memo.inverse("t2"), max_fuzz=0)
-        assert sorted(r.path for r in reports) == sorted(names)
+        inverse = memo.inverse("t2")
+        assert sorted(fp.path for fp in inverse.files) == sorted(names)
+        assert revert_onto(tree, "t2", inverse) == [[0]] * len(names)
         assert {name: tree.read(name) for name in names} == dict.fromkeys(names, TEN)
         assert "tail.c" not in {path for path, _, _ in tree.entries()}
 
@@ -425,7 +426,7 @@ def test_a_revert_and_a_port_keep_the_line_endings_of_a_file(repo):
     with CommitMemo(repo.root) as memo:
         assert "two\r" in [line.text for line in memo.diff("t2").files[0].hunks[0].lines]
         tree = CommitTree(memo, "t2")
-        revert_onto(tree, "t2", memo.inverse("t2"), max_fuzz=0)
+        revert_onto(tree, "t2", memo.inverse("t2"))
         assert tree.read("f.txt") == crlf
         assert tree.entries() == CommitTree(memo, "t1").entries()
         # the reverse port of the two edits, composed
@@ -479,11 +480,11 @@ def test_revert_dependent_commits_newest_first(repo, tmp_path):
     )
     with checkout_worktree(repo.root, "t2", tmp_path / "wt1") as wt:
         with pytest.raises(RevertConflict):  # A alone cannot come off
-            revert_onto(DiskTree(wt.path), "t1", inverse_of(repo, "t1"), max_fuzz=0)
+            revert_onto(DiskTree(wt.path), "t1", inverse_of(repo, "t1"))
     with checkout_worktree(repo.root, "t2", tmp_path / "wt2") as wt:
         disk = DiskTree(wt.path)
-        revert_onto(disk, "t2", inverse_of(repo, "t2"), max_fuzz=0)  # newest first
-        revert_onto(disk, "t1", inverse_of(repo, "t1"), max_fuzz=0)
+        revert_onto(disk, "t2", inverse_of(repo, "t2"))  # newest first
+        revert_onto(disk, "t1", inverse_of(repo, "t1"))
         assert disk.read("src/main.c") == TEN
 
 

@@ -22,7 +22,9 @@ reaches the function's name, so a default says what most callers get,
 and some call there passes each, so a default that no caller changes is
 a constant instead.  `revenant.forge`, the fixture library that the tests and the benchmark
 share, is not checked.  No module of `src/` but `gitio` reaches the
-checkout machinery that only the benchmark still looks up.
+checkout machinery that only the benchmark still looks up.  Every child
+that `src/` starts through `subprocess` is handed its stdin, by `stdin=`
+or `input=`, so none reads the caller's.
 """
 
 from __future__ import annotations
@@ -310,6 +312,24 @@ def checkout_references(sources: dict) -> list:
     return sorted(found)
 
 
+# the `subprocess` calls that start a child
+SPAWNS = frozenset(f"subprocess.{name}"
+                   for name in ("run", "Popen", "call", "check_call", "check_output"))
+
+
+def unfenced_children(sources: dict) -> list:
+    """`path:line` of each call of `SPAWNS` in `sources` (path -> source)
+    that passes neither `stdin=` nor `input=` by keyword, so that its
+    child reads the caller's stdin."""
+    found = []
+    for path, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Call) and _dotted(node.func) in SPAWNS
+                    and not {k.arg for k in node.keywords} & {"stdin", "input"}):
+                found.append(f"{path}:{node.lineno}")
+    return sorted(found)
+
+
 def _src_and_callers() -> tuple:
     """The modules of `src/` but forge, and the modules that call them:
     `bench/` and forge, the fixture library that the tests and the
@@ -384,6 +404,30 @@ def test_only_gitio_reaches_the_checkout_machinery():
                for path in sorted((ROOT / "src").rglob("*.py"))}
     assert "src/revenant/porter.py" in sources
     assert checkout_references(sources) == []
+
+
+def test_every_child_in_src_is_handed_its_stdin():
+    """A build step, a PoC run or git that read revenant's own stdin would
+    answer by what the caller piped in, and a stored verdict would keep
+    that answer."""
+    sources = {str(path.relative_to(ROOT)): path.read_text("utf-8")
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert "src/revenant/oracle.py" in sources
+    assert unfenced_children(sources) == []
+
+
+def test_the_fence_sees_a_child_that_reads_the_callers_stdin():
+    sources = {
+        "a.py": (
+            "import subprocess\n"
+            "subprocess.run(['git', 'log'], capture_output=True)\n"
+            "subprocess.run(['git', 'fast-import'], input=b'')\n"
+            "proc = subprocess.Popen(['sh'], stdin=subprocess.DEVNULL)\n"
+            "subprocess.Popen(['cat'], stdout=subprocess.PIPE, **{'stdin': None})\n"
+            "subprocess.check_output(['true'])\n"
+        ),
+    }
+    assert unfenced_children(sources) == ["a.py:2", "a.py:5", "a.py:6"]
 
 
 def test_the_fence_sees_a_reference_to_the_checkout_machinery():

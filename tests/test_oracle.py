@@ -325,6 +325,52 @@ class TestLaunches:
         v = run_poc_in_place([str(tool)], poc, cwd=tmp_path)
         assert (v.kind, v.evidence) == (KIND_NOT_TRIGGERED, "no shebang\n")
 
+    @staticmethod
+    def _caller(tmp_path, argv, **popen) -> subprocess.Popen:
+        """A Python process that calls `run_limited` on `argv` in `tmp_path`
+        and prints the run's output."""
+        script = textwrap.dedent(f"""\
+            import sys
+            sys.path.insert(0, {str(Path(oracle_mod.__file__).parents[1])!r})
+            from revenant.oracle import run_limited
+            env = {{"PATH": {os.environ["PATH"]!r}}}
+            print(repr(run_limited({argv!r}, {str(tmp_path)!r}, env, 120).output))
+            """)
+        return subprocess.Popen([sys.executable, "-c", script], **popen)
+
+    def test_a_run_reads_none_of_its_callers_stdin(self, tmp_path):
+        caller = self._caller(tmp_path, ["sh", "-c", "cat"],
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        out, _ = caller.communicate(b"secret\n", timeout=60)
+        assert (caller.returncode, out) == (0, b"''\n")
+
+    def test_an_interrupted_run_kills_its_group(self, tmp_path):
+        pid_file = tmp_path / "run.pid"
+        caller = self._caller(tmp_path, ["sh", "-c", f'echo $$ > "{pid_file}"; exec sleep 60'],
+                              stdin=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        run = None
+        try:
+            t0 = time.monotonic()
+            while not (pid_file.exists() and pid_file.read_text().endswith("\n")):
+                assert caller.poll() is None and time.monotonic() - t0 < 30, "no run started"
+                time.sleep(0.02)
+            run = int(pid_file.read_text())
+            t0 = time.monotonic()
+            caller.send_signal(signal.SIGINT)
+            assert caller.wait(timeout=10) != 0
+            assert time.monotonic() - t0 < 2
+            with pytest.raises(ProcessLookupError):
+                os.kill(run, 0)
+        finally:
+            if caller.poll() is None:
+                caller.kill()
+                caller.wait()
+            if run is not None:
+                try:
+                    os.kill(run, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+
     @pytest.mark.skipif(shutil.which("setsid") is None, reason="setsid not installed")
     def test_an_escaped_grandchild_cannot_hold_a_timed_out_run(self, tmp_path):
         tree = tmp_path / "tree"

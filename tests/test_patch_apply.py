@@ -14,6 +14,7 @@ from revenant.patchcore import (
     CONFLICT_EXISTS,
     CONFLICT_MISSING,
     PatchConflict,
+    PatchError,
     SourcePatch,
     apply_patch,
     invert,
@@ -27,7 +28,7 @@ from revenant.patchcore.applier import (
     apply_file_patch,
 )
 from revenant.patchcore.diffgen import diff_texts, whole_file_patch
-from revenant.patchcore.model import MODE_CREATED, MODE_DELETED, HunkRejected, PatchApplyError
+from revenant.patchcore.model import MODE_CREATED, MODE_DELETED, HunkRejected
 from genpatch import DictTree, gen_pair
 
 OLD = "one\ntwo\nthree\nfour\nfive\nsix\nseven\neight\nnine\nten\n"
@@ -40,9 +41,9 @@ def _patch_for(old: str, new: str) -> "SourcePatch":
 
 def test_exact_apply_reproduces_new():
     fp = diff_texts(OLD, NEW, "f")
-    result, report = apply_file_patch(OLD, fp)
+    result, offsets = apply_file_patch(OLD, fp)
     assert result == NEW
-    assert report.offsets == [0]
+    assert offsets == [0]
 
 
 def test_forward_then_inverse_is_identity():
@@ -56,9 +57,9 @@ def test_offset_search_finds_shifted_anchor():
     # three lines added above shift the patchable region down by three
     shifted = "a\nb\nc\n" + OLD
     fp = diff_texts(OLD, NEW, "f")
-    result, report = apply_file_patch(shifted, fp, search_window=10)
+    result, offsets = apply_file_patch(shifted, fp, search_window=10)
     assert result == "a\nb\nc\n" + NEW
-    assert report.offsets == [3]
+    assert offsets == [3]
 
 
 def test_strict_mode_rejects_shifted_anchor():
@@ -73,8 +74,8 @@ def test_window_bounds_the_search():
     fp = diff_texts(OLD, NEW, "f")
     with pytest.raises(HunkRejected, match="no anchor"):
         apply_file_patch(shifted, fp, search_window=5)
-    _, report = apply_file_patch(shifted, fp, search_window=30)
-    assert report.offsets == [30]
+    _, offsets = apply_file_patch(shifted, fp, search_window=30)
+    assert offsets == [30]
 
 
 def test_fuzz_drops_outer_context():
@@ -124,8 +125,8 @@ def test_equidistant_anchors_are_ambiguous():
         apply_file_patch(content2, fp, search_window=10)
     # with one stanza damaged the survivor wins
     content3 = "pad\n" + stanza + "pad\n" + stanza.replace("s2", "zz")
-    result, report = apply_file_patch(content3, fp, search_window=10)
-    assert report.offsets == [-2]
+    result, offsets = apply_file_patch(content3, fp, search_window=10)
+    assert offsets == [-2]
     assert "S2" in result
 
 
@@ -136,8 +137,8 @@ def test_nearer_anchor_wins_over_farther():
         "--- a/f\n+++ b/f\n@@ -2,3 +2,3 @@\n s1\n-s2\n+S2\n s3\n"
     )
     fp = parse_unified_diff(patch_text).files[0]
-    result, report = apply_file_patch(content, fp, search_window=10)
-    assert report.offsets == [-1]
+    result, offsets = apply_file_patch(content, fp, search_window=10)
+    assert offsets == [-1]
     assert result.startswith("s1\nS2\ns3\n")
 
 
@@ -159,12 +160,6 @@ def test_a_rejected_hunk_rejects_its_file():
             apply_patch(tree, [fp], max_fuzz=0)
         assert exc.value.reasons == {"f": CONFLICT_REJECTED}
         assert tree.files == {"f": damaged}
-
-
-def test_binary_patch_refused():
-    p = parse_unified_diff("Binary files a/x and b/x differ\n")
-    with pytest.raises(HunkRejected):
-        apply_file_patch("anything", p.files[0])
 
 
 def test_whitespace_is_significant_by_default():
@@ -213,9 +208,9 @@ def test_random_round_trips(seed):
     rng = random.Random(seed)
     old, new = gen_pair(rng)
     fp = diff_texts(old, new, "f")
-    forward, report = apply_file_patch(old, fp)
+    forward, offsets = apply_file_patch(old, fp)
     assert forward == new
-    assert report.offsets == [0] * len(fp.hunks)
+    assert offsets == [0] * len(fp.hunks)
     back, _ = apply_file_patch(forward, invert(SourcePatch([fp])).files[0])
     assert back == old
 
@@ -278,8 +273,8 @@ def test_stage_created_over_existing_conflicts():
 
 def test_stage_created_where_absent_writes_the_file():
     tree = DictTree({})
-    reports = apply_patch(tree, [whole_file_patch("", "new\n", "f", MODE_CREATED)], max_fuzz=0)
-    assert [r.path for r in reports] == ["f"]
+    offsets = apply_patch(tree, [whole_file_patch("", "new\n", "f", MODE_CREATED)], max_fuzz=0)
+    assert offsets == [[0]]
     assert tree.files == {"f": "new\n"}
 
 
@@ -320,8 +315,8 @@ def test_stage_later_patch_on_a_path_sees_the_staged_text():
 
 def test_stage_writes_nothing_on_a_conflict():
     tree = DictTree({"a": OLD, "b": "unrelated\n"})
-    # a PatchConflict is the PatchApplyError that callers catch
-    with pytest.raises(PatchApplyError) as exc:
+    # a PatchConflict is the PatchError that callers catch
+    with pytest.raises(PatchError) as exc:
         apply_patch(tree, [diff_texts(OLD, NEW, "a"), diff_texts(OLD, NEW, "b")], max_fuzz=0)
     assert exc.value.reasons == {"b": CONFLICT_REJECTED}
     assert tree.files == {"a": OLD, "b": "unrelated\n"}
@@ -339,9 +334,9 @@ def test_stage_reports_every_file_and_lists_every_conflict(monkeypatch):
     applied = []
 
     def recording(content, fp, max_fuzz):
-        new, report = apply_file_patch(content, fp, max_fuzz=max_fuzz)
+        new, offsets = apply_file_patch(content, fp, max_fuzz=max_fuzz)
         applied.append((fp.path, new))
-        return new, report
+        return new, offsets
 
     monkeypatch.setattr(applier, "apply_file_patch", recording)
     assert list(_conflicts(tree, files).items()) == [
@@ -350,11 +345,10 @@ def test_stage_reports_every_file_and_lists_every_conflict(monkeypatch):
         ("exists", CONFLICT_EXISTS),
     ]
     # files after a conflict are still applied
-    assert tree.reads == ["ok1", "rejected", "exists", "ok2"]
+    assert tree.reads == ["ok1", "rejected", "missing", "exists", "ok2"]
     assert applied == [("ok1", NEW), ("ok2", NEW)]
     # with the conflicting files gone, every file applies and is reported
     del files[1:4]
-    reports = apply_patch(tree, files, max_fuzz=0)
-    assert [r.path for r in reports] == ["ok1", "ok2"]
-    assert [r.offsets for r in reports] == [[0], [0]]
+    assert [fp.path for fp in files] == ["ok1", "ok2"]
+    assert apply_patch(tree, files, max_fuzz=0) == [[0], [0]]
     assert {p: tree.files[p] for p in ("ok1", "ok2")} == {"ok1": NEW, "ok2": NEW}

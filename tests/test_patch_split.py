@@ -12,11 +12,9 @@ from revenant.patchcore import (
     apply_patch,
     parse_unified_diff,
     split_by_granularity,
-    tree_reader,
 )
 from revenant.patchcore.applier import apply_file_patch
 from revenant.patchcore.diffgen import diff_texts
-from revenant.patchcore.model import FunctionBoundaryUnavailable
 from revenant.patchcore.split import locate_functions
 from genpatch import DictTree
 
@@ -49,9 +47,13 @@ def test_locate_functions_finds_both():
     assert helper[1] == 3 and helper[2] == 9
 
 
-def test_locator_raises_on_flat_text():
-    with pytest.raises(FunctionBoundaryUnavailable):
-        locate_functions("just\nsome\nlines\n")
+@pytest.mark.parametrize("text", [
+    "just\nsome\nlines\n",
+    # a body that never closes hides every span, also one found before it
+    "int done(void)\n{\n}\n\nint open(void)\n{\n    if (x) {\n}\n",
+], ids=["flat", "unbalanced"])
+def test_locator_finds_nothing_it_cannot_bound(text):
+    assert locate_functions(text) == []
 
 
 def _apply_parts(content: str, parts, window=400):
@@ -114,7 +116,7 @@ FILLED = "--- a/x.txt\n+++ b/x.txt\n@@ -0,0 +1 @@\n+one\n"
                                                  (FILLED, "", "one\n")], ids=["emptied", "filled"])
 def test_every_granularity_keeps_an_empty_file(granularity, diff, before, after):
     tree = DictTree({"x.txt": before})
-    parts = split_by_granularity(parse_unified_diff(diff), granularity, tree_reader(tree))
+    parts = split_by_granularity(parse_unified_diff(diff), granularity, tree.read)
     apply_patch(tree, parts, max_fuzz=0)
     assert tree.files == {"x.txt": after}
 

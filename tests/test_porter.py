@@ -289,7 +289,7 @@ class TestDeriveReverse:
         with ReferencePorter(rb.root, *NO_BUILD, tmp_path, build=False) as porter:
             assert porter.attempt("t3", (), ["t1", "t2"]).verdict.kind == KIND_TRIGGERED
             tree = porter.trees[-1]
-            assert not tree.exists("new.c")
+            assert tree.read("new.c") is None
             assert tree.read("gone.c") == "int gone;\n"
             assert [path for path, _, _ in tree.entries()] == ["a.txt", "b.txt", "gone.c"]
 
