@@ -35,7 +35,7 @@ from .curation import (
 )
 from .datasets import TIERS, load_breaker_ledger, load_revival_survey, load_tier_survey
 from .gitio import CommitMemo, GitGatewayError, activity_histogram
-from .oracle import Oracle, write_atomic
+from .oracle import Oracle, stopping, write_atomic
 from .porter import (
     BisectError,
     FINAL_REVIVED,
@@ -220,15 +220,22 @@ def cmd_revive(args) -> int:
     codes = []
     unmapped = []
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        for path, case in [(path, pool.submit(_revive_one, path, args)) for path in paths]:
-            try:
-                line, code = case.result()
-            except Exception as exc:  # noqa: BLE001 - mapped to exit codes, or raised below
-                line, code = f"error case={path} {exc}", _code_for(exc)
-                if code is None:
-                    unmapped.append(exc)
-            print(line)
-            codes.append(code)
+        try:
+            for path, case in [(path, pool.submit(_revive_one, path, args)) for path in paths]:
+                try:
+                    line, code = case.result()
+                except Exception as exc:  # noqa: BLE001 - mapped to exit codes, or raised below
+                    line, code = f"error case={path} {exc}", _code_for(exc)
+                    if code is None:
+                        unmapped.append(exc)
+                print(line)
+                codes.append(code)
+        except KeyboardInterrupt:
+            # the cases' runs sit in sessions of their own, which Ctrl-C
+            # does not reach: kill them, and start no other case
+            with stopping():
+                pool.shutdown(cancel_futures=True)
+            raise
     if unmapped:
         raise unmapped[0]
     return max(codes)

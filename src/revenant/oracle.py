@@ -221,6 +221,39 @@ def _kill_group(proc: subprocess.Popen) -> None:
         os.killpg(proc.pid, signal.SIGKILL)
 
 
+class RunStopped(KeyboardInterrupt):
+    """A run killed, or refused a start, while its command stops
+    (`stopping`)."""
+
+
+# the runs in flight in this process, so that the thread Ctrl-C reaches
+# can stop those that other threads started
+_live_runs: Set[subprocess.Popen] = set()
+_live_lock = threading.Lock()
+_stopping = threading.Event()
+
+
+def _check_stopping() -> None:
+    if _stopping.is_set():
+        raise RunStopped("the command is stopping")
+
+
+@contextmanager
+def stopping() -> Iterator[None]:
+    """Kill the process group of every run in flight, and make each run
+    that ends or starts within the block raise RunStopped, so that none
+    gives a verdict.  Runs go on normally after the block."""
+    _stopping.set()
+    with _live_lock:
+        live = list(_live_runs)
+    for proc in live:
+        _kill_group(proc)
+    try:
+        yield
+    finally:
+        _stopping.clear()
+
+
 def run_limited(
     argv: List[str],
     cwd: Path,
@@ -233,7 +266,8 @@ def run_limited(
     limits cannot be set, gives `spawn_error`.  On a timeout the group is
     killed and what the pipe yields within `DRAIN_DEADLINE` is returned.
     A wait that anything else interrupts, such as KeyboardInterrupt,
-    kills the group too, and the interruption propagates."""
+    kills the group too, and the interruption propagates; so does a run
+    that `stopping` kills, as RunStopped."""
     t0 = time.monotonic()
     try:
         proc = subprocess.Popen(
@@ -248,6 +282,9 @@ def run_limited(
     except OSError as exc:
         return RunResult(-1, "", time.monotonic() - t0, False, spawn_error=str(exc))
     try:
+        with _live_lock:
+            _live_runs.add(proc)
+        _check_stopping()  # after the add, so `stopping` kills it or we see the stop
         timed_out = False
         try:
             out, _ = proc.communicate(timeout=timeout)
@@ -261,6 +298,7 @@ def run_limited(
                 proc.kill()  # in case it left its group, so the wait ends
                 proc.stdout.close()
                 proc.wait()
+        _check_stopping()
     except BaseException:
         # the group is in its own session, so a terminal's SIGINT never
         # reached it: nothing would stop it after we are gone
@@ -268,6 +306,9 @@ def run_limited(
         proc.wait()
         proc.stdout.close()
         raise
+    finally:
+        with _live_lock:
+            _live_runs.discard(proc)
     wall = time.monotonic() - t0
     text = out.decode("utf-8", errors="replace") if out else ""
     if proc.returncode != 0 and text.startswith(f"{LAUNCHER}:"):

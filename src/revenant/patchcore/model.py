@@ -27,12 +27,17 @@ NEW_SIDE = (CONTEXT, ADD)
 
 
 class Granularity(Enum):
-    """How much of a fix patch is treated as one indivisible unit."""
+    """How the reverse fix is applied; the patch applies whole or not at
+    all either way (`split_by_granularity`, `apply_patch`).
+
+    PatchHunks applies each file's hunks in order, each searched for
+    near its declared line, moved by the lines the hunks before it added
+    or removed, with fuzz.  WholeFiles applies each file's patch
+    strictly, at its declared lines with no fuzz, and replaces the whole
+    file."""
 
     WholeFiles = "whole-files"
     PatchHunks = "patch-hunks"
-    FunctionScope = "function"
-    ChunkScope = "chunk"
 
 
 class PatchError(Exception):

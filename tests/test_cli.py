@@ -2,7 +2,11 @@ import errno
 import json
 import os
 import shutil
+import signal
 import subprocess
+import sys
+import time
+from contextlib import suppress
 from pathlib import Path
 
 import pytest
@@ -162,6 +166,49 @@ def test_an_unexpected_error_among_jobs_is_raised_after_its_siblings_lines(
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"error case={bad} no exit code maps this"
     assert "final=Revived" in lines[1]
+
+
+def test_ctrl_c_stops_every_case_of_a_multi_config_revive(tmp_path, fixture):
+    # each case's PoC bytes differ, so its verdict key does too and the two
+    # builds run at once; each build step stays alive in the slot
+    pid_files = [tmp_path / f"case{n}" / "build.pid" for n in range(2)]
+    cases = []
+    for n, pid_file in enumerate(pid_files):
+        case = case_in(tmp_path / f"case{n}", fixture, cve=f"CVE-2021-000{n}",
+                       workspace=str(tmp_path / "ws"))
+        data = json.loads(case.read_text())
+        Path(data["poc"]["input"]).write_bytes(b"poc %d\n" % n)
+        data["build"]["steps"] = [f'echo $$ > "{pid_file}"; exec sleep 60']
+        case.write_text(json.dumps(data))
+        cases += ["--config", str(case)]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    revive = subprocess.Popen([sys.executable, "-m", "revenant.cli", "revive", "--jobs", "2",
+                               *cases], env=env, stdin=subprocess.DEVNULL,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    pids = []
+    try:
+        t0 = time.monotonic()
+        while not all(f.exists() and f.read_text().endswith("\n") for f in pid_files):
+            assert revive.poll() is None and time.monotonic() - t0 < 60, "no builds started"
+            time.sleep(0.02)
+        pids = [int(f.read_text()) for f in pid_files]
+        t0 = time.monotonic()
+        revive.send_signal(signal.SIGINT)
+        assert revive.wait(timeout=5) != 0
+        assert time.monotonic() - t0 < 5
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        store = tmp_path / "ws" / cli.VERDICT_CACHE
+        assert [p.name for p in store.iterdir()] == ["locks"]
+        assert not list((tmp_path / "ws").glob(f"*/{RECORD_FILE}"))
+    finally:
+        if revive.poll() is None:
+            revive.kill()
+            revive.wait()
+        for pid in pids:
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
 
 
 class TestTiers:

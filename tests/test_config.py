@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from revenant.cli import main
 from revenant.config import (
     ConfigError,
     WORKSPACE_ENV,
@@ -131,6 +132,13 @@ class TestParse:
         with pytest.raises(ConfigError, match="granularity"):
             load_case(write(tmp_path, "case.json", case), None)
 
+    @pytest.mark.parametrize("value", ["chunk", "function"])
+    def test_a_removed_granularity_exits_5_naming_the_values_left(self, tmp_path, capsys, value):
+        case = write(tmp_path, "case.json", full_case(policy={"granularity": value}))
+        assert main(["port", "--config", str(case)]) == 5
+        assert ("policy.granularity must be one of ['whole-files', 'patch-hunks']"
+                in capsys.readouterr().err)
+
     def test_negative_limit_rejected(self, tmp_path):
         case = full_case()
         case["limits"]["max_reverted_commits"] = -1
@@ -155,7 +163,7 @@ class TestDefaultsMerge:
             "repo": "repo",
             "build": {"steps": ["sh build.sh"], "artifacts": ["pack_tool"], "timeout": 600},
             "poc": {"command": "{binary} {input}", "input": "shared.bin"},
-            "policy": {"granularity": "chunk"},
+            "policy": {"granularity": "whole-files"},
         }
         case = {
             "cve": "CVE-2020-1",
@@ -168,7 +176,7 @@ class TestDefaultsMerge:
         assert cfg.build.timeout == 600
         assert cfg.poc.command == "{binary} {input}"
         assert cfg.poc.input_file.endswith("case.bin")
-        assert cfg.granularity is Granularity.ChunkScope
+        assert cfg.granularity is Granularity.WholeFiles
 
     def test_load_case_with_defaults_file(self, tmp_path):
         defaults = {"project": "pack", "repo": "repo",

@@ -371,6 +371,13 @@ class TestLaunches:
                 except ProcessLookupError:
                     pass
 
+    def test_a_run_raises_while_its_command_stops_and_runs_after(self, tmp_path):
+        env = {"PATH": os.environ["PATH"]}
+        with oracle_mod.stopping():
+            with pytest.raises(oracle_mod.RunStopped):
+                oracle_mod.run_limited(["echo", "stopped"], tmp_path, env, 10)
+        assert oracle_mod.run_limited(["echo", "ok"], tmp_path, env, 10).output == "ok\n"
+
     @pytest.mark.skipif(shutil.which("setsid") is None, reason="setsid not installed")
     def test_an_escaped_grandchild_cannot_hold_a_timed_out_run(self, tmp_path):
         tree = tmp_path / "tree"

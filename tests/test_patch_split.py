@@ -1,4 +1,4 @@
-"""Granularity splitting: part shapes, equivalence, locator fallback."""
+"""Granularity splitting: part shapes and equivalence."""
 
 from __future__ import annotations
 
@@ -15,8 +15,7 @@ from revenant.patchcore import (
 )
 from revenant.patchcore.applier import apply_file_patch
 from revenant.patchcore.diffgen import diff_texts
-from revenant.patchcore.split import locate_functions
-from genpatch import DictTree
+from genpatch import DictTree, gen_pair
 
 C_FILE = """\
 #include <stdio.h>
@@ -39,43 +38,10 @@ int main(int argc, char **argv)
 """
 
 
-def test_locate_functions_finds_both():
-    spans = locate_functions(C_FILE)
-    names = [s[0] for s in spans]
-    assert names == ["helper", "main"]
-    helper = spans[0]
-    assert helper[1] == 3 and helper[2] == 9
-
-
-@pytest.mark.parametrize("text", [
-    "just\nsome\nlines\n",
-    # a body that never closes hides every span, also one found before it
-    "int done(void)\n{\n}\n\nint open(void)\n{\n    if (x) {\n}\n",
-], ids=["flat", "unbalanced"])
-def test_locator_finds_nothing_it_cannot_bound(text):
-    assert locate_functions(text) == []
-
-
-def _apply_parts(content: str, parts, window=400):
-    for part in parts:
-        content, _ = apply_file_patch(content, part, search_window=window)
-    return content
-
-
 def _edit_c_file():
     new = C_FILE.replace("return -x;", "return 1 - x;")
     new = new.replace('printf("%d\\n", v);', 'printf("value=%d\\n", v);')
     return new
-
-
-def test_chunk_scope_parts_apply_sequentially():
-    new = _edit_c_file()
-    patch = SourcePatch([diff_texts(C_FILE, new, "m.c")])
-    parts = split_by_granularity(patch, Granularity.ChunkScope, read=lambda p: None)
-    assert len(parts) == 2
-    for part in parts:
-        assert len(part.hunks) == 1
-    assert _apply_parts(C_FILE, parts) == new
 
 
 def test_patch_hunks_partitions_by_file(tmp_path):
@@ -121,61 +87,15 @@ def test_every_granularity_keeps_an_empty_file(granularity, diff, before, after)
     assert tree.files == {"x.txt": after}
 
 
-def test_function_scope_groups_by_function(tmp_path):
-    new = _edit_c_file()
-    (tmp_path / "m.c").write_text(C_FILE)
-    patch = SourcePatch([diff_texts(C_FILE, new, "m.c")])
-    parts = split_by_granularity(
-        patch, Granularity.FunctionScope, read=lambda p: (tmp_path / p).read_text()
-    )
-    assert len(parts) == 2
-    # helper's hunk, then main's
-    helper, main = patch.files[0].hunks
-    assert [[h.lines for h in p.hunks] for p in parts] == [[helper.lines], [main.lines]]
-    assert _apply_parts(C_FILE, parts) == new
-
-
-def test_function_scope_keeps_a_functions_hunks_together():
-    new = C_FILE.replace("int v = argc;", "int v = argc + 1;").replace("return 0;", "return v;")
-    # two contextless hunks, which a diff with context would join
-    patch = parse_unified_diff(
-        "--- a/m.c\n+++ b/m.c\n"
-        "@@ -13 +13 @@\n-    int v = argc;\n+    int v = argc + 1;\n"
-        "@@ -16 +16 @@\n-    return 0;\n+    return v;\n"
-    )
-    assert len(patch.files[0].hunks) == 2
-    parts = split_by_granularity(patch, Granularity.FunctionScope, read=lambda p: C_FILE)
-    assert [len(p.hunks) for p in parts] == [2]
-    assert _apply_parts(C_FILE, parts) == new
-
-
-def test_function_scope_falls_back_to_chunks(tmp_path):
-    old = "alpha\nbeta\ngamma\ndelta\n"
-    new = "alpha\nBETA\ngamma\nDELTA\n"
-    (tmp_path / "notes.txt").write_text(old)
-    patch = parse_unified_diff(
-        "--- a/notes.txt\n+++ b/notes.txt\n"
-        "@@ -2 +2 @@\n-beta\n+BETA\n"
-        "@@ -4 +4 @@\n-delta\n+DELTA\n"
-    )
-    parts = split_by_granularity(
-        patch, Granularity.FunctionScope, read=lambda p: (tmp_path / p).read_text()
-    )
-    assert len(parts) == 2
-    hunks = patch.files[0].hunks
-    assert [[h.lines for h in p.hunks] for p in parts] == [[h.lines] for h in hunks]
-    assert _apply_parts(old, parts) == new
-
-
 def test_split_concatenation_equivalence_randomized():
     rng = random.Random(42)
-    from genpatch import gen_pair
-
     for _ in range(40):
         old, new = gen_pair(rng, unique=True)
         fp = diff_texts(old, new, "f")
         if not fp.hunks:
             continue
         patch = SourcePatch([fp])
-        parts = split_by_granularity(patch, Granularity.ChunkScope, read=lambda p: None)
-        assert _apply_parts(old, parts) == new
+        [part] = split_by_granularity(patch, Granularity.WholeFiles, read=lambda p: old)
+        assert len(part.hunks) == 1
+        got, _ = apply_file_patch(old, part, search_window=0)
+        assert got == new

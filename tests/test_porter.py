@@ -538,8 +538,6 @@ GRANULARITY_RECORDS = [
         {"file": "lib.c", "start": 1, "end": 3},
     ]),
     (Granularity.PatchHunks, effort(2, 0, 3, 0), HUNK_REGIONS),
-    (Granularity.FunctionScope, effort(2, 0, 3, 0), HUNK_REGIONS),
-    (Granularity.ChunkScope, effort(2, 0, 3, 0), HUNK_REGIONS),
 ]
 
 
@@ -555,17 +553,7 @@ class TestGranularity:
         assert rec.final == FINAL_REVIVED
         assert rec.granularity == "whole-files"
 
-    def test_function_scope_port(self, tmp_path):
-        fx = forge_repo(tmp_path, [])
-        porter = make_porter(
-            fx,
-            tmp_path,
-            granularity=Granularity.FunctionScope,
-        )
-        rec = porter.revive("CVE-0000-0011", "packdemo", [fx.fix], fx.target)
-        assert rec.final == FINAL_REVIVED
-
-    @pytest.mark.parametrize("granularity", [Granularity.WholeFiles, Granularity.FunctionScope])
+    @pytest.mark.parametrize("granularity", [Granularity.WholeFiles])
     def test_a_fixed_file_absent_from_the_tree_is_a_port_conflict(self, tmp_path, granularity):
         rb = RepoBuilder(tmp_path / "repo")
         rb.commit({"a.txt": "a\n", "b.txt": "b\n"}, "base")
@@ -578,6 +566,9 @@ class TestGranularity:
 
     @pytest.mark.parametrize("granularity,effort,regions", GRANULARITY_RECORDS)
     def test_records_pin_each_granularity(self, tmp_path, granularity, effort, regions):
+        # one row per granularity, so none ships without a pinned record
+        assert sorted(g.value for g, *_ in GRANULARITY_RECORDS) == sorted(
+            g.value for g in Granularity)
         # the fix changes two functions of lib.c and limits.h; the target
         # adds lines above both of lib.c's hunks
         rb = RepoBuilder(tmp_path / "repo")
